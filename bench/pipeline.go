@@ -18,6 +18,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/agg"
 	"repro/exec"
@@ -101,9 +102,14 @@ func SegmentRevenueMaterialized(d PipelineData, cut uint64, workers int) (*agg.G
 	}
 	var err error
 	if workers > 1 {
-		// SharedHashJoin serializes emit internally, like any
-		// materializing consumer must.
-		_, err = join.SharedHashJoin(d.Customers, filtered, workers, join.Config{}, emit)
+		// SharedHashJoin calls emit from every worker; a materializing
+		// consumer serializes it.
+		var mu sync.Mutex
+		_, err = join.SharedHashJoin(d.Customers, filtered, workers, join.Config{}, func(k, segment, c uint64) {
+			mu.Lock()
+			emit(k, segment, c)
+			mu.Unlock()
+		})
 	} else {
 		_, err = join.HashJoin(d.Customers, filtered, join.Config{}, emit)
 	}

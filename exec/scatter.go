@@ -25,10 +25,17 @@ import "repro/hashfn"
 //	apply group j:   over sc.Keys[lo:hi], sc.Vals[lo:hi], sc.OK[lo:hi]
 //	gather results:  for i, oi := range sc.Orig { out[oi] = sc.Vals[i] }
 //
-// A Scatter may be reused across calls (Route grows the buffers in place,
-// so steady-state staging allocates nothing) but is not safe for
-// concurrent Route calls; concurrent workers may write DISJOINT staged
-// ranges of Vals/OK between a Route and the gather.
+// A Scatter is meant to be reused: Route grows the columns in place and
+// overwrites all of them, so nothing of an earlier call survives into the
+// next and steady-state staging allocates nothing. That is how the sharded
+// engine uses it — each batch call takes one from a pool for its own
+// duration — and a per-worker Scatter kept across morsels works the same
+// way. One Scatter serves one Route-to-gather cycle at a time: concurrent
+// Route calls are not safe, though concurrent workers may write DISJOINT
+// staged ranges of Vals/OK between a Route and the gather. The columns
+// keep the capacity of the largest batch routed; an owner that pools
+// Scatters should drop one whose cap(Keys) has grown past what it wants
+// to keep.
 type Scatter struct {
 	Keys   []uint64
 	Vals   []uint64

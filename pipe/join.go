@@ -74,10 +74,12 @@ type joinSource struct {
 // probe bound is the join's bound.
 func (j *joinSource) rows() int { return j.probe.size() }
 
-// joinScratch is one worker's probe/build column scratch.
+// joinScratch is one worker's probe/build column scratch: the values a
+// batch call returns and its flags (loaded during the build, ok during
+// the probe — the phases never overlap).
 type joinScratch struct {
-	out    []uint64
-	loaded []bool
+	out  []uint64
+	flag []bool
 }
 
 // openBuild opens the build-side table: pre-sized from the cardinality
@@ -117,17 +119,21 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	if err != nil {
 		return fmt.Errorf("pipe: join build table: %w", err)
 	}
+	// The parallel build table grows when the hint understated the build
+	// side; a resize still in flight when the query ends would otherwise
+	// park its cursor's goroutine, and the frozen table, for good.
+	defer h.Close()
 	scratch := make([]joinScratch, rt.pool.Workers())
 	for w := range scratch {
 		scratch[w].out = make([]uint64, rt.pool.MorselSize())
-		scratch[w].loaded = make([]bool, rt.pool.MorselSize())
+		scratch[w].flag = make([]bool, rt.pool.MorselSize())
 	}
 	// Build phase: the build stream drains into the table, one
 	// single-probe GetOrPutBatch per incoming batch.
 	err = j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
 		sc := &scratch[w]
-		_, err := h.GetOrPutBatch(keys, vals, sc.out[:len(keys)], sc.loaded[:len(keys)])
+		_, err := h.GetOrPutBatch(keys, vals, sc.out[:len(keys)], sc.flag[:len(keys)])
 		rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
 		if err != nil {
 			return fmt.Errorf("pipe: join build: %w", err)
@@ -141,18 +147,15 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	// matches are projected and pushed through the downstream stages in
 	// the same pass — no intermediate join result exists anywhere.
 	bufs := rt.newBatches()
-	ok := make([][]bool, rt.pool.Workers())
-	for w := range ok {
-		ok[w] = make([]bool, rt.pool.MorselSize())
-	}
 	return j.probe.src.run(rt, j.probe.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
 		sc := &scratch[w]
-		h.GetBatch(keys, sc.out[:len(keys)], ok[w][:len(keys)])
+		ok := sc.flag[:len(keys)]
+		h.GetBatch(keys, sc.out[:len(keys)], ok)
 		b := &bufs[w]
 		n := 0
 		for i := range keys {
-			if !ok[w][i] {
+			if !ok[i] {
 				continue
 			}
 			k, v := cfg.Project(keys[i], sc.out[i], vals[i])

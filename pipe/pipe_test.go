@@ -2,10 +2,13 @@ package pipe_test
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/agg"
+	"repro/decision"
 	"repro/join"
 	"repro/pipe"
 	"repro/table"
@@ -229,6 +232,70 @@ func TestFromHandle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// rowsEndingMidResize returns a build-side row count (keys 1..n) at which
+// a four-worker join's build table — re-opened here the way openBuild
+// opens it for Hint(hint) — has just begun resizing a shard. How many keys
+// a shard holds at the end does not depend on the schedule, and that
+// count is what begins a resize, so the join's own table ends its build
+// in that state too.
+func rowsEndingMidResize(t *testing.T, hint, from int) int {
+	t.Helper()
+	h := table.MustOpen(
+		table.WithCapacity(join.CapacityFor(hint, 0.5)),
+		table.WithPartitions(decision.ShardsFor(4)),
+		table.WithMaxLoadFactor(table.DefaultMaxLoadFactor))
+	defer h.Close()
+	migrating := 0
+	for n := 1; n < 2*from; n++ {
+		if _, err := h.Put(uint64(n), 0); err != nil {
+			t.Fatal(err)
+		}
+		was := migrating
+		migrating = h.EngineStats().Migrating
+		if n >= from && migrating > was {
+			return n // key n began a resize
+		}
+	}
+	t.Fatalf("no resize began between %d and %d keys", from, 2*from)
+	return 0
+}
+
+func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
+	// A parallel build keeps growth enabled, so an understated Hint makes
+	// the sharded build table resize incrementally, and a query whose
+	// build ends with a shard mid-resize leaves that shard's migration
+	// cursor behind: a parked goroutine pinning the frozen table. The join
+	// must stop it before it returns: the goroutine count comes back to
+	// where it was.
+	const hint = 8
+	rows := rowsEndingMidResize(t, hint, 40_000)
+	build := make(join.Relation, rows)
+	for i := range build {
+		build[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i)}
+	}
+	probe := join.Relation{{Key: 1, Payload: 1}, {Key: uint64(rows), Payload: 2}, {Key: uint64(rows) + 1, Payload: 3}}
+	before := runtime.NumGoroutine()
+	for range 4 {
+		n, err := pipe.HashJoin(pipe.FromRelation(build).Hint(hint), pipe.FromRelation(probe), pipe.JoinConfig{}).
+			Count(pipe.Config{Workers: 4, MorselSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 {
+			t.Fatalf("join matched %d probe rows, want 2", n)
+		}
+	}
+	// Pool workers exit asynchronously to the terminal's return; give
+	// them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before four understated-hint joins, %d after", before, after)
 	}
 }
 

@@ -1,0 +1,50 @@
+//go:build !race
+
+package shard_test
+
+// Steady-state batch calls allocate nothing: the staging comes from the
+// pool and the tables' chunk scratch is already there. Not a race-build
+// test: there sync.Pool drops a quarter of what it is handed back.
+
+import (
+	"testing"
+
+	"repro/table"
+)
+
+func TestBatchCallsAllocateNothing(t *testing.T) {
+	e := newEngine(t, table.SchemeRH, 4, 1<<14, 0.85, 22)
+	const width = 4096
+	keys := make([]uint64, width)
+	vals := make([]uint64, width)
+	out := make([]uint64, width)
+	ok := make([]bool, width)
+	for i := range keys {
+		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		vals[i] = uint64(i)
+	}
+	// The first PutBatch inserts (and may resize); every later call finds
+	// the keys in place on idle shards.
+	if _, err := e.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Drain() {
+		t.Fatal("Drain did not reach idle")
+	}
+	bump := func(lane int, old uint64, _ bool) uint64 { return old + uint64(lane) }
+	calls := []struct {
+		name string
+		call func()
+	}{
+		{"GetBatch", func() { e.GetBatch(keys, out, ok) }},
+		{"PutBatch", func() { e.PutBatch(keys, vals) }},
+		{"GetOrPutBatch", func() { e.GetOrPutBatch(keys, vals, out, ok) }},
+		{"UpsertBatch", func() { e.UpsertBatch(keys, bump) }},
+	}
+	for _, c := range calls {
+		c.call() // warm: pool, chunk scratch
+		if allocs := testing.AllocsPerRun(100, c.call); allocs != 0 {
+			t.Errorf("%s: %v allocations per steady-state call, want 0", c.name, allocs)
+		}
+	}
+}

@@ -7,19 +7,98 @@ package shard
 // for reads, one writer-lock acquisition for writes — and results gather
 // back to the callers' lanes in input order.
 //
-// Engines are meant for concurrent callers, so the staging buffers are
-// allocated per call rather than cached: two goroutines batching on the
-// same engine must not share scratch.
+// Engines are meant for concurrent callers, so a call never shares scratch
+// with another: each takes a staging (the scatter's columns, a chunk of
+// hash scratch, UpsertBatch's relay) from a pool for its own duration and
+// returns it after the gather. The scatter grows its columns in place, so
+// once the pool is warm a batch call allocates nothing.
 //
-// A non-migrating shard runs its table's batched pipeline (bulk-hashed,
-// round-robin probe walks). A migrating shard falls back to the scalar
-// migration-aware path per staged key, which also advances the migration —
-// batches make resize progress proportional to their size.
+// A non-migrating shard's writes run its table's batched pipeline
+// (bulk-hashed, home lines touched together, then the walk). Reads never
+// use that pipeline — it writes table-owned scratch, which only the
+// exclusive lock makes safe — but they get its memory-level parallelism
+// the read-only way: per 64-key chunk the table's home lines are touched
+// into the staging's own hash scratch, then the scalar Gets run against
+// lines already in flight (see readRange). A migrating shard falls back to
+// the scalar migration-aware path per staged key, which for writes also
+// advances the migration — batches make resize progress proportional to
+// their size.
 
 import (
+	"sync"
+
 	"repro/exec"
+	"repro/hashfn"
 	"repro/obs"
 )
+
+// staging is one batch call's scratch. It is owned by exactly one call
+// between takeStaging and release, whatever goroutines share the
+// engine (or other engines: the pool is the package's, so the short-lived
+// build engines of consecutive queries reuse each other's columns).
+type staging struct {
+	exec.Scatter
+	// hash is the bulk-hash scratch of the wait-free readers' touch pass,
+	// which may not write the table's own.
+	hash [hashfn.DefaultBatchWidth]uint64
+
+	// UpsertBatch's relay: the table pipeline is handed relay — bound to
+	// this staging once, when it is made, so no closure is allocated per
+	// call — which forwards to the caller's fn under the caller's lane
+	// numbering and records the last lane computed (see upsertBatchShard).
+	relay    func(lane int, old uint64, exists bool) uint64
+	fn       func(lane int, old uint64, exists bool) uint64
+	orig     []int32 // staged lane → caller lane; nil when the range is unscattered
+	lastLane int
+	lastVal  uint64
+}
+
+// maxPooledLanes is the largest scatter (in staged lanes, 25 bytes each)
+// that goes back to the pool: sixteen default morsels. A larger one is
+// dropped for the collector, so one giant batch cannot pin its columns.
+const maxPooledLanes = 1 << 16
+
+var stagingPool = sync.Pool{New: func() any {
+	st := new(staging)
+	st.relay = st.relayUpsert
+	return st
+}}
+
+// takeStaging hands the caller a staging of its own until release.
+func takeStaging() *staging { return stagingPool.Get().(*staging) }
+
+// release returns st to the pool, forgetting the caller's callback and
+// lane map.
+func (st *staging) release() {
+	st.fn, st.orig = nil, nil
+	if cap(st.Keys) <= maxPooledLanes {
+		stagingPool.Put(st)
+	}
+}
+
+// callerLane maps a lane of the range the table sees to the caller's.
+func (st *staging) callerLane(i int) int {
+	if st.orig != nil {
+		return int(st.orig[i])
+	}
+	return i
+}
+
+func (st *staging) relayUpsert(lane int, old uint64, exists bool) uint64 {
+	v := st.fn(st.callerLane(lane), old, exists)
+	st.lastLane, st.lastVal = lane, v
+	return v
+}
+
+// scatter takes a staging from the pool and routes keys into it with the
+// shared exec.Scatter primitive: the router's bulk-hash pipeline plus one
+// stable counting pass regrouping the column shard-major. The caller
+// releases it once the results are gathered.
+func (e *Engine) scatter(keys []uint64) *staging {
+	st := takeStaging()
+	st.Route(e.router, e.shift, len(e.shards), keys)
+	return st
+}
 
 // GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
 // the number of hits. vals and ok must be at least as long as keys.
@@ -30,9 +109,10 @@ import (
 // callers proceed in parallel with each other — and with writers. That
 // rules out the tables' own batched probe pipeline here — it mutates a
 // per-table scratch and is only safe under the exclusive lock — so the
-// staged ranges run migration-aware scalar probes instead; the
-// shard-major scatter still amortizes routing and validation to once
-// per shard per batch.
+// staged ranges run migration-aware scalar probes, behind a read-only
+// touch of each chunk's home lines that keeps their cache misses
+// overlapped; the shard-major scatter amortizes routing and validation
+// to once per shard per batch.
 func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 	if len(vals) < len(keys) || len(ok) < len(keys) {
 		panic("shard: GetBatch output slices shorter than keys")
@@ -47,16 +127,19 @@ func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 
 func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
-		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
+		st := takeStaging()
+		defer st.release()
+		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)], st.hash[:])
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	hits := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {
 			continue
 		}
-		hits += e.readRange(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi])
+		hits += e.readRange(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi], st.hash[:])
 	}
 	for i, oi := range st.Orig {
 		vals[oi], ok[oi] = st.Vals[i], st.OK[i]
@@ -129,6 +212,7 @@ func (e *Engine) putBatch(keys, vals []uint64) (int, error) {
 		return e.putBatchShard(&e.shards[0], keys, vals)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	for i, oi := range st.Orig {
 		st.Vals[i] = vals[oi]
 	}
@@ -211,6 +295,7 @@ func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 		return e.getOrPutBatchShard(&e.shards[0], keys, vals, out, loaded)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	for i, oi := range st.Orig {
 		st.Vals[i] = vals[oi]
 	}
@@ -235,58 +320,59 @@ func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 }
 
 // upsertBatchShard applies one shard's staged keys; orig maps staged lanes
-// back to the caller's lanes for fn.
-func (e *Engine) upsertBatchShard(s *shardState, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+// back to the caller's lanes for fn (nil when keys is the caller's own
+// column). st carries the relay the table pipeline calls.
+func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
 	e.advance(s, e.chunk)
 	e.degradedTick(s)
-	callerLane := func(i int) int {
-		if orig != nil {
-			return int(orig[i])
-		}
-		return i
-	}
+	st.fn, st.orig = fn, orig
 	inserted := 0
 	resume := 0
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
 		// A half-applied UpsertBatch cannot simply be re-applied (fn
-		// would observe its own partial effects), so the wrapper records
+		// would observe its own partial effects), so the relay records
 		// the last lane fn computed for and its value: on a refusal —
 		// unreachable for the probing and chained schemes below the
 		// threshold, a failed kick chain for Cuckoo — the pipeline's
 		// contract guarantees every earlier lane is stored, and the last
 		// computed value is re-stored directly (idempotent if it already
 		// landed) without invoking fn again.
-		lastLane := -1
-		var lastVal uint64
-		ins, err := v.cur.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 {
-			v := fn(callerLane(lane), old, exists)
-			lastLane, lastVal = lane, v
-			return v
-		})
+		st.lastLane = -1
+		ins, err := v.cur.UpsertBatch(keys, st.relay)
 		s.live.Add(int64(ins))
 		if err == nil || e.growAt <= 0 {
 			return ins, err
 		}
 		inserted = ins
 		e.growForBatchRefusal(s)
-		if lastLane >= 0 {
+		if st.lastLane >= 0 {
 			// putLocked grows the shard (or degrades it) as needed while
 			// re-storing the last computed value.
-			in, err := e.putLocked(s, keys[lastLane], lastVal)
+			in, err := e.putLocked(s, keys[st.lastLane], st.lastVal)
 			if err != nil {
 				return inserted, err
 			}
 			if in {
 				inserted++
 			}
-			resume = lastLane + 1
+			resume = st.lastLane + 1
 		}
 	}
-	for i := resume; i < len(keys); i++ {
-		lane := callerLane(i)
-		_, err := e.upsertLocked(s, keys[i], func(old uint64, exists bool) uint64 {
+	n, err := e.upsertScalarLocked(s, st, keys[resume:], resume, fn)
+	return inserted + n, err
+}
+
+// upsertScalarLocked is upsertBatchShard's migration-aware scalar path,
+// over the staged keys from lane base on. It is its own function so that
+// the counter its per-key closures capture — heap-allocated, like them —
+// costs the pipeline path nothing.
+func (e *Engine) upsertScalarLocked(s *shardState, st *staging, keys []uint64, base int, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	inserted := 0
+	for i, k := range keys {
+		lane := st.callerLane(base + i)
+		_, err := e.upsertLocked(s, k, func(old uint64, exists bool) uint64 {
 			if !exists {
 				inserted++
 			}
@@ -315,31 +401,23 @@ func (e *Engine) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 
 func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	if len(e.shards) == 1 {
-		return e.upsertBatchShard(&e.shards[0], keys, nil, fn)
+		st := takeStaging()
+		defer st.release()
+		return e.upsertBatchShard(&e.shards[0], st, keys, nil, fn)
 	}
 	st := e.scatter(keys)
+	defer st.release()
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {
 			continue
 		}
-		n, err := e.upsertBatchShard(&e.shards[j], st.Keys[lo:hi], st.Orig[lo:hi], fn)
+		n, err := e.upsertBatchShard(&e.shards[j], st, st.Keys[lo:hi], st.Orig[lo:hi], fn)
 		inserted += n
 		if err != nil {
 			return inserted, err
 		}
 	}
 	return inserted, nil
-}
-
-// scatter routes keys with the shared exec.Scatter primitive: the
-// router's bulk-hash pipeline plus one stable counting pass regrouping
-// the column shard-major. Engines serve concurrent callers, so the
-// scatter is allocated per call — two goroutines batching on the same
-// engine must not share staging.
-func (e *Engine) scatter(keys []uint64) *exec.Scatter {
-	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys)
-	return st
 }

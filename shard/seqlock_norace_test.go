@@ -122,3 +122,123 @@ func TestReadFallbackWithoutMetrics(t *testing.T) {
 		t.Fatalf("readFallbacks = %d, want 1", got)
 	}
 }
+
+// touchTable is a testTable with the optional Touch hook readRange looks
+// for, recording into a touchLog the engine's tables share.
+type touchTable struct {
+	*testTable
+	*touchLog
+}
+
+// touchLog counts the keys touched; onTouch lets a test cross the
+// reader's window from inside it.
+type touchLog struct {
+	touched int
+	onTouch func()
+}
+
+func (t *touchLog) Touch(keys, hash []uint64) uint64 {
+	if len(keys) > len(hash) {
+		panic("Touch handed more keys than hash scratch")
+	}
+	t.touched += len(keys)
+	if t.onTouch != nil {
+		t.onTouch()
+	}
+	return 0
+}
+
+func TestReadRangeTouchRetryAndFallback(t *testing.T) {
+	tt := &touchLog{}
+	e, err := New(Config{
+		Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7,
+		NewTable: func(capacity int, seed uint64) (Table, error) {
+			inner, err := newTestTable(capacity, seed)
+			return touchTable{inner.(*testTable), tt}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &e.shards[0]
+	const n = 150 // three touch chunks: 64 + 64 + 22
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+		if _, err := e.Put(keys[i], keys[i]*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals := make([]uint64, n)
+	ok := make([]bool, n)
+	check := func(when string) {
+		t.Helper()
+		if hits := e.GetBatch(keys, vals, ok); hits != n {
+			t.Fatalf("%s: GetBatch hit %d of %d", when, hits, n)
+		}
+		for i, k := range keys {
+			if !ok[i] || vals[i] != k*10 {
+				t.Fatalf("%s: lane %d = (%d,%v), want (%d,true)", when, i, vals[i], ok[i], k*10)
+			}
+			vals[i], ok[i] = 0, false
+		}
+	}
+
+	// Quiet shard: every key touched once, ahead of its Get.
+	check("quiet")
+	if tt.touched != n {
+		t.Fatalf("quiet read touched %d keys, want %d", tt.touched, n)
+	}
+	if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
+		t.Fatal("quiet read retried")
+	}
+
+	// A writer's whole window passes during the first touch of each of
+	// the first three attempts: each is discarded and the range touched
+	// and probed again; the fourth validates.
+	tt.touched = 0
+	crossings := 0
+	tt.onTouch = func() {
+		if crossings < 3 && tt.touched%n == 64 {
+			crossings++
+			s.seq.Add(2)
+		}
+	}
+	check("three torn attempts")
+	if tt.touched != 4*n {
+		t.Fatalf("touched %d keys over four attempts, want %d", tt.touched, 4*n)
+	}
+	if got := e.readRetries.Load(); got != 3 {
+		t.Fatalf("readRetries = %d, want 3", got)
+	}
+	if e.readFallbacks.Load() != 0 {
+		t.Fatal("fell back with retry budget to spare")
+	}
+
+	// Every attempt torn: the budget runs out and the locked path, which
+	// does not touch, answers.
+	tt.touched = 0
+	tt.onTouch = func() { s.seq.Add(2) }
+	check("every attempt torn")
+	if got := e.readFallbacks.Load(); got != 1 {
+		t.Fatalf("readFallbacks = %d, want 1", got)
+	}
+	if tt.touched != (readMaxRetries+1)*n {
+		t.Fatalf("touched %d keys, want the %d attempts' worth and none from the locked path",
+			tt.touched, readMaxRetries+1)
+	}
+
+	// A migrating view keeps the bare scalar chain.
+	tt.onTouch = nil
+	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
+		if _, err := e.Put(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tt.touched = 0
+	check("migrating")
+	if tt.touched != 0 {
+		t.Fatalf("migrating view touched %d keys", tt.touched)
+	}
+	e.Close()
+}

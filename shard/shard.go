@@ -33,7 +33,12 @@
 // Cross-shard batch operations scatter the key column per shard in one
 // stable pass, execute shard-major so each shard's sequence is validated
 // (reads) or its lock taken (writes) once per batch, and gather results
-// back to the callers' lanes in input order.
+// back to the callers' lanes in input order. The staging comes from a
+// pool, one per call in flight, so a steady-state batch allocates nothing;
+// and both directions keep a chunk's cache misses overlapped — writes
+// through the tables' batched pipelines, wait-free reads through a
+// read-only touch of each chunk's home lines ahead of its scalar probes
+// (see batch.go and readRange).
 //
 // # Incremental resize
 //
@@ -55,6 +60,10 @@
 //     successor first, then the frozen table (minus the dead overlay).
 //   - When the cursor is exhausted the successor becomes the shard's
 //     table and the frozen one is dropped wholesale.
+//
+// The cursor is a coroutine (iter.Pull2) parked inside the frozen table's
+// iterator. An engine dropped mid-resize must be Closed, or that
+// coroutine — and the table it walks — is never collected.
 //
 // Each transition (freeze, promote, rebuild) republishes the shard's
 // view inside the writer's seqlock window, so readers move between
@@ -217,7 +226,8 @@ type shardState struct {
 	idx    int    // shard index (for DegradedError)
 	jitter *prng.SplitMix64
 
-	// Migration cursor state; nil when no resize is in flight. (The
+	// Migration cursor state; nil when no resize is in flight, or after
+	// Close stopped it mid-resize (the next advance reopens it). (The
 	// successor table and dead overlay live in the view.)
 	pull  func() (k, v uint64, ok bool)
 	stop  func()
@@ -458,13 +468,47 @@ func (e *Engine) beginMigration(s *shardState) error {
 	if err != nil {
 		return err
 	}
-	cur := v.cur
-	s.pull, s.stop = iter.Pull2(iter.Seq2[uint64, uint64](func(yield func(uint64, uint64) bool) {
-		cur.Range(yield)
-	}))
-	e.publish(s, &view{cur: cur, next: nt, dead: newDeadSet(frozenLive), degraded: v.degraded})
+	s.startCursor(v.cur)
+	e.publish(s, &view{cur: v.cur, next: nt, dead: newDeadSet(frozenLive), degraded: v.degraded})
 	e.migStarted.Add(1)
 	return nil
+}
+
+// startCursor opens the migration cursor over the frozen table. The
+// cursor is a coroutine parked inside frozen.Range, so it (and the table
+// it walks) stays reachable until stop is called: finishMigration and
+// rebuild stop it when the resize ends, Close when the engine is dropped
+// mid-resize.
+func (s *shardState) startCursor(frozen Table) {
+	s.pull, s.stop = iter.Pull2(iter.Seq2[uint64, uint64](func(yield func(uint64, uint64) bool) {
+		frozen.Range(yield)
+	}))
+}
+
+// Close stops the migration cursor of every shard that is mid-resize,
+// releasing the parked coroutine that would otherwise keep the shard's
+// frozen table (and one goroutine) alive for good once the engine is
+// dropped. Call it when done with an engine that may have been growing;
+// it is idempotent, and a no-op on an idle engine.
+//
+// Close leaves the engine usable, and loses nothing: a closed shard is
+// still mid-resize and serves reads from both its tables, and the next
+// mutation on it reopens the cursor at the start of the frozen table —
+// entries that already moved are found in the successor (or the dead
+// overlay) and skipped, so the price is re-walking them, and another
+// Close before the engine is dropped.
+func (e *Engine) Close() {
+	for i := range e.shards {
+		s := &e.shards[i]
+		// The cursor is writer-private state; no table or view changes,
+		// so no seqlock window.
+		s.mu.Lock()
+		if s.stop != nil {
+			s.stop()
+			s.pull, s.stop = nil, nil
+		}
+		s.mu.Unlock()
+	}
 }
 
 // finishMigration publishes the epoch that promotes the successor and
@@ -513,6 +557,9 @@ func (e *Engine) advance(s *shardState, n int) {
 func (e *Engine) advanceChunk(s *shardState, n int) {
 	fault.MaybeStall()
 	v := s.view.Load()
+	if s.pull == nil {
+		s.startCursor(v.cur) // stopped by Close; see there
+	}
 	for len(s.carry) > 0 {
 		c := s.carry[0]
 		if v.dead.has(c.k) {

@@ -108,7 +108,7 @@ type deadSet struct {
 	slots []uint64 // open-addressed, linear probing; 0 = empty
 	mask  uint64
 	zero  uint64 // 1 when key 0 is dead (0 is the empty-slot sentinel)
-	n     int    // live inserts, writer-private (capacity accounting)
+	n     int    // live inserts (capacity accounting, and has's nothing-dead test)
 }
 
 // newDeadSet sizes the overlay for at most capacity inserts: the next
@@ -125,9 +125,12 @@ func newDeadSet(capacity int) *deadSet {
 // has reports whether k is marked dead. Safe to call from seqlock
 // readers: every load is from a fixed-size array or a plain word, and a
 // torn answer is discarded by the caller's sequence validation. A nil
-// set (no resize in flight) has nothing dead.
+// set (no resize in flight) has nothing dead, and neither has a set
+// nothing was added to: an insert-only resize — the common one — answers
+// every migrating read from the two counters, without a random load into
+// an array sized like the frozen table itself.
 func (d *deadSet) has(k uint64) bool {
-	if d == nil {
+	if d == nil || (d.n == 0 && d.zero == 0) {
 		return false
 	}
 	if k == 0 {

@@ -8,6 +8,7 @@ package shard
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -177,6 +178,30 @@ func TestDeadSet(t *testing.T) {
 	}
 }
 
+func TestDeadSetNothingDeadSkipsTheProbe(t *testing.T) {
+	// While nothing has been marked dead has answers from the counters
+	// alone. Plant a key in its slot behind add's back: a probe would
+	// find it, the fast path must not look.
+	d := newDeadSet(100)
+	k := uint64(42)
+	d.slots[(k*deadSetSeedMix)&d.mask] = k
+	if d.has(k) {
+		t.Fatal("has probed the slots of a set with nothing dead")
+	}
+	// One real insert (of another key) ends the fast path for good.
+	d.add(7)
+	if !d.has(7) || !d.has(k) {
+		t.Fatal("has kept skipping the probe after an add")
+	}
+	// Key 0 lives outside the slots and the slot count; it too must end
+	// the fast path.
+	z := newDeadSet(100)
+	z.add(0)
+	if !z.has(0) || z.has(k) {
+		t.Fatal("set holding only key 0 answers wrong")
+	}
+}
+
 func TestDeadSetCapacityFloor(t *testing.T) {
 	d := newDeadSet(0)
 	if got := len(d.slots); got != 8 {
@@ -247,5 +272,53 @@ func TestViewGenerationAdvancesAcrossMigration(t *testing.T) {
 	}
 	if st.ViewPublishes < uint64(1+2*st.MigrationsDone) {
 		t.Fatalf("ViewPublishes %d < birth + 2 per migration (%d migrations)", st.ViewPublishes, st.MigrationsDone)
+	}
+}
+
+func TestCloseStopsCursorsAndLosesNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := testEngine(t, 2, 128)
+	e.Close() // idle: nothing to stop
+	put := func(i uint64) {
+		t.Helper()
+		if _, err := e.Put(i*0x9e3779b97f4a7c15, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := uint64(0)
+	for e.Stats().Migrating == 0 {
+		n++
+		put(n)
+	}
+	if got := runtime.NumGoroutine(); got <= before {
+		t.Fatalf("%d goroutines with a resize in flight, %d before: the cursor is no goroutine?", got, before)
+	}
+	e.Close()
+	e.Close() // idempotent
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, want the %d from before the engine", got, before)
+	}
+	if e.Stats().Migrating == 0 {
+		t.Fatal("Close ended the resize instead of parking it")
+	}
+	// The engine stays usable: reads see every key, and the next
+	// mutations reopen the cursor and finish the resize with nothing lost.
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := e.Get(i * 0x9e3779b97f4a7c15); !ok || v != i {
+			t.Fatalf("key %d after Close = (%d,%v)", i, v, ok)
+		}
+	}
+	put(n + 1)
+	if !e.Drain() {
+		t.Fatal("Drain after Close did not reach idle")
+	}
+	e.Close()
+	if e.Len() != int(n+1) {
+		t.Fatalf("Len = %d after the reopened resize, want %d", e.Len(), n+1)
+	}
+	for i := uint64(1); i <= n+1; i++ {
+		if v, ok := e.Get(i * 0x9e3779b97f4a7c15); !ok || v != i {
+			t.Fatalf("key %d after the reopened resize = (%d,%v)", i, v, ok)
+		}
 	}
 }

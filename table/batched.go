@@ -8,8 +8,11 @@ package table
 //
 //  1. All keys of a chunk are hashed with one hashfn.HashBatch call,
 //     hoisting the interface dispatch and parameter loads out of the loop.
-//  2. A first-probe pass touches every key's home slot in a tight loop.
-//     At moderate load factors most lookups resolve right there.
+//  2. A touch pass loads every lane's home-slot key word back to back,
+//     before any lane is resolved, so the chunk's home-line cache misses
+//     are in flight together (kern.touch; the mutating batches run it
+//     too). A first-probe pass then walks every key's home line in a tight
+//     loop. At moderate load factors most lookups resolve right there.
 //  3. Unresolved lanes enter a round-robin walk: each round advances every
 //     live probe sequence by one step. Consecutive loads belong to
 //     *different* sequences, so they are independent and the memory system
@@ -114,6 +117,7 @@ type batchBuf struct {
 	a    [BatchWidth]uint64 // per-lane cursor (scheme-specific meaning)
 	b    [BatchWidth]uint64 // per-lane auxiliary counter (step, displacement)
 	lane [BatchWidth]int32  // live-lane list for the round-robin walk
+	sink uint64             // where the kernel's touch pass folds its loads (never read)
 }
 
 // batchState is embedded in every scheme to carry the lazily allocated

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,45 @@ func TestGetBatchAfterDeletes(t *testing.T) {
 				if outOK[i] != wantOK || (wantOK && outV[i] != wantV) {
 					t.Fatalf("lane %d: batched %d,%v scalar %d,%v", i, outV[i], outOK[i], wantV, wantOK)
 				}
+			}
+		})
+	}
+}
+
+// TestTouchIsReadOnly: the kernel's exported Touch — what shard's wait-free
+// readers call — fills the caller's scratch with the keys' hash codes and
+// writes nothing of the table's: not its contents, and not the chunk
+// scratch the batch walks own (never even allocated here).
+func TestTouchIsReadOnly(t *testing.T) {
+	for _, s := range KernelSchemes() {
+		t.Run(string(s), func(t *testing.T) {
+			cfg := Config{InitialCapacity: 256, MaxLoadFactor: 0, Seed: 3}
+			tbl := MustNew(s, cfg)
+			keys := []uint64{emptyKey, tombKey, 1, 2, 3, 1 << 40, 77, 78, 79}
+			for _, k := range keys[:6] {
+				tbl.Put(k, k+1)
+			}
+			before := map[uint64]uint64{}
+			tbl.Range(func(k, v uint64) bool { before[k] = v; return true })
+
+			hash := make([]uint64, BatchWidth)
+			tbl.(interface {
+				Touch(keys, hash []uint64) uint64
+			}).Touch(keys, hash)
+
+			fn := cfg.withDefaults().Family.New(cfg.Seed) // as kern.setup draws it
+			for i, k := range keys {
+				if hash[i] != fn.Hash(k) {
+					t.Fatalf("hash[%d] = %#x, want Hash(%#x) = %#x", i, hash[i], k, fn.Hash(k))
+				}
+			}
+			if !reflect.ValueOf(tbl).Elem().FieldByName("bt").IsNil() {
+				t.Fatal("Touch allocated the table's chunk scratch")
+			}
+			after := map[uint64]uint64{}
+			tbl.Range(func(k, v uint64) bool { after[k] = v; return true })
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("contents changed under Touch: %v -> %v", before, after)
 			}
 		})
 	}

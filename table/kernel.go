@@ -2,10 +2,10 @@ package table
 
 // The policy-driven open-addressing probe kernel. kern implements the
 // complete Table surface — scalar point operations, the single-probe
-// read-modify-write primitive, the group-interleaved batch walks, the
-// error-based mutations, iterators and the diagnostics Stats feeds on —
-// exactly once, against the policy dimensions of policy.go. A scheme is a
-// thin instantiation:
+// read-modify-write primitive, the home-line touch pass and the
+// group-interleaved batch walks behind it, the error-based mutations,
+// iterators and the diagnostics Stats feeds on — exactly once, against
+// the policy dimensions of policy.go. A scheme is a thin instantiation:
 //
 //	LinearProbing    = kern(aosLayout, linearSeq, noDisplace)
 //	LinearProbingSoA = kern(soaLayout, linearSeq, noDisplace)
@@ -655,7 +655,7 @@ func (c *kern) TryPutBatch(keys, vals []uint64) (int, error) {
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		c.hashAndTouch(bt, kc)
 		for l, k := range kc {
 			_, existed, err := c.rmwHashed(k, vc[l], bt.hash[l], true, nil)
 			if err != nil {
@@ -678,7 +678,7 @@ func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, erro
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		c.hashAndTouch(bt, kc)
 		for l, k := range kc {
 			v, existed, err := c.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
 			if err != nil {
@@ -703,7 +703,7 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		c.hashAndTouch(bt, kc)
 		for l, k := range kc {
 			lane = lo + l
 			_, existed, err := c.rmwHashed(k, 0, bt.hash[l], false, adapter)
@@ -722,12 +722,59 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 // Batched pipeline
 // ---------------------------------------------------------------------------
 
-// GetBatch implements Batcher: the chunk is bulk-hashed once, a
-// first-probe pass walks every lane to the end of its home cache line
-// (at moderate load factors most lookups resolve right there), and
-// unresolved lanes enter a round-robin walk that advances each live
-// probe sequence one cache line per round — consecutive loads belong to
-// different sequences, so the memory system overlaps their misses.
+// touch is the home-line touch pass every batch entry point runs right
+// after bulk-hashing a chunk: it loads the home-slot key word of every
+// lane back to back, before any lane is resolved. The addresses depend
+// only on the hash codes, so the loads are independent and a chunk's
+// home-line cache misses are in flight together; the walk that follows
+// finds the lines arriving instead of paying one serialized miss per key
+// (a lane's resolution — compare, branch, store, and for the mutations a
+// whole rmwHashed call — is far longer than the out-of-order window, so
+// without this pass the next lane's first load only issues once the
+// current lane is done). Only the home line is covered: overflow lines
+// further along a probe sequence and the SoA value column are still
+// fetched on demand.
+//
+// The loads are folded into the returned word, which callers must store
+// (the chunk scratch's sink) or return through a call the compiler cannot
+// see into, else the loads are dead code. touch writes nothing, so it is
+// also the whole of the read-only Touch.
+func (c *kern) touch(hash []uint64) uint64 {
+	kc := c.kc
+	sshift, soneM := c.sshift, c.sone-1
+	var sink uint64
+	for _, h := range hash {
+		sink += kc[(h>>(sshift&63))&^soneM]
+	}
+	return sink
+}
+
+// hashAndTouch opens a chunk for every batch entry point: the keys (at
+// most BatchWidth) are bulk-hashed into the chunk scratch and their home
+// lines touched.
+func (c *kern) hashAndTouch(bt *batchBuf, keys []uint64) {
+	hashfn.HashBatch(c.fn, keys, bt.hash[:])
+	bt.sink = c.touch(bt.hash[:len(keys)])
+}
+
+// Touch bulk-hashes keys into hash (at most len(hash) keys, BatchWidth
+// being the natural size) and runs the home-line touch pass over them,
+// writing no table state at all: the scratch is the caller's. It is what
+// shard's wait-free readers — who may not use the table-owned chunk
+// scratch of GetBatch — call ahead of a run of scalar Gets. The result
+// only exists to keep the loads alive and may be discarded.
+func (c *kern) Touch(keys, hash []uint64) uint64 {
+	hashfn.HashBatch(c.fn, keys, hash)
+	return c.touch(hash[:len(keys)])
+}
+
+// GetBatch implements Batcher: the chunk is bulk-hashed once, the touch
+// pass puts every lane's home line in flight, a first-probe pass walks
+// every lane to the end of its home cache line (at moderate load factors
+// most lookups resolve right there), and unresolved lanes enter a
+// round-robin walk that advances each live probe sequence one cache line
+// per round — consecutive loads belong to different sequences, so the
+// memory system overlaps their misses.
 func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	checkBatchGet(len(keys), len(vals), len(ok))
 	bt := c.buf()
@@ -754,7 +801,7 @@ func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	if c.fullSweepOnly() {
 		return c.getChunkSweep(keys, vals, ok)
 	}
-	hashfn.HashBatch(c.fn, keys, bt.hash[:])
+	c.hashAndTouch(bt, keys)
 	switch {
 	case c.robin:
 		return c.getChunkRobin(bt, keys, vals, ok)
@@ -1030,7 +1077,7 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 	inserted := 0
 	chunks(len(keys), func(lo, hi int) {
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(c.fn, kc, bt.hash[:])
+		c.hashAndTouch(bt, kc)
 		for l, k := range kc {
 			if isSentinelKey(k) {
 				if c.sent.put(k, vc[l]) {

@@ -269,6 +269,18 @@ func (h *Handle) Partitions() int {
 // single-partition handle.
 func (h *Handle) Engine() *shard.Engine { return h.eng }
 
+// Close releases what a partitioned handle dropped mid-resize would
+// otherwise keep alive for good: each migrating shard's cursor is a parked
+// coroutine holding its frozen table (see shard.Engine.Close). Call it
+// when done with a handle whose growth is enabled. It is idempotent, a
+// no-op on a single-partition or idle handle, and leaves the handle
+// usable.
+func (h *Handle) Close() {
+	if h.eng != nil {
+		h.eng.Close()
+	}
+}
+
 // DecisionPath returns the Figure 8 audit trail when the handle was opened
 // WithWorkload, nil otherwise.
 func (h *Handle) DecisionPath() []string { return h.path }

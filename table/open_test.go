@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -259,4 +260,38 @@ func TestHandleAllAndStats(t *testing.T) {
 	if st.MemoryBytes != h.MemoryFootprint() {
 		t.Fatalf("stats memory %d != footprint %d", st.MemoryBytes, h.MemoryFootprint())
 	}
+}
+
+func TestHandleCloseMidResize(t *testing.T) {
+	single := MustOpen(WithCapacity(64))
+	single.Close() // nothing to stop on an unpartitioned handle
+
+	before := runtime.NumGoroutine()
+	h := MustOpen(WithPartitions(4), WithCapacity(256), WithMaxLoadFactor(0.7), WithSeed(2))
+	h.Close() // idle
+	n := uint64(0)
+	for h.EngineStats().Migrating == 0 {
+		n++
+		if _, err := h.Put(n, n*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got <= before {
+		t.Fatalf("%d goroutines with a shard mid-resize, %d before", got, before)
+	}
+	h.Close()
+	h.Close()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, %d before the handle", got, before)
+	}
+	// Still a working handle.
+	if _, err := h.Put(n+1, (n+1)*3); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= n+1; k++ {
+		if v, ok := h.Get(k); !ok || v != k*3 {
+			t.Fatalf("Get(%d) after Close = (%d,%v)", k, v, ok)
+		}
+	}
+	h.Close()
 }
