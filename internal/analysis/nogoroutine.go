@@ -19,18 +19,30 @@ var concurrencyOwners = map[string]bool{
 // the exec and shard packages. A bare goroutine bypasses bounded
 // fan-out, first-error propagation, and panic containment all at once; a
 // WaitGroup or a hand-made channel pool is the tell that one is coming.
+//
+// iter.Pull and iter.Pull2 are flagged in every package, the owners
+// included: each call starts a goroutine no go statement shows, parked
+// inside the sequence until someone calls stop — shard's migration cursor
+// was one, and leaked it (and the table it walked) with every engine
+// dropped mid-resize. A resumable position does the same job.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
-	Doc:  "forbid go statements, sync.WaitGroup, and raw channel construction outside exec and shard",
+	Doc:  "forbid go statements, sync.WaitGroup, and raw channel construction outside exec and shard, and iter.Pull everywhere",
 	Run:  runNoGoroutine,
 }
 
 func runNoGoroutine(pass *Pass) error {
-	if concurrencyOwners[PkgBase(pass.Pkg.Path())] {
-		return nil
-	}
+	owner := concurrencyOwners[PkgBase(pass.Pkg.Path())]
 	for _, f := range pass.sourceFiles() {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "iter" && (fn.Name() == "Pull" || fn.Name() == "Pull2") {
+					pass.Reportf(id.Pos(), "iter.%s starts a hidden goroutine that lives until stop is called: keep a resumable position instead", fn.Name())
+				}
+			}
+			if owner {
+				return true
+			}
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(), "go statement outside exec/shard: submit the work to an exec.Pool (bounded fan-out, first-error, panic containment) instead")

@@ -16,9 +16,10 @@ func TestNoGoroutine(t *testing.T) {
 		// obs is the telemetry package's padded-counter/registry idiom:
 		// atomics and mutexes only, outside the allowlist, silent. pipe is
 		// the streaming-operator idiom: per-worker buffers safe by the
-		// delivery contract, all scheduling delegated — also silent.
+		// delivery contract, all scheduling delegated — also silent. shard
+		// is an owner that may make a channel but not call iter.Pull2.
 		"nogoroutine/bad", "nogoroutine/exec", "nogoroutine/obs",
-		"nogoroutine/pipe")
+		"nogoroutine/pipe", "nogoroutine/shard")
 }
 
 func TestErrTaxonomy(t *testing.T) {

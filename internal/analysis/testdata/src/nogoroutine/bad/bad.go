@@ -3,7 +3,10 @@
 // concurrency owner. Every primitive in it is a diagnostic.
 package bad
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 func fanOut(n int) int {
 	var wg sync.WaitGroup          // want `sync\.WaitGroup outside exec/shard`
@@ -22,4 +25,12 @@ func fanOut(n int) int {
 		total += r
 	}
 	return total
+}
+
+// firstOf pulls one value out of a sequence and forgets to stop: the
+// goroutine behind next stays parked in seq for good.
+func firstOf(seq iter.Seq[int]) int {
+	next, _ := iter.Pull(seq) // want `iter\.Pull starts a hidden goroutine`
+	v, _ := next()
+	return v
 }

@@ -300,7 +300,6 @@ func SharedHashJoin(build, probe Relation, workers int, cfg Config, emit Emit) (
 	if err != nil {
 		return 0, err
 	}
-	defer h.Close() // a shard still resizing when the join ends would pin its frozen table
 	// Both phases run on one pool: the input is carved into morsels, idle
 	// workers claim the next one, and each worker streams its morsels
 	// through its own column scratch into the engine's batched pipelines.

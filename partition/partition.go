@@ -204,6 +204,29 @@ func (m *Partitioned) Range(fn func(key, val uint64) bool) {
 	}
 }
 
+// RangeFrom implements table.Table partition-major: position i*stride+p
+// is position p of partition i's own walk, stride being past any
+// partition's last position (a scheme uses at most Capacity()+2).
+func (m *Partitioned) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+	stride := 0
+	for _, p := range m.parts {
+		stride = max(stride, p.Capacity()+3)
+	}
+	more := true
+	relay := func(k, v uint64) bool {
+		more = fn(k, v) && more // a chained partition finishes its chain
+		return more
+	}
+	for i := pos / stride; i < len(m.parts); i++ {
+		next = m.parts[i].RangeFrom(pos%stride, relay)
+		if !more {
+			return i*stride + next
+		}
+		pos = 0
+	}
+	return len(m.parts) * stride
+}
+
 // Name identifies the composite.
 func (m *Partitioned) Name() string {
 	return fmt.Sprintf("Partitioned[%dx%s]", len(m.parts), m.parts[0].Name())

@@ -301,3 +301,46 @@ func TestPartitionedBatchScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionedRangeFrom: the partition-major resumable walk delivers
+// Range's entries in Range's order, each once, whatever the stops — over
+// open-addressing partitions and over chained ones, which hand fn the
+// rest of a chain after it returned false.
+func TestPartitionedRangeFrom(t *testing.T) {
+	for _, scheme := range []table.Scheme{table.SchemeRH, table.SchemeChained24, table.SchemeCuckooH4} {
+		m := newTest(4, scheme)
+		m.Put(0, 1)
+		m.Put(^uint64(0), 2)
+		for i := uint64(1); i <= 700; i++ {
+			m.Put(i*0x9e3779b97f4a7c15, i)
+		}
+		type entry struct{ k, v uint64 }
+		var want []entry
+		m.Range(func(k, v uint64) bool { want = append(want, entry{k, v}); return true })
+		for _, budget := range []int{1, 3, 64, 1 << 20} {
+			var got []entry
+			for pos, calls := 0, 0; ; calls++ {
+				n := 0
+				pos = m.RangeFrom(pos, func(k, v uint64) bool {
+					got = append(got, entry{k, v})
+					n++
+					return n < budget
+				})
+				if n < budget {
+					break
+				}
+				if calls > len(want) {
+					t.Fatalf("%s: walk at budget %d does not end", scheme, budget)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: walk at budget %d delivered %d entries, Range %d", scheme, budget, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: walk at budget %d diverges from Range at entry %d", scheme, budget, i)
+				}
+			}
+		}
+	}
+}

@@ -119,10 +119,6 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	if err != nil {
 		return fmt.Errorf("pipe: join build table: %w", err)
 	}
-	// The parallel build table grows when the hint understated the build
-	// side; a resize still in flight when the query ends would otherwise
-	// park its cursor's goroutine, and the frozen table, for good.
-	defer h.Close()
 	scratch := make([]joinScratch, rt.pool.Workers())
 	for w := range scratch {
 		scratch[w].out = make([]uint64, rt.pool.MorselSize())

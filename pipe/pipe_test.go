@@ -247,7 +247,6 @@ func rowsEndingMidResize(t *testing.T, hint, from int) int {
 		table.WithCapacity(join.CapacityFor(hint, 0.5)),
 		table.WithPartitions(decision.ShardsFor(4)),
 		table.WithMaxLoadFactor(table.DefaultMaxLoadFactor))
-	defer h.Close()
 	migrating := 0
 	for n := 1; n < 2*from; n++ {
 		if _, err := h.Put(uint64(n), 0); err != nil {
@@ -265,11 +264,10 @@ func rowsEndingMidResize(t *testing.T, hint, from int) int {
 
 func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
 	// A parallel build keeps growth enabled, so an understated Hint makes
-	// the sharded build table resize incrementally, and a query whose
-	// build ends with a shard mid-resize leaves that shard's migration
-	// cursor behind: a parked goroutine pinning the frozen table. The join
-	// must stop it before it returns: the goroutine count comes back to
-	// where it was.
+	// the sharded build table resize incrementally, and a query can end
+	// with a shard of it mid-resize. The join just drops that table: a
+	// resize in flight is no goroutine and pins nothing, so neither the
+	// goroutine count nor the live heap keeps anything of the queries.
 	const hint = 8
 	rows := rowsEndingMidResize(t, hint, 40_000)
 	build := make(join.Relation, rows)
@@ -277,25 +275,44 @@ func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
 		build[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i)}
 	}
 	probe := join.Relation{{Key: 1, Payload: 1}, {Key: uint64(rows), Payload: 2}, {Key: uint64(rows) + 1, Payload: 3}}
+	queries := func(n int) {
+		t.Helper()
+		for range n {
+			n, err := pipe.HashJoin(pipe.FromRelation(build).Hint(hint), pipe.FromRelation(probe), pipe.JoinConfig{}).
+				Count(pipe.Config{Workers: 4, MorselSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 2 {
+				t.Fatalf("join matched %d probe rows, want 2", n)
+			}
+		}
+	}
+	// settle waits out the pool workers, which exit asynchronously to the
+	// terminal's return, and returns the live heap after a collection.
+	settle := func(goroutines int) uint64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
 	before := runtime.NumGoroutine()
-	for range 4 {
-		n, err := pipe.HashJoin(pipe.FromRelation(build).Hint(hint), pipe.FromRelation(probe), pipe.JoinConfig{}).
-			Count(pipe.Config{Workers: 4, MorselSize: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 2 {
-			t.Fatalf("join matched %d probe rows, want 2", n)
-		}
+	queries(2) // warm whatever the first query allocates for good
+	heap := settle(before)
+	queries(16)
+	after := settle(before)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines before the understated-hint joins, %d after", before, got)
 	}
-	// Pool workers exit asynchronously to the terminal's return; give
-	// them a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before four understated-hint joins, %d after", before, after)
+	// One query's build table is ≥ rows×16 bytes; sixteen of them pinned
+	// would be sixteen times that.
+	if grew := int64(after - heap); grew > int64(rows)*16 {
+		t.Fatalf("live heap grew %d bytes over 16 understated-hint joins of %d rows", grew, rows)
 	}
 }
 

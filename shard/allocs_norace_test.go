@@ -48,3 +48,38 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
+	// A resize in flight costs a mutation no allocation: the step collects
+	// its chunk into the shard's own buffer through a callback built once,
+	// and the overlay only allocates when it doubles. One shard, so every
+	// call below hosts a step; large enough that the resize outlasts them.
+	e := newEngine(t, table.SchemeRH, 1, 1<<16, 0.85, 5)
+	key := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15 + 1 }
+	n := uint64(0)
+	for e.Stats().Migrating == 0 {
+		n++
+		if _, err := e.Put(key(n), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := uint64(0)
+	calls := []struct {
+		name string
+		call func()
+	}{
+		{"Put of a frozen key", func() { i++; e.Put(key(i), i) }},
+		{"Put of a new key", func() { n++; e.Put(key(n), n) }},
+		{"Delete of a frozen key", func() { i++; e.Delete(key(i)) }},
+		{"Delete of an absent key", func() { i++; e.Delete(key(i) + 1) }},
+	}
+	for _, c := range calls {
+		chunks := e.Stats().MigrationChunks
+		if allocs := testing.AllocsPerRun(20, c.call); allocs != 0 {
+			t.Errorf("%s mid-resize: %v allocations per call, want 0", c.name, allocs)
+		}
+		if st := e.Stats(); st.Migrating != 1 || st.MigrationChunks != chunks+21 {
+			t.Fatalf("%s: %d steps over 21 calls, migrating %d: the calls did not each host a step", c.name, st.MigrationChunks-chunks, st.Migrating)
+		}
+	}
+}

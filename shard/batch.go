@@ -162,7 +162,7 @@ func (e *Engine) roomFor(v *view, n int) bool {
 func (e *Engine) putBatchShard(s *shardState, keys, vals []uint64) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	inserted := 0
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
@@ -239,7 +239,7 @@ func (e *Engine) TryPutBatch(keys, vals []uint64) (int, error) { return e.PutBat
 func (e *Engine) getOrPutBatchShard(s *shardState, keys, vals, out []uint64, loaded []bool) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	inserted := 0
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
@@ -325,7 +325,7 @@ func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	st.fn, st.orig = fn, orig
 	inserted := 0

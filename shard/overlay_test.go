@@ -1,0 +1,220 @@
+package shard_test
+
+// The migration cursor and the dead-key overlay under load, on real
+// tables: a resize during which the frozen keys are all deleted — the
+// overlay doubles several times under wait-free readers (under the race
+// detector: through the locked read path) — and the bound on what one
+// mutation's migration step may visit.
+
+import (
+	"sync"
+	"testing"
+
+	"repro/shard"
+	"repro/table"
+)
+
+func TestDeleteHeavyMigrationAgreesWithMap(t *testing.T) {
+	for _, scheme := range []table.Scheme{table.SchemeRH, table.SchemeChained24, table.SchemeCuckooH4} {
+		t.Run(string(scheme), func(t *testing.T) {
+			e := shard.MustNew(shard.Config{
+				Shards: 1, Capacity: 1 << 13, GrowAt: 0.5, Seed: 31,
+				MigrationChunk: 1, // one entry per step: the resize outlasts the deletes
+				NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+					return table.New(scheme, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+				},
+			})
+			key := func(i uint64) uint64 { return (i - 1) * 0x9e3779b97f4a7c15 } // key(1) is key 0
+			oracle := map[uint64]uint64{}
+			n := uint64(0)
+			for e.Stats().Migrating == 0 {
+				n++
+				if _, err := e.Put(key(n), key(n)^valTag); err != nil {
+					t.Fatal(err)
+				}
+				oracle[key(n)] = key(n) ^ valTag
+			}
+			publishes := e.Stats().ViewPublishes
+
+			// Readers: a stored value is a function of its key, and a key
+			// that is never re-inserted (i%5 != 0) stays gone once a reader
+			// has seen it gone — what a reader left on a stale overlay
+			// would get wrong.
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			for r := uint64(0); r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					gone := map[uint64]bool{}
+					for i := r + 1; ; i = (i+7)%n + 1 {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						v, ok := e.Get(key(i))
+						switch {
+						case ok && v != key(i)^valTag:
+							t.Errorf("Get(key %d) = %#x, not the value stored under it", i, v)
+							return
+						case ok && gone[i]:
+							t.Errorf("key %d read back after a reader saw it deleted", i)
+							return
+						case !ok && i%5 != 0:
+							gone[i] = true
+						}
+					}
+				}()
+			}
+
+			// The frozen keys are deleted one after the other while the
+			// resize is in flight — the steps the re-inserts host end it a
+			// little before the last of them — and every fifth comes back,
+			// into the successor, three deletes later.
+			for i := uint64(1); i <= n; i++ {
+				if !e.Delete(key(i)) {
+					t.Fatalf("Delete(key %d) found nothing", i)
+				}
+				delete(oracle, key(i))
+				if j := i - 3; i > 3 && j%5 == 0 {
+					if ins, err := e.Put(key(j), key(j)^valTag); err != nil || !ins {
+						t.Fatalf("re-insert of key %d = (%v,%v)", j, ins, err)
+					}
+					oracle[key(j)] = key(j) ^ valTag
+				}
+				if i == n/2 && e.Stats().Migrating != 1 {
+					t.Fatal("the resize ended before half the deletes")
+				}
+			}
+			close(done)
+			wg.Wait()
+
+			st := e.Stats()
+			if grown := st.ViewPublishes - publishes; grown < 4 {
+				t.Fatalf("%d views published while %d keys died: the overlay never had to double", grown, n)
+			}
+			if !e.Drain() {
+				t.Fatal("Drain did not reach idle")
+			}
+			if e.Len() != len(oracle) {
+				t.Fatalf("Len = %d, oracle holds %d", e.Len(), len(oracle))
+			}
+			seen := 0
+			e.Range(func(k, v uint64) bool {
+				seen++
+				if want, ok := oracle[k]; !ok || v != want {
+					t.Fatalf("Range yields %#x=%#x, oracle (%#x,%v)", k, v, want, ok)
+				}
+				return true
+			})
+			if seen != len(oracle) {
+				t.Fatalf("Range yields %d entries, oracle holds %d", seen, len(oracle))
+			}
+			for i := uint64(1); i <= n; i++ {
+				want, wantOK := oracle[key(i)]
+				if v, ok := e.Get(key(i)); ok != wantOK || v != want {
+					t.Fatalf("Get(key %d) = (%#x,%v), oracle (%#x,%v)", i, v, ok, want, wantOK)
+				}
+			}
+		})
+	}
+}
+
+// countingTable counts the frozen entries the engine's walks visit.
+type countingTable struct {
+	shard.Table
+	visits *int
+}
+
+func (c countingTable) RangeFrom(pos int, fn func(k, v uint64) bool) int {
+	return c.Table.RangeFrom(pos, func(k, v uint64) bool { *c.visits++; return fn(k, v) })
+}
+
+func (c countingTable) Range(fn func(k, v uint64) bool) {
+	c.Table.Range(func(k, v uint64) bool { *c.visits++; return fn(k, v) })
+}
+
+// TestMigrationStepVisitsAtMostOneChunk pins the resize-tail guarantee
+// (BenchmarkResizeTail measures it): whatever the scalar mutation, it
+// visits at most MigrationChunk entries of the frozen table, sentinel
+// entries included — a batch at most that per key — and over a whole
+// resize every frozen entry is visited once.
+func TestMigrationStepVisitsAtMostOneChunk(t *testing.T) {
+	const chunk = 32
+	visits := 0
+	e := shard.MustNew(shard.Config{
+		Shards: 1, Capacity: 1 << 9, GrowAt: 0.8, Seed: 3, MigrationChunk: chunk,
+		NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+			inner, err := table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+			return countingTable{inner, &visits}, err
+		},
+	})
+	key := func(i uint64) uint64 { return i * 0x9e3779b97f4a7c15 } // key(0) is sentinel key 0
+	e.Put(^uint64(0), 1)
+	bump := func(old uint64, _ bool) uint64 { return old + 1 }
+	bumpLane := func(_ int, old uint64, _ bool) uint64 { return old + 1 }
+	batch := make([]uint64, 8)
+	out := make([]uint64, 8)
+	flags := make([]bool, 8)
+	var (
+		resizes, sinceFreeze, frozenLen int
+		migrating                       bool
+	)
+	for i := uint64(0); i < 20_000; i++ {
+		for j := range batch {
+			batch[j] = key(i + uint64(j))
+		}
+		visits = 0
+		hosted := 1 // migration steps the call may host
+		switch i % 8 {
+		case 0, 1, 2:
+			e.Put(key(i), i)
+		case 3:
+			e.Delete(key(i / 2))
+		case 4:
+			e.GetOrPut(key(i), i)
+		case 5:
+			e.Upsert(key(i/3), bump)
+		case 6:
+			hosted += len(batch)
+			e.PutBatch(batch, out)
+		case 7:
+			hosted += len(batch)
+			if i%16 == 7 {
+				e.UpsertBatch(batch, bumpLane)
+			} else {
+				e.GetOrPutBatch(batch, out, out, flags)
+			}
+		}
+		// A batch hosts one step as a batch, and on a resizing shard one
+		// more per key, which it then applies as a scalar mutation each.
+		if visits > hosted*chunk {
+			t.Fatalf("mutation %d (kind %d) visited %d frozen entries, want at most %d steps of the %d-entry chunk", i, i%8, visits, hosted, chunk)
+		}
+		st := e.Stats()
+		switch {
+		case !migrating && st.Migrating == 1:
+			// This call froze the table; a batch has gone on since, adding
+			// up to its keys and hosting steps.
+			migrating, sinceFreeze, frozenLen = true, visits, e.Len()
+		case migrating:
+			sinceFreeze += visits
+			if st.Migrating == 0 {
+				migrating = false
+				resizes++
+				// Entries deleted since the freeze were still visited;
+				// entries inserted since are not in the frozen table.
+				if sinceFreeze > frozenLen || sinceFreeze < frozenLen-len(batch) {
+					t.Fatalf("resize %d visited %d entries of a table frozen at about %d", resizes, sinceFreeze, frozenLen)
+				}
+			}
+		}
+	}
+	if resizes < 4 {
+		t.Fatalf("only %d resizes completed", resizes)
+	}
+	if st := e.Stats(); st.Rebuilds != 0 {
+		t.Fatalf("%d stop-the-world rebuilds in a test of the incremental path", st.Rebuilds)
+	}
+}

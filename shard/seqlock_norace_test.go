@@ -240,5 +240,97 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 	if tt.touched != 0 {
 		t.Fatalf("migrating view touched %d keys", tt.touched)
 	}
-	e.Close()
+}
+
+// getHookTable is a testTable whose next Get first runs a one-shot hook
+// the engine's tables share: a test crosses a reader's window from inside
+// its probe with it.
+type getHookTable struct {
+	*testTable
+	onGet *func()
+}
+
+func (h getHookTable) Get(key uint64) (uint64, bool) {
+	if f := *h.onGet; f != nil {
+		*h.onGet = nil
+		f()
+	}
+	return h.testTable.Get(key)
+}
+
+func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
+	// The overlay doubles by republication: the writer leaves the published
+	// set as it is and publishes a view naming a larger copy. A reader that
+	// loaded the old view before the doubling keeps probing the old set —
+	// safely, it never moves — and concludes from it what is no longer
+	// true; validation discards that and the retry reads the new set.
+	var onGet func()
+	e, err := New(Config{
+		Shards: 1, Capacity: 2048, GrowAt: 0.8, Seed: 7,
+		MigrationChunk: 1, // one entry per step: the resize outlasts the deletes
+		NewTable: func(capacity int, seed uint64) (Table, error) {
+			inner, err := newTestTable(capacity, seed)
+			return getHookTable{inner.(*testTable), &onGet}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &e.shards[0]
+	n := growUntilMigrating(t, e)
+	key := func(i uint64) uint64 { return i * 0x9e3779b97f4a7c15 }
+	for i := uint64(1); !s.view.Load().dead.full(); i++ {
+		if i >= n || !e.Delete(key(i)) {
+			t.Fatalf("could not fill the overlay: delete %d of %d", i, n)
+		}
+	}
+	before := s.view.Load()
+	if !before.migrating() || before.dead.n != deadSetFloor/2 {
+		t.Fatalf("set-up: migrating %v, %d dead keys, want a resize with the overlay at half load", before.migrating(), before.dead.n)
+	}
+	publishes := e.viewPublishes.Load()
+
+	// The reader is inside its probe of the old view (at the successor's
+	// Get) when a whole writer window passes: the delete of the very key
+	// it is reading, which is the delete that has to double the overlay.
+	victim := key(n)
+	onGet = func() {
+		if !e.Delete(victim) {
+			t.Error("the victim was not there to delete")
+		}
+	}
+	if v, ok := e.Get(victim); ok {
+		t.Fatalf("Get(victim) = (%d,true): the reader kept what it concluded from the overlay of the epoch before", v)
+	}
+	if got := e.readRetries.Load(); got != 1 {
+		t.Fatalf("readRetries = %d, want the one discarded attempt", got)
+	}
+	if e.readFallbacks.Load() != 0 {
+		t.Fatal("the reader fell back to the lock")
+	}
+
+	after := s.view.Load()
+	if after.dead == before.dead || len(after.dead.slots) != 2*len(before.dead.slots) {
+		t.Fatalf("overlay has %d slots after the delete past half load of %d", len(after.dead.slots), len(before.dead.slots))
+	}
+	if after.gen != before.gen+1 || e.viewPublishes.Load() != publishes+1 {
+		t.Fatalf("the doubling published %d views (gen %d → %d), want exactly one", e.viewPublishes.Load()-publishes, before.gen, after.gen)
+	}
+	if after.cur != before.cur || after.next != before.next || after.degraded != before.degraded {
+		t.Fatal("the doubling's view changed more than the overlay")
+	}
+	if before.dead.has(victim) || before.dead.n != deadSetFloor/2 {
+		t.Fatal("the published set of the epoch before was written to")
+	}
+	if !after.dead.has(victim) || after.dead.n != deadSetFloor/2+1 {
+		t.Fatalf("new overlay: has(victim) %v, %d keys", after.dead.has(victim), after.dead.n)
+	}
+	for i := uint64(1); i <= uint64(deadSetFloor/2); i++ {
+		if !after.dead.has(key(i)) {
+			t.Fatalf("dead key %d lost in the doubling", i)
+		}
+		if _, ok := e.Get(key(i)); ok {
+			t.Fatalf("dead key %d readable after the doubling", i)
+		}
+	}
 }

@@ -61,9 +61,17 @@
 //   - When the cursor is exhausted the successor becomes the shard's
 //     table and the frozen one is dropped wholesale.
 //
-// The cursor is a coroutine (iter.Pull2) parked inside the frozen table's
-// iterator. An engine dropped mid-resize must be Closed, or that
-// coroutine — and the table it walks — is never collected.
+// The cursor is one integer, the position Table.RangeFrom stopped at: a
+// frozen table never changes, so there is no goroutine, nothing to stop,
+// and an engine dropped mid-resize is ordinary garbage. A step collects
+// its chunk into a buffer the shard reuses, then places it; the successor
+// shares the frozen table's seed, so the inserts land in slot order.
+//
+// The dead overlay is sized for what a resize sees — it lasts about
+// capacity/MigrationChunk mutations, so few keys die during one — not for
+// what it could see: a few KiB that stay in cache under the step's
+// per-entry check, doubled by republishing the view in the rare resize
+// that outgrows them (see deadSet).
 //
 // Each transition (freeze, promote, rebuild) republishes the shard's
 // view inside the writer's seqlock window, so readers move between
@@ -110,7 +118,6 @@ package shard
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -140,6 +147,12 @@ type Table interface {
 	Capacity() int
 	MemoryFootprint() uint64
 	Range(fn func(key, val uint64) bool)
+	// RangeFrom is the resumable Range behind the migration cursor: it
+	// visits entries from position pos (0 starts a walk) until fn returns
+	// false and returns where to resume; a call in which fn never did
+	// ends the walk. Positions hold while the table is not mutated. A
+	// chained scheme hands fn the rest of the chain fn returned false in.
+	RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
 	Name() string
 }
 
@@ -198,10 +211,10 @@ type Config struct {
 	NewTable func(capacity int, seed uint64) (Table, error)
 }
 
-// kv is one pulled-but-unplaced migration entry parked on the carry
-// list. The entry still lives (readable) in the frozen table; the carry
-// list only remembers that the cursor already consumed it, so a failed
-// rebuild can never lose it.
+// kv is one frozen-table entry the migration cursor is past: in the
+// step's buffer, or parked on the carry list because the successor refused
+// it (or an entry ahead of it). It still lives (readable) in the frozen
+// table, so a failed rebuild can never lose it.
 type kv struct{ k, v uint64 }
 
 // shardState is one shard: the published read view plus the writer-side
@@ -226,12 +239,12 @@ type shardState struct {
 	idx    int    // shard index (for DegradedError)
 	jitter *prng.SplitMix64
 
-	// Migration cursor state; nil when no resize is in flight, or after
-	// Close stopped it mid-resize (the next advance reopens it). (The
-	// successor table and dead overlay live in the view.)
-	pull  func() (k, v uint64, ok bool)
-	stop  func()
-	carry []kv // cursor entries the successor refused (see advance)
+	// Migration cursor state, meaningful while a resize is in flight.
+	// (The successor table and dead overlay live in the view.)
+	pos     int                    // where the frozen table's RangeFrom resumes
+	buf     []kv                   // the step's collected chunk, reused across steps
+	collect func(k, v uint64) bool // RangeFrom callback filling buf; built once with it, so a step allocates nothing
+	carry   []kv                   // cursor entries the successor refused (see advance)
 
 	// Degraded-state retry scheduling; zero when the allocator is
 	// healthy. (The degraded flag itself lives in the view.)
@@ -450,9 +463,9 @@ func (e *Engine) allocTable(capacity int, seed uint64) (Table, error) {
 // migration far below the threshold (a failed Cuckoo kick chain, or an
 // injected refusal) gets a same-capacity successor instead of an
 // unconditional doubling — repeated transient refusals must not inflate
-// capacity without live entries to justify it. The overlay is pre-sized
-// for the frozen live count (the most keys that can ever be marked
-// dead), so it never grows while published.
+// capacity without live entries to justify it. The overlay starts at its
+// fixed floor whatever the frozen table's size; deleteLocked doubles it by
+// republication in the rare resize that outgrows that.
 func (e *Engine) beginMigration(s *shardState) error {
 	v := s.view.Load()
 	ga := e.growAt
@@ -468,72 +481,41 @@ func (e *Engine) beginMigration(s *shardState) error {
 	if err != nil {
 		return err
 	}
-	s.startCursor(v.cur)
-	e.publish(s, &view{cur: v.cur, next: nt, dead: newDeadSet(frozenLive), degraded: v.degraded})
+	if s.collect == nil { // the shard's first resize; kept from here on
+		s.buf = make([]kv, 0, e.chunk)
+		s.collect = func(k, v uint64) bool {
+			s.buf = append(s.buf, kv{k, v})
+			return len(s.buf) < e.chunk
+		}
+	}
+	s.pos = 0
+	e.publish(s, &view{cur: v.cur, next: nt, dead: newDeadSet(), degraded: v.degraded})
 	e.migStarted.Add(1)
 	return nil
-}
-
-// startCursor opens the migration cursor over the frozen table. The
-// cursor is a coroutine parked inside frozen.Range, so it (and the table
-// it walks) stays reachable until stop is called: finishMigration and
-// rebuild stop it when the resize ends, Close when the engine is dropped
-// mid-resize.
-func (s *shardState) startCursor(frozen Table) {
-	s.pull, s.stop = iter.Pull2(iter.Seq2[uint64, uint64](func(yield func(uint64, uint64) bool) {
-		frozen.Range(yield)
-	}))
-}
-
-// Close stops the migration cursor of every shard that is mid-resize,
-// releasing the parked coroutine that would otherwise keep the shard's
-// frozen table (and one goroutine) alive for good once the engine is
-// dropped. Call it when done with an engine that may have been growing;
-// it is idempotent, and a no-op on an idle engine.
-//
-// Close leaves the engine usable, and loses nothing: a closed shard is
-// still mid-resize and serves reads from both its tables, and the next
-// mutation on it reopens the cursor at the start of the frozen table —
-// entries that already moved are found in the successor (or the dead
-// overlay) and skipped, so the price is re-walking them, and another
-// Close before the engine is dropped.
-func (e *Engine) Close() {
-	for i := range e.shards {
-		s := &e.shards[i]
-		// The cursor is writer-private state; no table or view changes,
-		// so no seqlock window.
-		s.mu.Lock()
-		if s.stop != nil {
-			s.stop()
-			s.pull, s.stop = nil, nil
-		}
-		s.mu.Unlock()
-	}
 }
 
 // finishMigration publishes the epoch that promotes the successor and
 // drops the frozen table.
 func (e *Engine) finishMigration(s *shardState) {
-	s.stop()
 	v := s.view.Load()
 	e.publish(s, &view{cur: v.next, degraded: v.degraded})
-	s.pull, s.stop = nil, nil
 	e.migDone.Add(1)
 }
 
-// advance migrates up to n cursor entries into the successor. Entries the
-// overlay marks dead are skipped; entries already written to the successor
-// (updated or re-inserted since the freeze) keep the successor's value —
-// GetOrPut never overwrites.
+// advance migrates one chunk of cursor entries into the successor.
+// Entries the overlay marks dead are skipped; entries already written to
+// the successor (updated or re-inserted since the freeze) keep the
+// successor's value — GetOrPut never overwrites.
 //
 // Failures never abort the mutation hosting the migration step: a
-// successor refusal parks the pulled entry on the carry list (it is
-// still readable in the frozen table) and falls back to a rebuild, and
-// a failed rebuild allocation leaves the shard degraded-but-serving.
-// The migration can only finish once the carry list is empty — the
-// carry loop runs before any new entry is pulled — so a failed rebuild
-// can never lose an already-pulled entry.
-func (e *Engine) advance(s *shardState, n int) {
+// successor refusal parks the refused entry and the unplaced rest of the
+// step's buffer on the carry list (they are still readable in the frozen
+// table) and falls back to a rebuild, and a failed rebuild allocation
+// leaves the shard degraded-but-serving. The migration can only finish
+// once the carry list is empty — the carry loop runs before the cursor
+// moves — so a failed rebuild can never lose an entry the cursor is
+// already past.
+func (e *Engine) advance(s *shardState) {
 	if !s.view.Load().migrating() {
 		return
 	}
@@ -541,7 +523,7 @@ func (e *Engine) advance(s *shardState, n int) {
 	// steady-state mutation path keeps its zero-cost early return above;
 	// during a migration two clock reads vanish under the chunk's moves.
 	start := obs.Now()
-	e.advanceChunk(s, n)
+	e.migMoved.Add(uint64(e.advanceChunk(s)))
 	dur := obs.Now() - start
 	e.migChunks.Add(1)
 	e.migNanos.Add(uint64(dur))
@@ -550,44 +532,38 @@ func (e *Engine) advance(s *shardState, n int) {
 	}
 }
 
-// advanceChunk is advance's working body: the carry retry loop followed
-// by up to n cursor pulls. The view it loads stays current throughout:
-// the only republications it can trigger (finishMigration, tryRebuild)
-// are immediately followed by a return.
-func (e *Engine) advanceChunk(s *shardState, n int) {
+// advanceChunk is advance's working body: the carry retry loop, then one
+// chunk of MigrationChunk entries collected from the cursor (dead ones
+// counted) and placed in order. It returns how many entries it moved. The
+// view it loads stays current throughout: the only republications it can
+// trigger (finishMigration, tryRebuild) are immediately followed by a
+// return.
+func (e *Engine) advanceChunk(s *shardState) (moved int) {
 	fault.MaybeStall()
 	v := s.view.Load()
-	if s.pull == nil {
-		s.startCursor(v.cur) // stopped by Close; see there
-	}
 	for len(s.carry) > 0 {
 		c := s.carry[0]
-		if v.dead.has(c.k) {
-			s.carry = s.carry[1:]
-			continue
-		}
-		_, loaded, err := v.next.GetOrPut(c.k, c.v)
-		if err != nil {
-			// Still refused: only a rebuild can place it. Honor the
-			// degraded backoff when a previous rebuild allocation failed.
-			if v.degraded && !e.retryDue(s) {
-				return
+		if !v.dead.has(c.k) {
+			_, loaded, err := v.next.GetOrPut(c.k, c.v)
+			if err != nil {
+				// Still refused: only a rebuild can place it. Honor the
+				// degraded backoff when a previous rebuild allocation failed.
+				if !v.degraded || e.retryDue(s) {
+					e.tryRebuild(s)
+				}
+				return moved
 			}
-			e.tryRebuild(s)
-			return
-		}
-		if !loaded {
-			e.migMoved.Add(1)
+			if !loaded {
+				moved++
+			}
 		}
 		s.carry = s.carry[1:]
 	}
-	for i := 0; i < n; i++ {
-		k, val, ok := s.pull()
-		if !ok {
-			e.finishMigration(s)
-			return
-		}
-		if v.dead.has(k) {
+	s.buf = s.buf[:0]
+	s.pos = v.cur.RangeFrom(s.pos, s.collect)
+	exhausted := len(s.buf) < e.chunk
+	for i, c := range s.buf {
+		if v.dead.has(c.k) {
 			continue
 		}
 		var (
@@ -595,24 +571,27 @@ func (e *Engine) advanceChunk(s *shardState, n int) {
 			err    error
 		)
 		if fault.Should(fault.Full) {
-			err = fmt.Errorf("migration step for key %#x: %w", k, fault.ErrInjected)
+			err = fmt.Errorf("migration step for key %#x: %w", c.k, fault.ErrInjected)
 		} else {
-			_, loaded, err = v.next.GetOrPut(k, val)
+			_, loaded, err = v.next.GetOrPut(c.k, c.v)
 		}
 		if err != nil {
 			// The successor refused the key (a Cuckoo kick chain can fail
 			// below any load threshold — or the refusal was injected).
-			// Park it and stop this step: the carry loop retries on the
-			// next mutation and escalates to a rebuild only if the key is
-			// refused AGAIN, so a transient injected refusal costs one
-			// deferred entry rather than a capacity-doubling rebuild.
-			s.carry = append(s.carry, kv{k, val})
-			return
+			// Park it with the rest of the buffer and stop this step: the
+			// carry loop retries on the next mutation and escalates to a
+			// rebuild only if the key is refused AGAIN.
+			s.carry = append(s.carry[:0], s.buf[i:]...)
+			return moved
 		}
 		if !loaded {
-			e.migMoved.Add(1)
+			moved++
 		}
 	}
+	if exhausted {
+		e.finishMigration(s)
+	}
+	return moved
 }
 
 // maybeGrow starts a migration when s has crossed the threshold. The
@@ -751,7 +730,7 @@ func (e *Engine) Drain() bool {
 			if !v.migrating() && !v.degraded {
 				break
 			}
-			e.advance(s, e.chunk)
+			e.advance(s)
 			e.degradedTick(s)
 		}
 		v = s.view.Load()
@@ -833,11 +812,7 @@ func (e *Engine) rebuild(s *shardState) error {
 			capacity *= 2
 			continue
 		}
-		if s.stop != nil {
-			s.stop()
-		}
 		e.publish(s, &view{cur: nt, degraded: v.degraded})
-		s.pull, s.stop = nil, nil
 		s.carry = nil // every entry (carried or not) is in the rebuilt table
 		e.rebuilds.Add(1)
 		return nil
@@ -864,7 +839,7 @@ func (e *Engine) Put(key, val uint64) (bool, error) {
 }
 
 func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	v := s.view.Load()
 	if !v.migrating() {
@@ -897,15 +872,7 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 	// Migrating: the frozen table is read-only, so the write lands in the
 	// successor; one probe sequence there decides update-vs-insert, with
 	// the frozen table consulted only on a successor miss.
-	inserted := false
-	_, err := v.next.Upsert(key, func(_ uint64, exists bool) uint64 {
-		if !exists {
-			if _, ok := v.curLive(key); !ok {
-				inserted = true
-			}
-		}
-		return val
-	})
+	inserted, err := v.next.TryPut(key, val)
 	if err != nil {
 		if !e.tryRebuild(s) {
 			return false, &DegradedError{Shard: s.idx, Err: err}
@@ -917,6 +884,11 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 		return ins, err
 	}
 	if inserted {
+		// New to the successor; new to the shard only if the frozen table
+		// does not hold it live.
+		if _, ok := v.curLive(key); ok {
+			return false, nil
+		}
 		s.live.Add(1)
 	}
 	return inserted, nil
@@ -930,9 +902,9 @@ func (e *Engine) Delete(key uint64) bool {
 	// Deletes advance the migration and tick the degraded backoff too:
 	// every mutation makes progress, and a delete that frees space can
 	// heal a degraded shard outright (the pressure-receded path).
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
-	deleted := s.deleteLocked(key)
+	deleted := e.deleteLocked(s, key)
 	s.unlockShard()
 	if m != nil {
 		m.Delete.Record(s.idx, obs.Now()-start)
@@ -940,7 +912,7 @@ func (e *Engine) Delete(key uint64) bool {
 	return deleted
 }
 
-func (s *shardState) deleteLocked(key uint64) bool {
+func (e *Engine) deleteLocked(s *shardState, key uint64) bool {
 	v := s.view.Load()
 	if !v.migrating() {
 		if v.cur.Delete(key) {
@@ -954,6 +926,14 @@ func (s *shardState) deleteLocked(key uint64) bool {
 	// shadow of the successor's); either way its entry is now dead.
 	if !v.dead.has(key) {
 		if _, ok := v.cur.Get(key); ok {
+			if v.dead.full() {
+				// Never reallocated in place: readers of this epoch keep
+				// probing the old array, and this window discards them.
+				nv := *v
+				nv.dead = v.dead.grown()
+				e.publish(s, &nv)
+				v = &nv
+			}
 			v.dead.add(key)
 			deleted = true
 		}
@@ -981,7 +961,7 @@ func (e *Engine) GetOrPut(key, val uint64) (actual uint64, loaded bool, err erro
 }
 
 func (e *Engine) getOrPutLocked(s *shardState, key, val uint64) (uint64, bool, error) {
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	v := s.view.Load()
 	if !v.migrating() {
@@ -1058,7 +1038,7 @@ func (e *Engine) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (ui
 }
 
 func (e *Engine) upsertLocked(s *shardState, key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	e.advance(s, e.chunk)
+	e.advance(s)
 	e.degradedTick(s)
 	// A table refusal can only happen before fn runs (the kernels call
 	// fn only once a slot is secured), so the grow-and-retry paths below

@@ -13,7 +13,6 @@ import (
 
 func TestConcurrentBatchesNeverShareStaging(t *testing.T) {
 	e := newEngine(t, table.SchemeRH, 4, 1<<14, 0.85, 21)
-	defer e.Close()
 	const (
 		callers = 2
 		width   = 1500 // keys per caller: a batch spans all four shards

@@ -39,8 +39,8 @@ type view struct {
 	// consult it first.
 	next Table
 	// dead is the overlay of keys deleted while frozen in cur (nil
-	// outside a resize). Insert-only and pre-sized at freeze time, so
-	// its backing array never moves while published.
+	// outside a resize). Insert-only, and never reallocated in place:
+	// a set that outgrows its array is republished as a larger copy.
 	dead *deadSet
 	// degraded mirrors the shard's degraded-but-serving state (the
 	// allocator is failing; see the package docs) so observers read it
@@ -90,15 +90,20 @@ const deadSetSeedMix = 0x9e3779b97f4a7c15
 // to be a Go map, but map reads racing a map write crash the runtime
 // outright (the map's own concurrency detector is always armed), which
 // rules maps out of a seqlock-guarded read path. This set is built for
-// exactly that path:
+// exactly that path, and for the migration step, which checks every
+// entry it moves against it:
 //
 //   - insert-only: a key, once dead, stays dead for the migration's
 //     lifetime (re-inserting the key writes the successor, which readers
 //     consult first);
-//   - pre-sized: only keys living in the frozen table can be marked dead,
-//     so capacity is fixed at freeze time (2x the frozen live count) and
-//     the backing array NEVER grows or moves while published — a racing
-//     reader can observe a half-written slot, never a dangling one;
+//   - cache-resident: it starts at deadSetFloor slots whatever the frozen
+//     table's size, so the step's lookup per entry is a cache hit, not a
+//     miss into an array as large as the table;
+//   - never reallocated in place: a published set's backing array has a
+//     fixed size and address, so a racing reader can observe a
+//     half-written slot, never a dangling one. A set at half load is
+//     doubled by republication — the writer builds the larger copy
+//     (grown), publishes a view naming it, and adds the key there;
 //   - zero-sentinel-free: slot value 0 means empty; key 0 lives in a
 //     dedicated word.
 //
@@ -108,18 +113,33 @@ type deadSet struct {
 	slots []uint64 // open-addressed, linear probing; 0 = empty
 	mask  uint64
 	zero  uint64 // 1 when key 0 is dead (0 is the empty-slot sentinel)
-	n     int    // live inserts (capacity accounting, and has's nothing-dead test)
+	n     int    // live inserts (load accounting, and has's nothing-dead test)
 }
 
-// newDeadSet sizes the overlay for at most capacity inserts: the next
-// power of two ≥ 2*capacity (minimum 8), so linear probing stays short
-// and the set can never fill.
-func newDeadSet(capacity int) *deadSet {
-	n := 8
-	for n < 2*capacity {
-		n <<= 1
+// deadSetFloor is a new overlay's slot count: 4 KiB, small enough to stay
+// in L1, large enough (256 dead keys before the first doubling) that at
+// the default chunk only a resize of more than ~64K entries, or one under
+// mostly deletes, republishes for growth.
+const deadSetFloor = 512
+
+func newDeadSet() *deadSet {
+	return &deadSet{slots: make([]uint64, deadSetFloor), mask: deadSetFloor - 1}
+}
+
+// full reports that one more key would take the set past half load, which
+// keeps linear probing short: the writer must switch to grown() first.
+func (d *deadSet) full() bool { return 2*(d.n+1) > len(d.slots) }
+
+// grown returns a copy of d with twice the slots. d itself is left as it
+// is for the readers that may still be probing it.
+func (d *deadSet) grown() *deadSet {
+	g := &deadSet{slots: make([]uint64, 2*len(d.slots)), mask: 2*d.mask + 1, zero: d.zero}
+	for _, k := range d.slots {
+		if k != 0 {
+			g.add(k)
+		}
 	}
-	return &deadSet{slots: make([]uint64, n), mask: uint64(n - 1)}
+	return g
 }
 
 // has reports whether k is marked dead. Safe to call from seqlock
@@ -127,8 +147,7 @@ func newDeadSet(capacity int) *deadSet {
 // torn answer is discarded by the caller's sequence validation. A nil
 // set (no resize in flight) has nothing dead, and neither has a set
 // nothing was added to: an insert-only resize — the common one — answers
-// every migrating read from the two counters, without a random load into
-// an array sized like the frozen table itself.
+// every migrating read from the two counters.
 func (d *deadSet) has(k uint64) bool {
 	if d == nil || (d.n == 0 && d.zero == 0) {
 		return false
@@ -150,8 +169,7 @@ func (d *deadSet) has(k uint64) bool {
 }
 
 // add marks k dead. Writer-only, inside the seqlock window; the caller
-// guarantees at most the pre-sized capacity of distinct keys (only keys
-// living in the frozen table are ever added, each at most once).
+// checks full() first, so the probe always meets an empty slot.
 func (d *deadSet) add(k uint64) {
 	if k == 0 {
 		d.zero = 1

@@ -8,7 +8,9 @@ package shard
 
 import (
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -128,6 +130,18 @@ func (t *testTable) Range(fn func(k, v uint64) bool) {
 		}
 	}
 }
+
+// RangeFrom walks the keys in ascending order: position i is the i-th
+// smallest key, stable for as long as the table is frozen.
+func (t *testTable) RangeFrom(pos int, fn func(k, v uint64) bool) int {
+	keys := slices.Sorted(maps.Keys(t.m))
+	for i := pos; i < len(keys); i++ {
+		if !fn(keys[i], t.m[keys[i]]) {
+			return i + 1
+		}
+	}
+	return len(keys)
+}
 func (t *testTable) Name() string { return "testTable" }
 
 func testEngine(t *testing.T, shards, capacity int) *Engine {
@@ -146,10 +160,7 @@ func testEngine(t *testing.T, shards, capacity int) *Engine {
 }
 
 func TestDeadSet(t *testing.T) {
-	d := newDeadSet(100)
-	if got := len(d.slots); got != 256 {
-		t.Fatalf("capacity 100 sized %d slots, want 256 (next pow2 >= 200)", got)
-	}
+	d := newDeadSet()
 	keys := []uint64{0, 1, 7, ^uint64(0), 0x9e3779b97f4a7c15, 42}
 	for _, k := range keys {
 		if d.has(k) {
@@ -182,7 +193,7 @@ func TestDeadSetNothingDeadSkipsTheProbe(t *testing.T) {
 	// While nothing has been marked dead has answers from the counters
 	// alone. Plant a key in its slot behind add's back: a probe would
 	// find it, the fast path must not look.
-	d := newDeadSet(100)
+	d := newDeadSet()
 	k := uint64(42)
 	d.slots[(k*deadSetSeedMix)&d.mask] = k
 	if d.has(k) {
@@ -195,7 +206,7 @@ func TestDeadSetNothingDeadSkipsTheProbe(t *testing.T) {
 	}
 	// Key 0 lives outside the slots and the slot count; it too must end
 	// the fast path.
-	z := newDeadSet(100)
+	z := newDeadSet()
 	z.add(0)
 	if !z.has(0) || z.has(k) {
 		t.Fatal("set holding only key 0 answers wrong")
@@ -203,13 +214,48 @@ func TestDeadSetNothingDeadSkipsTheProbe(t *testing.T) {
 }
 
 func TestDeadSetCapacityFloor(t *testing.T) {
-	d := newDeadSet(0)
-	if got := len(d.slots); got != 8 {
-		t.Fatalf("zero-capacity set sized %d slots, want the 8-slot floor", got)
+	// A new overlay is the fixed floor, whatever it overlays, and takes
+	// half that many keys before full() asks the writer for a larger one.
+	d := newDeadSet()
+	if got := len(d.slots); got != deadSetFloor || d.mask != deadSetFloor-1 {
+		t.Fatalf("new set has %d slots (mask %#x), want the %d-slot floor", got, d.mask, deadSetFloor)
 	}
-	d.add(3)
-	if !d.has(3) {
-		t.Fatal("floor-sized set lost its key")
+	d.add(0) // key 0 takes no slot
+	for k := uint64(1); !d.full(); k++ {
+		d.add(k)
+	}
+	if d.n != deadSetFloor/2 {
+		t.Fatalf("full() after %d slot keys, want %d (half load)", d.n, deadSetFloor/2)
+	}
+}
+
+func TestDeadSetGrownIsACopy(t *testing.T) {
+	d := newDeadSet()
+	d.add(0)
+	for k := uint64(1); !d.full(); k++ {
+		d.add(k * deadSetSeedMix)
+	}
+	old := slices.Clone(d.slots)
+	g := d.grown()
+	if len(g.slots) != 2*len(d.slots) || g.mask != uint64(len(g.slots)-1) || g.n != d.n || g.zero != 1 {
+		t.Fatalf("grown: %d slots, mask %#x, n %d, zero %d from %d slots, n %d", len(g.slots), g.mask, g.n, g.zero, len(d.slots), d.n)
+	}
+	if g.full() {
+		t.Fatal("grown set is full again")
+	}
+	g.add(12345)
+	// The original is what readers of the previous epoch still probe: not
+	// one word of it may have moved.
+	if !slices.Equal(d.slots, old) || d.has(12345) {
+		t.Fatal("growing wrote to the published set")
+	}
+	for _, k := range old {
+		if k != 0 && !g.has(k) {
+			t.Fatalf("key %#x lost in the copy", k)
+		}
+	}
+	if !g.has(0) || !g.has(12345) || g.has(7) {
+		t.Fatal("grown set answers wrong")
 	}
 }
 
@@ -275,50 +321,51 @@ func TestViewGenerationAdvancesAcrossMigration(t *testing.T) {
 	}
 }
 
-func TestCloseStopsCursorsAndLosesNothing(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := testEngine(t, 2, 128)
-	e.Close() // idle: nothing to stop
-	put := func(i uint64) {
-		t.Helper()
-		if _, err := e.Put(i*0x9e3779b97f4a7c15, i); err != nil {
-			t.Fatal(err)
-		}
-	}
+// growUntilMigrating inserts fresh keys until a shard is mid-resize and
+// returns how many it inserted (key i is i*golden, value i).
+func growUntilMigrating(t *testing.T, e *Engine) uint64 {
+	t.Helper()
 	n := uint64(0)
 	for e.Stats().Migrating == 0 {
 		n++
-		put(n)
+		if _, err := e.Put(n*0x9e3779b97f4a7c15, n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := runtime.NumGoroutine(); got <= before {
-		t.Fatalf("%d goroutines with a resize in flight, %d before: the cursor is no goroutine?", got, before)
-	}
-	e.Close()
-	e.Close() // idempotent
+	return n
+}
+
+func TestDroppedMidResizeEngineLeaksNothing(t *testing.T) {
+	// A resize in flight is an integer and two tables named by the view:
+	// it adds no goroutine, and an engine dropped in that state — there is
+	// no Close to forget — is collected, frozen table included.
+	before := runtime.NumGoroutine()
+	e := testEngine(t, 2, 128)
+	n := growUntilMigrating(t, e)
 	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("%d goroutines after Close, want the %d from before the engine", got, before)
+		t.Fatalf("%d goroutines with a resize in flight, %d before the engine", got, before)
 	}
-	if e.Stats().Migrating == 0 {
-		t.Fatal("Close ended the resize instead of parking it")
-	}
-	// The engine stays usable: reads see every key, and the next
-	// mutations reopen the cursor and finish the resize with nothing lost.
 	for i := uint64(1); i <= n; i++ {
 		if v, ok := e.Get(i * 0x9e3779b97f4a7c15); !ok || v != i {
-			t.Fatalf("key %d after Close = (%d,%v)", i, v, ok)
+			t.Fatalf("key %d mid-resize = (%d,%v)", i, v, ok)
 		}
 	}
-	put(n + 1)
-	if !e.Drain() {
-		t.Fatal("Drain after Close did not reach idle")
-	}
-	e.Close()
-	if e.Len() != int(n+1) {
-		t.Fatalf("Len = %d after the reopened resize, want %d", e.Len(), n+1)
-	}
-	for i := uint64(1); i <= n+1; i++ {
-		if v, ok := e.Get(i * 0x9e3779b97f4a7c15); !ok || v != i {
-			t.Fatalf("key %d after the reopened resize = (%d,%v)", i, v, ok)
+	freed := make(chan struct{})
+	for i := range e.shards {
+		if v := e.shards[i].view.Load(); v.migrating() {
+			runtime.SetFinalizer(v.cur.(*testTable), func(*testTable) { close(freed) })
+			break
 		}
 	}
+	e = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+	t.Fatal("the frozen table of a dropped mid-resize engine was never collected")
 }

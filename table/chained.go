@@ -206,6 +206,23 @@ func (t *Chained8) Range(fn func(key, val uint64) bool) {
 	}
 }
 
+// RangeFrom implements Table at bucket granularity: position i is
+// directory slot i, and a bucket's chain is visited whole — unlike Range,
+// fn is still handed the rest of the chain it returned false in, so that
+// the bucket index alone resumes the walk.
+func (t *Chained8) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+	for i := pos; i < len(t.dir); i++ {
+		more := true
+		for e := t.dir[i]; e != nil; e = e.Next {
+			more = fn(e.Key, e.Val) && more
+		}
+		if !more {
+			return i + 1
+		}
+	}
+	return len(t.dir)
+}
+
 // ChainLengths returns the length of every non-empty chain; the paper's
 // argument that chains under Mult average below length 2 is checkable here.
 func (t *Chained8) ChainLengths() []int {
@@ -515,6 +532,32 @@ func (t *Chained24) Range(fn func(key, val uint64) bool) {
 			}
 		}
 	}
+}
+
+// RangeFrom implements Table at bucket granularity like Chained8's:
+// position 0 is the out-of-line key 0, position 1+i is bucket i, inline
+// entry and chain visited whole.
+func (t *Chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+	if pos <= 0 {
+		if t.hasZero && !fn(emptyKey, t.zeroVal) {
+			return 1
+		}
+		pos = 1
+	}
+	for i := pos - 1; i < len(t.dir); i++ {
+		b := &t.dir[i]
+		more := true
+		if inlineOccupied(b) {
+			more = fn(b.key, b.val)
+		}
+		for e := b.next; e != nil; e = e.Next {
+			more = fn(e.Key, e.Val) && more
+		}
+		if !more {
+			return i + 2
+		}
+	}
+	return len(t.dir) + 1
 }
 
 // ChainLengths returns, for every non-empty bucket, the number of entries

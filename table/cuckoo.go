@@ -453,18 +453,24 @@ func (t *Cuckoo) growTo(capacity int) {
 }
 
 // Range implements Map.
-func (t *Cuckoo) Range(fn func(key, val uint64) bool) {
-	if !t.sent.rng(fn) {
-		return
+func (t *Cuckoo) Range(fn func(key, val uint64) bool) { t.RangeFrom(0, fn) }
+
+// RangeFrom implements Table: sentinel entries first, then slot i at
+// position sentinelPositions+i, subtable after subtable.
+func (t *Cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+	pos, more := t.sent.rangeFrom(pos, fn)
+	if !more {
+		return pos
 	}
-	for i := range t.slots {
+	for i := pos - sentinelPositions; i < len(t.slots); i++ {
 		if t.slots[i].key == emptyKey {
 			continue
 		}
 		if !fn(t.slots[i].key, t.slots[i].val) {
-			return
+			return i + 1 + sentinelPositions
 		}
 	}
+	return len(t.slots) + sentinelPositions
 }
 
 // SubtableOccupancy returns the number of live entries per subtable, useful

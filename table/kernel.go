@@ -57,7 +57,7 @@ const lineWordsM = 8 - 1
 // configuration, sentinel side fields and the lazily allocated batch
 // buffer — plus the hoisted policy state.
 type kern struct {
-	colView        // slot storage; also exposes slots / keys / vals to in-package diagnostics
+	colView // slot storage; also exposes slots / keys / vals to in-package diagnostics
 	layout  layoutPolicy
 	perLine uint64 // slots per 64-byte key-column cache line (4 AoS, 8 SoA)
 
@@ -604,20 +604,26 @@ func (c *kern) reinsert(key, val uint64) {
 }
 
 // Range implements Map.
-func (c *kern) Range(fn func(key, val uint64) bool) {
-	if !c.sent.rng(fn) {
-		return
+func (c *kern) Range(fn func(key, val uint64) bool) { c.RangeFrom(0, fn) }
+
+// RangeFrom implements Table: the sentinel entries take the first
+// sentinelPositions positions and slot i follows at sentinelPositions+i.
+func (c *kern) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+	pos, more := c.sent.rangeFrom(pos, fn)
+	if !more {
+		return pos
 	}
 	n := c.slotCount()
-	for i := 0; i < n; i++ {
+	for i := pos - sentinelPositions; i < n; i++ {
 		k := c.keyAt(uint64(i))
 		if k == emptyKey || k == tombKey {
 			continue
 		}
 		if !fn(k, c.valAt(uint64(i))) {
-			return
+			return i + 1 + sentinelPositions
 		}
 	}
+	return n + sentinelPositions
 }
 
 // All implements Table.

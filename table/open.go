@@ -139,11 +139,13 @@ func WithPartitions(n int) Option {
 // pass-through to one scheme and inherits its single-threaded contract —
 // external synchronization is required for concurrent use. A Handle
 // opened WithPartitions(n > 1) delegates every operation to a
-// shard.Engine and is safe for arbitrary concurrent use: read-only
-// operations (Get, GetBatch, Len, Stats, Range/All) take per-shard read
-// locks and proceed in parallel, mutations take per-shard write locks,
-// and growth is the engine's incremental resize. Iteration over a
-// partitioned handle is weakly consistent (see shard.Engine.Range).
+// shard.Engine and is safe for arbitrary concurrent use: Get, GetBatch,
+// Len and Stats take no lock at all (wait-free seqlock reads of each
+// shard's published view), mutations serialize per shard on its writer
+// lock, and growth is the engine's incremental resize. Range/All hold one
+// shard's writer lock at a time and are weakly consistent (see
+// shard.Engine.Range). There is nothing to close: a handle dropped at any
+// point, mid-resize included, is ordinary garbage.
 type Handle struct {
 	single Table         // the one table of an unpartitioned handle (nil when sharded)
 	eng    *shard.Engine // the sharded engine (nil when single)
@@ -268,18 +270,6 @@ func (h *Handle) Partitions() int {
 // weakly-consistent iteration, direct batched access). It is nil for a
 // single-partition handle.
 func (h *Handle) Engine() *shard.Engine { return h.eng }
-
-// Close releases what a partitioned handle dropped mid-resize would
-// otherwise keep alive for good: each migrating shard's cursor is a parked
-// coroutine holding its frozen table (see shard.Engine.Close). Call it
-// when done with a handle whose growth is enabled. It is idempotent, a
-// no-op on a single-partition or idle handle, and leaves the handle
-// usable.
-func (h *Handle) Close() {
-	if h.eng != nil {
-		h.eng.Close()
-	}
-}
 
 // DecisionPath returns the Figure 8 audit trail when the handle was opened
 // WithWorkload, nil otherwise.

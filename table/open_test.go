@@ -262,13 +262,21 @@ func TestHandleAllAndStats(t *testing.T) {
 	}
 }
 
-func TestHandleCloseMidResize(t *testing.T) {
-	single := MustOpen(WithCapacity(64))
-	single.Close() // nothing to stop on an unpartitioned handle
+// heapAfterGC returns the bytes of live heap objects after a collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first may only have queued finalizers and sweeps
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
-	before := runtime.NumGoroutine()
-	h := MustOpen(WithPartitions(4), WithCapacity(256), WithMaxLoadFactor(0.7), WithSeed(2))
-	h.Close() // idle
+func TestHandleDroppedMidResize(t *testing.T) {
+	// There is no Close: a shard mid-resize adds no goroutine, and a
+	// handle dropped in that state is collected — frozen table, successor
+	// and all.
+	goroutines, heap := runtime.NumGoroutine(), heapAfterGC()
+	h := MustOpen(WithPartitions(4), WithCapacity(1<<18), WithMaxLoadFactor(0.7), WithSeed(2))
 	n := uint64(0)
 	for h.EngineStats().Migrating == 0 {
 		n++
@@ -276,22 +284,20 @@ func TestHandleCloseMidResize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := runtime.NumGoroutine(); got <= before {
-		t.Fatalf("%d goroutines with a shard mid-resize, %d before", got, before)
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Fatalf("%d goroutines with a shard mid-resize, %d before the handle", got, goroutines)
 	}
-	h.Close()
-	h.Close()
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("%d goroutines after Close, %d before the handle", got, before)
-	}
-	// Still a working handle.
-	if _, err := h.Put(n+1, (n+1)*3); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(1); k <= n+1; k++ {
+	for k := uint64(1); k <= n; k += 97 {
 		if v, ok := h.Get(k); !ok || v != k*3 {
-			t.Fatalf("Get(%d) after Close = (%d,%v)", k, v, ok)
+			t.Fatalf("Get(%d) mid-resize = (%d,%v)", k, v, ok)
 		}
 	}
-	h.Close()
+	held := h.MemoryFootprint() // ≥ 4 MiB of shard tables, the frozen one among them
+	if grew := heapAfterGC() - heap; grew < held/2 {
+		t.Fatalf("heap grew %d bytes under a handle holding %d: the measurement is blind", grew, held)
+	}
+	runtime.KeepAlive(h) // live until here, garbage from here
+	if left := int64(heapAfterGC() - heap); left > int64(held/16) {
+		t.Fatalf("%d bytes still live after dropping a mid-resize handle that held %d", left, held)
+	}
 }

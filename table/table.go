@@ -124,6 +124,16 @@ type Table interface {
 	// All returns a Go 1.23 range-over-func iterator over the entries,
 	// equivalent to Range. The table must not be mutated during iteration.
 	All() iter.Seq2[uint64, uint64]
+	// RangeFrom is the resumable Range: it visits entries from position
+	// pos until fn returns false (that entry is consumed) and returns the
+	// position to resume from. A walk starts at 0 and is over when a call
+	// returns without fn having returned false; resuming from each
+	// returned position visits every entry exactly once. Positions are
+	// opaque and hold only while the table is not mutated — which is what
+	// makes an integer the whole migration cursor over shard.Engine's
+	// frozen tables. The chained schemes resume per bucket: unlike Range,
+	// they still hand fn the rest of the chain it returned false in.
+	RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
 }
 
 const (
@@ -221,15 +231,21 @@ func (s *sentinels) len() int {
 	return n
 }
 
-// rng ranges over the sentinel entries.
-func (s *sentinels) rng(fn func(key, val uint64) bool) bool {
-	if s.hasEmpty && !fn(emptyKey, s.emptyVal) {
-		return false
+// sentinelPositions is how many RangeFrom positions the sentinel entries
+// take ahead of the slot array: one per sentinel key, present or not.
+const sentinelPositions = 2
+
+// rangeFrom is the sentinel entries' part of a RangeFrom walk from pos: it
+// returns where the walk stands afterwards — in the slot array's positions
+// unless fn stopped it — and whether fn has not stopped it.
+func (s *sentinels) rangeFrom(pos int, fn func(key, val uint64) bool) (next int, more bool) {
+	if pos <= 0 && s.hasEmpty && !fn(emptyKey, s.emptyVal) {
+		return 1, false
 	}
-	if s.hasTomb && !fn(tombKey, s.tombVal) {
-		return false
+	if pos <= 1 && s.hasTomb && !fn(tombKey, s.tombVal) {
+		return 2, false
 	}
-	return true
+	return max(pos, sentinelPositions), true
 }
 
 // Config parameterizes table construction.
