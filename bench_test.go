@@ -12,9 +12,7 @@
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/agg"
@@ -343,58 +341,14 @@ var escapeSink *slab.Entry
 // ---------------------------------------------------------------------------
 
 // reportNsPerKey converts a benchmark that processes table.BatchWidth keys
-// per iteration into the paper-tracking ns/key metric, and records the
-// datapoint for the BENCH_table.json artifact.
+// per iteration into the paper-tracking ns/key metric.
 func reportNsPerKey(b *testing.B) {
 	reportKeyedNs(b, b.N*table.BatchWidth)
 }
 
-// reportKeyedNs reports ns/key for a benchmark that processed total keys,
-// recording the datapoint for the BENCH_table.json artifact.
+// reportKeyedNs reports ns/key for a benchmark that processed total keys.
 func reportKeyedNs(b *testing.B, total int) {
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(total)
-	b.ReportMetric(ns, "ns/key")
-	// The framework reruns a sub-benchmark with ramping b.N while
-	// calibrating; keep only the final (longest) run's datapoint.
-	if n := len(tableBenchResults); n > 0 && tableBenchResults[n-1].Case == b.Name() {
-		tableBenchResults[n-1].NsPerKey = ns
-		return
-	}
-	tableBenchResults = append(tableBenchResults, tableBenchPoint{Case: b.Name(), NsPerKey: ns})
-}
-
-// tableBenchPoint is one ⟨sub-benchmark, ns/key⟩ datapoint of the batch
-// probe/insert sweeps.
-type tableBenchPoint struct {
-	Case     string  `json:"case"`
-	NsPerKey float64 `json:"ns_per_key"`
-}
-
-// tableBenchResults accumulates datapoints across the batch benchmarks
-// for the JSON artifact.
-var tableBenchResults []tableBenchPoint
-
-// writeTableBenchJSON dumps the accumulated ns/key datapoints to the file
-// named by the BENCH_TABLE_JSON environment variable (the CI bench-smoke
-// step uploads it as the BENCH_table.json artifact tracking the repo's
-// batch-pipeline trajectory). Both batch benchmarks call it; the file is
-// rewritten with everything collected so far, so the invocation order
-// does not matter.
-func writeTableBenchJSON(b *testing.B) {
-	path := os.Getenv("BENCH_TABLE_JSON")
-	if path == "" || len(tableBenchResults) == 0 {
-		return
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark string            `json:"benchmark"`
-		Points    []tableBenchPoint `json:"points"`
-	}{Benchmark: "BenchmarkBatchProbe/BenchmarkBatchInsert", Points: tableBenchResults}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/key")
 }
 
 // BenchmarkBatchProbe compares the scalar probe loop against the batched
@@ -403,7 +357,7 @@ func writeTableBenchJSON(b *testing.B) {
 // independent lane misses actually overlap) with a 75/25 hit/miss probe
 // mix. Every iteration processes one BatchWidth-key batch, so ns/op values
 // are directly comparable between the scalar and batch64 variants; ns/key
-// is also reported for the BENCH trajectories.
+// is also reported.
 //
 // Expected shape: batching wins wherever probe sequences have cache-line
 // locality (LP, LPSoA, RH, the chained schemes) or bounded candidate sets
@@ -467,21 +421,25 @@ func BenchmarkBatchProbe(b *testing.B) {
 			})
 		}
 	}
-	writeTableBenchJSON(b)
 }
 
 // BenchmarkBatchInsert compares scalar and batched WORM builds per scheme:
 // each iteration bulk-loads a fresh pre-allocated table to 70% load factor.
+// At 2^16 slots the whole table sits in L2, so the sweep over every scheme
+// measures instruction cost only; the two cores whose batch mutations open
+// their chunks with a touch pass of their own (Chained24's inline keys,
+// CuckooH4's candidate slots) also get an out-of-cache case at 2^22 slots,
+// where a build-side touch can show.
 func BenchmarkBatchInsert(b *testing.B) {
-	const capacity = 1 << 16
-	n := capacity * 7 / 10
 	gen := dist.New(dist.Sparse, 1)
-	keys := dist.Shuffled(gen.Keys(n), 2)
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	for _, s := range microSchemes {
+	run := func(s table.Scheme, logSlots int) {
+		capacity := 1 << logSlots
+		n := capacity * 7 / 10
+		keys := dist.Shuffled(gen.Keys(n), 2)
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = uint64(i)
+		}
 		fresh := func(b *testing.B) table.Map {
 			m, err := workload.NewWORMTable(s, hashfn.MultFamily{}, capacity, 0.7, 42)
 			if err != nil {
@@ -489,7 +447,11 @@ func BenchmarkBatchInsert(b *testing.B) {
 			}
 			return m
 		}
-		b.Run(string(s)+"/scalar", func(b *testing.B) {
+		name := string(s)
+		if logSlots != 16 {
+			name = fmt.Sprintf("%s/slots2^%d", s, logSlots)
+		}
+		b.Run(name+"/scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := fresh(b)
@@ -500,7 +462,7 @@ func BenchmarkBatchInsert(b *testing.B) {
 			}
 			reportKeyedNs(b, b.N*n)
 		})
-		b.Run(fmt.Sprintf("%s/batch%d", s, table.BatchWidth), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/batch%d", name, table.BatchWidth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := fresh(b)
@@ -510,7 +472,12 @@ func BenchmarkBatchInsert(b *testing.B) {
 			reportKeyedNs(b, b.N*n)
 		})
 	}
-	writeTableBenchJSON(b)
+	for _, s := range microSchemes {
+		run(s, 16)
+	}
+	for _, s := range []table.Scheme{table.SchemeChained24, table.SchemeCuckooH4} {
+		run(s, 22)
+	}
 }
 
 // BenchmarkHashJoin measures the classic build/probe equi-join per scheme:

@@ -99,7 +99,7 @@ func run(scheme, fnName, distName string, slotsLog2 int, alpha float64, seed uin
 	}
 	if ck, ok := m.(*table.Cuckoo); ok {
 		fmt.Printf("cuckoo: rehashes=%d total kicks=%d subtable occupancy=%v\n",
-			ck.Rehashes(), ck.TotalKicks(), ck.SubtableOccupancy())
+			ck.Rehashes(), ck.TotalKicks(), ck.WayOccupancy())
 	}
 	return nil
 }

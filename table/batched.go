@@ -28,7 +28,9 @@ package table
 // The open-addressing schemes share one generic implementation of the
 // chunk loops and lane walks (kernel.go), monomorphized per scheme so no
 // indirect call sits on a per-key path; Chained8/24 and Cuckoo keep
-// bespoke walks over their chain and candidate-set structures.
+// bespoke lookup walks over their chain and candidate-set structures, and
+// open their mutation chunks with a touch pass of their own (openChunk)
+// ahead of the generic drivers in rmw.go.
 
 import "repro/hashfn"
 
@@ -117,7 +119,7 @@ type batchBuf struct {
 	a    [BatchWidth]uint64 // per-lane cursor (scheme-specific meaning)
 	b    [BatchWidth]uint64 // per-lane auxiliary counter (step, displacement)
 	lane [BatchWidth]int32  // live-lane list for the round-robin walk
-	sink uint64             // where the kernel's touch pass folds its loads (never read)
+	sink uint64             // where the touch passes fold their loads (never read)
 }
 
 // batchState is embedded in every scheme to carry the lazily allocated

@@ -59,21 +59,31 @@ func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	return hits
 }
 
-// PutBatch implements Batcher; see LinearProbing.PutBatch. Chained8 has no
-// sentinel keys — every key lives in a chain.
-func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
-	checkBatchPut(len(keys), len(vals))
-	bt := t.buf()
-	inserted := 0
-	chunks(len(keys), func(lo, hi int) {
-		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(t.fn, kc, bt.hash[:])
-		for l, k := range kc {
-			if ins, _ := t.putHashed(k, vc[l], bt.hash[l]); ins {
-				inserted++
-			}
+// openChunk opens a chunk for the batch mutations the way kern.hashAndTouch
+// does for the probe kernel: the keys (at most BatchWidth) are bulk-hashed
+// into the chunk scratch and every lane's directory word loaded back to
+// back, so the chunk's directory misses are in flight together before the
+// first lane is applied. A hint only: rmwHashed indexes the directory
+// itself, after maybeGrow, so a doubling in mid-chunk merely wastes the
+// remaining touches. The chained lookups (getChunk) take no touch pass —
+// their first-probe loop already issues the directory loads back to back,
+// and a pass ahead of it measured no faster.
+func (t *Chained8) openChunk(bt *batchBuf, keys []uint64) {
+	hashfn.HashBatch(t.fn, keys, bt.hash[:])
+	dir, shift := t.dir, t.shift
+	var sink uint64
+	for _, h := range bt.hash[:len(keys)] {
+		if dir[h>>(shift&63)] != nil {
+			sink++
 		}
-	})
+	}
+	bt.sink = sink
+}
+
+// PutBatch implements Batcher. Chained tables never fill, so it is
+// TryPutBatch without the error.
+func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
+	inserted, _ := tryPutBatchImpl(t, keys, vals)
 	return inserted
 }
 
@@ -140,26 +150,21 @@ func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	return hits
 }
 
-// PutBatch implements Batcher; see LinearProbing.PutBatch.
+// openChunk is Chained8.openChunk on the widened directory: the word
+// loaded is each lane's inline key.
+func (t *Chained24) openChunk(bt *batchBuf, keys []uint64) {
+	hashfn.HashBatch(t.fn, keys, bt.hash[:])
+	dir, shift := t.dir, t.shift
+	var sink uint64
+	for _, h := range bt.hash[:len(keys)] {
+		sink += dir[h>>(shift&63)].key
+	}
+	bt.sink = sink
+}
+
+// PutBatch implements Batcher. Chained tables never fill, so it is
+// TryPutBatch without the error.
 func (t *Chained24) PutBatch(keys []uint64, vals []uint64) int {
-	checkBatchPut(len(keys), len(vals))
-	bt := t.buf()
-	inserted := 0
-	chunks(len(keys), func(lo, hi int) {
-		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(t.fn, kc, bt.hash[:])
-		for l, k := range kc {
-			if k == emptyKey {
-				if !t.hasZero {
-					inserted++
-				}
-				t.hasZero, t.zeroVal = true, vc[l]
-				continue
-			}
-			if ins, _ := t.putHashed(k, vc[l], bt.hash[l]); ins {
-				inserted++
-			}
-		}
-	})
+	inserted, _ := tryPutBatchImpl(t, keys, vals)
 	return inserted
 }

@@ -95,36 +95,18 @@ func (t *Chained8) Get(key uint64) (uint64, bool) {
 
 // Put implements Map. New entries are pushed at the head of their chain
 // (order within a chain is immaterial; head insertion avoids walking the
-// list twice).
+// list twice). Chained tables never fill, so rmwHashed's error is always
+// nil.
 func (t *Chained8) Put(key, val uint64) bool {
-	ins, _ := t.putHashed(key, val, t.fn.Hash(key))
-	return ins
+	_, existed, _ := t.rmwHashed(key, val, t.fn.Hash(key), true, nil)
+	return !existed
 }
 
-// putHashed is Put with a precomputed hash code; the directory index is
-// derived after maybeGrow so a doubled directory cannot stale it. Chained
-// tables never fill (chains extend indefinitely), so the error is always
-// nil; the signature matches the open-addressing schemes'.
-func (t *Chained8) putHashed(key, val, hash uint64) (bool, error) {
-	t.maybeGrow()
-	i := hash >> t.shift
-	for e := t.dir[i]; e != nil; e = e.Next {
-		if e.Key == key {
-			e.Val = val
-			return false, nil
-		}
-	}
-	e := t.alloc.Alloc()
-	e.Key, e.Val = key, val
-	e.Next = t.dir[i]
-	t.dir[i] = e
-	t.size++
-	return true, nil
-}
-
-// rmwHashed is the single-probe read-modify-write primitive; see
-// LinearProbing.rmwHashed. Chained8 has no sentinel keys: chain entries
-// store full keys, so 0 and 2^64-1 are ordinary.
+// rmwHashed is the single-probe read-modify-write primitive behind every
+// mutation, scalar and batched; see LinearProbing.rmwHashed. The directory
+// index is derived after maybeGrow so a doubled directory cannot stale it.
+// Chained8 has no sentinel keys: chain entries store full keys, so 0 and
+// 2^64-1 are ordinary.
 func (t *Chained8) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	t.maybeGrow()
 	i := hash >> t.shift
@@ -347,46 +329,13 @@ func (t *Chained24) Get(key uint64) (uint64, bool) {
 // Put implements Map: the inline slot is used first; collisions go to the
 // slab-backed chain.
 func (t *Chained24) Put(key, val uint64) bool {
-	if key == emptyKey {
-		inserted := !t.hasZero
-		t.hasZero, t.zeroVal = true, val
-		return inserted
-	}
-	ins, _ := t.putHashed(key, val, t.fn.Hash(key))
-	return ins
+	_, existed, _ := t.rmwHashed(key, val, t.fn.Hash(key), true, nil)
+	return !existed
 }
 
-// putHashed is Put for a non-zero key with a precomputed hash code. The
-// error is always nil (chained tables never fill); the signature matches
-// the open-addressing schemes'.
-func (t *Chained24) putHashed(key, val, hash uint64) (bool, error) {
-	t.maybeGrow()
-	b := &t.dir[hash>>t.shift]
-	if b.key == key {
-		b.val = val
-		return false, nil
-	}
-	if !inlineOccupied(b) {
-		b.key, b.val = key, val
-		t.size++
-		return true, nil
-	}
-	for e := b.next; e != nil; e = e.Next {
-		if e.Key == key {
-			e.Val = val
-			return false, nil
-		}
-	}
-	e := t.alloc.Alloc()
-	e.Key, e.Val = key, val
-	e.Next = b.next
-	b.next = e
-	t.size++
-	return true, nil
-}
-
-// rmwHashed is the single-probe read-modify-write primitive; see
-// LinearProbing.rmwHashed. Only real key 0 needs sentinel routing here.
+// rmwHashed is the single-probe read-modify-write primitive behind every
+// mutation, scalar and batched; see LinearProbing.rmwHashed. Only real key
+// 0 needs sentinel routing here.
 func (t *Chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	if key == emptyKey {
 		if t.hasZero {

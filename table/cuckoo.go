@@ -473,9 +473,10 @@ func (t *Cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	return len(t.slots) + sentinelPositions
 }
 
-// SubtableOccupancy returns the number of live entries per subtable, useful
-// for verifying that the k functions spread load evenly.
-func (t *Cuckoo) SubtableOccupancy() []int {
+// WayOccupancy returns the number of live entries per subtable (way), in
+// probe order: it shows how the k functions spread the load, and it is
+// what Stats derives Cuckoo's mean and max probe count from.
+func (t *Cuckoo) WayOccupancy() []int {
 	occ := make([]int, t.ways)
 	for i := range t.slots {
 		if t.slots[i].key != emptyKey {

@@ -90,8 +90,56 @@ func TestCuckoo3Ways(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v", k, got, ok)
 		}
 	}
-	occ := m.SubtableOccupancy()
+	occ := m.WayOccupancy()
 	if len(occ) != 3 {
 		t.Fatalf("occupancy %v", occ)
+	}
+}
+
+// placedCuckoo returns a 4-way table with occ[j] entries written straight
+// into subtable j — a layout no insert order would produce, which is the
+// point: the probe statistics must be read off the table, not assumed.
+func placedCuckoo(occ [4]int) *Cuckoo {
+	m := NewCuckoo(Config{InitialCapacity: 64, Seed: 1})
+	key := uint64(1)
+	for j, n := range occ {
+		for i := 0; i < n; i++ {
+			m.slots[j*int(m.subCap)+i] = pair{key, key}
+			key++
+			m.size++
+		}
+	}
+	return m
+}
+
+// TestCuckooStatsMeasureWayOccupancy: an entry in way j costs j+1 probes,
+// so MeanProbe is the occupancy-weighted mean way (not the (1+k)/2 of a
+// uniform placement) and MaxProbe the deepest occupied way; merging
+// stripes weights by entry count.
+func TestCuckooStatsMeasureWayOccupancy(t *testing.T) {
+	a := placedCuckoo([4]int{3, 0, 1, 0})
+	if occ := a.WayOccupancy(); len(occ) != 4 || occ[0] != 3 || occ[1] != 0 || occ[2] != 1 || occ[3] != 0 {
+		t.Fatalf("WayOccupancy = %v", occ)
+	}
+	st := StatsOf(a)
+	if st.MeanProbe != 1.5 || st.MaxProbe != 3 {
+		t.Fatalf("mean/max probe = %v/%d, want 1.5/3", st.MeanProbe, st.MaxProbe)
+	}
+	st.merge(StatsOf(placedCuckoo([4]int{0, 2, 0, 0})))
+	if want := (3*1 + 1*3 + 2*2) / 6.0; st.MeanProbe != want || st.MaxProbe != 3 || st.Len != 6 {
+		t.Fatalf("merged mean/max/len = %v/%d/%d, want %v/3/6", st.MeanProbe, st.MaxProbe, st.Len, want)
+	}
+	if st := StatsOf(placedCuckoo([4]int{})); st.MeanProbe != 0 || st.MaxProbe != 0 {
+		t.Fatalf("empty table: mean/max probe = %v/%d", st.MeanProbe, st.MaxProbe)
+	}
+	// A built table fills its early ways first: the mean sits below the
+	// uniform-placement figure.
+	m := NewCuckoo(Config{InitialCapacity: 1 << 12, Seed: 2})
+	rng := prng.NewXoshiro256(3)
+	for m.LoadFactor() < 0.7 {
+		m.Put(rng.Next()|1, 0)
+	}
+	if st := StatsOf(m); st.MeanProbe < 1 || st.MeanProbe >= 2.5 || st.MaxProbe != 4 {
+		t.Fatalf("70%%-full table: mean/max probe = %v/%d", st.MeanProbe, st.MaxProbe)
 	}
 }

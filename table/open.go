@@ -344,8 +344,8 @@ func (h *Handle) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (ui
 	return h.single.Upsert(key, fn)
 }
 
-// Len returns the number of live entries (read-locked per shard when
-// partitioned).
+// Len returns the number of live entries. On a partitioned handle it takes
+// no lock: each shard publishes its count atomically.
 func (h *Handle) Len() int {
 	if h.eng != nil {
 		return h.eng.Len()
@@ -375,8 +375,9 @@ func (h *Handle) MemoryFootprint() uint64 {
 }
 
 // Range calls fn for every entry until fn returns false. On a partitioned
-// handle iteration is weakly consistent (one shard read-locked at a time;
-// see shard.Engine.Range) and fn must not call back into the handle.
+// handle iteration is weakly consistent (it holds one shard's writer lock
+// at a time; see shard.Engine.Range) and fn must not call back into the
+// handle.
 func (h *Handle) Range(fn func(key, val uint64) bool) {
 	if h.eng != nil {
 		h.eng.Range(fn)

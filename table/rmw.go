@@ -7,9 +7,12 @@ package table
 // observability accessor. The four open-addressing schemes get the same
 // surface from the probe kernel (kernel.go) instead.
 //
-// The batched forms bulk-hash each chunk exactly like the GetBatch /
-// PutBatch pipeline, then drive the scheme's rmwHashed with the
-// precomputed codes. Unlike a Get-then-Put sequence they issue exactly ONE
+// The batched forms are one set of generic drivers for all three types:
+// each chunk is opened by the scheme's openChunk — bulk-hash, then load
+// back to back every line the scalar step is going to read first (the
+// directory word or inline key of a chained lane, all k candidate slots of
+// a Cuckoo lane) — and then applied lane by lane through the scheme's
+// rmwHashed. Unlike a Get-then-Put sequence they issue exactly ONE
 // probe sequence per key — the probe that finds the key doubles as the
 // probe that finds its insertion point — which is what removes the double
 // walk from aggregation builds and join builds. Batched semantics are
@@ -19,25 +22,17 @@ package table
 // Upsert callbacks must not touch the table they are invoked from; they
 // run mid-probe.
 
-import (
-	"iter"
-
-	"repro/hashfn"
-)
+import "iter"
 
 // rmwTable is the internal hook the generic batched implementations need:
-// the scheme's bulk-hashable function, its chunk buffer, and its
-// single-probe RMW primitive. Cuckoo is not included — its candidate slots
-// come from k scheme-owned functions, so there is no shared bulk-hash pass
-// to reuse and it gets bespoke loops below.
+// the scheme's chunk buffer, its chunk opening (which leaves the lanes'
+// hash codes in bt.hash for the schemes whose rmwHashed takes one), and
+// its single-probe RMW primitive.
 type rmwTable interface {
-	hashFn() hashfn.Function
 	buf() *batchBuf
+	openChunk(bt *batchBuf, keys []uint64)
 	rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error)
 }
-
-func (t *Chained8) hashFn() hashfn.Function  { return t.fn }
-func (t *Chained24) hashFn() hashfn.Function { return t.fn }
 
 func checkBatchGetOrPut(nKeys, nVals, nOut, nLoaded int) {
 	if nVals != nKeys {
@@ -52,12 +47,12 @@ func checkBatchGetOrPut(nKeys, nVals, nOut, nLoaded int) {
 // first failing key, leaving earlier pairs applied.
 func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
 	checkBatchPut(len(keys), len(vals))
-	bt, fn := t.buf(), t.hashFn()
+	bt := t.buf()
 	inserted := 0
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc, vc := keys[lo:hi], vals[lo:hi]
-		hashfn.HashBatch(fn, kc, bt.hash[:])
+		t.openChunk(bt, kc)
 		for l, k := range kc {
 			_, existed, err := t.rmwHashed(k, vc[l], bt.hash[l], true, nil)
 			if err != nil {
@@ -75,12 +70,12 @@ func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
 // slice order.
 func getOrPutBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool) (int, error) {
 	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
-	bt, fn := t.buf(), t.hashFn()
+	bt := t.buf()
 	inserted := 0
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(fn, kc, bt.hash[:])
+		t.openChunk(bt, kc)
 		for l, k := range kc {
 			v, existed, err := t.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
 			if err != nil {
@@ -98,14 +93,14 @@ func getOrPutBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool)
 // upsertBatchImpl is the batched Upsert. One adapter closure is allocated
 // per call (not per key); the current lane is threaded through it.
 func upsertBatchImpl[T rmwTable](t T, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	bt, hf := t.buf(), t.hashFn()
+	bt := t.buf()
 	lane := 0
 	adapter := func(old uint64, exists bool) uint64 { return fn(lane, old, exists) }
 	inserted := 0
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		hi := min(lo+BatchWidth, len(keys))
 		kc := keys[lo:hi]
-		hashfn.HashBatch(hf, kc, bt.hash[:])
+		t.openChunk(bt, kc)
 		for l, k := range kc {
 			lane = lo + l
 			_, existed, err := t.rmwHashed(k, 0, bt.hash[l], false, adapter)
@@ -130,9 +125,7 @@ func allOf(m Map) iter.Seq2[uint64, uint64] {
 // ---------------------------------------------------------------------------
 
 // TryPut implements Table; chained tables never fill, so err is always nil.
-func (t *Chained8) TryPut(key, val uint64) (bool, error) {
-	return t.putHashed(key, val, t.fn.Hash(key))
-}
+func (t *Chained8) TryPut(key, val uint64) (bool, error) { return t.Put(key, val), nil }
 
 // GetOrPut implements Table.
 func (t *Chained8) GetOrPut(key, val uint64) (uint64, bool, error) {
@@ -167,12 +160,7 @@ func (t *Chained8) All() iter.Seq2[uint64, uint64] { return allOf(t) }
 func (t *Chained8) Rehashes() int { return t.grows }
 
 // TryPut implements Table; chained tables never fill, so err is always nil.
-func (t *Chained24) TryPut(key, val uint64) (bool, error) {
-	if key == emptyKey {
-		return t.Put(key, val), nil
-	}
-	return t.putHashed(key, val, t.fn.Hash(key))
-}
+func (t *Chained24) TryPut(key, val uint64) (bool, error) { return t.Put(key, val), nil }
 
 // GetOrPut implements Table.
 func (t *Chained24) GetOrPut(key, val uint64) (uint64, bool, error) {
@@ -207,8 +195,7 @@ func (t *Chained24) All() iter.Seq2[uint64, uint64] { return allOf(t) }
 func (t *Chained24) Rehashes() int { return t.grows }
 
 // ---------------------------------------------------------------------------
-// Cuckoo — bespoke loops: candidate slots come from the scheme's own k
-// functions, so there is no shared bulk-hash pass to reuse.
+// Cuckoo
 // ---------------------------------------------------------------------------
 
 // TryPut implements Table.
@@ -230,53 +217,17 @@ func (t *Cuckoo) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (ui
 
 // TryPutBatch implements Table.
 func (t *Cuckoo) TryPutBatch(keys, vals []uint64) (int, error) {
-	checkBatchPut(len(keys), len(vals))
-	inserted := 0
-	for i, k := range keys {
-		_, existed, err := t.rmwHashed(k, vals[i], 0, true, nil)
-		if err != nil {
-			return inserted, err
-		}
-		if !existed {
-			inserted++
-		}
-	}
-	return inserted, nil
+	return tryPutBatchImpl(t, keys, vals)
 }
 
 // GetOrPutBatch implements Table.
 func (t *Cuckoo) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
-	inserted := 0
-	for i, k := range keys {
-		v, existed, err := t.rmwHashed(k, vals[i], 0, false, nil)
-		if err != nil {
-			return inserted, err
-		}
-		out[i], loaded[i] = v, existed
-		if !existed {
-			inserted++
-		}
-	}
-	return inserted, nil
+	return getOrPutBatchImpl(t, keys, vals, out, loaded)
 }
 
 // UpsertBatch implements Table.
 func (t *Cuckoo) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	lane := 0
-	adapter := func(old uint64, exists bool) uint64 { return fn(lane, old, exists) }
-	inserted := 0
-	for i, k := range keys {
-		lane = i
-		_, existed, err := t.rmwHashed(k, 0, 0, false, adapter)
-		if err != nil {
-			return inserted, err
-		}
-		if !existed {
-			inserted++
-		}
-	}
-	return inserted, nil
+	return upsertBatchImpl(t, keys, fn)
 }
 
 // All implements Table.

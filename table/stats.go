@@ -33,8 +33,9 @@ type Stats struct {
 
 	// MeanProbe and MaxProbe describe the expected probe count of a
 	// successful lookup: displacement+1 for the probing schemes, the mean
-	// position within a chain for chained hashing, and at most the number
-	// of subtables for Cuckoo.
+	// position within a chain for chained hashing, and for Cuckoo the
+	// number of subtables probed up to and including the one that holds
+	// the entry (way j costs j+1), measured from the per-way occupancy.
 	MeanProbe float64 `json:"mean_probe"`
 	MaxProbe  int     `json:"max_probe"`
 	// TotalDisplacement is the paper's aggregate displacement measure for
@@ -50,7 +51,7 @@ type (
 	displacer     interface{ Displacements() []int }
 	chainMeasurer interface{ ChainLengths() []int }
 	hashNamer     interface{ HashName() string }
-	wayser        interface{ Ways() int }
+	wayMeasurer   interface{ WayOccupancy() []int }
 )
 
 // StatsOf collects a Stats snapshot from any table in this package.
@@ -101,11 +102,21 @@ func StatsOf(m Map) Stats {
 		if n > 0 {
 			s.MeanProbe = float64(probeSum) / float64(n)
 		}
-	case wayser:
-		// Cuckoo: a successful lookup probes between 1 and k subtables,
-		// k/2 on average under uniform placement.
-		s.MaxProbe = t.Ways()
-		s.MeanProbe = (1 + float64(t.Ways())) / 2
+	case wayMeasurer:
+		// Cuckoo: a lookup probes the subtables in order, so an entry in
+		// way j costs j+1 probes. Placement is not uniform — an insert
+		// takes the first free candidate, so the early ways fill first.
+		var probeSum, n int
+		for j, nj := range t.WayOccupancy() {
+			if nj > 0 {
+				probeSum += (j + 1) * nj
+				n += nj
+				s.MaxProbe = j + 1
+			}
+		}
+		if n > 0 {
+			s.MeanProbe = float64(probeSum) / float64(n)
+		}
 	}
 	return s
 }
