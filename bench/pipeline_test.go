@@ -2,58 +2,24 @@ package bench
 
 // The streaming-vs-materializing comparison over the pipeline query set:
 // ns/row (rows = orders entering the query) and bytes/query (TotalAlloc
-// delta per iteration) at three filter selectivities and workers=1,4.
-// With BENCH_PIPELINE_JSON set the datapoints are dumped as the
-// BENCH_pipeline.json CI artifact. The interesting curve is bytes/query:
-// the materialized form's allocations scale with the selectivity (the
-// filtered copy and the joined columns), the streamed form's do not.
+// delta per iteration) at three filter selectivities and workers=1,4,
+// reported through ReportMetric (the tracked numbers are the benchmark
+// ladder's pipe.* rungs, benchmark/). The interesting curve is
+// bytes/query: the materialized form's allocations scale with the
+// selectivity (the filtered copy and the joined columns), the streamed
+// form's do not.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
 	"repro/pipe"
 )
 
-// pipelineBenchPoint is one ⟨sub-benchmark, ns/row, bytes/query⟩ point.
-type pipelineBenchPoint struct {
-	Case          string  `json:"case"`
-	NsPerRow      float64 `json:"ns_per_row"`
-	BytesPerQuery float64 `json:"bytes_per_query"`
-}
-
-var pipelineBenchResults []pipelineBenchPoint
-
 func reportPipeline(b *testing.B, rows int, bytesPerOp float64) {
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(rows)
-	b.ReportMetric(ns, "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 	b.ReportMetric(bytesPerOp, "bytes/query")
-	p := pipelineBenchPoint{Case: b.Name(), NsPerRow: ns, BytesPerQuery: bytesPerOp}
-	if n := len(pipelineBenchResults); n > 0 && pipelineBenchResults[n-1].Case == b.Name() {
-		pipelineBenchResults[n-1] = p
-		return
-	}
-	pipelineBenchResults = append(pipelineBenchResults, p)
-}
-
-func writePipelineBenchJSON(b *testing.B) {
-	path := os.Getenv("BENCH_PIPELINE_JSON")
-	if path == "" || len(pipelineBenchResults) == 0 {
-		return
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark string               `json:"benchmark"`
-		Points    []pipelineBenchPoint `json:"points"`
-	}{Benchmark: "BenchmarkPipeline", Points: pipelineBenchResults}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // allocDelta returns TotalAlloc now; diff two samples for bytes allocated.
@@ -100,7 +66,6 @@ func BenchmarkPipeline(b *testing.B) {
 			})
 		}
 	}
-	writePipelineBenchJSON(b)
 }
 
 // BenchmarkPipelineGroupStream sweeps the mid-pipeline group-by query.
@@ -133,7 +98,6 @@ func BenchmarkPipelineGroupStream(b *testing.B) {
 			reportPipeline(b, b.N*orders, float64(allocDelta()-before)/float64(b.N))
 		})
 	}
-	writePipelineBenchJSON(b)
 }
 
 // TestPipelineQueriesAgree is the tier-1 guard on the query set itself:

@@ -9,8 +9,8 @@
 //     relation, join into materialized columns, aggregate the columns.
 //
 // Both are the bench package's query-set code verbatim, so the numbers
-// printed here are the same comparison the BENCH_pipeline.json CI
-// artifact tracks. Worker count comes from the library's own advice
+// printed here are the same comparison bench's BenchmarkPipeline
+// reports. Worker count comes from the library's own advice
 // (decision.WorkersFor over GOMAXPROCS), not a hardcoded constant.
 package main
 

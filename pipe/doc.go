@@ -22,9 +22,14 @@
 // The optimizations are structural, not opt-in:
 //
 //   - Predicate pushdown: Filter and Map stages are fused into the scan
-//     (or the join's probe emission) that feeds them — one pass per
-//     morsel applies the whole stage chain per row, and a row failing a
-//     predicate is skipped at emission rather than copied and dropped.
+//     (or the join's probe emission) that feeds them. The operator
+//     copies a morsel's rows into its worker's batch once, with a plain
+//     loop; each stage is a column kernel that then transforms and
+//     compacts that batch in place (Filter advances a write cursor only
+//     when the predicate holds, Map overwrites), so a chain costs one
+//     indirect call per stage per morsel — the user's pred/fn is the
+//     only call per row — and a row failing a predicate never leaves
+//     the operator that produced it.
 //   - Build-side pre-sizing: HashJoin sizes its build table with
 //     join.CapacityFor from the build stream's cardinality hint (known
 //     slice lengths, table.Handle.Len, or an explicit Hint from a dist

@@ -154,42 +154,18 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	// as one pool task for panic containment and cancellation parity
 	// with the parallel scans.
 	return rt.pool.ForEach(1, func(w, _ int) error {
-		b := batch{
-			keys: make([]uint64, rt.pool.MorselSize()),
-			vals: make([]uint64, rt.pool.MorselSize()),
-		}
-		start := rt.opStart()
-		seen, n := 0, 0
-		var err error
-		flush := func() bool {
-			rt.opDone(opScan, w, seen, n, start)
-			if n > 0 {
-				err = sink(w, b.keys[:n], b.vals[:n])
-			}
-			if err == nil {
-				err = rt.ctxErr()
-			}
-			seen, n = 0, 0
-			start = rt.opStart()
-			return err == nil
-		}
-		for key, st := range g.Groups() {
-			seen++
-			v, verr := stateValue(s.fn, st)
-			if verr != nil {
-				return verr
-			}
-			k, v, keep := applyStages(stages, key, v)
-			if keep {
-				b.keys[n], b.vals[n] = k, v
-				n++
-				if n == len(b.keys) && !flush() {
-					break
+		b := rt.newBatch()
+		var verr error
+		err := rt.drain(stages, sink, w, &b, func(fn func(k, v uint64) bool) {
+			for key, st := range g.Groups() {
+				var v uint64
+				if v, verr = stateValue(s.fn, st); verr != nil || !fn(key, v) {
+					return
 				}
 			}
-		}
-		if err == nil && (seen > 0 || n > 0) {
-			flush()
+		})
+		if verr != nil {
+			return verr
 		}
 		return err
 	})

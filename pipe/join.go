@@ -48,9 +48,6 @@ func (c JoinConfig) withDefaults() JoinConfig {
 	if c.LoadFactor <= 0 || c.LoadFactor >= 1 {
 		c.LoadFactor = 0.5
 	}
-	if c.Project == nil {
-		c.Project = func(key, _, probeVal uint64) (uint64, uint64) { return key, probeVal }
-	}
 	return c
 }
 
@@ -140,31 +137,35 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		return err
 	}
 	// Probe phase: each probe batch is answered by one GetBatch; the
-	// matches are projected and pushed through the downstream stages in
-	// the same pass — no intermediate join result exists anywhere.
+	// matches are projected into the worker's batch and pushed through
+	// the downstream stages in the same pass — no intermediate join
+	// result exists anywhere.
+	project := cfg.Project
 	bufs := rt.newBatches()
 	return j.probe.src.run(rt, j.probe.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
 		sc := &scratch[w]
-		ok := sc.flag[:len(keys)]
-		h.GetBatch(keys, sc.out[:len(keys)], ok)
+		ok, out := sc.flag[:len(keys)], sc.out[:len(keys)]
+		h.GetBatch(keys, out, ok)
 		b := &bufs[w]
 		n := 0
-		for i := range keys {
-			if !ok[i] {
-				continue
+		if project == nil {
+			// The default projection (key, probeVal), without the
+			// indirect call per match.
+			for i, k := range keys {
+				b.keys[n], b.vals[n] = k, vals[i]
+				if ok[i] {
+					n++
+				}
 			}
-			k, v := cfg.Project(keys[i], sc.out[i], vals[i])
-			k, v, keep := applyStages(stages, k, v)
-			if keep {
-				b.keys[n], b.vals[n] = k, v
-				n++
+		} else {
+			for i, k := range keys {
+				if ok[i] {
+					b.keys[n], b.vals[n] = project(k, out[i], vals[i])
+					n++
+				}
 			}
 		}
-		rt.opDone(opJoinProbe, w, len(keys), n, start)
-		if n == 0 {
-			return nil
-		}
-		return sink(w, b.keys[:n], b.vals[:n])
+		return rt.emit(opJoinProbe, w, stages, sink, b, len(keys), n, start)
 	})
 }

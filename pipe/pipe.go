@@ -28,10 +28,13 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// stage is one fused per-row transform: it maps a (key, value) row and
-// reports whether the row survives. Filter and Map both compile to
-// stages; adjacent stages are applied back-to-back in one morsel pass.
-type stage func(k, v uint64) (uint64, uint64, bool)
+// stage is one fused column kernel: it transforms a batch of (key, value)
+// rows in place, compacts the survivors to the front and returns how many
+// there are. Filter and Map both compile to stages; adjacent stages run
+// back to back over one batch while it is in cache, so the chain costs one
+// indirect call per stage per batch and the user's pred/fn is the only
+// call left per row.
+type stage func(keys, vals []uint64) int
 
 // batchSink consumes one batch of column data. Batches from different
 // workers may arrive concurrently; batch w is always delivered on worker
@@ -40,8 +43,8 @@ type stage func(k, v uint64) (uint64, uint64, bool)
 type batchSink func(worker int, keys, vals []uint64) error
 
 // source produces the rows of a Stream. run drives the source to
-// completion on rt's pool, applying the fused stage chain per row and
-// pushing surviving batches into sink.
+// completion on rt's pool, applying the fused stage chain to every batch
+// it fills (runtime.emit) and pushing the survivors into sink.
 type source interface {
 	// rows returns an upper bound on the rows the source emits, or -1
 	// when unknown — the cardinality hint downstream builds pre-size
@@ -62,21 +65,37 @@ type Stream struct {
 }
 
 // Filter appends a predicate: rows failing pred are dropped. The
-// predicate is fused into the producing operator's emission loop —
-// pushdown — so dropped rows are never copied into a batch. pred must be
-// safe for concurrent calls from different workers.
+// predicate is fused into the producing operator — pushdown: the operator
+// copies a morsel's rows into its worker batch once, and the predicate
+// compacts that batch column-wise, in place, before anything downstream
+// sees it (store the row at the write cursor, advance the cursor only
+// when pred holds). pred must be safe for concurrent calls from different
+// workers.
 func (s *Stream) Filter(pred func(k, v uint64) bool) *Stream {
-	return s.with(func(k, v uint64) (uint64, uint64, bool) {
-		return k, v, pred(k, v)
+	return s.with(func(keys, vals []uint64) int {
+		vals = vals[:len(keys)]
+		n := 0
+		for i, k := range keys {
+			v := vals[i]
+			keys[n], vals[n] = k, v
+			if pred(k, v) {
+				n++
+			}
+		}
+		return n
 	})
 }
 
-// Map appends a per-row transform, fused like Filter. fn must be safe
-// for concurrent calls from different workers.
+// Map appends a per-row transform, fused like Filter: it overwrites the
+// batch in place. fn must be safe for concurrent calls from different
+// workers.
 func (s *Stream) Map(fn func(k, v uint64) (uint64, uint64)) *Stream {
-	return s.with(func(k, v uint64) (uint64, uint64, bool) {
-		k, v = fn(k, v)
-		return k, v, true
+	return s.with(func(keys, vals []uint64) int {
+		vals = vals[:len(keys)]
+		for i, k := range keys {
+			keys[i], vals[i] = fn(k, vals[i])
+		}
+		return len(keys)
 	})
 }
 
@@ -111,16 +130,15 @@ func (s *Stream) size() int {
 	return s.src.rows()
 }
 
-// applyStages runs the fused stage chain over one row.
-func applyStages(stages []stage, k, v uint64) (uint64, uint64, bool) {
+// applyStages runs the fused stage chain over one batch in place and
+// returns the number of survivors, compacted to the front of both
+// columns.
+func applyStages(stages []stage, keys, vals []uint64) int {
+	n := len(keys)
 	for _, st := range stages {
-		var keep bool
-		k, v, keep = st(k, v)
-		if !keep {
-			return k, v, false
-		}
+		n = st(keys[:n], vals[:n])
 	}
-	return k, v, true
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -162,14 +180,34 @@ type batch struct {
 	keys, vals []uint64
 }
 
+// newBatch allocates one morsel-sized batch.
+func (rt *runtime) newBatch() batch {
+	return batch{
+		keys: make([]uint64, rt.pool.MorselSize()),
+		vals: make([]uint64, rt.pool.MorselSize()),
+	}
+}
+
 // newBatches allocates one morsel-sized batch per pool worker.
 func (rt *runtime) newBatches() []batch {
 	bufs := make([]batch, rt.pool.Workers())
 	for i := range bufs {
-		bufs[i].keys = make([]uint64, rt.pool.MorselSize())
-		bufs[i].vals = make([]uint64, rt.pool.MorselSize())
+		bufs[i] = rt.newBatch()
 	}
 	return bufs
+}
+
+// emit finishes the batch an operator filled with n rows out of in rows
+// of input: the fused stages compact it in place, the operator's morsel
+// is recorded, and the survivors go to sink. It is the one place stages
+// run, whatever the source.
+func (rt *runtime) emit(o op, w int, stages []stage, sink batchSink, b *batch, in, n int, start int64) error {
+	n = applyStages(stages, b.keys[:n], b.vals[:n])
+	rt.opDone(o, w, in, n, start)
+	if n == 0 {
+		return nil
+	}
+	return sink(w, b.keys[:n], b.vals[:n])
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 package pipe
 
-// The scan operators: every pipeline starts at one. A scan owns the
-// pushdown loop — the fused stage chain runs while the source batch is
-// being filled, so a row failing a predicate is skipped at emission
-// instead of copied and then dropped downstream.
+// The scan operators: every pipeline starts at one. A scan copies each
+// morsel into its worker's batch with a plain loop and hands the batch to
+// runtime.emit, where the fused stage chain compacts it in place — the
+// pushdown: a row failing a predicate never leaves the scan's batch.
 
 import (
 	"fmt"
@@ -54,23 +54,13 @@ func (s *columnsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	return rt.pool.ForMorsels(len(s.keys), func(w, lo, hi int) error {
 		start := rt.opStart()
 		b := &bufs[w]
-		n := 0
-		for i := lo; i < hi; i++ {
-			var v uint64
-			if s.vals != nil {
-				v = s.vals[i]
-			}
-			k, v, keep := applyStages(stages, s.keys[i], v)
-			if keep {
-				b.keys[n], b.vals[n] = k, v
-				n++
-			}
+		n := copy(b.keys, s.keys[lo:hi])
+		if s.vals != nil {
+			copy(b.vals, s.vals[lo:hi])
+		} else {
+			clear(b.vals[:n])
 		}
-		rt.opDone(opScan, w, hi-lo, n, start)
-		if n == 0 {
-			return nil
-		}
-		return sink(w, b.keys[:n], b.vals[:n])
+		return rt.emit(opScan, w, stages, sink, b, n, n, start)
 	})
 }
 
@@ -85,19 +75,12 @@ func (s *relationSource) run(rt *runtime, stages []stage, sink batchSink) error 
 	return rt.pool.ForMorsels(len(s.rel), func(w, lo, hi int) error {
 		start := rt.opStart()
 		b := &bufs[w]
-		n := 0
-		for i := lo; i < hi; i++ {
-			k, v, keep := applyStages(stages, s.rel[i].Key, s.rel[i].Payload)
-			if keep {
-				b.keys[n], b.vals[n] = k, v
-				n++
-			}
+		rows := s.rel[lo:hi]
+		keys, vals := b.keys[:len(rows)], b.vals[:len(rows)]
+		for i, r := range rows {
+			keys[i], vals[i] = r.Key, r.Payload
 		}
-		rt.opDone(opScan, w, hi-lo, n, start)
-		if n == 0 {
-			return nil
-		}
-		return sink(w, b.keys[:n], b.vals[:n])
+		return rt.emit(opScan, w, stages, sink, b, len(rows), len(rows), start)
 	})
 }
 
@@ -118,54 +101,42 @@ func (s *handleSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		// task so a panicking stage is contained and cancellation is
 		// checked like everywhere else.
 		return rt.pool.ForEach(1, func(w, _ int) error {
-			b := batch{
-				keys: make([]uint64, rt.pool.MorselSize()),
-				vals: make([]uint64, rt.pool.MorselSize()),
-			}
-			return s.walk(rt, stages, sink, w, &b, s.h.Range)
+			b := rt.newBatch()
+			return rt.drain(stages, sink, w, &b, s.h.Range)
 		})
 	}
 	bufs := rt.newBatches()
 	return rt.pool.ForEach(eng.Shards(), func(w, shard int) error {
-		return s.walk(rt, stages, sink, w, &bufs[w], func(fn func(k, v uint64) bool) {
+		return rt.drain(stages, sink, w, &bufs[w], func(fn func(k, v uint64) bool) {
 			eng.RangeShard(shard, fn)
 		})
 	})
 }
 
-// walk streams one range callback into morsel-sized batches through the
-// fused stages, flushing to sink as each batch fills and once at the
-// end. Cancellation is checked at every flush — the same granularity
-// the pool's claim cursor gives morsel-parallel scans.
-func (s *handleSource) walk(rt *runtime, stages []stage, sink batchSink, w int, b *batch, rangeFn func(func(k, v uint64) bool)) error {
+// drain streams one serial range callback (a table walk, an
+// aggregation's groups) into morsel-sized batches, emitting each through
+// the fused stages as it fills and once at the end. Cancellation is
+// checked at every emit — the same granularity the pool's claim cursor
+// gives morsel-parallel scans.
+func (rt *runtime) drain(stages []stage, sink batchSink, w int, b *batch, rangeFn func(func(k, v uint64) bool)) error {
 	start := rt.opStart()
-	seen, n := 0, 0
+	n := 0
 	var err error
 	flush := func() bool {
-		rt.opDone(opScan, w, seen, n, start)
-		if n > 0 {
-			err = sink(w, b.keys[:n], b.vals[:n])
-		}
+		err = rt.emit(opScan, w, stages, sink, b, n, n, start)
 		if err == nil {
 			err = rt.ctxErr()
 		}
-		seen, n = 0, 0
+		n = 0
 		start = rt.opStart()
 		return err == nil
 	}
 	rangeFn(func(k, v uint64) bool {
-		seen++
-		k, v, keep := applyStages(stages, k, v)
-		if keep {
-			b.keys[n], b.vals[n] = k, v
-			n++
-			if n == len(b.keys) {
-				return flush()
-			}
-		}
-		return true
+		b.keys[n], b.vals[n] = k, v
+		n++
+		return n < len(b.keys) || flush()
 	})
-	if err == nil && (seen > 0 || n > 0) {
+	if err == nil && n > 0 {
 		flush()
 	}
 	return err

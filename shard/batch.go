@@ -8,19 +8,18 @@ package shard
 // back to the callers' lanes in input order.
 //
 // Engines are meant for concurrent callers, so a call never shares scratch
-// with another: each takes a staging (the scatter's columns, a chunk of
-// hash scratch, UpsertBatch's relay) from a pool for its own duration and
-// returns it after the gather. The scatter grows its columns in place, so
-// once the pool is warm a batch call allocates nothing.
+// with another: each takes a staging (the scatter's columns, UpsertBatch's
+// relay) from a pool for its own duration and returns it after the
+// gather. The scatter grows its columns in place, so once the pool is warm
+// a batch call allocates nothing.
 //
-// A non-migrating shard's writes run its table's batched pipeline
-// (bulk-hashed, home lines touched together, then the walk). Reads never
-// use that pipeline — it writes table-owned scratch, which only the
-// exclusive lock makes safe — but they get its memory-level parallelism
-// the read-only way: per 64-key chunk the table's home lines are touched
-// into the staging's own hash scratch, then the scalar Gets run against
-// lines already in flight (see readRange). A migrating shard falls back to
-// the scalar migration-aware path per staged key, which for writes also
+// A non-migrating shard's range runs its table's batched pipeline
+// (bulk-hashed, home lines touched together, then the walk), reads and
+// writes alike: the tables' GetBatch takes its chunk scratch per call and
+// writes no table state, so it runs inside the readers' wait-free window
+// (see readRange), while the mutation pipelines use table-owned scratch
+// under the shard's writer lock. A migrating shard falls back to the
+// scalar migration-aware path per staged key, which for writes also
 // advances the migration — batches make resize progress proportional to
 // their size.
 
@@ -28,7 +27,6 @@ import (
 	"sync"
 
 	"repro/exec"
-	"repro/hashfn"
 	"repro/obs"
 )
 
@@ -38,9 +36,6 @@ import (
 // build engines of consecutive queries reuse each other's columns).
 type staging struct {
 	exec.Scatter
-	// hash is the bulk-hash scratch of the wait-free readers' touch pass,
-	// which may not write the table's own.
-	hash [hashfn.DefaultBatchWidth]uint64
 
 	// UpsertBatch's relay: the table pipeline is handed relay — bound to
 	// this staging once, when it is made, so no closure is allocated per
@@ -106,13 +101,11 @@ func (e *Engine) scatter(keys []uint64) *staging {
 // Batched lookups take no locks at all: each shard's staged range runs
 // on the wait-free read path, with ONE sequence validation covering the
 // whole range (see readRange), so any number of GetBatch (and Get)
-// callers proceed in parallel with each other — and with writers. That
-// rules out the tables' own batched probe pipeline here — it mutates a
-// per-table scratch and is only safe under the exclusive lock — so the
-// staged ranges run migration-aware scalar probes, behind a read-only
-// touch of each chunk's home lines that keeps their cache misses
-// overlapped; the shard-major scatter amortizes routing and validation
-// to once per shard per batch.
+// callers proceed in parallel with each other — and with writers. Inside
+// that window a steady-state shard's range is one call of its table's
+// own GetBatch pipeline (read-only and re-entrant), a migrating shard's
+// the scalar successor→dead→frozen chain per key; the shard-major
+// scatter amortizes routing and validation to once per shard per batch.
 func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 	if len(vals) < len(keys) || len(ok) < len(keys) {
 		panic("shard: GetBatch output slices shorter than keys")
@@ -127,9 +120,7 @@ func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 
 func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
-		st := takeStaging()
-		defer st.release()
-		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)], st.hash[:])
+		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
 	}
 	st := e.scatter(keys)
 	defer st.release()
@@ -139,7 +130,7 @@ func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 		if lo == hi {
 			continue
 		}
-		hits += e.readRange(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi], st.hash[:])
+		hits += e.readRange(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.OK[lo:hi])
 	}
 	for i, oi := range st.Orig {
 		vals[oi], ok[oi] = st.Vals[i], st.OK[i]

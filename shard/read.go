@@ -34,15 +34,7 @@ func (e *Engine) readGetSlow(s *shardState, key uint64) (uint64, bool) {
 // readRangeSlow is the locked staged-range read behind GetBatch.
 func (e *Engine) readRangeSlow(s *shardState, keys, vals []uint64, ok []bool) int {
 	s.mu.Lock()
-	v := s.view.Load()
-	hits := 0
-	for i, k := range keys {
-		val, o := v.get(k)
-		vals[i], ok[i] = val, o
-		if o {
-			hits++
-		}
-	}
+	hits := s.view.Load().getRange(keys, vals, ok)
 	s.mu.Unlock()
 	return hits
 }

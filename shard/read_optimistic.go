@@ -43,53 +43,21 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 	return e.readGetSlow(s, key)
 }
 
-// toucher is the optional hook readRange discovers on a shard's table: a
-// read-only touch of the keys' home cache lines, bulk-hashing into the
-// caller's scratch and writing no table state (table's probe kernel has
-// one; the chained and Cuckoo cores do not).
-type toucher interface {
-	Touch(keys, hash []uint64) uint64
-}
-
 // readRange is the wait-free staged-range read behind GetBatch: one
 // sequence validation covers the whole shard range, so the two atomic
 // loads amortize over the batch. A torn window retries the whole range
 // (the output lanes are caller-owned scratch until the batch returns,
 // so re-probing just overwrites them).
 //
-// On a non-migrating view whose table can, each len(hash)-key chunk's
-// home lines are touched together before its scalar Gets run, so the
-// chunk's cache misses overlap instead of queueing one per Get. The
-// touch is loads only, into the caller's hash scratch — unlike the
-// tables' own GetBatch walk, which writes table-owned lane state and has
-// no cursor-cycle guard against the torn states a racing writer can show
-// — so it needs nothing from the protocol beyond the validation the Gets
-// already get. A migrating view keeps the bare scalar chain: its reads
-// start in the successor and mostly end in the frozen table, two lines a
-// touch of either alone would not cover.
-func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool, hash []uint64) int {
+// Inside the window the range goes to view.getRange — on a steady-state
+// shard the table's own GetBatch pipeline, which writes nothing the
+// table owns and cannot be made to spin by a torn state, so it needs
+// nothing from the protocol beyond the validation a scalar Get gets.
+func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 	for attempt := 0; attempt <= readMaxRetries; attempt++ {
 		s1 := s.seq.Load()
 		if s1&1 == 0 {
-			v := s.view.Load()
-			var tc toucher
-			if !v.migrating() {
-				tc, _ = v.cur.(toucher)
-			}
-			hits := 0
-			for lo := 0; lo < len(keys); lo += len(hash) {
-				hi := min(lo+len(hash), len(keys))
-				if tc != nil {
-					tc.Touch(keys[lo:hi], hash)
-				}
-				for i := lo; i < hi; i++ {
-					val, o := v.get(keys[i])
-					vals[i], ok[i] = val, o
-					if o {
-						hits++
-					}
-				}
-			}
+			hits := s.view.Load().getRange(keys, vals, ok)
 			if s.seq.Load() == s1 {
 				if attempt > 0 {
 					e.readAccount(s, uint64(attempt), false)

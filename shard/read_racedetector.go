@@ -19,7 +19,7 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 	return e.readGetSlow(s, key)
 }
 
-func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool, _ []uint64) int {
+func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 	return e.readRangeSlow(s, keys, vals, ok)
 }
 

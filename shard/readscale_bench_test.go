@@ -19,16 +19,13 @@ package shard_test
 //
 // On the 4-vCPU CI runners the separation shows by 4 goroutines; a
 // single-core machine shows parity (goroutines time-slice one core, so
-// there is no coherence traffic for the seqlock to win back).
-//
-// When BENCH_SHARDREAD_JSON names a file, every sub-benchmark's ns/key
-// lands there as JSON (the CI shard job uploads it as the
-// BENCH_shardread.json artifact).
+// there is no coherence traffic for the seqlock to win back). The
+// tracked numbers for this question are the benchmark ladder's
+// shard.get_ns_per_row and shard.scale_w2 (benchmark/); this benchmark
+// reports through ReportMetric only.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -144,16 +141,6 @@ func (e *rwEngine) putBatch(keys, vals []uint64) {
 	}
 }
 
-// readScaleResult is one sub-benchmark's outcome for the JSON artifact.
-type readScaleResult struct {
-	Engine     string  `json:"engine"` // "seqlock" or "rwmutex"
-	Workload   string  `json:"workload"`
-	Goroutines int     `json:"goroutines"`
-	NsPerKey   float64 `json:"ns_per_key"`
-}
-
-var readScaleResults []readScaleResult
-
 // readScaleWorker runs batches rounds of the workload, walking a
 // goroutine-private window of the prefilled key space. One round is
 // readScaleBatch keys whatever the workload shape (scalar or batched).
@@ -185,7 +172,7 @@ func readScaleWorker(w, batches int, keys []uint64, workload string, ops benchOp
 	}
 }
 
-func runReadScale(b *testing.B, g int, keys []uint64, workload string, ops benchOps) float64 {
+func runReadScale(b *testing.B, g int, keys []uint64, workload string, ops benchOps) {
 	per := b.N/g + 1
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -198,9 +185,7 @@ func runReadScale(b *testing.B, g int, keys []uint64, workload string, ops bench
 	}
 	wg.Wait()
 	b.StopTimer()
-	nsPerKey := float64(b.Elapsed().Nanoseconds()) / float64(per*g*readScaleBatch)
-	b.ReportMetric(nsPerKey, "ns/key")
-	return nsPerKey
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per*g*readScaleBatch), "ns/key")
 }
 
 func BenchmarkReadScale(b *testing.B) {
@@ -253,41 +238,9 @@ func BenchmarkReadScale(b *testing.B) {
 		for _, g := range []int{1, 2, 4, 8} {
 			for _, eng := range engines {
 				b.Run(fmt.Sprintf("%s/%s/g%d", workload, eng.name, g), func(b *testing.B) {
-					ns := runReadScale(b, g, keys, workload, eng.ops)
-					readScaleResults = append(readScaleResults, readScaleResult{
-						Engine: eng.name, Workload: workload, Goroutines: g, NsPerKey: ns,
-					})
+					runReadScale(b, g, keys, workload, eng.ops)
 				})
 			}
-		}
-	}
-
-	if path := os.Getenv("BENCH_SHARDREAD_JSON"); path != "" && len(readScaleResults) > 0 {
-		// The framework runs each sub-benchmark once to size it and again
-		// to measure; keep only the last (measured) entry per sub-bench.
-		last := make(map[readScaleResult]int)
-		for i, r := range readScaleResults {
-			last[readScaleResult{Engine: r.Engine, Workload: r.Workload, Goroutines: r.Goroutines}] = i
-		}
-		deduped := readScaleResults[:0]
-		for i, r := range readScaleResults {
-			if last[readScaleResult{Engine: r.Engine, Workload: r.Workload, Goroutines: r.Goroutines}] == i {
-				deduped = append(deduped, r)
-			}
-		}
-		readScaleResults = deduped
-		st := seq.Stats()
-		out, err := json.MarshalIndent(struct {
-			Benchmark     string            `json:"benchmark"`
-			Results       []readScaleResult `json:"results"`
-			ReadRetries   uint64            `json:"read_retries"`
-			ReadFallbacks uint64            `json:"read_fallbacks"`
-		}{"BenchmarkReadScale", readScaleResults, st.ReadRetries, st.ReadFallbacks}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

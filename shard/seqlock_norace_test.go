@@ -123,45 +123,48 @@ func TestReadFallbackWithoutMetrics(t *testing.T) {
 	}
 }
 
-// touchTable is a testTable with the optional Touch hook readRange looks
-// for, recording into a touchLog the engine's tables share.
-type touchTable struct {
+// batchHookTable is a testTable whose GetBatch records into a batchLog
+// the engine's tables share, so a test can tell the batched lookup from
+// the scalar chain.
+type batchHookTable struct {
 	*testTable
-	*touchLog
+	*batchLog
 }
 
-// touchLog counts the keys touched; onTouch lets a test cross the
-// reader's window from inside it.
-type touchLog struct {
-	touched int
-	onTouch func()
+// batchLog counts GetBatch calls and the keys they were handed;
+// onGetBatch lets a test cross the reader's window from inside it.
+type batchLog struct {
+	calls, keys int
+	onGetBatch  func()
 }
 
-func (t *touchLog) Touch(keys, hash []uint64) uint64 {
-	if len(keys) > len(hash) {
-		panic("Touch handed more keys than hash scratch")
+func (h batchHookTable) GetBatch(keys, vals []uint64, ok []bool) int {
+	h.calls++
+	h.keys += len(keys)
+	if h.onGetBatch != nil {
+		h.onGetBatch()
 	}
-	t.touched += len(keys)
-	if t.onTouch != nil {
-		t.onTouch()
-	}
-	return 0
+	return h.testTable.GetBatch(keys, vals, ok)
 }
 
+// TestReadRangeTouchRetryAndFallback: a steady-state shard's staged range
+// is ONE call of its table's GetBatch per attempt — touch pass and walks,
+// the whole pipeline — inside the validate / retry / lock-fallback
+// protocol; a migrating shard never calls it.
 func TestReadRangeTouchRetryAndFallback(t *testing.T) {
-	tt := &touchLog{}
+	bl := &batchLog{}
 	e, err := New(Config{
 		Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7,
 		NewTable: func(capacity int, seed uint64) (Table, error) {
 			inner, err := newTestTable(capacity, seed)
-			return touchTable{inner.(*testTable), tt}, err
+			return batchHookTable{inner.(*testTable), bl}, err
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &e.shards[0]
-	const n = 150 // three touch chunks: 64 + 64 + 22
+	const n = 150
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = uint64(i) + 1
@@ -171,8 +174,9 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 	}
 	vals := make([]uint64, n)
 	ok := make([]bool, n)
-	check := func(when string) {
+	check := func(when string, wantCalls int) {
 		t.Helper()
+		bl.calls, bl.keys = 0, 0
 		if hits := e.GetBatch(keys, vals, ok); hits != n {
 			t.Fatalf("%s: GetBatch hit %d of %d", when, hits, n)
 		}
@@ -182,32 +186,28 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 			}
 			vals[i], ok[i] = 0, false
 		}
+		if bl.calls != wantCalls || bl.keys != wantCalls*n {
+			t.Fatalf("%s: table GetBatch called %d times with %d keys, want %d calls of the whole %d-key range",
+				when, bl.calls, bl.keys, wantCalls, n)
+		}
 	}
 
-	// Quiet shard: every key touched once, ahead of its Get.
-	check("quiet")
-	if tt.touched != n {
-		t.Fatalf("quiet read touched %d keys, want %d", tt.touched, n)
-	}
+	check("quiet", 1)
 	if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
 		t.Fatal("quiet read retried")
 	}
 
-	// A writer's whole window passes during the first touch of each of
-	// the first three attempts: each is discarded and the range touched
-	// and probed again; the fourth validates.
-	tt.touched = 0
+	// A writer's whole window passes during each of the first three
+	// attempts: each is discarded and the range looked up again; the
+	// fourth validates, with the same answers.
 	crossings := 0
-	tt.onTouch = func() {
-		if crossings < 3 && tt.touched%n == 64 {
+	bl.onGetBatch = func() {
+		if crossings < 3 {
 			crossings++
 			s.seq.Add(2)
 		}
 	}
-	check("three torn attempts")
-	if tt.touched != 4*n {
-		t.Fatalf("touched %d keys over four attempts, want %d", tt.touched, 4*n)
-	}
+	check("three torn attempts", 4)
 	if got := e.readRetries.Load(); got != 3 {
 		t.Fatalf("readRetries = %d, want 3", got)
 	}
@@ -215,31 +215,22 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 		t.Fatal("fell back with retry budget to spare")
 	}
 
-	// Every attempt torn: the budget runs out and the locked path, which
-	// does not touch, answers.
-	tt.touched = 0
-	tt.onTouch = func() { s.seq.Add(2) }
-	check("every attempt torn")
+	// Every attempt torn: the budget runs out and the locked path answers
+	// — with the same batched lookup, now behind the writer lock.
+	bl.onGetBatch = func() { s.seq.Add(2) }
+	check("every attempt torn", readMaxRetries+2)
 	if got := e.readFallbacks.Load(); got != 1 {
 		t.Fatalf("readFallbacks = %d, want 1", got)
 	}
-	if tt.touched != (readMaxRetries+1)*n {
-		t.Fatalf("touched %d keys, want the %d attempts' worth and none from the locked path",
-			tt.touched, readMaxRetries+1)
-	}
 
-	// A migrating view keeps the bare scalar chain.
-	tt.onTouch = nil
+	// A migrating view keeps the scalar successor→dead→frozen chain.
+	bl.onGetBatch = nil
 	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
 		if _, err := e.Put(k, k*10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tt.touched = 0
-	check("migrating")
-	if tt.touched != 0 {
-		t.Fatalf("migrating view touched %d keys", tt.touched)
-	}
+	check("migrating", 0)
 }
 
 // getHookTable is a testTable whose next Get first runs a one-shot hook

@@ -139,6 +139,10 @@ type Table interface {
 	TryPut(key, val uint64) (inserted bool, err error)
 	GetOrPut(key, val uint64) (actual uint64, loaded bool, err error)
 	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
+	// GetBatch, like Get, runs inside the wait-free readers' unvalidated
+	// window: it must write nothing the table owns, be safe for
+	// concurrent callers, and terminate on contents a racing writer has
+	// half changed (its answer is then discarded).
 	GetBatch(keys, vals []uint64, ok []bool) int
 	TryPutBatch(keys, vals []uint64) (inserted int, err error)
 	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (inserted int, err error)

@@ -66,6 +66,28 @@ func (v *view) get(key uint64) (uint64, bool) {
 	return v.cur.Get(key)
 }
 
+// getRange is get over a staged key column, returning the number of
+// hits. A steady-state view hands the whole column to its table's batched
+// lookup — bulk-hashed, home lines touched together, lanes walked
+// round-robin — which reads only (its chunk scratch is per call) and
+// terminates whatever a racing writer shows it, so it runs inside a
+// reader's unvalidated window as well as under the lock. A migrating view
+// keeps the scalar chain: its reads start in the successor and mostly end
+// in the frozen table, two tables no single batched walk covers.
+func (v *view) getRange(keys, vals []uint64, ok []bool) int {
+	if !v.migrating() {
+		return v.cur.GetBatch(keys, vals, ok)
+	}
+	hits := 0
+	for i, k := range keys {
+		vals[i], ok[i] = v.get(k)
+		if ok[i] {
+			hits++
+		}
+	}
+	return hits
+}
+
 // curLive looks key up in the frozen table honoring the dead overlay
 // (writer-side helper during a migration).
 func (v *view) curLive(key uint64) (uint64, bool) {

@@ -10,7 +10,7 @@ package table
 //     hoisting the interface dispatch and parameter loads out of the loop.
 //  2. A touch pass loads every lane's home-slot key word back to back,
 //     before any lane is resolved, so the chunk's home-line cache misses
-//     are in flight together (kern.touch; the mutating batches run it
+//     are in flight together (kern.hashAndTouch; the mutating batches run it
 //     too). A first-probe pass then walks every key's home line in a tight
 //     loop. At moderate load factors most lookups resolve right there.
 //  3. Unresolved lanes enter a round-robin walk: each round advances every
@@ -32,7 +32,11 @@ package table
 // open their mutation chunks with a touch pass of their own (openChunk)
 // ahead of the generic drivers in rmw.go.
 
-import "repro/hashfn"
+import (
+	"sync"
+
+	"repro/hashfn"
+)
 
 // BatchWidth is the chunk size of the batched pipeline. 64 keys keep one
 // chunk's hash codes, cursors and lane list inside L1 while offering the
@@ -110,10 +114,12 @@ func checkBatchPut(nKeys, nVals int) {
 	}
 }
 
-// batchBuf holds one chunk's worth of per-lane state. It lives on the table
-// (lazily allocated) so the hot path allocates nothing; the tables are
-// single-threaded by design (see the package comment), so one buffer per
-// table suffices.
+// batchBuf holds one chunk's worth of per-lane state. Mutations use the
+// buffer their table owns (batchState, lazily allocated): a table has one
+// writer at a time by contract, so one suffices and the hot path allocates
+// nothing. Lookups write no table state at all — GetBatch takes its
+// scratch from readBufs for the duration of the call — so any number of
+// callers may GetBatch one table at once, as shard's wait-free readers do.
 type batchBuf struct {
 	hash [BatchWidth]uint64 // hash codes from the bulk-hash pass
 	a    [BatchWidth]uint64 // per-lane cursor (scheme-specific meaning)
@@ -123,7 +129,7 @@ type batchBuf struct {
 }
 
 // batchState is embedded in every scheme to carry the lazily allocated
-// chunk buffer.
+// chunk buffer of its mutation pipelines.
 type batchState struct {
 	bt *batchBuf
 }
@@ -135,13 +141,24 @@ func (s *batchState) buf() *batchBuf {
 	return s.bt
 }
 
-// chunks invokes fn for each BatchWidth-sized sub-range of [0, n).
-func chunks(n int, fn func(lo, hi int)) {
-	for lo := 0; lo < n; lo += BatchWidth {
-		hi := lo + BatchWidth
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
+// readBufs lends a GetBatch call its chunk scratch. (On the stack the
+// buffer would escape through the hash function's interface call and cost
+// the call its allocations back.)
+var readBufs = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// getBatchImpl is GetBatch for every core: the keys go through the
+// scheme's read-only chunk walk BatchWidth at a time, on scratch that is
+// the call's own.
+func getBatchImpl[T interface {
+	getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int
+}](t T, keys, vals []uint64, ok []bool) int {
+	checkBatchGet(len(keys), len(vals), len(ok))
+	bt := readBufs.Get().(*batchBuf)
+	hits := 0
+	for lo := 0; lo < len(keys); lo += BatchWidth {
+		hi := min(lo+BatchWidth, len(keys))
+		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
 	}
+	readBufs.Put(bt)
+	return hits
 }

@@ -13,13 +13,7 @@ import (
 
 // GetBatch implements Batcher.
 func (t *Chained8) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return getBatchImpl(t, keys, vals, ok)
 }
 
 func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
@@ -91,13 +85,7 @@ func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
 // widened directory's inline entries — the collision-free case Chained24
 // exists for — and only overflow chains enter the round-robin walk.
 func (t *Chained24) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return getBatchImpl(t, keys, vals, ok)
 }
 
 func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {

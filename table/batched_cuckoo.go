@@ -11,7 +11,7 @@ import (
 // the pipeline probes subtable 0 for the whole chunk, drops the resolved
 // lanes, and moves the survivors to subtable 1, and so on. Each way's pass
 // is one bulk hash, one touch pass that loads every survivor's candidate
-// slot back to back (touchWay; the same idea as kern.touch), and one
+// slot back to back (touchWay; the same idea as kern.hashAndTouch), and one
 // compare pass over lines that are arriving —
 // per-call hash overhead is paid ways times per *chunk* instead of ways
 // times per key, and a miss is paid per way, not per key.
@@ -22,13 +22,7 @@ import (
 
 // GetBatch implements Batcher.
 func (t *Cuckoo) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := t.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += t.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return getBatchImpl(t, keys, vals, ok)
 }
 
 func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
@@ -70,9 +64,7 @@ func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	}
 	// Lanes that survived all ways miss: a Cuckoo key is always in one of
 	// its candidate slots.
-	for _, l := range live {
-		vals[l], ok[l] = 0, false
-	}
+	missLive(live, vals, ok)
 	return hits
 }
 
@@ -113,13 +105,14 @@ func (t *Cuckoo) PutBatch(keys []uint64, vals []uint64) int {
 	checkBatchPut(len(keys), len(vals))
 	bt := t.buf()
 	inserted := 0
-	chunks(len(keys), func(lo, hi int) {
+	for lo := 0; lo < len(keys); lo += BatchWidth {
+		hi := min(lo+BatchWidth, len(keys))
 		t.openChunk(bt, keys[lo:hi])
 		for i := lo; i < hi; i++ {
 			if t.Put(keys[i], vals[i]) {
 				inserted++
 			}
 		}
-	})
+	}
 	return inserted
 }

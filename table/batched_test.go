@@ -2,6 +2,7 @@ package table
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -204,40 +205,161 @@ func TestGetBatchAfterDeletes(t *testing.T) {
 	}
 }
 
-// TestTouchIsReadOnly: the kernel's exported Touch — what shard's wait-free
-// readers call — fills the caller's scratch with the keys' hash codes and
-// writes nothing of the table's: not its contents, and not the chunk
-// scratch the batch walks own (never even allocated here).
-func TestTouchIsReadOnly(t *testing.T) {
-	for _, s := range KernelSchemes() {
+// readOnlyFixture builds a table of scheme s through the scalar methods
+// only — so no batch pipeline has allocated the table-owned chunk scratch
+// — holding both sentinels, a few hundred keys and some tombstones, and
+// returns it with a probe column of hits, misses, deleted keys and
+// sentinels several chunks long.
+func readOnlyFixture(s Scheme) (Table, []uint64) {
+	tbl := MustNew(s, Config{InitialCapacity: 1 << 10, MaxLoadFactor: 0, Seed: 3})
+	tbl.Put(emptyKey, 1)
+	tbl.Put(tombKey, 2)
+	var probes []uint64
+	for i := uint64(1); i <= 300; i++ {
+		k := i * 0x9e3779b97f4a7c15
+		tbl.Put(k, i)
+		probes = append(probes, k, k+1) // k+1 was never inserted
+	}
+	for i := uint64(1); i <= 300; i += 7 {
+		tbl.Delete(i * 0x9e3779b97f4a7c15)
+	}
+	return tbl, append(probes, emptyKey, tombKey)
+}
+
+// TestGetBatchIsReadOnly: GetBatch — what shard's wait-free readers run
+// inside their unvalidated window — writes nothing of the table's: not its
+// contents or statistics, and not the chunk scratch the mutation pipelines
+// own (never even allocated here). In steady state it allocates nothing
+// either: the scratch it borrows goes back to the pool.
+func TestGetBatchIsReadOnly(t *testing.T) {
+	for _, s := range allSchemes() {
 		t.Run(string(s), func(t *testing.T) {
-			cfg := Config{InitialCapacity: 256, MaxLoadFactor: 0, Seed: 3}
-			tbl := MustNew(s, cfg)
-			keys := []uint64{emptyKey, tombKey, 1, 2, 3, 1 << 40, 77, 78, 79}
-			for _, k := range keys[:6] {
-				tbl.Put(k, k+1)
+			tbl, probes := readOnlyFixture(s)
+			contents := func() map[uint64]uint64 {
+				m := map[uint64]uint64{}
+				tbl.Range(func(k, v uint64) bool { m[k] = v; return true })
+				return m
 			}
-			before := map[uint64]uint64{}
-			tbl.Range(func(k, v uint64) bool { before[k] = v; return true })
+			before, statsBefore, lenBefore := contents(), StatsOf(tbl), tbl.Len()
 
-			hash := make([]uint64, BatchWidth)
-			tbl.(interface {
-				Touch(keys, hash []uint64) uint64
-			}).Touch(keys, hash)
-
-			fn := cfg.withDefaults().Family.New(cfg.Seed) // as kern.setup draws it
-			for i, k := range keys {
-				if hash[i] != fn.Hash(k) {
-					t.Fatalf("hash[%d] = %#x, want Hash(%#x) = %#x", i, hash[i], k, fn.Hash(k))
+			vals, ok := make([]uint64, len(probes)), make([]bool, len(probes))
+			hits := tbl.GetBatch(probes, vals, ok)
+			wantHits := 0
+			for i, k := range probes {
+				wantV, wantOK := tbl.Get(k)
+				if ok[i] != wantOK || (wantOK && vals[i] != wantV) {
+					t.Fatalf("lane %d (key %#x): batched %d,%v scalar %d,%v", i, k, vals[i], ok[i], wantV, wantOK)
+				}
+				if wantOK {
+					wantHits++
 				}
 			}
-			if !reflect.ValueOf(tbl).Elem().FieldByName("bt").IsNil() {
-				t.Fatal("Touch allocated the table's chunk scratch")
+			if hits != wantHits {
+				t.Fatalf("GetBatch reported %d hits, lanes show %d", hits, wantHits)
 			}
-			after := map[uint64]uint64{}
-			tbl.Range(func(k, v uint64) bool { after[k] = v; return true })
-			if !reflect.DeepEqual(before, after) {
-				t.Fatalf("contents changed under Touch: %v -> %v", before, after)
+
+			if !reflect.ValueOf(tbl).Elem().FieldByName("bt").IsNil() {
+				t.Fatal("GetBatch allocated the table's own chunk scratch")
+			}
+			if after := contents(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("contents changed under GetBatch: %v -> %v", before, after)
+			}
+			if statsAfter := StatsOf(tbl); !reflect.DeepEqual(statsBefore, statsAfter) {
+				t.Fatalf("Stats changed under GetBatch: %+v -> %+v", statsBefore, statsAfter)
+			}
+			if tbl.Len() != lenBefore {
+				t.Fatalf("Len changed under GetBatch: %d -> %d", lenBefore, tbl.Len())
+			}
+			if allocs := testing.AllocsPerRun(20, func() { tbl.GetBatch(probes, vals, ok) }); allocs != 0 {
+				t.Fatalf("GetBatch: %v allocations per call in steady state", allocs)
+			}
+		})
+	}
+}
+
+// TestGetBatchConcurrentReaders: any number of goroutines may GetBatch one
+// quiescent table at once — each call's chunk scratch is its own. Run
+// under -race this fails on a table-owned scratch (every reader writes
+// it).
+func TestGetBatchConcurrentReaders(t *testing.T) {
+	for _, s := range allSchemes() {
+		t.Run(string(s), func(t *testing.T) {
+			tbl, probes := readOnlyFixture(s)
+			want := make([]uint64, len(probes))
+			wantOK := make([]bool, len(probes))
+			wantHits := tbl.GetBatch(probes, want, wantOK)
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					vals, ok := make([]uint64, len(probes)), make([]bool, len(probes))
+					for round := 0; round < 50; round++ {
+						if hits := tbl.GetBatch(probes, vals, ok); hits != wantHits {
+							t.Errorf("round %d: %d hits, want %d", round, hits, wantHits)
+							return
+						}
+						if !reflect.DeepEqual(vals, want) || !reflect.DeepEqual(ok, wantOK) {
+							t.Errorf("round %d: lanes differ from the single-threaded answer", round)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// kernOf returns the probe kernel inside a kernel scheme's table.
+func kernOf(t *testing.T, tbl Table) *kern {
+	switch tbl := tbl.(type) {
+	case *LinearProbing:
+		return &tbl.kern
+	case *LinearProbingSoA:
+		return &tbl.kern
+	case *QuadraticProbing:
+		return &tbl.kern
+	case *RobinHood:
+		return &tbl.kern
+	case *DoubleHashing:
+		return &tbl.kern
+	}
+	t.Fatalf("%T is not a kernel scheme", tbl)
+	return nil
+}
+
+// TestGetBatchTerminatesWithoutEmptySlot: a reader racing a writer can be
+// shown slot contents no quiescent table has — here every slot occupied
+// by a key no lane asks for, while the counters (zero: the slots are
+// hand-filled) keep the walk off the full-sweep variant. The round-robin
+// walks must still terminate, with every lane a miss.
+func TestGetBatchTerminatesWithoutEmptySlot(t *testing.T) {
+	for _, s := range KernelSchemes() {
+		t.Run(string(s), func(t *testing.T) {
+			tbl := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 3})
+			c := kernOf(t, tbl)
+			for i := 0; i < c.slotCount(); i++ {
+				c.setAtS(uint64(i)<<c.ks, uint64(i)+1000, 7)
+			}
+			if c.fullSweepOnly() {
+				t.Fatal("fixture diverts to the sweep variant; the walks are not under test")
+			}
+			probes := make([]uint64, 2*BatchWidth+5)
+			for i := range probes {
+				probes[i] = uint64(i) + 1 // 1..133: none stored
+			}
+			vals, ok := make([]uint64, len(probes)), make([]bool, len(probes))
+			for i := range ok {
+				vals[i], ok[i] = 99, true
+			}
+			if hits := tbl.GetBatch(probes, vals, ok); hits != 0 {
+				t.Fatalf("%d hits on a table holding none of the keys", hits)
+			}
+			for i := range probes {
+				if ok[i] || vals[i] != 0 {
+					t.Fatalf("lane %d = (%d,%v), want a miss", i, vals[i], ok[i])
+				}
 			}
 		})
 	}

@@ -728,50 +728,29 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 // Batched pipeline
 // ---------------------------------------------------------------------------
 
-// touch is the home-line touch pass every batch entry point runs right
-// after bulk-hashing a chunk: it loads the home-slot key word of every
-// lane back to back, before any lane is resolved. The addresses depend
-// only on the hash codes, so the loads are independent and a chunk's
-// home-line cache misses are in flight together; the walk that follows
-// finds the lines arriving instead of paying one serialized miss per key
-// (a lane's resolution — compare, branch, store, and for the mutations a
-// whole rmwHashed call — is far longer than the out-of-order window, so
-// without this pass the next lane's first load only issues once the
-// current lane is done). Only the home line is covered: overflow lines
-// further along a probe sequence and the SoA value column are still
-// fetched on demand.
-//
-// The loads are folded into the returned word, which callers must store
-// (the chunk scratch's sink) or return through a call the compiler cannot
-// see into, else the loads are dead code. touch writes nothing, so it is
-// also the whole of the read-only Touch.
-func (c *kern) touch(hash []uint64) uint64 {
+// hashAndTouch opens a chunk for every batch entry point: the keys (at
+// most BatchWidth) are bulk-hashed into the chunk scratch, then the
+// home-line touch pass loads the home-slot key word of every lane back to
+// back, before any lane is resolved. The addresses depend only on the
+// hash codes, so the loads are independent and a chunk's home-line cache
+// misses are in flight together; the walk that follows finds the lines
+// arriving instead of paying one serialized miss per key (a lane's
+// resolution — compare, branch, store, and for the mutations a whole
+// rmwHashed call — is far longer than the out-of-order window, so without
+// this pass the next lane's first load only issues once the current lane
+// is done). Only the home line is covered: overflow lines further along a
+// probe sequence and the SoA value column are still fetched on demand.
+// The loads are folded into the chunk scratch's sink, else they are dead
+// code.
+func (c *kern) hashAndTouch(bt *batchBuf, keys []uint64) {
+	hashfn.HashBatch(c.fn, keys, bt.hash[:])
 	kc := c.kc
 	sshift, soneM := c.sshift, c.sone-1
 	var sink uint64
-	for _, h := range hash {
+	for _, h := range bt.hash[:len(keys)] {
 		sink += kc[(h>>(sshift&63))&^soneM]
 	}
-	return sink
-}
-
-// hashAndTouch opens a chunk for every batch entry point: the keys (at
-// most BatchWidth) are bulk-hashed into the chunk scratch and their home
-// lines touched.
-func (c *kern) hashAndTouch(bt *batchBuf, keys []uint64) {
-	hashfn.HashBatch(c.fn, keys, bt.hash[:])
-	bt.sink = c.touch(bt.hash[:len(keys)])
-}
-
-// Touch bulk-hashes keys into hash (at most len(hash) keys, BatchWidth
-// being the natural size) and runs the home-line touch pass over them,
-// writing no table state at all: the scratch is the caller's. It is what
-// shard's wait-free readers — who may not use the table-owned chunk
-// scratch of GetBatch — call ahead of a run of scalar Gets. The result
-// only exists to keep the loads alive and may be discarded.
-func (c *kern) Touch(keys, hash []uint64) uint64 {
-	hashfn.HashBatch(c.fn, keys, hash)
-	return c.touch(hash[:len(keys)])
+	bt.sink = sink
 }
 
 // GetBatch implements Batcher: the chunk is bulk-hashed once, the touch
@@ -780,15 +759,13 @@ func (c *kern) Touch(keys, hash []uint64) uint64 {
 // most lookups resolve right there), and unresolved lanes enter a
 // round-robin walk that advances each live probe sequence one cache line
 // per round — consecutive loads belong to different sequences, so the
-// memory system overlaps their misses.
+// memory system overlaps their misses. It writes no table state (the
+// chunk scratch is the call's own), so concurrent GetBatch calls on one
+// table are safe, and it terminates on any slot contents — see
+// walkRounds — which is what lets shard's wait-free readers run it beside
+// a writer and throw the answer away if their sequence validation fails.
 func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
-	checkBatchGet(len(keys), len(vals), len(ok))
-	bt := c.buf()
-	hits := 0
-	chunks(len(keys), func(lo, hi int) {
-		hits += c.getChunk(bt, keys[lo:hi], vals[lo:hi], ok[lo:hi])
-	})
-	return hits
+	return getBatchImpl(c, keys, vals, ok)
 }
 
 // getChunk resolves one chunk through one of four walk variants, chosen
@@ -801,8 +778,8 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 // LP and LPSoA (the column view folds the layouts), stepped covers QP
 // and DH (triangular and fixed strides are both si += sstep; sstep +=
 // sinc), robin covers RH, and sweep covers any bounded scheme on a
-// degenerate completely-occupied table, where only the probe-counting
-// full-sweep lookup terminates.
+// degenerate completely-occupied table, which the scalar lookup's single
+// sweep answers far sooner than the walks' round bound.
 func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	if c.fullSweepOnly() {
 		return c.getChunkSweep(keys, vals, ok)
@@ -815,6 +792,25 @@ func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 		return c.getChunkStepped(bt, keys, vals, ok)
 	default:
 		return c.getChunkLinear(bt, keys, vals, ok)
+	}
+}
+
+// walkRounds bounds the round-robin walks the way the cursor-cycle check
+// bounds the scalar Get: a live lane examines at least one new slot of
+// its sequence per round, so once this many rounds have passed every lane
+// has seen the whole table without meeting its key or an empty slot and
+// is a miss. A quiescent table never gets there (the sweep variant takes
+// the completely occupied ones); a reader racing a writer can be shown
+// slots with no empty one among them, and its caller's sequence
+// validation discards whatever the bound cut short. One counter per
+// round, nothing per lane.
+func (c *kern) walkRounds() int { return c.slotCount() + 2 }
+
+// missLive reports as misses the lanes still live when a walk ends: none,
+// unless a kernel walk's round bound ran out (or, for Cuckoo, the ways).
+func missLive(live []int32, vals []uint64, ok []bool) {
+	for _, l := range live {
+		vals[l], ok[l] = 0, false
 	}
 }
 
@@ -869,7 +865,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 	// line the walk is sequential (the load already paid for the line),
 	// across lanes the line-crossing loads are independent and overlap
 	// in the memory system.
-	for len(live) > 0 {
+	for rounds := c.walkRounds(); len(live) > 0 && rounds > 0; rounds-- {
 		w := 0
 		for _, l := range live {
 			key := keys[l]
@@ -896,6 +892,7 @@ func (c *kern) getChunkLinear(bt *batchBuf, keys, vals []uint64, ok []bool) int 
 		}
 		live = live[:w]
 	}
+	missLive(live, vals, ok)
 	return hits
 }
 
@@ -945,7 +942,7 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 			si = (si + sone) & smask
 		}
 	}
-	for len(live) > 0 {
+	for rounds := c.walkRounds(); len(live) > 0 && rounds > 0; rounds-- {
 		w := 0
 		for _, l := range live {
 			key := keys[l]
@@ -976,6 +973,7 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 		}
 		live = live[:w]
 	}
+	missLive(live, vals, ok)
 	return hits
 }
 
@@ -983,9 +981,7 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 // quadratic and double hashing): a lane advances by sstep slots per
 // probe, with sstep growing by sinc, and yields when the advance leaves
 // the current cache line. bt.a carries the cursor and bt.b the next
-// step. No full-sweep guard is needed here: the caller diverted the
-// degenerate completely-occupied state to the sweep variant, and a
-// permutation sequence otherwise terminates on an empty slot.
+// step.
 func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	kc, smask := c.kc, c.smask
 	vcb := c.vc[c.ks:]
@@ -1027,7 +1023,7 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 			si = next
 		}
 	}
-	for len(live) > 0 {
+	for rounds := c.walkRounds(); len(live) > 0 && rounds > 0; rounds-- {
 		w := 0
 		for _, l := range live {
 			key := keys[l]
@@ -1056,6 +1052,7 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 		}
 		live = live[:w]
 	}
+	missLive(live, vals, ok)
 	return hits
 }
 
@@ -1081,7 +1078,8 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 	checkBatchPut(len(keys), len(vals))
 	bt := c.buf()
 	inserted := 0
-	chunks(len(keys), func(lo, hi int) {
+	for lo := 0; lo < len(keys); lo += BatchWidth {
+		hi := min(lo+BatchWidth, len(keys))
 		kc, vc := keys[lo:hi], vals[lo:hi]
 		c.hashAndTouch(bt, kc)
 		for l, k := range kc {
@@ -1095,7 +1093,7 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 				inserted++
 			}
 		}
-	})
+	}
 	return inserted
 }
 
