@@ -3,8 +3,11 @@
 // other important operations such as ... aggregate operations like AVERAGE,
 // SUM, MIN, MAX, and COUNT", and reports that experiments simulating these
 // operations matched the WORM results. This package provides those
-// operators, and bench_test.go's BenchmarkAggregateVsWORM reproduces the
-// equivalence claim.
+// operators, built the way the equivalence reads — a GROUP BY over G groups
+// is G inserts followed by (rows−G) successful lookups: AddBatch looks its
+// rows up through the tables' read-only pipeline and only the rows that
+// open a group take the insert path. bench_test.go's
+// BenchmarkAggregateVsWORM reproduces the equivalence claim.
 //
 // The aggregation table maps group key -> index into a dense state array,
 // the layout vectorized engines use: the hash table stays a pure 64->64
@@ -110,18 +113,31 @@ type Config struct {
 	Seed           uint64
 }
 
+// chunk is AddBatch's lookup stride; coldRun its stride while rows mostly
+// open groups, a morsel long so the insert pipeline's setup is paid once.
+const chunk, coldRun = 256, 4096
+
 // GroupBy is a streaming hash aggregation operator.
 type GroupBy struct {
 	cfg    Config // post-default config, the template for AddParallel's per-worker locals
 	idx    *table.Handle
 	states []State
+
+	// AddBatch's chunk scratch (fixed, so a batch allocates nothing): the
+	// lookup's result lanes, then the missed rows and the lane of each.
+	at       [chunk]uint64
+	hit      [chunk]bool
+	missKey  [chunk]uint64
+	missVal  [chunk]uint64
+	missLane [chunk]int32
+	cold     bool // the last stride opened groups on more than half its lanes
 }
 
 // NewGroupBy builds an empty aggregation operator on the unified table
-// façade: the group index is opened through table.Open and fed exclusively
-// with the single-probe GetOrPut / UpsertBatch primitives, so every input
-// row costs exactly one probe sequence regardless of whether it opens a
-// new group.
+// façade: the group index is opened through table.Open, and both it and
+// the state array are pre-sized to cfg.ExpectedGroups. A group is opened
+// by a single-probe primitive (GetOrPut in Add and Merge, UpsertBatch in
+// AddBatch); rows of an existing group only read the index.
 func NewGroupBy(cfg Config) (*GroupBy, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = table.SchemeQP
@@ -143,7 +159,7 @@ func NewGroupBy(cfg Config) (*GroupBy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{cfg: cfg, idx: idx}, nil
+	return &GroupBy{cfg: cfg, idx: idx, states: make([]State, 0, max(cfg.ExpectedGroups, 0))}, nil
 }
 
 // MustNewGroupBy is NewGroupBy that panics on error.
@@ -176,31 +192,78 @@ func (g *GroupBy) Add(group, value uint64) error {
 	return nil
 }
 
-// AddAll folds a column pair through the batched pipeline, with
-// AddBatch's error contract.
-func (g *GroupBy) AddAll(groups, values []uint64) error {
-	if len(groups) != len(values) {
-		panic("agg: AddAll column length mismatch")
-	}
-	return g.AddBatch(groups, values)
-}
-
-// AddBatch folds a column pair through the batched single-probe pipeline:
-// group keys are bulk-hashed in chunks and each row's state is found or
-// created by one UpsertBatch probe sequence — including rows that open a
-// new group, which under the old Get-then-Put path cost a second full
-// probe. A group first seen twice within one batch is counted exactly once
-// (batched semantics are sequential semantics).
+// AddBatch folds a column pair the way the paper's §4 describes an
+// aggregation — G inserts, then lookups. Each chunk of rows goes down the
+// group index's read-only GetBatch pipeline (bulk hash, touch, interleaved
+// walk); rows that hit are folded straight from the columns, and only the
+// rows that missed — the ones opening a group — are compacted and handed
+// to UpsertBatch, one probe sequence each. Batched semantics are sequential
+// semantics: a group first seen twice within one batch is opened once, and
+// states are appended in first-seen row order. After a stride in which more
+// than half the rows opened groups (a high-cardinality phase, where lookups
+// would mostly miss) the next stride skips the lookup.
 //
 // A non-nil error (only reachable when a fault injector refuses the
 // index's probes — the growing index never organically fills) means the
 // batch stopped early: rows up to the refusal are folded, later rows are
-// not. The error carries the table's typed ErrFull chain.
+// not. The error carries the table's typed ErrFull chain. Lookups pass no
+// mutation entry point, so outside a high-cardinality phase a batch that
+// opens no group cannot be refused.
 func (g *GroupBy) AddBatch(groups, values []uint64) error {
 	if len(groups) != len(values) {
 		panic("agg: AddBatch column length mismatch")
 	}
-	_, err := g.idx.UpsertBatch(groups, func(lane int, old uint64, exists bool) uint64 {
+	for lo, hi := 0, 0; lo < len(groups); lo = hi {
+		opened := len(g.states)
+		var err error
+		if g.cold {
+			hi = min(lo+coldRun, len(groups))
+			_, err = g.upsert(groups[lo:hi], values[lo:hi])
+		} else {
+			hi = min(lo+chunk, len(groups))
+			err = g.lookupFold(groups[lo:hi], values[lo:hi])
+		}
+		g.cold = 2*(len(g.states)-opened) > hi-lo
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lookupFold is AddBatch over one chunk. The misses are inserted before
+// the hits are folded, so a refusal leaves exactly the rows before it in.
+func (g *GroupBy) lookupFold(groups, values []uint64) error {
+	at, hit := g.at[:len(groups)], g.hit[:len(groups)]
+	folded := len(groups)
+	var err error
+	if g.idx.GetBatch(groups, at, hit) < len(groups) {
+		m := 0
+		for i, ok := range hit {
+			if !ok {
+				g.missKey[m], g.missVal[m], g.missLane[m] = groups[i], values[i], int32(i)
+				m++
+			}
+		}
+		var done int
+		if done, err = g.upsert(g.missKey[:m], g.missVal[:m]); err != nil {
+			folded = int(g.missLane[done])
+		}
+	}
+	for i, ok := range hit[:folded] {
+		if ok {
+			g.states[at[i]].fold(values[i])
+		}
+	}
+	return err
+}
+
+// upsert is the one insert path: each row finds or opens its group in one
+// UpsertBatch probe sequence, in row order. done counts the rows folded,
+// which on an error is the row the index refused.
+func (g *GroupBy) upsert(groups, values []uint64) (done int, err error) {
+	_, err = g.idx.UpsertBatch(groups, func(lane int, old uint64, exists bool) uint64 {
+		done = lane + 1
 		if exists {
 			g.states[old].fold(values[lane])
 			return old
@@ -210,14 +273,14 @@ func (g *GroupBy) AddBatch(groups, values []uint64) error {
 		})
 		return uint64(len(g.states) - 1)
 	})
-	return err
+	return done, err
 }
 
 // AddParallel folds a column pair with morsel-driven parallelism on the
 // exec core — the parallel GROUP BY driver the paper's §4 equivalence
 // (WORM ≡ aggregation) implies: the columns are carved into morsels, each
 // pool worker pre-aggregates the morsels it claims into its own local
-// GroupBy through the batched single-probe pipeline (no locks — every
+// GroupBy through AddBatch's lookup-then-fold pipeline (no locks — every
 // worker owns its accumulator), and the locals are merged into g
 // sequentially with Merge, one probe per distinct group per worker.
 //

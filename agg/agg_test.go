@@ -103,7 +103,7 @@ func TestGroupByMatchesOracle(t *testing.T) {
 
 func TestAddAllAndValidation(t *testing.T) {
 	g := MustNewGroupBy(Config{ExpectedGroups: 1000})
-	g.AddAll([]uint64{1, 2, 1}, []uint64{10, 20, 30})
+	g.AddBatch([]uint64{1, 2, 1}, []uint64{10, 20, 30})
 	if s, _ := g.Get(1); s.Sum != 40 {
 		t.Fatalf("Sum = %d", s.Sum)
 	}
@@ -112,7 +112,7 @@ func TestAddAllAndValidation(t *testing.T) {
 			t.Fatal("mismatched columns did not panic")
 		}
 	}()
-	g.AddAll([]uint64{1}, nil)
+	g.AddBatch([]uint64{1}, nil)
 }
 
 // TestMergeEqualsSingle: partition-parallel aggregation (split, aggregate,
@@ -126,7 +126,7 @@ func TestMergeEqualsSingle(t *testing.T) {
 		values[i] = rng.Uint64n(100)
 	}
 	single := MustNewGroupBy(Config{Seed: 6})
-	single.AddAll(groups, values)
+	single.AddBatch(groups, values)
 
 	parts := make([]*GroupBy, 4)
 	for p := range parts {

@@ -523,8 +523,10 @@ func BenchmarkHashJoin(b *testing.B) {
 
 // BenchmarkAggregateVsWORM reproduces the paper's §4 equivalence claim:
 // aggregation throughput tracks the WORM numbers, because a GROUP BY over G
-// groups is G inserts followed by (rows-G) successful lookups. The two
-// sub-benchmarks run the same table at the same load factor; their ns/op
+// groups is G inserts followed by (rows-G) successful lookups — which is
+// literally how agg.GroupBy.AddBatch runs one (a GetBatch lookup phase, an
+// UpsertBatch tail for the rows that open a group). The two sub-benchmarks
+// run the same table at the same load factor, row at a time; their ns/op
 // should be of the same order.
 func BenchmarkAggregateVsWORM(b *testing.B) {
 	const groups = 1 << 14

@@ -3,17 +3,14 @@ package exec_test
 // Benchmarks of the morsel-driven core at workers=1,2,4: the join build
 // and probe phases (the pool driving a sharded handle's batched
 // pipelines, exactly SharedHashJoin's inner loops) and the parallel
-// GROUP BY (AddParallel's per-worker pre-aggregation). Each reports the
-// repo's ns/key metric; with BENCH_EXEC_JSON set the datapoints are
-// dumped as the BENCH_exec.json CI artifact tracking the execution
-// core's trajectory. On a single-vCPU CI runner the worker sweep
-// measures scheduling overhead rather than speedup — the artifact's job
-// is catching regressions in either.
+// GROUP BY (AddParallel's per-worker pre-aggregation), each reporting
+// the repo's ns/key metric. On a single-vCPU runner the worker sweep
+// measures scheduling overhead rather than speedup. The trajectory of
+// these layers is tracked by the benchmark ladder's exec.* and
+// agg.add_ns_per_row.* rungs (benchmark/), not from here.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/agg"
@@ -23,46 +20,9 @@ import (
 	"repro/table"
 )
 
-// execBenchPoint is one ⟨sub-benchmark, ns/key⟩ datapoint.
-type execBenchPoint struct {
-	Case     string  `json:"case"`
-	NsPerKey float64 `json:"ns_per_key"`
-}
-
-var execBenchResults []execBenchPoint
-
-// reportExecNs reports ns/key for a benchmark that processed total keys,
-// recording the datapoint for the BENCH_exec.json artifact. The framework
-// reruns a sub-benchmark with ramping b.N while calibrating; only the
-// final (longest) run's datapoint is kept.
+// reportExecNs reports ns/key for a benchmark that processed total keys.
 func reportExecNs(b *testing.B, total int) {
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(total)
-	b.ReportMetric(ns, "ns/key")
-	if n := len(execBenchResults); n > 0 && execBenchResults[n-1].Case == b.Name() {
-		execBenchResults[n-1].NsPerKey = ns
-		return
-	}
-	execBenchResults = append(execBenchResults, execBenchPoint{Case: b.Name(), NsPerKey: ns})
-}
-
-// writeExecBenchJSON dumps the accumulated datapoints to the file named
-// by BENCH_EXEC_JSON. Both benchmarks call it; the file is rewritten with
-// everything collected so far, so invocation order does not matter.
-func writeExecBenchJSON(b *testing.B) {
-	path := os.Getenv("BENCH_EXEC_JSON")
-	if path == "" || len(execBenchResults) == 0 {
-		return
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark string           `json:"benchmark"`
-		Points    []execBenchPoint `json:"points"`
-	}{Benchmark: "BenchmarkExecJoin/BenchmarkExecAgg", Points: execBenchResults}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/key")
 }
 
 // benchWorkers is the worker sweep every exec benchmark runs.
@@ -155,7 +115,6 @@ func BenchmarkExecJoin(b *testing.B) {
 			reportExecNs(b, b.N*probeN)
 		})
 	}
-	writeExecBenchJSON(b)
 }
 
 // BenchmarkExecAgg measures the parallel GROUP BY (per-worker
@@ -186,5 +145,4 @@ func BenchmarkExecAgg(b *testing.B) {
 			reportExecNs(b, b.N*rows)
 		})
 	}
-	writeExecBenchJSON(b)
 }

@@ -272,7 +272,8 @@ func TestRunAndRunTasks(t *testing.T) {
 // TestScatterStableAndComplete: Route regroups the column group-major,
 // Orig is a permutation mapping staged slots to input lanes, every staged
 // key actually routes to its group, and same-group keys keep input order
-// (the stability that preserves duplicate-key semantics).
+// (the stability that preserves duplicate-key semantics). A value column,
+// when handed one, lands in Vals beside its key.
 func TestScatterStableAndComplete(t *testing.T) {
 	const groups = 8
 	shift := uint(64 - 3)
@@ -286,9 +287,14 @@ func TestScatterStableAndComplete(t *testing.T) {
 			keys[i] = rng.Next()
 		}
 	}
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(i) * 3
+	}
 	var sc exec.Scatter
 	for round := 0; round < 2; round++ { // second round reuses the buffers
-		sc.Route(router, shift, groups, keys)
+		carried := [][]uint64{nil, vals}[round]
+		sc.Route(router, shift, groups, keys, carried)
 		if int(sc.Starts[groups]) != len(keys) {
 			t.Fatalf("Starts[%d] = %d, want %d", groups, sc.Starts[groups], len(keys))
 		}
@@ -303,6 +309,9 @@ func TestScatterStableAndComplete(t *testing.T) {
 				oi := sc.Orig[i]
 				if keys[oi] != k {
 					t.Fatalf("staged slot %d: Orig %d holds key %d, staged %d", i, oi, keys[oi], k)
+				}
+				if carried != nil && sc.Vals[i] != vals[oi] {
+					t.Fatalf("staged slot %d: value %d, lane %d carried %d", i, sc.Vals[i], oi, vals[oi])
 				}
 				if seen[oi] {
 					t.Fatalf("input lane %d staged twice", oi)

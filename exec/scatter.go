@@ -3,9 +3,7 @@ package exec
 // The one scatter→group-major→gather primitive. Radix-partitioned
 // operators and the sharded engine all regroup a key column by the top
 // bits of a routing hash before working group-by-group; this file is the
-// single implementation of that stable scatter (it replaced
-// partition.Partitioned's stage/partitionAll and shard.Engine's private
-// scatter, which had drifted into near-identical copies).
+// single implementation of that stable scatter.
 
 import "repro/hashfn"
 
@@ -18,10 +16,9 @@ import "repro/hashfn"
 //
 // After Route, group j's staged range is Keys[Starts[j]:Starts[j+1]], and
 // staged slot i came from input lane Orig[i]. Vals and OK are scratch
-// columns of the same length as Keys for the caller's values and result
-// flags; the usual cycle is
+// columns of the same length as Keys for the caller's values (Route
+// scatters a value column it is handed) and result flags; the usual cycle is
 //
-//	scatter values:  for i, oi := range sc.Orig { sc.Vals[i] = vals[oi] }
 //	apply group j:   over sc.Keys[lo:hi], sc.Vals[lo:hi], sc.OK[lo:hi]
 //	gather results:  for i, oi := range sc.Orig { out[oi] = sc.Vals[i] }
 //
@@ -60,22 +57,21 @@ func growSlice[T any](s []T, n int) []T {
 // Route scatters keys into groups groups by the top bits of router's hash
 // (group = hash >> shift, the radix scheme the paper cites for parallel
 // joins), bulk-hashing the router in batch-width chunks so its dispatch
-// is paid once per chunk. shift must be 64 - log2(groups).
-func (sc *Scatter) Route(router hashfn.Function, shift uint, groups int, keys []uint64) {
+// is paid once per chunk. shift must be 64 - log2(groups). A non-nil vals,
+// as long as keys, lands in Vals in the same pass.
+func (sc *Scatter) Route(router hashfn.Function, shift uint, groups int, keys, vals []uint64) {
 	sc.group = growSlice(sc.group, len(keys))
-	group := sc.group
+	sc.Starts = growSlice(sc.Starts, groups+1)
+	group, starts := sc.group, sc.Starts
+	clear(starts)
 	for base := 0; base < len(keys); base += hashfn.DefaultBatchWidth {
 		n := min(hashfn.DefaultBatchWidth, len(keys)-base)
 		hashfn.HashBatch(router, keys[base:base+n], sc.hash[:])
 		for i := 0; i < n; i++ {
-			group[base+i] = int32(sc.hash[i] >> shift)
+			j := int32(sc.hash[i] >> shift)
+			group[base+i] = j
+			starts[j+1]++
 		}
-	}
-	sc.Starts = growSlice(sc.Starts, groups+1)
-	starts := sc.Starts
-	clear(starts)
-	for _, j := range group {
-		starts[j+1]++
 	}
 	for j := 0; j < groups; j++ {
 		starts[j+1] += starts[j]
@@ -93,6 +89,9 @@ func (sc *Scatter) Route(router hashfn.Function, shift uint, groups int, keys []
 		at := pos[j]
 		sc.Keys[at] = k
 		sc.Orig[at] = int32(i)
+		if vals != nil {
+			sc.Vals[at] = vals[i]
+		}
 		pos[j]++
 	}
 }

@@ -270,10 +270,7 @@ func (m *Partitioned) TryPutBatch(keys, vals []uint64) (int, error) {
 	if len(m.parts) == 1 {
 		return m.parts[0].TryPutBatch(keys, vals)
 	}
-	st := m.stage(keys)
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
+	st := m.stage(keys, vals)
 	inserted := 0
 	for j := range m.parts {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -301,10 +298,7 @@ func (m *Partitioned) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (in
 	if len(m.parts) == 1 {
 		return m.parts[0].GetOrPutBatch(keys, vals, out, loaded)
 	}
-	st := m.stage(keys)
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
+	st := m.stage(keys, vals)
 	inserted := 0
 	for j := range m.parts {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -328,7 +322,7 @@ func (m *Partitioned) UpsertBatch(keys []uint64, fn func(lane int, old uint64, e
 	if len(m.parts) == 1 {
 		return m.parts[0].UpsertBatch(keys, fn)
 	}
-	st := m.stage(keys)
+	st := m.stage(keys, nil)
 	inserted := 0
 	for j := range m.parts {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -358,7 +352,7 @@ func (m *Partitioned) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	if len(m.parts) == 1 {
 		return table.GetBatch(m.parts[0], keys, vals, ok)
 	}
-	st := m.stage(keys)
+	st := m.stage(keys, nil)
 	hits := 0
 	for j := range m.parts {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -380,10 +374,7 @@ func (m *Partitioned) PutBatch(keys []uint64, vals []uint64) int {
 	if len(m.parts) == 1 {
 		return table.PutBatch(m.parts[0], keys, vals)
 	}
-	st := m.stage(keys)
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
+	st := m.stage(keys, vals)
 	inserted := 0
 	for j := range m.parts {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -392,12 +383,13 @@ func (m *Partitioned) PutBatch(keys []uint64, vals []uint64) int {
 	return inserted
 }
 
-// stage routes keys and regroups them partition-major through the shared
-// exec.Scatter primitive. The returned scatter is the map's scratch and
-// is valid until the next batched operation.
-func (m *Partitioned) stage(keys []uint64) *exec.Scatter {
+// stage routes keys (and vals, when non-nil) and regroups them
+// partition-major through the shared exec.Scatter primitive. The returned
+// scatter is the map's scratch and is valid until the next batched
+// operation.
+func (m *Partitioned) stage(keys, vals []uint64) *exec.Scatter {
 	sc := m.scratch()
-	sc.Route(m.router, m.shift, len(m.parts), keys)
+	sc.Route(m.router, m.shift, len(m.parts), keys, vals)
 	return sc
 }
 
@@ -433,10 +425,7 @@ func (m *Partitioned) BuildParallel(keys, vals []uint64) (int, error) {
 	// Partitioning pass (single-threaded scatter, as in the cited joins'
 	// partition phase); workers then flush disjoint staged ranges through
 	// the batched pipelines, one owner task per partition, no locks.
-	st := m.stage(keys)
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
+	st := m.stage(keys, vals)
 	inserted := make([]int, p)
 	err := exec.RunTasks(exec.Config{Workers: m.workers, Ctx: m.ctx}, p, func(_, j int) error {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -460,7 +449,7 @@ func (m *Partitioned) ProbeParallel(probes []uint64, out []uint64, found []bool)
 		panic("partition: ProbeParallel output length mismatch")
 	}
 	p := len(m.parts)
-	st := m.stage(probes)
+	st := m.stage(probes, nil)
 	hits := make([]int, p)
 	err := exec.RunTasks(exec.Config{Workers: m.workers, Ctx: m.ctx}, p, func(_, j int) error {
 		lo, hi := st.Starts[j], st.Starts[j+1]

@@ -1,12 +1,13 @@
 package pipe
 
 // The streaming GROUP BY: each worker folds the batches it receives
-// into its own agg.GroupBy local through the batched single-probe
-// pipeline (no locks — the batchSink contract delivers worker w's
-// batches on worker w's goroutine), and the locals are merged once on
-// drain. GroupByStream re-enters the pipeline: the merged result is
-// streamed downstream group-at-a-time via agg's Groups iterator, never
-// materialized into a result slice.
+// into its own agg.GroupBy local with AddBatch — a lookup phase over the
+// worker's group index with an insert tail for the rows that open a
+// group, the paper's §4 equivalence (no locks — the batchSink contract
+// delivers worker w's batches on worker w's goroutine), and the locals
+// are merged once on drain. GroupByStream re-enters the pipeline: the
+// merged result is streamed downstream group-at-a-time via agg's Groups
+// iterator, never materialized into a result slice.
 
 import (
 	"fmt"

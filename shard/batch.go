@@ -87,11 +87,12 @@ func (st *staging) relayUpsert(lane int, old uint64, exists bool) uint64 {
 
 // scatter takes a staging from the pool and routes keys into it with the
 // shared exec.Scatter primitive: the router's bulk-hash pipeline plus one
-// stable counting pass regrouping the column shard-major. The caller
-// releases it once the results are gathered.
-func (e *Engine) scatter(keys []uint64) *staging {
+// stable counting pass regrouping the column (and vals, when the call has
+// values to store) shard-major. The caller releases it once the results
+// are gathered.
+func (e *Engine) scatter(keys, vals []uint64) *staging {
 	st := takeStaging()
-	st.Route(e.router, e.shift, len(e.shards), keys)
+	st.Route(e.router, e.shift, len(e.shards), keys, vals)
 	return st
 }
 
@@ -122,7 +123,7 @@ func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
 		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
 	}
-	st := e.scatter(keys)
+	st := e.scatter(keys, nil)
 	defer st.release()
 	hits := 0
 	for j := range e.shards {
@@ -202,11 +203,8 @@ func (e *Engine) putBatch(keys, vals []uint64) (int, error) {
 	if len(e.shards) == 1 {
 		return e.putBatchShard(&e.shards[0], keys, vals)
 	}
-	st := e.scatter(keys)
+	st := e.scatter(keys, vals)
 	defer st.release()
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -285,11 +283,8 @@ func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 	if len(e.shards) == 1 {
 		return e.getOrPutBatchShard(&e.shards[0], keys, vals, out, loaded)
 	}
-	st := e.scatter(keys)
+	st := e.scatter(keys, vals)
 	defer st.release()
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -396,7 +391,7 @@ func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 		defer st.release()
 		return e.upsertBatchShard(&e.shards[0], st, keys, nil, fn)
 	}
-	st := e.scatter(keys)
+	st := e.scatter(keys, nil)
 	defer st.release()
 	inserted := 0
 	for j := range e.shards {

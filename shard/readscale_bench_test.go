@@ -101,7 +101,7 @@ func (e *rwEngine) get(k uint64) (uint64, bool) {
 
 func (e *rwEngine) getBatch(keys, vals []uint64, ok []bool) {
 	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys)
+	st.Route(e.router, e.shift, len(e.shards), keys, nil)
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {
@@ -121,10 +121,7 @@ func (e *rwEngine) getBatch(keys, vals []uint64, ok []bool) {
 
 func (e *rwEngine) putBatch(keys, vals []uint64) {
 	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys)
-	for i, oi := range st.Orig {
-		st.Vals[i] = vals[oi]
-	}
+	st.Route(e.router, e.shift, len(e.shards), keys, vals)
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {

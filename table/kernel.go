@@ -700,7 +700,10 @@ func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, erro
 }
 
 // UpsertBatch implements Table. One adapter closure is allocated per call
-// (not per key); the current lane is threaded through it.
+// (not per key); the current lane is threaded through it. A caller whose
+// keys mostly exist should look them up with GetBatch and hand only the
+// misses here, as agg.AddBatch does: every lane pays fn's two indirect
+// calls and the mutation bookkeeping, hit or not.
 func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	bt := c.buf()
 	lane := 0
