@@ -81,8 +81,15 @@ func (c Choice) String() string {
 // threads concurrent goroutines: the power of two >= 2x the thread count,
 // so collisions on a shard lock stay rare even under uniform routing
 // (birthday bound), while the per-shard tables stay large enough to keep
-// the paper's cache behavior. Zero (no striping) is returned for
-// single-threaded use; absurd thread counts clamp rather than overflow.
+// the paper's cache behavior. More shards than that do not buy what they
+// cost: measured on the benchmark's rw_resize tape (ISSUE 19), 8, 16 and
+// 64 shards instead of 4 for two clients shortened the two-client wall
+// time by 0, 3 and 10% and lengthened the one-client time by 0, 2 and
+// 16% — two clients lose their time behind each other's batch-long holds
+// and to reads torn by scalar writes, which finer striping thins out
+// slowly, while every batch pays per shard for its scatter and its short
+// ranges. Zero (no striping) is returned for single-threaded use; absurd
+// thread counts clamp rather than overflow.
 func ShardsFor(threads int) int {
 	if threads <= 1 {
 		return 0

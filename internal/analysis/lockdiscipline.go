@@ -2,16 +2,18 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // LockDiscipline enforces the shard package's locking rules, the ones
 // the incremental-resize and degraded-mode machinery depend on:
 //
-//  1. Every mu.Lock()/mu.RLock() has a matching Unlock()/RUnlock() on
-//     the same receiver somewhere in the same function (deferred or
-//     explicit) — a shard lock never leaks out of the function that
-//     took it.
+//  1. Every mu.Lock()/mu.RLock() — and every mu.TryLock(), which takes
+//     the lock whenever it answers true — has a matching
+//     Unlock()/RUnlock() on the same receiver somewhere in the same
+//     function (deferred or explicit) — a shard lock never leaks out of
+//     the function that took it.
 //  2. The raw table factory (the Config.NewTable function value, stored
 //     as Engine.create) is invoked only inside the allocTable
 //     chokepoint, so every allocation is fallible in exactly one place
@@ -31,9 +33,12 @@ import (
 //     window).
 //
 // lockShard/unlockShard calls count as Lock/Unlock for rules 1 and 3 —
-// they ARE the shard writer lock, wrapped in the sequence bump — and
-// the helper definitions themselves are exempt from rule 1 (they split
-// an acquire and a release across two functions by design).
+// they ARE the shard writer lock, wrapped in the sequence bump — and so
+// does s.acquire(), the watch-then-park helper every acquisition of s.mu
+// goes through, which a bare s.mu.Unlock() answers. The three helper
+// definitions themselves are exempt from rule 1 (they split an acquire
+// and a release across functions by design); acquire gets nothing from
+// rule 4: it only loads the sequence word.
 //
 // The analysis is intra-procedural and syntactic about lock identity
 // (receivers are matched textually), which is exactly as strong as the
@@ -60,7 +65,7 @@ func (p *Pass) asMutexCall(call *ast.CallExpr) (string, string, bool) {
 		return "", "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock":
 	default:
 		return "", "", false
 	}
@@ -72,10 +77,12 @@ func (p *Pass) asMutexCall(call *ast.CallExpr) (string, string, bool) {
 }
 
 // asShardLockCall decodes call as a shard lock transition: either a raw
-// mutex method (asMutexCall) or one of the seqlock window helpers. The
-// returned method is the call's own name — "Lock", "RLock", "Unlock",
-// "RUnlock", "lockShard" or "unlockShard" — so reports can quote the
-// idiom the code actually used.
+// mutex method (asMutexCall), one of the seqlock window helpers, or the
+// acquire helper. The returned method is the call's own name — "Lock",
+// "TryLock", "Unlock", "lockShard", "acquire" and so on — so reports can
+// quote the idiom the code actually used. s.acquire() takes s.mu, so its
+// receiver is reported as that field: the s.mu.Unlock() that releases it
+// then matches textually.
 func (p *Pass) asShardLockCall(call *ast.CallExpr) (string, string, bool) {
 	if recv, method, ok := p.asMutexCall(call); ok {
 		return recv, method, ok
@@ -87,8 +94,20 @@ func (p *Pass) asShardLockCall(call *ast.CallExpr) (string, string, bool) {
 	switch sel.Sel.Name {
 	case "lockShard", "unlockShard":
 		return types.ExprString(sel.X), sel.Sel.Name, true
+	case "acquire":
+		return types.ExprString(sel.X) + ".mu", sel.Sel.Name, true
 	}
 	return "", "", false
+}
+
+// takesLock reports whether method, as asShardLockCall names it, leaves
+// (or, for TryLock, may leave) the lock held.
+func takesLock(method string) bool {
+	switch method {
+	case "Lock", "RLock", "TryLock", "lockShard", "acquire":
+		return true
+	}
+	return false
 }
 
 // isWindowHelper reports whether fd defines one of the seqlock window
@@ -97,6 +116,12 @@ func (p *Pass) asShardLockCall(call *ast.CallExpr) (string, string, bool) {
 // functions allowed to bump the sequence word.
 func isWindowHelper(fd *ast.FuncDecl) bool {
 	return fd.Name.Name == "lockShard" || fd.Name.Name == "unlockShard"
+}
+
+// isLockHelper reports whether fd is exempt from lock pairing: the window
+// helpers, and acquire, which returns holding the lock it took.
+func isLockHelper(fd *ast.FuncDecl) bool {
+	return isWindowHelper(fd) || fd.Name.Name == "acquire"
 }
 
 func runLockDiscipline(pass *Pass) error {
@@ -125,13 +150,13 @@ func runLockDiscipline(pass *Pass) error {
 // closing sequence bump, and the differing receiver texts keep the two
 // from cross-matching).
 func checkLockPairing(pass *Pass, fd *ast.FuncDecl) {
-	if isWindowHelper(fd) {
+	if isLockHelper(fd) {
 		return
 	}
 	type site struct {
-		pos        []ast.Node
-		call       lockCall
-		verb, want string
+		call *ast.CallExpr
+		lock lockCall
+		want string
 	}
 	var locks []site
 	unlocks := map[lockCall]bool{}
@@ -145,12 +170,12 @@ func checkLockPairing(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		switch method {
-		case "Lock":
-			locks = append(locks, site{[]ast.Node{call}, lockCall{recv, false}, "Lock", "Unlock"})
+		case "Lock", "TryLock", "acquire":
+			locks = append(locks, site{call, lockCall{recv, false}, "Unlock"})
 		case "RLock":
-			locks = append(locks, site{[]ast.Node{call}, lockCall{recv, true}, "RLock", "RUnlock"})
+			locks = append(locks, site{call, lockCall{recv, true}, "RUnlock"})
 		case "lockShard":
-			locks = append(locks, site{[]ast.Node{call}, lockCall{recv, false}, "lockShard", "unlockShard"})
+			locks = append(locks, site{call, lockCall{recv, false}, "unlockShard"})
 		case "Unlock", "unlockShard":
 			unlocks[lockCall{recv, false}] = true
 		case "RUnlock":
@@ -159,8 +184,8 @@ func checkLockPairing(pass *Pass, fd *ast.FuncDecl) {
 		return true
 	})
 	for _, l := range locks {
-		if !unlocks[l.call] {
-			pass.Reportf(l.pos[0].Pos(), "%s.%s() without a matching %s in this function: a shard lock must be released where it was taken (defer it)", l.call.recv, l.verb, l.want)
+		if !unlocks[l.lock] {
+			pass.Reportf(l.call.Pos(), "%s() without a matching %s in this function: a shard lock must be released where it was taken (defer it)", types.ExprString(l.call.Fun), l.want)
 		}
 	}
 }
@@ -273,10 +298,9 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
 				if recv, method, ok := pass.asShardLockCall(call); ok {
-					switch method {
-					case "Lock", "RLock", "lockShard":
+					if takesLock(method) {
 						held[recv] = true
-					case "Unlock", "RUnlock", "unlockShard":
+					} else {
 						delete(held, recv)
 					}
 					continue
@@ -297,9 +321,23 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 		case *ast.BlockStmt:
 			scanHeldRegions(pass, s.List, held)
 		case *ast.IfStmt:
-			scanHeldRegions(pass, s.Body.List, held)
+			// A TryLock condition takes the lock on one branch: the body
+			// of `if mu.TryLock()`, or — when the body of `if !mu.TryLock()`
+			// leaves the function — everything after the statement.
+			recv, negated := pass.tryLockCond(s.Cond)
+			body := held
+			if recv != "" && !negated {
+				body = copyHeld(held)
+				body[recv] = true
+			}
+			scanHeldRegions(pass, s.Body.List, body)
 			if el, ok := s.Else.(*ast.BlockStmt); ok {
 				scanHeldRegions(pass, el.List, held)
+			}
+			if n := len(s.Body.List); recv != "" && negated && n > 0 {
+				if _, leaves := s.Body.List[n-1].(*ast.ReturnStmt); leaves {
+					held[recv] = true
+				}
 			}
 		case *ast.ForStmt:
 			scanHeldRegions(pass, s.Body.List, held)
@@ -319,6 +357,23 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 			}
 		}
 	}
+}
+
+// tryLockCond decodes an if condition of the form mu.TryLock() or
+// !mu.TryLock() and returns the receiver text, or "".
+func (p *Pass) tryLockCond(cond ast.Expr) (recv string, negated bool) {
+	if not, ok := cond.(*ast.UnaryExpr); ok && not.Op == token.NOT {
+		cond, negated = not.X, true
+	}
+	call, ok := cond.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	recv, method, ok := p.asMutexCall(call)
+	if !ok || method != "TryLock" {
+		return "", false
+	}
+	return recv, negated
 }
 
 func copyHeld(held map[string]bool) map[string]bool {

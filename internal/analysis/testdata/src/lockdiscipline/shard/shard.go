@@ -144,11 +144,27 @@ type seqState struct {
 	view atomic.Pointer[table]
 }
 
+// acquire is the watch-then-park helper every acquisition of mu goes
+// through: a TryLock, a watch of the sequence word, the blocking Lock
+// last. It returns holding the lock, so it is exempt from lock pairing —
+// and from nothing else: it only loads seq.
+func (s *seqState) acquire() {
+	if s.mu.TryLock() {
+		return
+	}
+	for i := 0; i < 1000; i++ {
+		if s.seq.Load()&1 == 0 && s.mu.TryLock() {
+			return
+		}
+	}
+	s.mu.Lock()
+}
+
 // lockShard/unlockShard are the seqlock window helpers: the only
 // functions allowed to touch seq, and exempt from lock pairing (the
 // acquire and release are split across them by design).
 func (s *seqState) lockShard() {
-	s.mu.Lock()
+	s.acquire()
 	s.seq.Add(1)
 }
 
@@ -211,4 +227,85 @@ func (e *Engine) badPublish(s *seqState, t *table) {
 	s.lockShard()
 	defer s.unlockShard()
 	s.view.Store(t) // want `shard view stored outside publish`
+}
+
+// goodAcquireRead is the readers' locked fallback: the helper takes mu,
+// a bare Unlock releases it.
+func (e *Engine) goodAcquireRead(s *seqState) int {
+	s.acquire()
+	n := s.view.Load().n
+	s.mu.Unlock()
+	return n
+}
+
+// goodTryLock gives up when the lock is busy and releases it otherwise.
+func (e *Engine) goodTryLock(s *seqState) int {
+	if !s.mu.TryLock() {
+		return -1
+	}
+	defer s.mu.Unlock()
+	return s.view.Load().n
+}
+
+// goodTrySubmit holds the lock only inside the branch that got it and
+// submits to the pool after the release.
+func (e *Engine) goodTrySubmit(s *seqState) error {
+	n := 1
+	if s.mu.TryLock() {
+		n = s.view.Load().n
+		s.mu.Unlock()
+	}
+	return e.pool.ForEach(n, func(_, _ int) error { return nil })
+}
+
+// badTryLeak keeps the lock whenever TryLock got it.
+func (e *Engine) badTryLeak(s *seqState) int {
+	if s.mu.TryLock() { // want `s\.mu\.TryLock\(\) without a matching Unlock`
+		return s.view.Load().n
+	}
+	return -1
+}
+
+// badAcquireLeak does the same through the helper.
+func (e *Engine) badAcquireLeak(s *seqState) int {
+	s.acquire() // want `s\.acquire\(\) without a matching Unlock`
+	return s.view.Load().n
+}
+
+// badTrySubmit submits to the pool from the branch that holds the lock.
+func (e *Engine) badTrySubmit(s *seqState) error {
+	if s.mu.TryLock() {
+		defer s.mu.Unlock()
+		return e.pool.ForEach(1, func(_, _ int) error { return nil }) // want `call into exec while s\.mu is locked`
+	}
+	return nil
+}
+
+// badTryElseSubmit holds the lock past the early return of the branch
+// that did not get it.
+func (e *Engine) badTryElseSubmit(s *seqState) error {
+	if !s.mu.TryLock() {
+		return nil
+	}
+	defer s.mu.Unlock()
+	return e.pool.ForEach(1, func(_, _ int) error { return nil }) // want `call into exec while s\.mu is locked`
+}
+
+// badAcquireSubmit submits to the pool under a lock the helper took.
+func (e *Engine) badAcquireSubmit(s *seqState) error {
+	s.acquire()
+	defer s.mu.Unlock()
+	return e.pool.ForEach(1, func(_, _ int) error { return nil }) // want `call into exec while s\.mu is locked`
+}
+
+// bumpState has an acquire that opens the window itself: the helper's
+// name buys an exemption from lock pairing, not from the seqlock rule.
+type bumpState struct {
+	mu  sync.Mutex
+	seq atomic.Uint64
+}
+
+func (s *bumpState) acquire() {
+	s.mu.Lock()
+	s.seq.Add(1) // want `seqlock word mutated outside lockShard/unlockShard`
 }

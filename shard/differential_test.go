@@ -19,10 +19,13 @@ package shard_test
 // ./shard/...).
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/dist"
+	"repro/internal/fault"
 	"repro/shard"
 	"repro/table"
 	"repro/workload"
@@ -417,4 +420,128 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 	}
 	t.Logf("final: %d migrations, %d view publishes, %d read retries, %d read fallbacks",
 		st.MigrationsDone, st.ViewPublishes, st.ReadRetries, st.ReadFallbacks)
+}
+
+// TestDifferentialTwoClients replays the benchmark's rw_resize step shape
+// — a batch put, two batched reads of keys inserted earlier, one of keys
+// never inserted, then scalar deletes of part of the step before — from
+// two goroutines on one growing 4-shard engine, for every scheme. The
+// clients own disjoint keys and values are a function of their keys, so
+// every lane of every read is determined by the client's own map: a torn
+// probe kept or a read finished under the wrong lock shows as a wrong
+// lane, not as a changed count. It runs with two and with four Ps, and again under the
+// seeded stall schedule, which stretches the migration steps the other
+// client's reads and lock acquisitions wait behind. Under -race the reads
+// take the locked path and the acquire helper is what is exercised.
+func TestDifferentialTwoClients(t *testing.T) {
+	const (
+		clients   = 2
+		perClient = 1 << 13
+		step      = 512
+		victims   = 128
+	)
+	gen := dist.New(dist.Sparse, 31)
+	replay := func(e *shard.Engine, c int) error {
+		og := offsetGen{gen: gen, base: uint64(c) * stride}
+		keys, absent := og.Keys(perClient), og.AbsentKeys(perClient, perClient)
+		vals := make([]uint64, perClient)
+		for i, k := range keys {
+			vals[i] = k ^ valTag
+		}
+		own := make(map[uint64]uint64, perClient)
+		live := make([]uint64, 0, perClient) // own's keys, to draw reads from
+		rnd := uint64(c)*0x9e3779b97f4a7c15 + 1
+		reads, out, ok := make([]uint64, step), make([]uint64, step), make([]bool, step)
+		checkRead := func(what string, at int, keys []uint64) error {
+			hits, want := e.GetBatch(keys, out, ok), 0
+			for i, k := range keys {
+				v, present := own[k]
+				if present {
+					want++
+				}
+				if ok[i] != present || (present && out[i] != v) {
+					return fmt.Errorf("client %d step %d %s lane %d: key %#x = (%#x,%v), own map (%#x,%v)", c, at, what, i, k, out[i], ok[i], v, present)
+				}
+			}
+			if hits != want {
+				return fmt.Errorf("client %d step %d %s: %d hits, own map %d", c, at, what, hits, want)
+			}
+			return nil
+		}
+		for lo := 0; lo < perClient; lo += step {
+			n, err := e.PutBatch(keys[lo:lo+step], vals[lo:lo+step])
+			if err != nil || n != step {
+				return fmt.Errorf("client %d step %d: PutBatch inserted %d of %d: %v", c, lo/step, n, step, err)
+			}
+			for i, k := range keys[lo : lo+step] {
+				own[k] = vals[lo+i]
+				if i >= victims {
+					live = append(live, k)
+				}
+			}
+			for range 2 {
+				for i := range reads {
+					rnd ^= rnd << 13
+					rnd ^= rnd >> 7
+					rnd ^= rnd << 17
+					reads[i] = live[rnd%uint64(len(live))]
+				}
+				if err := checkRead("present read", lo/step, reads); err != nil {
+					return err
+				}
+			}
+			if err := checkRead("absent read", lo/step, absent[lo:lo+step]); err != nil {
+				return err
+			}
+			if lo > 0 {
+				for _, k := range keys[lo-step:][:victims] {
+					if !e.Delete(k) {
+						return fmt.Errorf("client %d step %d: Delete(%#x) found nothing", c, lo/step, k)
+					}
+					delete(own, k)
+				}
+			}
+		}
+		// The last step's victims are still live: every key a client read
+		// as a survivor, plus those.
+		if len(own) != len(live)+victims {
+			return fmt.Errorf("client %d: own map ends with %d keys, tape says %d", c, len(own), len(live)+victims)
+		}
+		return nil
+	}
+
+	for _, scheme := range table.AllSchemes() {
+		for _, procs := range []int{2, 4} {
+			for _, stalls := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/p%d/stalls=%v", scheme, procs, stalls), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					e := newEngine(t, scheme, 4, 1<<10, 0.7, 13)
+					if stalls {
+						var rates [fault.NumKinds]float64
+						rates[fault.Stall] = 0.05
+						fault.Arm(fault.Config{Seed: 41, Rates: rates, StallYields: 2})
+						defer fault.Disarm()
+					}
+					var wg sync.WaitGroup
+					for c := range clients {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if err := replay(e, c); err != nil {
+								t.Error(err)
+							}
+						}()
+					}
+					wg.Wait()
+					st := e.Stats()
+					if want := clients * (perClient - (perClient/step-1)*victims); st.Len != want {
+						t.Errorf("Len = %d after both tapes, want %d", st.Len, want)
+					}
+					if st.MigrationsStarted < 4 {
+						t.Errorf("only %d migrations: the tapes were meant to cross several doublings per shard", st.MigrationsStarted)
+					}
+				})
+			}
+		}
+	}
 }

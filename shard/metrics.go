@@ -42,15 +42,17 @@ type Metrics struct {
 	DegradedEnter *obs.Counter
 	Healed        *obs.Counter
 
-	// Wait-free read-path health. ReadRetry counts optimistic attempts
-	// discarded because a writer's seqlock window overlapped the probe;
-	// ReadFallback counts reads that exhausted the retry budget and
-	// parked on the writer lock; ViewRepublish counts epoch publications
-	// (resize begin/finish, rebuild, degraded flips — plus the birth
-	// epochs if Metrics are attached at construction). All three stay
-	// zero under read-only load.
+	// Wait-free read-path health. ReadRetry counts optimistic probes
+	// discarded because a writer's seqlock window overlapped them (a Get's
+	// lookup, a GetBatch's whole shard range); ReadFallback, reads that
+	// exhausted their budget and finished under the writer lock; LockPark,
+	// lock acquisitions that outlasted the watch and slept on the mutex;
+	// ViewRepublish, epoch publications (resize begin/finish, rebuild,
+	// degraded flips — plus the birth epochs if Metrics are attached at
+	// construction). All four stay zero under read-only load.
 	ReadRetry     *obs.Counter
 	ReadFallback  *obs.Counter
+	LockPark      *obs.Counter
 	ViewRepublish *obs.Counter
 }
 
@@ -75,6 +77,7 @@ func NewMetrics(shards int) *Metrics {
 		Healed:         obs.NewCounter(shards),
 		ReadRetry:      obs.NewCounter(shards),
 		ReadFallback:   obs.NewCounter(shards),
+		LockPark:       obs.NewCounter(shards),
 		ViewRepublish:  obs.NewCounter(shards),
 	}
 }
@@ -96,6 +99,7 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+`shard_degraded_total{transition="heal"}`, "", m.Healed)
 	r.RegisterCounter(prefix+"shard_read_retries_total", "optimistic read attempts discarded by a writer's seqlock window", m.ReadRetry)
 	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", m.ReadFallback)
+	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the watch and slept on the mutex", m.LockPark)
 	r.RegisterCounter(prefix+"shard_view_republish_total", "shard view (epoch) publications", m.ViewRepublish)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/obs"
 	"repro/shard"
@@ -203,16 +204,16 @@ func TestMetricsReadPathCounters(t *testing.T) {
 	}
 	// Single-goroutine traffic never overlaps a writer window: the
 	// retry/fallback counters must hold at zero.
-	if m.ReadRetry.Value() != 0 || m.ReadFallback.Value() != 0 {
-		t.Fatalf("uncontended run counted retries=%d fallbacks=%d, want 0/0",
-			m.ReadRetry.Value(), m.ReadFallback.Value())
+	if m.ReadRetry.Value() != 0 || m.ReadFallback.Value() != 0 || m.LockPark.Value() != 0 {
+		t.Fatalf("uncontended run counted retries=%d fallbacks=%d parks=%d, want 0/0/0",
+			m.ReadRetry.Value(), m.ReadFallback.Value(), m.LockPark.Value())
 	}
-	if st.ReadRetries != 0 || st.ReadFallbacks != 0 {
-		t.Fatalf("Stats counted retries=%d fallbacks=%d uncontended", st.ReadRetries, st.ReadFallbacks)
+	if st.ReadRetries != 0 || st.ReadFallbacks != 0 || st.LockParks != 0 {
+		t.Fatalf("Stats counted retries=%d fallbacks=%d parks=%d uncontended", st.ReadRetries, st.ReadFallbacks, st.LockParks)
 	}
 
-	// The exposition carries the three read-path series under their
-	// conventional names.
+	// The exposition carries the four read-path and lock series under
+	// their conventional names.
 	r := obs.NewRegistry()
 	m.Register(r, "")
 	var buf strings.Builder
@@ -221,6 +222,7 @@ func TestMetricsReadPathCounters(t *testing.T) {
 	for _, name := range []string{
 		"shard_read_retries_total",
 		"shard_read_fallbacks_total",
+		"shard_lock_parks_total",
 		"shard_view_republish_total",
 	} {
 		if !strings.Contains(text, name) {
@@ -229,6 +231,51 @@ func TestMetricsReadPathCounters(t *testing.T) {
 	}
 	if !strings.Contains(text, fmt.Sprintf("shard_view_republish_total %d", m.ViewRepublish.Value())) {
 		t.Errorf("exposition does not carry the ViewRepublish total:\n%s", text)
+	}
+}
+
+// TestMetricsLockParks: a writer that finds its shard's lock held for
+// longer than it is willing to watch sleeps on the mutex, and that is
+// counted once — in Stats, on the striped counter, in the exposition.
+func TestMetricsLockParks(t *testing.T) {
+	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
+	m := shard.NewMetrics(e.Shards())
+	e.SetMetrics(m)
+	if _, err := e.Put(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	// RangeShard holds the shard's lock while it visits the entry: the Put
+	// started from inside the visit cannot get it, and the visit returns
+	// only once the Put has given up watching.
+	put := make(chan error)
+	e.RangeShard(0, func(_, _ uint64) bool {
+		go func() {
+			_, err := e.Put(2, 20)
+			put <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); m.LockPark.Value() == 0; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Error("a writer is still watching a lock held for ten seconds")
+				break
+			}
+		}
+		return false
+	})
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().LockParks; got != 1 {
+		t.Fatalf("Stats.LockParks = %d, want 1", got)
+	}
+	if got := m.LockPark.Value(); got != 1 {
+		t.Fatalf("LockPark counter = %d, want 1", got)
+	}
+	r := obs.NewRegistry()
+	m.Register(r, "")
+	var buf strings.Builder
+	r.WriteText(&buf)
+	if !strings.Contains(buf.String(), "shard_lock_parks_total 1") {
+		t.Errorf("exposition does not carry the LockPark total:\n%s", buf.String())
 	}
 }
 

@@ -10,13 +10,22 @@ package shard
 // rules) report every one of them. The slow path IS the optimistic
 // path's fallback, so race builds exercise real code, not a stub.
 
-// readMaxRetries bounds the optimistic attempts a reader makes before
-// falling back to the writer lock: enough to ride out a few short
-// writer windows, small enough that a reader stuck behind a long batch
-// mutation parks on the lock (once per read, not per key) instead of
-// spinning. Progress is therefore never lost — the fallback serializes
-// behind the writer and always completes.
+// readMaxRetries bounds the optimistic attempts a single-key or observer
+// read makes before falling back to the writer lock: enough to ride out a
+// few short writer windows, small enough that a reader stuck behind a long
+// batch mutation queues on the lock instead of spinning. Progress is
+// therefore never lost — the fallback serializes behind the writer and
+// always completes.
 const readMaxRetries = 8
+
+// A staged range pays for a torn probe with every key it looked up, so its
+// budget is readRangeDiscards probes, not readMaxRetries (readRange).
+// lockWatchNanos, about one batch hold, is how long a waiter watches a held
+// shard before it sleeps on the mutex (acquire).
+const (
+	readRangeDiscards = 2
+	lockWatchNanos    = 40_000
+)
 
 // readGetSlow is the locked single-key read: the optimistic path's
 // fallback and the race-build read path. It takes the writer lock (no
@@ -24,7 +33,7 @@ const readMaxRetries = 8
 // must keep validating successfully while it holds the lock) and probes
 // the current view.
 func (e *Engine) readGetSlow(s *shardState, key uint64) (uint64, bool) {
-	s.mu.Lock()
+	s.acquire()
 	v := s.view.Load()
 	val, ok := v.get(key)
 	s.mu.Unlock()
@@ -33,7 +42,7 @@ func (e *Engine) readGetSlow(s *shardState, key uint64) (uint64, bool) {
 
 // readRangeSlow is the locked staged-range read behind GetBatch.
 func (e *Engine) readRangeSlow(s *shardState, keys, vals []uint64, ok []bool) int {
-	s.mu.Lock()
+	s.acquire()
 	hits := s.view.Load().getRange(keys, vals, ok)
 	s.mu.Unlock()
 	return hits
@@ -44,14 +53,14 @@ func (e *Engine) readRangeSlow(s *shardState, keys, vals []uint64, ok []bool) in
 // MemoryFootprint) whose table accessors may touch writer-mutated
 // words.
 func (e *Engine) readSnapshotSlow(s *shardState, fn func(v *view)) {
-	s.mu.Lock()
+	s.acquire()
 	fn(s.view.Load())
 	s.mu.Unlock()
 }
 
-// readAccount records a read that retried (and possibly fell back):
-// engine totals for Stats, striped counters for the registry. Off the
-// hot path by construction — validated first-attempt reads never call
+// readAccount records a read that discarded probes (and possibly fell
+// back): engine totals for Stats, striped counters for the registry. Off
+// the hot path by construction — validated first-attempt reads never call
 // it.
 func (e *Engine) readAccount(s *shardState, retries uint64, fellBack bool) {
 	e.readRetries.Add(retries)

@@ -6,8 +6,9 @@ package shard
 // snapshots the shard's sequence word, loads the published view, probes
 // it with plain loads, and validates that the sequence is unchanged
 // (and was even — no writer mid-window). On a torn window it yields and
-// retries up to readMaxRetries times, then falls back to the writer
-// lock so progress is never lost.
+// retries up to readMaxRetries times (a staged range: readRangeDiscards,
+// see readRange), then falls back to the writer lock so progress is never
+// lost.
 //
 // The probes race writer stores by design; sequence validation discards
 // every observation the race could have corrupted before it escapes.
@@ -45,29 +46,39 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 
 // readRange is the wait-free staged-range read behind GetBatch: one
 // sequence validation covers the whole shard range, so the two atomic
-// loads amortize over the batch. A torn window retries the whole range
-// (the output lanes are caller-owned scratch until the batch returns,
-// so re-probing just overwrites them).
+// loads amortize over the batch. A torn probe is discarded and the range
+// looked up again (the output lanes are caller-owned scratch until the
+// batch returns); an open window is not probed into but watched until it
+// closes. readRangeDiscards torn probes, or lockWatchNanos of watching in
+// all, and the range is read under the lock.
 //
 // Inside the window the range goes to view.getRange — on a steady-state
 // shard the table's own GetBatch pipeline, which writes nothing the
 // table owns and cannot be made to spin by a torn state, so it needs
 // nothing from the protocol beyond the validation a scalar Get gets.
 func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
-	for attempt := 0; attempt <= readMaxRetries; attempt++ {
+	torn, watchUntil := uint64(0), int64(-1)
+	for torn < readRangeDiscards {
 		s1 := s.seq.Load()
-		if s1&1 == 0 {
-			hits := s.view.Load().getRange(keys, vals, ok)
-			if s.seq.Load() == s1 {
-				if attempt > 0 {
-					e.readAccount(s, uint64(attempt), false)
-				}
-				return hits
+		if s1&1 != 0 {
+			if watchUntil < 0 {
+				watchUntil = watchEnd()
 			}
+			if !s.awaitEven(watchUntil) {
+				break
+			}
+			continue
 		}
-		runtime.Gosched()
+		hits := s.view.Load().getRange(keys, vals, ok)
+		if s.seq.Load() == s1 {
+			if torn > 0 {
+				e.readAccount(s, torn, false)
+			}
+			return hits
+		}
+		torn++
 	}
-	e.readAccount(s, readMaxRetries+1, true)
+	e.readAccount(s, torn, true)
 	return e.readRangeSlow(s, keys, vals, ok)
 }
 

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/exec"
 	"repro/hashfn"
@@ -240,4 +241,123 @@ func BenchmarkReadScale(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkTwoClients keeps the sharing ceiling in the tree: the
+// benchmark's rw_resize step tape (a 1024-key PutBatch, two GetBatch of
+// keys inserted earlier, one of absent keys, then 256 scalar Deletes of
+// the step before) on fresh 4-shard engines that grow from 2^14 slots
+// through about seven doublings. Each iteration replays both clients'
+// tapes three ways — one client doing both, two clients sharing an
+// engine, two clients on private engines (same work, same memory, no
+// shared lock) — and reports ns/row of each plus shared/private, the
+// price of the shared handle: 1.0 is the hardware's ceiling. The shared
+// run's read retries, fallbacks and lock parks per iteration ride along.
+// Run with -cpu 2 (or more) and -benchtime 5x or so; the tracked number is
+// the benchmark ladder's shard.scale_w2.
+func BenchmarkTwoClients(b *testing.B) {
+	const (
+		perClient = 1 << 19
+		step      = 1024
+		victims   = 256
+	)
+	type tape struct {
+		keys, vals, reads, absent, out []uint64
+		ok                             []bool
+	}
+	tapes := make([]*tape, 2)
+	for c := range tapes {
+		t := &tape{
+			keys: make([]uint64, perClient), vals: make([]uint64, perClient),
+			reads: make([]uint64, 2*perClient), absent: make([]uint64, perClient),
+			out: make([]uint64, step), ok: make([]bool, step),
+		}
+		rnd := uint64(c)*0x9e3779b97f4a7c15 + 88172645463325252
+		for i := range t.keys {
+			// Odd multiples stay distinct; the low bit tells clients (and
+			// the absent keys, which set bit 1 instead) apart.
+			t.keys[i] = (uint64(i)*4+uint64(c))*0x9e3779b97f4a7c15 | 1
+			t.vals[i] = t.keys[i] * 3
+			t.absent[i] = (uint64(i)*4 + 2 + uint64(c)) * 0x9e3779b97f4a7c15 &^ 1
+		}
+		for i := range t.reads {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			s := int(rnd>>33) % (i/(2*step) + 1) // a step up to the current one
+			t.reads[i] = t.keys[s*step+victims+int(rnd&0xffff)%(step-victims)]
+		}
+		tapes[c] = t
+	}
+	open := func() *shard.Engine {
+		return shard.MustNew(shard.Config{
+			Shards: 4, Capacity: 1 << 14, GrowAt: 0.7, Seed: 1,
+			NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+				return table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+			},
+		})
+	}
+	replay := func(e *shard.Engine, t *tape) {
+		for lo := 0; lo < perClient; lo += step {
+			if n, err := e.PutBatch(t.keys[lo:lo+step], t.vals[lo:lo+step]); err != nil || n != step {
+				panic(fmt.Sprintf("PutBatch inserted %d of %d: %v", n, step, err))
+			}
+			for r := 2 * lo; r < 2*lo+2*step; r += step {
+				if hits := e.GetBatch(t.reads[r:r+step], t.out, t.ok); hits != step {
+					panic(fmt.Sprintf("present read hit %d of %d", hits, step))
+				}
+			}
+			if hits := e.GetBatch(t.absent[lo:lo+step], t.out, t.ok); hits != 0 {
+				panic(fmt.Sprintf("absent read hit %d", hits))
+			}
+			if lo > 0 {
+				for _, k := range t.keys[lo-step:][:victims] {
+					if !e.Delete(k) {
+						panic("victim missing")
+					}
+				}
+			}
+		}
+	}
+	together := func(engines ...*shard.Engine) time.Duration {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for c, t := range tapes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replay(engines[c%len(engines)], t)
+			}()
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+	rows := float64(2 * (perClient*4 + (perClient/step-1)*victims))
+
+	var one, shared, private time.Duration
+	var sharedStats shard.Stats
+	for i := 0; i < b.N; i++ {
+		e := open()
+		start := time.Now()
+		replay(e, tapes[0])
+		replay(e, tapes[1])
+		one += time.Since(start)
+
+		e = open()
+		shared += together(e)
+		st := e.Stats()
+		sharedStats.ReadRetries += st.ReadRetries
+		sharedStats.ReadFallbacks += st.ReadFallbacks
+		sharedStats.LockParks += st.LockParks
+
+		private += together(open(), open())
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(one.Nanoseconds())/n/rows, "one-ns/row")
+	b.ReportMetric(float64(shared.Nanoseconds())/n/rows, "shared-ns/row")
+	b.ReportMetric(float64(private.Nanoseconds())/n/rows, "private-ns/row")
+	b.ReportMetric(float64(shared)/float64(private), "shared/private")
+	b.ReportMetric(float64(sharedStats.ReadRetries)/n, "retries/op")
+	b.ReportMetric(float64(sharedStats.ReadFallbacks)/n, "fallbacks/op")
+	b.ReportMetric(float64(sharedStats.LockParks)/n, "parks/op")
 }

@@ -14,14 +14,11 @@ package shard_test
 //     of the median.
 //
 // Per-op latencies are recorded and reported as p50/p99/p99.9/max
-// ns/op metrics. When the BENCH_SHARD_JSON environment variable names a
-// file, the collected distribution summary is written there as JSON (the
-// CI bench-smoke step uploads it as the BENCH_shard.json artifact).
+// ns/op metrics through ReportMetric; the tracked number for this question
+// is the benchmark ladder's shard.put_ns_per_row_p99 (benchmark/).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -35,46 +32,16 @@ import (
 // capacity through ~5 doublings.
 const benchKeys = 1 << 17
 
-// tailSummary is one path's latency distribution, in nanoseconds.
-type tailSummary struct {
-	Path   string  `json:"path"`
-	Keys   int     `json:"keys"`
-	P50    float64 `json:"p50_ns"`
-	P99    float64 `json:"p99_ns"`
-	P999   float64 `json:"p999_ns"`
-	Max    float64 `json:"max_ns"`
-	MeanNs float64 `json:"mean_ns"`
-}
-
-// benchResults accumulates sub-benchmark summaries for the JSON artifact.
-var benchResults []tailSummary
-
-func summarize(path string, lat []time.Duration) tailSummary {
+// reportTail reports the quantiles of one path's per-op latencies.
+func reportTail(b *testing.B, lat []time.Duration) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	pick := func(q float64) float64 {
-		i := int(q * float64(len(lat)-1))
-		return float64(lat[i])
+		return float64(lat[int(q*float64(len(lat)-1))])
 	}
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	return tailSummary{
-		Path:   path,
-		Keys:   len(lat),
-		P50:    pick(0.50),
-		P99:    pick(0.99),
-		P999:   pick(0.999),
-		Max:    float64(lat[len(lat)-1]),
-		MeanNs: float64(sum) / float64(len(lat)),
-	}
-}
-
-func reportTail(b *testing.B, s tailSummary) {
-	b.ReportMetric(s.P50, "p50-ns/op")
-	b.ReportMetric(s.P99, "p99-ns/op")
-	b.ReportMetric(s.P999, "p99.9-ns/op")
-	b.ReportMetric(s.Max, "max-ns/op")
+	b.ReportMetric(pick(0.50), "p50-ns/op")
+	b.ReportMetric(pick(0.99), "p99-ns/op")
+	b.ReportMetric(pick(0.999), "p99.9-ns/op")
+	b.ReportMetric(pick(1), "max-ns/op")
 }
 
 // runTail inserts benchKeys sequential keys through put, timing each op.
@@ -94,31 +61,28 @@ func runTail(put func(k uint64)) []time.Duration {
 func BenchmarkResizeTail(b *testing.B) {
 	const initialCapacity = 1 << 12
 	b.Run("rehash", func(b *testing.B) {
-		var s tailSummary
+		var lat []time.Duration
 		for i := 0; i < b.N; i++ {
 			t := table.MustNew(table.SchemeRH, table.Config{
 				InitialCapacity: initialCapacity,
 				MaxLoadFactor:   0.85,
 				Seed:            1,
 			})
-			lat := runTail(func(k uint64) {
+			lat = runTail(func(k uint64) {
 				if _, err := t.TryPut(k, k); err != nil {
 					b.Fatal(err)
 				}
 			})
-			s = summarize("rehash", lat)
 		}
-		reportTail(b, s)
-		benchResults = append(benchResults, s)
+		reportTail(b, lat)
 	})
 	// incremental-1 isolates the resize mechanism (one shard, same keys);
 	// incremental-8 is the production configuration, where sharding also
 	// divides the one remaining per-migration cost — the successor-table
 	// allocation — by the shard count.
 	for _, shards := range []int{1, 8} {
-		name := fmt.Sprintf("incremental-%dshard", shards)
-		b.Run(name, func(b *testing.B) {
-			var s tailSummary
+		b.Run(fmt.Sprintf("incremental-%dshard", shards), func(b *testing.B) {
+			var lat []time.Duration
 			for i := 0; i < b.N; i++ {
 				e := shard.MustNew(shard.Config{
 					Shards:   shards,
@@ -129,7 +93,7 @@ func BenchmarkResizeTail(b *testing.B) {
 						return table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
 					},
 				})
-				lat := runTail(func(k uint64) {
+				lat = runTail(func(k uint64) {
 					if _, err := e.Put(k, k); err != nil {
 						b.Fatal(err)
 					}
@@ -137,22 +101,8 @@ func BenchmarkResizeTail(b *testing.B) {
 				if st := e.Stats(); st.MigrationsStarted == 0 || st.Rebuilds != 0 {
 					b.Fatalf("incremental path degenerate: %+v", st)
 				}
-				s = summarize(name, lat)
 			}
-			reportTail(b, s)
-			benchResults = append(benchResults, s)
+			reportTail(b, lat)
 		})
-	}
-	if path := os.Getenv("BENCH_SHARD_JSON"); path != "" && len(benchResults) > 0 {
-		out, err := json.MarshalIndent(struct {
-			Benchmark string        `json:"benchmark"`
-			Paths     []tailSummary `json:"paths"`
-		}{Benchmark: "BenchmarkResizeTail", Paths: benchResults}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -5,12 +5,21 @@ package shard
 // Deterministic tests of the optimistic read protocol's retry and
 // fallback behavior: the shard's sequence word is held odd by hand (no
 // writer — the lock stays free), so a read must burn its full retry
-// budget, park on the writer lock, and still return the right answer.
-// Build-tagged !race because race builds replace the optimistic path
-// with the locked slow path (read_racedetector.go), which neither
-// retries nor accounts.
+// budget, take the writer lock, and still return the right answer; a
+// table whose GetBatch is hooked crosses a staged range's window from
+// inside its probe; and acquire's watch-then-park is followed through
+// Stats.LockParks. Build-tagged !race because race builds replace the
+// optimistic path with the locked slow path (read_racedetector.go), which
+// neither retries nor accounts.
 
-import "testing"
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/obs"
+)
 
 // holdWindowOpen makes s look mid-mutation to optimistic readers while
 // leaving the writer lock free, then returns a closer. Test-only: the
@@ -125,36 +134,40 @@ func TestReadFallbackWithoutMetrics(t *testing.T) {
 
 // batchHookTable is a testTable whose GetBatch records into a batchLog
 // the engine's tables share, so a test can tell the batched lookup from
-// the scalar chain.
+// the scalar chain and cross the reader's window from inside it.
 type batchHookTable struct {
 	*testTable
 	*batchLog
 }
 
-// batchLog counts GetBatch calls and the keys they were handed;
-// onGetBatch lets a test cross the reader's window from inside it.
+// batchLog lists the length of every GetBatch call in order; before and
+// after run around the call-th lookup (counting from 0), both inside the
+// reader's unvalidated window.
 type batchLog struct {
-	calls, keys int
-	onGetBatch  func()
+	calls         []int
+	before, after func(call int)
 }
 
 func (h batchHookTable) GetBatch(keys, vals []uint64, ok []bool) int {
-	h.calls++
-	h.keys += len(keys)
-	if h.onGetBatch != nil {
-		h.onGetBatch()
+	call := len(h.calls)
+	h.calls = append(h.calls, len(keys))
+	if h.before != nil {
+		h.before(call)
 	}
-	return h.testTable.GetBatch(keys, vals, ok)
+	hits := h.testTable.GetBatch(keys, vals, ok)
+	if h.after != nil {
+		h.after(call)
+	}
+	return hits
 }
 
-// TestReadRangeTouchRetryAndFallback: a steady-state shard's staged range
-// is ONE call of its table's GetBatch per attempt — touch pass and walks,
-// the whole pipeline — inside the validate / retry / lock-fallback
-// protocol; a migrating shard never calls it.
-func TestReadRangeTouchRetryAndFallback(t *testing.T) {
+// hookedEngine builds a one-shard engine over batchHookTables sharing one
+// log and stores keys 1..n under ten times themselves.
+func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
+	t.Helper()
 	bl := &batchLog{}
 	e, err := New(Config{
-		Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7,
+		Shards: 1, Capacity: 4 * n, GrowAt: 0.8, Seed: 7,
 		NewTable: func(capacity int, seed uint64) (Table, error) {
 			inner, err := newTestTable(capacity, seed)
 			return batchHookTable{inner.(*testTable), bl}, err
@@ -163,8 +176,6 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &e.shards[0]
-	const n = 150
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = uint64(i) + 1
@@ -172,65 +183,171 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return e, bl, keys
+}
+
+// TestReadRangeTouchRetryAndFallback: a steady-state shard's staged range
+// is ONE call of its table's GetBatch per attempt — touch pass and walks,
+// the whole pipeline — inside the validate / re-probe / lock-fallback
+// protocol: a torn probe's answers are thrown away, an open window is not
+// probed into, a range that has discarded its budget is read under the
+// lock; a migrating shard never calls GetBatch.
+func TestReadRangeTouchRetryAndFallback(t *testing.T) {
+	const n = 600
 	vals := make([]uint64, n)
 	ok := make([]bool, n)
-	check := func(when string, wantCalls int) {
+	// read runs one GetBatch over the whole range and fails unless every
+	// lane holds what hookedEngine stored and the table saw wantCalls
+	// lookups, each of the whole range.
+	read := func(when string, e *Engine, bl *batchLog, keys []uint64, wantCalls int) {
 		t.Helper()
-		bl.calls, bl.keys = 0, 0
 		if hits := e.GetBatch(keys, vals, ok); hits != n {
-			t.Fatalf("%s: GetBatch hit %d of %d", when, hits, n)
+			t.Fatalf("%s: hit %d of %d", when, hits, n)
 		}
 		for i, k := range keys {
 			if !ok[i] || vals[i] != k*10 {
-				t.Fatalf("%s: lane %d = (%d,%v), want (%d,true)", when, i, vals[i], ok[i], k*10)
+				t.Fatalf("%s: lane %d (key %d) = (%d,%v), want (%d,true)", when, i, k, vals[i], ok[i], k*10)
 			}
-			vals[i], ok[i] = 0, false
 		}
-		if bl.calls != wantCalls || bl.keys != wantCalls*n {
-			t.Fatalf("%s: table GetBatch called %d times with %d keys, want %d calls of the whole %d-key range",
-				when, bl.calls, bl.keys, wantCalls, n)
+		if len(bl.calls) != wantCalls {
+			t.Fatalf("%s: %d GetBatch calls %v, want %d", when, len(bl.calls), bl.calls, wantCalls)
+		}
+		for _, got := range bl.calls {
+			if got != n {
+				t.Fatalf("%s: GetBatch calls of %v keys, want the whole %d-key range each time", when, bl.calls, n)
+			}
 		}
 	}
 
-	check("quiet", 1)
-	if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
-		t.Fatal("quiet read retried")
-	}
-
-	// A writer's whole window passes during each of the first three
-	// attempts: each is discarded and the range looked up again; the
-	// fourth validates, with the same answers.
-	crossings := 0
-	bl.onGetBatch = func() {
-		if crossings < 3 {
-			crossings++
-			s.seq.Add(2)
+	{
+		e, bl, keys := hookedEngine(t, n)
+		read("quiet", e, bl, keys, 1)
+		if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
+			t.Fatal("quiet read retried")
 		}
 	}
-	check("three torn attempts", 4)
-	if got := e.readRetries.Load(); got != 3 {
-		t.Fatalf("readRetries = %d, want 3", got)
-	}
-	if e.readFallbacks.Load() != 0 {
-		t.Fatal("fell back with retry budget to spare")
-	}
 
-	// Every attempt torn: the budget runs out and the locked path answers
-	// — with the same batched lookup, now behind the writer lock.
-	bl.onGetBatch = func() { s.seq.Add(2) }
-	check("every attempt torn", readMaxRetries+2)
-	if got := e.readFallbacks.Load(); got != 1 {
-		t.Fatalf("readFallbacks = %d, want 1", got)
-	}
-
-	// A migrating view keeps the scalar successor→dead→frozen chain.
-	bl.onGetBatch = nil
-	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
-		if _, err := e.Put(k, k*10); err != nil {
-			t.Fatal(err)
+	{
+		// A writer's whole window passes during the first probe, which
+		// reads the values half-rewritten: the reader must throw those
+		// answers away and look the range up again.
+		e, bl, keys := hookedEngine(t, n)
+		s, tab := &e.shards[0], e.shards[0].view.Load().cur.(batchHookTable).testTable
+		rewrite := func(call int, add uint64) {
+			if call == 0 {
+				s.seq.Add(1)
+				for _, k := range keys {
+					tab.m[k] = k*10 + add
+				}
+			}
+		}
+		bl.before = func(call int) { rewrite(call, 1) }
+		bl.after = func(call int) { rewrite(call, 0) }
+		read("torn once", e, bl, keys, 2)
+		if got := e.readRetries.Load(); got != 1 {
+			t.Fatalf("readRetries = %d, want the one discarded probe", got)
+		}
+		if e.readFallbacks.Load() != 0 {
+			t.Fatal("fell back with budget to spare")
 		}
 	}
-	check("migrating", 0)
+
+	{
+		// A writer's window crosses every probe made without the lock: the
+		// budget is spent and the locked path answers — with the same
+		// batched lookup, now behind the writer lock.
+		e, bl, keys := hookedEngine(t, n)
+		s := &e.shards[0]
+		bl.before = func(int) {
+			if s.mu.TryLock() {
+				s.mu.Unlock()
+				s.seq.Add(2)
+			}
+		}
+		read("budget spent", e, bl, keys, readRangeDiscards+1)
+		if got := e.readFallbacks.Load(); got != 1 {
+			t.Fatalf("readFallbacks = %d, want 1", got)
+		}
+		if got := e.readRetries.Load(); got != readRangeDiscards {
+			t.Fatalf("readRetries = %d, want the budget %d", got, readRangeDiscards)
+		}
+	}
+
+	{
+		// A window that stays open is watched, not probed: nothing is
+		// discarded, and the one lookup is the locked one.
+		e, bl, keys := hookedEngine(t, n)
+		closeWindow := holdWindowOpen(&e.shards[0])
+		read("window stays open", e, bl, keys, 1)
+		closeWindow()
+		if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 1 {
+			t.Fatalf("window stays open: %d probes discarded, %d fallbacks, want 0 and 1", e.readRetries.Load(), e.readFallbacks.Load())
+		}
+	}
+
+	{
+		// A migrating view keeps the scalar successor→dead→frozen chain.
+		e, bl, keys := hookedEngine(t, n)
+		for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
+			if _, err := e.Put(k, k*10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read("migrating", e, bl, keys, 0)
+	}
+}
+
+// TestReadRangeFollowsAClosingWindow: a range that arrives at an open
+// window waits for it to close and is then read without the lock.
+func TestReadRangeFollowsAClosingWindow(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a reader can only watch a writer that runs beside it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 600
+	vals := make([]uint64, n)
+	ok := make([]bool, n)
+	// The writer closes its window a few microseconds after the reader
+	// set out, well inside the watch. A noisy machine may take its core
+	// away for longer than that, so one of several trials, spread over a
+	// while, must get through without the lock; a reader that did not
+	// watch never would.
+	for trial := 1; ; trial++ {
+		e, _, keys := hookedEngine(t, n)
+		closeWindow := holdWindowOpen(&e.shards[0])
+		// The writer has a P of its own, and says so, before the reader
+		// sets out.
+		var writing, reading atomic.Bool
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			writing.Store(true)
+			for !reading.Load() {
+			}
+			for end := obs.Now() + lockWatchNanos/8; obs.Now() < end; {
+			}
+			closeWindow()
+		}()
+		for !writing.Load() {
+			runtime.Gosched()
+		}
+		reading.Store(true)
+		hits := e.GetBatch(keys, vals, ok)
+		<-closed
+		if hits != n {
+			t.Fatalf("hit %d of %d", hits, n)
+		}
+		if e.readFallbacks.Load() == 0 {
+			if got := e.readRetries.Load(); got != 0 {
+				t.Fatalf("%d probes discarded, want none: an open window is not probed into", got)
+			}
+			return
+		}
+		if trial == 20 {
+			t.Fatalf("%d readers behind a window open for %d ns all took the lock", trial, lockWatchNanos/8)
+		}
+		time.Sleep(time.Duration(trial) * time.Millisecond)
+	}
 }
 
 // getHookTable is a testTable whose next Get first runs a one-shot hook
@@ -323,5 +440,127 @@ func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
 		if _, ok := e.Get(key(i)); ok {
 			t.Fatalf("dead key %d readable after the doubling", i)
 		}
+	}
+}
+
+// contend has a second goroutine take and release s's writer window while
+// the caller holds it: the caller starts the waiter, runs hold, lets go
+// and joins the waiter.
+func contend(s *shardState, hold func()) {
+	s.lockShard()
+	done := make(chan struct{})
+	go func() {
+		s.lockShard()
+		s.unlockShard()
+		close(done)
+	}()
+	hold()
+	s.unlockShard()
+	<-done
+}
+
+func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a waiter can only watch a holder that runs beside it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := testEngine(t, 1, 64)
+	s := &e.shards[0]
+	// Holder and waiter hand the turn over through atomics and never
+	// block, so after a moment each has a P of its own, as two clients of
+	// a handle have. The holder lets go a few microseconds after calling
+	// the waiter in, well inside the watch. A noisy machine may take a
+	// core away for longer than the watch now and then, so a quarter of
+	// one trial's attempts, in any of a few trials, must end without a
+	// park; a waiter that did not watch would park on nearly every one.
+	// TestAcquireParksBehindALongHold is the deterministic half.
+	const trials, attempts = 5, 40
+	var turn, got atomic.Int32 // turn < 0 stops the waiter
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for round := int32(1); ; round++ {
+			for turn.Load() != round {
+				if turn.Load() < 0 {
+					return
+				}
+			}
+			s.lockShard()
+			s.unlockShard()
+			got.Store(round)
+		}
+	}()
+	defer func() {
+		turn.Store(-1)
+		<-stopped
+	}()
+	round, best := int32(0), 0
+	for trial := 0; trial < trials && best < attempts/4; trial++ {
+		watched := 0
+		for range attempts {
+			round++
+			before := e.lockParks.Load()
+			s.lockShard()
+			turn.Store(round)
+			for end := obs.Now() + lockWatchNanos/8; obs.Now() < end; {
+			}
+			s.unlockShard()
+			for got.Load() != round {
+			}
+			if e.lockParks.Load() == before {
+				watched++
+			}
+		}
+		best = max(best, watched)
+	}
+	if best < attempts/4 {
+		t.Fatalf("at best %d of %d waiters behind a %d ns hold got the lock without parking in %d trials", best, attempts, lockWatchNanos/8, trials)
+	}
+}
+
+func TestAcquireParksBehindALongHold(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("with one P the waiter parks at once: see TestAcquireParksAtOnceOnOneP")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := testEngine(t, 1, 64)
+	// The holder lets go only once the waiter has given the watch up: a
+	// waiter that never parked would keep it waiting.
+	contend(&e.shards[0], func() {
+		for deadline := time.Now().Add(10 * time.Second); e.lockParks.Load() == 0; time.Sleep(lockWatchNanos) {
+			if time.Now().After(deadline) {
+				t.Error("the waiter is still watching a lock held for ten seconds")
+				return
+			}
+		}
+	})
+	if got := e.Stats().LockParks; got != 1 {
+		t.Fatalf("Stats.LockParks = %d, want 1", got)
+	}
+}
+
+func TestAcquireParksAtOnceOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := testEngine(t, 1, 64)
+	// With one P the holder yields, the waiter runs until it sleeps on the
+	// mutex, and the holder is back: a few microseconds, or no less than
+	// the whole watch if the waiter watched first. The fastest of many
+	// attempts is free of the machine's noise.
+	fastest := int64(1 << 62)
+	for range 50 {
+		before := e.lockParks.Load()
+		contend(&e.shards[0], func() {
+			start := obs.Now()
+			for e.lockParks.Load() == before && obs.Now()-start < int64(10*time.Second) {
+				runtime.Gosched()
+			}
+			fastest = min(fastest, obs.Now()-start)
+		})
+		if e.lockParks.Load() != before+1 {
+			t.Fatal("the waiter never slept on a lock held for ten seconds")
+		}
+	}
+	if fastest >= lockWatchNanos {
+		t.Fatalf("a holder on the only P got it back no sooner than %d ns after yielding to a waiter: the waiter watched (%d ns) before it slept", fastest, lockWatchNanos)
 	}
 }

@@ -13,12 +13,14 @@
 //
 //   - Writers serialize on the shard's sync.Mutex and mutate the table in
 //     place inside a seqlock window (the shard's sequence counter is odd
-//     for the duration).
+//     for the duration). One that finds the lock held watches that
+//     counter for a batch hold's length before it sleeps (acquire).
 //   - Readers never lock. They load the shard's published view (an
 //     atomic.Pointer to an immutable epoch struct naming the tables),
 //     probe it with plain loads, and validate the sequence counter was
-//     even and unchanged across the probe. A torn window retries a
-//     bounded number of times, then falls back to the writer lock, so
+//     even and unchanged across the probe. A torn probe is retried within
+//     a budget (nine attempts of a Get, two probes of a batched read's
+//     shard range), then the read finishes under the writer lock, so
 //     reads are wait-free in the common case and always make progress.
 //
 // The probe kernels this engine stripes are memory-bound (the paper's
@@ -35,10 +37,10 @@
 // (reads) or its lock taken (writes) once per batch, and gather results
 // back to the callers' lanes in input order. The staging comes from a
 // pool, one per call in flight, so a steady-state batch allocates nothing;
-// and both directions keep a chunk's cache misses overlapped — writes
-// through the tables' batched pipelines, wait-free reads through a
-// read-only touch of each chunk's home lines ahead of its scalar probes
-// (see batch.go and readRange).
+// and both directions run a steady-state shard's range through its table's
+// own batched pipeline (the tables' GetBatch writes nothing they own, so
+// it runs inside the readers' unvalidated window; see batch.go and
+// readRange).
 //
 // # Incremental resize
 //
@@ -106,7 +108,8 @@
 // wait-free read is a point-in-time observation of that shard (see
 // view.go). Get, GetBatch and Len take no locks at all — readers never
 // block writers, and a read that keeps colliding with writer windows
-// (readMaxRetries torn attempts) parks on the writer lock instead of
+// (readMaxRetries torn attempts of a Get, readRangeDiscards discarded
+// probes of a GetBatch range) finishes under the writer lock instead of
 // spinning forever. There is no cross-shard snapshot: Len, Stats and
 // iteration observe one shard at a time and may observe different shards
 // at different instants. Range and ForEachTable hold the shard's writer
@@ -228,7 +231,7 @@ type kv struct{ k, v uint64 }
 // writer-private under mu (cursor, carry, backoff).
 type shardState struct {
 	// mu serializes writers. Readers touch it only on the bounded-retry
-	// fallback path (and in race-detector builds).
+	// fallback path (and in race-detector builds); everyone through acquire.
 	mu sync.Mutex
 	// seq is the shard's seqlock word: odd while a writer is inside its
 	// mutation window, bumped on entry and exit (lockShard/unlockShard).
@@ -239,8 +242,9 @@ type shardState struct {
 	// Atomic so Len is one wait-free load per shard.
 	live atomic.Int64
 
-	seed   uint64 // table seed, reused for every successor generation
-	idx    int    // shard index (for DegradedError)
+	seed   uint64  // table seed, reused for every successor generation
+	idx    int     // shard index (for DegradedError)
+	eng    *Engine // the owner, for acquire's park accounting
 	jitter *prng.SplitMix64
 
 	// Migration cursor state, meaningful while a resize is in flight.
@@ -278,11 +282,12 @@ type Engine struct {
 	allocFails   atomic.Uint64
 	allocRetries atomic.Uint64
 
-	// Wait-free read-path accounting: torn-window retries, falls back to
-	// the writer lock, and view publications (see view.go).
+	// Wait-free read-path accounting: discarded probes, falls back to the
+	// writer lock, view publications, lock waits that slept (see view.go).
 	readRetries   atomic.Uint64
 	readFallbacks atomic.Uint64
 	viewPublishes atomic.Uint64
+	lockParks     atomic.Uint64
 
 	// metrics is the optional telemetry attachment (SetMetrics); nil —
 	// the default — keeps every hook to one atomic pointer load.
@@ -324,7 +329,7 @@ func New(cfg Config) (*Engine, error) {
 	perShard := cfg.Capacity / p
 	for i := range e.shards {
 		s := &e.shards[i]
-		s.idx = i
+		s.idx, s.eng = i, e
 		s.seed = cfg.Seed + uint64(i)*shardSeedStep
 		s.jitter = prng.NewSplitMix64(s.seed ^ jitterSeedMix)
 		t, err := e.allocTable(perShard, s.seed)

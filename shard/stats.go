@@ -44,13 +44,16 @@ type Stats struct {
 	AllocFailures uint64 `json:"alloc_failures,omitempty"`
 	AllocRetries  uint64 `json:"alloc_retries,omitempty"`
 
-	// ReadRetries counts optimistic read attempts discarded because a
-	// writer's seqlock window overlapped the probe; ReadFallbacks counts
-	// reads that exhausted their retry budget and parked on the writer
-	// lock. Both zero under read-only load — the wait-free read path's
-	// health ledger.
+	// ReadRetries counts optimistic probes discarded because a writer's
+	// seqlock window overlapped them (a Get's lookup, a GetBatch's whole
+	// shard range); ReadFallbacks counts reads that exhausted their budget
+	// and finished under the writer lock; LockParks counts lock
+	// acquisitions (writers' and fallbacks') that outlasted the watch and
+	// slept on the mutex. All zero under read-only load — the wait-free
+	// read path's health ledger.
 	ReadRetries   uint64 `json:"read_retries,omitempty"`
 	ReadFallbacks uint64 `json:"read_fallbacks,omitempty"`
+	LockParks     uint64 `json:"lock_parks,omitempty"`
 	// ViewPublishes counts shard view publications (epoch transitions):
 	// the Shards birth epochs plus one per resize begin/finish, rebuild,
 	// and degraded-state flip. Reads and in-place mutations never
@@ -75,6 +78,7 @@ func (e *Engine) Stats() Stats {
 		AllocRetries:      e.allocRetries.Load(),
 		ReadRetries:       e.readRetries.Load(),
 		ReadFallbacks:     e.readFallbacks.Load(),
+		LockParks:         e.lockParks.Load(),
 		ViewPublishes:     e.viewPublishes.Load(),
 	}
 	for i := range e.shards {

@@ -1,5 +1,11 @@
 package shard
 
+import (
+	"runtime"
+
+	"repro/obs"
+)
+
 // view is one shard's published read state: the epoch mechanism behind
 // the engine's wait-free readers. Exactly one view per shard is current
 // at any instant, installed through shardState.view (an atomic pointer)
@@ -17,6 +23,11 @@ package shard
 // mutation (lockShard/unlockShard), and a reader that observed an odd
 // count, or a count that changed across its probe, discards what it
 // read and retries.
+//
+// The sequence word is also what a waiter watches before it sleeps on the
+// mutex — a writer behind a held lock (acquire), a batched read at an open
+// window (readRange). Watching only loads; every transition of the word
+// stays in lockShard/unlockShard.
 //
 // # Snapshot semantics
 //
@@ -212,14 +223,58 @@ func (d *deadSet) add(k uint64) {
 // Seqlock window + publication chokepoint
 // ---------------------------------------------------------------------------
 
+// watchEnd is when a waiter starting now stops watching a held shard and
+// sleeps: lockWatchNanos from now — or at once with one P, where the
+// holder cannot run while the waiter watches.
+func watchEnd() int64 {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return 0
+	}
+	return obs.Now() + lockWatchNanos
+}
+
+// awaitEven loads the sequence word until no writer's window is open, and
+// reports false if the clock passed end first.
+func (s *shardState) awaitEven(end int64) bool {
+	for obs.Now() < end {
+		if s.seq.Load()&1 == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// acquire takes the shard's writer lock, for writers (lockShard) and the
+// readers' locked fallbacks alike: the one place outside stats.go's
+// observers where s.mu is taken. A held lock is watched before it is slept
+// on — wait for the window to close, try again — because a park and a
+// wake-up cost as much as the typical hold; a waiter that outlasts the
+// watch queues on the mutex (Stats.LockParks), so progress and
+// starvation-mode fairness (TryLock then fails) are sync.Mutex's own.
+func (s *shardState) acquire() {
+	if s.mu.TryLock() {
+		return
+	}
+	for end := watchEnd(); s.awaitEven(end); {
+		if s.mu.TryLock() {
+			return
+		}
+	}
+	s.eng.lockParks.Add(1)
+	if m := s.eng.metrics.Load(); m != nil {
+		m.LockPark.Inc(s.idx)
+	}
+	s.mu.Lock()
+}
+
 // lockShard opens a writer's seqlock window: it acquires the shard's
 // writer lock, then makes the sequence odd so optimistic readers know a
 // mutation is in flight. Every in-place mutation of the shard's tables
 // (and every view publication) must happen between lockShard and
 // unlockShard. This helper and unlockShard are the only places the
-// sequence word is touched — the lockdiscipline analyzer enforces it.
+// sequence word is written — the lockdiscipline analyzer enforces it.
 func (s *shardState) lockShard() {
-	s.mu.Lock()
+	s.acquire()
 	s.seq.Add(1)
 }
 
