@@ -5,17 +5,14 @@ package obs_test
 // GetOrPutBatch — timed once per batch call) and the scalar RMW path
 // (Upsert — sampled at key&63==0) within ~2% of the uninstrumented
 // engine. Every case runs metrics-off then metrics-on against identically
-// built handles; with BENCH_OBS_JSON set the paired ns/key numbers and
-// their percentage deltas are dumped as the BENCH_obs.json CI artifact.
+// built handles and reports ns/key. (What tracing costs a whole workload
+// is the end-to-end benchmark's trace.overhead_ratio.<workload>.)
 //
 // It lives in package obs_test (not shard_test) because what it measures
 // is the obs recording machinery — striped counters and histograms — as
 // wired into the hottest consumer.
 
 import (
-	"encoding/json"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/dist"
@@ -23,88 +20,9 @@ import (
 	"repro/table"
 )
 
-// obsBenchPoint is one ⟨sub-benchmark, ns/key⟩ datapoint.
-type obsBenchPoint struct {
-	Case     string  `json:"case"`
-	NsPerKey float64 `json:"ns_per_key"`
-}
-
-// obsBenchDelta pairs a case's off/on runs into the headline number.
-type obsBenchDelta struct {
-	Case     string  `json:"case"`
-	OffNs    float64 `json:"off_ns_per_key"`
-	OnNs     float64 `json:"on_ns_per_key"`
-	DeltaPct float64 `json:"delta_pct"`
-}
-
-var obsBenchResults []obsBenchPoint
-
-// reportObsNs reports ns/key for a benchmark that processed total keys,
-// recording the datapoint for the BENCH_obs.json artifact. Reruns of the
-// same case (-count, or b.N calibration ramps) keep the MINIMUM ns/key:
-// on a shared CI vCPU run-to-run noise dwarfs the effect under test, and
-// the minimum is the standard noise-robust estimator for "how fast is
-// this code" — so CI runs a fixed -benchtime iteration count with
-// -count reruns and the deltas compare best-against-best.
+// reportObsNs reports ns/key for a benchmark that processed total keys.
 func reportObsNs(b *testing.B, total int) {
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(total)
-	b.ReportMetric(ns, "ns/key")
-	for i := range obsBenchResults {
-		if obsBenchResults[i].Case == b.Name() {
-			if ns < obsBenchResults[i].NsPerKey {
-				obsBenchResults[i].NsPerKey = ns
-			}
-			return
-		}
-	}
-	obsBenchResults = append(obsBenchResults, obsBenchPoint{Case: b.Name(), NsPerKey: ns})
-}
-
-// writeObsBenchJSON dumps the datapoints plus the off/on delta pairs to
-// the file named by BENCH_OBS_JSON. Cases are paired by their name up to
-// the trailing "/off" or "/on" segment.
-func writeObsBenchJSON(b *testing.B) {
-	path := os.Getenv("BENCH_OBS_JSON")
-	if path == "" || len(obsBenchResults) == 0 {
-		return
-	}
-	off := make(map[string]float64)
-	on := make(map[string]float64)
-	for _, p := range obsBenchResults {
-		if base, found := strings.CutSuffix(p.Case, "/off"); found {
-			off[base] = p.NsPerKey
-		} else if base, found := strings.CutSuffix(p.Case, "/on"); found {
-			on[base] = p.NsPerKey
-		}
-	}
-	var deltas []obsBenchDelta
-	for _, p := range obsBenchResults {
-		base, found := strings.CutSuffix(p.Case, "/off")
-		if !found {
-			continue
-		}
-		onNs, ok := on[base]
-		if !ok {
-			continue
-		}
-		deltas = append(deltas, obsBenchDelta{
-			Case:     base,
-			OffNs:    p.NsPerKey,
-			OnNs:     onNs,
-			DeltaPct: (onNs - p.NsPerKey) / p.NsPerKey * 100,
-		})
-	}
-	out, err := json.MarshalIndent(struct {
-		Benchmark string          `json:"benchmark"`
-		Points    []obsBenchPoint `json:"points"`
-		Deltas    []obsBenchDelta `json:"deltas"`
-	}{Benchmark: "BenchmarkObsOverhead", Points: obsBenchResults, Deltas: deltas}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/key")
 }
 
 // openObsHandle opens the sharded handle all overhead cases drive,
@@ -208,5 +126,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 			reportObsNs(b, b.N*n)
 		})
 	}
-	writeObsBenchJSON(b)
 }

@@ -34,6 +34,13 @@
 //     join.CapacityFor from the build stream's cardinality hint (known
 //     slice lengths, table.Handle.Len, or an explicit Hint from a dist
 //     tape), so the build never rehashes.
+//   - No build over an index: when the build side is a bare
+//     FromHandle(h), h already is the hash table the join would build, so
+//     HashJoin skips the build phase and probes h in place — wait-free,
+//     no lock taken on h, no table allocated. The join then sees h as of
+//     each probe batch rather than as of one scan, and JoinConfig's
+//     table fields go unused; a Filter or Map on the build side restores
+//     the private build.
 //   - Shared scheduling: every phase of every operator runs on one
 //     exec.Pool with the established first-error, cancellation
 //     (Config.Ctx) and panic-containment conventions; per-worker column

@@ -4,7 +4,9 @@ package pipe
 // table through the single-probe GetOrPutBatch pipeline, then the probe
 // side streams morsel-at-a-time — each probe batch is answered by one
 // GetBatch and the matches flow straight into the downstream stages
-// without an intermediate relation.
+// without an intermediate relation. A build side that already is a hash
+// table on the join key — a bare FromHandle — is not built again: the
+// probe phase runs against the handle itself.
 
 import (
 	"fmt"
@@ -15,7 +17,9 @@ import (
 	"repro/table"
 )
 
-// JoinConfig parameterizes a streaming hash join.
+// JoinConfig parameterizes a streaming hash join. When the join probes a
+// handle in place (see HashJoin) there is no build table to configure:
+// only Project is used.
 type JoinConfig struct {
 	// Scheme selects the build-side table (default RH, the paper's
 	// all-rounder for the read-heavy probe phase).
@@ -58,6 +62,15 @@ func (c JoinConfig) withDefaults() JoinConfig {
 // contract. The probe side may repeat keys freely. Each match is
 // projected through cfg.Project and continues downstream; non-matching
 // probe rows are skipped at emission.
+//
+// When build is a bare FromHandle(h) — no Filter or Map on it — the join
+// builds nothing: h is the index, and each probe batch is one wait-free
+// h.GetBatch, so the join takes no lock on h, allocates no table and leaves
+// h as it found it. It then sees h as of each probe batch (validated per
+// shard, like any GetBatch), not as of one scan: still the engine's weak
+// consistency, but a row written to h while the join runs may match some
+// probe batches and not others. Put a stage on the build side to get the
+// private build, and with it a per-shard snapshot, back.
 func HashJoin(build, probe *Stream, cfg JoinConfig) *Stream {
 	return &Stream{src: &joinSource{build: build, probe: probe, cfg: cfg}}
 }
@@ -110,31 +123,44 @@ func (j *joinSource) openBuild(rt *runtime, cfg JoinConfig) (*table.Handle, erro
 	return table.Open(opts...)
 }
 
+// indexed returns the handle to probe in place: the one a bare FromHandle
+// build side would scan. Behind a stage the handle's rows are not the
+// build rows, so that, like any other source, gets nil and a private build.
+func (j *joinSource) indexed() *table.Handle {
+	if hs, ok := j.build.src.(*handleSource); ok && len(j.build.stages) == 0 {
+		return hs.h
+	}
+	return nil
+}
+
 func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	cfg := j.cfg.withDefaults()
-	h, err := j.openBuild(rt, cfg)
-	if err != nil {
-		return fmt.Errorf("pipe: join build table: %w", err)
-	}
 	scratch := make([]joinScratch, rt.pool.Workers())
 	for w := range scratch {
 		scratch[w].out = make([]uint64, rt.pool.MorselSize())
 		scratch[w].flag = make([]bool, rt.pool.MorselSize())
 	}
-	// Build phase: the build stream drains into the table, one
-	// single-probe GetOrPutBatch per incoming batch.
-	err = j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
-		start := rt.opStart()
-		sc := &scratch[w]
-		_, err := h.GetOrPutBatch(keys, vals, sc.out[:len(keys)], sc.flag[:len(keys)])
-		rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
-		if err != nil {
-			return fmt.Errorf("pipe: join build: %w", err)
+	h := j.indexed()
+	if h == nil {
+		var err error
+		if h, err = j.openBuild(rt, cfg); err != nil {
+			return fmt.Errorf("pipe: join build table: %w", err)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		// Build phase: the build stream drains into the table, one
+		// single-probe GetOrPutBatch per incoming batch.
+		err = j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
+			start := rt.opStart()
+			sc := &scratch[w]
+			_, err := h.GetOrPutBatch(keys, vals, sc.out[:len(keys)], sc.flag[:len(keys)])
+			rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
+			if err != nil {
+				return fmt.Errorf("pipe: join build: %w", err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	// Probe phase: each probe batch is answered by one GetBatch; the
 	// matches are projected into the worker's batch and pushed through

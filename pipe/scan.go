@@ -34,7 +34,9 @@ func FromRelation(rel join.Relation) *Stream {
 // (the migration-aware successor-then-frozen walk yields each key at
 // most once). A single-partition handle is walked serially as one task.
 // The stage chain and downstream operators run while a shard lock is
-// held, so the pipeline must not write back into the same handle.
+// held, so the pipeline must not write back into the same handle. As the
+// build side of a HashJoin, with no stage on it, the handle is not walked
+// at all: the join probes it in place, holding no lock.
 func FromHandle(h *table.Handle) *Stream {
 	return &Stream{src: &handleSource{h: h}}
 }

@@ -82,4 +82,21 @@ func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
 			t.Fatalf("%s: %d steps over 21 calls, migrating %d: the calls did not each host a step", c.name, st.MigrationChunks-chunks, st.Migrating)
 		}
 	}
+	// Nor does it cost a batched read one: the successor's misses are
+	// compacted into pooled scratch. The keys are frozen, moved, updated,
+	// dead and (the upper half) absent ones, so both tables and the
+	// overlay are asked.
+	keys := make([]uint64, 1024)
+	for j := range keys {
+		keys[j] = key(uint64(j) * n / 512)
+	}
+	out, ok := make([]uint64, len(keys)), make([]bool, len(keys))
+	read := func() { e.GetBatch(keys, out, ok) }
+	read() // warm: the pools
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Errorf("GetBatch mid-resize: %v allocations per call, want 0", allocs)
+	}
+	if e.Stats().Migrating != 1 {
+		t.Fatal("the resize ended under the reads")
+	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/dist"
@@ -431,8 +432,12 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 // probe kept or a read finished under the wrong lock shows as a wrong
 // lane, not as a changed count. It runs with two and with four Ps, and again under the
 // seeded stall schedule, which stretches the migration steps the other
-// client's reads and lock acquisitions wait behind. Under -race the reads
-// take the locked path and the acquire helper is what is exercised.
+// client's reads and lock acquisitions wait behind; and once more with a
+// migration step of one entry, where a resize lasts as many mutations as
+// the shard had entries, so most reads find a shard mid-resize and take
+// the batched successor-then-frozen chain, over an overlay the victims'
+// deletes fill, beside the other client's writes. Under -race the
+// reads take the locked path and the acquire helper is what is exercised.
 func TestDifferentialTwoClients(t *testing.T) {
 	const (
 		clients   = 2
@@ -441,7 +446,9 @@ func TestDifferentialTwoClients(t *testing.T) {
 		victims   = 128
 	)
 	gen := dist.New(dist.Sparse, 31)
-	replay := func(e *shard.Engine, c int) error {
+	// replay returns how many of the client's reads began with a shard
+	// mid-resize.
+	replay := func(e *shard.Engine, c int) (midResize int, err error) {
 		og := offsetGen{gen: gen, base: uint64(c) * stride}
 		keys, absent := og.Keys(perClient), og.AbsentKeys(perClient, perClient)
 		vals := make([]uint64, perClient)
@@ -453,6 +460,9 @@ func TestDifferentialTwoClients(t *testing.T) {
 		rnd := uint64(c)*0x9e3779b97f4a7c15 + 1
 		reads, out, ok := make([]uint64, step), make([]uint64, step), make([]bool, step)
 		checkRead := func(what string, at int, keys []uint64) error {
+			if e.Stats().Migrating > 0 {
+				midResize++
+			}
 			hits, want := e.GetBatch(keys, out, ok), 0
 			for i, k := range keys {
 				v, present := own[k]
@@ -471,7 +481,7 @@ func TestDifferentialTwoClients(t *testing.T) {
 		for lo := 0; lo < perClient; lo += step {
 			n, err := e.PutBatch(keys[lo:lo+step], vals[lo:lo+step])
 			if err != nil || n != step {
-				return fmt.Errorf("client %d step %d: PutBatch inserted %d of %d: %v", c, lo/step, n, step, err)
+				return midResize, fmt.Errorf("client %d step %d: PutBatch inserted %d of %d: %v", c, lo/step, n, step, err)
 			}
 			for i, k := range keys[lo : lo+step] {
 				own[k] = vals[lo+i]
@@ -487,49 +497,67 @@ func TestDifferentialTwoClients(t *testing.T) {
 					reads[i] = live[rnd%uint64(len(live))]
 				}
 				if err := checkRead("present read", lo/step, reads); err != nil {
-					return err
+					return midResize, err
 				}
 			}
 			if err := checkRead("absent read", lo/step, absent[lo:lo+step]); err != nil {
-				return err
+				return midResize, err
 			}
 			if lo > 0 {
 				for _, k := range keys[lo-step:][:victims] {
 					if !e.Delete(k) {
-						return fmt.Errorf("client %d step %d: Delete(%#x) found nothing", c, lo/step, k)
+						return midResize, fmt.Errorf("client %d step %d: Delete(%#x) found nothing", c, lo/step, k)
 					}
 					delete(own, k)
+				}
+				// Deleted a moment ago: dead in the overlay, or gone from
+				// the successor.
+				if err := checkRead("deleted read", lo/step, keys[lo-step:][:victims]); err != nil {
+					return midResize, err
 				}
 			}
 		}
 		// The last step's victims are still live: every key a client read
 		// as a survivor, plus those.
 		if len(own) != len(live)+victims {
-			return fmt.Errorf("client %d: own map ends with %d keys, tape says %d", c, len(own), len(live)+victims)
+			return midResize, fmt.Errorf("client %d: own map ends with %d keys, tape says %d", c, len(own), len(live)+victims)
 		}
-		return nil
+		return midResize, nil
 	}
 
+	type variant struct {
+		name   string
+		stalls bool
+		chunk  int // 0: the default step
+	}
 	for _, scheme := range table.AllSchemes() {
 		for _, procs := range []int{2, 4} {
-			for _, stalls := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/p%d/stalls=%v", scheme, procs, stalls), func(t *testing.T) {
+			for _, v := range []variant{{"stalls=false", false, 0}, {"stalls=true", true, 0}, {"midresize", false, 1}} {
+				t.Run(fmt.Sprintf("%s/p%d/%s", scheme, procs, v.name), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					e := newEngine(t, scheme, 4, 1<<10, 0.7, 13)
-					if stalls {
+					e := shard.MustNew(shard.Config{
+						Shards: 4, Capacity: 1 << 10, GrowAt: 0.7, Seed: 13, MigrationChunk: v.chunk,
+						NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+							return table.New(scheme, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+						},
+					})
+					if v.stalls {
 						var rates [fault.NumKinds]float64
 						rates[fault.Stall] = 0.05
 						fault.Arm(fault.Config{Seed: 41, Rates: rates, StallYields: 2})
 						defer fault.Disarm()
 					}
 					var wg sync.WaitGroup
+					var midResize atomic.Int64
 					for c := range clients {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							if err := replay(e, c); err != nil {
+							n, err := replay(e, c)
+							if err != nil {
 								t.Error(err)
 							}
+							midResize.Add(int64(n))
 						}()
 					}
 					wg.Wait()
@@ -539,6 +567,10 @@ func TestDifferentialTwoClients(t *testing.T) {
 					}
 					if st.MigrationsStarted < 4 {
 						t.Errorf("only %d migrations: the tapes were meant to cross several doublings per shard", st.MigrationsStarted)
+					}
+					// Five reads a step but the first, four in that.
+					if reads := int64(clients * (5*perClient/step - 1)); v.chunk == 1 && midResize.Load() < reads/3 {
+						t.Errorf("%d of %d reads began with a shard mid-resize: the one-entry step was meant to keep them there", midResize.Load(), reads)
 					}
 				})
 			}

@@ -121,6 +121,113 @@ func TestDeleteHeavyMigrationAgreesWithMap(t *testing.T) {
 	}
 }
 
+// TestMigratingGetBatchMatchesScalarChain: on a shard held mid-resize a
+// GetBatch lane is what Get answers for the key — the batched chain
+// (successor over the range, then the frozen table over the misses the
+// overlay does not rule out) against the scalar one — and what a map
+// says, for keys only in the frozen table, only in the successor, in both
+// under different values, dead, dead and re-inserted, never inserted, and
+// both sentinel keys; at range lengths around the tables' chunk and the
+// chain's stride; before and after the overlay doubles.
+func TestMigratingGetBatchMatchesScalarChain(t *testing.T) {
+	for _, scheme := range []table.Scheme{table.SchemeRH, table.SchemeChained24, table.SchemeCuckooH4} {
+		t.Run(string(scheme), func(t *testing.T) {
+			e := shard.MustNew(shard.Config{
+				Shards: 1, Capacity: 1 << 13, GrowAt: 0.5, Seed: 31,
+				MigrationChunk: 1, // one entry per step: the resize outlasts the test
+				NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+					return table.New(scheme, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+				},
+			})
+			key := func(i uint64) uint64 { return (i - 1) * 0x9e3779b97f4a7c15 } // key(1) is key 0
+			oracle := map[uint64]uint64{}
+			put := func(k, v uint64) {
+				t.Helper()
+				if _, err := e.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+				oracle[k] = v
+			}
+			del := func(k uint64) {
+				t.Helper()
+				if !e.Delete(k) {
+					t.Fatalf("Delete(%#x) found nothing", k)
+				}
+				delete(oracle, k)
+			}
+			put(^uint64(0), 1)
+			n := uint64(0)
+			for e.Stats().Migrating == 0 {
+				n++
+				put(key(n), n)
+			}
+			// The probe column: every frozen key, as many fresh ones (half
+			// of them inserted below, into the successor), the other
+			// sentinel.
+			probe := []uint64{^uint64(0)}
+			for i := uint64(1); i <= 2*n; i++ {
+				probe = append(probe, key(i))
+			}
+			vals, ok := make([]uint64, len(probe)), make([]bool, len(probe))
+			compare := func(when string) {
+				t.Helper()
+				if st := e.Stats(); st.Migrating != 1 {
+					t.Fatalf("%s: the resize is over", when)
+				}
+				for _, length := range []int{0, 1, 63, 64, 65, 257, 4097} {
+					for _, from := range []int{0, 1, len(probe) - length} {
+						keys := probe[from : from+length]
+						hits, want := e.GetBatch(keys, vals, ok), 0
+						for i, k := range keys {
+							sv, sok := e.Get(k)
+							ov, ook := oracle[k]
+							if ok[i] != sok || ok[i] != ook || (ok[i] && (vals[i] != sv || vals[i] != ov)) {
+								t.Fatalf("%s, %d keys from %d: lane %d (key %#x) = (%d,%v), Get (%d,%v), map (%d,%v)", when, length, from, i, k, vals[i], ok[i], sv, sok, ov, ook)
+							}
+							if ook {
+								want++
+							}
+						}
+						if hits != want {
+							t.Fatalf("%s, %d keys from %d: %d hits, map %d", when, length, from, hits, want)
+						}
+					}
+				}
+			}
+			compare("frozen only")
+
+			// By i%8: 1 shadowed (key 0 among them), 2 dead, 3 dead and
+			// back under a new value, the rest left where they are — in the
+			// frozen table, or moved by a step.
+			mutate := func(from, to uint64) {
+				for i := from; i < to; i++ {
+					switch i % 8 {
+					case 1:
+						put(key(i), i+n)
+					case 2:
+						del(key(i))
+					case 3:
+						del(key(i))
+						put(key(i), i+2*n)
+					}
+				}
+			}
+			mutate(1, 800) // 200 dead keys: the overlay is still the one it began with
+			for i := n + 1; i <= n+n/2; i++ {
+				put(key(i), i)
+			}
+			del(^uint64(0))
+			publishes := e.Stats().ViewPublishes
+			compare("overlay as published")
+			mutate(800, 1600) // 400 dead keys: past half load of the 512 slots
+			if got := e.Stats().ViewPublishes - publishes; got != 1 {
+				t.Fatalf("%d views published over 200 more dead keys, want the one doubling", got)
+			}
+			compare("overlay doubled")
+		})
+	}
+}
+
 // countingTable counts the frozen entries the engine's walks visit.
 type countingTable struct {
 	shard.Table

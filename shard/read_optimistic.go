@@ -52,9 +52,10 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 // closes. readRangeDiscards torn probes, or lockWatchNanos of watching in
 // all, and the range is read under the lock.
 //
-// Inside the window the range goes to view.getRange — on a steady-state
-// shard the table's own GetBatch pipeline, which writes nothing the
-// table owns and cannot be made to spin by a torn state, so it needs
+// Inside the window the range goes to view.getRange — the tables' own
+// GetBatch pipeline, one call on a steady-state shard, successor then
+// frozen table on a migrating one — which writes nothing a table or the
+// shard owns and cannot be made to spin by a torn state, so it needs
 // nothing from the protocol beyond the validation a scalar Get gets.
 func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 	torn, watchUntil := uint64(0), int64(-1)

@@ -14,6 +14,7 @@ package shard
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -161,13 +162,21 @@ func (h batchHookTable) GetBatch(keys, vals []uint64, ok []bool) int {
 	return hits
 }
 
+// hookedChunk is a hookedEngine's migration step, small enough that ten
+// steps leave most of a few hundred keys behind; hookedDead is the first
+// of the ten keys midResize deletes.
+const (
+	hookedChunk = 20
+	hookedDead  = 300
+)
+
 // hookedEngine builds a one-shard engine over batchHookTables sharing one
 // log and stores keys 1..n under ten times themselves.
 func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
 	t.Helper()
 	bl := &batchLog{}
 	e, err := New(Config{
-		Shards: 1, Capacity: 4 * n, GrowAt: 0.8, Seed: 7,
+		Shards: 1, Capacity: 4 * n, GrowAt: 0.8, Seed: 7, MigrationChunk: hookedChunk,
 		NewTable: func(capacity int, seed uint64) (Table, error) {
 			inner, err := newTestTable(capacity, seed)
 			return batchHookTable{inner.(*testTable), bl}, err
@@ -186,114 +195,167 @@ func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
 	return e, bl, keys
 }
 
-// TestReadRangeTouchRetryAndFallback: a steady-state shard's staged range
-// is ONE call of its table's GetBatch per attempt — touch pass and walks,
-// the whole pipeline — inside the validate / re-probe / lock-fallback
-// protocol: a torn probe's answers are thrown away, an open window is not
-// probed into, a range that has discarded its budget is read under the
-// lock; a migrating shard never calls GetBatch.
+// midResize puts a hookedEngine's shard into a resize and deletes keys
+// hookedDead..hookedDead+9 from it: ten dead keys, and ten steps, which moved keys 1..200
+// into the successor (testTable walks in key order); the rest are only in
+// the frozen table. The log is cleared. It returns what one lookup of keys
+// 1..n costs: the successor asked for the whole range, the frozen table
+// for the misses the overlay does not rule out, a stride at a time.
+func midResize(t *testing.T, e *Engine, bl *batchLog, n int) (perAttempt []int) {
+	t.Helper()
+	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
+		if _, err := e.Put(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(hookedDead); k < hookedDead+10; k++ {
+		if !e.Delete(k) {
+			t.Fatalf("key %d was not there to delete", k)
+		}
+	}
+	v := e.shards[0].view.Load()
+	if !v.migrating() || v.next.Len() != 10*hookedChunk || v.dead.n != 10 {
+		t.Fatalf("set-up: migrating %v, %d keys in the successor, %d dead, want a resize with %d and 10", v.migrating(), v.next.Len(), v.dead.n, 10*hookedChunk)
+	}
+	bl.calls = nil
+	perAttempt = []int{n}
+	for misses := n - 10*hookedChunk - 10; misses > 0; misses -= readStride {
+		perAttempt = append(perAttempt, min(misses, readStride))
+	}
+	return perAttempt
+}
+
+// TestReadRangeTouchRetryAndFallback: a shard's staged range is its
+// tables' GetBatch — touch pass and walks, the whole pipeline — inside the
+// validate / re-probe / lock-fallback protocol: a torn probe's answers are
+// thrown away, an open window is not probed into, a range that has
+// discarded its budget is read under the lock. A steady-state shard makes
+// ONE call per attempt; a migrating shard asks the successor for the whole
+// range, then the frozen table for the lanes the successor missed and the
+// overlay does not mark dead, readStride of them a call — and nothing when
+// the successor answered every lane.
 func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 	const n = 600
 	vals := make([]uint64, n)
 	ok := make([]bool, n)
-	// read runs one GetBatch over the whole range and fails unless every
-	// lane holds what hookedEngine stored and the table saw wantCalls
-	// lookups, each of the whole range.
-	read := func(when string, e *Engine, bl *batchLog, keys []uint64, wantCalls int) {
+	// read runs one GetBatch over keys and fails unless every lane holds
+	// what hookedEngine stored (nothing for the dead keys of midResize) and the
+	// tables saw exactly the lookups perAttempt lists, attempts times over.
+	read := func(when string, e *Engine, bl *batchLog, keys []uint64, dead int, perAttempt []int, attempts int) {
 		t.Helper()
-		if hits := e.GetBatch(keys, vals, ok); hits != n {
-			t.Fatalf("%s: hit %d of %d", when, hits, n)
+		if hits := e.GetBatch(keys, vals, ok); hits != len(keys)-dead {
+			t.Fatalf("%s: hit %d of %d with %d dead", when, hits, len(keys), dead)
 		}
 		for i, k := range keys {
-			if !ok[i] || vals[i] != k*10 {
-				t.Fatalf("%s: lane %d (key %d) = (%d,%v), want (%d,true)", when, i, k, vals[i], ok[i], k*10)
+			if isDead := dead > 0 && k >= hookedDead && k < hookedDead+10; ok[i] == isDead || (ok[i] && vals[i] != k*10) {
+				t.Fatalf("%s: lane %d (key %d) = (%d,%v), want (%d,%v)", when, i, k, vals[i], ok[i], k*10, !isDead)
 			}
 		}
-		if len(bl.calls) != wantCalls {
-			t.Fatalf("%s: %d GetBatch calls %v, want %d", when, len(bl.calls), bl.calls, wantCalls)
+		var want []int
+		for range attempts {
+			want = append(want, perAttempt...)
 		}
-		for _, got := range bl.calls {
-			if got != n {
-				t.Fatalf("%s: GetBatch calls of %v keys, want the whole %d-key range each time", when, bl.calls, n)
-			}
+		if !slices.Equal(bl.calls, want) {
+			t.Fatalf("%s: GetBatch calls of %v keys, want %v", when, bl.calls, want)
 		}
 	}
 
-	{
-		e, bl, keys := hookedEngine(t, n)
-		read("quiet", e, bl, keys, 1)
-		if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
-			t.Fatal("quiet read retried")
+	for _, migrating := range []bool{false, true} {
+		// build hands every case a fresh engine, mid-resize or not, and
+		// what one attempt at its keys costs there.
+		build := func() (e *Engine, bl *batchLog, keys []uint64, dead int, perAttempt []int) {
+			e, bl, keys = hookedEngine(t, n)
+			if migrating {
+				return e, bl, keys, 10, midResize(t, e, bl, n)
+			}
+			return e, bl, keys, 0, []int{n}
 		}
-	}
+		name := func(when string) string {
+			if migrating {
+				return when + ", mid-resize"
+			}
+			return when
+		}
 
-	{
-		// A writer's whole window passes during the first probe, which
-		// reads the values half-rewritten: the reader must throw those
-		// answers away and look the range up again.
-		e, bl, keys := hookedEngine(t, n)
-		s, tab := &e.shards[0], e.shards[0].view.Load().cur.(batchHookTable).testTable
-		rewrite := func(call int, add uint64) {
-			if call == 0 {
-				s.seq.Add(1)
-				for _, k := range keys {
-					tab.m[k] = k*10 + add
+		{
+			e, bl, keys, dead, perAttempt := build()
+			read(name("quiet"), e, bl, keys, dead, perAttempt, 1)
+			if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
+				t.Fatal("quiet read retried")
+			}
+			if migrating {
+				// Keys the step moved: the successor answers them all and
+				// the frozen table is not asked.
+				bl.calls = nil
+				moved := keys[:10*hookedChunk]
+				read("all in the successor", e, bl, moved, 0, []int{len(moved)}, 1)
+			}
+		}
+
+		{
+			// A writer's whole window passes during the first lookup, which
+			// reads the values half-rewritten: the reader must throw those
+			// answers away and look the range up again.
+			e, bl, keys, dead, perAttempt := build()
+			s := &e.shards[0]
+			v := s.view.Load()
+			tabs := []*testTable{v.cur.(batchHookTable).testTable}
+			if migrating {
+				tabs = append(tabs, v.next.(batchHookTable).testTable)
+			}
+			rewrite := func(call int, add uint64) {
+				if call == 0 {
+					s.seq.Add(1)
+					for _, tab := range tabs {
+						for k := range tab.m {
+							tab.m[k] = k*10 + add
+						}
+					}
 				}
 			}
-		}
-		bl.before = func(call int) { rewrite(call, 1) }
-		bl.after = func(call int) { rewrite(call, 0) }
-		read("torn once", e, bl, keys, 2)
-		if got := e.readRetries.Load(); got != 1 {
-			t.Fatalf("readRetries = %d, want the one discarded probe", got)
-		}
-		if e.readFallbacks.Load() != 0 {
-			t.Fatal("fell back with budget to spare")
-		}
-	}
-
-	{
-		// A writer's window crosses every probe made without the lock: the
-		// budget is spent and the locked path answers — with the same
-		// batched lookup, now behind the writer lock.
-		e, bl, keys := hookedEngine(t, n)
-		s := &e.shards[0]
-		bl.before = func(int) {
-			if s.mu.TryLock() {
-				s.mu.Unlock()
-				s.seq.Add(2)
+			bl.before = func(call int) { rewrite(call, 1) }
+			bl.after = func(call int) { rewrite(call, 0) }
+			read(name("torn once"), e, bl, keys, dead, perAttempt, 2)
+			if got := e.readRetries.Load(); got != 1 {
+				t.Fatalf("readRetries = %d, want the one discarded probe", got)
+			}
+			if e.readFallbacks.Load() != 0 {
+				t.Fatal("fell back with budget to spare")
 			}
 		}
-		read("budget spent", e, bl, keys, readRangeDiscards+1)
-		if got := e.readFallbacks.Load(); got != 1 {
-			t.Fatalf("readFallbacks = %d, want 1", got)
-		}
-		if got := e.readRetries.Load(); got != readRangeDiscards {
-			t.Fatalf("readRetries = %d, want the budget %d", got, readRangeDiscards)
-		}
-	}
 
-	{
-		// A window that stays open is watched, not probed: nothing is
-		// discarded, and the one lookup is the locked one.
-		e, bl, keys := hookedEngine(t, n)
-		closeWindow := holdWindowOpen(&e.shards[0])
-		read("window stays open", e, bl, keys, 1)
-		closeWindow()
-		if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 1 {
-			t.Fatalf("window stays open: %d probes discarded, %d fallbacks, want 0 and 1", e.readRetries.Load(), e.readFallbacks.Load())
-		}
-	}
-
-	{
-		// A migrating view keeps the scalar successor→dead→frozen chain.
-		e, bl, keys := hookedEngine(t, n)
-		for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
-			if _, err := e.Put(k, k*10); err != nil {
-				t.Fatal(err)
+		{
+			// A writer's window crosses every probe made without the lock:
+			// the budget is spent and the locked path answers — with the
+			// same batched lookups, now behind the writer lock.
+			e, bl, keys, dead, perAttempt := build()
+			s := &e.shards[0]
+			bl.before = func(int) {
+				if s.mu.TryLock() {
+					s.mu.Unlock()
+					s.seq.Add(2)
+				}
+			}
+			read(name("budget spent"), e, bl, keys, dead, perAttempt, readRangeDiscards+1)
+			if got := e.readFallbacks.Load(); got != 1 {
+				t.Fatalf("readFallbacks = %d, want 1", got)
+			}
+			if got := e.readRetries.Load(); got != readRangeDiscards {
+				t.Fatalf("readRetries = %d, want the budget %d", got, readRangeDiscards)
 			}
 		}
-		read("migrating", e, bl, keys, 0)
+
+		{
+			// A window that stays open is watched, not probed: nothing is
+			// discarded, and the one attempt is the locked one.
+			e, bl, keys, dead, perAttempt := build()
+			closeWindow := holdWindowOpen(&e.shards[0])
+			read(name("window stays open"), e, bl, keys, dead, perAttempt, 1)
+			closeWindow()
+			if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 1 {
+				t.Fatalf("window stays open: %d probes discarded, %d fallbacks, want 0 and 1", e.readRetries.Load(), e.readFallbacks.Load())
+			}
+		}
 	}
 }
 
@@ -358,15 +420,40 @@ type getHookTable struct {
 	onGet *func()
 }
 
-func (h getHookTable) Get(key uint64) (uint64, bool) {
+func (h getHookTable) hook() {
 	if f := *h.onGet; f != nil {
 		*h.onGet = nil
 		f()
 	}
+}
+
+func (h getHookTable) Get(key uint64) (uint64, bool) {
+	h.hook()
 	return h.testTable.Get(key)
 }
 
+func (h getHookTable) GetBatch(keys, vals []uint64, ok []bool) int {
+	h.hook()
+	return h.testTable.GetBatch(keys, vals, ok)
+}
+
 func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
+	// A Get and a one-key GetBatch alike: the batched chain asks the
+	// successor first too, and consults the overlay for what it missed.
+	t.Run("Get", func(t *testing.T) {
+		readHeldOpenAcrossOverlayDoubling(t, func(e *Engine, k uint64) (uint64, bool) { return e.Get(k) })
+	})
+	t.Run("GetBatch", func(t *testing.T) {
+		readHeldOpenAcrossOverlayDoubling(t, func(e *Engine, k uint64) (uint64, bool) {
+			var v [1]uint64
+			var ok [1]bool
+			e.GetBatch([]uint64{k}, v[:], ok[:])
+			return v[0], ok[0]
+		})
+	})
+}
+
+func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint64) (uint64, bool)) {
 	// The overlay doubles by republication: the writer leaves the published
 	// set as it is and publishes a view naming a larger copy. A reader that
 	// loaded the old view before the doubling keeps probing the old set —
@@ -407,7 +494,7 @@ func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
 			t.Error("the victim was not there to delete")
 		}
 	}
-	if v, ok := e.Get(victim); ok {
+	if v, ok := get(e, victim); ok {
 		t.Fatalf("Get(victim) = (%d,true): the reader kept what it concluded from the overlay of the epoch before", v)
 	}
 	if got := e.readRetries.Load(); got != 1 {
@@ -437,7 +524,7 @@ func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
 		if !after.dead.has(key(i)) {
 			t.Fatalf("dead key %d lost in the doubling", i)
 		}
-		if _, ok := e.Get(key(i)); ok {
+		if _, ok := get(e, key(i)); ok {
 			t.Fatalf("dead key %d readable after the doubling", i)
 		}
 	}

@@ -167,7 +167,8 @@ func (e *Engine) Range(fn func(key, val uint64) bool) {
 // until fn returns false, reporting whether the walk ran to completion.
 // It is Range restricted to a single shard — same weak-consistency and
 // no-reentrancy contract, including the mid-migration walk (successor
-// first, then the frozen table with dead or shadowed keys skipped) — and
+// first, then the frozen table from the migration cursor on, dead or
+// shadowed keys skipped) — and
 // exists so parallel scans (pipe's sharded Scan) can walk different
 // shards from different workers concurrently: each call locks only its
 // own shard.
@@ -177,34 +178,32 @@ func (e *Engine) RangeShard(shard int, fn func(key, val uint64) bool) bool {
 	defer s.mu.Unlock()
 	v := s.view.Load()
 	stopped := false
-	if v.next == nil {
-		v.cur.Range(func(k, val uint64) bool {
-			if !fn(k, val) {
-				stopped = true
-			}
-			return !stopped
-		})
+	visit := func(k, val uint64) bool {
+		stopped = stopped || !fn(k, val)
 		return !stopped
 	}
-	v.next.Range(func(k, val uint64) bool {
-		if !fn(k, val) {
-			stopped = true
-		}
+	if v.next == nil {
+		v.cur.Range(visit)
 		return !stopped
-	})
-	if !stopped {
-		v.cur.Range(func(k, val uint64) bool {
-			if v.dead.has(k) {
-				return true
-			}
-			if _, shadowed := v.next.Get(k); shadowed {
-				return true
-			}
-			if !fn(k, val) {
-				stopped = true
-			}
+	}
+	v.next.Range(visit)
+	// Every frozen entry the migration cursor is past is in the successor
+	// (walked above), dead, or parked on the carry list: what is left of
+	// the frozen table is the carry list and the walk from the cursor on.
+	unmoved := func(k, val uint64) bool {
+		if stopped || v.dead.has(k) {
 			return !stopped
-		})
+		}
+		if _, shadowed := v.next.Get(k); shadowed {
+			return true
+		}
+		return visit(k, val)
+	}
+	for _, c := range s.carry {
+		unmoved(c.k, c.v)
+	}
+	if !stopped {
+		v.cur.RangeFrom(s.pos, unmoved)
 	}
 	return !stopped
 }

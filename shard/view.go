@@ -2,6 +2,7 @@ package shard
 
 import (
 	"runtime"
+	"sync"
 
 	"repro/obs"
 )
@@ -78,26 +79,67 @@ func (v *view) get(key uint64) (uint64, bool) {
 }
 
 // getRange is get over a staged key column, returning the number of
-// hits. A steady-state view hands the whole column to its table's batched
-// lookup — bulk-hashed, home lines touched together, lanes walked
-// round-robin — which reads only (its chunk scratch is per call) and
-// terminates whatever a racing writer shows it, so it runs inside a
-// reader's unvalidated window as well as under the lock. A migrating view
-// keeps the scalar chain: its reads start in the successor and mostly end
-// in the frozen table, two tables no single batched walk covers.
+// hits. Every lookup is a table's own batched one — bulk-hashed, home lines
+// touched together, lanes walked round-robin — which reads only (its chunk
+// scratch is per call) and terminates whatever a racing writer shows it,
+// so getRange runs inside a reader's unvalidated window as well as under
+// the lock. A steady-state view hands its table the whole column. A
+// migrating view is get's chain a table at a time: the successor answers
+// the whole column, the lanes it missed that the overlay does not mark
+// dead are compacted readStride at a time into scratch of the call's own,
+// and the frozen table answers those.
 func (v *view) getRange(keys, vals []uint64, ok []bool) int {
 	if !v.migrating() {
 		return v.cur.GetBatch(keys, vals, ok)
 	}
-	hits := 0
+	hits := v.next.GetBatch(keys, vals, ok)
+	if hits == len(keys) {
+		return hits
+	}
+	m := missBufs.Get().(*missBuf)
+	n := 0
 	for i, k := range keys {
-		vals[i], ok[i] = v.get(k)
-		if ok[i] {
-			hits++
+		if ok[i] || v.dead.has(k) {
+			continue
 		}
+		m.keys[n], m.lane[n] = k, int32(i)
+		if n++; n == readStride {
+			hits += m.lookUp(v.cur, n, vals, ok)
+			n = 0
+		}
+	}
+	if n > 0 {
+		hits += m.lookUp(v.cur, n, vals, ok)
+	}
+	missBufs.Put(m)
+	return hits
+}
+
+// lookUp answers the first n collected misses from the frozen table and
+// scatters the answers back to the lanes the keys came from.
+func (m *missBuf) lookUp(frozen Table, n int, vals []uint64, ok []bool) int {
+	hits := frozen.GetBatch(m.keys[:n], m.vals[:n], m.ok[:n])
+	for j, lane := range m.lane[:n] {
+		vals[lane], ok[lane] = m.vals[j], m.ok[j]
 	}
 	return hits
 }
+
+// readStride is how many successor misses a migrating getRange collects
+// for one lookup of the frozen table: four of the tables' chunks.
+const readStride = 256
+
+// missBuf is one migrating getRange's scratch: the missed keys, the lanes
+// they came from and the frozen table's answers. From a pool, like the
+// tables' own chunk scratch — on the stack it would escape through the
+// Table interface — so nothing a shard owns is written inside a window.
+type missBuf struct {
+	keys, vals [readStride]uint64
+	lane       [readStride]int32
+	ok         [readStride]bool
+}
+
+var missBufs = sync.Pool{New: func() any { return new(missBuf) }}
 
 // curLive looks key up in the frozen table honoring the dead overlay
 // (writer-side helper during a migration).

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // testTable is a map-backed Table for the in-package tests (the real
@@ -333,6 +335,88 @@ func growUntilMigrating(t *testing.T, e *Engine) uint64 {
 		}
 	}
 	return n
+}
+
+// TestRangeMidResizeWalksCarryAndCursor: mid-resize, Range walks the
+// successor, then the frozen entries not yet moved — the carry list and
+// the table from the migration cursor on, not from its first slot — and
+// yields every live key once under its current value: also a carried key
+// that is dead, one the successor shadows, and keys ahead of the cursor
+// that are dead, shadowed, or dead and back.
+func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
+	const chunk = 4
+	e, err := New(Config{Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7, MigrationChunk: chunk, NewTable: newTestTable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys 1..n, and testTable's cursor walks them in that order.
+	oracle := map[uint64]uint64{}
+	n := uint64(0)
+	for e.Stats().Migrating == 0 {
+		n++
+		if _, err := e.Put(n, n); err != nil {
+			t.Fatal(err)
+		}
+		oracle[n] = n
+	}
+	// Six mutations, six steps: the cursor is past key 24, far from all
+	// this, and the steps to come are keys 25..28, 29..32, ... 101..104.
+	e.Put(101, 1010) // shadowed, and on the carry list below
+	oracle[101] = 1010
+	e.Delete(102) // dead, and on the carry list below
+	delete(oracle, 102)
+	e.Delete(500) // dead, ahead of the cursor
+	delete(oracle, 500)
+	e.Put(501, 5010) // shadowed, ahead of the cursor
+	oracle[501] = 5010
+	e.Delete(502) // dead and back, ahead of the cursor
+	e.Put(502, 5020)
+	oracle[502] = 5020
+
+	// Every step's first entry is refused from here on: the step parks
+	// its chunk on the carry list, and the next one places that and parks
+	// its own. Stop with keys 101..104 parked.
+	var rates [fault.NumKinds]float64
+	rates[fault.Full] = 1
+	fault.Arm(fault.Config{Seed: 1, Rates: rates})
+	defer fault.Disarm()
+	s := &e.shards[0]
+	for len(s.carry) == 0 || s.carry[0].k != 101 {
+		if s.pos > 101 {
+			t.Fatalf("cursor at %d, carry %v: keys 101..104 were never parked together", s.pos, s.carry)
+		}
+		e.Delete(n + 1) // absent: hosts a step
+	}
+	if v := s.view.Load(); !v.migrating() || len(s.carry) != chunk || s.pos != 104 {
+		t.Fatalf("set-up: migrating %v, carry %v, cursor %d", v.migrating(), s.carry, s.pos)
+	}
+
+	seen := map[uint64]bool{}
+	e.Range(func(k, v uint64) bool {
+		if want, ok := oracle[k]; !ok || v != want || seen[k] {
+			t.Fatalf("Range yields %d=%d (seen before: %v), map (%d,%v)", k, v, seen[k], want, ok)
+		}
+		seen[k] = true
+		return true
+	})
+	if len(seen) != len(oracle) {
+		t.Fatalf("Range yields %d keys, map holds %d", len(seen), len(oracle))
+	}
+	// Stopping early stops: in the successor, on the carry list, in the
+	// frozen table.
+	for _, stopAt := range []uint64{1, 103, 600} {
+		calls, after := 0, 0
+		e.Range(func(k, _ uint64) bool {
+			calls++
+			if k == stopAt {
+				after = calls
+			}
+			return k != stopAt
+		})
+		if after == 0 || calls != after {
+			t.Fatalf("stop at key %d: %d calls, the %dth asked to stop", stopAt, calls, after)
+		}
+	}
 }
 
 func TestDroppedMidResizeEngineLeaksNothing(t *testing.T) {
