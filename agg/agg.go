@@ -103,8 +103,9 @@ func (s *State) Value(f Func) float64 {
 
 // Config parameterizes a GroupBy.
 type Config struct {
-	// Scheme selects the group-index table (default QP, the paper's pick
-	// for write-heavy workloads — an aggregation build is one).
+	// Scheme selects the group-index table. The default is QP for now:
+	// AddBatch is G inserts, then lookups, and on a cache-resident index
+	// QP and LP measure the same (30 of 60 interleaved pairs each way).
 	Scheme table.Scheme
 	// Family is the hash-function class (default Mult).
 	Family hashfn.Family

@@ -116,7 +116,8 @@ func TestDifferentialJoinGroupBy(t *testing.T) {
 }
 
 // TestDifferentialJoinCollect checks the raw joined row multiset (before
-// any aggregation) against the NestedLoopJoin oracle.
+// any aggregation) against the NestedLoopJoin oracle, for the scheme the
+// join picks for itself and for every kernel scheme pinned.
 func TestDifferentialJoinCollect(t *testing.T) {
 	customers := makeCustomers()[:500]
 	orders := makeOrders(rand.New(rand.NewSource(7)))[:4_000]
@@ -125,16 +126,18 @@ func TestDifferentialJoinCollect(t *testing.T) {
 		want = append(want, [2]uint64{key, cents})
 	})
 	sortPairs(want)
-	for _, workers := range []int{1, 8} {
-		keys, vals, err := pipe.HashJoin(
-			pipe.FromRelation(customers), pipe.FromRelation(orders), pipe.JoinConfig{},
-		).Collect(pipe.Config{Workers: workers, MorselSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
-			t.Fatalf("workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
-				workers, len(got), len(want))
+	for _, scheme := range append([]table.Scheme{""}, table.KernelSchemes()...) {
+		for _, workers := range []int{1, 2, 8} {
+			keys, vals, err := pipe.HashJoin(
+				pipe.FromRelation(customers), pipe.FromRelation(orders), pipe.JoinConfig{Scheme: scheme},
+			).Collect(pipe.Config{Workers: workers, MorselSize: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
+				t.Fatalf("scheme %q workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
+					scheme, workers, len(got), len(want))
+			}
 		}
 	}
 }

@@ -33,7 +33,10 @@
 //   - Build-side pre-sizing: HashJoin sizes its build table with
 //     join.CapacityFor from the build stream's cardinality hint (known
 //     slice lengths, table.Handle.Len, or an explicit Hint from a dist
-//     tape), so the build never rehashes.
+//     tape), so the build never rehashes. The power-of-two sizing leaves
+//     the table in (JoinConfig.LoadFactor/2, LoadFactor], and its scheme
+//     is the paper's Figure 8 (table.Recommend) walked with that real load
+//     factor — LP below 50%, RH otherwise — unless JoinConfig.Scheme pins one.
 //   - No build over an index: when the build side is a bare
 //     FromHandle(h), h already is the hash table the join would build, so
 //     HashJoin skips the build phase and probes h in place — wait-free,

@@ -19,7 +19,8 @@ import (
 
 // GroupConfig parameterizes a streaming group-by; it mirrors agg.Config.
 type GroupConfig struct {
-	// Scheme selects the group-index table (default agg's QP).
+	// Scheme selects the group-index table (default agg.Config's, which
+	// says what that is and why).
 	Scheme table.Scheme
 	// Family is the hash-function class (default Mult).
 	Family hashfn.Family

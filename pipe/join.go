@@ -21,13 +21,14 @@ import (
 // handle in place (see HashJoin) there is no build table to configure:
 // only Project is used.
 type JoinConfig struct {
-	// Scheme selects the build-side table (default RH, the paper's
-	// all-rounder for the read-heavy probe phase).
+	// Scheme pins the build-side table; empty lets the paper's Figure 8
+	// pick it from the table's real load factor (see HashJoin).
 	Scheme table.Scheme
 	// Family is the hash-function class (default Mult).
 	Family hashfn.Family
-	// LoadFactor is the build-side occupancy target (default 0.5, like
-	// join.Config: joins are memory-rich and probe-bound).
+	// LoadFactor is the build-side occupancy ceiling (default 0.5, like
+	// join.Config: joins are memory-rich and probe-bound); the capacity
+	// is a power of two, so the table runs in (LoadFactor/2, LoadFactor].
 	LoadFactor float64
 	// BuildRows overrides the build-side cardinality hint the table is
 	// pre-sized from (join.CapacityFor); 0 asks the build stream, whose
@@ -42,19 +43,6 @@ type JoinConfig struct {
 	Seed    uint64
 }
 
-func (c JoinConfig) withDefaults() JoinConfig {
-	if c.Scheme == "" {
-		c.Scheme = table.SchemeRH
-	}
-	if c.Family == nil {
-		c.Family = hashfn.MultFamily{}
-	}
-	if c.LoadFactor <= 0 || c.LoadFactor >= 1 {
-		c.LoadFactor = 0.5
-	}
-	return c
-}
-
 // HashJoin joins build ⋈ probe on key, streaming. Build keys are
 // expected unique (PK/FK joins); duplicates keep the first payload
 // per key — with more than one worker, which concurrent duplicate is
@@ -62,6 +50,12 @@ func (c JoinConfig) withDefaults() JoinConfig {
 // contract. The probe side may repeat keys freely. Each match is
 // projected through cfg.Project and continues downstream; non-matching
 // probe rows are skipped at emission.
+//
+// Unless cfg.Scheme pins one, the build table's scheme is the paper's
+// Figure 8 (table.Recommend) walked for a static, read-mostly table with
+// successful lookups at the load factor the sizing really leaves: 1M rows
+// under the default 0.5 land in 2^21 slots — 0.477, LP — exactly 2^20 rows
+// at 0.5, RH; a build side of unknown size grows, and is RH too.
 //
 // When build is a bare FromHandle(h) — no Filter or Map on it — the join
 // builds nothing: h is the index, and each probe batch is one wait-free
@@ -96,18 +90,28 @@ type joinScratch struct {
 // hint via the shared join.CapacityFor rule, single-table when the pool
 // is serial, sharded (with the engine's incremental growth as a safety
 // valve) when workers probe and build concurrently.
-func (j *joinSource) openBuild(rt *runtime, cfg JoinConfig) (*table.Handle, error) {
-	n := cfg.BuildRows
+func (j *joinSource) openBuild(rt *runtime) (*table.Handle, error) {
+	n := j.cfg.BuildRows
 	if n <= 0 {
 		n = j.build.size()
 	}
-	opts := []table.Option{
-		table.WithScheme(cfg.Scheme),
-		table.WithHashFamily(cfg.Family),
-		table.WithSeed(cfg.Seed),
-	}
+	// Static, read-mostly, lookups succeed (the PK/FK contract). Without
+	// a hint the table doubles as it grows, so it lives between half the
+	// growth threshold and the threshold.
+	w := table.Workload{LoadFactor: 0.75 * table.DefaultMaxLoadFactor}
+	opts := []table.Option{table.WithSeed(j.cfg.Seed)}
 	if n >= 0 {
-		opts = append(opts, table.WithCapacity(join.CapacityFor(n, cfg.LoadFactor)))
+		slots := join.CapacityFor(n, j.cfg.LoadFactor)
+		w.LoadFactor = float64(max(n, 1)) / float64(slots)
+		opts = append(opts, table.WithCapacity(slots))
+	}
+	if j.cfg.Scheme != "" {
+		opts = append(opts, table.WithScheme(j.cfg.Scheme))
+	} else {
+		opts = append(opts, table.WithWorkload(w))
+	}
+	if j.cfg.Family != nil {
+		opts = append(opts, table.WithHashFamily(j.cfg.Family))
 	}
 	if workers := rt.pool.Workers(); workers > 1 {
 		// Concurrent build inserts need the sharded engine; growth stays
@@ -134,7 +138,6 @@ func (j *joinSource) indexed() *table.Handle {
 }
 
 func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	cfg := j.cfg.withDefaults()
 	scratch := make([]joinScratch, rt.pool.Workers())
 	for w := range scratch {
 		scratch[w].out = make([]uint64, rt.pool.MorselSize())
@@ -143,7 +146,7 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	h := j.indexed()
 	if h == nil {
 		var err error
-		if h, err = j.openBuild(rt, cfg); err != nil {
+		if h, err = j.openBuild(rt); err != nil {
 			return fmt.Errorf("pipe: join build table: %w", err)
 		}
 		// Build phase: the build stream drains into the table, one
@@ -166,7 +169,7 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	// matches are projected into the worker's batch and pushed through
 	// the downstream stages in the same pass — no intermediate join
 	// result exists anywhere.
-	project := cfg.Project
+	project := j.cfg.Project
 	bufs := rt.newBatches()
 	return j.probe.src.run(rt, j.probe.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()

@@ -125,6 +125,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/exec"
 	"repro/hashfn"
 	"repro/internal/fault"
 	"repro/internal/prng"
@@ -294,7 +295,14 @@ type Engine struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// New builds an Engine from cfg.
+// parallelOpenSlots is the per-shard capacity — 1 MiB of 16-byte slots —
+// from which clearing a shard's first table is worth a transient pool.
+const parallelOpenSlots = 1 << 16
+
+// New builds an Engine from cfg. Several shards of parallelOpenSlots slots
+// or more get their first tables allocated as exec.RunTasks tasks, calling
+// NewTable concurrently (as resizes of different shards already do); the
+// birth views are published serially either way.
 func New(cfg Config) (*Engine, error) {
 	if cfg.NewTable == nil {
 		return nil, fmt.Errorf("shard: Config.NewTable is required")
@@ -327,19 +335,32 @@ func New(cfg Config) (*Engine, error) {
 		create: cfg.NewTable,
 	}
 	perShard := cfg.Capacity / p
-	for i := range e.shards {
+	tables := make([]Table, p)
+	open := func(_, i int) (err error) {
 		s := &e.shards[i]
 		s.idx, s.eng = i, e
 		s.seed = cfg.Seed + uint64(i)*shardSeedStep
 		s.jitter = prng.NewSplitMix64(s.seed ^ jitterSeedMix)
-		t, err := e.allocTable(perShard, s.seed)
-		if err != nil {
-			return nil, err
+		tables[i], err = e.allocTable(perShard, s.seed)
+		return err
+	}
+	var err error
+	if p > 1 && perShard >= parallelOpenSlots {
+		err = exec.RunTasks(exec.Config{}, p, open)
+	} else {
+		for i := 0; i < p && err == nil; i++ {
+			err = open(0, i)
 		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range e.shards {
 		// Even the birth epoch goes through the publication chokepoint,
 		// inside a (trivially uncontended) seqlock window.
+		s := &e.shards[i]
 		s.lockShard()
-		e.publish(s, &view{cur: t})
+		e.publish(s, &view{cur: tables[i]})
 		s.unlockShard()
 	}
 	e.label = e.shards[0].view.Load().cur.Name()

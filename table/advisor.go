@@ -42,7 +42,8 @@ func (w Workload) Validate() error {
 // Recommend walks the paper's Figure 8 decision graph for w and returns
 // the recommended scheme together with the audit trail of decisions taken
 // (the hash-function family is always Mult per Figure 8; §5.2: "no hash
-// table is the absolute best using Murmur").
+// table is the absolute best using Murmur"). Open(WithWorkload) walks it;
+// the one operator that opens its table that way is pipe.HashJoin's build.
 func Recommend(w Workload) (Scheme, []string, error) {
 	if err := w.Validate(); err != nil {
 		return "", nil, err

@@ -10,9 +10,10 @@ package table
 //     hoisting the interface dispatch and parameter loads out of the loop.
 //  2. A touch pass loads every lane's home-slot key word back to back,
 //     before any lane is resolved, so the chunk's home-line cache misses
-//     are in flight together (kern.hashAndTouch; the mutating batches run it
-//     too). A first-probe pass then walks every key's home line in a tight
-//     loop. At moderate load factors most lookups resolve right there.
+//     are in flight together (kern.hashAndTouch). A first-probe pass then
+//     walks every key's home line (lookups) or tries its home slot
+//     (mutations, kern.rmwBatch) in a tight loop. At moderate load factors
+//     most lanes resolve right there.
 //  3. Unresolved lanes enter a round-robin walk: each round advances every
 //     live probe sequence by one step. Consecutive loads belong to
 //     *different* sequences, so they are independent and the memory system
@@ -25,12 +26,11 @@ package table
 // duplicate keys inside a batch behave like consecutive scalar Puts. The
 // property tests cross-check both on randomized workloads.
 //
-// The open-addressing schemes share one generic implementation of the
-// chunk loops and lane walks (kernel.go), monomorphized per scheme so no
-// indirect call sits on a per-key path; Chained8/24 and Cuckoo keep
-// bespoke lookup walks over their chain and candidate-set structures, and
-// open their mutation chunks with a touch pass of their own (openChunk)
-// ahead of the generic drivers in rmw.go.
+// The open-addressing schemes share one implementation of the chunk
+// loops and lane walks (kernel.go), with no indirect call on a per-key
+// path; Chained8/24 and Cuckoo keep bespoke lookup walks over their chain
+// and candidate-set structures, and open their mutation chunks with a
+// touch pass of their own (openChunk) ahead of rmw.go's generic driver.
 
 import (
 	"sync"

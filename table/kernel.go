@@ -2,9 +2,9 @@ package table
 
 // The policy-driven open-addressing probe kernel. kern implements the
 // complete Table surface — scalar point operations, the single-probe
-// read-modify-write primitive, the home-line touch pass and the
-// group-interleaved batch walks behind it, the error-based mutations,
-// iterators and the diagnostics Stats feeds on — exactly once, against
+// read-modify-write primitive, the home-line touch pass with the
+// group-interleaved lookup walks and the one mutating-batch driver behind
+// it, iterators and the diagnostics Stats feeds on — exactly once, against
 // the policy dimensions of policy.go. A scheme is a thin instantiation:
 //
 //	LinearProbing    = kern(aosLayout, linearSeq, noDisplace)
@@ -18,10 +18,8 @@ package table
 // direct indexing of the hoisted column views (see colView), and the
 // remaining behavioral switches (bounded, contiguous, robin) to
 // loop-invariant booleans the hot loops keep in registers. The shared
-// loops therefore compile to the same per-slot instruction mix as the
-// hand-written per-scheme copies they replaced (formerly spread over
-// linear.go, soa.go, quadratic.go, robinhood.go, batched_linear.go,
-// batched_probe.go and rmw.go).
+// loops therefore compile to the same per-slot instruction mix as
+// hand-written per-scheme copies would.
 //
 // # Scaled slot cursors
 //
@@ -270,20 +268,9 @@ func (c *kern) robinAbort(si, si0, k uint64) bool {
 // Put implements Map. On a full growth-disabled table it grows once
 // instead of failing; use TryPut for the ErrFull-reporting contract.
 func (c *kern) Put(key, val uint64) bool {
-	if isSentinelKey(key) {
-		return c.sent.put(key, val)
-	}
-	return c.mustPutHashed(key, val, c.fn.Hash(key))
-}
-
-// mustPutHashed is the insert primitive of the legacy Map contract: a
-// full growth-disabled table grows once instead of failing.
-func (c *kern) mustPutHashed(key, val, hash uint64) bool {
+	hash := c.fn.Hash(key)
 	_, existed, err := c.rmwHashed(key, val, hash, true, nil)
 	if err != nil {
-		// Growth disabled and full, and the key is new (rmwHashed
-		// updates existing keys in place without needing room): grow
-		// once.
 		c.rehashTo(c.slotCount() * 2)
 		_, existed, _ = c.rmwHashed(key, val, hash, true, nil)
 	}
@@ -656,68 +643,100 @@ func (c *kern) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint
 // stops at the first failing key, leaving earlier pairs applied.
 func (c *kern) TryPutBatch(keys, vals []uint64) (int, error) {
 	checkBatchPut(len(keys), len(vals))
-	bt := c.buf()
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc, vc := keys[lo:hi], vals[lo:hi]
-		c.hashAndTouch(bt, kc)
-		for l, k := range kc {
-			_, existed, err := c.rmwHashed(k, vc[l], bt.hash[l], true, nil)
-			if err != nil {
-				return inserted, err
-			}
-			if !existed {
-				inserted++
-			}
-		}
-	}
-	return inserted, nil
+	return c.rmwBatch(keys, vals, nil, nil, true, false, nil)
 }
 
 // GetOrPutBatch implements Table: the batched GetOrPut, one probe per
-// key, results in slice order.
+// key, results in slice order. out may alias vals.
 func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
 	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
-	bt := c.buf()
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc := keys[lo:hi]
-		c.hashAndTouch(bt, kc)
-		for l, k := range kc {
-			v, existed, err := c.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
-			if err != nil {
-				return inserted, err
-			}
-			out[lo+l], loaded[lo+l] = v, existed
-			if !existed {
-				inserted++
-			}
-		}
-	}
-	return inserted, nil
+	return c.rmwBatch(keys, vals, out, loaded, false, false, nil)
 }
 
-// UpsertBatch implements Table. One adapter closure is allocated per call
-// (not per key); the current lane is threaded through it. A caller whose
-// keys mostly exist should look them up with GetBatch and hand only the
-// misses here, as agg.AddBatch does: every lane pays fn's two indirect
-// calls and the mutation bookkeeping, hit or not.
+// UpsertBatch implements Table. A caller whose keys mostly exist should
+// look them up with GetBatch and hand only the misses here, as
+// agg.AddBatch does: every lane pays fn's indirect call and the mutation
+// bookkeeping, hit or not.
 func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	return c.rmwBatch(keys, nil, nil, nil, false, false, fn)
+}
+
+// PutBatch implements Batcher: TryPutBatch under the legacy Map contract,
+// where a full growth-disabled table grows once instead of failing.
+func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
+	checkBatchPut(len(keys), len(vals))
+	n, _ := c.rmwBatch(keys, vals, nil, nil, true, true, nil)
+	return n
+}
+
+// rmwBatch is the one chunk loop behind the four mutating batches: vals
+// nil stores fn's results (UpsertBatch), out/loaded nil drops the lanes'
+// results, growOnce is PutBatch's contract. Lanes apply in slice order, so
+// a duplicate key sees its earlier occurrence. Each opens with a
+// first-probe pass, the mutation twin of GetBatch's: when nothing has to be
+// shed or grown first and the home slot — hashAndTouch has just loaded it —
+// holds the lane's key or is empty with room to spare, the lane is settled
+// there, where rmwHashed would settle it under every probe policy. All
+// other lanes and the sentinel keys take rmwHashed, which owns ErrFull,
+// tombstone recycling and the Robin Hood ordering.
+func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite, growOnce bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	bt := c.buf()
 	lane := 0
-	adapter := func(old uint64, exists bool) uint64 { return fn(lane, old, exists) }
+	var adapter func(uint64, bool) uint64 // fn as rmwHashed takes it, the lane threaded through
+	if fn != nil {
+		adapter = func(old uint64, exists bool) uint64 { return fn(lane, old, exists) }
+	}
 	inserted := 0
 	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc := keys[lo:hi]
+		kc := keys[lo:min(lo+BatchWidth, len(keys))]
 		c.hashAndTouch(bt, kc)
+		// Geometry as locals: while first holds only growOnce's rehash
+		// moves it, and that drops first.
+		first := c.maxLF == 0 && c.tombs == 0
+		skc, svc := c.kc, c.vc[c.ks:]
+		sshift, soneM, room := c.sshift, c.sone-1, c.slotCount()-1
 		for l, k := range kc {
 			lane = lo + l
-			_, existed, err := c.rmwHashed(k, 0, bt.hash[l], false, adapter)
+			var val uint64
+			if vals != nil {
+				val = vals[lane]
+			}
+			if first && !isSentinelKey(k) {
+				si := (bt.hash[l] >> (sshift & 63)) &^ soneM
+				if r := skc[si]; r == k {
+					if fn != nil {
+						svc[si] = fn(lane, svc[si], true)
+					} else if overwrite {
+						svc[si] = val
+					}
+					if out != nil {
+						out[lane], loaded[lane] = svc[si], true
+					}
+					continue
+				} else if r == emptyKey && c.size < room {
+					if fn != nil {
+						val = fn(lane, 0, false)
+					}
+					skc[si], svc[si] = k, val
+					c.size++
+					inserted++
+					if out != nil {
+						out[lane], loaded[lane] = val, false
+					}
+					continue
+				}
+			}
+			v, existed, err := c.rmwHashed(k, val, bt.hash[l], overwrite, adapter)
+			if err != nil && growOnce {
+				first = false
+				c.rehashTo(c.slotCount() * 2)
+				v, existed, err = c.rmwHashed(k, val, bt.hash[l], overwrite, adapter)
+			}
 			if err != nil {
 				return inserted, err
+			}
+			if out != nil {
+				out[lane], loaded[lane] = v, existed
 			}
 			if !existed {
 				inserted++
@@ -736,15 +755,12 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 // home-line touch pass loads the home-slot key word of every lane back to
 // back, before any lane is resolved. The addresses depend only on the
 // hash codes, so the loads are independent and a chunk's home-line cache
-// misses are in flight together; the walk that follows finds the lines
-// arriving instead of paying one serialized miss per key (a lane's
-// resolution — compare, branch, store, and for the mutations a whole
-// rmwHashed call — is far longer than the out-of-order window, so without
-// this pass the next lane's first load only issues once the current lane
-// is done). Only the home line is covered: overflow lines further along a
-// probe sequence and the SoA value column are still fetched on demand.
-// The loads are folded into the chunk scratch's sink, else they are dead
-// code.
+// misses are in flight together; the first-probe pass that follows — the
+// lookups' in getChunk*, the mutations' in rmwBatch — finds the lines
+// arriving instead of paying one serialized miss per key. Only the home
+// line is covered: overflow lines further along a probe sequence and the
+// SoA value column are still fetched on demand. The loads are folded into
+// the chunk scratch's sink, else they are dead code.
 func (c *kern) hashAndTouch(bt *batchBuf, keys []uint64) {
 	hashfn.HashBatch(c.fn, keys, bt.hash[:])
 	kc := c.kc
@@ -1071,33 +1087,6 @@ func (c *kern) getChunkSweep(keys, vals []uint64, ok []bool) int {
 		}
 	}
 	return hits
-}
-
-// PutBatch implements Batcher: the chunk is bulk-hashed once, then
-// inserted in slice order so duplicate keys inside a batch keep
-// sequential (last wins) semantics. Growth mid-batch is safe because
-// slot indexes are derived from the stored hash codes at insert time.
-func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
-	checkBatchPut(len(keys), len(vals))
-	bt := c.buf()
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc, vc := keys[lo:hi], vals[lo:hi]
-		c.hashAndTouch(bt, kc)
-		for l, k := range kc {
-			if isSentinelKey(k) {
-				if c.sent.put(k, vc[l]) {
-					inserted++
-				}
-				continue
-			}
-			if c.mustPutHashed(k, vc[l], bt.hash[l]) {
-				inserted++
-			}
-		}
-	}
-	return inserted
 }
 
 // ---------------------------------------------------------------------------

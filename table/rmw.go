@@ -4,15 +4,15 @@ package table
 // of the two structurally distinct cores — chained hashing and Cuckoo —
 // into the unified Table surface: TryPut, GetOrPut, Upsert and their
 // batched forms, plus the Go 1.23 All iterator and the Rehashes
-// observability accessor. The four open-addressing schemes get the same
-// surface from the probe kernel (kernel.go) instead.
+// observability accessor. The five open-addressing schemes get the same
+// surface from the probe kernel, batch driver (kern.rmwBatch) included.
 //
-// The batched forms are one set of generic drivers for all three types:
-// each chunk is opened by the scheme's openChunk — bulk-hash, then load
-// back to back every line the scalar step is going to read first (the
-// directory word or inline key of a chained lane, all k candidate slots of
-// a Cuckoo lane) — and then applied lane by lane through the scheme's
-// rmwHashed. Unlike a Get-then-Put sequence they issue exactly ONE
+// The batched forms here are one generic driver, rmwBatchImpl, for all
+// three types: each chunk is opened by the scheme's openChunk — bulk-hash,
+// then load back to back every line the scalar step is going to read first
+// (the directory word or inline key of a chained lane, all k candidate
+// slots of a Cuckoo lane) — and then applied lane by lane through the
+// scheme's rmwHashed. Unlike a Get-then-Put sequence they issue exactly ONE
 // probe sequence per key — the probe that finds the key doubles as the
 // probe that finds its insertion point — which is what removes the double
 // walk from aggregation builds and join builds. Batched semantics are
@@ -43,20 +43,30 @@ func checkBatchGetOrPut(nKeys, nVals, nOut, nLoaded int) {
 	}
 }
 
-// tryPutBatchImpl is PutBatch with the ErrFull contract: it stops at the
-// first failing key, leaving earlier pairs applied.
-func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
-	checkBatchPut(len(keys), len(vals))
+// rmwBatchImpl is the one chunk loop behind the three batched forms: vals
+// nil stores fn's results, out/loaded nil drops the lanes' results, and
+// lane, when set, is told which lane fn is about to be called for. It
+// stops at the first failing key, leaving earlier pairs applied.
+func rmwBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool, overwrite bool, lane *int, fn func(uint64, bool) uint64) (int, error) {
 	bt := t.buf()
 	inserted := 0
 	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc, vc := keys[lo:hi], vals[lo:hi]
+		kc := keys[lo:min(lo+BatchWidth, len(keys))]
 		t.openChunk(bt, kc)
 		for l, k := range kc {
-			_, existed, err := t.rmwHashed(k, vc[l], bt.hash[l], true, nil)
+			var val uint64
+			if vals != nil {
+				val = vals[lo+l]
+			}
+			if lane != nil {
+				*lane = lo + l
+			}
+			v, existed, err := t.rmwHashed(k, val, bt.hash[l], overwrite, fn)
 			if err != nil {
 				return inserted, err
+			}
+			if out != nil {
+				out[lo+l], loaded[lo+l] = v, existed
 			}
 			if !existed {
 				inserted++
@@ -64,55 +74,26 @@ func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
 		}
 	}
 	return inserted, nil
+}
+
+// tryPutBatchImpl is PutBatch with the ErrFull contract.
+func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
+	checkBatchPut(len(keys), len(vals))
+	return rmwBatchImpl(t, keys, vals, nil, nil, true, nil, nil)
 }
 
 // getOrPutBatchImpl is the batched GetOrPut: one probe per key, results in
 // slice order.
 func getOrPutBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool) (int, error) {
 	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
-	bt := t.buf()
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc := keys[lo:hi]
-		t.openChunk(bt, kc)
-		for l, k := range kc {
-			v, existed, err := t.rmwHashed(k, vals[lo+l], bt.hash[l], false, nil)
-			if err != nil {
-				return inserted, err
-			}
-			out[lo+l], loaded[lo+l] = v, existed
-			if !existed {
-				inserted++
-			}
-		}
-	}
-	return inserted, nil
+	return rmwBatchImpl(t, keys, vals, out, loaded, false, nil, nil)
 }
 
 // upsertBatchImpl is the batched Upsert. One adapter closure is allocated
 // per call (not per key); the current lane is threaded through it.
 func upsertBatchImpl[T rmwTable](t T, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	bt := t.buf()
 	lane := 0
-	adapter := func(old uint64, exists bool) uint64 { return fn(lane, old, exists) }
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		kc := keys[lo:hi]
-		t.openChunk(bt, kc)
-		for l, k := range kc {
-			lane = lo + l
-			_, existed, err := t.rmwHashed(k, 0, bt.hash[l], false, adapter)
-			if err != nil {
-				return inserted, err
-			}
-			if !existed {
-				inserted++
-			}
-		}
-	}
-	return inserted, nil
+	return rmwBatchImpl(t, keys, nil, nil, nil, false, &lane, func(old uint64, exists bool) uint64 { return fn(lane, old, exists) })
 }
 
 // allOf adapts Range to a Go 1.23 range-over-func iterator.
