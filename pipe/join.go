@@ -1,7 +1,7 @@
 package pipe
 
 // The streaming hash join: the build side is consumed into a pre-sized
-// table through the single-probe GetOrPutBatch pipeline, then the probe
+// table through the single-probe PutIfAbsentBatch pipeline, then the probe
 // side streams morsel-at-a-time — each probe batch is answered by one
 // GetBatch and the matches flow straight into the downstream stages
 // without an intermediate relation. A build side that already is a hash
@@ -9,6 +9,7 @@ package pipe
 // probe phase runs against the handle itself.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/decision"
@@ -33,7 +34,8 @@ type JoinConfig struct {
 	// BuildRows overrides the build-side cardinality hint the table is
 	// pre-sized from (join.CapacityFor); 0 asks the build stream, whose
 	// sources usually know (slice lengths, Handle.Len, Hint). When no
-	// hint exists anywhere the table starts small and grows.
+	// hint exists anywhere the table starts small and grows; a hint the
+	// build overruns is ErrFull at one worker, a second build above.
 	BuildRows int
 	// Project maps one match to the row the joined stream emits. The
 	// default keeps the join key and the probe payload:
@@ -57,6 +59,14 @@ type JoinConfig struct {
 // under the default 0.5 land in 2^21 slots — 0.477, LP — exactly 2^20 rows
 // at 0.5, RH; a build side of unknown size grows, and is RH too.
 //
+// A pre-sized build whose scheme holds its entries still (LP, LPSoA, QP, DH:
+// table.Scheme.SharedBuild) is ONE fixed table at every worker count: all
+// workers insert through Handle.PutIfAbsentBatch, a compare-and-swap per key,
+// and after the build phase's barrier probe it with plain GetBatch — no lock,
+// scatter or gather on either phase. Schemes that displace or allocate (RH,
+// Cuckoo, chained) and build sides of unknown size take the sharded, growing
+// engine above one worker.
+//
 // When build is a bare FromHandle(h) — no Filter or Map on it — the join
 // builds nothing: h is the index, and each probe batch is one wait-free
 // h.GetBatch, so the join takes no lock on h, allocates no table and leaves
@@ -78,19 +88,19 @@ type joinSource struct {
 // probe bound is the join's bound.
 func (j *joinSource) rows() int { return j.probe.size() }
 
-// joinScratch is one worker's probe/build column scratch: the values a
-// batch call returns and its flags (loaded during the build, ok during
-// the probe — the phases never overlap).
+// joinScratch is one worker's probe column scratch: the values a probe
+// batch's GetBatch returns and their ok flags.
 type joinScratch struct {
 	out  []uint64
 	flag []bool
 }
 
-// openBuild opens the build-side table: pre-sized from the cardinality
-// hint via the shared join.CapacityFor rule, single-table when the pool
-// is serial, sharded (with the engine's incremental growth as a safety
-// valve) when workers probe and build concurrently.
-func (j *joinSource) openBuild(rt *runtime) (*table.Handle, error) {
+// openBuild opens the build-side table, pre-sized from the cardinality hint
+// via the shared join.CapacityFor rule: one fixed table — the WORM contract,
+// like join.HashJoin — when every worker can insert into it (there is one
+// worker, or the scheme is a SharedBuild one); else, and for grow, the
+// rebuild after a hint proved too small, the sharded engine with growth on.
+func (j *joinSource) openBuild(rt *runtime, grow bool) (*table.Handle, error) {
 	n := j.cfg.BuildRows
 	if n <= 0 {
 		n = j.build.size()
@@ -105,26 +115,44 @@ func (j *joinSource) openBuild(rt *runtime) (*table.Handle, error) {
 		w.LoadFactor = float64(max(n, 1)) / float64(slots)
 		opts = append(opts, table.WithCapacity(slots))
 	}
-	if j.cfg.Scheme != "" {
-		opts = append(opts, table.WithScheme(j.cfg.Scheme))
+	scheme := j.cfg.Scheme
+	if scheme != "" {
+		opts = append(opts, table.WithScheme(scheme))
 	} else {
 		opts = append(opts, table.WithWorkload(w))
+		scheme, _, _ = table.Recommend(w) // Open walks it again, and reports the error
 	}
 	if j.cfg.Family != nil {
 		opts = append(opts, table.WithHashFamily(j.cfg.Family))
 	}
-	if workers := rt.pool.Workers(); workers > 1 {
-		// Concurrent build inserts need the sharded engine; growth stays
-		// enabled so an unlucky shard resizes incrementally instead of
-		// failing the build.
+	if workers := rt.pool.Workers(); n >= 0 && !grow && (workers == 1 || scheme.SharedBuild()) {
+		opts = append(opts, table.WithMaxLoadFactor(0))
+	} else if workers > 1 {
 		opts = append(opts,
 			table.WithPartitions(decision.ShardsFor(workers)),
 			table.WithMaxLoadFactor(table.DefaultMaxLoadFactor))
-	} else if n >= 0 {
-		// Serial and pre-sized: the WORM contract, like join.HashJoin.
-		opts = append(opts, table.WithMaxLoadFactor(0))
 	}
 	return table.Open(opts...)
+}
+
+// buildTable opens the build table and drains the build stream into it, one
+// PutIfAbsentBatch per batch. The call returns no values — the join never
+// read them, and that is what lets workers share a fixed table; the pool's
+// barrier ending the phase orders the inserts before the probe's plain reads.
+func (j *joinSource) buildTable(rt *runtime, grow bool) (*table.Handle, error) {
+	h, err := j.openBuild(rt, grow)
+	if err != nil {
+		return nil, fmt.Errorf("pipe: join build table: %w", err)
+	}
+	return h, j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
+		start := rt.opStart()
+		_, err := h.PutIfAbsentBatch(keys, vals)
+		rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
+		if err != nil {
+			return fmt.Errorf("pipe: join build: %w", err)
+		}
+		return nil
+	})
 }
 
 // indexed returns the handle to probe in place: the one a bare FromHandle
@@ -145,22 +173,15 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	}
 	h := j.indexed()
 	if h == nil {
+		// Build phase. Cardinality hints are guesses: when the workers'
+		// shared fixed table proves too small the build stream, re-runnable
+		// like every stream, runs again into the sharded table that grows.
+		// A serial build keeps the WORM contract and reports ErrFull.
 		var err error
-		if h, err = j.openBuild(rt); err != nil {
-			return fmt.Errorf("pipe: join build table: %w", err)
+		h, err = j.buildTable(rt, false)
+		if errors.Is(err, table.ErrFull) && rt.pool.Workers() > 1 && h.Partitions() == 1 {
+			h, err = j.buildTable(rt, true)
 		}
-		// Build phase: the build stream drains into the table, one
-		// single-probe GetOrPutBatch per incoming batch.
-		err = j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
-			start := rt.opStart()
-			sc := &scratch[w]
-			_, err := h.GetOrPutBatch(keys, vals, sc.out[:len(keys)], sc.flag[:len(keys)])
-			rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
-			if err != nil {
-				return fmt.Errorf("pipe: join build: %w", err)
-			}
-			return nil
-		})
 		if err != nil {
 			return err
 		}

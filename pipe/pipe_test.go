@@ -316,6 +316,66 @@ func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
 	}
 }
 
+func TestUnderstatedHintSharedBuildRebuilds(t *testing.T) {
+	// Hint(9) sizes the build table at 32 slots — 0.28, LP — so four workers
+	// share one fixed table, which 1000 rows overfill: the build runs again
+	// into the sharded table that grows, and the join is right all the same.
+	// (Hint(8) lands on RH, which is sharded from the start.)
+	build := make(join.Relation, 1000)
+	for i := range build {
+		build[i] = join.Row{Key: uint64(i) + 1, Payload: 1}
+	}
+	probe := make(join.Relation, 3000)
+	for i := range probe {
+		probe[i] = join.Row{Key: uint64(i) + 1, Payload: 2} // two thirds miss
+	}
+	for _, cfg := range []pipe.JoinConfig{{}, {Scheme: table.SchemeQP}} {
+		m := pipe.NewMetrics(4)
+		n, err := pipe.HashJoin(pipe.FromRelation(build).Hint(9), pipe.FromRelation(probe), cfg).
+			Count(pipe.Config{Workers: 4, MorselSize: 64, Metrics: m})
+		if err != nil || n != len(build) {
+			t.Fatalf("scheme %q: %d rows, %v; want %d", cfg.Scheme, n, err, len(build))
+		}
+		if got := m.JoinBuild().RowsIn.Value(); got <= uint64(len(build)) {
+			t.Fatalf("scheme %q: %d build rows: the fixed table took all %d, so this test reaches no rebuild", cfg.Scheme, got, len(build))
+		}
+	}
+}
+
+func TestSharedBuildKeepsOneOfferedPayload(t *testing.T) {
+	// Every build key arrives eight times with eight payloads, spread over
+	// the morsels of four workers sharing one fixed table: each probe row
+	// sees one of the payloads offered for its key, and every probe row of a
+	// key the same one.
+	const keys, copies = 5000, 8
+	var build join.Relation
+	for c := uint64(0); c < copies; c++ {
+		for k := uint64(1); k <= keys; k++ {
+			build = append(build, join.Row{Key: k, Payload: k*copies + c})
+		}
+	}
+	probe := make(join.Relation, 3*keys)
+	for i := range probe {
+		probe[i] = join.Row{Key: uint64(i%keys) + 1}
+	}
+	gotK, gotV, err := pipe.HashJoin(pipe.FromRelation(build), pipe.FromRelation(probe),
+		pipe.JoinConfig{Project: func(k, b, _ uint64) (uint64, uint64) { return k, b }}).
+		Collect(pipe.Config{Workers: 4, MorselSize: 256})
+	if err != nil || len(gotK) != len(probe) {
+		t.Fatalf("%d rows, %v; want %d", len(gotK), err, len(probe))
+	}
+	kept := map[uint64]uint64{}
+	for i, k := range gotK {
+		if gotV[i]/copies != k {
+			t.Fatalf("key %d joined payload %d, which no build row offered for it", k, gotV[i])
+		}
+		if was, seen := kept[k]; seen && was != gotV[i] {
+			t.Fatalf("key %d joined payloads %d and %d", k, was, gotV[i])
+		}
+		kept[k] = gotV[i]
+	}
+}
+
 func TestHintPreSizesSerialBuild(t *testing.T) {
 	// A serial pre-sized build keeps join.HashJoin's WORM contract: an
 	// understated Hint surfaces as a typed ErrFull from the build phase

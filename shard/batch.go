@@ -151,36 +151,83 @@ func (e *Engine) roomFor(v *view, n int) bool {
 	return float64(v.cur.Len()+n) < e.growAt*float64(v.cur.Capacity())
 }
 
-// putBatchShard applies one shard's staged pairs inside its writer's
-// seqlock window.
-func (e *Engine) putBatchShard(s *shardState, keys, vals []uint64) (int, error) {
+// rmwBatchShard applies one shard's staged pairs inside its writer's
+// seqlock window: PutBatch's when put, else GetOrPutBatch's, whose results go
+// to out and loaded — the shard-local staging views (out may alias vals), or
+// nil to drop them.
+func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded []bool, put bool) (inserted int, err error) {
 	s.lockShard()
 	defer s.unlockShard()
 	e.advance(s)
 	e.degradedTick(s)
-	inserted := 0
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
-		ins, err := v.cur.TryPutBatch(keys, vals)
-		s.live.Add(int64(ins))
+		if put {
+			inserted, err = v.cur.TryPutBatch(keys, vals)
+		} else {
+			inserted, err = v.cur.GetOrPutBatch(keys, vals, out, loaded)
+		}
+		s.live.Add(int64(inserted))
 		if err == nil || e.growAt <= 0 {
-			return ins, err
+			return inserted, err
 		}
 		// The pipeline refused a key (Cuckoo kick failure): the table
 		// cannot place keys at this occupancy, so grow now — or degrade
-		// when the allocator refuses — and re-apply the whole range
-		// scalar. Re-applying already-inserted pairs is idempotent (same
-		// key, same value, classified as updates the second time — hence
-		// ins carries into the total).
-		inserted = ins
+		// when the allocator refuses — and re-apply the whole range scalar,
+		// carrying the pipeline's insert count. Re-applying is idempotent:
+		// a pair already in is an update to, or a GetOrPut hit on, the same
+		// value, and is not counted twice; a within-batch duplicate may
+		// then report loaded=true for the lane that actually inserted —
+		// accepted on this pathological path.
 		e.growForBatchRefusal(s)
 	}
 	for i, k := range keys {
-		ins, err := e.putLocked(s, k, vals[i])
+		fresh := false
+		if put {
+			fresh, err = e.putLocked(s, k, vals[i])
+		} else {
+			var v uint64
+			var ld bool
+			if v, ld, err = e.getOrPutLocked(s, k, vals[i]); err == nil && out != nil {
+				out[i], loaded[i] = v, ld
+			}
+			fresh = !ld
+		}
 		if err != nil {
 			return inserted, err
 		}
-		if ins {
+		if fresh {
 			inserted++
+		}
+	}
+	return inserted, nil
+}
+
+// rmwBatch is the scatter loop of PutBatch and GetOrPutBatch: each shard's
+// staged range goes through rmwBatchShard once, and GetOrPutBatch's results,
+// when the caller wants them, gather back to its lanes.
+func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, put bool) (int, error) {
+	if len(e.shards) == 1 {
+		return e.rmwBatchShard(&e.shards[0], keys, vals, out, loaded, put)
+	}
+	st := e.scatter(keys, vals)
+	defer st.release()
+	inserted := 0
+	for j := range e.shards {
+		lo, hi := st.Starts[j], st.Starts[j+1]
+		if lo == hi {
+			continue
+		}
+		// out aliases vals within the staged range: the tables read the
+		// insert value before writing the result lane.
+		n, err := e.rmwBatchShard(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.Vals[lo:hi], st.OK[lo:hi], put)
+		inserted += n
+		if err != nil {
+			return inserted, err
+		}
+	}
+	if out != nil {
+		for i, oi := range st.Orig {
+			out[oi], loaded[oi] = st.Vals[i], st.OK[i]
 		}
 	}
 	return inserted, nil
@@ -194,117 +241,30 @@ func (e *Engine) PutBatch(keys, vals []uint64) (int, error) {
 		panic("shard: PutBatch keys/vals length mismatch")
 	}
 	m, start := e.batchStart()
-	n, err := e.putBatch(keys, vals)
+	n, err := e.rmwBatch(keys, vals, nil, nil, true)
 	if m != nil {
 		m.PutBatch.Record(e.batchHint(keys), obs.Now()-start)
 	}
 	return n, err
 }
 
-func (e *Engine) putBatch(keys, vals []uint64) (int, error) {
-	if len(e.shards) == 1 {
-		return e.putBatchShard(&e.shards[0], keys, vals)
-	}
-	st := e.scatter(keys, vals)
-	defer st.release()
-	inserted := 0
-	for j := range e.shards {
-		lo, hi := st.Starts[j], st.Starts[j+1]
-		if lo == hi {
-			continue
-		}
-		n, err := e.putBatchShard(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi])
-		inserted += n
-		if err != nil {
-			return inserted, err
-		}
-	}
-	return inserted, nil
-}
-
-// TryPutBatch is PutBatch under its table.Table-surface name.
-func (e *Engine) TryPutBatch(keys, vals []uint64) (int, error) { return e.PutBatch(keys, vals) }
-
-// getOrPutBatchShard applies one shard's staged range; out and loaded are
-// the shard-local staging views (out may alias vals).
-func (e *Engine) getOrPutBatchShard(s *shardState, keys, vals, out []uint64, loaded []bool) (int, error) {
-	s.lockShard()
-	defer s.unlockShard()
-	e.advance(s)
-	e.degradedTick(s)
-	inserted := 0
-	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
-		ins, err := v.cur.GetOrPutBatch(keys, vals, out, loaded)
-		s.live.Add(int64(ins))
-		if err == nil || e.growAt <= 0 {
-			return ins, err
-		}
-		// Re-apply scalar below on a freshly grown (or degraded) shard,
-		// carrying the pipeline's insert count: pairs it already applied
-		// are found by GetOrPut (loaded=true) with the same value, so
-		// lanes stay correct and those keys are not double-counted; a
-		// within-batch duplicate that raced the refusal may report
-		// loaded=true for the lane that actually inserted — accepted on
-		// this pathological path.
-		inserted = ins
-		e.growForBatchRefusal(s)
-	}
-	for i, k := range keys {
-		v, ld, err := e.getOrPutLocked(s, k, vals[i])
-		if err != nil {
-			return inserted, err
-		}
-		out[i], loaded[i] = v, ld
-		if !ld {
-			inserted++
-		}
-	}
-	return inserted, nil
-}
-
 // GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in slice
 // order: out[i] receives the resulting value, loaded[i] whether the key
-// already existed. out may alias vals. It returns the number of newly
-// inserted keys.
+// already existed. out may alias vals; out and loaded both nil drop the
+// results and skip the gather. It returns the number of newly inserted keys.
 func (e *Engine) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
 	if len(vals) != len(keys) {
 		panic("shard: GetOrPutBatch keys/vals length mismatch")
 	}
-	if len(out) < len(keys) || len(loaded) < len(keys) {
+	if out != nil && (len(out) < len(keys) || len(loaded) < len(keys)) {
 		panic("shard: GetOrPutBatch output slices shorter than keys")
 	}
 	m, start := e.batchStart()
-	n, err := e.getOrPutBatch(keys, vals, out, loaded)
+	n, err := e.rmwBatch(keys, vals, out, loaded, false)
 	if m != nil {
 		m.GetOrPutBatch.Record(e.batchHint(keys), obs.Now()-start)
 	}
 	return n, err
-}
-
-func (e *Engine) getOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	if len(e.shards) == 1 {
-		return e.getOrPutBatchShard(&e.shards[0], keys, vals, out, loaded)
-	}
-	st := e.scatter(keys, vals)
-	defer st.release()
-	inserted := 0
-	for j := range e.shards {
-		lo, hi := st.Starts[j], st.Starts[j+1]
-		if lo == hi {
-			continue
-		}
-		// out aliases vals within the staged range: the tables read the
-		// insert value before writing the result lane.
-		n, err := e.getOrPutBatchShard(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.Vals[lo:hi], st.OK[lo:hi])
-		inserted += n
-		if err != nil {
-			return inserted, err
-		}
-	}
-	for i, oi := range st.Orig {
-		out[oi], loaded[oi] = st.Vals[i], st.OK[i]
-	}
-	return inserted, nil
 }
 
 // upsertBatchShard applies one shard's staged keys; orig maps staged lanes

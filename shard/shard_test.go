@@ -260,6 +260,50 @@ func TestEngineBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestEngineGetOrPutBatchDropsResults: with out and loaded nil the call
+// skips the gather and nothing else — against a twin engine taking the
+// results, over batches that cross several growth boundaries (so ranges hit
+// the pipeline, the migrating scalar path and the steady state alike) on
+// one shard and on four, the insert counts and the contents stay equal.
+func TestEngineGetOrPutBatchDropsResults(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, scheme := range []table.Scheme{table.SchemeRH, table.SchemeLP, table.SchemeCuckooH4, table.SchemeChained24} {
+			kept := newEngine(t, scheme, shards, 256, 0.8, 5)
+			dropped := newEngine(t, scheme, shards, 256, 0.8, 5)
+			const n, step = 9000, 700
+			keys, vals := make([]uint64, n), make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(i%4000) * 0x9e3779b97f4a7c15 // key 0 among them; repeats keep the first payload
+				vals[i] = uint64(i)
+			}
+			out, loaded := make([]uint64, step), make([]bool, step)
+			for lo := 0; lo < n; lo += step {
+				hi := min(lo+step, n)
+				want, err := kept.GetOrPutBatch(keys[lo:hi], vals[lo:hi], out, loaded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dropped.GetOrPutBatch(keys[lo:hi], vals[lo:hi], nil, nil)
+				if err != nil || got != want {
+					t.Fatalf("%s x%d, rows %d-%d: %d inserted, %v; with results %d", scheme, shards, lo, hi, got, err, want)
+				}
+			}
+			if st := dropped.Stats(); st.MigrationsStarted == 0 {
+				t.Fatalf("%s x%d: the engine never grew", scheme, shards)
+			}
+			if dropped.Len() != kept.Len() || dropped.Len() != 4000 {
+				t.Fatalf("%s x%d: Len %d, with results %d, want 4000", scheme, shards, dropped.Len(), kept.Len())
+			}
+			kept.Range(func(k, v uint64) bool {
+				if got, ok := dropped.Get(k); !ok || got != v {
+					t.Fatalf("%s x%d: key %#x holds %d,%v, with results %d", scheme, shards, k, got, ok, v)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // refusingTable wraps a real table and synthesizes one mid-batch
 // UpsertBatch refusal: earlier lanes are stored, the failing lane's fn is
 // invoked but its value is NOT stored — exactly the state a failed Cuckoo

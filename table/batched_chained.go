@@ -77,7 +77,7 @@ func (t *Chained8) openChunk(bt *batchBuf, keys []uint64) {
 // PutBatch implements Batcher. Chained tables never fill, so it is
 // TryPutBatch without the error.
 func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
-	inserted, _ := tryPutBatchImpl(t, keys, vals)
+	inserted, _ := t.TryPutBatch(keys, vals)
 	return inserted
 }
 
@@ -153,6 +153,6 @@ func (t *Chained24) openChunk(bt *batchBuf, keys []uint64) {
 // PutBatch implements Batcher. Chained tables never fill, so it is
 // TryPutBatch without the error.
 func (t *Chained24) PutBatch(keys []uint64, vals []uint64) int {
-	inserted, _ := tryPutBatchImpl(t, keys, vals)
+	inserted, _ := t.TryPutBatch(keys, vals)
 	return inserted
 }

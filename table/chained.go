@@ -39,7 +39,7 @@ type Chained8 struct {
 	maxLF  float64
 	grows  int
 	alloc  *slab.Allocator
-	batchState
+	rmwSurface[*Chained8]
 }
 
 var _ Table = (*Chained8)(nil)
@@ -53,6 +53,7 @@ func NewChained8(cfg Config) *Chained8 {
 		maxLF:  cfg.MaxLoadFactor,
 		alloc:  slab.New(chunkEntriesFor(cfg.InitialCapacity)),
 	}
+	t.self = t
 	t.fn = cfg.Family.New(cfg.Seed)
 	t.dir = make([]*slab.Entry, cfg.InitialCapacity)
 	t.shift = 64 - log2(cfg.InitialCapacity)
@@ -254,7 +255,7 @@ type Chained24 struct {
 
 	hasZero bool   // inline sentinel escape for real key 0
 	zeroVal uint64 // stored out-of-line like open addressing's sentinels
-	batchState
+	rmwSurface[*Chained24]
 }
 
 var _ Table = (*Chained24)(nil)
@@ -268,6 +269,7 @@ func NewChained24(cfg Config) *Chained24 {
 		maxLF:  cfg.MaxLoadFactor,
 		alloc:  slab.New(chunkEntriesFor(cfg.InitialCapacity)),
 	}
+	t.self = t
 	t.fn = cfg.Family.New(cfg.Seed)
 	t.dir = make([]bucket24, cfg.InitialCapacity)
 	t.shift = 64 - log2(cfg.InitialCapacity)

@@ -50,7 +50,7 @@ type Cuckoo struct {
 	// attempts. Any mutation that could change feasibility — a delete, or
 	// any rebuild — clears it.
 	fixedWall int
-	batchState
+	rmwSurface[*Cuckoo]
 }
 
 var _ Table = (*Cuckoo)(nil)
@@ -78,6 +78,7 @@ func NewCuckooK(cfg Config, k int) *Cuckoo {
 		maxKicks: DefaultMaxKicks,
 		rng:      *prng.NewSplitMix64(cfg.Seed ^ 0xc0c0c0c0c0c0c0c0),
 	}
+	t.self = t
 	t.drawFunctions()
 	t.init(cfg.InitialCapacity)
 	return t

@@ -3,8 +3,9 @@ package table
 // The policy-driven open-addressing probe kernel. kern implements the
 // complete Table surface — scalar point operations, the single-probe
 // read-modify-write primitive, the home-line touch pass with the
-// group-interleaved lookup walks and the one mutating-batch driver behind
-// it, iterators and the diagnostics Stats feeds on — exactly once, against
+// group-interleaved lookup walks, the one mutating-batch driver and the one
+// concurrent insert (putIfAbsentBatch) behind it, iterators and the
+// diagnostics Stats feeds on — exactly once, against
 // the policy dimensions of policy.go. A scheme is a thin instantiation:
 //
 //	LinearProbing    = kern(aosLayout, linearSeq, noDisplace)
@@ -41,6 +42,8 @@ package table
 
 import (
 	"iter"
+	"sync"
+	"sync/atomic"
 
 	"repro/hashfn"
 )
@@ -93,6 +96,7 @@ type kern struct {
 	grows  int    // rehash events (growth and in-place), for Stats
 	scheme string // paper-style scheme name, e.g. "LP"
 	sent   sentinels
+	shared sync.Mutex // putIfAbsentBatch's callers: guards size and sent among them
 	batchState
 }
 
@@ -649,7 +653,7 @@ func (c *kern) TryPutBatch(keys, vals []uint64) (int, error) {
 // GetOrPutBatch implements Table: the batched GetOrPut, one probe per
 // key, results in slice order. out may alias vals.
 func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
+	checkBatchGetOrPut(keys, vals, out, loaded)
 	return c.rmwBatch(keys, vals, out, loaded, false, false, nil)
 }
 
@@ -744,6 +748,94 @@ func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite, grow
 		}
 	}
 	return inserted, nil
+}
+
+// sharedBuild reports whether goroutines may share putIfAbsentBatch on this
+// table: it never displaces and never grows, so a claimed slot stays put.
+func (c *kern) sharedBuild() bool { return !c.robin && c.maxLF == 0 }
+
+// putIfAbsentBatch is the kernel's one concurrent entry point: GetOrPutBatch
+// with nothing returned, for any number of goroutines on one sharedBuild
+// table that nothing else touches meanwhile. A lane walks its ordinary probe
+// sequence loading key words atomically and claims an empty one by
+// compare-and-swap; the winner stores the value word plainly, so a caller
+// that meets another's key may be ahead of its value — hence no values come
+// back. Whatever joins the callers is the happens-before edge to the plain
+// reads and single-writer calls that follow, and size is exact by then. Room
+// is reserved before it is claimed: under c.shared a call counts free slots
+// into size — BatchWidth at a time, an eighth of what is left at most, so the
+// last ones go singly instead of stranding in reservations — and gives back
+// what it did not use. So an unbounded sequence keeps its empty slot however
+// claims interleave, and nothing left to reserve is ErrFull, earlier pairs
+// applied. Tombstones count as occupied, never recycled; the sentinel keys
+// take c.shared too.
+func (c *kern) putIfAbsentBatch(keys, vals []uint64) (inserted int, err error) {
+	checkBatchPut(len(keys), len(vals))
+	bt := readBufs.Get().(*batchBuf)
+	kc, vcb, smask, sinc := c.kc, c.vc[c.ks:], c.smask, c.sinc
+	sshift, soneM := c.sshift, c.sone-1
+	full := c.slotCount() - c.tombs // the most size may reach
+	if !c.bounded {
+		full-- // the empty slot an unbounded sequence stops on
+	}
+	credit := 0 // slots reserved and not yet claimed
+lanes:
+	for lo := 0; lo < len(keys); lo += BatchWidth {
+		chunk := keys[lo:min(lo+BatchWidth, len(keys))]
+		hashfn.HashBatch(c.fn, chunk, bt.hash[:])
+		for _, h := range bt.hash[:len(chunk)] { // hashAndTouch's pass, atomic beside others' claims
+			atomic.LoadUint64(&kc[(h>>(sshift&63))&^soneM])
+		}
+		for l, k := range chunk {
+			if isSentinelKey(k) {
+				c.shared.Lock()
+				if _, existed := c.sent.rmw(k, vals[lo+l], false, nil); !existed {
+					inserted++
+				}
+				c.shared.Unlock()
+				continue
+			}
+			si, sstep := c.scursor(bt.hash[l])
+			for si0 := si; ; {
+				r := atomic.LoadUint64(&kc[si])
+				if r == k {
+					break
+				}
+				if r != emptyKey {
+					si = (si + sstep) & smask
+					sstep += sinc
+					if si != si0 {
+						continue
+					}
+					// The cursor cycle of Get: a bounded sequence saw every
+					// slot occupied.
+				} else {
+					if credit == 0 {
+						c.shared.Lock()
+						credit = min(BatchWidth, (full-c.size+7)/8)
+						c.size += credit
+						c.shared.Unlock()
+					}
+					if credit > 0 {
+						if atomic.CompareAndSwapUint64(&kc[si], emptyKey, k) {
+							vcb[si] = vals[lo+l]
+							credit--
+							inserted++
+							break
+						}
+						continue // lost the race: look at the same slot again
+					}
+				}
+				err = errFull(c.scheme, full, c.slotCount())
+				break lanes
+			}
+		}
+	}
+	readBufs.Put(bt)
+	c.shared.Lock()
+	c.size -= credit
+	c.shared.Unlock()
+	return inserted, err
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,20 +1215,6 @@ func (c *kern) Displacements() []int {
 		out = append(out, d)
 	}
 	return out
-}
-
-// MaxDisplacement returns the maximum displacement among live entries,
-// the paper's d_max (often an order of magnitude above the mean at high
-// load factors, which is why the naive d_max abort criterion
-// underperforms).
-func (c *kern) MaxDisplacement() int {
-	max := 0
-	for _, d := range c.Displacements() {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // ClusterLengths returns the lengths of all maximal runs of occupied

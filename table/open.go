@@ -136,8 +136,13 @@ func WithPartitions(n int) Option {
 // growth (ErrFull), iterators, and a Stats snapshot.
 //
 // Concurrency contract: a single-partition Handle is a zero-lock
-// pass-through to one scheme and inherits its single-threaded contract —
-// external synchronization is required for concurrent use. A Handle
+// pass-through to one scheme with one writer at a time: a mutation needs
+// external synchronization against every other call. While nothing mutates
+// it, any number of goroutines may Get and GetBatch it (lookups write no table
+// state). PutIfAbsentBatch alone may be shared among goroutines, nothing else
+// running, when the handle was opened WithMaxLoadFactor(0) and its
+// Scheme().SharedBuild() holds; whatever joins them orders their inserts
+// before the reads that follow. A Handle
 // opened WithPartitions(n > 1) delegates every operation to a
 // shard.Engine and is safe for arbitrary concurrent use: Get, GetBatch,
 // Len and Stats take no lock at all (wait-free seqlock reads of each
@@ -473,6 +478,23 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 		return h.eng.GetOrPutBatch(keys, vals, out, loaded)
 	}
 	return h.single.GetOrPutBatch(keys, vals, out, loaded)
+}
+
+// PutIfAbsentBatch is GetOrPutBatch with nothing returned but the number of
+// newly inserted keys: the first payload offered for a key stays. Returning
+// no values is what lets goroutines share it on one fixed table (see the
+// concurrency contract): slots are claimed by compare-and-swap, and a caller
+// that meets another's key may be ahead of its value. Every other handle
+// runs it as GetOrPutBatch. On ErrFull it stops, with earlier pairs applied.
+func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
+	b, ok := h.single.(sharedBuilder)
+	if !ok || !b.sharedBuild() {
+		return h.GetOrPutBatch(keys, vals, nil, nil)
+	}
+	if err := h.injectFull(); err != nil {
+		return 0, err
+	}
+	return b.putIfAbsentBatch(keys, vals)
 }
 
 // UpsertBatch applies an Upsert to every key, passing fn the key's lane

@@ -51,6 +51,22 @@ func AllSchemes() []Scheme {
 	return append([]Scheme{SchemeChained8, SchemeChained24}, OpenAddressingSchemes()...)
 }
 
+// sharedBuilder is the probe kernel as Handle.PutIfAbsentBatch sees it.
+type sharedBuilder interface {
+	sharedBuild() bool
+	putIfAbsentBatch(keys, vals []uint64) (inserted int, err error)
+}
+
+// SharedBuild reports whether goroutines may share Handle.PutIfAbsentBatch
+// on one growth-disabled single table of the scheme, which the table itself
+// answers: the kernel's schemes that never displace a resident entry. RH,
+// Cuckoo and chained move or allocate on insert; share them WithPartitions.
+func (s Scheme) SharedBuild() bool {
+	t, _ := New(s, Config{})
+	b, ok := t.(sharedBuilder)
+	return ok && b.sharedBuild()
+}
+
 // New constructs an empty table of the given scheme. It returns an error
 // for unknown scheme names. The result carries the full unified Table
 // operation set; most callers want the workload-aware Open façade instead.
@@ -83,10 +99,4 @@ func MustNew(s Scheme, cfg Config) Table {
 		panic(err)
 	}
 	return m
-}
-
-// FullName composes the paper's plot label for a table: scheme name plus
-// hash-function family, e.g. "LPMult" or "ChainedH24Murmur".
-func FullName(m Map, familyName string) string {
-	return m.Name() + familyName
 }

@@ -7,8 +7,9 @@ package table
 // observability accessor. The five open-addressing schemes get the same
 // surface from the probe kernel, batch driver (kern.rmwBatch) included.
 //
-// The batched forms here are one generic driver, rmwBatchImpl, for all
-// three types: each chunk is opened by the scheme's openChunk — bulk-hash,
+// The batched forms here are one generic driver, rmwBatchImpl, embedded in
+// all three types as rmwSurface: each chunk is opened by the scheme's
+// openChunk — bulk-hash,
 // then load back to back every line the scalar step is going to read first
 // (the directory word or inline key of a chained lane, all k candidate
 // slots of a Cuckoo lane) — and then applied lane by lane through the
@@ -29,16 +30,17 @@ import "iter"
 // hash codes in bt.hash for the schemes whose rmwHashed takes one), and
 // its single-probe RMW primitive.
 type rmwTable interface {
+	Map
 	buf() *batchBuf
 	openChunk(bt *batchBuf, keys []uint64)
 	rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error)
 }
 
-func checkBatchGetOrPut(nKeys, nVals, nOut, nLoaded int) {
-	if nVals != nKeys {
+func checkBatchGetOrPut(keys, vals, out []uint64, loaded []bool) {
+	if len(vals) != len(keys) {
 		panic("table: GetOrPutBatch keys/vals length mismatch")
 	}
-	if nOut < nKeys || nLoaded < nKeys {
+	if out != nil && (len(out) < len(keys) || len(loaded) < len(keys)) {
 		panic("table: GetOrPutBatch output slices shorter than keys")
 	}
 }
@@ -76,25 +78,36 @@ func rmwBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool, over
 	return inserted, nil
 }
 
-// tryPutBatchImpl is PutBatch with the ErrFull contract.
-func tryPutBatchImpl[T rmwTable](t T, keys, vals []uint64) (int, error) {
+// rmwSurface is the batched half of the Table surface for a core with its
+// own rmwHashed: embedded in the core T (in place of a bare batchState) with
+// self pointing back at it, it runs rmwBatchImpl over T's chunk opening and
+// RMW primitive.
+type rmwSurface[T rmwTable] struct {
+	batchState
+	self T
+}
+
+// TryPutBatch implements Table: PutBatch with the ErrFull contract.
+func (s *rmwSurface[T]) TryPutBatch(keys, vals []uint64) (int, error) {
 	checkBatchPut(len(keys), len(vals))
-	return rmwBatchImpl(t, keys, vals, nil, nil, true, nil, nil)
+	return rmwBatchImpl(s.self, keys, vals, nil, nil, true, nil, nil)
 }
 
-// getOrPutBatchImpl is the batched GetOrPut: one probe per key, results in
-// slice order.
-func getOrPutBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool) (int, error) {
-	checkBatchGetOrPut(len(keys), len(vals), len(out), len(loaded))
-	return rmwBatchImpl(t, keys, vals, out, loaded, false, nil, nil)
+// GetOrPutBatch implements Table: one probe per key, results in slice order.
+func (s *rmwSurface[T]) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
+	checkBatchGetOrPut(keys, vals, out, loaded)
+	return rmwBatchImpl(s.self, keys, vals, out, loaded, false, nil, nil)
 }
 
-// upsertBatchImpl is the batched Upsert. One adapter closure is allocated
-// per call (not per key); the current lane is threaded through it.
-func upsertBatchImpl[T rmwTable](t T, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+// UpsertBatch implements Table. One adapter closure is allocated per call
+// (not per key); the current lane is threaded through it.
+func (s *rmwSurface[T]) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	lane := 0
-	return rmwBatchImpl(t, keys, nil, nil, nil, false, &lane, func(old uint64, exists bool) uint64 { return fn(lane, old, exists) })
+	return rmwBatchImpl(s.self, keys, nil, nil, nil, false, &lane, func(old uint64, exists bool) uint64 { return fn(lane, old, exists) })
 }
+
+// All implements Table.
+func (s *rmwSurface[T]) All() iter.Seq2[uint64, uint64] { return allOf(s.self) }
 
 // allOf adapts Range to a Go 1.23 range-over-func iterator.
 func allOf(m Map) iter.Seq2[uint64, uint64] {
@@ -119,24 +132,6 @@ func (t *Chained8) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (
 	return v, err
 }
 
-// TryPutBatch implements Table.
-func (t *Chained8) TryPutBatch(keys, vals []uint64) (int, error) {
-	return tryPutBatchImpl(t, keys, vals)
-}
-
-// GetOrPutBatch implements Table.
-func (t *Chained8) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	return getOrPutBatchImpl(t, keys, vals, out, loaded)
-}
-
-// UpsertBatch implements Table.
-func (t *Chained8) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	return upsertBatchImpl(t, keys, fn)
-}
-
-// All implements Table.
-func (t *Chained8) All() iter.Seq2[uint64, uint64] { return allOf(t) }
-
 // Rehashes returns the number of directory-doubling events, for Stats.
 func (t *Chained8) Rehashes() int { return t.grows }
 
@@ -153,24 +148,6 @@ func (t *Chained24) Upsert(key uint64, fn func(old uint64, exists bool) uint64) 
 	v, _, err := t.rmwHashed(key, 0, t.fn.Hash(key), false, fn)
 	return v, err
 }
-
-// TryPutBatch implements Table.
-func (t *Chained24) TryPutBatch(keys, vals []uint64) (int, error) {
-	return tryPutBatchImpl(t, keys, vals)
-}
-
-// GetOrPutBatch implements Table.
-func (t *Chained24) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	return getOrPutBatchImpl(t, keys, vals, out, loaded)
-}
-
-// UpsertBatch implements Table.
-func (t *Chained24) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	return upsertBatchImpl(t, keys, fn)
-}
-
-// All implements Table.
-func (t *Chained24) All() iter.Seq2[uint64, uint64] { return allOf(t) }
 
 // Rehashes returns the number of directory-doubling events, for Stats.
 func (t *Chained24) Rehashes() int { return t.grows }
@@ -195,21 +172,3 @@ func (t *Cuckoo) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (ui
 	v, _, err := t.rmwHashed(key, 0, 0, false, fn)
 	return v, err
 }
-
-// TryPutBatch implements Table.
-func (t *Cuckoo) TryPutBatch(keys, vals []uint64) (int, error) {
-	return tryPutBatchImpl(t, keys, vals)
-}
-
-// GetOrPutBatch implements Table.
-func (t *Cuckoo) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	return getOrPutBatchImpl(t, keys, vals, out, loaded)
-}
-
-// UpsertBatch implements Table.
-func (t *Cuckoo) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	return upsertBatchImpl(t, keys, fn)
-}
-
-// All implements Table.
-func (t *Cuckoo) All() iter.Seq2[uint64, uint64] { return allOf(t) }

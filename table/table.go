@@ -114,8 +114,9 @@ type Table interface {
 	// GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in
 	// slice order: out[i] receives the resulting value and loaded[i]
 	// whether the key already existed. out and loaded must be at least as
-	// long as keys (out may alias vals). It returns the number of newly
-	// inserted keys; on ErrFull it stops, with earlier pairs applied.
+	// long as keys (out may alias vals), or both nil to drop the results. It
+	// returns the number of newly inserted keys; on ErrFull it stops, with
+	// earlier pairs applied.
 	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (inserted int, err error)
 	// UpsertBatch applies an Upsert to every key in slice order, passing
 	// fn the key's lane index so callers can fold per-lane payloads in a
