@@ -20,7 +20,6 @@ import (
 	"iter"
 	"math"
 
-	"repro/exec"
 	"repro/hashfn"
 	"repro/table"
 )
@@ -120,7 +119,6 @@ const chunk, coldRun = 256, 4096
 
 // GroupBy is a streaming hash aggregation operator.
 type GroupBy struct {
-	cfg    Config // post-default config, the template for AddParallel's per-worker locals
 	idx    *table.Handle
 	states []State
 
@@ -160,7 +158,7 @@ func NewGroupBy(cfg Config) (*GroupBy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{cfg: cfg, idx: idx, states: make([]State, 0, max(cfg.ExpectedGroups, 0))}, nil
+	return &GroupBy{idx: idx, states: make([]State, 0, max(cfg.ExpectedGroups, 0))}, nil
 }
 
 // MustNewGroupBy is NewGroupBy that panics on error.
@@ -277,48 +275,6 @@ func (g *GroupBy) upsert(groups, values []uint64) (done int, err error) {
 	return done, err
 }
 
-// AddParallel folds a column pair with morsel-driven parallelism on the
-// exec core — the parallel GROUP BY driver the paper's §4 equivalence
-// (WORM ≡ aggregation) implies: the columns are carved into morsels, each
-// pool worker pre-aggregates the morsels it claims into its own local
-// GroupBy through AddBatch's lookup-then-fold pipeline (no locks — every
-// worker owns its accumulator), and the locals are merged into g
-// sequentially with Merge, one probe per distinct group per worker.
-//
-// The result is equivalent to AddBatch over the same columns: every
-// aggregate the paper names (COUNT, SUM, MIN, MAX, AVG) is commutative
-// and associative, so per-group states are independent of the morsel
-// schedule. Only the first-seen ORDER of groups (Range) may differ from
-// the serial build's; with cfg.Workers == 1 the schedule is the serial
-// order and the result is identical state-for-state.
-func (g *GroupBy) AddParallel(cfg exec.Config, groups, values []uint64) error {
-	if len(groups) != len(values) {
-		panic("agg: AddParallel column length mismatch")
-	}
-	pool := exec.NewPool(cfg)
-	defer pool.Close()
-	locals, err := exec.Locals(pool, len(groups),
-		func(w int) (*GroupBy, error) {
-			c := g.cfg
-			// Independent seeds per worker: the locals' group indexes are
-			// private, so their hash functions need not match g's.
-			c.Seed = g.cfg.Seed + uint64(w+1)*0x9e3779b97f4a7c15
-			return NewGroupBy(c)
-		},
-		func(local *GroupBy, _, lo, hi int) error {
-			return local.AddBatch(groups[lo:hi], values[lo:hi])
-		})
-	if err != nil {
-		return err
-	}
-	for _, local := range locals {
-		if err := g.Merge(local); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // NumGroups returns the number of distinct groups seen.
 func (g *GroupBy) NumGroups() int { return len(g.states) }
 
@@ -356,8 +312,8 @@ func (g *GroupBy) Range(fn func(*State) bool) {
 	}
 }
 
-// Merge folds other into g (for partition-parallel aggregation: aggregate
-// partitions independently, then merge), one probe per merged group. A
+// Merge folds other into g (for parallel aggregation: pipe's GroupBy
+// aggregates per worker, then merges), one probe per merged group. A
 // non-nil error (an injected index refusal; see AddBatch) stops the
 // merge with the remaining groups of other unmerged.
 func (g *GroupBy) Merge(other *GroupBy) error {

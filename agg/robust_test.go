@@ -5,52 +5,13 @@ import (
 	"testing"
 
 	"repro/agg"
-	"repro/exec"
 	"repro/internal/fault"
 	"repro/table"
 )
 
-// TestAddParallelErrFullPropagation: a group-index refusal (injected at
-// rate 1.0 — the growing index never organically fills) must surface
-// from the parallel aggregation driver as the typed *table.FullError
-// chain, through the per-worker locals and the pool's error convention.
-func TestAddParallelErrFullPropagation(t *testing.T) {
-	groups := make([]uint64, 10_000)
-	values := make([]uint64, len(groups))
-	for i := range groups {
-		groups[i] = uint64(i % 97)
-		values[i] = uint64(i)
-	}
-	g := agg.MustNewGroupBy(agg.Config{Scheme: table.SchemeQP, Seed: 5})
-
-	var rates [fault.NumKinds]float64
-	rates[fault.Full] = 1.0
-	fault.Arm(fault.Config{Seed: 5, Rates: rates})
-	defer fault.Disarm()
-
-	err := g.AddParallel(exec.Config{Workers: 4}, groups, values)
-	if err == nil {
-		t.Fatal("AddParallel under rate-1.0 refusals returned nil error")
-	}
-	var fe *table.FullError
-	if !errors.As(err, &fe) {
-		t.Fatalf("error = %v, want *table.FullError in the chain", err)
-	}
-	if !errors.Is(err, table.ErrFull) {
-		t.Fatalf("error %v does not wrap table.ErrFull", err)
-	}
-
-	// Disarmed, the same fold succeeds and the operator is intact.
-	fault.Disarm()
-	if err := g.AddParallel(exec.Config{Workers: 4}, groups, values); err != nil {
-		t.Fatalf("AddParallel after disarm: %v", err)
-	}
-	if g.NumGroups() != 97 {
-		t.Fatalf("Groups = %d, want 97", g.NumGroups())
-	}
-}
-
-// TestAddErrFullPropagation covers the scalar single-probe path.
+// TestAddErrFullPropagation: a group-index refusal (injected at rate
+// 1.0 — the growing index never organically fills) surfaces from the
+// scalar single-probe path as the typed ErrFull chain.
 func TestAddErrFullPropagation(t *testing.T) {
 	g := agg.MustNewGroupBy(agg.Config{Seed: 6})
 	var rates [fault.NumKinds]float64

@@ -1,27 +1,17 @@
 // The TPC-H-flavored pipeline query set: a two-relation star-schema
-// corner (customers with a market segment, orders with a price) and the
-// queries the streaming-vs-materializing comparison runs over it. Each
-// query exists in two semantically identical forms:
-//
-//   - Streaming: the pipe operator chain — predicate pushed into the
-//     scan, matches projected straight into the group-by, no
-//     intermediate relation anywhere.
-//   - Materialized: the one-shot composition — filter into a copied
-//     relation, join.SharedHashJoin emitting into materialized columns,
-//     agg.AddBatch over those columns.
+// corner (customers with a market segment, orders with a price) and two
+// queries over it, each one pipe operator chain — predicate pushed into
+// the scan, matches projected straight into the group-by, no
+// intermediate relation anywhere.
 //
 // The benchmark harness (pipeline_test.go) and the examples/pipeline
-// demo both drive these, so the comparison the README quotes is exactly
+// demo both drive these, so the numbers the README quotes are exactly
 // the code here.
 
 package bench
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/agg"
-	"repro/exec"
 	"repro/internal/prng"
 	"repro/join"
 	"repro/pipe"
@@ -83,51 +73,6 @@ func SegmentRevenueStreaming(d PipelineData, cut uint64, cfg pipe.Config) (*agg.
 	).GroupBy(cfg, pipe.GroupConfig{ExpectedGroups: PipelineSegments})
 }
 
-// SegmentRevenueMaterialized is the same query as the one-shot operator
-// composition this repo offered before pipe: filter into a copied
-// relation, join into materialized (segment, cents) columns, aggregate
-// the columns. Every intermediate is a real allocation.
-func SegmentRevenueMaterialized(d PipelineData, cut uint64, workers int) (*agg.GroupBy, error) {
-	filtered := make(join.Relation, 0, len(d.Orders))
-	for _, r := range d.Orders {
-		if r.Payload >= cut {
-			filtered = append(filtered, r)
-		}
-	}
-	segments := make([]uint64, 0, len(filtered))
-	cents := make([]uint64, 0, len(filtered))
-	emit := func(_, segment, c uint64) {
-		segments = append(segments, segment)
-		cents = append(cents, c)
-	}
-	var err error
-	if workers > 1 {
-		// SharedHashJoin calls emit from every worker; a materializing
-		// consumer serializes it.
-		var mu sync.Mutex
-		_, err = join.SharedHashJoin(d.Customers, filtered, workers, join.Config{}, func(k, segment, c uint64) {
-			mu.Lock()
-			emit(k, segment, c)
-			mu.Unlock()
-		})
-	} else {
-		_, err = join.HashJoin(d.Customers, filtered, join.Config{}, emit)
-	}
-	if err != nil {
-		return nil, err
-	}
-	g := agg.MustNewGroupBy(agg.Config{ExpectedGroups: PipelineSegments})
-	if workers > 1 {
-		err = g.AddParallel(exec.Config{Workers: workers}, segments, cents)
-	} else {
-		err = g.AddBatch(segments, cents)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // RepeatCustomersStreaming runs
 //
 //	SELECT COUNT(*) FROM (SELECT o.custkey FROM orders o
@@ -142,63 +87,4 @@ func RepeatCustomersStreaming(d PipelineData, minOrders uint64, cfg pipe.Config)
 		pipe.GroupConfig{},
 		agg.Count,
 	).Filter(func(_, count uint64) bool { return count >= minOrders }).Count(cfg)
-}
-
-// RepeatCustomersMaterialized is the same query over the one-shot
-// aggregation: build the full per-customer group state, then walk it.
-func RepeatCustomersMaterialized(d PipelineData, minOrders uint64, workers int) (int, error) {
-	g := agg.MustNewGroupBy(agg.Config{})
-	keys := d.Orders.Keys()
-	vals := make([]uint64, len(keys))
-	var err error
-	if workers > 1 {
-		err = g.AddParallel(exec.Config{Workers: workers}, keys, vals)
-	} else {
-		err = g.AddBatch(keys, vals)
-	}
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, st := range g.Groups() {
-		if st.Count >= minOrders {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// CheckPipelineEquivalence runs both forms of both queries and verifies
-// they agree — the cheap self-check the benchmark and the demo run once
-// before timing anything.
-func CheckPipelineEquivalence(d PipelineData, cut uint64, workers int) error {
-	sg, err := SegmentRevenueStreaming(d, cut, pipe.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	mg, err := SegmentRevenueMaterialized(d, cut, workers)
-	if err != nil {
-		return err
-	}
-	if sg.NumGroups() != mg.NumGroups() {
-		return fmt.Errorf("segment revenue: %d streamed groups, %d materialized", sg.NumGroups(), mg.NumGroups())
-	}
-	for key, ms := range mg.Groups() {
-		ss, ok := sg.Get(key)
-		if !ok || *ss != *ms {
-			return fmt.Errorf("segment revenue: group %d diverges (streamed %+v, materialized %+v)", key, ss, ms)
-		}
-	}
-	sc, err := RepeatCustomersStreaming(d, 3, pipe.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	mc, err := RepeatCustomersMaterialized(d, 3, workers)
-	if err != nil {
-		return err
-	}
-	if sc != mc {
-		return fmt.Errorf("repeat customers: streamed %d, materialized %d", sc, mc)
-	}
-	return nil
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/prng"
 	"repro/internal/slab"
 	"repro/join"
+	"repro/pipe"
 	"repro/table"
 	"repro/workload"
 )
@@ -480,8 +481,9 @@ func BenchmarkBatchInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoin measures the classic build/probe equi-join per scheme:
-// the paper's motivating query-processing use (§1).
+// BenchmarkHashJoin measures the classic build/probe equi-join per scheme,
+// pinned through pipe.HashJoin at one worker: the paper's motivating
+// query-processing use (§1).
 func BenchmarkHashJoin(b *testing.B) {
 	const buildN, probeN = 1 << 16, 1 << 18
 	gen := dist.New(dist.Sparse, 1)
@@ -501,8 +503,9 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 	for _, s := range []table.Scheme{table.SchemeLP, table.SchemeRH, table.SchemeCuckooH4, table.SchemeChained24} {
 		b.Run(string(s), func(b *testing.B) {
+			j := pipe.HashJoin(pipe.FromRelation(build), pipe.FromRelation(probe), pipe.JoinConfig{Scheme: s, Seed: 42})
 			for i := 0; i < b.N; i++ {
-				n, err := join.HashJoin(build, probe, join.Config{Scheme: s, Seed: 42}, nil)
+				n, err := j.Count(pipe.Config{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -512,13 +515,6 @@ func BenchmarkHashJoin(b *testing.B) {
 			}
 		})
 	}
-	b.Run("Partitioned8xRH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := join.PartitionedHashJoin(build, probe, 8, join.Config{Scheme: table.SchemeRH, Seed: 42}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAggregateVsWORM reproduces the paper's §4 equivalence claim:

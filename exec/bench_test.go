@@ -2,9 +2,8 @@ package exec_test
 
 // Benchmarks of the morsel-driven core at workers=1,2,4: the join build
 // and probe phases (the pool driving a sharded handle's batched
-// pipelines, exactly SharedHashJoin's inner loops) and the parallel
-// GROUP BY (AddParallel's per-worker pre-aggregation), each reporting
-// the repo's ns/key metric. On a single-vCPU runner the worker sweep
+// pipelines) and the parallel GROUP BY (pipe's per-worker
+// pre-aggregation and merge), each reporting the repo's ns/key metric. On a single-vCPU runner the worker sweep
 // measures scheduling overhead rather than speedup. The trajectory of
 // these layers is tracked by the benchmark ladder's exec.* and
 // agg.add_ns_per_row.* rungs (benchmark/), not from here.
@@ -13,10 +12,10 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/agg"
 	"repro/dist"
 	"repro/exec"
 	"repro/internal/prng"
+	"repro/pipe"
 	"repro/table"
 )
 
@@ -118,7 +117,7 @@ func BenchmarkExecJoin(b *testing.B) {
 }
 
 // BenchmarkExecAgg measures the parallel GROUP BY (per-worker
-// pre-aggregation + merge) at workers=1,2,4.
+// pre-aggregation + merge, through pipe) at workers=1,2,4.
 func BenchmarkExecAgg(b *testing.B) {
 	const rows = 1 << 19
 	const distinct = 1 << 12
@@ -131,11 +130,10 @@ func BenchmarkExecAgg(b *testing.B) {
 	}
 	for _, workers := range benchWorkers {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			src := pipe.FromColumns(groups, values)
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := agg.MustNewGroupBy(agg.Config{ExpectedGroups: distinct, Seed: 42})
-				b.StartTimer()
-				if err := g.AddParallel(exec.Config{Workers: workers}, groups, values); err != nil {
+				g, err := src.GroupBy(pipe.Config{Workers: workers}, pipe.GroupConfig{ExpectedGroups: distinct, Seed: 42})
+				if err != nil {
 					b.Fatal(err)
 				}
 				if g.NumGroups() != distinct {

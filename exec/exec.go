@@ -1,16 +1,15 @@
 // Package exec is the repo's one morsel-driven parallel execution core.
 //
-// Every parallel operator above the table layer — partitioned and shared
-// hash joins, parallel aggregation, partition-parallel build/probe, the
-// concurrent workload drivers — used to carry its own ad-hoc goroutine
-// fan-out: one goroutine per partition regardless of core count, bespoke
-// chunking, bespoke error conventions. This package consolidates all of
-// that into one scheduling core, the way morsel-driven query execution
-// (Leis et al., SIGMOD 2014) structures parallelism: a bounded pool of
-// workers, work carved into cache-friendly morsels (index ranges), and
-// idle workers claiming the next morsel from a shared cursor — dynamic
-// self-scheduling, so a worker that finishes early steals the remaining
-// morsels of a slower sibling's input instead of going idle.
+// Every parallel operator above the table layer — pipe's scans, join
+// phases and group-bys, the sharded engine's parallel open,
+// workload.RunChaos — schedules its work here rather than with ad-hoc
+// goroutine fan-out: one scheduling core, the way morsel-driven query
+// execution (Leis et al., SIGMOD 2014) structures parallelism: a bounded
+// pool of workers, work carved into cache-friendly morsels (index
+// ranges), and idle workers claiming the next morsel from a shared
+// cursor — dynamic self-scheduling, so a worker that finishes early
+// steals the remaining morsels of a slower sibling's input instead of
+// going idle.
 //
 // The building blocks:
 //
@@ -29,8 +28,6 @@
 //     accumulator through the morsels a worker claims — the
 //     pre-aggregation pattern — and returns the used accumulators in
 //     worker order.
-//   - Scatter is the one stable scatter→group-major→gather primitive the
-//     sharded engine and the radix-partitioned operators share.
 //
 // Failure is a first-class input: a cancelled context stops the claim
 // cursor exactly like a task error does; a panicking task is recovered
@@ -445,7 +442,7 @@ func Run(cfg Config, n int, fn func(worker, lo, hi int) error) error {
 
 // RunTasks executes fn once per task in [0, tasks) on a transient pool
 // sized by cfg — the one-shot form for discrete units of work (one task
-// per partition, one per tape).
+// per shard, one per client).
 func RunTasks(cfg Config, tasks int, fn func(worker, task int) error) error {
 	if tasks <= 0 {
 		return nil

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// CtxPropagate enforces the PR 6 cancellation contract: a function that
-// accepts a Config carrying a Ctx field (join.Config, partition.Config,
-// workload's RWConfig/ChaosConfig, ...) must thread that context into
+// CtxPropagate enforces the cancellation contract: a function that
+// accepts a Config carrying a Ctx field (pipe.Config, workload's
+// ChaosConfig, ...) must thread that context into
 // the exec.Config values it builds. An exec.Config composite literal
 // without a Ctx element inside such a function silently launches
 // uncancellable work — the caller's context is accepted and then
@@ -40,7 +40,7 @@ func hasCtxField(t types.Type) bool {
 
 // ctxConfigParam returns the name of a parameter whose type is a named
 // struct called Config (or a *Config, or a Config-suffixed config type
-// like RWConfig) carrying a Ctx field — excluding exec.Config itself,
+// like ChaosConfig) carrying a Ctx field — excluding exec.Config itself,
 // which is the destination, not the source.
 func (p *Pass) ctxConfigParam(fd *ast.FuncDecl) (string, bool) {
 	if fd.Type.Params == nil {

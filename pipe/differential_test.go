@@ -1,12 +1,13 @@
 package pipe_test
 
 // Differential oracle suite: the streaming pipeline must produce exactly
-// the rows and aggregate states of the one-shot operator composition
-// (join.HashJoin + agg.AddBatch) it replaces — across every registered
-// table scheme, serial and parallel, including scans of a sharded engine
-// caught mid-resize.
+// the rows and aggregate states of a reference composition
+// (join.NestedLoopJoin folded row by row into agg.Add) — across every
+// registered table scheme, serial and parallel, including scans of a
+// sharded engine caught mid-resize.
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -54,8 +55,9 @@ func makeOrders(rng *rand.Rand) join.Relation {
 	return rel
 }
 
-// oracleStates computes the query with the materializing operators.
-func oracleStates(t *testing.T, customers, orders join.Relation, scheme table.Scheme) *agg.GroupBy {
+// oracleStates computes the query with the nested-loop join, each match
+// folded into a scalar group-by.
+func oracleStates(t *testing.T, customers, orders join.Relation) *agg.GroupBy {
 	t.Helper()
 	filtered := make(join.Relation, 0, len(orders))
 	for _, r := range orders {
@@ -64,15 +66,11 @@ func oracleStates(t *testing.T, customers, orders join.Relation, scheme table.Sc
 		}
 	}
 	oracle := agg.MustNewGroupBy(agg.Config{})
-	_, err := join.HashJoin(customers, filtered, join.Config{Scheme: scheme, Seed: 99},
-		func(_, segment, cents uint64) {
-			if err := oracle.Add(segment, cents); err != nil {
-				t.Fatal(err)
-			}
-		})
-	if err != nil {
-		t.Fatalf("oracle join (%s): %v", scheme, err)
-	}
+	join.NestedLoopJoin(customers, filtered, func(_, segment, cents uint64) {
+		if err := oracle.Add(segment, cents); err != nil {
+			t.Fatal(err)
+		}
+	})
 	return oracle
 }
 
@@ -95,8 +93,8 @@ func sameGroups(t *testing.T, got, want *agg.GroupBy, label string) {
 func TestDifferentialJoinGroupBy(t *testing.T) {
 	customers := makeCustomers()
 	orders := makeOrders(rand.New(rand.NewSource(42)))
+	oracle := oracleStates(t, customers, orders)
 	for _, scheme := range table.AllSchemes() {
-		oracle := oracleStates(t, customers, orders, scheme)
 		for _, workers := range []int{1, 8} {
 			g, err := pipe.HashJoin(
 				pipe.FromRelation(customers),
@@ -199,6 +197,52 @@ func TestDifferentialScanMidResize(t *testing.T) {
 				t.Fatalf("workers=%d: key %d = %d, want %d", workers, keys[i], vals[i], want[keys[i]])
 			}
 		}
+	}
+}
+
+// TestDifferentialGroupByAllSchemes: the parallel group-by — per-worker
+// AddBatch locals merged on drain — must leave every group in exactly the
+// state a serial agg.AddBatch does, whatever scheme the group index uses.
+// At one worker even the first-seen group order matches.
+func TestDifferentialGroupByAllSchemes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	groups := make([]uint64, 50_000)
+	values := make([]uint64, len(groups))
+	for i := range groups {
+		g := uint64(rng.Intn(1 << 10))
+		groups[i] = g * g // non-contiguous group keys
+		values[i] = uint64(rng.Intn(1 << 20))
+	}
+	for _, scheme := range table.AllSchemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			serial := agg.MustNewGroupBy(agg.Config{Scheme: scheme, Seed: 42})
+			if err := serial.AddBatch(groups, values); err != nil {
+				t.Fatal(err)
+			}
+			var order []uint64
+			for key := range serial.Groups() {
+				order = append(order, key)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				got, err := pipe.FromColumns(groups, values).GroupBy(
+					pipe.Config{Workers: workers, MorselSize: 1 << 10},
+					pipe.GroupConfig{Scheme: scheme, Seed: 42})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				sameGroups(t, got, serial, fmt.Sprintf("workers=%d", workers))
+				if workers > 1 {
+					continue
+				}
+				i := 0
+				for key := range got.Groups() {
+					if key != order[i] {
+						t.Fatalf("workers=1: group %d is %d, serial %d", i, key, order[i])
+					}
+					i++
+				}
+			}
+		})
 	}
 }
 

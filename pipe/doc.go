@@ -1,16 +1,14 @@
 // Package pipe composes the repo's relational operators — scan, filter,
 // hash join, group-by — into lazy, morsel-streaming pipelines on one
-// exec.Pool, replacing the materialize-everything composition of one-shot
-// join.HashJoin + agg.AddBatch calls.
+// exec.Pool. It is the one way to run a hash join or a parallel
+// group-by here.
 //
-// The one-shot operators allocate every intermediate relation in full
-// before the next operator starts: a filtered scan copies the survivors
-// into a fresh slice, a join materializes its matches, and only then does
-// the aggregation see a row. A pipeline never does that. A Stream is a
-// lazy description of the query; nothing runs until a terminal
-// (Collect, Count, Sink, Drain, GroupBy) drives it, and then data moves
-// through the whole operator chain one MorselSize-granular batch of
-// (key, value) columns at a time, on the pool's workers:
+// A pipeline never materializes an intermediate relation: no filtered
+// copy of a scan, no column of join matches waiting for the aggregation.
+// A Stream is a lazy description of the query; nothing runs until a
+// terminal (Collect, Count, Sink, Drain, GroupBy) drives it, and then
+// data moves through the whole operator chain one MorselSize-granular
+// batch of (key, value) columns at a time, on the pool's workers:
 //
 //	seg := pipe.HashJoin(
 //		pipe.FromRelation(customers),                       // build side
@@ -66,14 +64,4 @@
 // weakly consistent and correct mid-resize), and finished aggregations
 // (FromGroups, or GroupByStream for a mid-pipeline group-by that streams
 // its merged groups downstream via agg's Groups iterator).
-//
-// Prefer pipe over the one-shot operators when a query chains two or
-// more operators or when intermediate results are large relative to
-// cache: the one-shot path's intermediates cost allocation, copying and
-// cache misses proportional to the *unfiltered* data volume, the
-// pipeline's cost is proportional to the rows that survive. Single
-// operators over already-materialized inputs (one join, one aggregation)
-// lose nothing by staying on join.HashJoin / agg.AddBatch, and
-// partition-parallel radix joins (join.PartitionedHashJoin) remain the
-// better shape when the build side is too big for one shared table.
 package pipe

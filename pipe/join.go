@@ -27,9 +27,9 @@ type JoinConfig struct {
 	Scheme table.Scheme
 	// Family is the hash-function class (default Mult).
 	Family hashfn.Family
-	// LoadFactor is the build-side occupancy ceiling (default 0.5, like
-	// join.Config: joins are memory-rich and probe-bound); the capacity
-	// is a power of two, so the table runs in (LoadFactor/2, LoadFactor].
+	// LoadFactor is the build-side occupancy ceiling (default 0.5: joins
+	// are memory-rich and probe-bound); the capacity is a power of two,
+	// so the table runs in (LoadFactor/2, LoadFactor].
 	LoadFactor float64
 	// BuildRows overrides the build-side cardinality hint the table is
 	// pre-sized from (join.CapacityFor); 0 asks the build stream, whose
@@ -48,10 +48,9 @@ type JoinConfig struct {
 // HashJoin joins build ⋈ probe on key, streaming. Build keys are
 // expected unique (PK/FK joins); duplicates keep the first payload
 // per key — with more than one worker, which concurrent duplicate is
-// "first" is the pool's schedule, exactly join.SharedHashJoin's
-// contract. The probe side may repeat keys freely. Each match is
-// projected through cfg.Project and continues downstream; non-matching
-// probe rows are skipped at emission.
+// "first" is the pool's schedule. The probe side may repeat keys
+// freely. Each match is projected through cfg.Project and continues
+// downstream; non-matching probe rows are skipped at emission.
 //
 // Unless cfg.Scheme pins one, the build table's scheme is the paper's
 // Figure 8 (table.Recommend) walked for a static, read-mostly table with
@@ -96,10 +95,11 @@ type joinScratch struct {
 }
 
 // openBuild opens the build-side table, pre-sized from the cardinality hint
-// via the shared join.CapacityFor rule: one fixed table — the WORM contract,
-// like join.HashJoin — when every worker can insert into it (there is one
-// worker, or the scheme is a SharedBuild one); else, and for grow, the
-// rebuild after a hint proved too small, the sharded engine with growth on.
+// via join.CapacityFor, with the scheme Figure 8 picks for it unless the
+// config pins one: one fixed table — the WORM contract — when every worker
+// can insert into it (there is one worker, or the scheme is a SharedBuild
+// one); else, and for grow, the rebuild after a hint proved too small, the
+// sharded engine with growth on.
 func (j *joinSource) openBuild(rt *runtime, grow bool) (*table.Handle, error) {
 	n := j.cfg.BuildRows
 	if n <= 0 {

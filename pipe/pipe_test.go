@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/agg"
@@ -134,6 +135,62 @@ func TestHashJoinDefaultProject(t *testing.T) {
 	}
 	if len(keys) != 1 || keys[0] != 4 || vals[0] != 44 {
 		t.Fatalf("default Project emitted (%v, %v), want key + probe payload (4, 44)", keys, vals)
+	}
+}
+
+func TestEmptyRelations(t *testing.T) {
+	one := join.Relation{{Key: 1, Payload: 1}}
+	for _, workers := range []int{1, 4} {
+		for _, c := range []struct {
+			name         string
+			build, probe join.Relation
+		}{{"empty build", nil, one}, {"empty probe", one, nil}, {"empty both", nil, nil}} {
+			n, err := pipe.HashJoin(pipe.FromRelation(c.build), pipe.FromRelation(c.probe), pipe.JoinConfig{}).
+				Count(pipe.Config{Workers: workers})
+			if err != nil || n != 0 {
+				t.Fatalf("workers=%d %s: %d rows, %v", workers, c.name, n, err)
+			}
+		}
+	}
+}
+
+// TestQuickJoinEquivalence property-tests HashJoin against the nested-loop
+// oracle on arbitrary relations. Its uint8 keys include key 0, one of the
+// kernel's sentinels, and repeat freely on both sides. Each emitted build
+// payload is the index of the build row it came from, so it must be a row
+// offered for its key: at one worker the first such row, as in the oracle;
+// at more, whichever the pool's schedule let in first.
+func TestQuickJoinEquivalence(t *testing.T) {
+	prop := func(buildKeys, probeKeys []uint8, seed uint64) bool {
+		build := make(join.Relation, len(buildKeys))
+		for i, k := range buildKeys {
+			build[i] = join.Row{Key: uint64(k), Payload: uint64(i)}
+		}
+		probe := make(join.Relation, len(probeKeys))
+		for i, k := range probeKeys {
+			probe[i] = join.Row{Key: uint64(k), Payload: uint64(i)}
+		}
+		first := map[uint64]uint64{}
+		want := join.NestedLoopJoin(build, probe, func(k, b, _ uint64) { first[k] = b })
+		for _, workers := range []int{1, 4} {
+			keys, vals, err := pipe.HashJoin(pipe.FromRelation(build), pipe.FromRelation(probe), pipe.JoinConfig{
+				Scheme:  table.SchemeQP,
+				Seed:    seed,
+				Project: func(k, b, _ uint64) (uint64, uint64) { return k, b },
+			}).Collect(pipe.Config{Workers: workers, MorselSize: 8})
+			if err != nil || len(keys) != want {
+				return false
+			}
+			for i, k := range keys {
+				if uint64(buildKeys[vals[i]]) != k || workers == 1 && vals[i] != first[k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -377,9 +434,9 @@ func TestSharedBuildKeepsOneOfferedPayload(t *testing.T) {
 }
 
 func TestHintPreSizesSerialBuild(t *testing.T) {
-	// A serial pre-sized build keeps join.HashJoin's WORM contract: an
-	// understated Hint surfaces as a typed ErrFull from the build phase
-	// instead of silent growth.
+	// A serial pre-sized build keeps the WORM contract: an understated
+	// Hint surfaces as a typed ErrFull from the build phase instead of
+	// silent growth.
 	build := make(join.Relation, 1000)
 	for i := range build {
 		build[i] = join.Row{Key: uint64(i) + 1, Payload: 1}

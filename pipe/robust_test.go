@@ -2,9 +2,9 @@ package pipe_test
 
 // Mid-stream failure semantics: cancellation between morsels surfaces as
 // the context error from the terminal, a panicking stage anywhere in the
-// chain is contained by the pool and surfaces as *exec.PanicError, and
-// neither leaves the process wedged — the same first-error convention as
-// the one-shot operators.
+// chain is contained by the pool and surfaces as *exec.PanicError, a
+// table refusal as the typed ErrFull chain, and none of them leaves the
+// process wedged — the pool's first-error convention.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"repro/agg"
 	"repro/exec"
+	"repro/internal/fault"
 	"repro/join"
 	"repro/pipe"
 	"repro/table"
@@ -84,6 +85,62 @@ func TestCancelBeforeRun(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestJoinCancelBeforeRun: a pre-cancelled Config.Ctx stops a join before
+// its build phase runs a morsel, serial or parallel.
+func TestJoinCancelBeforeRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows := pipe.FromColumns(bigColumn(10_000), nil)
+	for _, workers := range []int{1, 4} {
+		err := pipe.HashJoin(rows, rows, pipe.JoinConfig{}).Drain(pipe.Config{Workers: workers, Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+// checkInjectedRefusal runs a query with table refusals injected at rate
+// 1.0 (the stand-in for a full growth-disabled table), at one worker and at
+// four: the refusal must surface from the terminal as the typed
+// *table.FullError chain, and the same query must succeed once the
+// injector is disarmed.
+func checkInjectedRefusal(t *testing.T, run func(pipe.Config) error) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		cfg := pipe.Config{Workers: workers, MorselSize: 512}
+		var rates [fault.NumKinds]float64
+		rates[fault.Full] = 1.0
+		fault.Arm(fault.Config{Seed: 3, Rates: rates})
+		err := run(cfg)
+		fault.Disarm()
+		var fe *table.FullError
+		if !errors.As(err, &fe) || !errors.Is(err, table.ErrFull) {
+			t.Fatalf("workers=%d: err = %v, want a *table.FullError wrapping ErrFull", workers, err)
+		}
+		if err := run(cfg); err != nil {
+			t.Fatalf("workers=%d after disarm: %v", workers, err)
+		}
+	}
+}
+
+// TestJoinBuildRefusalSurfaces: a refusal in a join's build table surfaces
+// typed — at four workers after the rebuild into the growing table is
+// refused too.
+func TestJoinBuildRefusalSurfaces(t *testing.T) {
+	rows := pipe.FromColumns(bigColumn(10_000), nil)
+	checkInjectedRefusal(t, pipe.HashJoin(rows, rows, pipe.JoinConfig{}).Drain)
+}
+
+// TestGroupByRefusalSurfaces: a refusal in a group-by's index surfaces
+// typed, through the per-worker partial aggregates at four workers.
+func TestGroupByRefusalSurfaces(t *testing.T) {
+	rows := pipe.FromColumns(bigColumn(10_000), nil)
+	checkInjectedRefusal(t, func(cfg pipe.Config) error {
+		_, err := rows.GroupBy(cfg, pipe.GroupConfig{})
+		return err
+	})
 }
 
 func TestPanicInStage(t *testing.T) {

@@ -27,7 +27,6 @@ package shard
 import (
 	"sync"
 
-	"repro/exec"
 	"repro/obs"
 )
 
@@ -36,7 +35,7 @@ import (
 // engine (or other engines: the pool is the package's, so the short-lived
 // build engines of consecutive queries reuse each other's columns).
 type staging struct {
-	exec.Scatter
+	scatter
 
 	// UpsertBatch's relay: the table pipeline is handed relay — bound to
 	// this staging once, when it is made, so no closure is allocated per
@@ -86,14 +85,13 @@ func (st *staging) relayUpsert(lane int, old uint64, exists bool) uint64 {
 	return v
 }
 
-// scatter takes a staging from the pool and routes keys into it with the
-// shared exec.Scatter primitive: the router's bulk-hash pipeline plus one
-// stable counting pass regrouping the column (and vals, when the call has
-// values to store) shard-major. The caller releases it once the results
-// are gathered.
-func (e *Engine) scatter(keys, vals []uint64) *staging {
+// stage takes a staging from the pool and routes keys into it: the
+// router's bulk-hash pipeline plus one stable counting pass regrouping the
+// column (and vals, when the call has values to store) shard-major. The
+// caller releases it once the results are gathered.
+func (e *Engine) stage(keys, vals []uint64) *staging {
 	st := takeStaging()
-	st.Route(e.router, e.shift, len(e.shards), keys, vals)
+	st.route(e.router, e.shift, len(e.shards), keys, vals)
 	return st
 }
 
@@ -125,7 +123,7 @@ func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
 		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
 	}
-	st := e.scatter(keys, nil)
+	st := e.stage(keys, nil)
 	defer st.release()
 	hits := 0
 	for j := range e.shards {
@@ -209,7 +207,7 @@ func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, put bool) (in
 	if len(e.shards) == 1 {
 		return e.rmwBatchShard(&e.shards[0], keys, vals, out, loaded, put)
 	}
-	st := e.scatter(keys, vals)
+	st := e.stage(keys, vals)
 	defer st.release()
 	inserted := 0
 	for j := range e.shards {
@@ -353,7 +351,7 @@ func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 		defer st.release()
 		return e.upsertBatchShard(&e.shards[0], st, keys, nil, fn)
 	}
-	st := e.scatter(keys, nil)
+	st := e.stage(keys, nil)
 	defer st.release()
 	inserted := 0
 	for j := range e.shards {

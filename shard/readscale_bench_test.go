@@ -4,9 +4,9 @@ package shard_test
 // GetBatch ns/key at 1, 2, 4 and 8 goroutines, on the real Engine
 // (seqlock + epoch-published views) and on an in-bench replica of the
 // engine's previous concurrency layer — per-shard sync.RWMutex around
-// the same Robin Hood tables, same router, same per-call scatter
-// staging, faithful to the pre-seqlock code down to its allocation
-// behavior. Three workloads:
+// the same Robin Hood tables, same router, and a freshly allocated
+// shard-major staging per batch call, as the pre-seqlock code had.
+// Three workloads:
 //
 //   - get: scalar Get only, the per-key lock cost at its barest. The
 //     RWMutex baseline pays two lock-word RMWs per key — a cross-core
@@ -30,7 +30,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/exec"
 	"repro/hashfn"
 	"repro/shard"
 	"repro/table"
@@ -52,10 +51,9 @@ type benchOps struct {
 }
 
 // rwEngine replicates the engine's pre-seqlock read path: per-shard
-// RWMutex, reads under RLock, the same router, and — like the real
-// engine before and after — a freshly allocated scatter per batch call
-// (concurrent callers must not share staging). It exists only as the
-// benchmark baseline.
+// RWMutex, reads under RLock, the same router, and a freshly allocated
+// staging per batch call (concurrent callers must not share one). It
+// exists only as the benchmark baseline.
 type rwEngine struct {
 	shards []rwShard
 	router hashfn.Function
@@ -100,38 +98,74 @@ func (e *rwEngine) get(k uint64) (uint64, bool) {
 	return v, ok
 }
 
-func (e *rwEngine) getBatch(keys, vals []uint64, ok []bool) {
-	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys, nil)
+// rwStaging is one batch call's shard-major copy of its columns: shard
+// j's keys are keys[starts[j]:starts[j+1]], and staged slot i came from
+// lane orig[i].
+type rwStaging struct {
+	keys, vals []uint64
+	ok         []bool
+	orig       []int
+	starts     []int
+}
+
+// stage bulk-hashes keys through the router and regroups them (and vals,
+// when non-nil) shard-major in one stable counting pass, like the engine.
+func (e *rwEngine) stage(keys, vals []uint64) *rwStaging {
+	n := len(keys)
+	st := &rwStaging{
+		keys: make([]uint64, n), vals: make([]uint64, n), ok: make([]bool, n),
+		orig: make([]int, n), starts: make([]int, len(e.shards)+1),
+	}
+	hashes := make([]uint64, n)
+	hashfn.HashBatch(e.router, keys, hashes)
+	for _, h := range hashes {
+		st.starts[h>>e.shift+1]++
+	}
 	for j := range e.shards {
-		lo, hi := st.Starts[j], st.Starts[j+1]
+		st.starts[j+1] += st.starts[j]
+	}
+	pos := append([]int(nil), st.starts[:len(e.shards)]...)
+	for i, h := range hashes {
+		at := pos[h>>e.shift]
+		pos[h>>e.shift]++
+		st.keys[at], st.orig[at] = keys[i], i
+		if vals != nil {
+			st.vals[at] = vals[i]
+		}
+	}
+	return st
+}
+
+func (e *rwEngine) getBatch(keys, vals []uint64, ok []bool) {
+	st := e.stage(keys, nil)
+	for j := range e.shards {
+		lo, hi := st.starts[j], st.starts[j+1]
 		if lo == hi {
 			continue
 		}
 		s := &e.shards[j]
 		s.mu.RLock()
 		for i := lo; i < hi; i++ {
-			st.Vals[i], st.OK[i] = s.tab.Get(st.Keys[i])
+			st.vals[i], st.ok[i] = s.tab.Get(st.keys[i])
 		}
 		s.mu.RUnlock()
 	}
-	for i, oi := range st.Orig {
-		vals[oi], ok[oi] = st.Vals[i], st.OK[i]
+	for i, oi := range st.orig {
+		vals[oi], ok[oi] = st.vals[i], st.ok[i]
 	}
 }
 
 func (e *rwEngine) putBatch(keys, vals []uint64) {
-	st := new(exec.Scatter)
-	st.Route(e.router, e.shift, len(e.shards), keys, vals)
+	st := e.stage(keys, vals)
 	for j := range e.shards {
-		lo, hi := st.Starts[j], st.Starts[j+1]
+		lo, hi := st.starts[j], st.starts[j+1]
 		if lo == hi {
 			continue
 		}
 		s := &e.shards[j]
 		s.mu.Lock()
 		for i := lo; i < hi; i++ {
-			if _, err := s.tab.TryPut(st.Keys[i], st.Vals[i]); err != nil {
+			if _, err := s.tab.TryPut(st.keys[i], st.vals[i]); err != nil {
 				panic(err)
 			}
 		}

@@ -1,8 +1,7 @@
 // Package shard implements the repo's one striping core: Engine, a
 // concurrency-safe sharded hash-table engine with incremental resize and
-// wait-free reads. It replaces the two earlier copies of the paper's
-// striped-locking extension (§1) — table.Handle's partitioned mode and
-// partition.Striped — both of which now delegate here.
+// wait-free reads: the paper's striped-locking extension (§1), which
+// table.Handle's partitioned mode delegates to.
 //
 // # Architecture
 //

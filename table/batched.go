@@ -44,7 +44,7 @@ import (
 const BatchWidth = hashfn.DefaultBatchWidth
 
 // Batcher is the batched counterpart of Map's point operations, implemented
-// by every scheme in this package (and by partition.Partitioned).
+// by every scheme in this package.
 type Batcher interface {
 	// GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
 	// the number of hits. vals and ok must be at least as long as keys.

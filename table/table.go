@@ -86,10 +86,10 @@ type Map interface {
 }
 
 // Table is the unified operation set implemented by every scheme in this
-// package (and by partition.Partitioned): the legacy scalar Map, the
-// batched pipeline, the single-probe read-modify-write primitives, the
-// error-based mutations, and Go 1.23 iterators. Handle (see Open) wraps
-// one or more Tables behind the workload-aware façade.
+// package: the legacy scalar Map, the batched pipeline, the single-probe
+// read-modify-write primitives, the error-based mutations, and Go 1.23
+// iterators. Handle (see Open) wraps one or more Tables behind the
+// workload-aware façade.
 type Table interface {
 	Map
 	Batcher

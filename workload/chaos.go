@@ -28,6 +28,40 @@ import (
 	"repro/table"
 )
 
+// threadStride spaces the threads' generator index ranges. Each thread's
+// whole window — inserts below missBase (2^40) plus miss lookups at
+// missBase+i — must fit inside its stride, so the stride sits a factor of
+// two above missBase: thread g uses indexes in
+// [g*2^41, g*2^41 + 2^40 + tapeLen), disjoint from every other thread's
+// window for any thread count.
+const threadStride = uint64(1) << 41
+
+// offsetGen shifts a distribution's index space by a fixed base, carving
+// disjoint per-thread key ranges out of one injective generator.
+type offsetGen struct {
+	gen  dist.Generator
+	base uint64
+}
+
+func (g offsetGen) Kind() dist.Kind     { return g.gen.Kind() }
+func (g offsetGen) Key(i uint64) uint64 { return g.gen.Key(g.base + i) }
+
+func (g offsetGen) Keys(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = g.Key(uint64(i))
+	}
+	return out
+}
+
+func (g offsetGen) AbsentKeys(n, m int) []uint64 {
+	out := make([]uint64, m)
+	for i := range out {
+		out[i] = g.Key(uint64(n + i))
+	}
+	return out
+}
+
 // chaosValSalt derives a stored value from its key, so value corruption
 // is distinguishable from key corruption in the differential check.
 const chaosValSalt = 0xa5a5_a5a5_5a5a_5a5a

@@ -45,20 +45,6 @@ func TestRunRWLatencySnapshot(t *testing.T) {
 	}
 }
 
-func TestRunRWConcurrentLatencySnapshot(t *testing.T) {
-	res, err := workload.RunRWConcurrent(workload.RWConfig{
-		Scheme: table.SchemeLP, Dist: dist.Dense,
-		InitialKeys: 512, Ops: 2048, UpdatePct: 25, GrowAt: 0.85, Seed: 6,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 4 * ((2048 + 31) / 32)
-	if res.Latency.Count != want {
-		t.Fatalf("Latency.Count = %d, want %d across 4 threads", res.Latency.Count, want)
-	}
-}
-
 func TestRunChaosLatencySnapshot(t *testing.T) {
 	faults := fault.Config{Seed: 9}
 	faults.Rates[fault.Full] = 1.0 / 256

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -125,9 +124,6 @@ type RWConfig struct {
 	// Tape optionally supplies a pre-generated tape (shared across
 	// schemes); when nil, one is generated from the other fields.
 	Tape *Tape
-	// Ctx cancels the concurrent replay between morsels; it is threaded
-	// into the exec pool (nil means context.Background()).
-	Ctx context.Context
 	// LatencySample records every Nth replayed operation's latency into
 	// the result's Latency snapshot. Zero means the default (every
 	// 32nd); negative disables latency recording entirely. Sampling

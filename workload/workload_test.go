@@ -244,31 +244,3 @@ func TestNewWORMTableChainedSizing(t *testing.T) {
 		t.Error("bogus scheme accepted")
 	}
 }
-
-// TestRunRWConcurrent drives the sharded engine with 8 goroutines
-// replaying disjoint RW tapes against one handle; hit/miss counts are
-// validated per goroutine inside RunRWConcurrent, and the small initial
-// capacity forces incremental shard resizes during the run.
-func TestRunRWConcurrent(t *testing.T) {
-	res, err := RunRWConcurrent(RWConfig{
-		Scheme:      table.SchemeRH,
-		Dist:        dist.Dense,
-		InitialKeys: 2000,
-		Ops:         20000,
-		UpdatePct:   50,
-		GrowAt:      0.85,
-		Seed:        11,
-	}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threads != 8 || res.Shards != 16 {
-		t.Fatalf("threads/shards = %d/%d, want 8/16", res.Threads, res.Shards)
-	}
-	if res.Ops != 8*20000 || res.FinalLen == 0 || res.Mops <= 0 {
-		t.Fatalf("degenerate result %+v", res)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("expected incremental resizes during the concurrent replay")
-	}
-}
