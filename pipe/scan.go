@@ -31,8 +31,9 @@ func FromRelation(rel join.Relation) *Stream {
 // FromHandle scans a live table.Handle. A sharded handle (opened
 // WithPartitions) is walked shard-parallel — one pool task per shard via
 // shard.Engine.RangeShard, weakly consistent and correct mid-resize
-// (the migration-aware successor-then-frozen walk yields each key at
-// most once). A single-partition handle is walked serially as one task.
+// (the migration-aware walk, the successor then its unshadowed live frozen
+// entries, yields each key at most once). A single-partition handle is
+// walked serially as one task.
 // The stage chain and downstream operators run while a shard lock is
 // held, so the pipeline must not write back into the same handle. As the
 // build side of a HashJoin, with no stage on it, the handle is not walked

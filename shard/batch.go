@@ -19,10 +19,10 @@ package shard
 // writes no table state, so it runs inside the readers' wait-free window
 // (see readRange), while the mutation pipelines use table-owned scratch
 // under the shard's writer lock. A migrating shard's reads stay batched —
-// the successor's GetBatch over the range, then the frozen table's over
-// what it missed (view.getRange). Its writes fall back to the scalar
-// migration-aware path per staged key, which also advances the migration —
-// batches make resize progress proportional to their size.
+// the frozen table's GetBatch over the range, then the successor's over
+// its misses and dead lanes (view.getRange). Its writes fall back to the
+// scalar migration-aware path per staged key, which also advances the
+// migration — batches make resize progress proportional to their size.
 
 import (
 	"sync"
@@ -104,9 +104,9 @@ func (e *Engine) stage(keys, vals []uint64) *staging {
 // callers proceed in parallel with each other — and with writers. Inside
 // that window a steady-state shard's range is one call of its table's
 // own GetBatch pipeline (read-only and re-entrant), a migrating shard's
-// the successor→dead→frozen chain run a table at a time through the same
-// pipeline; the shard-major scatter amortizes routing and validation to
-// once per shard per batch.
+// the frozen table's minus the dead overlay, then the successor's for the
+// rest, a table at a time through the same pipeline; the shard-major
+// scatter amortizes routing and validation to once per shard per batch.
 func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 	if len(vals) < len(keys) || len(ok) < len(keys) {
 		panic("shard: GetBatch output slices shorter than keys")

@@ -435,7 +435,7 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 // client's reads and lock acquisitions wait behind; and once more with a
 // migration step of one entry, where a resize lasts as many mutations as
 // the shard had entries, so most reads find a shard mid-resize and take
-// the batched successor-then-frozen chain, over an overlay the victims'
+// the batched frozen-then-successor read, over an overlay the victims'
 // deletes fill, beside the other client's writes. Under -race the
 // reads take the locked path and the acquire helper is what is exercised.
 func TestDifferentialTwoClients(t *testing.T) {

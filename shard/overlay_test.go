@@ -122,13 +122,14 @@ func TestDeleteHeavyMigrationAgreesWithMap(t *testing.T) {
 }
 
 // TestMigratingGetBatchMatchesScalarChain: on a shard held mid-resize a
-// GetBatch lane is what Get answers for the key — the batched chain
-// (successor over the range, then the frozen table over the misses the
-// overlay does not rule out) against the scalar one — and what a map
+// GetBatch lane is what Get answers for the key — the batched read (the
+// frozen table over the range, then the successor over the lanes it missed
+// or the overlay marks dead) against the scalar one — and what a map
 // says, for keys only in the frozen table, only in the successor, in both
-// under different values, dead, dead and re-inserted, never inserted, and
-// both sentinel keys; at range lengths around the tables' chunk and the
-// chain's stride; before and after the overlay doubles.
+// under the same value, overwritten (a dead frozen entry and a new value in
+// the successor), dead, dead and re-inserted, never inserted, and both
+// sentinel keys; at range lengths around the tables' chunk and the read's
+// stride; before and after the overlay doubles.
 func TestMigratingGetBatchMatchesScalarChain(t *testing.T) {
 	for _, scheme := range []table.Scheme{table.SchemeRH, table.SchemeChained24, table.SchemeCuckooH4} {
 		t.Run(string(scheme), func(t *testing.T) {
@@ -196,9 +197,9 @@ func TestMigratingGetBatchMatchesScalarChain(t *testing.T) {
 			}
 			compare("frozen only")
 
-			// By i%8: 1 shadowed (key 0 among them), 2 dead, 3 dead and
+			// By i%8: 1 overwritten (key 0 among them), 2 dead, 3 dead and
 			// back under a new value, the rest left where they are — in the
-			// frozen table, or moved by a step.
+			// frozen table, or moved by a step into both tables.
 			mutate := func(from, to uint64) {
 				for i := from; i < to; i++ {
 					switch i % 8 {
@@ -212,16 +213,16 @@ func TestMigratingGetBatchMatchesScalarChain(t *testing.T) {
 					}
 				}
 			}
-			mutate(1, 800) // 200 dead keys: the overlay is still the one it began with
+			mutate(1, 600) // 225 dead keys: the overlay is still the one it began with
 			for i := n + 1; i <= n+n/2; i++ {
 				put(key(i), i)
 			}
 			del(^uint64(0))
 			publishes := e.Stats().ViewPublishes
 			compare("overlay as published")
-			mutate(800, 1600) // 400 dead keys: past half load of the 512 slots
+			mutate(600, 1000) // 375 dead keys: past half load of the 512 slots
 			if got := e.Stats().ViewPublishes - publishes; got != 1 {
-				t.Fatalf("%d views published over 200 more dead keys, want the one doubling", got)
+				t.Fatalf("%d views published over 150 more dead keys, want the one doubling", got)
 			}
 			compare("overlay doubled")
 		})

@@ -53,8 +53,8 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 // all, and the range is read under the lock.
 //
 // Inside the window the range goes to view.getRange — the tables' own
-// GetBatch pipeline, one call on a steady-state shard, successor then
-// frozen table on a migrating one — which writes nothing a table or the
+// GetBatch pipeline, one call on a steady-state shard, frozen table then
+// successor on a migrating one — which writes nothing a table or the
 // shard owns and cannot be made to spin by a torn state, so it needs
 // nothing from the protocol beyond the validation a scalar Get gets.
 func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {

@@ -277,6 +277,69 @@ func BenchmarkReadScale(b *testing.B) {
 	}
 }
 
+// BenchmarkMigratingGetBatch measures a batched read of a shard mid-resize
+// by how far the migration has got: GetBatch ns/key on one Robin Hood
+// shard frozen at 0.7 load, with 0%, 50% and 95% of its entries moved into
+// the successor, over keys present and keys absent. The frozen table
+// answers a present key alone, at its 0.7 load throughout; an absent key
+// is asked about in both tables, the successor filling towards 0.35 as the
+// migration goes. Run with -benchtime 2000x or so; it reports ns/key
+// through ReportMetric.
+func BenchmarkMigratingGetBatch(b *testing.B) {
+	const (
+		slots = 1 << 19
+		batch = 1024
+		reads = 1 << 16 // keys per read column, drawn in random order
+	)
+	key := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+	for _, progress := range []int{0, 50, 95} {
+		e := shard.MustNew(shard.Config{
+			Shards: 1, Capacity: slots, GrowAt: 0.7, Seed: 1,
+			NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+				return table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+			},
+		})
+		n := 0
+		for ; e.Stats().Migrating == 0; n++ {
+			if _, err := e.Put(key(n), uint64(n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// A delete of an absent key hosts one migration step and changes
+		// nothing else.
+		for moved := 0; moved < progress*n/100; moved += shard.DefaultMigrationChunk {
+			e.Delete(key(n + reads))
+		}
+		if e.Stats().Migrating != 1 {
+			b.Fatalf("the resize ended short of %d%%", progress)
+		}
+		present, absent := make([]uint64, reads), make([]uint64, reads)
+		rnd := uint64(88172645463325252)
+		for i := range present {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			present[i], absent[i] = key(int(rnd%uint64(n))), key(n+i)
+		}
+		vals, ok := make([]uint64, batch), make([]bool, batch)
+		for _, c := range []struct {
+			name string
+			keys []uint64
+			hits int
+		}{{"present", present, batch}, {"absent", absent, 0}} {
+			b.Run(fmt.Sprintf("progress=%d/%s", progress, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lo := i * batch % reads
+					if hits := e.GetBatch(c.keys[lo:lo+batch], vals, ok); hits != c.hits {
+						b.Fatalf("%d hits, want %d", hits, c.hits)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+			})
+		}
+	}
+}
+
 // BenchmarkTwoClients keeps the sharing ceiling in the tree: the
 // benchmark's rw_resize step tape (a 1024-key PutBatch, two GetBatch of
 // keys inserted earlier, one of absent keys, then 256 scalar Deletes of

@@ -199,8 +199,8 @@ func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
 // hookedDead..hookedDead+9 from it: ten dead keys, and ten steps, which moved keys 1..200
 // into the successor (testTable walks in key order); the rest are only in
 // the frozen table. The log is cleared. It returns what one lookup of keys
-// 1..n costs: the successor asked for the whole range, the frozen table
-// for the misses the overlay does not rule out, a stride at a time.
+// 1..n costs: the frozen table asked for the whole range, which it holds,
+// and the successor for the ten lanes the overlay marks dead.
 func midResize(t *testing.T, e *Engine, bl *batchLog, n int) (perAttempt []int) {
 	t.Helper()
 	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
@@ -218,11 +218,7 @@ func midResize(t *testing.T, e *Engine, bl *batchLog, n int) (perAttempt []int) 
 		t.Fatalf("set-up: migrating %v, %d keys in the successor, %d dead, want a resize with %d and 10", v.migrating(), v.next.Len(), v.dead.n, 10*hookedChunk)
 	}
 	bl.calls = nil
-	perAttempt = []int{n}
-	for misses := n - 10*hookedChunk - 10; misses > 0; misses -= readStride {
-		perAttempt = append(perAttempt, min(misses, readStride))
-	}
-	return perAttempt
+	return []int{n, 10}
 }
 
 // TestReadRangeTouchRetryAndFallback: a shard's staged range is its
@@ -230,26 +226,34 @@ func midResize(t *testing.T, e *Engine, bl *batchLog, n int) (perAttempt []int) 
 // validate / re-probe / lock-fallback protocol: a torn probe's answers are
 // thrown away, an open window is not probed into, a range that has
 // discarded its budget is read under the lock. A steady-state shard makes
-// ONE call per attempt; a migrating shard asks the successor for the whole
-// range, then the frozen table for the lanes the successor missed and the
-// overlay does not mark dead, readStride of them a call — and nothing when
-// the successor answered every lane.
+// ONE call per attempt; a migrating shard asks the frozen table for the
+// whole range, then the successor for the lanes the frozen table missed or
+// the overlay marks dead, readStride of them a call — and nothing when the
+// frozen table answered every lane.
 func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 	const n = 600
 	vals := make([]uint64, n)
 	ok := make([]bool, n)
+	// absent is where the keys nothing stored begin.
+	const absent = 1 << 20
 	// read runs one GetBatch over keys and fails unless every lane holds
-	// what hookedEngine stored (nothing for the dead keys of midResize) and the
-	// tables saw exactly the lookups perAttempt lists, attempts times over.
+	// what was stored under the key, ten times the key (nothing for the
+	// dead keys of midResize, nor from absent on), and the tables saw
+	// exactly the lookups perAttempt lists, attempts times over.
 	read := func(when string, e *Engine, bl *batchLog, keys []uint64, dead int, perAttempt []int, attempts int) {
 		t.Helper()
-		if hits := e.GetBatch(keys, vals, ok); hits != len(keys)-dead {
-			t.Fatalf("%s: hit %d of %d with %d dead", when, hits, len(keys), dead)
-		}
+		hits, present := e.GetBatch(keys, vals, ok), 0
 		for i, k := range keys {
-			if isDead := dead > 0 && k >= hookedDead && k < hookedDead+10; ok[i] == isDead || (ok[i] && vals[i] != k*10) {
-				t.Fatalf("%s: lane %d (key %d) = (%d,%v), want (%d,%v)", when, i, k, vals[i], ok[i], k*10, !isDead)
+			stored := k < absent && !(dead > 0 && k >= hookedDead && k < hookedDead+10)
+			if ok[i] != stored || (ok[i] && vals[i] != k*10) {
+				t.Fatalf("%s: lane %d (key %d) = (%d,%v), want (%d,%v)", when, i, k, vals[i], ok[i], k*10, stored)
 			}
+			if stored {
+				present++
+			}
+		}
+		if hits != present {
+			t.Fatalf("%s: hit %d of %d, want %d", when, hits, len(keys), present)
 		}
 		var want []int
 		for range attempts {
@@ -284,11 +288,29 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 				t.Fatal("quiet read retried")
 			}
 			if migrating {
-				// Keys the step moved: the successor answers them all and
-				// the frozen table is not asked.
+				// Keys the steps moved are in both tables: the frozen table
+				// answers them all and the successor is not asked.
 				bl.calls = nil
 				moved := keys[:10*hookedChunk]
-				read("all in the successor", e, bl, moved, 0, []int{len(moved)}, 1)
+				read("all in the frozen table", e, bl, moved, 0, []int{len(moved)}, 1)
+				// Keys inserted since the freeze, and keys never inserted:
+				// the frozen table misses every lane, and the successor is
+				// asked about them, readStride a call.
+				var fresh []uint64
+				for k := uint64(10 * n); k < 10*n+20; k++ {
+					if _, err := e.Put(k, k*10); err != nil {
+						t.Fatal(err)
+					}
+					fresh = append(fresh, k)
+				}
+				for k := uint64(absent); len(fresh) < readStride+44; k++ {
+					fresh = append(fresh, k)
+				}
+				if !e.shards[0].view.Load().migrating() {
+					t.Fatal("the resize ended under the inserts")
+				}
+				bl.calls = nil
+				read("only in the successor", e, bl, fresh, 0, []int{len(fresh), readStride, 44}, 1)
 			}
 		}
 
@@ -438,8 +460,8 @@ func (h getHookTable) GetBatch(keys, vals []uint64, ok []bool) int {
 }
 
 func TestReadHeldOpenAcrossOverlayDoubling(t *testing.T) {
-	// A Get and a one-key GetBatch alike: the batched chain asks the
-	// successor first too, and consults the overlay for what it missed.
+	// A Get and a one-key GetBatch alike: the batched read asks the frozen
+	// table first too, and consults the overlay for what it found.
 	t.Run("Get", func(t *testing.T) {
 		readHeldOpenAcrossOverlayDoubling(t, func(e *Engine, k uint64) (uint64, bool) { return e.Get(k) })
 	})
@@ -485,8 +507,8 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 	}
 	publishes := e.viewPublishes.Load()
 
-	// The reader is inside its probe of the old view (at the successor's
-	// Get) when a whole writer window passes: the delete of the very key
+	// The reader is inside its probe of the old view (at the frozen table's
+	// lookup) when a whole writer window passes: the delete of the very key
 	// it is reading, which is the delete that has to double the overlay.
 	victim := key(n)
 	onGet = func() {

@@ -52,13 +52,13 @@
 //   - When a shard crosses the configured threshold, the engine allocates
 //     the next-power-of-two successor table and FREEZES the old one: from
 //     that point no write ever touches the old table again. New and
-//     updated values go to the successor; deletes of keys still living in
-//     the old table are recorded in a small overlay of dead keys.
+//     updated values go to the successor; keys deleted, or changed, while
+//     live in the old table are recorded in a small overlay of dead keys.
 //   - Because the old table is immutable, a resumable cursor over it is
 //     safe. Every subsequent mutation on the shard first migrates a
 //     bounded chunk of entries (Config.MigrationChunk) from the cursor
-//     into the successor, then applies itself. Reads consult the
-//     successor first, then the frozen table (minus the dead overlay).
+//     into the successor, then applies itself. Reads ask the frozen table
+//     (minus the dead overlay) first, then the successor.
 //   - When the cursor is exhausted the successor becomes the shard's
 //     table and the frozen one is dropped wholesale.
 //
@@ -493,7 +493,7 @@ func (e *Engine) allocTable(capacity int, seed uint64) (Table, error) {
 // injected refusal) gets a same-capacity successor instead of an
 // unconditional doubling — repeated transient refusals must not inflate
 // capacity without live entries to justify it. The overlay starts at its
-// fixed floor whatever the frozen table's size; deleteLocked doubles it by
+// fixed floor whatever the frozen table's size; markDead doubles it by
 // republication in the rare resize that outgrows that.
 func (e *Engine) beginMigration(s *shardState) error {
 	v := s.view.Load()
@@ -829,8 +829,8 @@ func (e *Engine) rebuild(s *shardState) error {
 				if v.dead.has(k) {
 					return true
 				}
-				// Keep-first: keys already copied from the successor hold
-				// the fresh value; the frozen table's copy is stale.
+				// Keep-first: a key already copied from the successor holds
+				// the value its live frozen entry holds.
 				if _, _, err = nt.GetOrPut(k, val); err != nil {
 					ok = false
 				}
@@ -899,8 +899,8 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 		v = s.view.Load() // the epoch with the successor installed
 	}
 	// Migrating: the frozen table is read-only, so the write lands in the
-	// successor; one probe sequence there decides update-vs-insert, with
-	// the frozen table consulted only on a successor miss.
+	// successor. A live frozen entry makes the key not new, and dead if it
+	// holds another value: readers ask the frozen table first.
 	inserted, err := v.next.TryPut(key, val)
 	if err != nil {
 		if !e.tryRebuild(s) {
@@ -912,15 +912,27 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 		}
 		return ins, err
 	}
-	if inserted {
-		// New to the successor; new to the shard only if the frozen table
-		// does not hold it live.
-		if _, ok := v.curLive(key); ok {
-			return false, nil
-		}
+	cv, live := v.curLive(key)
+	if live && cv != val {
+		e.markDead(s, key)
+	}
+	if inserted && !live {
 		s.live.Add(1)
 	}
-	return inserted, nil
+	return inserted && !live, nil
+}
+
+// markDead marks dead the frozen entry of key, which the caller saw live.
+func (e *Engine) markDead(s *shardState, key uint64) {
+	v := s.view.Load()
+	if v.dead.full() {
+		// Never in place: this epoch's readers keep probing the old array.
+		nv := *v
+		nv.dead = v.dead.grown()
+		e.publish(s, &nv)
+		v = &nv
+	}
+	v.dead.add(key)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -951,21 +963,11 @@ func (e *Engine) deleteLocked(s *shardState, key uint64) bool {
 		return false
 	}
 	deleted := v.next.Delete(key)
-	// The frozen table may hold the key too (its only copy, or a stale
-	// shadow of the successor's); either way its entry is now dead.
-	if !v.dead.has(key) {
-		if _, ok := v.cur.Get(key); ok {
-			if v.dead.full() {
-				// Never reallocated in place: readers of this epoch keep
-				// probing the old array, and this window discards them.
-				nv := *v
-				nv.dead = v.dead.grown()
-				e.publish(s, &nv)
-				v = &nv
-			}
-			v.dead.add(key)
-			deleted = true
-		}
+	// The frozen table may hold the key live too (its only copy, or the
+	// same value as the successor's); either way its entry is now dead.
+	if _, ok := v.curLive(key); ok {
+		e.markDead(s, key)
+		deleted = true
 	}
 	if deleted {
 		s.live.Add(-1)
@@ -1141,6 +1143,8 @@ func (e *Engine) upsertLocked(s *shardState, key uint64, fn func(old uint64, exi
 	}
 	if inserted {
 		s.live.Add(1)
+	} else if cv, ok := v.curLive(key); ok && cv != nv {
+		e.markDead(s, key) // as in putLocked
 	}
 	return nv, nil
 }

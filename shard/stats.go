@@ -122,7 +122,7 @@ func (e *Engine) Stats() Stats {
 
 // ForEachTable visits every shard's table(s) under that shard's writer
 // lock: the active table, and during a migration the frozen table too
-// (whose entries may be stale shadows of the successor's). fn must not
+// (whose entries may be dead: deleted or overwritten since). fn must not
 // mutate the table or call back into the engine. Intended for
 // observability aggregation, e.g. table.StatsOf merges.
 //
@@ -167,8 +167,8 @@ func (e *Engine) Range(fn func(key, val uint64) bool) {
 // until fn returns false, reporting whether the walk ran to completion.
 // It is Range restricted to a single shard — same weak-consistency and
 // no-reentrancy contract, including the mid-migration walk (successor
-// first, then the frozen table from the migration cursor on, dead or
-// shadowed keys skipped) — and
+// first, then the frozen table from the migration cursor on, dead
+// (deleted or overwritten) or shadowed keys skipped) — and
 // exists so parallel scans (pipe's sharded Scan) can walk different
 // shards from different workers concurrently: each call locks only its
 // own shard.

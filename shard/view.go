@@ -18,11 +18,11 @@ import (
 // finishing, a rebuild, a degraded-state flip) build a fresh view and
 // republish the pointer. The TABLES a view names are not immutable: the
 // active write target (cur in the steady state, next during a resize)
-// is mutated in place by writers, and dead gains entries as keys frozen
-// in cur are deleted. Those in-place mutations are what the per-shard
-// sequence counter guards: writers hold the counter odd across every
-// mutation (lockShard/unlockShard), and a reader that observed an odd
-// count, or a count that changed across its probe, discards what it
+// is mutated in place by writers, and dead gains entries as keys frozen in
+// cur are deleted or overwritten. Those in-place mutations are what the
+// per-shard sequence counter guards: writers hold the counter odd across
+// every mutation (lockShard/unlockShard), and a reader that observed an
+// odd count, or a count that changed across its probe, discards what it
 // read and retries.
 //
 // The sequence word is also what a waiter watches before it sleeps on the
@@ -34,7 +34,7 @@ import (
 //
 // A validated read (sequence even and unchanged across the probe) is a
 // consistent point-in-time snapshot OF ONE SHARD: it observed the
-// frozen/successor/dead-overlay chain with no writer mid-flight, so the
+// frozen table, dead overlay and successor with no writer mid-flight, so the
 // value it returns was the shard's current value at some instant inside
 // the probe window — single-key reads are linearizable. There is no
 // cross-shard snapshot anywhere in the engine: aggregates (Len, Stats)
@@ -47,12 +47,12 @@ type view struct {
 	// it safe.
 	cur Table
 	// next is the resize successor (nil outside a resize): the write
-	// target while the migration cursor drains cur into it. Readers
-	// consult it first.
+	// target while the migration cursor drains cur into it. Readers ask
+	// it only about keys cur lacks or dead marks.
 	next Table
-	// dead is the overlay of keys deleted while frozen in cur (nil
-	// outside a resize). Insert-only, and never reallocated in place:
-	// a set that outgrows its array is republished as a larger copy.
+	// dead is the overlay of keys deleted or overwritten while frozen in
+	// cur (nil outside a resize). Insert-only, and never reallocated in
+	// place: a set that outgrows its array is republished as a larger copy.
 	dead *deadSet
 	// degraded mirrors the shard's degraded-but-serving state (the
 	// allocator is failing; see the package docs) so observers read it
@@ -63,19 +63,15 @@ type view struct {
 	gen uint64
 }
 
-// get probes the chain: successor first, then the frozen table minus
-// the dead overlay. Under a validated seqlock window this is exactly
-// the migration-aware lookup writers use.
+// get asks the frozen table minus the dead overlay, else the successor:
+// writers mark every frozen entry that stops holding its key's value, so
+// under a validated seqlock window this is the lookup writers use.
 func (v *view) get(key uint64) (uint64, bool) {
-	if v.next != nil {
-		if val, ok := v.next.Get(key); ok {
-			return val, true
-		}
-		if v.dead.has(key) {
-			return 0, false
-		}
+	val, ok := v.cur.Get(key)
+	if !v.migrating() || ok && !v.dead.has(key) {
+		return val, ok
 	}
-	return v.cur.Get(key)
+	return v.next.Get(key)
 }
 
 // getRange is get over a staged key column, returning the number of
@@ -84,53 +80,51 @@ func (v *view) get(key uint64) (uint64, bool) {
 // scratch is per call) and terminates whatever a racing writer shows it,
 // so getRange runs inside a reader's unvalidated window as well as under
 // the lock. A steady-state view hands its table the whole column. A
-// migrating view is get's chain a table at a time: the successor answers
-// the whole column, the lanes it missed that the overlay does not mark
-// dead are compacted readStride at a time into scratch of the call's own,
-// and the frozen table answers those.
+// migrating view is get a table at a time: the frozen table answers the
+// whole column, the lanes it missed or the overlay marks dead are
+// compacted readStride at a time into scratch of the call's own, and the
+// successor answers those.
 func (v *view) getRange(keys, vals []uint64, ok []bool) int {
 	if !v.migrating() {
 		return v.cur.GetBatch(keys, vals, ok)
 	}
-	hits := v.next.GetBatch(keys, vals, ok)
-	if hits == len(keys) {
-		return hits
-	}
+	v.cur.GetBatch(keys, vals, ok)
 	m := missBufs.Get().(*missBuf)
-	n := 0
+	hits, n := 0, 0
 	for i, k := range keys {
-		if ok[i] || v.dead.has(k) {
+		if ok[i] && !v.dead.has(k) {
+			hits++
 			continue
 		}
 		m.keys[n], m.lane[n] = k, int32(i)
 		if n++; n == readStride {
-			hits += m.lookUp(v.cur, n, vals, ok)
+			hits += m.lookUp(v.next, n, vals, ok)
 			n = 0
 		}
 	}
 	if n > 0 {
-		hits += m.lookUp(v.cur, n, vals, ok)
+		hits += m.lookUp(v.next, n, vals, ok)
 	}
 	missBufs.Put(m)
 	return hits
 }
 
-// lookUp answers the first n collected misses from the frozen table and
+// lookUp answers the first n collected lanes from the successor and
 // scatters the answers back to the lanes the keys came from.
-func (m *missBuf) lookUp(frozen Table, n int, vals []uint64, ok []bool) int {
-	hits := frozen.GetBatch(m.keys[:n], m.vals[:n], m.ok[:n])
+func (m *missBuf) lookUp(next Table, n int, vals []uint64, ok []bool) int {
+	hits := next.GetBatch(m.keys[:n], m.vals[:n], m.ok[:n])
 	for j, lane := range m.lane[:n] {
 		vals[lane], ok[lane] = m.vals[j], m.ok[j]
 	}
 	return hits
 }
 
-// readStride is how many successor misses a migrating getRange collects
-// for one lookup of the frozen table: four of the tables' chunks.
+// readStride is how many lanes a migrating getRange collects for one
+// lookup of the successor: four of the tables' chunks.
 const readStride = 256
 
-// missBuf is one migrating getRange's scratch: the missed keys, the lanes
-// they came from and the frozen table's answers. From a pool, like the
+// missBuf is one migrating getRange's scratch: the collected keys, the
+// lanes they came from and the successor's answers. From a pool, like the
 // tables' own chunk scratch — on the stack it would escape through the
 // Table interface — so nothing a shard owns is written inside a window.
 type missBuf struct {
@@ -161,16 +155,16 @@ func (v *view) migrating() bool { return v.next != nil }
 // independent of the router and table hash streams.
 const deadSetSeedMix = 0x9e3779b97f4a7c15
 
-// deadSet records the keys whose frozen-table entry is deleted. It used
-// to be a Go map, but map reads racing a map write crash the runtime
-// outright (the map's own concurrency detector is always armed), which
-// rules maps out of a seqlock-guarded read path. This set is built for
-// exactly that path, and for the migration step, which checks every
-// entry it moves against it:
+// deadSet records the keys whose frozen-table entry is deleted or
+// overwritten. It used to be a Go map, but map reads racing a map write
+// crash the runtime outright (the map's own concurrency detector is always
+// armed), which rules maps out of a seqlock-guarded read path. This set is
+// built for exactly that path, and for the migration step, which checks
+// every entry it moves against it:
 //
 //   - insert-only: a key, once dead, stays dead for the migration's
-//     lifetime (re-inserting the key writes the successor, which readers
-//     consult first);
+//     lifetime (re-inserting or updating the key writes the successor,
+//     which readers ask about every dead key);
 //   - cache-resident: it starts at deadSetFloor slots whatever the frozen
 //     table's size, so the step's lookup per entry is a cache hit, not a
 //     miss into an array as large as the table;
@@ -221,8 +215,8 @@ func (d *deadSet) grown() *deadSet {
 // readers: every load is from a fixed-size array or a plain word, and a
 // torn answer is discarded by the caller's sequence validation. A nil
 // set (no resize in flight) has nothing dead, and neither has a set
-// nothing was added to: an insert-only resize — the common one — answers
-// every migrating read from the two counters.
+// nothing was added to: a resize under fresh inserts only — the common
+// one — answers every migrating read from the two counters.
 func (d *deadSet) has(k uint64) bool {
 	if d == nil || (d.n == 0 && d.zero == 0) {
 		return false

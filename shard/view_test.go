@@ -340,9 +340,10 @@ func growUntilMigrating(t *testing.T, e *Engine) uint64 {
 // TestRangeMidResizeWalksCarryAndCursor: mid-resize, Range walks the
 // successor, then the frozen entries not yet moved — the carry list and
 // the table from the migration cursor on, not from its first slot — and
-// yields every live key once under its current value: also a carried key
-// that is dead, one the successor shadows, and keys ahead of the cursor
-// that are dead, shadowed, or dead and back.
+// yields every live key once under its current value: also carried keys
+// that are deleted, overwritten or shadowed by the successor's copy of the
+// same value, and keys ahead of the cursor that are each of those, or
+// dead and back.
 func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 	const chunk = 4
 	e, err := New(Config{Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7, MigrationChunk: chunk, NewTable: newTestTable})
@@ -359,16 +360,20 @@ func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 		}
 		oracle[n] = n
 	}
-	// Six mutations, six steps: the cursor is past key 24, far from all
-	// this, and the steps to come are keys 25..28, 29..32, ... 101..104.
-	e.Put(101, 1010) // shadowed, and on the carry list below
-	oracle[101] = 1010
-	e.Delete(102) // dead, and on the carry list below
+	// Eight mutations, eight steps: the cursor is past key 32, far from all
+	// this, and the steps to come are keys 33..36, 37..40, ... 101..104.
+	// A GetOrPut of a frozen key copies it into the successor and leaves
+	// it live in both tables; a Put of another value marks it dead.
+	e.GetOrPut(101, 0) // shadowed, and on the carry list below
+	e.Delete(102)      // dead, and on the carry list below
 	delete(oracle, 102)
+	e.Put(103, 1030) // overwritten, and on the carry list below
+	oracle[103] = 1030
 	e.Delete(500) // dead, ahead of the cursor
 	delete(oracle, 500)
-	e.Put(501, 5010) // shadowed, ahead of the cursor
-	oracle[501] = 5010
+	e.GetOrPut(501, 0) // shadowed, ahead of the cursor
+	e.Put(503, 5030)   // overwritten, ahead of the cursor
+	oracle[503] = 5030
 	e.Delete(502) // dead and back, ahead of the cursor
 	e.Put(502, 5020)
 	oracle[502] = 5020
@@ -404,7 +409,7 @@ func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 	}
 	// Stopping early stops: in the successor, on the carry list, in the
 	// frozen table.
-	for _, stopAt := range []uint64{1, 103, 600} {
+	for _, stopAt := range []uint64{1, 104, 600} {
 		calls, after := 0, 0
 		e.Range(func(k, _ uint64) bool {
 			calls++
@@ -417,6 +422,143 @@ func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 			t.Fatalf("stop at key %d: %d calls, the %dth asked to stop", stopAt, calls, after)
 		}
 	}
+}
+
+// TestMigratingOverwriteMarksFrozenEntryDead: mid-resize, readers ask the
+// frozen table first, so a write that gives a frozen-live key another
+// value marks its frozen entry dead, and one that stores the value the key
+// already holds marks nothing. Put, PutBatch, Upsert and UpsertBatch each
+// write keys a step has already copied into the successor and keys still
+// only in the frozen table, changing the value and keeping it, while the
+// overlay doubles. Every write is read back, and Get, GetBatch, Range and
+// Len agree with a map mid-resize and after it.
+func TestMigratingOverwriteMarksFrozenEntryDead(t *testing.T) {
+	e, err := New(Config{Shards: 1, Capacity: 1024, GrowAt: 0.8, Seed: 7, MigrationChunk: 1, NewTable: newTestTable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys 1..n under ten times themselves; the cursor walks them in that
+	// order, one a mutation.
+	oracle := map[uint64]uint64{}
+	n := uint64(0)
+	for e.Stats().Migrating == 0 {
+		n++
+		if _, err := e.Put(n, 10*n); err != nil {
+			t.Fatal(err)
+		}
+		oracle[n] = 10 * n
+	}
+	s := &e.shards[0]
+	// Deletes from the middle fill the overlay to a few keys short of
+	// doubling; their steps copy the low keys into the successor.
+	for k := n / 2; s.view.Load().dead.n < deadSetFloor/2-8; k++ {
+		if !e.Delete(k) {
+			t.Fatalf("key %d was not there to delete", k)
+		}
+		delete(oracle, k)
+	}
+	slots := len(s.view.Load().dead.slots)
+
+	// upsertTo returns an Upsert callback storing val, which must be handed
+	// the key's current value.
+	upsertTo := func(k, val uint64) func(uint64, bool) uint64 {
+		return func(old uint64, exists bool) uint64 {
+			if !exists || old != oracle[k] {
+				t.Errorf("Upsert of key %d handed (%d,%v), want (%d,true)", k, old, exists, oracle[k])
+			}
+			return val
+		}
+	}
+	writers := []struct {
+		name  string
+		write func(k, val uint64) error
+	}{
+		{"Put", func(k, val uint64) error { _, err := e.Put(k, val); return err }},
+		{"PutBatch", func(k, val uint64) error { _, err := e.PutBatch([]uint64{k}, []uint64{val}); return err }},
+		{"Upsert", func(k, val uint64) error { _, err := e.Upsert(k, upsertTo(k, val)); return err }},
+		{"UpsertBatch", func(k, val uint64) error {
+			fn := upsertTo(k, val)
+			_, err := e.UpsertBatch([]uint64{k}, func(_ int, old uint64, exists bool) uint64 { return fn(old, exists) })
+			return err
+		}},
+	}
+	low, high := uint64(1), n // the next key the steps have copied, and the next they have not
+	for round := 0; round < 4; round++ {
+		for _, w := range writers {
+			for _, copied := range []bool{true, false} {
+				for _, changed := range []bool{true, false} {
+					k := high
+					if copied {
+						k, low = low, low+1
+					} else {
+						high--
+					}
+					v := s.view.Load()
+					if _, inNext := v.next.Get(k); inNext != copied || v.dead.has(k) {
+						t.Fatalf("set-up: key %d in the successor %v, dead %v, want %v and false", k, inNext, v.dead.has(k), copied)
+					}
+					val, marks := oracle[k], 0
+					if changed {
+						val, marks = val+1, 1
+					}
+					before := v.dead.n
+					if err := w.write(k, val); err != nil {
+						t.Fatal(err)
+					}
+					oracle[k] = val
+					if got := s.view.Load().dead.n - before; got != marks {
+						t.Fatalf("%s of key %d (in the successor %v) from %d to %d marked %d frozen entries dead, want %d", w.name, k, copied, 10*k, val, got, marks)
+					}
+					if got, ok := e.Get(k); !ok || got != val {
+						t.Fatalf("%s of key %d (in the successor %v) to %d: Get = (%d,%v)", w.name, k, copied, val, got, ok)
+					}
+				}
+			}
+		}
+	}
+	if v := s.view.Load(); !v.migrating() || len(v.dead.slots) != 2*slots {
+		t.Fatalf("set-up: migrating %v, overlay of %d slots from %d, want a resize and one doubling", v.migrating(), len(v.dead.slots), slots)
+	}
+
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	vals, ok := make([]uint64, n), make([]bool, n)
+	check := func(when string) {
+		t.Helper()
+		if e.Len() != len(oracle) {
+			t.Fatalf("%s: Len = %d, map holds %d", when, e.Len(), len(oracle))
+		}
+		if hits := e.GetBatch(keys, vals, ok); hits != len(oracle) {
+			t.Fatalf("%s: GetBatch hit %d, map holds %d", when, hits, len(oracle))
+		}
+		for i, k := range keys {
+			want, present := oracle[k]
+			if got, gok := e.Get(k); gok != present || got != want {
+				t.Fatalf("%s: Get(%d) = (%d,%v), map (%d,%v)", when, k, got, gok, want, present)
+			}
+			if ok[i] != present || (present && vals[i] != want) {
+				t.Fatalf("%s: GetBatch lane of key %d = (%d,%v), map (%d,%v)", when, k, vals[i], ok[i], want, present)
+			}
+		}
+		seen := 0
+		e.Range(func(k, v uint64) bool {
+			if want, present := oracle[k]; !present || v != want {
+				t.Fatalf("%s: Range yields %d=%d, map (%d,%v)", when, k, v, want, present)
+			}
+			seen++
+			return true
+		})
+		if seen != len(oracle) {
+			t.Fatalf("%s: Range yields %d keys, map holds %d", when, seen, len(oracle))
+		}
+	}
+	check("mid-resize")
+	if !e.Drain() {
+		t.Fatal("Drain did not reach idle")
+	}
+	check("after the resize")
 }
 
 func TestDroppedMidResizeEngineLeaksNothing(t *testing.T) {
