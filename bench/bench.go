@@ -18,8 +18,8 @@
 //	Figure 7 — RunFig7 / RenderFig7: AoS vs SoA layout with and without
 //	           vectorized probing.
 //
-// Capacities are scaled for a single laptop-class machine (see DESIGN.md's
-// substitution table): the paper's 2^16 / 2^27 / 2^30 slots become
+// Capacities are scaled for a single laptop-class machine (see README's
+// "Regenerating the paper's figures"): the paper's 2^16 / 2^27 / 2^30 slots become
 // 2^16 / 2^20 / 2^24 by default, all configurable.
 package bench
 

@@ -21,34 +21,41 @@ type Fig7Series struct {
 	LookupMops map[int]map[int]float64
 }
 
-// fig7Variant abstracts over the four table variants so one runner covers
-// AoS/SoA with scalar and vectorized probing. "SIMD" here means the
-// portable 4-lane kernels of internal/vec — see DESIGN.md's substitution
-// table.
+// fig7Variant is one of the four table variants one runner covers: AoS or
+// SoA with scalar or vectorized probing. "SIMD" here means the portable
+// 4-lane kernels of internal/vec — see README's "Regenerating the paper's
+// figures".
 type fig7Variant struct {
-	label string
-	build func(cfg table.Config) (put func(k, v uint64) bool, get func(k uint64) (uint64, bool), m table.Map)
+	label  string
+	scheme table.Scheme
+	simd   bool
 }
 
-func fig7Variants() []fig7Variant {
-	return []fig7Variant{
-		{"LPAoSMult", func(cfg table.Config) (func(uint64, uint64) bool, func(uint64) (uint64, bool), table.Map) {
-			t := table.NewLinearProbing(cfg)
-			return t.Put, t.Get, t
-		}},
-		{"LPAoSMultSIMD", func(cfg table.Config) (func(uint64, uint64) bool, func(uint64) (uint64, bool), table.Map) {
-			t := table.NewLinearProbing(cfg)
-			return t.PutVec, t.GetVec, t
-		}},
-		{"LPSoAMult", func(cfg table.Config) (func(uint64, uint64) bool, func(uint64) (uint64, bool), table.Map) {
-			t := table.NewLinearProbingSoA(cfg)
-			return t.Put, t.Get, t
-		}},
-		{"LPSoAMultSIMD", func(cfg table.Config) (func(uint64, uint64) bool, func(uint64) (uint64, bool), table.Map) {
-			t := table.NewLinearProbingSoA(cfg)
-			return t.PutVec, t.GetVec, t
-		}},
+var fig7Variants = []fig7Variant{
+	{"LPAoSMult", table.SchemeLP, false},
+	{"LPAoSMultSIMD", table.SchemeLP, true},
+	{"LPSoAMult", table.SchemeLPSoA, false},
+	{"LPSoAMultSIMD", table.SchemeLPSoA, true},
+}
+
+// build opens the variant's table and returns the put and get it is
+// measured through: the scalar ones, or the LP schemes' GetVec/PutVec.
+func (v fig7Variant) build(cfg table.Config) (func(k, v uint64) (bool, error), func(k uint64) (uint64, bool), table.Table, error) {
+	m, err := table.New(v.scheme, cfg)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	if !v.simd {
+		return m.Put, m.Get, m, nil
+	}
+	vm, ok := m.(interface {
+		GetVec(key uint64) (uint64, bool)
+		PutVec(key, val uint64) (bool, error)
+	})
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("bench: fig7 %s has no vectorized probes", v.scheme)
+	}
+	return vm.PutVec, vm.GetVec, m, nil
 }
 
 // RunFig7 regenerates Figure 7: the effect of table layout (AoS vs SoA)
@@ -58,7 +65,7 @@ func RunFig7(opt Options) ([]*Fig7Series, error) {
 	opt = opt.withDefaults()
 	gen := dist.New(dist.Sparse, opt.Seed)
 	var out []*Fig7Series
-	for _, v := range fig7Variants() {
+	for _, v := range fig7Variants {
 		out = append(out, &Fig7Series{
 			Label:      v.label,
 			InsertMops: map[int]float64{},
@@ -72,18 +79,23 @@ func RunFig7(opt Options) ([]*Fig7Series, error) {
 		if lookups <= 0 {
 			lookups = n
 		}
-		for vi, v := range fig7Variants() {
+		for vi, v := range fig7Variants {
 			out[vi].LookupMops[lf] = map[int]float64{}
 			for r := 0; r < opt.Repeats; r++ {
-				put, get, m := v.build(table.Config{
+				put, get, m, err := v.build(table.Config{
 					InitialCapacity: opt.Capacity,
 					MaxLoadFactor:   0,
 					Family:          hashfn.MultFamily{},
 					Seed:            opt.Seed + uint64(r)*0x9e3779b9,
 				})
+				if err != nil {
+					return nil, err
+				}
 				start := time.Now()
 				for i, k := range insertKeys {
-					put(k, uint64(i))
+					if _, err := put(k, uint64(i)); err != nil {
+						return nil, fmt.Errorf("bench: fig7 %s lf=%d: %w", v.label, lf, err)
+					}
 				}
 				insertSecs := time.Since(start).Seconds()
 				if m.Len() != n {

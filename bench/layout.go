@@ -6,16 +6,13 @@ import (
 
 	"repro/dist"
 	"repro/hashfn"
-	"repro/internal/cachesim"
 	"repro/stats"
 	"repro/table"
 )
 
 // LayoutPoint is one row of the §7 cache-line analysis at a given load
 // factor: measured unsuccessful-probe lengths and the cache lines an AoS
-// vs an SoA layout touches, next to the paper's closed-form model, plus
-// modeled L1 miss counts from replaying the same traces through a
-// simulated cache.
+// vs an SoA layout touches, next to the paper's closed-form model.
 type LayoutPoint struct {
 	LoadFactorPct int
 
@@ -31,44 +28,46 @@ type LayoutPoint struct {
 	ModelAoSLines  float64
 	ModelSoALines  float64
 	ModelLineRatio float64
-
-	// Simulated 32 KiB / 8-way / 64 B L1 misses per probe for each layout.
-	AoSL1MissesPerProbe float64
-	SoAL1MissesPerProbe float64
 }
 
 // RunLayoutModel measures the §7 analysis: build LPMult over sparse keys at
 // 50/70/90% load factor, trace the slots every unsuccessful probe touches,
 // convert the trace to cache lines under both layouts, and compare with the
-// ceil(d/4)-vs-ceil(d/8) model (the "factor ~1.85, not 2" argument). The
-// same traces are replayed through a simulated L1 to model miss counts.
+// ceil(d/4)-vs-ceil(d/8) model (the "factor ~1.85, not 2" argument).
 func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 	opt = opt.withDefaults()
 	gen := dist.New(dist.Sparse, opt.Seed)
 	var out []LayoutPoint
 	for _, lf := range HighLoadFactors {
 		n := opt.Capacity * lf / 100
-		m := table.NewLinearProbing(table.Config{
+		m, err := table.New(table.SchemeLP, table.Config{
 			InitialCapacity: opt.Capacity,
 			Family:          hashfn.MultFamily{},
 			Seed:            opt.Seed,
 		})
+		if err != nil {
+			return nil, err
+		}
 		for i, k := range dist.Shuffled(gen.Keys(n), opt.Seed+1) {
-			m.Put(k, uint64(i))
+			if _, err := m.Put(k, uint64(i)); err != nil {
+				return nil, fmt.Errorf("bench: layout lf=%d: %w", lf, err)
+			}
+		}
+		tracer, ok := m.(interface {
+			ProbeSlots(key uint64, visit func(slot int) bool)
+		})
+		if !ok {
+			return nil, fmt.Errorf("bench: layout: %s has no ProbeSlots", m.Name())
 		}
 		probes := opt.Lookups
 		if probes <= 0 {
 			probes = n / 4
 		}
 		absent := gen.AbsentKeys(n, probes)
-
-		aosL1 := cachesim.MustNew(32<<10, 8, 64)
-		soaL1 := cachesim.MustNew(32<<10, 8, 64)
 		var totalProbes, totalAoSLines, totalSoALines float64
-		var aosMisses, soaMisses int
 		for _, k := range absent {
 			prevAoSLine, prevSoALine := -1, -1
-			m.ProbeSlots(k, func(slot int) bool {
+			tracer.ProbeSlots(k, func(slot int) bool {
 				totalProbes++
 				// AoS: 16-byte slots, 4 per 64-byte line.
 				if l := slot / 4; l != prevAoSLine {
@@ -80,8 +79,6 @@ func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 					totalSoALines++
 					prevSoALine = l
 				}
-				aosMisses += aosL1.AccessRange(uint64(slot)*16, 16)
-				soaMisses += soaL1.AccessRange(uint64(slot)*8, 8)
 				return true
 			})
 		}
@@ -96,8 +93,6 @@ func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 		p.ModelAoSLines = stats.CacheLinesAoS(p.ModelProbes)
 		p.ModelSoALines = stats.CacheLinesSoA(p.ModelProbes)
 		p.ModelLineRatio = p.ModelAoSLines / p.ModelSoALines
-		p.AoSL1MissesPerProbe = float64(aosMisses) / np
-		p.SoAL1MissesPerProbe = float64(soaMisses) / np
 		out = append(out, p)
 		opt.logf("layout lf=%2d%%: probes %.1f (model %.1f), lines AoS %.2f SoA %.2f ratio %.2f (model %.2f)",
 			lf, p.AvgProbes, p.ModelProbes, p.AvgAoSLines, p.AvgSoALines, p.LineRatio, p.ModelLineRatio)
@@ -108,16 +103,15 @@ func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 // RenderLayoutModel prints the measured-vs-model table.
 func RenderLayoutModel(w io.Writer, points []LayoutPoint) {
 	fmt.Fprintln(w, "=== §7 layout cache-line analysis: measured traces vs the paper's model ===")
-	fmt.Fprintf(w, "%-6s %18s %18s %18s %12s %22s\n",
-		"lf", "probes (model)", "AoS lines (model)", "SoA lines (model)", "ratio(model)", "L1 misses/probe A|S")
+	fmt.Fprintf(w, "%-6s %18s %18s %18s %12s\n",
+		"lf", "probes (model)", "AoS lines (model)", "SoA lines (model)", "ratio(model)")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-6s %8.1f (%6.1f) %8.2f (%7.0f) %8.2f (%7.0f) %5.2f (%4.2f) %10.3f | %.3f\n",
+		fmt.Fprintf(w, "%-6s %8.1f (%6.1f) %8.2f (%7.0f) %8.2f (%7.0f) %5.2f (%4.2f)\n",
 			fmt.Sprintf("%d%%", p.LoadFactorPct),
 			p.AvgProbes, p.ModelProbes,
 			p.AvgAoSLines, p.ModelAoSLines,
 			p.AvgSoALines, p.ModelSoALines,
-			p.LineRatio, p.ModelLineRatio,
-			p.AoSL1MissesPerProbe, p.SoAL1MissesPerProbe)
+			p.LineRatio, p.ModelLineRatio)
 	}
 	fmt.Fprintln(w, "(the paper's point: at 90% the AoS/SoA line ratio is ~1.85, below the naive 2x)")
 }

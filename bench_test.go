@@ -175,12 +175,15 @@ func BenchmarkPut(b *testing.B) {
 			b.Run(string(s)+"/"+f.Name(), func(b *testing.B) {
 				gen := dist.New(dist.Sparse, 1)
 				keys := gen.Keys(b.N)
-				m := table.MustNew(s, table.Config{
+				m, err := table.New(s, table.Config{
 					InitialCapacity: 1 << 10,
 					MaxLoadFactor:   0.7,
 					Family:          f,
 					Seed:            42,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					m.Put(keys[i], uint64(i))
@@ -202,7 +205,9 @@ func lookupBench(b *testing.B, s table.Scheme, f hashfn.Family, unsuccessfulPct 
 	gen := dist.New(dist.Sparse, 1)
 	keys := dist.Shuffled(gen.Keys(n), 2)
 	for i, k := range keys {
-		m.Put(k, uint64(i))
+		if _, err := m.Put(k, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	miss := n * unsuccessfulPct / 100
 	probes := make([]uint64, 0, n)
@@ -307,12 +312,21 @@ func BenchmarkVecLookup(b *testing.B) {
 	keys := dist.Shuffled(gen.Keys(n), 2)
 	probes := dist.Shuffled(gen.AbsentKeys(n, n), 3)
 
-	aos := table.NewLinearProbing(table.Config{InitialCapacity: capacity, Seed: 42})
-	soa := table.NewLinearProbingSoA(table.Config{InitialCapacity: capacity, Seed: 42})
-	for i, k := range keys {
-		aos.Put(k, uint64(i))
-		soa.Put(k, uint64(i))
+	type vecTable interface {
+		table.Table
+		GetVec(key uint64) (uint64, bool)
 	}
+	build := func(s table.Scheme) vecTable {
+		m, err := table.New(s, table.Config{InitialCapacity: capacity, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.PutBatch(keys, keys); err != nil {
+			b.Fatal(err)
+		}
+		return m.(vecTable)
+	}
+	aos, soa := build(table.SchemeLP), build(table.SchemeLPSoA)
 	variants := []struct {
 		name string
 		get  func(uint64) (uint64, bool)
@@ -384,7 +398,9 @@ func BenchmarkBatchProbe(b *testing.B) {
 				b.Fatal(err)
 			}
 			keys := dist.Shuffled(gen.Keys(n), 2)
-			table.PutBatch(m, keys, keys)
+			if _, err := m.PutBatch(keys, keys); err != nil {
+				b.Fatal(err)
+			}
 			miss := n / 4
 			probes := make([]uint64, 0, n)
 			probes = append(probes, keys[:n-miss]...)
@@ -415,7 +431,7 @@ func BenchmarkBatchProbe(b *testing.B) {
 					if pos+table.BatchWidth > len(probes) {
 						pos = 0
 					}
-					table.GetBatch(m, probes[pos:pos+table.BatchWidth], vals, oks)
+					m.GetBatch(probes[pos:pos+table.BatchWidth], vals, oks)
 					pos += table.BatchWidth
 				}
 				reportNsPerKey(b)
@@ -441,7 +457,7 @@ func BenchmarkBatchInsert(b *testing.B) {
 		for i := range vals {
 			vals[i] = uint64(i)
 		}
-		fresh := func(b *testing.B) table.Map {
+		fresh := func(b *testing.B) table.Table {
 			m, err := workload.NewWORMTable(s, hashfn.MultFamily{}, capacity, 0.7, 42)
 			if err != nil {
 				b.Fatal(err)
@@ -458,7 +474,9 @@ func BenchmarkBatchInsert(b *testing.B) {
 				m := fresh(b)
 				b.StartTimer()
 				for j, k := range keys {
-					m.Put(k, vals[j])
+					if _, err := m.Put(k, vals[j]); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			reportKeyedNs(b, b.N*n)
@@ -468,7 +486,9 @@ func BenchmarkBatchInsert(b *testing.B) {
 				b.StopTimer()
 				m := fresh(b)
 				b.StartTimer()
-				table.PutBatch(m, keys, vals)
+				if _, err := m.PutBatch(keys, vals); err != nil {
+					b.Fatal(err)
+				}
 			}
 			reportKeyedNs(b, b.N*n)
 		})
@@ -535,7 +555,10 @@ func BenchmarkAggregateVsWORM(b *testing.B) {
 		}
 	})
 	b.Run("worm-lookup", func(b *testing.B) {
-		m := table.NewQuadraticProbing(table.Config{InitialCapacity: groups * 2, MaxLoadFactor: 0.7, Seed: 42})
+		m, err := table.New(table.SchemeQP, table.Config{InitialCapacity: groups * 2, MaxLoadFactor: 0.7, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := uint64(0); i < groups; i++ {
 			m.Put(i, i)
 		}

@@ -57,7 +57,10 @@ func TestRunJSON(t *testing.T) {
 	}
 	// 90% load factor, read-mostly, 25% misses -> CuckooH4 per Figure 8,
 	// and -json must agree with the decision package.
-	want := decision.MustRecommend(w)
+	want, err := decision.Recommend(w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Scheme != string(want.Scheme) || got.Family != want.Family || got.Label != want.Label() {
 		t.Fatalf("JSON choice = %+v, want %v", got, want)
 	}

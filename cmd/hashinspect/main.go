@@ -59,16 +59,23 @@ func run(scheme, fnName, distName string, slotsLog2 int, alpha float64, seed uin
 	}
 	gen := dist.New(kind, seed)
 	for i, k := range dist.Shuffled(gen.Keys(n), seed+1) {
-		m.Put(k, uint64(i))
+		if _, err := m.Put(k, uint64(i)); err != nil {
+			return err
+		}
 	}
 
 	fmt.Printf("%s%s, %s distribution, %d entries in %d slots (load factor %.2f)\n",
-		m.Name(), family.Name(), kind, m.Len(), m.Capacity(), m.LoadFactor())
+		m.Name(), family.Name(), kind, m.Len(), m.Capacity(), float64(m.Len())/float64(m.Capacity()))
 	fmt.Printf("memory footprint: %.1f MB\n", float64(m.MemoryFootprint())/(1<<20))
 
 	type displacer interface{ Displacements() []int }
 	type clusterer interface{ ClusterLengths() []int }
 	type chainer interface{ ChainLengths() []int }
+	type cuckoo interface {
+		Rehashes() int
+		TotalKicks() uint64
+		WayOccupancy() []int
+	}
 
 	if d, ok := m.(displacer); ok {
 		s := stats.Summarize(d.Displacements())
@@ -97,7 +104,7 @@ func run(scheme, fnName, distName string, slotsLog2 int, alpha float64, seed uin
 			100*float64(overflow)/float64(m.Len()),
 			100*stats.ExpectedCollisionRate(m.Len(), m.Capacity()))
 	}
-	if ck, ok := m.(*table.Cuckoo); ok {
+	if ck, ok := m.(cuckoo); ok {
 		fmt.Printf("cuckoo: rehashes=%d total kicks=%d subtable occupancy=%v\n",
 			ck.Rehashes(), ck.TotalKicks(), ck.WayOccupancy())
 	}

@@ -125,12 +125,3 @@ func Recommend(w Workload) (Choice, error) {
 	}
 	return Choice{Scheme: scheme, Family: "Mult", Path: path}, nil
 }
-
-// MustRecommend is Recommend that panics on invalid input.
-func MustRecommend(w Workload) Choice {
-	c, err := Recommend(w)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}

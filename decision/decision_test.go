@@ -17,17 +17,21 @@ func TestValidation(t *testing.T) {
 		{LoadFactor: 0.5, UnsuccessfulPct: -1},
 		{LoadFactor: 0.5, UnsuccessfulPct: 101},
 	}
-	for _, w := range bad {
+	for _, w := range append(bad, Workload{}) {
 		if _, err := Recommend(w); err == nil {
 			t.Errorf("Recommend(%+v) accepted invalid workload", w)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRecommend did not panic on invalid input")
-		}
-	}()
-	MustRecommend(Workload{})
+}
+
+// mustRecommend is Recommend for workloads a test knows are valid.
+func mustRecommend(t *testing.T, w Workload) Choice {
+	t.Helper()
+	c, err := Recommend(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestPaperConclusions pins each terminal of Figure 8 to the workload the
@@ -64,7 +68,7 @@ func TestPaperConclusions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := MustRecommend(c.w)
+			got := mustRecommend(t, c.w)
 			if got.Scheme != c.want {
 				t.Fatalf("Recommend(%+v) = %s, want %s\npath: %v", c.w, got.Scheme, c.want, got.Path)
 			}
@@ -142,11 +146,11 @@ func TestQuickDeterminism(t *testing.T) {
 }
 
 func TestLabels(t *testing.T) {
-	c := MustRecommend(Workload{LoadFactor: 0.85, UnsuccessfulPct: 0})
+	c := mustRecommend(t, Workload{LoadFactor: 0.85, UnsuccessfulPct: 0})
 	if c.Label() != "CH4Mult" {
 		t.Fatalf("CuckooH4 label = %s, want CH4Mult (Figure 8's abbreviation)", c.Label())
 	}
-	c = MustRecommend(Workload{LoadFactor: 0.3, UnsuccessfulPct: 0})
+	c = mustRecommend(t, Workload{LoadFactor: 0.3, UnsuccessfulPct: 0})
 	if c.Label() != "LPMult" {
 		t.Fatalf("label = %s, want LPMult", c.Label())
 	}

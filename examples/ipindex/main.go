@@ -29,7 +29,10 @@ func main() {
 		Dynamic:         false,
 		Dense:           false, // grid is dense-like per byte, not as an integer sequence
 	}
-	choice := decision.MustRecommend(w)
+	choice, err := decision.Recommend(w)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("workload: static index, load factor %.0f%%, %d%% unknown probes\n", alpha*100, unsucc)
 	fmt.Printf("decision graph recommends: %s\n", choice.Label())
 	for i, step := range choice.Path {

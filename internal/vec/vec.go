@@ -21,7 +21,7 @@
 //
 // The relative shape (SoA benefits more from vectorized probing than AoS)
 // survives this translation; absolute SIMD speedups of course do not. See
-// DESIGN.md's substitution table.
+// README's "Regenerating the paper's figures".
 package vec
 
 import "math/bits"

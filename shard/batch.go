@@ -160,7 +160,7 @@ func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded [
 	e.degradedTick(s)
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
 		if put {
-			inserted, err = v.cur.TryPutBatch(keys, vals)
+			inserted, err = v.cur.PutBatch(keys, vals)
 		} else {
 			inserted, err = v.cur.GetOrPutBatch(keys, vals, out, loaded)
 		}

@@ -165,7 +165,7 @@ func (e *rwEngine) putBatch(keys, vals []uint64) {
 		s := &e.shards[j]
 		s.mu.Lock()
 		for i := lo; i < hi; i++ {
-			if _, err := s.tab.TryPut(st.keys[i], st.vals[i]); err != nil {
+			if _, err := s.tab.Put(st.keys[i], st.vals[i]); err != nil {
 				panic(err)
 			}
 		}

@@ -63,13 +63,16 @@ func BenchmarkResizeTail(b *testing.B) {
 	b.Run("rehash", func(b *testing.B) {
 		var lat []time.Duration
 		for i := 0; i < b.N; i++ {
-			t := table.MustNew(table.SchemeRH, table.Config{
+			t, err := table.New(table.SchemeRH, table.Config{
 				InitialCapacity: initialCapacity,
 				MaxLoadFactor:   0.85,
 				Seed:            1,
 			})
+			if err != nil {
+				b.Fatal(err)
+			}
 			lat = runTail(func(k uint64) {
-				if _, err := t.TryPut(k, k); err != nil {
+				if _, err := t.Put(k, k); err != nil {
 					b.Fatal(err)
 				}
 			})

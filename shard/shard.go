@@ -131,28 +131,42 @@ import (
 	"repro/obs"
 )
 
-// Table is the operation set Engine needs from each shard's table. It is a
-// structural subset of table.Table, so every scheme in the table package
-// (and anything wrapping one) satisfies it without this package importing
-// table — which is what lets table.Handle delegate here without an import
-// cycle.
+// Table is the operation set Engine needs from each shard's table, and the
+// one contract every scheme of package table implements: table.Table is
+// this interface. Declaring it here is what lets table.Handle delegate to
+// an Engine without an import cycle. The mutations report the table's
+// ErrFull when a growth-disabled table is out of room, and never grow it;
+// a batch stops at the failing pair, with earlier pairs applied.
 type Table interface {
 	Get(key uint64) (uint64, bool)
 	Delete(key uint64) bool
-	TryPut(key, val uint64) (inserted bool, err error)
+	// Put inserts or updates key -> val and reports whether key was new.
+	Put(key, val uint64) (inserted bool, err error)
+	// GetOrPut returns the value stored under key (loaded true), or stores
+	// val and returns it: one probe sequence either way.
 	GetOrPut(key, val uint64) (actual uint64, loaded bool, err error)
+	// Upsert stores fn(old, exists) under key and returns it, in one probe
+	// sequence. fn must not touch the table.
 	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
 	// GetBatch, like Get, runs inside the wait-free readers' unvalidated
 	// window: it must write nothing the table owns, be safe for
 	// concurrent callers, and terminate on contents a racing writer has
 	// half changed (its answer is then discarded).
 	GetBatch(keys, vals []uint64, ok []bool) int
-	TryPutBatch(keys, vals []uint64) (inserted int, err error)
+	// PutBatch, GetOrPutBatch and UpsertBatch apply their scalar forms in
+	// slice order and return the number of keys inserted. out and loaded
+	// receive GetOrPut's results (out may alias vals), or are both nil;
+	// UpsertBatch passes fn each key's lane index.
+	PutBatch(keys, vals []uint64) (inserted int, err error)
 	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (inserted int, err error)
 	UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (inserted int, err error)
 	Len() int
+	// Capacity is the slot count: directory slots for a chained table,
+	// all subtables' slots for Cuckoo.
 	Capacity() int
 	MemoryFootprint() uint64
+	// Range calls fn for every entry until fn returns false, in no
+	// particular order. The table must not be mutated meanwhile.
 	Range(fn func(key, val uint64) bool)
 	// RangeFrom is the resumable Range behind the migration cursor: it
 	// visits entries from position pos (0 starts a walk) until fn returns
@@ -160,6 +174,7 @@ type Table interface {
 	// ends the walk. Positions hold while the table is not mutated. A
 	// chained scheme hands fn the rest of the chain fn returned false in.
 	RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
+	// Name is the paper's scheme name ("LP", "RH", "CuckooH4", ...).
 	Name() string
 }
 
@@ -818,7 +833,7 @@ func (e *Engine) rebuild(s *shardState) error {
 		ok := true
 		if v.next != nil {
 			v.next.Range(func(k, val uint64) bool {
-				if _, err = nt.TryPut(k, val); err != nil {
+				if _, err = nt.Put(k, val); err != nil {
 					ok = false
 				}
 				return ok
@@ -879,7 +894,7 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 		if fault.Should(fault.Full) {
 			err = fmt.Errorf("put %#x: %w", key, fault.ErrInjected)
 		} else {
-			ins, err = v.cur.TryPut(key, val)
+			ins, err = v.cur.Put(key, val)
 		}
 		if err == nil {
 			if ins {
@@ -901,12 +916,12 @@ func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
 	// Migrating: the frozen table is read-only, so the write lands in the
 	// successor. A live frozen entry makes the key not new, and dead if it
 	// holds another value: readers ask the frozen table first.
-	inserted, err := v.next.TryPut(key, val)
+	inserted, err := v.next.Put(key, val)
 	if err != nil {
 		if !e.tryRebuild(s) {
 			return false, &DegradedError{Shard: s.idx, Err: err}
 		}
-		ins, err := s.view.Load().cur.TryPut(key, val)
+		ins, err := s.view.Load().cur.Put(key, val)
 		if ins {
 			s.live.Add(1)
 		}
@@ -1148,6 +1163,3 @@ func (e *Engine) upsertLocked(s *shardState, key uint64, fn func(old uint64, exi
 	}
 	return nv, nil
 }
-
-// TryPut is Put under its historical name on the table.Table surface.
-func (e *Engine) TryPut(key, val uint64) (bool, error) { return e.Put(key, val) }

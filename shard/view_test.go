@@ -41,7 +41,7 @@ func (t *testTable) Delete(key uint64) bool {
 	delete(t.m, key)
 	return ok
 }
-func (t *testTable) TryPut(key, val uint64) (bool, error) {
+func (t *testTable) Put(key, val uint64) (bool, error) {
 	if _, ok := t.m[key]; ok {
 		t.m[key] = val
 		return false, nil
@@ -82,10 +82,10 @@ func (t *testTable) GetBatch(keys, vals []uint64, ok []bool) int {
 	}
 	return hits
 }
-func (t *testTable) TryPutBatch(keys, vals []uint64) (int, error) {
+func (t *testTable) PutBatch(keys, vals []uint64) (int, error) {
 	ins := 0
 	for i, k := range keys {
-		in, err := t.TryPut(k, vals[i])
+		in, err := t.Put(k, vals[i])
 		if err != nil {
 			return ins, err
 		}

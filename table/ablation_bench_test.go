@@ -22,7 +22,7 @@ import (
 // rhGetNoAbort is RH lookup without the early-abort criterion: plain LP
 // probing over the RH layout, the baseline the paper's tuned variant beats
 // on unsuccessful lookups.
-func rhGetNoAbort(t *RobinHood, key uint64) (uint64, bool) {
+func rhGetNoAbort(t *robinHood, key uint64) (uint64, bool) {
 	i := t.home(key)
 	for {
 		s := &t.slots[i]
@@ -38,7 +38,7 @@ func rhGetNoAbort(t *RobinHood, key uint64) (uint64, bool) {
 
 // rhGetAbortEveryProbe recomputes the displacement on every probe — the
 // variant the paper rejected as "prohibitively expensive w.r.t. runtime".
-func rhGetAbortEveryProbe(t *RobinHood, key uint64) (uint64, bool) {
+func rhGetAbortEveryProbe(t *robinHood, key uint64) (uint64, bool) {
 	i := t.home(key)
 	for d := uint64(0); ; d++ {
 		s := &t.slots[i]
@@ -55,15 +55,15 @@ func rhGetAbortEveryProbe(t *RobinHood, key uint64) (uint64, bool) {
 	}
 }
 
-func buildRH(b *testing.B, capacity int, lfPct int) (*RobinHood, []uint64, []uint64) {
+func buildRH(b *testing.B, capacity int, lfPct int) (*robinHood, []uint64, []uint64) {
 	b.Helper()
 	n := capacity * lfPct / 100
-	m := NewRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+	m := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
 	rng := prng.NewXoshiro256(1)
 	present := make([]uint64, n)
 	for i := range present {
 		present[i] = rng.Next() | 1
-		m.Put(present[i], uint64(i))
+		put(b, m, present[i], uint64(i))
 	}
 	absent := make([]uint64, n)
 	for i := range absent {
@@ -79,9 +79,9 @@ func BenchmarkAblationRHEarlyAbort(b *testing.B) {
 		m, _, absent := buildRH(b, 1<<16, lf)
 		variants := []struct {
 			name string
-			get  func(*RobinHood, uint64) (uint64, bool)
+			get  func(*robinHood, uint64) (uint64, bool)
 		}{
-			{"cacheline", (*RobinHood).Get}, // the paper's tuned choice
+			{"cacheline", (*robinHood).Get}, // the paper's tuned choice
 			{"never", rhGetNoAbort},
 			{"everyprobe", rhGetAbortEveryProbe},
 		}
@@ -104,9 +104,9 @@ func BenchmarkAblationRHEarlyAbortSuccessful(b *testing.B) {
 	m, present, _ := buildRH(b, 1<<16, 90)
 	variants := []struct {
 		name string
-		get  func(*RobinHood, uint64) (uint64, bool)
+		get  func(*robinHood, uint64) (uint64, bool)
 	}{
-		{"cacheline", (*RobinHood).Get},
+		{"cacheline", (*robinHood).Get},
 		{"never", rhGetNoAbort},
 	}
 	for _, v := range variants {
@@ -128,22 +128,22 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	const capacity = 1 << 14
 	const lfPct = 70
 	n := capacity * lfPct / 100
-	setup := func() (Map, Map, []uint64) {
-		lp := NewLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
-		rh := NewRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+	setup := func() (Table, Table, []uint64) {
+		lp := newLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
+		rh := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
 		rng := prng.NewXoshiro256(2)
 		keys := make([]uint64, n)
 		for i := range keys {
 			keys[i] = rng.Next() | 1
-			lp.Put(keys[i], uint64(i))
-			rh.Put(keys[i], uint64(i))
+			put(b, lp, keys[i], uint64(i))
+			put(b, rh, keys[i], uint64(i))
 		}
 		return lp, rh, keys
 	}
 	lp, rh, keys := setup()
 	for _, v := range []struct {
 		name string
-		m    Map
+		m    Table
 	}{{"LP-tombstone", lp}, {"RH-partialrehash", rh}} {
 		b.Run("churn/"+v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -161,7 +161,7 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	}
 	for _, v := range []struct {
 		name string
-		m    Map
+		m    Table
 	}{{"LP-tombstone", lp}, {"RH-partialrehash", rh}} {
 		b.Run("miss-after-churn/"+v.name, func(b *testing.B) {
 			var sink uint64
@@ -188,7 +188,9 @@ func BenchmarkAblationCuckooMaxKicks(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := NewCuckoo(Config{InitialCapacity: capacity, Seed: uint64(i)})
+				// Growing (past the fill): a failed kick chain redraws,
+				// and doubles as a last resort, instead of refusing.
+				m := newCuckoo(Config{InitialCapacity: capacity, MaxLoadFactor: 0.95, Seed: uint64(i)})
 				m.maxKicks = kicks
 				for j, k := range keys {
 					m.Put(k, uint64(j))
@@ -205,18 +207,18 @@ func BenchmarkAblationCuckooMaxKicks(b *testing.B) {
 func BenchmarkAblationChainedDirectory(b *testing.B) {
 	const dirSlots = 1 << 16
 	n := dirSlots / 2 // low load: most buckets collision-free
-	c8 := NewChained8(Config{InitialCapacity: dirSlots, Seed: 42})
-	c24 := NewChained24(Config{InitialCapacity: dirSlots, Seed: 42})
+	c8 := newChained8(Config{InitialCapacity: dirSlots, Seed: 42})
+	c24 := newChained24(Config{InitialCapacity: dirSlots, Seed: 42})
 	rng := prng.NewXoshiro256(5)
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = rng.Next() | 1
-		c8.Put(keys[i], uint64(i))
-		c24.Put(keys[i], uint64(i))
+		put(b, c8, keys[i], uint64(i))
+		put(b, c24, keys[i], uint64(i))
 	}
 	for _, v := range []struct {
 		name string
-		m    Map
+		m    Table
 	}{{"ChainedH8", c8}, {"ChainedH24", c24}} {
 		b.Run(v.name, func(b *testing.B) {
 			var sink uint64
@@ -234,18 +236,18 @@ func BenchmarkAblationChainedDirectory(b *testing.B) {
 func BenchmarkAblationAoSvsSoAHit(b *testing.B) {
 	const capacity = 1 << 18
 	n := capacity / 2
-	aos := NewLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
-	soa := NewLinearProbingSoA(Config{InitialCapacity: capacity, Seed: 42})
+	aos := newLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
+	soa := newLinearProbingSoA(Config{InitialCapacity: capacity, Seed: 42})
 	rng := prng.NewXoshiro256(6)
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = rng.Next() | 1
-		aos.Put(keys[i], uint64(i))
-		soa.Put(keys[i], uint64(i))
+		put(b, aos, keys[i], uint64(i))
+		put(b, soa, keys[i], uint64(i))
 	}
 	for _, v := range []struct {
 		name string
-		m    Map
+		m    Table
 	}{{"AoS", aos}, {"SoA", soa}} {
 		b.Run(v.name, func(b *testing.B) {
 			var sink uint64
@@ -265,7 +267,7 @@ func BenchmarkAblationAoSvsSoAHit(b *testing.B) {
 // recomputation; this ablation quantifies the difference (it is why our RH
 // is more competitive on write-heavy workloads than the paper's, see
 // EXPERIMENTS.md).
-func rhDeleteTailRehash(t *RobinHood, key uint64) bool {
+func rhDeleteTailRehash(t *robinHood, key uint64) bool {
 	i := t.home(key)
 	for d := uint64(0); ; d++ {
 		s := &t.slots[i]
@@ -302,13 +304,13 @@ func rhDeleteTailRehash(t *RobinHood, key uint64) bool {
 func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 	const capacity = 1 << 14
 	n := capacity * 85 / 100
-	build := func() (*RobinHood, []uint64) {
-		m := NewRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+	build := func() (*robinHood, []uint64) {
+		m := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
 		rng := prng.NewXoshiro256(7)
 		keys := make([]uint64, n)
 		for i := range keys {
 			keys[i] = rng.Next() | 1
-			m.Put(keys[i], uint64(i))
+			put(b, m, keys[i], uint64(i))
 		}
 		return m, keys
 	}
@@ -335,8 +337,8 @@ func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 // TestRHDeleteTailRehashEquivalence verifies the ablation baseline is a
 // correct delete: both strategies must leave semantically identical tables.
 func TestRHDeleteTailRehashEquivalence(t *testing.T) {
-	a := NewRobinHood(Config{InitialCapacity: 256, Seed: 3})
-	b := NewRobinHood(Config{InitialCapacity: 256, Seed: 3})
+	a := newRobinHood(Config{InitialCapacity: 256, Seed: 3})
+	b := newRobinHood(Config{InitialCapacity: 256, Seed: 3})
 	rng := prng.NewXoshiro256(4)
 	live := map[uint64]bool{}
 	for i := 0; i < 8000; i++ {
@@ -347,8 +349,8 @@ func TestRHDeleteTailRehashEquivalence(t *testing.T) {
 			}
 			delete(live, k)
 		} else {
-			a.Put(k, k)
-			b.Put(k, k)
+			put(t, a, k, k)
+			put(t, b, k, k)
 			live[k] = true
 		}
 		if a.Len() != b.Len() {

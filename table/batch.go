@@ -14,7 +14,8 @@ import "repro/internal/vec"
 // Haswell — whereas SoA reads them contiguously.
 //
 // The scalar Get/Put and these *Vec variants are semantically
-// interchangeable; the test suite cross-checks them on identical inputs.
+// interchangeable, ErrFull included; the test suite cross-checks them on
+// identical inputs.
 
 // laneMaskFrom returns the mask of lanes >= lane, used to ignore the slots
 // before the probe start in the first (aligned) block.
@@ -23,14 +24,14 @@ func laneMaskFrom(lane uint64) vec.Mask4 {
 }
 
 // gather4 loads the keys of the four AoS slots starting at block.
-func (t *LinearProbing) gather4(block uint64) (uint64, uint64, uint64, uint64) {
+func (t *linearProbing) gather4(block uint64) (uint64, uint64, uint64, uint64) {
 	s := t.slots[block : block+4 : block+4]
 	return s[0].key, s[1].key, s[2].key, s[3].key
 }
 
 // GetVec is Get using 4-slot vectorized key comparison (the paper's
 // LPAoSSIMD lookup).
-func (t *LinearProbing) GetVec(key uint64) (uint64, bool) {
+func (t *linearProbing) GetVec(key uint64) (uint64, bool) {
 	if isSentinelKey(key) {
 		return t.sent.get(key)
 	}
@@ -63,17 +64,11 @@ func (t *LinearProbing) GetVec(key uint64) (uint64, bool) {
 
 // PutVec is Put using 4-slot vectorized probing for the empty/tombstone
 // search (the paper's LPAoSSIMD insert).
-func (t *LinearProbing) PutVec(key, val uint64) bool {
-	if isSentinelKey(key) {
-		return t.sent.put(key, val)
-	}
-	if err := t.ensureRoom(); err != nil {
-		// Legacy Map contract: grow once instead of failing (see Put) —
-		// but only when an insert is actually needed; an update of an
-		// existing key proceeds in place on the full table.
-		if _, exists := t.GetVec(key); !exists {
-			t.rehashTo(len(t.slots) * 2)
-		}
+func (t *linearProbing) PutVec(key, val uint64) (bool, error) {
+	if isSentinelKey(key) || t.ensureRoom() != nil {
+		// The scalar Put settles the sentinel keys and a full table: an
+		// update in place, or ErrFull.
+		return t.Put(key, val)
 	}
 	i := t.home(key)
 	block := i &^ 3
@@ -94,7 +89,7 @@ func (t *LinearProbing) PutVec(key, val uint64) bool {
 		}
 		if hl < sl {
 			t.slots[block+uint64(hl)].val = val
-			return false
+			return false, nil
 		}
 		if sl < 8 {
 			if firstTomb < 0 && tomb != 0 {
@@ -109,7 +104,7 @@ func (t *LinearProbing) PutVec(key, val uint64) bool {
 				t.slots[block+uint64(sl)] = pair{key, val}
 			}
 			t.size++
-			return true
+			return true, nil
 		}
 		if firstTomb < 0 && tomb != 0 {
 			firstTomb = int(block) + tomb.First()
@@ -123,7 +118,7 @@ func (t *LinearProbing) PutVec(key, val uint64) bool {
 // GetVec is Get using 4-lane vectorized key comparison over the packed key
 // column (the paper's LPSoASIMD lookup — the layout SIMD favours, since no
 // gather is needed).
-func (t *LinearProbingSoA) GetVec(key uint64) (uint64, bool) {
+func (t *linearProbingSoA) GetVec(key uint64) (uint64, bool) {
 	if isSentinelKey(key) {
 		return t.sent.get(key)
 	}
@@ -155,16 +150,9 @@ func (t *LinearProbingSoA) GetVec(key uint64) (uint64, bool) {
 }
 
 // PutVec is Put using 4-lane vectorized probing over the key column.
-func (t *LinearProbingSoA) PutVec(key, val uint64) bool {
-	if isSentinelKey(key) {
-		return t.sent.put(key, val)
-	}
-	if err := t.ensureRoom(); err != nil {
-		// Legacy Map contract: grow once instead of failing (see Put) —
-		// but only when an insert is actually needed.
-		if _, exists := t.GetVec(key); !exists {
-			t.rehashTo(len(t.keys) * 2)
-		}
+func (t *linearProbingSoA) PutVec(key, val uint64) (bool, error) {
+	if isSentinelKey(key) || t.ensureRoom() != nil {
+		return t.Put(key, val) // as in linearProbing.PutVec
 	}
 	i := t.home(key)
 	block := i &^ 3
@@ -185,7 +173,7 @@ func (t *LinearProbingSoA) PutVec(key, val uint64) bool {
 		}
 		if hl < sl {
 			t.vals[block+uint64(hl)] = val
-			return false
+			return false, nil
 		}
 		if sl < 8 {
 			if firstTomb < 0 && tomb != 0 {
@@ -202,7 +190,7 @@ func (t *LinearProbingSoA) PutVec(key, val uint64) bool {
 				t.vals[block+uint64(sl)] = val
 			}
 			t.size++
-			return true
+			return true, nil
 		}
 		if firstTomb < 0 && tomb != 0 {
 			firstTomb = int(block) + tomb.First()

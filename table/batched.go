@@ -1,7 +1,7 @@
 package table
 
-// This file defines the batched execution pipeline: every scheme exposes
-// GetBatch/PutBatch, which process keys in chunks of BatchWidth. The paper's
+// This file defines the batched execution pipeline: every scheme's GetBatch
+// and mutating batches process keys in chunks of BatchWidth. The paper's
 // central finding is that hash-table cost is dominated by per-key latency —
 // dependent loads plus per-call overhead — and its §7 vectorized variants
 // attack only the comparison. The batched pipeline attacks the rest:
@@ -42,65 +42,6 @@ import (
 // chunk's hash codes, cursors and lane list inside L1 while offering the
 // memory system dozens of independent probe streams.
 const BatchWidth = hashfn.DefaultBatchWidth
-
-// Batcher is the batched counterpart of Map's point operations, implemented
-// by every scheme in this package.
-type Batcher interface {
-	// GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
-	// the number of hits. vals and ok must be at least as long as keys.
-	GetBatch(keys []uint64, vals []uint64, ok []bool) int
-	// PutBatch upserts the pairs (keys[i], vals[i]) in slice order and
-	// returns the number of newly inserted keys. keys and vals must have
-	// equal length.
-	PutBatch(keys []uint64, vals []uint64) int
-}
-
-// GetBatch performs a batched lookup on any Map, using the table's pipeline
-// when it has one and a scalar loop otherwise. It returns the number of
-// hits.
-func GetBatch(m Map, keys []uint64, vals []uint64, ok []bool) int {
-	if b, isBatcher := m.(Batcher); isBatcher {
-		return b.GetBatch(keys, vals, ok)
-	}
-	checkBatchGet(len(keys), len(vals), len(ok))
-	hits := 0
-	for i, k := range keys {
-		v, o := m.Get(k)
-		vals[i], ok[i] = v, o
-		if o {
-			hits++
-		}
-	}
-	return hits
-}
-
-// PutBatch performs a batched upsert on any Map, returning the number of
-// newly inserted keys.
-func PutBatch(m Map, keys []uint64, vals []uint64) int {
-	if b, isBatcher := m.(Batcher); isBatcher {
-		return b.PutBatch(keys, vals)
-	}
-	checkBatchPut(len(keys), len(vals))
-	inserted := 0
-	for i, k := range keys {
-		if m.Put(k, vals[i]) {
-			inserted++
-		}
-	}
-	return inserted
-}
-
-// Every scheme implements the batched pipeline.
-var (
-	_ Batcher = (*Chained8)(nil)
-	_ Batcher = (*Chained24)(nil)
-	_ Batcher = (*LinearProbing)(nil)
-	_ Batcher = (*LinearProbingSoA)(nil)
-	_ Batcher = (*QuadraticProbing)(nil)
-	_ Batcher = (*RobinHood)(nil)
-	_ Batcher = (*DoubleHashing)(nil)
-	_ Batcher = (*Cuckoo)(nil)
-)
 
 func checkBatchGet(nKeys, nVals, nOK int) {
 	if nVals < nKeys || nOK < nKeys {

@@ -11,12 +11,12 @@ import (
 // each round dereferences one Next per live lane, and those loads are
 // independent of each other.
 
-// GetBatch implements Batcher.
-func (t *Chained8) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
+// GetBatch implements Table.
+func (t *chained8) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	return getBatchImpl(t, keys, vals, ok)
 }
 
-func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (t *chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	hashfn.HashBatch(t.fn, keys, bt.hash[:])
 	shift := t.shift
 	hits := 0
@@ -62,7 +62,7 @@ func (t *Chained8) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 // remaining touches. The chained lookups (getChunk) take no touch pass —
 // their first-probe loop already issues the directory loads back to back,
 // and a pass ahead of it measured no faster.
-func (t *Chained8) openChunk(bt *batchBuf, keys []uint64) {
+func (t *chained8) openChunk(bt *batchBuf, keys []uint64) {
 	hashfn.HashBatch(t.fn, keys, bt.hash[:])
 	dir, shift := t.dir, t.shift
 	var sink uint64
@@ -74,21 +74,14 @@ func (t *Chained8) openChunk(bt *batchBuf, keys []uint64) {
 	bt.sink = sink
 }
 
-// PutBatch implements Batcher. Chained tables never fill, so it is
-// TryPutBatch without the error.
-func (t *Chained8) PutBatch(keys []uint64, vals []uint64) int {
-	inserted, _ := t.TryPutBatch(keys, vals)
-	return inserted
-}
-
-// GetBatch implements Batcher. The first-probe pass resolves against the
+// GetBatch implements Table. The first-probe pass resolves against the
 // widened directory's inline entries — the collision-free case Chained24
 // exists for — and only overflow chains enter the round-robin walk.
-func (t *Chained24) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
+func (t *chained24) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	return getBatchImpl(t, keys, vals, ok)
 }
 
-func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (t *chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	hashfn.HashBatch(t.fn, keys, bt.hash[:])
 	shift := t.shift
 	hits := 0
@@ -138,9 +131,9 @@ func (t *Chained24) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	return hits
 }
 
-// openChunk is Chained8.openChunk on the widened directory: the word
+// openChunk is chained8.openChunk on the widened directory: the word
 // loaded is each lane's inline key.
-func (t *Chained24) openChunk(bt *batchBuf, keys []uint64) {
+func (t *chained24) openChunk(bt *batchBuf, keys []uint64) {
 	hashfn.HashBatch(t.fn, keys, bt.hash[:])
 	dir, shift := t.dir, t.shift
 	var sink uint64
@@ -148,11 +141,4 @@ func (t *Chained24) openChunk(bt *batchBuf, keys []uint64) {
 		sink += dir[h>>(shift&63)].key
 	}
 	bt.sink = sink
-}
-
-// PutBatch implements Batcher. Chained tables never fill, so it is
-// TryPutBatch without the error.
-func (t *Chained24) PutBatch(keys []uint64, vals []uint64) int {
-	inserted, _ := t.TryPutBatch(keys, vals)
-	return inserted
 }

@@ -20,12 +20,12 @@ import (
 // fetches k lines per key where a mostly-hit tape needs far fewer (2.6 of
 // 4 at 75% hits), and the path is bound by line throughput.
 
-// GetBatch implements Batcher.
-func (t *Cuckoo) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
+// GetBatch implements Table.
+func (t *cuckoo) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	return getBatchImpl(t, keys, vals, ok)
 }
 
-func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
+func (t *cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	hits := 0
 	live := bt.lane[:0]
 	for l := range keys {
@@ -72,7 +72,7 @@ func (t *Cuckoo) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 // chunk scratch (hashed with fns[j]) into flat slot positions, kept in
 // bt.b, and loads every one of those slots' key words back to back, so the
 // way's cache misses are in flight together before any lane is compared.
-func (t *Cuckoo) touchWay(bt *batchBuf, j, n int) {
+func (t *cuckoo) touchWay(bt *batchBuf, j, n int) {
 	slots, subCap := t.slots, t.subCap
 	base := uint64(j) * subCap
 	var sink uint64
@@ -91,28 +91,9 @@ func (t *Cuckoo) touchWay(bt *batchBuf, j, n int) {
 // apply through the scalar paths, which derive their own positions, so a
 // function redraw or a growth in mid-chunk merely wastes the remaining
 // touches.
-func (t *Cuckoo) openChunk(bt *batchBuf, keys []uint64) {
+func (t *cuckoo) openChunk(bt *batchBuf, keys []uint64) {
 	for j, fn := range t.fns {
 		hashfn.HashBatch(fn, keys, bt.hash[:])
 		t.touchWay(bt, j, len(keys))
 	}
-}
-
-// PutBatch implements Batcher as scalar Puts in slice order behind the
-// chunk's candidate-line touches. Like Put it grows a full
-// growth-disabled table once instead of failing.
-func (t *Cuckoo) PutBatch(keys []uint64, vals []uint64) int {
-	checkBatchPut(len(keys), len(vals))
-	bt := t.buf()
-	inserted := 0
-	for lo := 0; lo < len(keys); lo += BatchWidth {
-		hi := min(lo+BatchWidth, len(keys))
-		t.openChunk(bt, keys[lo:hi])
-		for i := lo; i < hi; i++ {
-			if t.Put(keys[i], vals[i]) {
-				inserted++
-			}
-		}
-	}
-	return inserted
 }

@@ -14,16 +14,20 @@ import (
 // agrees with scalar Get on the other for every probe key. It returns false
 // on the first divergence.
 func crossCheckBatch(s Scheme, cfg Config, keys, vals, probes []uint64) bool {
-	scalar := MustNew(s, cfg)
-	batched := MustNew(s, cfg)
+	scalar := mustNew(s, cfg)
+	batched := mustNew(s, cfg)
 	insScalar := 0
 	for i, k := range keys {
-		if scalar.Put(k, vals[i]) {
+		ins, err := scalar.Put(k, vals[i])
+		if err != nil {
+			return false
+		}
+		if ins {
 			insScalar++
 		}
 	}
-	insBatch := PutBatch(batched, keys, vals)
-	if insScalar != insBatch || scalar.Len() != batched.Len() {
+	insBatch, err := batched.PutBatch(keys, vals)
+	if err != nil || insScalar != insBatch || scalar.Len() != batched.Len() {
 		return false
 	}
 	outVals := make([]uint64, len(probes))
@@ -34,8 +38,8 @@ func crossCheckBatch(s Scheme, cfg Config, keys, vals, probes []uint64) bool {
 			wantHits++
 		}
 	}
-	for _, m := range []Map{scalar, batched} {
-		hits := GetBatch(m, probes, outVals, outOK)
+	for _, m := range []Table{scalar, batched} {
+		hits := m.GetBatch(probes, outVals, outOK)
 		if hits != wantHits {
 			return false
 		}
@@ -129,11 +133,11 @@ func TestBatchSentinelsAcrossChunks(t *testing.T) {
 // sequential upsert semantics.
 func TestPutBatchDuplicateKeysLastWins(t *testing.T) {
 	for _, s := range allSchemes() {
-		m := MustNew(s, Config{InitialCapacity: 64, Seed: 1})
+		m := mustNew(s, Config{InitialCapacity: 64, Seed: 1})
 		keys := []uint64{7, 7, 7, 9, 9, emptyKey, emptyKey}
 		vals := []uint64{1, 2, 3, 4, 5, 6, 7}
-		if ins := PutBatch(m, keys, vals); ins != 3 {
-			t.Fatalf("%s: PutBatch inserted %d, want 3", s, ins)
+		if ins, err := m.PutBatch(keys, vals); err != nil || ins != 3 {
+			t.Fatalf("%s: PutBatch inserted %d (%v), want 3", s, ins, err)
 		}
 		for k, want := range map[uint64]uint64{7: 3, 9: 5, emptyKey: 7} {
 			if v, ok := m.Get(k); !ok || v != want {
@@ -143,38 +147,6 @@ func TestPutBatchDuplicateKeysLastWins(t *testing.T) {
 	}
 }
 
-// TestBatchHelpersScalarFallback: the package helpers work on Maps without
-// a batched pipeline.
-func TestBatchHelpersScalarFallback(t *testing.T) {
-	m := scalarOnlyMap{MustNew(SchemeLP, Config{InitialCapacity: 64, Seed: 3})}
-	keys := []uint64{1, 2, 3, 2}
-	vals := []uint64{10, 20, 30, 21}
-	if ins := PutBatch(m, keys, vals); ins != 3 {
-		t.Fatalf("fallback PutBatch inserted %d, want 3", ins)
-	}
-	outV := make([]uint64, len(keys))
-	outOK := make([]bool, len(keys))
-	if hits := GetBatch(m, keys, outV, outOK); hits != 4 {
-		t.Fatalf("fallback GetBatch hits = %d, want 4", hits)
-	}
-	if outV[1] != 21 || outV[3] != 21 {
-		t.Fatalf("fallback GetBatch vals = %v", outV)
-	}
-}
-
-// scalarOnlyMap hides the Batcher implementation of the wrapped Map.
-type scalarOnlyMap struct{ inner Map }
-
-func (m scalarOnlyMap) Put(k, v uint64) bool            { return m.inner.Put(k, v) }
-func (m scalarOnlyMap) Get(k uint64) (uint64, bool)     { return m.inner.Get(k) }
-func (m scalarOnlyMap) Delete(k uint64) bool            { return m.inner.Delete(k) }
-func (m scalarOnlyMap) Len() int                        { return m.inner.Len() }
-func (m scalarOnlyMap) Capacity() int                   { return m.inner.Capacity() }
-func (m scalarOnlyMap) LoadFactor() float64             { return m.inner.LoadFactor() }
-func (m scalarOnlyMap) MemoryFootprint() uint64         { return m.inner.MemoryFootprint() }
-func (m scalarOnlyMap) Range(fn func(k, v uint64) bool) { m.inner.Range(fn) }
-func (m scalarOnlyMap) Name() string                    { return m.inner.Name() }
-
 // TestGetBatchAfterDeletes: batched lookups honour tombstones and backward
 // shifts left behind by scalar deletes — the pipelines share the schemes'
 // probe invariants, not just their happy paths.
@@ -182,19 +154,19 @@ func TestGetBatchAfterDeletes(t *testing.T) {
 	for _, s := range allSchemes() {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
-			m := MustNew(s, Config{InitialCapacity: 1 << 10, Seed: 17})
+			m := mustNew(s, Config{InitialCapacity: 1 << 10, Seed: 17})
 			rng := prng.NewXoshiro256(23)
 			keys := make([]uint64, 600)
 			for i := range keys {
 				keys[i] = rng.Next()
-				m.Put(keys[i], uint64(i))
+				put(t, m, keys[i], uint64(i))
 			}
 			for i := 0; i < len(keys); i += 2 {
 				m.Delete(keys[i])
 			}
 			outV := make([]uint64, len(keys))
 			outOK := make([]bool, len(keys))
-			GetBatch(m, keys, outV, outOK)
+			m.GetBatch(keys, outV, outOK)
 			for i := range keys {
 				wantV, wantOK := m.Get(keys[i])
 				if outOK[i] != wantOK || (wantOK && outV[i] != wantV) {
@@ -210,14 +182,14 @@ func TestGetBatchAfterDeletes(t *testing.T) {
 // — holding both sentinels, a few hundred keys and some tombstones, and
 // returns it with a probe column of hits, misses, deleted keys and
 // sentinels several chunks long.
-func readOnlyFixture(s Scheme) (Table, []uint64) {
-	tbl := MustNew(s, Config{InitialCapacity: 1 << 10, MaxLoadFactor: 0, Seed: 3})
-	tbl.Put(emptyKey, 1)
-	tbl.Put(tombKey, 2)
+func readOnlyFixture(t *testing.T, s Scheme) (Table, []uint64) {
+	tbl := mustNew(s, Config{InitialCapacity: 1 << 10, MaxLoadFactor: 0, Seed: 3})
+	put(t, tbl, emptyKey, 1)
+	put(t, tbl, tombKey, 2)
 	var probes []uint64
 	for i := uint64(1); i <= 300; i++ {
 		k := i * 0x9e3779b97f4a7c15
-		tbl.Put(k, i)
+		put(t, tbl, k, i)
 		probes = append(probes, k, k+1) // k+1 was never inserted
 	}
 	for i := uint64(1); i <= 300; i += 7 {
@@ -234,7 +206,7 @@ func readOnlyFixture(s Scheme) (Table, []uint64) {
 func TestGetBatchIsReadOnly(t *testing.T) {
 	for _, s := range allSchemes() {
 		t.Run(string(s), func(t *testing.T) {
-			tbl, probes := readOnlyFixture(s)
+			tbl, probes := readOnlyFixture(t, s)
 			contents := func() map[uint64]uint64 {
 				m := map[uint64]uint64{}
 				tbl.Range(func(k, v uint64) bool { m[k] = v; return true })
@@ -284,7 +256,7 @@ func TestGetBatchIsReadOnly(t *testing.T) {
 func TestGetBatchConcurrentReaders(t *testing.T) {
 	for _, s := range allSchemes() {
 		t.Run(string(s), func(t *testing.T) {
-			tbl, probes := readOnlyFixture(s)
+			tbl, probes := readOnlyFixture(t, s)
 			want := make([]uint64, len(probes))
 			wantOK := make([]bool, len(probes))
 			wantHits := tbl.GetBatch(probes, want, wantOK)
@@ -314,15 +286,15 @@ func TestGetBatchConcurrentReaders(t *testing.T) {
 // kernOf returns the probe kernel inside a kernel scheme's table.
 func kernOf(t *testing.T, tbl Table) *kern {
 	switch tbl := tbl.(type) {
-	case *LinearProbing:
+	case *linearProbing:
 		return &tbl.kern
-	case *LinearProbingSoA:
+	case *linearProbingSoA:
 		return &tbl.kern
-	case *QuadraticProbing:
+	case *quadraticProbing:
 		return &tbl.kern
-	case *RobinHood:
+	case *robinHood:
 		return &tbl.kern
-	case *DoubleHashing:
+	case *doubleHashing:
 		return &tbl.kern
 	}
 	t.Fatalf("%T is not a kernel scheme", tbl)
@@ -337,7 +309,7 @@ func kernOf(t *testing.T, tbl Table) *kern {
 func TestGetBatchTerminatesWithoutEmptySlot(t *testing.T) {
 	for _, s := range KernelSchemes() {
 		t.Run(string(s), func(t *testing.T) {
-			tbl := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 3})
+			tbl := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 3})
 			c := kernOf(t, tbl)
 			for i := 0; i < c.slotCount(); i++ {
 				c.setAtS(uint64(i)<<c.ks, uint64(i)+1000, 7)

@@ -23,13 +23,13 @@ func chunkEntriesFor(dirSlots int) int {
 	return c
 }
 
-// Chained8 is classic chained hashing (§2.1): the directory is an array of
+// chained8 is classic chained hashing (§2.1): the directory is an array of
 // 8-byte pointers to linked lists of 24-byte entries. Entries are allocated
 // from a slab allocator — the paper found malloc-per-insert costs up to an
 // order of magnitude in insert throughput. Every lookup, even in a
 // collision-free bucket, must follow one pointer, which is the structural
-// disadvantage the widened Chained24 variant removes.
-type Chained8 struct {
+// disadvantage the widened chained24 variant removes.
+type chained8 struct {
 	dir    []*slab.Entry
 	shift  uint
 	size   int
@@ -39,15 +39,13 @@ type Chained8 struct {
 	maxLF  float64
 	grows  int
 	alloc  *slab.Allocator
-	rmwSurface[*Chained8]
+	rmwSurface[*chained8]
 }
 
-var _ Table = (*Chained8)(nil)
-
-// NewChained8 returns an empty pointer-directory chained table.
-func NewChained8(cfg Config) *Chained8 {
+// newChained8 returns an empty pointer-directory chained table.
+func newChained8(cfg Config) *chained8 {
 	cfg = cfg.withDefaults()
-	t := &Chained8{
+	t := &chained8{
 		family: cfg.Family,
 		seed:   cfg.Seed,
 		maxLF:  cfg.MaxLoadFactor,
@@ -60,32 +58,33 @@ func NewChained8(cfg Config) *Chained8 {
 	return t
 }
 
-func (t *Chained8) home(key uint64) uint64 { return t.fn.Hash(key) >> t.shift }
+func (t *chained8) hash(key uint64) uint64 { return t.fn.Hash(key) }
+func (t *chained8) home(key uint64) uint64 { return t.fn.Hash(key) >> t.shift }
 
-// Name implements Map.
-func (t *Chained8) Name() string { return "ChainedH8" }
+// Name implements Table.
+func (t *chained8) Name() string { return "ChainedH8" }
 
 // HashName returns the hash-function family name.
-func (t *Chained8) HashName() string { return t.fn.Name() }
+func (t *chained8) HashName() string { return t.fn.Name() }
 
-// Len implements Map.
-func (t *Chained8) Len() int { return t.size }
+// Rehashes returns the number of directory-doubling events, for Stats.
+func (t *chained8) Rehashes() int { return t.grows }
 
-// Capacity implements Map (directory slots).
-func (t *Chained8) Capacity() int { return len(t.dir) }
+// Len implements Table.
+func (t *chained8) Len() int { return t.size }
 
-// LoadFactor implements Map; for chained tables this is entries per
-// directory slot and may exceed 1 (§4.5).
-func (t *Chained8) LoadFactor() float64 { return float64(t.size) / float64(len(t.dir)) }
+// Capacity implements Table (directory slots). Len/Capacity, the load
+// factor, may exceed 1 for chained tables (§4.5).
+func (t *chained8) Capacity() int { return len(t.dir) }
 
-// MemoryFootprint implements Map: 8 bytes per directory slot plus the slab
-// arena holding the 24-byte entries.
-func (t *Chained8) MemoryFootprint() uint64 {
+// MemoryFootprint implements Table: 8 bytes per directory slot plus the
+// slab arena holding the 24-byte entries.
+func (t *chained8) MemoryFootprint() uint64 {
 	return uint64(len(t.dir))*8 + t.alloc.FootprintBytes()
 }
 
-// Get implements Map.
-func (t *Chained8) Get(key uint64) (uint64, bool) {
+// Get implements Table.
+func (t *chained8) Get(key uint64) (uint64, bool) {
 	for e := t.dir[t.home(key)]; e != nil; e = e.Next {
 		if e.Key == key {
 			return e.Val, true
@@ -94,21 +93,15 @@ func (t *Chained8) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Put implements Map. New entries are pushed at the head of their chain
-// (order within a chain is immaterial; head insertion avoids walking the
-// list twice). Chained tables never fill, so rmwHashed's error is always
-// nil.
-func (t *Chained8) Put(key, val uint64) bool {
-	_, existed, _ := t.rmwHashed(key, val, t.fn.Hash(key), true, nil)
-	return !existed
-}
-
 // rmwHashed is the single-probe read-modify-write primitive behind every
-// mutation, scalar and batched; see LinearProbing.rmwHashed. The directory
-// index is derived after maybeGrow so a doubled directory cannot stale it.
-// Chained8 has no sentinel keys: chain entries store full keys, so 0 and
-// 2^64-1 are ordinary.
-func (t *Chained8) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
+// mutation, scalar and batched; see kern.rmwHashed. New entries are pushed
+// at the head of their chain (order within a chain is immaterial; head
+// insertion avoids walking the list twice), and chained tables never fill,
+// so the error is always nil. The directory index is derived after
+// maybeGrow so a doubled directory cannot stale it. chained8 has no
+// sentinel keys: chain entries store full keys, so 0 and 2^64-1 are
+// ordinary.
+func (t *chained8) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	t.maybeGrow()
 	i := hash >> t.shift
 	for e := t.dir[i]; e != nil; e = e.Next {
@@ -133,8 +126,8 @@ func (t *Chained8) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint
 	return v, false, nil
 }
 
-// Delete implements Map; the removed entry returns to the slab free list.
-func (t *Chained8) Delete(key uint64) bool {
+// Delete implements Table; the removed entry returns to the slab free list.
+func (t *chained8) Delete(key uint64) bool {
 	i := t.home(key)
 	var prev *slab.Entry
 	for e := t.dir[i]; e != nil; e = e.Next {
@@ -153,7 +146,7 @@ func (t *Chained8) Delete(key uint64) bool {
 	return false
 }
 
-func (t *Chained8) maybeGrow() {
+func (t *chained8) maybeGrow() {
 	if t.maxLF == 0 {
 		return
 	}
@@ -178,8 +171,8 @@ func (t *Chained8) maybeGrow() {
 	}
 }
 
-// Range implements Map.
-func (t *Chained8) Range(fn func(key, val uint64) bool) {
+// Range implements Table.
+func (t *chained8) Range(fn func(key, val uint64) bool) {
 	for i := range t.dir {
 		for e := t.dir[i]; e != nil; e = e.Next {
 			if !fn(e.Key, e.Val) {
@@ -193,7 +186,7 @@ func (t *Chained8) Range(fn func(key, val uint64) bool) {
 // directory slot i, and a bucket's chain is visited whole — unlike Range,
 // fn is still handed the rest of the chain it returned false in, so that
 // the bucket index alone resumes the walk.
-func (t *Chained8) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+func (t *chained8) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	for i := pos; i < len(t.dir); i++ {
 		more := true
 		for e := t.dir[i]; e != nil; e = e.Next {
@@ -208,7 +201,7 @@ func (t *Chained8) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) 
 
 // ChainLengths returns the length of every non-empty chain; the paper's
 // argument that chains under Mult average below length 2 is checkable here.
-func (t *Chained8) ChainLengths() []int {
+func (t *chained8) ChainLengths() []int {
 	var out []int
 	for i := range t.dir {
 		n := 0
@@ -226,7 +219,7 @@ func (t *Chained8) ChainLengths() []int {
 // Chained24
 // ---------------------------------------------------------------------------
 
-// bucket24 is Chained24's widened directory slot: a full 24-byte
+// bucket24 is chained24's widened directory slot: a full 24-byte
 // key/value/pointer triplet, so the first entry of every bucket lives
 // inline and collision-free lookups touch no linked list at all (§2.1).
 //
@@ -238,10 +231,10 @@ type bucket24 struct {
 	next *slab.Entry
 }
 
-// Chained24 is the paper's widened-directory chained hash table: 24-byte
+// chained24 is the paper's widened-directory chained hash table: 24-byte
 // directory slots inline the first entry, trading space for open-addressing
 // latency whenever collisions are rare.
-type Chained24 struct {
+type chained24 struct {
 	dir    []bucket24
 	shift  uint
 	size   int
@@ -255,15 +248,13 @@ type Chained24 struct {
 
 	hasZero bool   // inline sentinel escape for real key 0
 	zeroVal uint64 // stored out-of-line like open addressing's sentinels
-	rmwSurface[*Chained24]
+	rmwSurface[*chained24]
 }
 
-var _ Table = (*Chained24)(nil)
-
-// NewChained24 returns an empty inline-directory chained table.
-func NewChained24(cfg Config) *Chained24 {
+// newChained24 returns an empty inline-directory chained table.
+func newChained24(cfg Config) *chained24 {
 	cfg = cfg.withDefaults()
-	t := &Chained24{
+	t := &chained24{
 		family: cfg.Family,
 		seed:   cfg.Seed,
 		maxLF:  cfg.MaxLoadFactor,
@@ -276,43 +267,44 @@ func NewChained24(cfg Config) *Chained24 {
 	return t
 }
 
-func (t *Chained24) home(key uint64) uint64 { return t.fn.Hash(key) >> t.shift }
+func (t *chained24) hash(key uint64) uint64 { return t.fn.Hash(key) }
+func (t *chained24) home(key uint64) uint64 { return t.fn.Hash(key) >> t.shift }
 
-// Name implements Map.
-func (t *Chained24) Name() string { return "ChainedH24" }
+// Name implements Table.
+func (t *chained24) Name() string { return "ChainedH24" }
 
 // HashName returns the hash-function family name.
-func (t *Chained24) HashName() string { return t.fn.Name() }
+func (t *chained24) HashName() string { return t.fn.Name() }
 
-// Len implements Map.
-func (t *Chained24) Len() int {
+// Rehashes returns the number of directory-doubling events, for Stats.
+func (t *chained24) Rehashes() int { return t.grows }
+
+// Len implements Table.
+func (t *chained24) Len() int {
 	if t.hasZero {
 		return t.size + 1
 	}
 	return t.size
 }
 
-// Capacity implements Map (directory slots).
-func (t *Chained24) Capacity() int { return len(t.dir) }
+// Capacity implements Table (directory slots).
+func (t *chained24) Capacity() int { return len(t.dir) }
 
-// LoadFactor implements Map.
-func (t *Chained24) LoadFactor() float64 { return float64(t.Len()) / float64(len(t.dir)) }
-
-// MemoryFootprint implements Map: 24 bytes per directory slot plus the slab
-// arena holding overflow entries.
-func (t *Chained24) MemoryFootprint() uint64 {
+// MemoryFootprint implements Table: 24 bytes per directory slot plus the
+// slab arena holding overflow entries.
+func (t *chained24) MemoryFootprint() uint64 {
 	return uint64(len(t.dir))*24 + t.alloc.FootprintBytes()
 }
 
 // Overflow returns the number of entries living in chains rather than
 // inline: the "collisions" of the paper's Figure 3 footprint analysis.
-func (t *Chained24) Overflow() int { return t.alloc.Live() }
+func (t *chained24) Overflow() int { return t.alloc.Live() }
 
 // inlineOccupied reports whether b's inline entry holds a live entry.
 func inlineOccupied(b *bucket24) bool { return b.key != emptyKey || b.next != nil }
 
-// Get implements Map.
-func (t *Chained24) Get(key uint64) (uint64, bool) {
+// Get implements Table.
+func (t *chained24) Get(key uint64) (uint64, bool) {
 	if key == emptyKey {
 		return t.zeroVal, t.hasZero
 	}
@@ -328,17 +320,11 @@ func (t *Chained24) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Put implements Map: the inline slot is used first; collisions go to the
-// slab-backed chain.
-func (t *Chained24) Put(key, val uint64) bool {
-	_, existed, _ := t.rmwHashed(key, val, t.fn.Hash(key), true, nil)
-	return !existed
-}
-
 // rmwHashed is the single-probe read-modify-write primitive behind every
-// mutation, scalar and batched; see LinearProbing.rmwHashed. Only real key
-// 0 needs sentinel routing here.
-func (t *Chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
+// mutation, scalar and batched; see kern.rmwHashed. The inline slot is used
+// first; collisions go to the slab-backed chain. Only real key 0 needs
+// sentinel routing here.
+func (t *chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	if key == emptyKey {
 		if t.hasZero {
 			if fn != nil {
@@ -393,10 +379,10 @@ func (t *Chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uin
 	return v, false, nil
 }
 
-// Delete implements Map. Deleting the inline entry promotes the chain head
+// Delete implements Table. Deleting the inline entry promotes the chain head
 // into the directory so the invariant "chain non-empty => inline occupied"
 // is preserved.
-func (t *Chained24) Delete(key uint64) bool {
+func (t *chained24) Delete(key uint64) bool {
 	if key == emptyKey {
 		had := t.hasZero
 		t.hasZero, t.zeroVal = false, 0
@@ -430,7 +416,7 @@ func (t *Chained24) Delete(key uint64) bool {
 	return false
 }
 
-func (t *Chained24) maybeGrow() {
+func (t *chained24) maybeGrow() {
 	if t.maxLF == 0 {
 		return
 	}
@@ -467,8 +453,8 @@ func (t *Chained24) maybeGrow() {
 	}
 }
 
-// Range implements Map.
-func (t *Chained24) Range(fn func(key, val uint64) bool) {
+// Range implements Table.
+func (t *chained24) Range(fn func(key, val uint64) bool) {
 	if t.hasZero && !fn(emptyKey, t.zeroVal) {
 		return
 	}
@@ -485,10 +471,10 @@ func (t *Chained24) Range(fn func(key, val uint64) bool) {
 	}
 }
 
-// RangeFrom implements Table at bucket granularity like Chained8's:
+// RangeFrom implements Table at bucket granularity like chained8's:
 // position 0 is the out-of-line key 0, position 1+i is bucket i, inline
 // entry and chain visited whole.
-func (t *Chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+func (t *chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	if pos <= 0 {
 		if t.hasZero && !fn(emptyKey, t.zeroVal) {
 			return 1
@@ -513,7 +499,7 @@ func (t *Chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
 
 // ChainLengths returns, for every non-empty bucket, the number of entries
 // in it (inline entry included).
-func (t *Chained24) ChainLengths() []int {
+func (t *chained24) ChainLengths() []int {
 	var out []int
 	for i := range t.dir {
 		b := &t.dir[i]
@@ -548,9 +534,9 @@ func floorPow2(x float64) int {
 }
 
 // Chained8DirectorySlots returns the largest power-of-two directory size
-// such that a Chained8 table holding n = alpha*oaCapacity entries stays
+// such that a ChainedH8 table holding n = alpha*oaCapacity entries stays
 // within 110% of the open-addressing footprint 16*oaCapacity (§4.5). Every
-// Chained8 entry lives in the slab (24 bytes), so the directory gets what
+// ChainedH8 entry lives in the slab (24 bytes), so the directory gets what
 // remains of the budget at 8 bytes per slot.
 func Chained8DirectorySlots(alpha float64, oaCapacity int) int {
 	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
@@ -561,30 +547,30 @@ func Chained8DirectorySlots(alpha float64, oaCapacity int) int {
 
 // Chained24DirectorySlots returns the largest power-of-two directory size
 // whose 24-byte slots alone fit the §4.5 budget; overflow chains must fit
-// in the remaining slack, which FitsChained24Budget estimates.
+// in the remaining slack, which fitsChained24Budget estimates.
 func Chained24DirectorySlots(alpha float64, oaCapacity int) int {
 	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
 	return floorPow2(budget / 24)
 }
 
-// ExpectedChained24Overflow estimates, for n entries hashed uniformly into
+// expectedChained24Overflow estimates, for n entries hashed uniformly into
 // dirSlots buckets, how many entries overflow into chains: n minus the
 // expected number of occupied buckets m*(1 - (1-1/m)^n) ~= m*(1-e^(-n/m)).
-func ExpectedChained24Overflow(n, dirSlots int) float64 {
+func expectedChained24Overflow(n, dirSlots int) float64 {
 	m := float64(dirSlots)
 	lam := float64(n) / m
 	occupied := m * (1 - math.Exp(-lam))
 	return float64(n) - occupied
 }
 
-// FitsChained24Budget reports whether a Chained24 table with the §4.5
+// fitsChained24Budget reports whether a ChainedH24 table with the §4.5
 // directory sizing is expected to hold n = alpha*oaCapacity entries within
 // the 110% budget. At alpha >= ~0.7 this returns false — the paper's reason
 // for dropping chained hashing from the high-load-factor experiments.
-func FitsChained24Budget(alpha float64, oaCapacity int) bool {
+func fitsChained24Budget(alpha float64, oaCapacity int) bool {
 	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
 	dir := Chained24DirectorySlots(alpha, oaCapacity)
 	n := int(alpha * float64(oaCapacity))
-	overflow := ExpectedChained24Overflow(n, dir)
+	overflow := expectedChained24Overflow(n, dir)
 	return float64(dir)*24+overflow*24 <= budget
 }

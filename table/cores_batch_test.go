@@ -22,11 +22,11 @@ var batchCores = []struct {
 	name string
 	new  func(Config) Table
 }{
-	{"Chained8", func(c Config) Table { return NewChained8(c) }},
-	{"Chained24", func(c Config) Table { return NewChained24(c) }},
-	{"CuckooH2", func(c Config) Table { return NewCuckooK(c, 2) }},
-	{"CuckooH3", func(c Config) Table { return NewCuckooK(c, 3) }},
-	{"CuckooH4", func(c Config) Table { return NewCuckooK(c, 4) }},
+	{"Chained8", func(c Config) Table { return newChained8(c) }},
+	{"Chained24", func(c Config) Table { return newChained24(c) }},
+	{"CuckooH2", func(c Config) Table { return newCuckooK(c, 2) }},
+	{"CuckooH3", func(c Config) Table { return newCuckooK(c, 3) }},
+	{"CuckooH4", func(c Config) Table { return newCuckooK(c, 4) }},
 }
 
 var batchLengths = []int{0, 1, 63, 64, 65, 4097}
@@ -61,7 +61,7 @@ func bumpOrOne(old uint64, exists bool) uint64 {
 }
 
 // sameContents fails unless m holds exactly the oracle's pairs.
-func sameContents(t *testing.T, m Map, oracle map[uint64]uint64) {
+func sameContents(t *testing.T, m Table, oracle map[uint64]uint64) {
 	t.Helper()
 	if m.Len() != len(oracle) {
 		t.Fatalf("Len %d, oracle %d", m.Len(), len(oracle))
@@ -122,20 +122,15 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 		oracle[keys[i]] = vals[i]
 	}
 	switch op {
-	case "PutBatch":
-		insB = batched.PutBatch(keys, vals)
+	case "PutBatch", "TryPutBatch":
+		insB, err = batched.PutBatch(keys, vals)
 		for i, k := range keys {
-			_, existed := oracle[k]
-			if scalar.Put(k, vals[i]) == existed {
-				t.Fatalf("lane %d key %d: scalar Put inserted %v, oracle had it %v", i, k, !existed, existed)
-			}
-			put(i)
-		}
-	case "TryPutBatch":
-		insB, err = batched.TryPutBatch(keys, vals)
-		for i, k := range keys {
-			if _, err := scalar.TryPut(k, vals[i]); err != nil {
+			ins, err := scalar.Put(k, vals[i])
+			if err != nil {
 				t.Fatal(err)
+			}
+			if _, existed := oracle[k]; ins == existed {
+				t.Fatalf("lane %d key %d: scalar Put inserted %v, oracle had it %v", i, k, ins, existed)
 			}
 			put(i)
 		}
@@ -192,6 +187,10 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 	}
 }
 
+// batchMutations names the mutating batch entry points, one subtest each.
+// "TryPutBatch" runs PutBatch again: the error-reporting insert had that
+// name before Put and PutBatch took its signature, and its subtests keep
+// the name so that their results stay comparable across the rename.
 var batchMutations = []string{"PutBatch", "TryPutBatch", "GetOrPutBatch", "UpsertBatch"}
 
 // TestCoreBatchEqualsScalar: every batch entry point, at every
@@ -208,8 +207,8 @@ func TestCoreBatchEqualsScalar(t *testing.T) {
 					// updates with inserts.
 					keys := coreKeys(n, uint64(n)+3)
 					for i := 0; i < n; i += 2 {
-						batched.Put(keys[i], 5)
-						scalar.Put(keys[i], 5)
+						put(t, batched, keys[i], 5)
+						put(t, scalar, keys[i], 5)
 						oracle[keys[i]] = 5
 					}
 					vals := make([]uint64, n)
@@ -237,7 +236,7 @@ func TestCoreBatchRebuildMidChunk(t *testing.T) {
 				cfg := Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: 11}
 				batched, scalar := core.new(cfg), core.new(cfg)
 				for _, m := range []Table{batched, scalar} {
-					if c, ok := m.(*Cuckoo); ok {
+					if c, ok := m.(*cuckoo); ok {
 						c.maxKicks = 2 // a kick chain gives up early: redraws are common
 					}
 				}
@@ -251,8 +250,8 @@ func TestCoreBatchRebuildMidChunk(t *testing.T) {
 					return keys
 				}
 				for _, k := range fresh(24) {
-					batched.Put(k, 1)
-					scalar.Put(k, 1)
+					put(t, batched, k, 1)
+					put(t, scalar, k, 1)
 					oracle[k] = 1
 				}
 				type rebuilt interface {
@@ -284,10 +283,10 @@ func TestCoreBatchRebuildMidChunk(t *testing.T) {
 // the lanes before it reported what the scalar path reports.
 func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
-		for _, op := range []string{"TryPutBatch", "GetOrPutBatch", "UpsertBatch"} {
+		for _, op := range batchMutations {
 			t.Run(fmt.Sprintf("k%d/%s", k, op), func(t *testing.T) {
 				cfg := Config{InitialCapacity: 256, MaxLoadFactor: 0, Seed: 13}
-				batched, scalar := NewCuckooK(cfg, k), NewCuckooK(cfg, k)
+				batched, scalar := newCuckooK(cfg, k), newCuckooK(cfg, k)
 				rng := prng.NewXoshiro256(uint64(k))
 				n := 5*BatchWidth + 5
 				keys, vals := make([]uint64, n), make([]uint64, n)
@@ -298,7 +297,7 @@ func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 				oracle := map[uint64]uint64{}
 				fail := -1
 				for i, key := range keys {
-					if _, err := scalar.TryPut(key, vals[i]); err != nil {
+					if _, err := scalar.Put(key, vals[i]); err != nil {
 						if !errors.Is(err, ErrFull) {
 							t.Fatal(err)
 						}
@@ -314,8 +313,8 @@ func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 				var err error
 				out, loaded := make([]uint64, n), make([]bool, n)
 				switch op {
-				case "TryPutBatch":
-					ins, err = batched.TryPutBatch(keys, vals)
+				case "PutBatch", "TryPutBatch":
+					ins, err = batched.PutBatch(keys, vals)
 				case "GetOrPutBatch":
 					ins, err = batched.GetOrPutBatch(keys, vals, out, loaded)
 					for i := range keys {
@@ -345,7 +344,7 @@ func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 }
 
 // TestCoreBatchCallsAllocateNothing: in steady state (every key in place,
-// the chunk scratch already there) GetBatch and TryPutBatch allocate
+// the chunk scratch already there) GetBatch and PutBatch allocate
 // nothing per call.
 func TestCoreBatchCallsAllocateNothing(t *testing.T) {
 	for _, core := range batchCores {
@@ -354,14 +353,14 @@ func TestCoreBatchCallsAllocateNothing(t *testing.T) {
 			keys := coreKeys(1000, 17)
 			vals := make([]uint64, len(keys))
 			out, ok := make([]uint64, len(keys)), make([]bool, len(keys))
-			if _, err := m.TryPutBatch(keys, vals); err != nil {
+			if _, err := m.PutBatch(keys, vals); err != nil {
 				t.Fatal(err)
 			}
 			if allocs := testing.AllocsPerRun(20, func() { m.GetBatch(keys, out, ok) }); allocs != 0 {
 				t.Errorf("GetBatch: %v allocations per call", allocs)
 			}
-			if allocs := testing.AllocsPerRun(20, func() { m.TryPutBatch(keys, vals) }); allocs != 0 {
-				t.Errorf("TryPutBatch: %v allocations per call", allocs)
+			if allocs := testing.AllocsPerRun(20, func() { m.PutBatch(keys, vals) }); allocs != 0 {
+				t.Errorf("PutBatch: %v allocations per call", allocs)
 			}
 		})
 	}

@@ -8,17 +8,17 @@ import (
 	"repro/internal/prng"
 )
 
-// DefaultCuckooWays is the number of subtables (and hash functions) used by
-// NewCuckoo: the paper's CuckooH4, the only traditional Cuckoo variant whose
+// defaultCuckooWays is the number of subtables (and hash functions) used by
+// newCuckoo: the paper's CuckooH4, the only traditional Cuckoo variant whose
 // achievable load factor (~96.7%) covers the paper's sweep up to 90% (§2.5,
 // §5.2).
-const DefaultCuckooWays = 4
+const defaultCuckooWays = 4
 
-// DefaultMaxKicks bounds the displacement chain of one insertion before the
+// defaultMaxKicks bounds the displacement chain of one insertion before the
 // table gives up and rehashes with freshly drawn hash functions.
-const DefaultMaxKicks = 500
+const defaultMaxKicks = 500
 
-// Cuckoo is k-ary Cuckoo hashing (§2.5): k subtables T_0..T_{k-1}, each with
+// cuckoo is k-ary Cuckoo hashing (§2.5): k subtables T_0..T_{k-1}, each with
 // its own hash function; every key resides in exactly one of its k candidate
 // slots, so lookups probe at most k locations regardless of load factor.
 // Inserts may trigger chains of displacements ("kicks"); a chain longer than
@@ -27,7 +27,7 @@ const DefaultMaxKicks = 500
 // construction, but once built, its lookups are insensitive to both load
 // factor and unsuccessful-probe ratio — the behaviour the paper observes at
 // load factors >= 80%.
-type Cuckoo struct {
+type cuckoo struct {
 	slots    []pair // k contiguous subtables of subCap slots each
 	ways     int
 	subCap   uint64
@@ -43,26 +43,23 @@ type Cuckoo struct {
 
 	rehashes   int
 	totalKicks uint64
-	grows      int
 	// fixedWall memoizes the occupancy at which a growth-disabled insert
 	// was last refused (0 = none): while set, further inserts
 	// short-circuit to ErrFull instead of re-paying insertFixed's rebuild
 	// attempts. Any mutation that could change feasibility — a delete, or
 	// any rebuild — clears it.
 	fixedWall int
-	rmwSurface[*Cuckoo]
+	rmwSurface[*cuckoo]
 }
 
-var _ Table = (*Cuckoo)(nil)
+// newCuckoo returns an empty 4-ary Cuckoo table configured by cfg.
+func newCuckoo(cfg Config) *cuckoo { return newCuckooK(cfg, defaultCuckooWays) }
 
-// NewCuckoo returns an empty 4-ary Cuckoo table configured by cfg.
-func NewCuckoo(cfg Config) *Cuckoo { return NewCuckooK(cfg, DefaultCuckooWays) }
-
-// NewCuckooK returns an empty k-ary Cuckoo table, k in [2, 8]. Subtables
+// newCuckooK returns an empty k-ary Cuckoo table, k in [2, 8]. Subtables
 // need not have power-of-two capacity: candidate slots are derived with
 // multiply-shift range reduction, so k = 3 (the paper's ~88%-load-factor
 // variant) works too.
-func NewCuckooK(cfg Config, k int) *Cuckoo {
+func newCuckooK(cfg Config, k int) *cuckoo {
 	if k < 2 || k > 8 {
 		panic(fmt.Sprintf("table: cuckoo ways must be in [2, 8]; got %d", k))
 	}
@@ -70,12 +67,12 @@ func NewCuckooK(cfg Config, k int) *Cuckoo {
 	if cfg.InitialCapacity < 8*k {
 		cfg.InitialCapacity = 8 * k
 	}
-	t := &Cuckoo{
+	t := &cuckoo{
 		ways:     k,
 		family:   cfg.Family,
 		seed:     cfg.Seed,
 		maxLF:    cfg.MaxLoadFactor,
-		maxKicks: DefaultMaxKicks,
+		maxKicks: defaultMaxKicks,
 		rng:      *prng.NewSplitMix64(cfg.Seed ^ 0xc0c0c0c0c0c0c0c0),
 	}
 	t.self = t
@@ -85,14 +82,14 @@ func NewCuckooK(cfg Config, k int) *Cuckoo {
 }
 
 // drawFunctions draws the current generation of k hash functions.
-func (t *Cuckoo) drawFunctions() {
+func (t *cuckoo) drawFunctions() {
 	t.fns = make([]hashfn.Function, t.ways)
 	for j := range t.fns {
 		t.fns[j] = t.family.New(prng.Mix(t.seed ^ (t.gen*uint64(t.ways) + uint64(j) + 1)))
 	}
 }
 
-func (t *Cuckoo) init(capacity int) {
+func (t *cuckoo) init(capacity int) {
 	// Round the requested total down to a multiple of k so the flat array
 	// splits into k equal subtables (for power-of-two k this is exact).
 	sub := capacity / t.ways
@@ -111,46 +108,41 @@ func (t *Cuckoo) init(capacity int) {
 // [0, subCap) for any subtable size — this is what lets k = 3 work — and
 // for the multiplicative families weights exactly the high-quality top
 // bits.
-func (t *Cuckoo) pos(j int, key uint64) int {
+func (t *cuckoo) pos(j int, key uint64) int {
 	hi, _ := bits.Mul64(t.fns[j].Hash(key), t.subCap)
 	return j*int(t.subCap) + int(hi)
 }
 
-// Name implements Map.
-func (t *Cuckoo) Name() string { return fmt.Sprintf("CuckooH%d", t.ways) }
+// Name implements Table.
+func (t *cuckoo) Name() string { return fmt.Sprintf("CuckooH%d", t.ways) }
 
 // HashName returns the hash-function family name.
-func (t *Cuckoo) HashName() string { return t.family.Name() }
+func (t *cuckoo) HashName() string { return t.family.Name() }
 
 // Ways returns the number of subtables k.
-func (t *Cuckoo) Ways() int { return t.ways }
+func (t *cuckoo) Ways() int { return t.ways }
 
-// Len implements Map.
-func (t *Cuckoo) Len() int { return t.size + t.sent.len() }
+// Len implements Table.
+func (t *cuckoo) Len() int { return t.size + t.sent.len() }
 
-// Capacity implements Map.
-func (t *Cuckoo) Capacity() int { return len(t.slots) }
+// Capacity implements Table.
+func (t *cuckoo) Capacity() int { return len(t.slots) }
 
-// LoadFactor implements Map.
-func (t *Cuckoo) LoadFactor() float64 {
-	return float64(t.Len()) / float64(len(t.slots))
-}
-
-// MemoryFootprint implements Map.
-func (t *Cuckoo) MemoryFootprint() uint64 {
+// MemoryFootprint implements Table.
+func (t *cuckoo) MemoryFootprint() uint64 {
 	return uint64(len(t.slots)) * pairBytes
 }
 
 // Rehashes returns how many full rehashes (function redraws) construction
 // has needed so far; the paper's construction-failure discussion (§2.5).
-func (t *Cuckoo) Rehashes() int { return t.rehashes }
+func (t *cuckoo) Rehashes() int { return t.rehashes }
 
 // TotalKicks returns the total number of displacement steps performed by
 // all inserts, the cost driver behind Cuckoo's slow writes (§5.2).
-func (t *Cuckoo) TotalKicks() uint64 { return t.totalKicks }
+func (t *cuckoo) TotalKicks() uint64 { return t.totalKicks }
 
-// Get implements Map: at most k probes, one per subtable.
-func (t *Cuckoo) Get(key uint64) (uint64, bool) {
+// Get implements Table: at most k probes, one per subtable.
+func (t *cuckoo) Get(key uint64) (uint64, bool) {
 	if isSentinelKey(key) {
 		return t.sent.get(key)
 	}
@@ -163,32 +155,13 @@ func (t *Cuckoo) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Put implements Map. On a full growth-disabled table it grows once
-// instead of failing; use TryPut for the ErrFull-reporting contract.
-func (t *Cuckoo) Put(key, val uint64) bool {
-	if isSentinelKey(key) {
-		return t.sent.put(key, val)
-	}
-	// Update in place if present.
-	for j := 0; j < t.ways; j++ {
-		s := &t.slots[t.pos(j, key)]
-		if s.key == key {
-			s.val = val
-			return false
-		}
-	}
-	t.maybeGrow()
-	if t.maxLF == 0 && t.size >= len(t.slots) {
-		t.growTo(len(t.slots) * 2)
-	}
-	t.insertFresh(pair{key, val})
-	return true
-}
+// hash is rmwSurface's per-key hash code: none, since Cuckoo derives its k
+// candidate slots from its own per-subtable functions.
+func (*cuckoo) hash(uint64) uint64 { return 0 }
 
 // rmwHashed is the single-probe read-modify-write primitive; see
-// LinearProbing.rmwHashed. Cuckoo derives its k candidate slots from its
-// own per-subtable functions, so the precomputed hash is unused.
-func (t *Cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
+// kern.rmwHashed. The precomputed hash is unused (see hash).
+func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	if isSentinelKey(key) {
 		v, existed := t.sent.rmw(key, val, overwrite, fn)
 		return v, existed, nil
@@ -232,9 +205,9 @@ func (t *Cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, b
 // — a key the capacity cannot place reports ErrFull instead of
 // insertFresh's doubling fallback. After a refusal, further inserts
 // short-circuit to ErrFull in O(1) until a delete frees a slot (which
-// invalidates the memo), so a caller looping TryPut against a full table
+// invalidates the memo), so a caller looping Put against a full table
 // pays insertFixed's rebuild attempts once, not per key.
-func (t *Cuckoo) placeFresh(cur pair) error {
+func (t *cuckoo) placeFresh(cur pair) error {
 	if t.maxLF == 0 {
 		if t.size >= len(t.slots) {
 			return errFull(t.Name(), t.size, len(t.slots))
@@ -258,7 +231,7 @@ func (t *Cuckoo) placeFresh(cur pair) error {
 }
 
 // emptyCandidate reports whether any of key's k candidate slots is free.
-func (t *Cuckoo) emptyCandidate(key uint64) bool {
+func (t *cuckoo) emptyCandidate(key uint64) bool {
 	for j := 0; j < t.ways; j++ {
 		if t.slots[t.pos(j, key)].key == emptyKey {
 			return true
@@ -274,7 +247,7 @@ func (t *Cuckoo) emptyCandidate(key uint64) bool {
 // occupancy is past the scheme's feasibility threshold (~96.7% for k=4,
 // §2.5) — it restores a table holding exactly the prior entries and
 // reports false.
-func (t *Cuckoo) insertFixed(cur pair) bool {
+func (t *cuckoo) insertFixed(cur pair) bool {
 	newKey := cur.key
 	left, ok := t.kickInsert(cur)
 	if ok {
@@ -320,14 +293,12 @@ func (t *Cuckoo) insertFixed(cur pair) bool {
 	}
 }
 
-// insertFresh inserts an entry known to be absent, rehashing (and as a last
-// resort growing) until it fits. A successful placement proves the layout
-// can still accept entries, so it clears the fixedWall refusal memo.
-func (t *Cuckoo) insertFresh(cur pair) {
+// insertFresh inserts an entry known to be absent into a growing table,
+// rehashing (and as a last resort growing) until it fits.
+func (t *cuckoo) insertFresh(cur pair) {
 	left, ok := t.kickInsert(cur)
 	if ok {
 		t.size++
-		t.fixedWall = 0
 		return
 	}
 	// Kick chain exceeded maxKicks: redraw functions and rebuild with the
@@ -337,7 +308,7 @@ func (t *Cuckoo) insertFresh(cur pair) {
 
 // kickInsert runs the displacement loop for cur. On success it returns
 // (zero, true); on failure it returns the entry left homeless and false.
-func (t *Cuckoo) kickInsert(cur pair) (pair, bool) {
+func (t *cuckoo) kickInsert(cur pair) (pair, bool) {
 	for kicks := 0; kicks <= t.maxKicks; kicks++ {
 		// First give cur a chance at any empty candidate slot.
 		for j := 0; j < t.ways; j++ {
@@ -362,7 +333,7 @@ func (t *Cuckoo) kickInsert(cur pair) (pair, bool) {
 // homeless entry pending. After several failed attempts at the same
 // capacity it doubles the table as a last resort so that construction
 // always terminates.
-func (t *Cuckoo) rehashAll(pending *pair) {
+func (t *cuckoo) rehashAll(pending *pair) {
 	entries := make([]pair, 0, t.size+1)
 	for i := range t.slots {
 		if t.slots[i].key != emptyKey {
@@ -392,7 +363,7 @@ func (t *Cuckoo) rehashAll(pending *pair) {
 
 // buildFrom inserts all entries, reporting failure instead of recursing
 // into another rehash.
-func (t *Cuckoo) buildFrom(entries []pair) bool {
+func (t *cuckoo) buildFrom(entries []pair) bool {
 	for _, e := range entries {
 		if _, ok := t.kickInsert(e); !ok {
 			return false
@@ -401,9 +372,9 @@ func (t *Cuckoo) buildFrom(entries []pair) bool {
 	return true
 }
 
-// Delete implements Map: Cuckoo needs no tombstones, slots are simply
+// Delete implements Table: Cuckoo needs no tombstones, slots are simply
 // cleared.
-func (t *Cuckoo) Delete(key uint64) bool {
+func (t *cuckoo) Delete(key uint64) bool {
 	if isSentinelKey(key) {
 		return t.sent.delete(key)
 	}
@@ -419,7 +390,7 @@ func (t *Cuckoo) Delete(key uint64) bool {
 	return false
 }
 
-func (t *Cuckoo) maybeGrow() {
+func (t *cuckoo) maybeGrow() {
 	if t.maxLF == 0 {
 		return
 	}
@@ -431,8 +402,7 @@ func (t *Cuckoo) maybeGrow() {
 
 // growTo rebuilds the table at the given total capacity, redrawing hash
 // functions on construction failure.
-func (t *Cuckoo) growTo(capacity int) {
-	t.grows++
+func (t *cuckoo) growTo(capacity int) {
 	entries := make([]pair, 0, t.size)
 	for i := range t.slots {
 		if t.slots[i].key != emptyKey {
@@ -453,12 +423,12 @@ func (t *Cuckoo) growTo(capacity int) {
 	}
 }
 
-// Range implements Map.
-func (t *Cuckoo) Range(fn func(key, val uint64) bool) { t.RangeFrom(0, fn) }
+// Range implements Table.
+func (t *cuckoo) Range(fn func(key, val uint64) bool) { t.RangeFrom(0, fn) }
 
 // RangeFrom implements Table: sentinel entries first, then slot i at
 // position sentinelPositions+i, subtable after subtable.
-func (t *Cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
+func (t *cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	pos, more := t.sent.rangeFrom(pos, fn)
 	if !more {
 		return pos
@@ -477,7 +447,7 @@ func (t *Cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 // WayOccupancy returns the number of live entries per subtable (way), in
 // probe order: it shows how the k functions spread the load, and it is
 // what Stats derives Cuckoo's mean and max probe count from.
-func (t *Cuckoo) WayOccupancy() []int {
+func (t *cuckoo) WayOccupancy() []int {
 	occ := make([]int, t.ways)
 	for i := range t.slots {
 		if t.slots[i].key != emptyKey {

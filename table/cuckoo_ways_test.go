@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/prng"
@@ -11,13 +12,13 @@ import (
 // rehashing are ~<50% for k=2, ~88% for k=3 and ~96.7% for k=4. We build to
 // a "safe" load factor (comfortably below each threshold) and require zero
 // rehashes, then build past the threshold and require that construction had
-// to rehash (or grow) to cope.
+// to rehash, or refuse keys with ErrFull, to cope.
 func TestCuckooAchievableLoadFactors(t *testing.T) {
 	const capacity = 1 << 13
 	cases := []struct {
 		ways     int
 		safePct  int // build must succeed with zero rehashes
-		breakPct int // build must trigger rehashing/growth
+		breakPct int // build must trigger rehashing or refusals
 	}{
 		{2, 42, 60},
 		{3, 80, 95},
@@ -29,10 +30,10 @@ func TestCuckooAchievableLoadFactors(t *testing.T) {
 		keys[i] = rng.Next() | 1
 	}
 	for _, c := range cases {
-		m := NewCuckooK(Config{InitialCapacity: capacity, Seed: 9}, c.ways)
+		m := newCuckooK(Config{InitialCapacity: capacity, Seed: 9}, c.ways)
 		nSafe := m.Capacity() * c.safePct / 100
 		for i := 0; i < nSafe; i++ {
-			m.Put(keys[i], uint64(i))
+			put(t, m, keys[i], uint64(i))
 		}
 		if m.Rehashes() != 0 {
 			t.Errorf("k=%d: %d rehashes while building to %d%% (should be achievable)",
@@ -42,17 +43,25 @@ func TestCuckooAchievableLoadFactors(t *testing.T) {
 			t.Fatalf("k=%d: built %d entries, want %d", c.ways, m.Len(), nSafe)
 		}
 
-		m2 := NewCuckooK(Config{InitialCapacity: capacity, Seed: 9}, c.ways)
+		m2 := newCuckooK(Config{InitialCapacity: capacity, Seed: 9}, c.ways)
 		nBreak := m2.Capacity() * c.breakPct / 100
+		var kept []int
 		for i := 0; i < nBreak; i++ {
-			m2.Put(keys[i], uint64(i))
+			if _, err := m2.Put(keys[i], uint64(i)); err == nil {
+				kept = append(kept, i)
+			} else if !errors.Is(err, ErrFull) {
+				t.Fatal(err)
+			}
 		}
-		if m2.Rehashes() == 0 && m2.Capacity() == m.Capacity() {
-			t.Errorf("k=%d: built to %d%% with no rehash; threshold should forbid it",
+		if m2.Rehashes() == 0 && len(kept) == nBreak {
+			t.Errorf("k=%d: built to %d%% with no rehash or refusal; threshold should forbid it",
 				c.ways, c.breakPct)
 		}
-		// Whatever it took, the table must end correct.
-		for i := 0; i < nBreak; i++ {
+		if m2.Capacity() != m.Capacity() {
+			t.Errorf("k=%d: growth-disabled table grew %d -> %d", c.ways, m.Capacity(), m2.Capacity())
+		}
+		// Whatever it took, every key the table accepted is there.
+		for _, i := range kept {
 			if v, ok := m2.Get(keys[i]); !ok || v != uint64(i) {
 				t.Fatalf("k=%d: key %d lost after stress build", c.ways, i)
 			}
@@ -62,7 +71,7 @@ func TestCuckooAchievableLoadFactors(t *testing.T) {
 
 // TestCuckoo3Ways exercises the non-power-of-two subtable path end to end.
 func TestCuckoo3Ways(t *testing.T) {
-	m := NewCuckooK(Config{InitialCapacity: 1 << 10, MaxLoadFactor: 0.8, Seed: 4}, 3)
+	m := newCuckooK(Config{InitialCapacity: 1 << 10, MaxLoadFactor: 0.8, Seed: 4}, 3)
 	if m.Ways() != 3 {
 		t.Fatalf("Ways = %d", m.Ways())
 	}
@@ -78,7 +87,7 @@ func TestCuckoo3Ways(t *testing.T) {
 			m.Delete(k)
 			delete(oracle, k)
 		default:
-			m.Put(k, k*3)
+			put(t, m, k, k*3)
 			oracle[k] = k * 3
 		}
 	}
@@ -99,8 +108,8 @@ func TestCuckoo3Ways(t *testing.T) {
 // placedCuckoo returns a 4-way table with occ[j] entries written straight
 // into subtable j — a layout no insert order would produce, which is the
 // point: the probe statistics must be read off the table, not assumed.
-func placedCuckoo(occ [4]int) *Cuckoo {
-	m := NewCuckoo(Config{InitialCapacity: 64, Seed: 1})
+func placedCuckoo(occ [4]int) *cuckoo {
+	m := newCuckoo(Config{InitialCapacity: 64, Seed: 1})
 	key := uint64(1)
 	for j, n := range occ {
 		for i := 0; i < n; i++ {
@@ -134,10 +143,10 @@ func TestCuckooStatsMeasureWayOccupancy(t *testing.T) {
 	}
 	// A built table fills its early ways first: the mean sits below the
 	// uniform-placement figure.
-	m := NewCuckoo(Config{InitialCapacity: 1 << 12, Seed: 2})
+	m := newCuckoo(Config{InitialCapacity: 1 << 12, Seed: 2})
 	rng := prng.NewXoshiro256(3)
-	for m.LoadFactor() < 0.7 {
-		m.Put(rng.Next()|1, 0)
+	for loadFactor(m) < 0.7 {
+		put(t, m, rng.Next()|1, 0)
 	}
 	if st := StatsOf(m); st.MeanProbe < 1 || st.MeanProbe >= 2.5 || st.MaxProbe != 4 {
 		t.Fatalf("70%%-full table: mean/max probe = %v/%d", st.MeanProbe, st.MaxProbe)

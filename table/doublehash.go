@@ -1,6 +1,6 @@
 package table
 
-// DoubleHashing is open addressing with double hashing: the i-th probe
+// doubleHashing is open addressing with double hashing: the i-th probe
 // lands at
 //
 //	h(k, i) = (h1(k) + i*h2(k)) mod l,
@@ -29,16 +29,14 @@ package table
 // all come from the shared kernel. It is deliberately excluded from the
 // Figure 8 decision graph (Recommend), which reproduces the paper's
 // schemes only.
-type DoubleHashing struct {
+type doubleHashing struct {
 	kern
 }
 
-var _ Table = (*DoubleHashing)(nil)
-
-// NewDoubleHashing returns an empty double-hashing table configured by
+// newDoubleHashing returns an empty double-hashing table configured by
 // cfg.
-func NewDoubleHashing(cfg Config) *DoubleHashing {
-	t := &DoubleHashing{}
+func newDoubleHashing(cfg Config) *doubleHashing {
+	t := &doubleHashing{}
 	t.setup(cfg, "DH", aosLayout{}, dhSeq{}, noDisplace{})
 	return t
 }

@@ -37,9 +37,9 @@ func TestDHStrideCoverage(t *testing.T) {
 // lookups (hits and misses) must terminate on the full table.
 func TestDHFullTableInsert(t *testing.T) {
 	const l = 256
-	m := NewDoubleHashing(Config{InitialCapacity: l, Seed: 5})
+	m := newDoubleHashing(Config{InitialCapacity: l, Seed: 5})
 	for i := uint64(1); i <= l; i++ {
-		m.Put(i*0x9E3779B97F4A7C15, i)
+		put(t, m, i*0x9E3779B97F4A7C15, i)
 	}
 	if m.Len() != l {
 		t.Fatalf("Len = %d, want %d", m.Len(), l)
@@ -59,9 +59,9 @@ func TestDHFullTableInsert(t *testing.T) {
 // full-sweep tombstone-recycling path of the kernel.
 func TestDHTombstoneChurnFixedCapacity(t *testing.T) {
 	const l = 128
-	m := NewDoubleHashing(Config{InitialCapacity: l, Seed: 6})
+	m := newDoubleHashing(Config{InitialCapacity: l, Seed: 6})
 	for i := uint64(1); i <= l; i++ {
-		m.Put(i, i)
+		put(t, m, i, i)
 	}
 	for round := uint64(0); round < 200; round++ {
 		k := round%l + 1
@@ -69,7 +69,7 @@ func TestDHTombstoneChurnFixedCapacity(t *testing.T) {
 			t.Fatalf("round %d: delete %d failed", round, k)
 		}
 		nk := k + 1000*(round+1)
-		if !m.Put(nk, nk) {
+		if !put(t, m, nk, nk) {
 			t.Fatalf("round %d: insert %d failed", round, nk)
 		}
 		if v, ok := m.Get(nk); !ok || v != nk {
@@ -78,7 +78,7 @@ func TestDHTombstoneChurnFixedCapacity(t *testing.T) {
 		if !m.Delete(nk) {
 			t.Fatalf("round %d: cleanup delete failed", round)
 		}
-		m.Put(k, k)
+		put(t, m, k, k)
 	}
 	if m.Len() != l {
 		t.Fatalf("Len = %d, want %d", m.Len(), l)
@@ -90,14 +90,14 @@ func TestDHTombstoneChurnFixedCapacity(t *testing.T) {
 // mean displacement at moderate load stays small and Stats can read it
 // through the generic replaying Displacements.
 func TestDHDisplacementsAndStats(t *testing.T) {
-	m := NewDoubleHashing(Config{InitialCapacity: 1 << 10, Seed: 9})
+	m := newDoubleHashing(Config{InitialCapacity: 1 << 10, Seed: 9})
 	rng := prng.NewXoshiro256(10)
 	for i := 0; i < 700; i++ {
 		k := rng.Next()
 		if isSentinelKey(k) {
 			continue
 		}
-		m.Put(k, k)
+		put(t, m, k, k)
 	}
 	ds := m.Displacements()
 	if len(ds) != m.Len() {

@@ -7,17 +7,13 @@ import (
 
 // ErrFull reports that a growth-disabled table has run out of room. It is
 // returned (wrapped in a *FullError carrying the scheme and occupancy) by
-// every error-returning mutation — TryPut, GetOrPut, Upsert and their
-// batched forms, and the Handle operations built on them — when
-// MaxLoadFactor is zero and live entries exhaust the fixed capacity, or,
-// for Cuckoo, when the scheme cannot place the key at the current
-// occupancy (its feasibility limit sits below 100%, ~96.7% for k=4; after
-// a refusal, further keys without a free candidate slot are refused
-// conservatively until a delete frees room).
-//
-// The legacy Map.Put / PutBatch surface instead absorbs the condition by
-// growing the table once (see Map), so no panic and no silent data loss is
-// reachable from the public API.
+// every mutation — Put, GetOrPut, Upsert and their batched forms, on a raw
+// Table, a shard.Engine or a Handle — when MaxLoadFactor is zero and live
+// entries exhaust the fixed capacity, or, for Cuckoo, when the scheme
+// cannot place the key at the current occupancy (its feasibility limit
+// sits below 100%, ~96.7% for k=4; after a refusal, further keys without
+// a free candidate slot are refused conservatively until a delete frees
+// room). A full table is never grown behind the caller's back.
 var ErrFull = errors.New("table is full and growth is disabled")
 
 // FullError is the concrete error wrapping ErrFull: which scheme filled up

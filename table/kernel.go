@@ -4,15 +4,15 @@ package table
 // complete Table surface — scalar point operations, the single-probe
 // read-modify-write primitive, the home-line touch pass with the
 // group-interleaved lookup walks, the one mutating-batch driver and the one
-// concurrent insert (putIfAbsentBatch) behind it, iterators and the
+// concurrent insert (putIfAbsentBatch) behind it, the Range walks and the
 // diagnostics Stats feeds on — exactly once, against
 // the policy dimensions of policy.go. A scheme is a thin instantiation:
 //
-//	LinearProbing    = kern(aosLayout, linearSeq, noDisplace)
-//	LinearProbingSoA = kern(soaLayout, linearSeq, noDisplace)
-//	QuadraticProbing = kern(aosLayout, quadSeq,   noDisplace)
-//	RobinHood        = kern(aosLayout, linearSeq, robinDisplace)
-//	DoubleHashing    = kern(aosLayout, dhSeq,     noDisplace)
+//	linearProbing    = kern(aosLayout, linearSeq, noDisplace)
+//	linearProbingSoA = kern(soaLayout, linearSeq, noDisplace)
+//	quadraticProbing = kern(aosLayout, quadSeq,   noDisplace)
+//	robinHood        = kern(aosLayout, linearSeq, robinDisplace)
+//	doubleHashing    = kern(aosLayout, dhSeq,     noDisplace)
 //
 // The policies are consulted once, at construction: probe stepping
 // reduces to si += sstep; sstep += sinc (see probeSpec), slot access to
@@ -36,12 +36,11 @@ package table
 // batch walk's line-crossing test is the constant si&^7.
 //
 // Sentinel handling (keys 0 and 2^64-1 routed to side fields), the
-// one-empty-slot invariant of unbounded probe sequences, the ErrFull
-// contract of growth-disabled tables, and the legacy Map grow-once
-// behavior all live here, shared by every scheme.
+// one-empty-slot invariant of unbounded probe sequences and the ErrFull
+// contract of growth-disabled tables all live here, shared by every
+// scheme.
 
 import (
-	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -180,24 +179,19 @@ func (c *kern) homeS(key uint64) uint64 {
 // in slots.
 func (c *kern) sdisp(si, from uint64) uint64 { return ((si - from) & c.smask) >> c.ks }
 
-// Name implements Map, returning the scheme name used in the paper.
+// Name implements Table, returning the scheme name used in the paper.
 func (c *kern) Name() string { return c.scheme }
 
 // HashName returns the hash-function family name (e.g. "Mult").
 func (c *kern) HashName() string { return c.fn.Name() }
 
-// Len implements Map.
+// Len implements Table.
 func (c *kern) Len() int { return c.size + c.sent.len() }
 
-// Capacity implements Map.
+// Capacity implements Table.
 func (c *kern) Capacity() int { return c.slotCount() }
 
-// LoadFactor implements Map.
-func (c *kern) LoadFactor() float64 {
-	return float64(c.Len()) / float64(c.slotCount())
-}
-
-// MemoryFootprint implements Map: capacity x 16 bytes under either layout.
+// MemoryFootprint implements Table: capacity x 16 bytes under either layout.
 func (c *kern) MemoryFootprint() uint64 { return uint64(c.slotCount()) * pairBytes }
 
 // Tombstones returns the number of tombstoned slots (diagnostics; always
@@ -219,7 +213,7 @@ func (c *kern) fullSweepOnly() bool {
 	return c.bounded && c.size+c.tombs == c.slotCount()
 }
 
-// Get implements Map, including the Robin Hood cache-line-granular early
+// Get implements Table, including the Robin Hood cache-line-granular early
 // abort when the displacement policy enables it.
 func (c *kern) Get(key uint64) (uint64, bool) {
 	if isSentinelKey(key) {
@@ -269,20 +263,8 @@ func (c *kern) robinAbort(si, si0, k uint64) bool {
 	return c.sdisp(si, c.homeS(k)) < c.sdisp(si, si0)
 }
 
-// Put implements Map. On a full growth-disabled table it grows once
-// instead of failing; use TryPut for the ErrFull-reporting contract.
-func (c *kern) Put(key, val uint64) bool {
-	hash := c.fn.Hash(key)
-	_, existed, err := c.rmwHashed(key, val, hash, true, nil)
-	if err != nil {
-		c.rehashTo(c.slotCount() * 2)
-		_, existed, _ = c.rmwHashed(key, val, hash, true, nil)
-	}
-	return !existed
-}
-
 // rmwHashed is the single-probe read-modify-write primitive behind
-// GetOrPut, Upsert and the error-based put: one probe sequence finds the
+// Put, GetOrPut and Upsert: one probe sequence finds the
 // key or its insertion point. With fn nil and overwrite false it is
 // GetOrPut(val); with overwrite true it is a plain put; with fn set it is
 // Upsert(fn). It returns the value now stored and whether the key already
@@ -409,7 +391,7 @@ func (c *kern) shiftChain(cur pair, si, d uint64) {
 	}
 }
 
-// Delete implements Map with the policy-derived strategy: backward shift
+// Delete implements Table with the policy-derived strategy: backward shift
 // under Robin Hood displacement, the optimized tombstone placement on
 // contiguous sequences, and unconditional tombstones otherwise.
 func (c *kern) Delete(key uint64) bool {
@@ -594,7 +576,7 @@ func (c *kern) reinsert(key, val uint64) {
 	}
 }
 
-// Range implements Map.
+// Range implements Table.
 func (c *kern) Range(fn func(key, val uint64) bool) { c.RangeFrom(0, fn) }
 
 // RangeFrom implements Table: the sentinel entries take the first
@@ -617,17 +599,14 @@ func (c *kern) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	return n + sentinelPositions
 }
 
-// All implements Table.
-func (c *kern) All() iter.Seq2[uint64, uint64] { return allOf(c) }
-
 // ---------------------------------------------------------------------------
 // Single-probe read-modify-write surface
 // ---------------------------------------------------------------------------
 
-// TryPut implements Table. Unlike the legacy Put it reports ErrFull on a
-// full growth-disabled table; an update of an existing key still succeeds
-// there (the full check fires only when an insert is needed).
-func (c *kern) TryPut(key, val uint64) (bool, error) {
+// Put implements Table. On a full growth-disabled table an update of an
+// existing key still succeeds (the full check fires only when an insert is
+// needed).
+func (c *kern) Put(key, val uint64) (bool, error) {
 	_, existed, err := c.rmwHashed(key, val, c.fn.Hash(key), true, nil)
 	return !existed && err == nil, err
 }
@@ -643,18 +622,18 @@ func (c *kern) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint
 	return v, err
 }
 
-// TryPutBatch implements Table: PutBatch with the ErrFull contract. It
-// stops at the first failing key, leaving earlier pairs applied.
-func (c *kern) TryPutBatch(keys, vals []uint64) (int, error) {
+// PutBatch implements Table. It stops at the first failing key, leaving
+// earlier pairs applied.
+func (c *kern) PutBatch(keys, vals []uint64) (int, error) {
 	checkBatchPut(len(keys), len(vals))
-	return c.rmwBatch(keys, vals, nil, nil, true, false, nil)
+	return c.rmwBatch(keys, vals, nil, nil, true, nil)
 }
 
 // GetOrPutBatch implements Table: the batched GetOrPut, one probe per
 // key, results in slice order. out may alias vals.
 func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
 	checkBatchGetOrPut(keys, vals, out, loaded)
-	return c.rmwBatch(keys, vals, out, loaded, false, false, nil)
+	return c.rmwBatch(keys, vals, out, loaded, false, nil)
 }
 
 // UpsertBatch implements Table. A caller whose keys mostly exist should
@@ -662,20 +641,12 @@ func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, erro
 // agg.AddBatch does: every lane pays fn's indirect call and the mutation
 // bookkeeping, hit or not.
 func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	return c.rmwBatch(keys, nil, nil, nil, false, false, fn)
+	return c.rmwBatch(keys, nil, nil, nil, false, fn)
 }
 
-// PutBatch implements Batcher: TryPutBatch under the legacy Map contract,
-// where a full growth-disabled table grows once instead of failing.
-func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
-	checkBatchPut(len(keys), len(vals))
-	n, _ := c.rmwBatch(keys, vals, nil, nil, true, true, nil)
-	return n
-}
-
-// rmwBatch is the one chunk loop behind the four mutating batches: vals
+// rmwBatch is the one chunk loop behind the three mutating batches: vals
 // nil stores fn's results (UpsertBatch), out/loaded nil drops the lanes'
-// results, growOnce is PutBatch's contract. Lanes apply in slice order, so
+// results. Lanes apply in slice order, so
 // a duplicate key sees its earlier occurrence. Each opens with a
 // first-probe pass, the mutation twin of GetBatch's: when nothing has to be
 // shed or grown first and the home slot — hashAndTouch has just loaded it —
@@ -683,7 +654,7 @@ func (c *kern) PutBatch(keys []uint64, vals []uint64) int {
 // there, where rmwHashed would settle it under every probe policy. All
 // other lanes and the sentinel keys take rmwHashed, which owns ErrFull,
 // tombstone recycling and the Robin Hood ordering.
-func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite, growOnce bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	bt := c.buf()
 	lane := 0
 	var adapter func(uint64, bool) uint64 // fn as rmwHashed takes it, the lane threaded through
@@ -694,8 +665,8 @@ func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite, grow
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		kc := keys[lo:min(lo+BatchWidth, len(keys))]
 		c.hashAndTouch(bt, kc)
-		// Geometry as locals: while first holds only growOnce's rehash
-		// moves it, and that drops first.
+		// Geometry as locals: while first holds nothing rehashes (no
+		// growth, no tombstones to shed), so nothing moves it.
 		first := c.maxLF == 0 && c.tombs == 0
 		skc, svc := c.kc, c.vc[c.ks:]
 		sshift, soneM, room := c.sshift, c.sone-1, c.slotCount()-1
@@ -731,11 +702,6 @@ func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite, grow
 				}
 			}
 			v, existed, err := c.rmwHashed(k, val, bt.hash[l], overwrite, adapter)
-			if err != nil && growOnce {
-				first = false
-				c.rehashTo(c.slotCount() * 2)
-				v, existed, err = c.rmwHashed(k, val, bt.hash[l], overwrite, adapter)
-			}
 			if err != nil {
 				return inserted, err
 			}
@@ -864,7 +830,7 @@ func (c *kern) hashAndTouch(bt *batchBuf, keys []uint64) {
 	bt.sink = sink
 }
 
-// GetBatch implements Batcher: the chunk is bulk-hashed once, the touch
+// GetBatch implements Table: the chunk is bulk-hashed once, the touch
 // pass puts every lane's home line in flight, a first-probe pass walks
 // every lane to the end of its home cache line (at moderate load factors
 // most lookups resolve right there), and unresolved lanes enter a

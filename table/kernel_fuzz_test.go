@@ -28,7 +28,7 @@ func FuzzProbeKernel(f *testing.F) {
 	f.Add([]byte{0x05, 0x3f, 0x05, 0x40, 0x05, 0x41, 0x05, 0x81, 0x05, 0x00})
 
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		for _, s := range OpenAddressingSchemes() {
+		for _, s := range openAddressingSchemes() {
 			for _, maxLF := range []float64{0, 0.85} {
 				replayTape(t, s, maxLF, tape)
 			}
@@ -54,7 +54,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 	// 64 slots with a 16-key working set: growth-disabled tables never
 	// legitimately fill (ErrFull is a bug), but deletes build tombstone
 	// pressure that forces the in-place purge rehash.
-	m := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: maxLF, Seed: 7})
+	m := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: maxLF, Seed: 7})
 	oracle := map[uint64]uint64{}
 	ctx := func(i int) string { return string(s) }
 
@@ -85,7 +85,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 		k := tapeKey(arg)
 		switch op % 6 {
 		case 0: // Put
-			ins := m.Put(k, uint64(i)+1)
+			ins := put(t, m, k, uint64(i)+1)
 			_, existed := oracle[k]
 			if ins != !existed {
 				t.Fatalf("%s op %d: Put(%#x) inserted=%v, oracle existed=%v", ctx(i), i, k, ins, existed)
@@ -136,7 +136,10 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 				keys[j] = tapeKey(b + byte(j))
 				vals[j] = uint64(i*1000 + j)
 			}
-			inserted := PutBatch(m, keys, vals)
+			inserted, err := m.PutBatch(keys, vals)
+			if err != nil {
+				t.Fatalf("%s op %d: PutBatch error %v", ctx(i), i, err)
+			}
 			wantIns := 0
 			for j, bk := range keys {
 				if _, existed := oracle[bk]; !existed {
@@ -153,7 +156,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 			}
 			got := make([]uint64, len(probe))
 			gok := make([]bool, len(probe))
-			GetBatch(m, probe, got, gok)
+			m.GetBatch(probe, got, gok)
 			for j, pk := range probe {
 				wv, wok := oracle[pk]
 				if gok[j] != wok || (wok && got[j] != wv) {
@@ -172,14 +175,15 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 		checkGet(-1, k)
 	}
 	seen := 0
-	for k, v := range m.All() {
+	m.Range(func(k, v uint64) bool {
 		wv, wok := oracle[k]
 		if !wok || v != wv {
-			t.Fatalf("%s: All yielded %#x=%d; oracle %d,%v", string(s), k, v, wv, wok)
+			t.Fatalf("%s: Range yielded %#x=%d; oracle %d,%v", string(s), k, v, wv, wok)
 		}
 		seen++
-	}
+		return true
+	})
 	if seen != len(oracle) {
-		t.Fatalf("%s: All yielded %d entries, oracle %d", string(s), seen, len(oracle))
+		t.Fatalf("%s: Range yielded %d entries, oracle %d", string(s), seen, len(oracle))
 	}
 }

@@ -1,6 +1,6 @@
 package table
 
-// LinearProbing is an open-addressing hash table with linear probing in
+// linearProbing is an open-addressing hash table with linear probing in
 // array-of-structs layout (§2.2 of the paper). It is the simplest probing
 // scheme: on a collision the next slots are scanned circularly until a free
 // one is found. Its strengths are minimal code complexity and perfectly
@@ -18,15 +18,13 @@ package table
 // (kernel.go): the linear probe sequence over the AoS layout with no
 // displacement, from which the scalar operations, batch walks, RMW
 // primitives, iterators and diagnostics all derive.
-type LinearProbing struct {
+type linearProbing struct {
 	kern
 }
 
-var _ Table = (*LinearProbing)(nil)
-
-// NewLinearProbing returns an empty linear-probing table configured by cfg.
-func NewLinearProbing(cfg Config) *LinearProbing {
-	t := &LinearProbing{}
+// newLinearProbing returns an empty linear-probing table configured by cfg.
+func newLinearProbing(cfg Config) *linearProbing {
+	t := &linearProbing{}
 	t.setup(cfg, "LP", aosLayout{}, linearSeq{}, noDisplace{})
 	return t
 }

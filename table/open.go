@@ -5,8 +5,8 @@ package table
 // workload instead of naming a scheme, and optionally striping the table
 // across partitions for shared-memory concurrent use. Handle unifies the
 // scalar, batched and single-probe read-modify-write operations in one
-// surface, reports ErrFull instead of the legacy grow-on-full behavior,
-// and exposes Stats and Go 1.23 iterators for observability.
+// surface, reports ErrFull when a growth-disabled table is out of room, and
+// exposes Stats and Go 1.23 iterators for observability.
 
 import (
 	"fmt"
@@ -81,8 +81,8 @@ func WithCapacity(n int) Option {
 // WithMaxLoadFactor sets the occupancy threshold at which the table grows.
 // Zero disables growth (the paper's pre-allocated WORM contract: mutations
 // return ErrFull when the fixed capacity is exhausted). Values outside
-// [0, 1) are rejected by Open — under the legacy Config they silently
-// disabled growth, which is exactly the surprise this validation removes.
+// [0, 1) are rejected by Open, where New's Config would silently read them
+// as 0.
 func WithMaxLoadFactor(f float64) Option {
 	return func(c *openConfig) error {
 		c.maxLF = f
@@ -301,7 +301,7 @@ func (h *Handle) Put(key, val uint64) (bool, error) {
 	if h.eng != nil {
 		return h.eng.Put(key, val)
 	}
-	return h.single.TryPut(key, val)
+	return h.single.Put(key, val)
 }
 
 // Get returns the value stored under key and whether it is present. On a
@@ -409,12 +409,8 @@ func (h *Handle) Stats() Stats {
 	}
 	var s Stats
 	first := true
-	h.eng.ForEachTable(func(_ int, t shard.Table) {
-		m, ok := t.(Map)
-		if !ok {
-			return
-		}
-		st := StatsOf(m)
+	h.eng.ForEachTable(func(_ int, t Table) {
+		st := StatsOf(t)
 		if first {
 			s, first = st, false
 		} else {
@@ -463,7 +459,7 @@ func (h *Handle) PutBatch(keys, vals []uint64) (int, error) {
 	if h.eng != nil {
 		return h.eng.PutBatch(keys, vals)
 	}
-	return h.single.TryPutBatch(keys, vals)
+	return h.single.PutBatch(keys, vals)
 }
 
 // GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in slice

@@ -84,7 +84,7 @@ type quadSeq struct{}
 func (quadSeq) probe() probeSpec { return probeSpec{inc: 1, bounded: true} }
 
 // dhSeq is double hashing: h(k, i) = h1(k) + i*h2(k), with h2 drawn from
-// the low hash bits forced odd (see DoubleHashing).
+// the low hash bits forced odd (see doubleHashing).
 type dhSeq struct{}
 
 func (dhSeq) probe() probeSpec { return probeSpec{lowBitsStride: true, bounded: true} }

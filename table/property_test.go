@@ -22,14 +22,14 @@ type opStep struct {
 
 // runScript replays a script against a table and Go's map, reporting
 // whether every observable result agreed.
-func runScript(m Map, script opScript) bool {
+func runScript(m Table, script opScript) bool {
 	oracle := map[uint64]uint64{}
 	for _, op := range script.Ops {
 		k := uint64(op.Key)
 		switch op.Kind % 3 {
 		case 0:
 			_, existed := oracle[k]
-			if m.Put(k, op.Val) == existed {
+			if ins, err := m.Put(k, op.Val); err != nil || ins == existed {
 				return false
 			}
 			oracle[k] = op.Val
@@ -61,7 +61,7 @@ func TestQuickMapLaws(t *testing.T) {
 			s, f := s, f
 			t.Run(string(s)+"/"+f.Name(), func(t *testing.T) {
 				prop := func(script opScript) bool {
-					m := MustNew(s, Config{
+					m := mustNew(s, Config{
 						InitialCapacity: 32,
 						MaxLoadFactor:   0.8,
 						Family:          f,
@@ -85,14 +85,14 @@ func TestQuickPutGetRoundTrip(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			prop := func(keys []uint64, seed uint64) bool {
-				m := MustNew(s, Config{
+				m := mustNew(s, Config{
 					InitialCapacity: 16,
 					MaxLoadFactor:   0.75,
 					Seed:            seed,
 				})
 				want := map[uint64]uint64{}
 				for i, k := range keys {
-					m.Put(k, uint64(i))
+					put(t, m, k, uint64(i))
 					want[k] = uint64(i)
 				}
 				if m.Len() != len(want) {
@@ -117,9 +117,9 @@ func TestQuickPutGetRoundTrip(t *testing.T) {
 // displacement ordering holds along every cluster.
 func TestQuickRHInvariant(t *testing.T) {
 	prop := func(keys []uint64, seed uint64) bool {
-		m := NewRobinHood(Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: seed})
+		m := newRobinHood(Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: seed})
 		for _, k := range keys {
-			m.Put(k, k)
+			put(t, m, k, k)
 		}
 		mask := uint64(m.Capacity() - 1)
 		for i := range m.slots {
@@ -149,9 +149,9 @@ func TestQuickRHInvariant(t *testing.T) {
 // slots after arbitrary insert sequences.
 func TestQuickCuckooPlacement(t *testing.T) {
 	prop := func(keys []uint64, seed uint64) bool {
-		m := NewCuckoo(Config{InitialCapacity: 128, MaxLoadFactor: 0.85, Seed: seed})
+		m := newCuckoo(Config{InitialCapacity: 128, MaxLoadFactor: 0.85, Seed: seed})
 		for _, k := range keys {
-			m.Put(k, k)
+			put(t, m, k, k)
 		}
 		ok := true
 		m.Range(func(k, v uint64) bool {
@@ -184,11 +184,11 @@ func TestQuickDeleteRestoresAbsence(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			prop := func(pre []uint16, k uint16, seed uint64) bool {
-				m := MustNew(s, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: seed})
+				m := mustNew(s, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: seed})
 				for _, p := range pre {
-					m.Put(uint64(p), 1)
+					put(t, m, uint64(p), 1)
 				}
-				m.Put(uint64(k), 2)
+				put(t, m, uint64(k), 2)
 				if !m.Delete(uint64(k)) {
 					return false
 				}
@@ -208,10 +208,10 @@ func TestQuickRangeMatchesContents(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			prop := func(keys []uint16, seed uint64) bool {
-				m := MustNew(s, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: seed})
+				m := mustNew(s, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: seed})
 				want := map[uint64]uint64{}
 				for i, k := range keys {
-					m.Put(uint64(k), uint64(i))
+					put(t, m, uint64(k), uint64(i))
 					want[uint64(k)] = uint64(i)
 				}
 				got := map[uint64]uint64{}
@@ -247,12 +247,12 @@ func TestQuickGrowthPreservesContents(t *testing.T) {
 		t.Run(string(s), func(t *testing.T) {
 			prop := func(seed uint64, extra uint16) bool {
 				n := 500 + int(extra)%2000
-				m := MustNew(s, Config{InitialCapacity: 8, MaxLoadFactor: 0.7, Seed: seed})
+				m := mustNew(s, Config{InitialCapacity: 8, MaxLoadFactor: 0.7, Seed: seed})
 				rng := prng.NewXoshiro256(seed)
 				keys := make([]uint64, n)
 				for i := range keys {
 					keys[i] = rng.Next()
-					m.Put(keys[i], uint64(i))
+					put(t, m, keys[i], uint64(i))
 				}
 				for i, k := range keys {
 					v, ok := m.Get(k)

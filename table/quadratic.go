@@ -1,6 +1,6 @@
 package table
 
-// QuadraticProbing is an open-addressing hash table with quadratic probing
+// quadraticProbing is an open-addressing hash table with quadratic probing
 // (§2.3 of the paper): the i-th probe lands at
 //
 //	h(k, i) = (h'(k) + c1*i + c2*i^2) mod l, with c1 = c2 = 1/2,
@@ -22,16 +22,14 @@ package table
 // The scheme is an instantiation of the policy-driven probe kernel
 // (kernel.go): the triangular quadratic sequence over the AoS layout with
 // no displacement.
-type QuadraticProbing struct {
+type quadraticProbing struct {
 	kern
 }
 
-var _ Table = (*QuadraticProbing)(nil)
-
-// NewQuadraticProbing returns an empty quadratic-probing table configured
+// newQuadraticProbing returns an empty quadratic-probing table configured
 // by cfg.
-func NewQuadraticProbing(cfg Config) *QuadraticProbing {
-	t := &QuadraticProbing{}
+func newQuadraticProbing(cfg Config) *quadraticProbing {
+	t := &quadraticProbing{}
 	t.setup(cfg, "QP", aosLayout{}, quadSeq{}, noDisplace{})
 	return t
 }

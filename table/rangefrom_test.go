@@ -79,10 +79,10 @@ func TestRangeFromMatchesRange(t *testing.T) {
 		for _, fill := range fills {
 			t.Run(fmt.Sprintf("%s/%s", s, fill.name), func(t *testing.T) {
 				rng := prng.NewSplitMix64(uint64(len(fill.name)) * 0x9e3779b97f4a7c15)
-				tb := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 11})
+				tb := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 11})
 				keys := fill.keys(rng)
 				for _, k := range keys {
-					tb.Put(k, k*3+1)
+					put(t, tb, k, k*3+1)
 				}
 				// Punch holes (tombstones, shifted runs, unlinked chain
 				// entries), key 0 among them when there are enough keys.
@@ -130,9 +130,9 @@ func TestRangeFromChainLongerThanBudget(t *testing.T) {
 		t.Run(string(s), func(t *testing.T) {
 			// Growth off and eight directory slots: 400 keys make chains of
 			// about fifty.
-			tb := MustNew(s, Config{InitialCapacity: 8, Seed: 5})
+			tb := mustNew(s, Config{InitialCapacity: 8, Seed: 5})
 			for k := uint64(0); k < 400; k++ {
-				if _, err := tb.TryPut(k, k+7); err != nil {
+				if _, err := tb.Put(k, k+7); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -155,11 +155,11 @@ func TestRangeFromChainLongerThanBudget(t *testing.T) {
 // an integer as its whole migration cursor.
 func TestRangeFromPositionsAreStable(t *testing.T) {
 	for _, s := range AllSchemes() {
-		tb := MustNew(s, Config{InitialCapacity: 256, MaxLoadFactor: 0.7, Seed: 3})
+		tb := mustNew(s, Config{InitialCapacity: 256, MaxLoadFactor: 0.7, Seed: 3})
 		for k := uint64(0); k < 150; k++ {
-			tb.Put(k*0x9e3779b97f4a7c15, k)
+			put(t, tb, k*0x9e3779b97f4a7c15, k)
 		}
-		tb.Put(^uint64(0), 1)
+		put(t, tb, ^uint64(0), 1)
 		tail := func(pos int) (out []entry) {
 			tb.RangeFrom(pos, func(k, v uint64) bool { out = append(out, entry{k, v}); return true })
 			return out

@@ -7,7 +7,7 @@ type Scheme string
 
 // The schemes studied in the paper (§2), plus the SoA layout variant of LP
 // used by the §7 layout study and the double-hashing extension shipped as
-// a probe-kernel policy (see DoubleHashing).
+// a probe-kernel policy (see doubleHashing).
 const (
 	SchemeChained8  Scheme = "ChainedH8"
 	SchemeChained24 Scheme = "ChainedH24"
@@ -30,10 +30,10 @@ func Schemes() []Scheme {
 	}
 }
 
-// OpenAddressingSchemes returns the six open-addressing schemes: the
+// openAddressingSchemes returns the six open-addressing schemes: the
 // paper's LP, QP, RH and CuckooH4 plus the LPSoA layout variant and the
 // DH extension.
-func OpenAddressingSchemes() []Scheme {
+func openAddressingSchemes() []Scheme {
 	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeDH, SchemeCuckooH4}
 }
 
@@ -48,7 +48,7 @@ func KernelSchemes() []Scheme {
 // order: the chained variants, then all open-addressing schemes including
 // the LPSoA layout variant and the DH extension.
 func AllSchemes() []Scheme {
-	return append([]Scheme{SchemeChained8, SchemeChained24}, OpenAddressingSchemes()...)
+	return append([]Scheme{SchemeChained8, SchemeChained24}, openAddressingSchemes()...)
 }
 
 // sharedBuilder is the probe kernel as Handle.PutIfAbsentBatch sees it.
@@ -67,36 +67,28 @@ func (s Scheme) SharedBuild() bool {
 	return ok && b.sharedBuild()
 }
 
-// New constructs an empty table of the given scheme. It returns an error
-// for unknown scheme names. The result carries the full unified Table
-// operation set; most callers want the workload-aware Open façade instead.
+// New constructs an empty table of the given scheme, or returns an error
+// for an unknown scheme name. It is the one low-level constructor: Open
+// builds on it, and shard.Config.NewTable, tests and analysis tools call it
+// directly. Most callers want Open.
 func New(s Scheme, cfg Config) (Table, error) {
 	switch s {
 	case SchemeChained8:
-		return NewChained8(cfg), nil
+		return newChained8(cfg), nil
 	case SchemeChained24:
-		return NewChained24(cfg), nil
+		return newChained24(cfg), nil
 	case SchemeLP:
-		return NewLinearProbing(cfg), nil
+		return newLinearProbing(cfg), nil
 	case SchemeLPSoA:
-		return NewLinearProbingSoA(cfg), nil
+		return newLinearProbingSoA(cfg), nil
 	case SchemeQP:
-		return NewQuadraticProbing(cfg), nil
+		return newQuadraticProbing(cfg), nil
 	case SchemeRH:
-		return NewRobinHood(cfg), nil
+		return newRobinHood(cfg), nil
 	case SchemeDH:
-		return NewDoubleHashing(cfg), nil
+		return newDoubleHashing(cfg), nil
 	case SchemeCuckooH4:
-		return NewCuckoo(cfg), nil
+		return newCuckoo(cfg), nil
 	}
 	return nil, fmt.Errorf("table: unknown scheme %q", s)
-}
-
-// MustNew is New that panics on error, for tests and static configuration.
-func MustNew(s Scheme, cfg Config) Table {
-	m, err := New(s, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

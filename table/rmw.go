@@ -2,37 +2,34 @@ package table
 
 // This file wires the single-probe read-modify-write primitive (rmwHashed)
 // of the two structurally distinct cores — chained hashing and Cuckoo —
-// into the unified Table surface: TryPut, GetOrPut, Upsert and their
-// batched forms, plus the Go 1.23 All iterator and the Rehashes
-// observability accessor. The five open-addressing schemes get the same
-// surface from the probe kernel, batch driver (kern.rmwBatch) included.
+// into the Table surface: Put, GetOrPut, Upsert and their batched forms.
+// The five open-addressing schemes get the same surface from the probe
+// kernel, batch driver (kern.rmwBatch) included.
 //
-// The batched forms here are one generic driver, rmwBatchImpl, embedded in
-// all three types as rmwSurface: each chunk is opened by the scheme's
-// openChunk — bulk-hash,
-// then load back to back every line the scalar step is going to read first
-// (the directory word or inline key of a chained lane, all k candidate
-// slots of a Cuckoo lane) — and then applied lane by lane through the
-// scheme's rmwHashed. Unlike a Get-then-Put sequence they issue exactly ONE
-// probe sequence per key — the probe that finds the key doubles as the
-// probe that finds its insertion point — which is what removes the double
-// walk from aggregation builds and join builds. Batched semantics are
-// sequential semantics: pairs apply in slice order, so a duplicate key
-// later in the batch observes the effect of its earlier occurrence.
+// The surface is one generic type, rmwSurface, embedded in all three
+// cores. Its batched forms are one driver, rmwBatchImpl: each chunk is
+// opened by the scheme's openChunk — bulk-hash, then load back to back
+// every line the scalar step is going to read first (the directory word or
+// inline key of a chained lane, all k candidate slots of a Cuckoo lane) —
+// and then applied lane by lane through the scheme's rmwHashed. Unlike a
+// Get-then-Put sequence they issue exactly ONE probe sequence per key —
+// the probe that finds the key doubles as the probe that finds its
+// insertion point — which is what removes the double walk from
+// aggregation builds and join builds. Batched semantics are sequential
+// semantics: pairs apply in slice order, so a duplicate key later in the
+// batch observes the effect of its earlier occurrence.
 //
 // Upsert callbacks must not touch the table they are invoked from; they
 // run mid-probe.
 
-import "iter"
-
-// rmwTable is the internal hook the generic batched implementations need:
-// the scheme's chunk buffer, its chunk opening (which leaves the lanes'
-// hash codes in bt.hash for the schemes whose rmwHashed takes one), and
-// its single-probe RMW primitive.
+// rmwTable is the internal hook the generic surface needs: the scheme's
+// chunk buffer, its chunk opening (which leaves the lanes' hash codes in
+// bt.hash for the schemes whose rmwHashed takes one), the hash code its
+// rmwHashed takes for one key, and the single-probe RMW primitive.
 type rmwTable interface {
-	Map
 	buf() *batchBuf
 	openChunk(bt *batchBuf, keys []uint64)
+	hash(key uint64) uint64
 	rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error)
 }
 
@@ -78,17 +75,34 @@ func rmwBatchImpl[T rmwTable](t T, keys, vals, out []uint64, loaded []bool, over
 	return inserted, nil
 }
 
-// rmwSurface is the batched half of the Table surface for a core with its
+// rmwSurface is the mutating half of the Table surface for a core with its
 // own rmwHashed: embedded in the core T (in place of a bare batchState) with
-// self pointing back at it, it runs rmwBatchImpl over T's chunk opening and
-// RMW primitive.
+// self pointing back at it, it runs T's RMW primitive for the scalar forms
+// and rmwBatchImpl over T's chunk opening for the batched ones.
 type rmwSurface[T rmwTable] struct {
 	batchState
 	self T
 }
 
-// TryPutBatch implements Table: PutBatch with the ErrFull contract.
-func (s *rmwSurface[T]) TryPutBatch(keys, vals []uint64) (int, error) {
+// Put implements Table.
+func (s *rmwSurface[T]) Put(key, val uint64) (bool, error) {
+	_, existed, err := s.self.rmwHashed(key, val, s.self.hash(key), true, nil)
+	return !existed && err == nil, err
+}
+
+// GetOrPut implements Table.
+func (s *rmwSurface[T]) GetOrPut(key, val uint64) (uint64, bool, error) {
+	return s.self.rmwHashed(key, val, s.self.hash(key), false, nil)
+}
+
+// Upsert implements Table.
+func (s *rmwSurface[T]) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	v, _, err := s.self.rmwHashed(key, 0, s.self.hash(key), false, fn)
+	return v, err
+}
+
+// PutBatch implements Table.
+func (s *rmwSurface[T]) PutBatch(keys, vals []uint64) (int, error) {
 	checkBatchPut(len(keys), len(vals))
 	return rmwBatchImpl(s.self, keys, vals, nil, nil, true, nil, nil)
 }
@@ -104,71 +118,4 @@ func (s *rmwSurface[T]) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (
 func (s *rmwSurface[T]) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	lane := 0
 	return rmwBatchImpl(s.self, keys, nil, nil, nil, false, &lane, func(old uint64, exists bool) uint64 { return fn(lane, old, exists) })
-}
-
-// All implements Table.
-func (s *rmwSurface[T]) All() iter.Seq2[uint64, uint64] { return allOf(s.self) }
-
-// allOf adapts Range to a Go 1.23 range-over-func iterator.
-func allOf(m Map) iter.Seq2[uint64, uint64] {
-	return func(yield func(uint64, uint64) bool) { m.Range(yield) }
-}
-
-// ---------------------------------------------------------------------------
-// Chained8 / Chained24
-// ---------------------------------------------------------------------------
-
-// TryPut implements Table; chained tables never fill, so err is always nil.
-func (t *Chained8) TryPut(key, val uint64) (bool, error) { return t.Put(key, val), nil }
-
-// GetOrPut implements Table.
-func (t *Chained8) GetOrPut(key, val uint64) (uint64, bool, error) {
-	return t.rmwHashed(key, val, t.fn.Hash(key), false, nil)
-}
-
-// Upsert implements Table.
-func (t *Chained8) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	v, _, err := t.rmwHashed(key, 0, t.fn.Hash(key), false, fn)
-	return v, err
-}
-
-// Rehashes returns the number of directory-doubling events, for Stats.
-func (t *Chained8) Rehashes() int { return t.grows }
-
-// TryPut implements Table; chained tables never fill, so err is always nil.
-func (t *Chained24) TryPut(key, val uint64) (bool, error) { return t.Put(key, val), nil }
-
-// GetOrPut implements Table.
-func (t *Chained24) GetOrPut(key, val uint64) (uint64, bool, error) {
-	return t.rmwHashed(key, val, t.fn.Hash(key), false, nil)
-}
-
-// Upsert implements Table.
-func (t *Chained24) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	v, _, err := t.rmwHashed(key, 0, t.fn.Hash(key), false, fn)
-	return v, err
-}
-
-// Rehashes returns the number of directory-doubling events, for Stats.
-func (t *Chained24) Rehashes() int { return t.grows }
-
-// ---------------------------------------------------------------------------
-// Cuckoo
-// ---------------------------------------------------------------------------
-
-// TryPut implements Table.
-func (t *Cuckoo) TryPut(key, val uint64) (bool, error) {
-	_, existed, err := t.rmwHashed(key, val, 0, true, nil)
-	return !existed && err == nil, err
-}
-
-// GetOrPut implements Table.
-func (t *Cuckoo) GetOrPut(key, val uint64) (uint64, bool, error) {
-	return t.rmwHashed(key, val, 0, false, nil)
-}
-
-// Upsert implements Table.
-func (t *Cuckoo) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	v, _, err := t.rmwHashed(key, 0, 0, false, fn)
-	return v, err
 }

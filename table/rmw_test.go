@@ -44,8 +44,8 @@ func TestGetOrPutBatchEqualsScalar(t *testing.T) {
 			for i := range vals {
 				vals[i] = uint64(i) + 1
 			}
-			batched := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 5})
-			scalar := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 5})
+			batched := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 5})
+			scalar := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 5})
 
 			out := make([]uint64, len(keys))
 			loaded := make([]bool, len(keys))
@@ -76,6 +76,8 @@ func TestGetOrPutBatchEqualsScalar(t *testing.T) {
 	}
 }
 
+// TestTryPutBatchEqualsScalar is named for PutBatch's error-reporting form
+// as it was called before Put and PutBatch took its signature.
 func TestTryPutBatchEqualsScalar(t *testing.T) {
 	for _, s := range allSchemes() {
 		t.Run(string(s), func(t *testing.T) {
@@ -84,15 +86,15 @@ func TestTryPutBatchEqualsScalar(t *testing.T) {
 			for i := range vals {
 				vals[i] = uint64(i) * 3
 			}
-			batched := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
-			scalar := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
-			insB, err := batched.TryPutBatch(keys, vals)
+			batched := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
+			scalar := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
+			insB, err := batched.PutBatch(keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			insS := 0
 			for i, k := range keys {
-				ins, err := scalar.TryPut(k, vals[i])
+				ins, err := scalar.Put(k, vals[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,8 +130,8 @@ func TestUpsertBatchEqualsScalar(t *testing.T) {
 				}
 				return 1
 			}
-			batched := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
-			scalar := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
+			batched := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
+			scalar := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
 			insB, err := batched.UpsertBatch(keys, func(_ int, old uint64, exists bool) uint64 {
 				return fold(old, exists)
 			})
@@ -164,8 +166,8 @@ func TestGetOrPutMatchesGetThenPut(t *testing.T) {
 	for _, s := range allSchemes() {
 		t.Run(string(s), func(t *testing.T) {
 			keys := rmwKeys(2000, 51)
-			single := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 1})
-			double := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 1})
+			single := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 1})
+			double := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 1})
 			for i, k := range keys {
 				v := uint64(i) + 10
 				got, loaded, err := single.GetOrPut(k, v)
@@ -174,7 +176,7 @@ func TestGetOrPutMatchesGetThenPut(t *testing.T) {
 				}
 				want, existed := double.Get(k)
 				if !existed {
-					double.Put(k, v)
+					put(t, double, k, v)
 					want = v
 				}
 				if loaded != existed || got != want {
@@ -188,20 +190,21 @@ func TestGetOrPutMatchesGetThenPut(t *testing.T) {
 	}
 }
 
-// TestErrFullContract fills a growth-disabled table through TryPut until
-// it reports ErrFull, then verifies nothing was lost, that the batched
-// forms agree, and that no public operation panics.
+// TestErrFullContract fills a growth-disabled table through Put until it
+// reports ErrFull, then verifies nothing was lost, that the batched forms
+// agree, and that nothing grew the table.
 func TestErrFullContract(t *testing.T) {
 	for _, s := range []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeDH, SchemeCuckooH4} {
 		t.Run(string(s), func(t *testing.T) {
-			m := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 13})
+			m := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 13})
+			capacity := m.Capacity()
 			var inserted []uint64
 			var full bool
 			for k := uint64(1); k <= 200; k++ {
-				ins, err := m.TryPut(k, k*10)
+				ins, err := m.Put(k, k*10)
 				if err != nil {
 					if !errors.Is(err, ErrFull) {
-						t.Fatalf("TryPut error %v, want ErrFull", err)
+						t.Fatalf("Put error %v, want ErrFull", err)
 					}
 					var fe *FullError
 					if !errors.As(err, &fe) || fe.Capacity == 0 {
@@ -211,7 +214,7 @@ func TestErrFullContract(t *testing.T) {
 					break
 				}
 				if !ins {
-					t.Fatalf("TryPut(%d) reported update on fresh key", k)
+					t.Fatalf("Put(%d) reported update on fresh key", k)
 				}
 				inserted = append(inserted, k)
 			}
@@ -225,8 +228,8 @@ func TestErrFullContract(t *testing.T) {
 				}
 			}
 			// The batched forms surface the same error.
-			if _, err := m.TryPutBatch([]uint64{9999}, []uint64{1}); !errors.Is(err, ErrFull) {
-				t.Fatalf("TryPutBatch err = %v, want ErrFull", err)
+			if _, err := m.PutBatch([]uint64{9999}, []uint64{1}); !errors.Is(err, ErrFull) {
+				t.Fatalf("PutBatch err = %v, want ErrFull", err)
 			}
 			out := make([]uint64, 1)
 			ld := make([]bool, 1)
@@ -240,13 +243,8 @@ func TestErrFullContract(t *testing.T) {
 			if v, loaded, err := m.GetOrPut(inserted[0], 1); err != nil || !loaded || v != inserted[0]*10 {
 				t.Fatalf("GetOrPut(existing) on full table = %d,%v,%v", v, loaded, err)
 			}
-			// And the legacy Put safety valve grows instead of panicking.
-			before := m.Len()
-			if !m.Put(9999, 1) {
-				t.Fatal("legacy Put on full table did not insert")
-			}
-			if m.Len() != before+1 {
-				t.Fatalf("legacy Put grew Len to %d, want %d", m.Len(), before+1)
+			if m.Capacity() != capacity || m.Len() != len(inserted) {
+				t.Fatalf("full table moved: capacity %d -> %d, Len %d, want %d", capacity, m.Capacity(), m.Len(), len(inserted))
 			}
 		})
 	}
@@ -258,17 +256,17 @@ func TestErrFullContract(t *testing.T) {
 // kick-failure rehash path), and no previously inserted key may be lost.
 func TestCuckooFixedCapacityNeverGrows(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
-		m := NewCuckoo(Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: seed})
+		m := newCuckoo(Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: seed})
 		capacity := m.Capacity()
 		var kept []uint64
 		for k := uint64(1); k <= uint64(capacity)+8; k++ {
-			ins, err := m.TryPut(k, k*3)
+			ins, err := m.Put(k, k*3)
 			if err != nil {
 				if !errors.Is(err, ErrFull) {
-					t.Fatalf("seed %d: TryPut(%d) err = %v", seed, k, err)
+					t.Fatalf("seed %d: Put(%d) err = %v", seed, k, err)
 				}
 				if ins {
-					t.Fatalf("seed %d: TryPut(%d) reported inserted alongside ErrFull", seed, k)
+					t.Fatalf("seed %d: Put(%d) reported inserted alongside ErrFull", seed, k)
 				}
 				continue
 			}
@@ -288,17 +286,15 @@ func TestCuckooFixedCapacityNeverGrows(t *testing.T) {
 	}
 }
 
-// TestCuckooWallClearedByLegacyPut: a successful legacy Put insert proves
-// the layout still accepts entries, so it must clear the fixedWall
-// refusal memo that a failed TryPut left behind.
-func TestCuckooWallClearedByLegacyPut(t *testing.T) {
+// TestCuckooWallRefusesOnlyBlockedKeys: once a growth-disabled insert has
+// been refused, the fixedWall memo refuses in O(k) the keys with no free
+// candidate slot, while a key with one still goes in.
+func TestCuckooWallRefusesOnlyBlockedKeys(t *testing.T) {
 	// Fill to ~90% so every subtable is mostly occupied — keys both with
 	// and without a free candidate slot then exist in abundance.
-	m := NewCuckoo(Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 13})
+	m := newCuckoo(Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 13})
 	for k := uint64(1); k <= 58; k++ {
-		if _, err := m.TryPut(k, k); err != nil {
-			t.Fatalf("TryPut(%d): %v", k, err)
-		}
+		put(t, m, k, k)
 	}
 	// Simulate a prior feasibility refusal (reaching one organically
 	// depends on the seed — small tables usually pack perfectly).
@@ -314,54 +310,43 @@ func TestCuckooWallClearedByLegacyPut(t *testing.T) {
 			blocked = k
 		}
 	}
-	if _, err := m.TryPut(blocked, 1); !errors.Is(err, ErrFull) {
-		t.Fatalf("walled TryPut(no free candidate) err = %v, want ErrFull", err)
+	if _, err := m.Put(blocked, 1); !errors.Is(err, ErrFull) {
+		t.Fatalf("walled Put(no free candidate) err = %v, want ErrFull", err)
 	}
 	// ...but a key with a free candidate slot bypasses the memo.
-	if ins, err := m.TryPut(free, 1); err != nil || !ins {
-		t.Fatalf("walled TryPut(free candidate) = %v, %v", ins, err)
-	}
-	// A successful legacy Put insert clears the memo entirely, after
-	// which even the blocked key is attempted (and fits — the table is
-	// half empty, it just needs kicks).
-	if !m.Put(free+100_000, 1) {
-		t.Fatal("legacy Put failed")
-	}
-	if m.fixedWall != 0 {
-		t.Fatal("successful legacy Put left the refusal memo set")
-	}
-	if ins, err := m.TryPut(blocked, 1); err != nil || !ins {
-		t.Fatalf("post-clear TryPut(blocked) = %v, %v", ins, err)
+	if ins, err := m.Put(free, 1); err != nil || !ins {
+		t.Fatalf("walled Put(free candidate) = %v, %v", ins, err)
 	}
 }
 
-// TestPutVecUpdateOnFullTableDoesNotGrow: like Put, PutVec must update an
-// existing key in place on a full growth-disabled table and grow only for
-// a genuine insert.
+// TestPutVecUpdateOnFullTableDoesNotGrow: like Put, PutVec updates an
+// existing key in place on a full growth-disabled table and reports a
+// genuine insert there as a *FullError, leaving Capacity and Len as they
+// were.
 func TestPutVecUpdateOnFullTableDoesNotGrow(t *testing.T) {
-	lp := NewLinearProbing(Config{InitialCapacity: 8, Seed: 29})
-	soa := NewLinearProbingSoA(Config{InitialCapacity: 8, Seed: 29})
-	for i := uint64(1); i <= 7; i++ {
-		lp.Put(i, i)
-		soa.Put(i, i)
-	}
-	if lp.PutVec(3, 99) || soa.PutVec(3, 99) {
-		t.Fatal("update reported insert")
-	}
-	if lp.Capacity() != 8 || soa.Capacity() != 8 {
-		t.Fatalf("value update grew the table: %d/%d", lp.Capacity(), soa.Capacity())
-	}
-	if v, _ := lp.Get(3); v != 99 {
-		t.Fatalf("LP update lost: %d", v)
-	}
-	if v, _ := soa.Get(3); v != 99 {
-		t.Fatalf("SoA update lost: %d", v)
-	}
-	if !lp.PutVec(8, 8) || !soa.PutVec(8, 8) {
-		t.Fatal("insert failed")
-	}
-	if lp.Capacity() != 16 || soa.Capacity() != 16 {
-		t.Fatalf("insert on full table did not grow: %d/%d", lp.Capacity(), soa.Capacity())
+	for _, m := range []interface {
+		Table
+		PutVec(key, val uint64) (bool, error)
+	}{
+		newLinearProbing(Config{InitialCapacity: 8, Seed: 29}),
+		newLinearProbingSoA(Config{InitialCapacity: 8, Seed: 29}),
+	} {
+		for i := uint64(1); i <= 7; i++ {
+			put(t, m, i, i)
+		}
+		if ins, err := m.PutVec(3, 99); ins || err != nil {
+			t.Fatalf("%s: update = %v, %v", m.Name(), ins, err)
+		}
+		if v, _ := m.Get(3); v != 99 {
+			t.Fatalf("%s: update lost: %d", m.Name(), v)
+		}
+		var fe *FullError
+		if ins, err := m.PutVec(8, 8); ins || !errors.As(err, &fe) {
+			t.Fatalf("%s: insert on full table = %v, %v; want a *FullError", m.Name(), ins, err)
+		}
+		if m.Capacity() != 8 || m.Len() != 7 {
+			t.Fatalf("%s: full table moved to %d/%d", m.Name(), m.Len(), m.Capacity())
+		}
 	}
 }
 
@@ -369,11 +354,9 @@ func TestPutVecUpdateOnFullTableDoesNotGrow(t *testing.T) {
 // with growth disabled and never return ErrFull.
 func TestChainedNeverFull(t *testing.T) {
 	for _, s := range []Scheme{SchemeChained8, SchemeChained24} {
-		m := MustNew(s, Config{InitialCapacity: 8, MaxLoadFactor: 0, Seed: 1})
+		m := mustNew(s, Config{InitialCapacity: 8, MaxLoadFactor: 0, Seed: 1})
 		for k := uint64(0); k < 1000; k++ {
-			if _, err := m.TryPut(k, k); err != nil {
-				t.Fatalf("%s: TryPut(%d): %v", s, k, err)
-			}
+			put(t, m, k, k)
 		}
 		if m.Len() != 1000 {
 			t.Fatalf("%s: Len = %d", s, m.Len())
@@ -381,14 +364,16 @@ func TestChainedNeverFull(t *testing.T) {
 	}
 }
 
-// TestAllIterator: All must agree with Range on every scheme, and support
-// early break.
+// TestAllIterator: a Handle's All must agree with its contents on every
+// scheme, and support early break.
 func TestAllIterator(t *testing.T) {
 	for _, s := range allSchemes() {
-		m := MustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 2})
+		m := MustOpen(WithScheme(s), WithCapacity(64), WithMaxLoadFactor(0.8), WithSeed(2))
 		want := map[uint64]uint64{}
 		for k := uint64(0); k < 300; k++ {
-			m.Put(k, k*k)
+			if _, err := m.Put(k, k*k); err != nil {
+				t.Fatal(err)
+			}
 			want[k] = k * k
 		}
 		got := map[uint64]uint64{}
@@ -453,7 +438,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 			prefix := shape.name + "/" + string(s)
 			b.Run(prefix+"/GetThenPut", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m := MustNew(s, cfg)
+					m := mustNew(s, cfg)
 					for _, k := range keys {
 						if _, ok := m.Get(k); !ok {
 							m.Put(k, k)
@@ -464,7 +449,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 			})
 			b.Run(prefix+"/GetOrPut", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m := MustNew(s, cfg)
+					m := mustNew(s, cfg)
 					for _, k := range keys {
 						m.GetOrPut(k, k)
 					}
@@ -475,7 +460,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 				out := make([]uint64, BatchWidth)
 				loaded := make([]bool, BatchWidth)
 				for i := 0; i < b.N; i++ {
-					m := MustNew(s, cfg)
+					m := mustNew(s, cfg)
 					for base := 0; base < n; base += BatchWidth {
 						kc := keys[base : base+BatchWidth]
 						m.GetOrPutBatch(kc, kc, out, loaded)
@@ -494,9 +479,9 @@ func FuzzDifferentialOps(f *testing.F) {
 	f.Add([]byte("getorput-upsert-delete"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tables := []Table{
-			MustNew(SchemeLP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 1}),
-			MustNew(SchemeRH, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 2}),
-			MustNew(SchemeCuckooH4, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: 3}),
+			mustNew(SchemeLP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 1}),
+			mustNew(SchemeRH, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 2}),
+			mustNew(SchemeCuckooH4, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: 3}),
 		}
 		oracle := map[uint64]uint64{}
 		for i, b := range data {
@@ -509,7 +494,7 @@ func FuzzDifferentialOps(f *testing.F) {
 			switch b >> 5 {
 			case 0, 1:
 				for _, m := range tables {
-					m.Put(k, v)
+					put(t, m, k, v)
 				}
 				oracle[k] = v
 			case 2:
@@ -555,11 +540,12 @@ func FuzzDifferentialOps(f *testing.F) {
 			if m.Len() != len(oracle) {
 				t.Fatalf("%s: Len %d, oracle %d", m.Name(), m.Len(), len(oracle))
 			}
-			for k, v := range m.All() {
+			m.Range(func(k, v uint64) bool {
 				if ov, ok := oracle[k]; !ok || ov != v {
 					t.Fatalf("%s: contains %d=%d, oracle %d,%v", m.Name(), k, v, ov, ok)
 				}
-			}
+				return true
+			})
 		}
 	})
 }

@@ -1,6 +1,6 @@
 package table
 
-// RobinHood is the paper's tuned Robin Hood hashing on linear probing
+// robinHood is the paper's tuned Robin Hood hashing on linear probing
 // (§2.4). It keeps the probe sequences of linear probing but resolves every
 // collision in favour of the "poorer" key — the one farther from its
 // optimal slot — which minimizes the variance of displacements without
@@ -23,17 +23,15 @@ package table
 //
 // The scheme is an instantiation of the policy-driven probe kernel
 // (kernel.go): the linear probe sequence over the AoS layout with Robin
-// Hood displacement — i.e. exactly LinearProbing with the displacement
+// Hood displacement — i.e. exactly linearProbing with the displacement
 // dimension flipped, which is the paper's own description of the scheme.
-type RobinHood struct {
+type robinHood struct {
 	kern
 }
 
-var _ Table = (*RobinHood)(nil)
-
-// NewRobinHood returns an empty Robin Hood table configured by cfg.
-func NewRobinHood(cfg Config) *RobinHood {
-	t := &RobinHood{}
+// newRobinHood returns an empty Robin Hood table configured by cfg.
+func newRobinHood(cfg Config) *robinHood {
+	t := &robinHood{}
 	t.setup(cfg, "RH", aosLayout{}, linearSeq{}, robinDisplace{})
 	return t
 }

@@ -13,11 +13,11 @@ import (
 // TestLPTombstonePlacement verifies the optimized delete: a tombstone is
 // placed only when the next slot is occupied.
 func TestLPTombstonePlacement(t *testing.T) {
-	m := NewLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 1})
+	m := newLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 1})
 	// Force a collision cluster by inserting until we find three keys in a
 	// row somewhere; easier: insert enough keys to create clusters.
 	for i := uint64(1); i <= 512; i++ {
-		m.Put(i*2654435761, i)
+		put(t, m, i*2654435761, i)
 	}
 	// Delete every key; afterwards no live entries remain and lookups of
 	// all keys miss (tombstones must not resurrect anything).
@@ -45,12 +45,12 @@ func TestLPTombstonePlacement(t *testing.T) {
 
 // TestLPTombstoneRecycling: inserts must reuse tombstoned slots.
 func TestLPTombstoneRecycling(t *testing.T) {
-	m := NewLinearProbing(Config{InitialCapacity: 64, Seed: 2})
+	m := newLinearProbing(Config{InitialCapacity: 64, Seed: 2})
 	// Fill half, delete half, refill: with growth disabled this only works
 	// if tombstones are recycled.
 	for round := 0; round < 100; round++ {
 		for i := uint64(1); i <= 30; i++ {
-			m.Put(i, i)
+			put(t, m, i, i)
 		}
 		for i := uint64(1); i <= 30; i++ {
 			m.Delete(i)
@@ -64,7 +64,7 @@ func TestLPTombstoneRecycling(t *testing.T) {
 // TestLPClusterConnectivity: after arbitrary deletes, every resident key
 // must remain reachable (the invariant the tombstone strategy protects).
 func TestLPClusterConnectivity(t *testing.T) {
-	m := NewLinearProbing(Config{InitialCapacity: 256, Seed: 3})
+	m := newLinearProbing(Config{InitialCapacity: 256, Seed: 3})
 	rng := prng.NewXoshiro256(4)
 	live := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
@@ -73,7 +73,7 @@ func TestLPClusterConnectivity(t *testing.T) {
 			m.Delete(k)
 			delete(live, k)
 		} else {
-			m.Put(k, k)
+			put(t, m, k, k)
 			live[k] = true
 		}
 		// Every live key must be findable after every operation.
@@ -115,9 +115,9 @@ func TestQPTriangularCoverage(t *testing.T) {
 // guarantee means every insert must find the remaining empty slots.
 func TestQPFullTableInsert(t *testing.T) {
 	const l = 256
-	m := NewQuadraticProbing(Config{InitialCapacity: l, Seed: 5})
+	m := newQuadraticProbing(Config{InitialCapacity: l, Seed: 5})
 	for i := uint64(1); i <= l; i++ {
-		m.Put(i*0x9E3779B97F4A7C15, i)
+		put(t, m, i*0x9E3779B97F4A7C15, i)
 	}
 	if m.Len() != l {
 		t.Fatalf("Len = %d, want %d", m.Len(), l)
@@ -137,9 +137,9 @@ func TestQPFullTableInsert(t *testing.T) {
 // fixed table exercise the full-sweep tombstone-recycling path.
 func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 	const l = 128
-	m := NewQuadraticProbing(Config{InitialCapacity: l, Seed: 6})
+	m := newQuadraticProbing(Config{InitialCapacity: l, Seed: 6})
 	for i := uint64(1); i <= l; i++ { // completely full
-		m.Put(i, i)
+		put(t, m, i, i)
 	}
 	for round := uint64(0); round < 200; round++ {
 		k := round%l + 1
@@ -147,7 +147,7 @@ func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 			t.Fatalf("round %d: delete %d failed", round, k)
 		}
 		nk := k + 1000*(round+1)
-		if !m.Put(nk, nk) {
+		if !put(t, m, nk, nk) {
 			t.Fatalf("round %d: insert %d failed", round, nk)
 		}
 		if v, ok := m.Get(nk); !ok || v != nk {
@@ -157,7 +157,7 @@ func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 		if !m.Delete(nk) {
 			t.Fatalf("round %d: cleanup delete failed", round)
 		}
-		m.Put(k, k)
+		put(t, m, k, k)
 	}
 	if m.Len() != l {
 		t.Fatalf("Len = %d, want %d", m.Len(), l)
@@ -172,7 +172,7 @@ func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 // each slot i holding an entry with displacement d, the entry at i-1 (if in
 // the same cluster) has displacement >= d-1.
 func TestRHOrderingInvariant(t *testing.T) {
-	m := NewRobinHood(Config{InitialCapacity: 512, Seed: 7})
+	m := newRobinHood(Config{InitialCapacity: 512, Seed: 7})
 	rng := prng.NewXoshiro256(8)
 	live := map[uint64]bool{}
 	for i := 0; i < 20000; i++ {
@@ -181,7 +181,7 @@ func TestRHOrderingInvariant(t *testing.T) {
 			m.Delete(k)
 			delete(live, k)
 		} else {
-			m.Put(k, k)
+			put(t, m, k, k)
 			live[k] = true
 		}
 	}
@@ -208,13 +208,13 @@ func TestRHOrderingInvariant(t *testing.T) {
 // TestRHMatchesLPTotalDisplacement: RH redistributes displacement but
 // cannot change its total relative to LP on identical inputs (§2.4).
 func TestRHMatchesLPTotalDisplacement(t *testing.T) {
-	lp := NewLinearProbing(Config{InitialCapacity: 1 << 12, Seed: 9})
-	rh := NewRobinHood(Config{InitialCapacity: 1 << 12, Seed: 9})
+	lp := newLinearProbing(Config{InitialCapacity: 1 << 12, Seed: 9})
+	rh := newRobinHood(Config{InitialCapacity: 1 << 12, Seed: 9})
 	rng := prng.NewXoshiro256(10)
 	for i := 0; i < 3000; i++ {
 		k := rng.Next()
-		lp.Put(k, k)
-		rh.Put(k, k)
+		put(t, lp, k, k)
+		put(t, rh, k, k)
 	}
 	sum := func(xs []int) (s int) {
 		for _, x := range xs {
@@ -243,12 +243,12 @@ func TestRHMatchesLPTotalDisplacement(t *testing.T) {
 // TestRHEarlyAbortCorrectness: the cache-line early abort must never
 // produce a false negative. Compare Get against a linear reference scan.
 func TestRHEarlyAbortCorrectness(t *testing.T) {
-	m := NewRobinHood(Config{InitialCapacity: 256, Seed: 11})
+	m := newRobinHood(Config{InitialCapacity: 256, Seed: 11})
 	rng := prng.NewXoshiro256(12)
 	present := map[uint64]uint64{}
 	for i := 0; i < 230; i++ { // ~90% load factor
 		k := rng.Next()
-		m.Put(k, k+1)
+		put(t, m, k, k+1)
 		present[k] = k + 1
 	}
 	for k, v := range present {
@@ -270,13 +270,13 @@ func TestRHEarlyAbortCorrectness(t *testing.T) {
 // TestRHDeleteBackshift: deletions rehash the cluster tail; afterwards all
 // remaining keys stay reachable and the invariant holds.
 func TestRHDeleteBackshift(t *testing.T) {
-	m := NewRobinHood(Config{InitialCapacity: 128, Seed: 13})
+	m := newRobinHood(Config{InitialCapacity: 128, Seed: 13})
 	keys := make([]uint64, 0, 100)
 	rng := prng.NewXoshiro256(14)
 	for i := 0; i < 100; i++ {
 		k := rng.Next()
 		keys = append(keys, k)
-		m.Put(k, k)
+		put(t, m, k, k)
 	}
 	for i, k := range keys {
 		if !m.Delete(k) {
@@ -295,7 +295,7 @@ func TestRHDeleteBackshift(t *testing.T) {
 // TestCuckooEveryKeyAtCandidateSlot: the defining invariant — every key
 // resides at one of its k candidate positions.
 func TestCuckooEveryKeyAtCandidateSlot(t *testing.T) {
-	m := NewCuckoo(Config{InitialCapacity: 1 << 10, Seed: 15})
+	m := newCuckoo(Config{InitialCapacity: 1 << 10, Seed: 15})
 	rng := prng.NewXoshiro256(16)
 	n := (1 << 10) * 9 / 10 // 90% load factor
 	inserted := make([]uint64, 0, n)
@@ -304,7 +304,7 @@ func TestCuckooEveryKeyAtCandidateSlot(t *testing.T) {
 		if isSentinelKey(k) {
 			continue
 		}
-		if m.Put(k, k) {
+		if put(t, m, k, k) {
 			inserted = append(inserted, k)
 		}
 	}
@@ -326,28 +326,28 @@ func TestCuckooEveryKeyAtCandidateSlot(t *testing.T) {
 // paper's sweep) with Mult and Murmur.
 func TestCuckooHighLoadFactorConstruction(t *testing.T) {
 	for _, f := range []hashfn.Family{hashfn.MultFamily{}, hashfn.MurmurFamily{}} {
-		m := NewCuckoo(Config{InitialCapacity: 1 << 12, Family: f, Seed: 17})
+		m := newCuckoo(Config{InitialCapacity: 1 << 12, Family: f, Seed: 17})
 		n := (1 << 12) * 9 / 10
 		for i := 1; i <= n; i++ {
-			m.Put(uint64(i)*0x9E3779B97F4A7C15+1, uint64(i))
+			put(t, m, uint64(i)*0x9E3779B97F4A7C15+1, uint64(i))
 		}
 		if m.Len() != n {
 			t.Fatalf("%s: built %d entries, want %d", f.Name(), m.Len(), n)
 		}
-		if m.LoadFactor() < 0.89 {
-			t.Fatalf("%s: load factor %v", f.Name(), m.LoadFactor())
+		if lf := loadFactor(m); lf < 0.89 {
+			t.Fatalf("%s: load factor %v", f.Name(), lf)
 		}
 	}
 }
 
-// TestCuckooRehashOnForcedCycle: with a tiny kick bound, construction must
-// recover via rehashes and still end correct.
+// TestCuckooRehashOnForcedCycle: with a tiny kick bound, construction of a
+// growing table must recover via rehashes and still end correct.
 func TestCuckooRehashOnForcedCycle(t *testing.T) {
-	m := NewCuckoo(Config{InitialCapacity: 64, Seed: 18})
+	m := newCuckoo(Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: 18})
 	m.maxKicks = 1 // pathological: almost any collision chain fails
 	n := 48        // 75% of 64
 	for i := 1; i <= n; i++ {
-		m.Put(uint64(i)*2654435761, uint64(i))
+		put(t, m, uint64(i)*2654435761, uint64(i))
 	}
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
@@ -365,12 +365,12 @@ func TestCuckooRehashOnForcedCycle(t *testing.T) {
 // TestCuckooWaysValidation: k in [2, 8] is supported, outside panics.
 func TestCuckooWaysValidation(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 5, 8} {
-		m := NewCuckooK(Config{InitialCapacity: 256, Seed: 19}, k)
+		m := newCuckooK(Config{InitialCapacity: 256, Seed: 19}, k)
 		if m.Ways() != k {
 			t.Fatalf("Ways = %d, want %d", m.Ways(), k)
 		}
 		for i := uint64(1); i <= 100; i++ {
-			m.Put(i, i)
+			put(t, m, i, i)
 		}
 		if m.Len() != 100 {
 			t.Fatalf("k=%d: Len = %d", k, m.Len())
@@ -378,19 +378,21 @@ func TestCuckooWaysValidation(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewCuckooK(.., 9) did not panic")
+			t.Fatal("newCuckooK(.., 9) did not panic")
 		}
 	}()
-	NewCuckooK(Config{}, 9)
+	newCuckooK(Config{}, 9)
 }
 
 // TestCuckooLookupProbeBound: Get touches at most k slots — verified
 // indirectly by checking misses terminate immediately even on a table with
 // every slot occupied.
 func TestCuckooLookupProbeBound(t *testing.T) {
-	m := NewCuckoo(Config{InitialCapacity: 64, Seed: 20})
+	m := newCuckoo(Config{InitialCapacity: 64, Seed: 20})
 	for i := uint64(1); m.Len() < 60; i++ {
-		m.Put(i, i)
+		if _, err := m.Put(i, i); err != nil && !errors.Is(err, ErrFull) {
+			t.Fatal(err)
+		}
 	}
 	// All misses must return false (no infinite probing possible by
 	// construction; this is a smoke check).
@@ -406,11 +408,11 @@ func TestCuckooLookupProbeBound(t *testing.T) {
 // TestChained24InlinePromotion: deleting an inline entry promotes the chain
 // head into the directory slot.
 func TestChained24InlinePromotion(t *testing.T) {
-	m := NewChained24(Config{InitialCapacity: 8, Seed: 21})
+	m := newChained24(Config{InitialCapacity: 8, Seed: 21})
 	// With 8 slots, colliding keys are easy to make: insert many keys and
 	// delete aggressively.
 	for i := uint64(1); i <= 64; i++ {
-		m.Put(i, i*10)
+		put(t, m, i, i*10)
 	}
 	for i := uint64(1); i <= 64; i++ {
 		if !m.Delete(i) {
@@ -430,9 +432,9 @@ func TestChained24InlinePromotion(t *testing.T) {
 // TestChained8SlabReuse: delete must return entries to the slab free list
 // so churn does not grow the footprint.
 func TestChained8SlabReuse(t *testing.T) {
-	m := NewChained8(Config{InitialCapacity: 64, Seed: 22})
+	m := newChained8(Config{InitialCapacity: 64, Seed: 22})
 	for i := uint64(1); i <= 64; i++ {
-		m.Put(i, i)
+		put(t, m, i, i)
 	}
 	before := m.MemoryFootprint()
 	for round := 0; round < 50; round++ {
@@ -440,7 +442,7 @@ func TestChained8SlabReuse(t *testing.T) {
 			m.Delete(i)
 		}
 		for i := uint64(1); i <= 64; i++ {
-			m.Put(i, i)
+			put(t, m, i, i)
 		}
 	}
 	if after := m.MemoryFootprint(); after != before {
@@ -469,25 +471,25 @@ func TestChainedDirectorySizing(t *testing.T) {
 		}
 	}
 	// §5: chained fits the budget up to ~50% and fails at >= 70%.
-	if !FitsChained24Budget(0.5, l) {
+	if !fitsChained24Budget(0.5, l) {
 		t.Error("Chained24 should fit the budget at 50%")
 	}
-	if FitsChained24Budget(0.7, l) {
+	if fitsChained24Budget(0.7, l) {
 		t.Error("Chained24 should exceed the budget at 70%")
 	}
-	if FitsChained24Budget(0.9, l) {
+	if fitsChained24Budget(0.9, l) {
 		t.Error("Chained24 should exceed the budget at 90%")
 	}
 }
 
 // TestChainLengthsAndOverflow sanity-checks the diagnostics.
 func TestChainLengthsAndOverflow(t *testing.T) {
-	m8 := NewChained8(Config{InitialCapacity: 16, Seed: 23})
-	m24 := NewChained24(Config{InitialCapacity: 16, Seed: 23})
+	m8 := newChained8(Config{InitialCapacity: 16, Seed: 23})
+	m24 := newChained24(Config{InitialCapacity: 16, Seed: 23})
 	total := 0
 	for i := uint64(1); i <= 64; i++ {
-		m8.Put(i, i)
-		m24.Put(i, i)
+		put(t, m8, i, i)
+		put(t, m24, i, i)
 		total++
 	}
 	sum := func(xs []int) (s int) {
@@ -518,23 +520,25 @@ func TestChainLengthsAndOverflow(t *testing.T) {
 // paths on identical random workloads for both layouts.
 func TestVecScalarEquivalence(t *testing.T) {
 	rng := prng.NewXoshiro256(24)
-	aosS := NewLinearProbing(Config{InitialCapacity: 256, Seed: 25})
-	aosV := NewLinearProbing(Config{InitialCapacity: 256, Seed: 25})
-	soaS := NewLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
-	soaV := NewLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
+	aosS := newLinearProbing(Config{InitialCapacity: 256, Seed: 25})
+	aosV := newLinearProbing(Config{InitialCapacity: 256, Seed: 25})
+	soaS := newLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
+	soaV := newLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
 	oracle := map[uint64]uint64{}
 	for i := 0; i < 20000; i++ {
 		k := rng.Uint64n(300) // includes key 0 (sentinel path)
 		switch rng.Uint64n(6) {
 		case 0, 1, 2:
 			v := rng.Next()
-			insS := aosS.Put(k, v)
-			insV := aosV.PutVec(k, v)
-			if insS != insV {
-				t.Fatalf("op %d: AoS Put=%v PutVec=%v", i, insS, insV)
+			insS, errS := aosS.Put(k, v)
+			insV, errV := aosV.PutVec(k, v)
+			if insS != insV || errS != nil || errV != nil {
+				t.Fatalf("op %d: AoS Put=%v,%v PutVec=%v,%v", i, insS, errS, insV, errV)
 			}
-			if soaS.Put(k, v) != soaV.PutVec(k, v) {
-				t.Fatalf("op %d: SoA put mismatch", i)
+			insS, errS = soaS.Put(k, v)
+			insV, errV = soaV.PutVec(k, v)
+			if insS != insV || errS != nil || errV != nil {
+				t.Fatalf("op %d: SoA Put=%v,%v PutVec=%v,%v", i, insS, errS, insV, errV)
 			}
 			oracle[k] = v
 		case 3:
@@ -562,11 +566,13 @@ func TestVecScalarEquivalence(t *testing.T) {
 
 // TestVecWraparound exercises vector probes that wrap the table end.
 func TestVecWraparound(t *testing.T) {
-	m := NewLinearProbing(Config{InitialCapacity: 8, Seed: 26})
+	m := newLinearProbing(Config{InitialCapacity: 8, Seed: 26})
 	// Fill 7 of 8 slots: clusters will wrap.
 	keys := []uint64{3, 11, 19, 27, 35, 43, 51}
 	for _, k := range keys {
-		m.PutVec(k, k*2)
+		if _, err := m.PutVec(k, k*2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, k := range keys {
 		if v, ok := m.GetVec(k); !ok || v != k*2 {
@@ -581,13 +587,13 @@ func TestVecWraparound(t *testing.T) {
 // --- Displacement / cluster diagnostics ----------------------------------------
 
 func TestDisplacementsConsistency(t *testing.T) {
-	lp := NewLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
-	qp := NewQuadraticProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
+	lp := newLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
+	qp := newQuadraticProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
 	rng := prng.NewXoshiro256(28)
 	for i := 0; i < 700; i++ {
 		k := rng.Next()
-		lp.Put(k, k)
-		qp.Put(k, k)
+		put(t, lp, k, k)
+		put(t, qp, k, k)
 	}
 	for name, ds := range map[string][]int{"LP": lp.Displacements(), "QP": qp.Displacements()} {
 		if len(ds) != 700 {
@@ -613,7 +619,7 @@ func TestDisplacementsConsistency(t *testing.T) {
 // the run detector (reachable only through internal construction: the
 // public API always preserves one empty slot for probe termination).
 func TestClusterLengthsFullTable(t *testing.T) {
-	m := NewLinearProbing(Config{InitialCapacity: 8, Seed: 29})
+	m := newLinearProbing(Config{InitialCapacity: 8, Seed: 29})
 	for i := range m.slots {
 		m.slots[i] = pair{uint64(i) + 1, 0}
 	}
@@ -622,27 +628,16 @@ func TestClusterLengthsFullTable(t *testing.T) {
 		t.Fatalf("full table clusters = %v, want [8]", cl)
 	}
 	// And the one-empty-slot invariant: filling via the public API stops
-	// at capacity-1. TryPut reports ErrFull there; legacy Put absorbs the
-	// contract breach by growing once instead of panicking.
-	m2 := NewLinearProbing(Config{InitialCapacity: 8, Seed: 29})
+	// at capacity-1, where Put reports ErrFull and leaves the table as it
+	// was.
+	m2 := newLinearProbing(Config{InitialCapacity: 8, Seed: 29})
 	for i := uint64(1); i <= 7; i++ {
-		m2.Put(i, i)
+		put(t, m2, i, i)
 	}
-	if _, err := m2.TryPut(8, 8); !errors.Is(err, ErrFull) {
-		t.Fatalf("TryPut on full table: err = %v, want ErrFull", err)
+	if _, err := m2.Put(8, 8); !errors.Is(err, ErrFull) {
+		t.Fatalf("Put on full table: err = %v, want ErrFull", err)
 	}
-	if m2.Len() != 7 {
-		t.Fatalf("failed TryPut mutated the table: Len = %d", m2.Len())
-	}
-	if !m2.Put(8, 8) {
-		t.Fatal("legacy Put on full table should grow and insert")
-	}
-	if m2.Capacity() != 16 || m2.Len() != 8 {
-		t.Fatalf("after safety-valve growth: capacity %d, len %d", m2.Capacity(), m2.Len())
-	}
-	for i := uint64(1); i <= 8; i++ {
-		if v, ok := m2.Get(i); !ok || v != i {
-			t.Fatalf("after growth Get(%d) = %d,%v", i, v, ok)
-		}
+	if m2.Len() != 7 || m2.Capacity() != 8 {
+		t.Fatalf("failed Put moved the table: Len %d, Capacity %d", m2.Len(), m2.Capacity())
 	}
 }

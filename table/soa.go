@@ -1,8 +1,8 @@
 package table
 
-// LinearProbingSoA is linear probing in struct-of-arrays layout (§7 of the
+// linearProbingSoA is linear probing in struct-of-arrays layout (§7 of the
 // paper): keys and values live in two separate, aligned arrays, like a
-// column layout. Compared to the array-of-structs LinearProbing:
+// column layout. Compared to the array-of-structs linearProbing:
 //
 //   - a successful probe must touch at least two cache lines (one in the
 //     key array, one in the value array), which hurts short probe
@@ -12,18 +12,16 @@ package table
 //   - densely packed keys make vectorized comparison natural, which is why
 //     the paper's SIMD variant favours SoA (see GetVec in batch.go).
 //
-// Semantics are identical to LinearProbing, including the optimized
+// Semantics are identical to linearProbing, including the optimized
 // tombstone deletion: the two schemes are the same kernel instantiated
 // over different layout policies (the §7 dimension made a type).
-type LinearProbingSoA struct {
+type linearProbingSoA struct {
 	kern
 }
 
-var _ Table = (*LinearProbingSoA)(nil)
-
-// NewLinearProbingSoA returns an empty SoA linear-probing table.
-func NewLinearProbingSoA(cfg Config) *LinearProbingSoA {
-	t := &LinearProbingSoA{}
+// newLinearProbingSoA returns an empty SoA linear-probing table.
+func newLinearProbingSoA(cfg Config) *linearProbingSoA {
+	t := &linearProbingSoA{}
 	t.setup(cfg, "LPSoA", soaLayout{}, linearSeq{}, noDisplace{})
 	return t
 }

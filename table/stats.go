@@ -54,14 +54,15 @@ type (
 	wayMeasurer   interface{ WayOccupancy() []int }
 )
 
-// StatsOf collects a Stats snapshot from any table in this package.
-func StatsOf(m Map) Stats {
+// StatsOf collects a Stats snapshot from any Table. The load factor is
+// Len/Capacity; for chained tables it may exceed 1 (§4.5).
+func StatsOf(m Table) Stats {
 	s := Stats{
 		Scheme:      m.Name(),
 		Partitions:  1,
 		Len:         m.Len(),
 		Capacity:    m.Capacity(),
-		LoadFactor:  m.LoadFactor(),
+		LoadFactor:  float64(m.Len()) / float64(m.Capacity()),
 		MemoryBytes: m.MemoryFootprint(),
 	}
 	if hn, ok := m.(hashNamer); ok {

@@ -3,7 +3,7 @@ package workload
 // Differential property test: replay RW op tapes against every scheme —
 // through the table.Open façade, partitioned and not — and cross-check
 // every operation's result against a builtin map[uint64]uint64 oracle.
-// The replay deliberately mixes the legacy ops with the single-probe
+// The replay deliberately mixes Put/Get/Delete with the single-probe
 // GetOrPut/Upsert primitives (including on lookup-miss keys, which then
 // insert), and injects the sentinel keys 0 and 2^64-1 whose literal
 // values collide with the empty/tombstone slot markers.

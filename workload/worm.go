@@ -66,11 +66,12 @@ type WORMResult struct {
 	OverBudget bool
 }
 
-// NewWORMTable builds an empty table for a WORM experiment, applying the
-// §4.5 memory-budget directory sizing to the chained schemes. It stays on
-// the low-level constructor (rather than Open) because the chained
-// directory sizing bypasses the capacity heuristics, and because callers
-// inspect the concrete schemes' diagnostics through the returned Table.
+// NewWORMTable builds an empty growth-disabled table for a WORM experiment,
+// applying the §4.5 memory-budget directory sizing to the chained schemes.
+// It uses New rather than Open because callers reach the schemes'
+// diagnostics (Displacements, ChainLengths, WayOccupancy, ...) from the
+// returned Table through interface assertions, which a Handle does not
+// offer. Overfilling it is ErrFull.
 func NewWORMTable(scheme table.Scheme, family hashfn.Family, capacity int, alpha float64, seed uint64) (table.Table, error) {
 	cfg := table.Config{
 		InitialCapacity: capacity,
@@ -120,7 +121,9 @@ func RunWORM(cfg WORMConfig) (WORMResult, error) {
 
 	start := time.Now()
 	for i, k := range insertKeys {
-		m.Put(k, uint64(i))
+		if _, err := m.Put(k, uint64(i)); err != nil {
+			return res, fmt.Errorf("workload: WORM build of %s: %w", res.Label, err)
+		}
 	}
 	res.InsertMops = mops(n, time.Since(start))
 
