@@ -13,11 +13,11 @@ import (
 // BenchmarkJoinBuild times HashJoin's build phase alone — a 1M-row
 // relation into a pre-sized table, an empty probe side — at one and two
 // workers, with the scheme openBuild picks for itself (LP: 1M keys in
-// 2^21 slots is a load factor of 0.477) beside RH, LP and QP pinned, so
-// both kinds of build sit side by side: LP and QP are one fixed table the
-// workers share (PutIfAbsentBatch's compare-and-swap), RH is the sharded
-// engine above one worker. Fixed work per iteration; compare ns/row across
-// sub-benchmarks of one run.
+// 2^21 slots is a load factor of 0.477) beside RH, LP and QP pinned. Every
+// build is one fixed table; the workers share LP and QP through
+// PutIfAbsentBatch's compare-and-swap, and take turns on RH under a mutex,
+// so workers=2/RH against workers=2/default prices the serialized build.
+// Fixed work per iteration; compare ns/row across sub-benchmarks of one run.
 func BenchmarkJoinBuild(b *testing.B) {
 	const rows = 1_000_000
 	rng := prng.NewSplitMix64(1)

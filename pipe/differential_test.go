@@ -111,11 +111,42 @@ func TestDifferentialJoinGroupBy(t *testing.T) {
 			sameGroups(t, g, oracle, string(scheme))
 		}
 	}
+	// With no size hint: the build side is a group-by's output, sized for
+	// 1000 rows and re-run at twice the size until the 3000 customers fit.
+	for _, scheme := range noHintSchemes {
+		for _, workers := range []int{1, 4} {
+			g, err := pipe.HashJoin(
+				unsizedBuild(customers),
+				pipe.FromRelation(orders).Filter(func(_, cents uint64) bool { return cents >= diffCut }),
+				pipe.JoinConfig{
+					Scheme:  scheme,
+					Seed:    99,
+					Project: func(_, segment, cents uint64) (uint64, uint64) { return segment, cents },
+				},
+			).GroupBy(pipe.Config{Workers: workers, MorselSize: 512}, pipe.GroupConfig{})
+			if err != nil {
+				t.Fatalf("no hint, scheme %q workers=%d: %v", scheme, workers, err)
+			}
+			sameGroups(t, g, oracle, fmt.Sprintf("no hint, scheme %q workers=%d", scheme, workers))
+		}
+	}
+}
+
+// noHintSchemes are the build schemes the no-hint cases run: the one the
+// join picks for itself, and the ones whose inserts displace or allocate.
+var noHintSchemes = []table.Scheme{"", table.SchemeRH, table.SchemeCuckooH4, table.SchemeChained24}
+
+// unsizedBuild streams rel, whose keys are unique, back out of a group-by
+// (MAX of one payload per key is that payload) over a source that cannot
+// say its size, so a HashJoin building from it has no cardinality hint.
+func unsizedBuild(rel join.Relation) *pipe.Stream {
+	return pipe.GroupByStream(pipe.Unsized(pipe.FromRelation(rel)), pipe.GroupConfig{}, agg.Max)
 }
 
 // TestDifferentialJoinCollect checks the raw joined row multiset (before
 // any aggregation) against the NestedLoopJoin oracle, for the scheme the
-// join picks for itself and for every kernel scheme pinned.
+// join picks for itself and for every kernel scheme pinned, and from a build
+// side with no size hint.
 func TestDifferentialJoinCollect(t *testing.T) {
 	customers := makeCustomers()[:500]
 	orders := makeOrders(rand.New(rand.NewSource(7)))[:4_000]
@@ -124,18 +155,26 @@ func TestDifferentialJoinCollect(t *testing.T) {
 		want = append(want, [2]uint64{key, cents})
 	})
 	sortPairs(want)
+	check := func(label string, build *pipe.Stream, scheme table.Scheme, workers int) {
+		t.Helper()
+		keys, vals, err := pipe.HashJoin(build, pipe.FromRelation(orders), pipe.JoinConfig{Scheme: scheme}).
+			Collect(pipe.Config{Workers: workers, MorselSize: 256})
+		if err != nil {
+			t.Fatalf("%sscheme %q workers=%d: %v", label, scheme, workers, err)
+		}
+		if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
+			t.Fatalf("%sscheme %q workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
+				label, scheme, workers, len(got), len(want))
+		}
+	}
 	for _, scheme := range append([]table.Scheme{""}, table.KernelSchemes()...) {
 		for _, workers := range []int{1, 2, 8} {
-			keys, vals, err := pipe.HashJoin(
-				pipe.FromRelation(customers), pipe.FromRelation(orders), pipe.JoinConfig{Scheme: scheme},
-			).Collect(pipe.Config{Workers: workers, MorselSize: 256})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
-				t.Fatalf("scheme %q workers=%d: joined multiset diverges from nested-loop oracle (%d vs %d rows)",
-					scheme, workers, len(got), len(want))
-			}
+			check("", pipe.FromRelation(customers), scheme, workers)
+		}
+	}
+	for _, scheme := range noHintSchemes {
+		for _, workers := range []int{1, 4} {
+			check("no hint, ", unsizedBuild(customers), scheme, workers)
 		}
 	}
 }

@@ -35,12 +35,11 @@
 //     the table in (JoinConfig.LoadFactor/2, LoadFactor], and its scheme
 //     is the paper's Figure 8 (table.Recommend) walked with that real load
 //     factor — LP below 50%, RH otherwise — unless JoinConfig.Scheme pins one.
-//   - One build table, no engine: a pre-sized build of a scheme that never
-//     displaces (LP, LPSoA, QP, DH) is a single fixed table all workers fill
-//     through Handle.PutIfAbsentBatch — a compare-and-swap per key; nothing
-//     is returned, as a worker may meet another's key ahead of its value —
-//     and probe with plain GetBatch after the phase barrier. RH, Cuckoo,
-//     chained and unsized builds use the sharded engine (see HashJoin).
+//   - One build table, no engine: the build is a single fixed table all
+//     workers fill through Handle.PutIfAbsentBatch — a compare-and-swap per
+//     key, or a batch at a time under a mutex for RH, Cuckoo and chained —
+//     and probe with plain GetBatch after the phase barrier; an overrun
+//     re-runs it at twice the size. shard.Engine serves only live handles.
 //   - No build over an index: when the build side is a bare
 //     FromHandle(h), h already is the hash table the join would build, so
 //     HashJoin skips the build phase and probes h in place — wait-free,

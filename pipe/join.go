@@ -1,18 +1,15 @@
 package pipe
 
-// The streaming hash join: the build side is consumed into a pre-sized
-// table through the single-probe PutIfAbsentBatch pipeline, then the probe
-// side streams morsel-at-a-time — each probe batch is answered by one
-// GetBatch and the matches flow straight into the downstream stages
-// without an intermediate relation. A build side that already is a hash
-// table on the join key — a bare FromHandle — is not built again: the
-// probe phase runs against the handle itself.
+// The streaming hash join: the build side is consumed into one fixed table,
+// then each probe batch is answered by one GetBatch whose matches flow
+// straight downstream, with no intermediate relation. A bare FromHandle
+// build side is not built again: the probe runs against the handle itself.
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
-	"repro/decision"
 	"repro/hashfn"
 	"repro/join"
 	"repro/table"
@@ -33,9 +30,8 @@ type JoinConfig struct {
 	LoadFactor float64
 	// BuildRows overrides the build-side cardinality hint the table is
 	// pre-sized from (join.CapacityFor); 0 asks the build stream, whose
-	// sources usually know (slice lengths, Handle.Len, Hint). When no
-	// hint exists anywhere the table starts small and grows; a hint the
-	// build overruns is ErrFull at one worker, a second build above.
+	// sources usually know (slice lengths, Handle.Len, Hint), else 1000
+	// rows. A build that overruns its table re-runs into one twice the size.
 	BuildRows int
 	// Project maps one match to the row the joined stream emits. The
 	// default keeps the join key and the probe payload:
@@ -56,15 +52,15 @@ type JoinConfig struct {
 // Figure 8 (table.Recommend) walked for a static, read-mostly table with
 // successful lookups at the load factor the sizing really leaves: 1M rows
 // under the default 0.5 land in 2^21 slots — 0.477, LP — exactly 2^20 rows
-// at 0.5, RH; a build side of unknown size grows, and is RH too.
+// at 0.5, RH; a build side of unknown size starts from 1000 rows, LP.
 //
-// A pre-sized build whose scheme holds its entries still (LP, LPSoA, QP, DH:
-// table.Scheme.SharedBuild) is ONE fixed table at every worker count: all
-// workers insert through Handle.PutIfAbsentBatch, a compare-and-swap per key,
-// and after the build phase's barrier probe it with plain GetBatch — no lock,
-// scatter or gather on either phase. Schemes that displace or allocate (RH,
-// Cuckoo, chained) and build sides of unknown size take the sharded, growing
-// engine above one worker.
+// The private build never opens a shard.Engine (that serves only shared,
+// live handles): it is ONE fixed table at every worker count, filled through
+// Handle.PutIfAbsentBatch — a compare-and-swap per key for the schemes that
+// hold their entries still (table.Scheme.SharedBuild: LP, LPSoA, QP, DH), a
+// batch at a time under a mutex for RH, Cuckoo and chained — and probed with
+// plain GetBatch after the build phase's barrier. A build that overruns its
+// table re-runs into one twice the size: doubling wastes about one build.
 //
 // When build is a bare FromHandle(h) — no Filter or Map on it — the join
 // builds nothing: h is the index, and each probe batch is one wait-free
@@ -94,43 +90,35 @@ type joinScratch struct {
 	flag []bool
 }
 
-// openBuild opens the build-side table, pre-sized from the cardinality hint
-// via join.CapacityFor, with the scheme Figure 8 picks for it unless the
-// config pins one: one fixed table — the WORM contract — when every worker
-// can insert into it (there is one worker, or the scheme is a SharedBuild
-// one); else, and for grow, the rebuild after a hint proved too small, the
-// sharded engine with growth on.
-func (j *joinSource) openBuild(rt *runtime, grow bool) (*table.Handle, error) {
+// unsizedBuildRows sizes a build side of unknown size: 2^11 slots at the
+// default load factor, 0.488, LP on Figure 8.
+const unsizedBuildRows = 1000
+
+// openBuild opens the build table: one growth-disabled table of
+// join.CapacityFor slots for the cardinality hint, with the scheme Figure 8
+// picks for its real load factor unless the config pins one. After a refused
+// table it is sized for twice the rows that one held, in ≥ twice its slots.
+func (j *joinSource) openBuild(refused *table.FullError) (*table.Handle, error) {
 	n := j.cfg.BuildRows
 	if n <= 0 {
 		n = j.build.size()
 	}
-	// Static, read-mostly, lookups succeed (the PK/FK contract). Without
-	// a hint the table doubles as it grows, so it lives between half the
-	// growth threshold and the threshold.
-	w := table.Workload{LoadFactor: 0.75 * table.DefaultMaxLoadFactor}
-	opts := []table.Option{table.WithSeed(j.cfg.Seed)}
-	if n >= 0 {
-		slots := join.CapacityFor(n, j.cfg.LoadFactor)
-		w.LoadFactor = float64(max(n, 1)) / float64(slots)
-		opts = append(opts, table.WithCapacity(slots))
+	if n < 0 {
+		n = unsizedBuildRows
 	}
-	scheme := j.cfg.Scheme
-	if scheme != "" {
-		opts = append(opts, table.WithScheme(scheme))
-	} else {
-		opts = append(opts, table.WithWorkload(w))
-		scheme, _, _ = table.Recommend(w) // Open walks it again, and reports the error
+	slots := join.CapacityFor(n, j.cfg.LoadFactor)
+	if refused != nil {
+		n = 2 * refused.Len
+		slots = max(join.CapacityFor(n, j.cfg.LoadFactor), 2*refused.Capacity)
+	}
+	opts := []table.Option{table.WithSeed(j.cfg.Seed), table.WithCapacity(slots), table.WithMaxLoadFactor(0)}
+	if j.cfg.Scheme != "" {
+		opts = append(opts, table.WithScheme(j.cfg.Scheme))
+	} else { // static, read-mostly, lookups succeed (the PK/FK contract)
+		opts = append(opts, table.WithWorkload(table.Workload{LoadFactor: float64(max(n, 1)) / float64(slots)}))
 	}
 	if j.cfg.Family != nil {
 		opts = append(opts, table.WithHashFamily(j.cfg.Family))
-	}
-	if workers := rt.pool.Workers(); n >= 0 && !grow && (workers == 1 || scheme.SharedBuild()) {
-		opts = append(opts, table.WithMaxLoadFactor(0))
-	} else if workers > 1 {
-		opts = append(opts,
-			table.WithPartitions(decision.ShardsFor(workers)),
-			table.WithMaxLoadFactor(table.DefaultMaxLoadFactor))
 	}
 	return table.Open(opts...)
 }
@@ -139,14 +127,23 @@ func (j *joinSource) openBuild(rt *runtime, grow bool) (*table.Handle, error) {
 // PutIfAbsentBatch per batch. The call returns no values — the join never
 // read them, and that is what lets workers share a fixed table; the pool's
 // barrier ending the phase orders the inserts before the probe's plain reads.
-func (j *joinSource) buildTable(rt *runtime, grow bool) (*table.Handle, error) {
-	h, err := j.openBuild(rt, grow)
+// A scheme that moves or allocates on insert takes them under one mutex.
+func (j *joinSource) buildTable(rt *runtime, refused *table.FullError) (*table.Handle, error) {
+	h, err := j.openBuild(refused)
 	if err != nil {
 		return nil, fmt.Errorf("pipe: join build table: %w", err)
 	}
+	var mu sync.Mutex
+	serial := !h.Scheme().SharedBuild()
 	return h, j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
+		if serial {
+			mu.Lock()
+		}
 		_, err := h.PutIfAbsentBatch(keys, vals)
+		if serial {
+			mu.Unlock()
+		}
 		rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
 		if err != nil {
 			return fmt.Errorf("pipe: join build: %w", err)
@@ -173,14 +170,12 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	}
 	h := j.indexed()
 	if h == nil {
-		// Build phase. Cardinality hints are guesses: when the workers'
-		// shared fixed table proves too small the build stream, re-runnable
-		// like every stream, runs again into the sharded table that grows.
-		// A serial build keeps the WORM contract and reports ErrFull.
+		// Build phase: re-run the stream into a larger table while the last
+		// one was full; an injected refusal (Len -1) surfaces instead.
 		var err error
-		h, err = j.buildTable(rt, false)
-		if errors.Is(err, table.ErrFull) && rt.pool.Workers() > 1 && h.Partitions() == 1 {
-			h, err = j.buildTable(rt, true)
+		var refused *table.FullError
+		for h, err = j.buildTable(rt, nil); errors.As(err, &refused) && refused.Len >= 0; {
+			h, err = j.buildTable(rt, refused)
 		}
 		if err != nil {
 			return err

@@ -12,54 +12,74 @@ type unsized struct{ source }
 
 func (unsized) rows() int { return -1 }
 
+// Unsized returns s with its cardinality hidden, the way a source that
+// cannot know its size reports it: a HashJoin over it gets no size hint.
+func Unsized(s *Stream) *Stream {
+	return &Stream{src: unsized{s.src}, stages: s.stages}
+}
+
 // TestOpenBuildFollowsRecommend: with no Scheme pinned the build table is
 // the one table.Recommend names for the load factor join.CapacityFor
-// really leaves it at, and a pinned Scheme is opened as given. A pre-sized
-// build of a scheme that holds its entries still is ONE fixed table however
-// many workers feed it; a displacing or allocating scheme, and a build side
-// of unknown size, are sharded above one worker.
+// really leaves it at, and a pinned Scheme is opened as given. Whatever the
+// scheme, the hint or the worker count, it is ONE fixed table; a re-run
+// after a refusal is one at least twice the refused table's size.
 func TestOpenBuildFollowsRecommend(t *testing.T) {
 	sized := func(n int) *Stream { return FromColumns(nil, nil).Hint(n) }
+	noHint := Unsized(FromColumns(nil, nil))
 	cases := []struct {
-		name    string
-		build   *Stream
-		cfg     JoinConfig
-		want    table.Scheme
-		sharded bool // above one worker
+		name  string
+		build *Stream
+		cfg   JoinConfig
+		want  table.Scheme
 	}{
-		{"1M rows in 2^21 slots", sized(1_000_000), JoinConfig{}, table.SchemeLP, false},
-		{"2^20 rows in 2^21 slots", sized(1 << 20), JoinConfig{}, table.SchemeRH, true},
-		{"BuildRows over the stream's hint", sized(1 << 20), JoinConfig{BuildRows: 600_000}, table.SchemeLP, false},
-		{"0.7 asked, 0.35 got", sized(367_002), JoinConfig{LoadFactor: 0.7}, table.SchemeLP, false},
-		{"0.7 asked, 0.7 got", sized(734_000), JoinConfig{LoadFactor: 0.7}, table.SchemeRH, true},
-		{"empty build side", sized(0), JoinConfig{}, table.SchemeLP, false},
-		{"no hint", &Stream{src: unsized{}}, JoinConfig{}, table.SchemeRH, true},
-		{"pinned QP", sized(1_000_000), JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP, false},
-		{"pinned RH", sized(1_000_000), JoinConfig{Scheme: table.SchemeRH}, table.SchemeRH, true},
-		{"pinned CuckooH4", sized(1_000_000), JoinConfig{Scheme: table.SchemeCuckooH4}, table.SchemeCuckooH4, true},
-		{"pinned ChainedH24", sized(100_000), JoinConfig{Scheme: table.SchemeChained24}, table.SchemeChained24, true},
-		{"pinned, no hint", &Stream{src: unsized{}}, JoinConfig{Scheme: table.SchemeDH}, table.SchemeDH, true},
+		{"1M rows in 2^21 slots", sized(1_000_000), JoinConfig{}, table.SchemeLP},
+		{"2^20 rows in 2^21 slots", sized(1 << 20), JoinConfig{}, table.SchemeRH},
+		{"BuildRows over the stream's hint", sized(1 << 20), JoinConfig{BuildRows: 600_000}, table.SchemeLP},
+		{"0.7 asked, 0.35 got", sized(367_002), JoinConfig{LoadFactor: 0.7}, table.SchemeLP},
+		{"0.7 asked, 0.7 got", sized(734_000), JoinConfig{LoadFactor: 0.7}, table.SchemeRH},
+		{"empty build side", sized(0), JoinConfig{}, table.SchemeLP},
+		{"no hint: 1000 rows in 2^11 slots, LP", noHint, JoinConfig{}, table.SchemeLP},
+		{"pinned QP", sized(1_000_000), JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP},
+		{"pinned RH", sized(1_000_000), JoinConfig{Scheme: table.SchemeRH}, table.SchemeRH},
+		{"pinned CuckooH4", sized(1_000_000), JoinConfig{Scheme: table.SchemeCuckooH4}, table.SchemeCuckooH4},
+		{"pinned ChainedH24", sized(100_000), JoinConfig{Scheme: table.SchemeChained24}, table.SchemeChained24},
+		{"pinned, no hint", noHint, JoinConfig{Scheme: table.SchemeDH}, table.SchemeDH},
 	}
 	for _, workers := range []int{1, 2, 8} {
 		rt := newRuntime(Config{Workers: workers})
 		for _, c := range cases {
-			for _, grow := range []bool{false, true} {
-				j := &joinSource{build: c.build, cfg: c.cfg}
-				h, err := j.openBuild(rt, grow)
-				if err != nil {
-					t.Fatalf("%s, %d workers: %v", c.name, workers, err)
-				}
-				if h.Scheme() != c.want {
-					t.Errorf("%s, %d workers: opened %s, want %s (capacity %d)", c.name, workers, h.Scheme(), c.want, h.Capacity())
-				}
-				if c.cfg.Scheme == "" && len(h.DecisionPath()) == 0 {
-					t.Errorf("%s, %d workers: default scheme did not come from the decision graph", c.name, workers)
-				}
-				// The rebuild after an understated hint is the sharded table
-				// whatever the scheme.
-				if sharded := workers > 1 && (c.sharded || grow); (h.Partitions() > 1) != sharded {
-					t.Errorf("%s, %d workers, grow %v: %d partitions, want sharded = %v", c.name, workers, grow, h.Partitions(), sharded)
-				}
+			j := &joinSource{build: c.build, cfg: c.cfg}
+			h, err := j.buildTable(rt, nil)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
+			}
+			if h.Scheme() != c.want {
+				t.Errorf("%s, %d workers: opened %s, want %s (capacity %d)", c.name, workers, h.Scheme(), c.want, h.Capacity())
+			}
+			if c.cfg.Scheme == "" && len(h.DecisionPath()) == 0 {
+				t.Errorf("%s, %d workers: default scheme did not come from the decision graph", c.name, workers)
+			}
+			if h.Partitions() != 1 {
+				t.Errorf("%s, %d workers: %d partitions, want one fixed table", c.name, workers, h.Partitions())
+			}
+		}
+		// A re-run is sized for twice the rows the refused table held, and
+		// never smaller than twice its slots, even after a refusal well
+		// short of full (a cuckoo's early wall).
+		j := &joinSource{build: sized(1000)}
+		first, err := j.buildTable(rt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, held := range []int{first.Capacity() - 1, 1} {
+			refused := &table.FullError{Scheme: string(first.Scheme()), Len: held, Capacity: first.Capacity()}
+			h, err := j.buildTable(rt, refused)
+			if err != nil {
+				t.Fatalf("re-run after %d rows, %d workers: %v", held, workers, err)
+			}
+			if h.Capacity() < 2*first.Capacity() || h.Partitions() != 1 {
+				t.Errorf("re-run after %d of %d rows, %d workers: capacity %d in %d partitions, want ≥ %d in one",
+					held, first.Capacity(), workers, h.Capacity(), h.Partitions(), 2*first.Capacity())
 			}
 		}
 		rt.close()

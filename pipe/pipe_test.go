@@ -1,7 +1,6 @@
 package pipe_test
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/agg"
-	"repro/decision"
 	"repro/join"
 	"repro/pipe"
 	"repro/table"
@@ -292,41 +290,12 @@ func TestFromHandle(t *testing.T) {
 	}
 }
 
-// rowsEndingMidResize returns a build-side row count (keys 1..n) at which
-// a four-worker join's build table — re-opened here the way openBuild
-// opens it for Hint(hint) — has just begun resizing a shard. How many keys
-// a shard holds at the end does not depend on the schedule, and that
-// count is what begins a resize, so the join's own table ends its build
-// in that state too.
-func rowsEndingMidResize(t *testing.T, hint, from int) int {
-	t.Helper()
-	h := table.MustOpen(
-		table.WithCapacity(join.CapacityFor(hint, 0.5)),
-		table.WithPartitions(decision.ShardsFor(4)),
-		table.WithMaxLoadFactor(table.DefaultMaxLoadFactor))
-	migrating := 0
-	for n := 1; n < 2*from; n++ {
-		if _, err := h.Put(uint64(n), 0); err != nil {
-			t.Fatal(err)
-		}
-		was := migrating
-		migrating = h.EngineStats().Migrating
-		if n >= from && migrating > was {
-			return n // key n began a resize
-		}
-	}
-	t.Fatalf("no resize began between %d and %d keys", from, 2*from)
-	return 0
-}
-
 func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
-	// A parallel build keeps growth enabled, so an understated Hint makes
-	// the sharded build table resize incrementally, and a query can end
-	// with a shard of it mid-resize. The join just drops that table: a
-	// resize in flight is no goroutine and pins nothing, so neither the
-	// goroutine count nor the live heap keeps anything of the queries.
-	const hint = 8
-	rows := rowsEndingMidResize(t, hint, 40_000)
+	// Hint(8) sizes the build table at 16 slots, and 40,000 rows need 2^17:
+	// a dozen doublings, each dropping the table the build overran. The join
+	// keeps none of them, so neither the goroutine count nor the live heap
+	// keeps anything of the queries.
+	const hint, rows = 8, 40_000
 	build := make(join.Relation, rows)
 	for i := range build {
 		build[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i)}
@@ -374,10 +343,11 @@ func TestUnderstatedHintParallelBuildLeaksNothing(t *testing.T) {
 }
 
 func TestUnderstatedHintSharedBuildRebuilds(t *testing.T) {
-	// Hint(9) sizes the build table at 32 slots — 0.28, LP — so four workers
-	// share one fixed table, which 1000 rows overfill: the build runs again
-	// into the sharded table that grows, and the join is right all the same.
-	// (Hint(8) lands on RH, which is sharded from the start.)
+	// Hint(9) sizes the build table at 32 slots, which 1000 rows overfill:
+	// the build runs again into a table twice the size until one holds it,
+	// and the join is right all the same — for the scheme Figure 8 picks
+	// (LP, shared by compare-and-swap), a pinned QP, and a pinned RH whose
+	// four workers take turns.
 	build := make(join.Relation, 1000)
 	for i := range build {
 		build[i] = join.Row{Key: uint64(i) + 1, Payload: 1}
@@ -386,7 +356,7 @@ func TestUnderstatedHintSharedBuildRebuilds(t *testing.T) {
 	for i := range probe {
 		probe[i] = join.Row{Key: uint64(i) + 1, Payload: 2} // two thirds miss
 	}
-	for _, cfg := range []pipe.JoinConfig{{}, {Scheme: table.SchemeQP}} {
+	for _, cfg := range []pipe.JoinConfig{{}, {Scheme: table.SchemeQP}, {Scheme: table.SchemeRH}} {
 		m := pipe.NewMetrics(4)
 		n, err := pipe.HashJoin(pipe.FromRelation(build).Hint(9), pipe.FromRelation(probe), cfg).
 			Count(pipe.Config{Workers: 4, MorselSize: 64, Metrics: m})
@@ -394,7 +364,7 @@ func TestUnderstatedHintSharedBuildRebuilds(t *testing.T) {
 			t.Fatalf("scheme %q: %d rows, %v; want %d", cfg.Scheme, n, err, len(build))
 		}
 		if got := m.JoinBuild().RowsIn.Value(); got <= uint64(len(build)) {
-			t.Fatalf("scheme %q: %d build rows: the fixed table took all %d, so this test reaches no rebuild", cfg.Scheme, got, len(build))
+			t.Fatalf("scheme %q: %d build rows: the fixed table took all %d, so this test reaches no re-run", cfg.Scheme, got, len(build))
 		}
 	}
 }
@@ -434,20 +404,31 @@ func TestSharedBuildKeepsOneOfferedPayload(t *testing.T) {
 }
 
 func TestHintPreSizesSerialBuild(t *testing.T) {
-	// A serial pre-sized build keeps the WORM contract: an understated
-	// Hint surfaces as a typed ErrFull from the build phase instead of
-	// silent growth.
+	// One worker follows the rule every worker count does: an understated
+	// Hint re-runs the build into a table twice the size, and the join
+	// answers what the nested-loop oracle does.
 	build := make(join.Relation, 1000)
 	for i := range build {
-		build[i] = join.Row{Key: uint64(i) + 1, Payload: 1}
+		build[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i) * 3}
 	}
-	probe := join.Relation{{Key: 1, Payload: 1}}
-	err := pipe.HashJoin(pipe.FromRelation(build).Hint(8), pipe.FromRelation(probe), pipe.JoinConfig{}).
-		Drain(pipe.Config{Workers: 1})
-	if err == nil {
-		t.Fatal("understated hint did not fail the WORM build")
+	probe := make(join.Relation, 1500)
+	for i := range probe {
+		probe[i] = join.Row{Key: uint64(i) + 1, Payload: uint64(i)} // a third miss
 	}
-	if !errors.Is(err, table.ErrFull) {
-		t.Fatalf("build error %v does not wrap table.ErrFull", err)
+	var want [][2]uint64
+	join.NestedLoopJoin(build, probe, func(k, b, p uint64) { want = append(want, [2]uint64{k, b + p}) })
+	sortPairs(want)
+	m := pipe.NewMetrics(1)
+	keys, vals, err := pipe.HashJoin(pipe.FromRelation(build).Hint(8), pipe.FromRelation(probe), pipe.JoinConfig{
+		Project: func(k, b, p uint64) (uint64, uint64) { return k, b + p },
+	}).Collect(pipe.Config{Workers: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedPairs(keys, vals); !pairsEqual(got, want) {
+		t.Fatalf("joined %d rows, oracle %d: multisets differ", len(got), len(want))
+	}
+	if got := m.JoinBuild().RowsIn.Value(); got <= uint64(len(build)) {
+		t.Fatalf("%d build rows: the Hint(8) table took all %d, so this test reaches no re-run", got, len(build))
 	}
 }

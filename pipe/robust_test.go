@@ -125,9 +125,9 @@ func checkInjectedRefusal(t *testing.T, run func(pipe.Config) error) {
 	}
 }
 
-// TestJoinBuildRefusalSurfaces: a refusal in a join's build table surfaces
-// typed — at four workers after the rebuild into the growing table is
-// refused too.
+// TestJoinBuildRefusalSurfaces: an injected refusal in a join's build table
+// surfaces typed at every worker count. It was no table's size (Len -1), so
+// it starts no re-run, and the join cannot loop on it.
 func TestJoinBuildRefusalSurfaces(t *testing.T) {
 	rows := pipe.FromColumns(bigColumn(10_000), nil)
 	checkInjectedRefusal(t, pipe.HashJoin(rows, rows, pipe.JoinConfig{}).Drain)

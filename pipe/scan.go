@@ -28,8 +28,8 @@ func FromRelation(rel join.Relation) *Stream {
 	return &Stream{src: &relationSource{rel: rel}}
 }
 
-// FromHandle scans a live table.Handle. A sharded handle (opened
-// WithPartitions) is walked shard-parallel — one pool task per shard via
+// FromHandle scans a live table.Handle. A sharded handle (more than one
+// partition) is walked shard-parallel — one pool task per shard via
 // shard.Engine.RangeShard, weakly consistent and correct mid-resize
 // (the migration-aware walk, the successor then its unshadowed live frozen
 // entries, yields each key at most once). A single-partition handle is
