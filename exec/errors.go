@@ -1,15 +1,6 @@
 package exec
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrOverloaded is the admission-control fast-fail: a submission was
-// refused because Config.MaxInFlight submissions are already executing.
-// It is returned before any task runs, so a refused submission has no
-// partial effects — the caller can shed load or retry with backoff.
-var ErrOverloaded = errors.New("exec: pool over its in-flight submission limit")
+import "fmt"
 
 // PanicError is a worker panic contained by the pool: instead of
 // unwinding the process, a panicking task is recovered and surfaces

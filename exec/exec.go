@@ -16,26 +16,21 @@
 //   - Config sizes everything from one place: Workers (default
 //     runtime.GOMAXPROCS) bounds the fan-out, MorselSize (default
 //     DefaultMorselSize) sets the range granularity, Ctx cancels
-//     everything scheduled on the pool, MaxInFlight bounds concurrent
-//     submissions (admission control).
+//     everything scheduled on the pool.
 //   - Pool owns the worker goroutines. ForEach schedules discrete tasks
 //     (e.g. one per partition), ForMorsels carves an index range [0, n)
 //     into morsels; both propagate the first error and stop scheduling
 //     further work once a task fails. The Ctx variants thread a
 //     per-submission context through the same claim cursor.
-//   - Map / MapMorsels gather per-task results deterministically (in task
-//     order, regardless of completion order); Locals threads a per-worker
-//     accumulator through the morsels a worker claims — the
-//     pre-aggregation pattern — and returns the used accumulators in
-//     worker order.
+//   - Locals threads a per-worker accumulator through the morsels a worker
+//     claims — the pre-aggregation pattern — and returns the used
+//     accumulators in worker order. RunTasks is ForEach on a transient pool.
 //
 // Failure is a first-class input: a cancelled context stops the claim
 // cursor exactly like a task error does; a panicking task is recovered
 // and returned as a typed *PanicError instead of crashing the process;
 // concurrent task errors beyond the first are counted on the returned
-// error (*SuppressedError) rather than dropped; and a pool over its
-// MaxInFlight limit refuses new submissions with ErrOverloaded before
-// running anything.
+// error (*SuppressedError) rather than dropped.
 //
 // A Pool is safe for concurrent use by multiple goroutines; the task
 // callbacks must not call back into the same pool (a worker executing a
@@ -62,7 +57,7 @@ import (
 const DefaultMorselSize = 4096
 
 // Config sizes the execution core. The zero value means "one worker per
-// CPU, default morsels, no cancellation, no admission limit".
+// CPU, default morsels, no cancellation".
 type Config struct {
 	// Workers bounds the number of concurrently executing tasks (default
 	// runtime.GOMAXPROCS(0)). Parallel operators accept this instead of
@@ -70,20 +65,14 @@ type Config struct {
 	// the machine, not by the data.
 	Workers int
 	// MorselSize is the number of consecutive indexes per morsel in
-	// ForMorsels/MapMorsels/Locals (default DefaultMorselSize).
+	// ForMorsels/Locals (default DefaultMorselSize).
 	MorselSize int
 	// Ctx, when non-nil, is the pool's default context: every submission
-	// without an explicit context (ForEach, ForMorsels, Map, ...) is
+	// without an explicit context (ForEach, ForMorsels, Locals) is
 	// cancelled when Ctx is. Cancellation stops the claim cursor exactly
 	// like a task error — running tasks finish, unclaimed tasks never
 	// start — and the context's error is returned.
 	Ctx context.Context
-	// MaxInFlight bounds the number of concurrently executing
-	// submissions (ForEach/ForMorsels/Map/Locals calls); 0 means
-	// unlimited. A submission beyond the bound fails fast with
-	// ErrOverloaded before running any task — the backpressure primitive
-	// front-ends shed load on.
-	MaxInFlight int
 	// Metrics, when non-nil, receives pool telemetry (task and steal
 	// counts, queue-wait and task latency, per-worker busy time) from
 	// the scheduling path. Nil — the default — keeps the path free of
@@ -109,16 +98,14 @@ func (c Config) withDefaults() Config {
 // with NewPool; Close releases the workers (and is required — an unclosed
 // pool leaks its goroutines). The zero value is not usable.
 type Pool struct {
-	workers  int
-	morsel   int
-	limit    int
-	ctx      context.Context
-	metrics  *PoolMetrics
-	trace    *Trace
-	tasks    chan *run
-	inflight atomic.Int64
-	closed   atomic.Bool
-	wg       sync.WaitGroup
+	workers int
+	morsel  int
+	ctx     context.Context
+	metrics *PoolMetrics
+	trace   *Trace
+	tasks   chan *run
+	closed  atomic.Bool
+	wg      sync.WaitGroup
 }
 
 // NewPool starts cfg.Workers worker goroutines. Callers must Close the
@@ -128,7 +115,6 @@ func NewPool(cfg Config) *Pool {
 	p := &Pool{
 		workers: cfg.Workers,
 		morsel:  cfg.MorselSize,
-		limit:   cfg.MaxInFlight,
 		ctx:     cfg.Ctx,
 		metrics: cfg.Metrics,
 		trace:   cfg.Trace,
@@ -162,25 +148,6 @@ func (p *Pool) Close() {
 		close(p.tasks)
 	}
 	p.wg.Wait()
-}
-
-// admit claims an in-flight submission slot, refusing with ErrOverloaded
-// when the pool is at its MaxInFlight bound.
-func (p *Pool) admit() error {
-	if p.limit <= 0 {
-		return nil
-	}
-	if p.inflight.Add(1) > int64(p.limit) {
-		p.inflight.Add(-1)
-		return ErrOverloaded
-	}
-	return nil
-}
-
-func (p *Pool) release() {
-	if p.limit > 0 {
-		p.inflight.Add(-1)
-	}
 }
 
 // run is one scheduled batch of tasks: a shared claim cursor (the
@@ -352,13 +319,6 @@ func (p *Pool) forEach(ctx context.Context, tasks int, fn func(worker, task int)
 	if tasks <= 0 {
 		return nil
 	}
-	if err := p.admit(); err != nil {
-		if p.metrics != nil {
-			p.metrics.Overloads.Inc(0)
-		}
-		return err
-	}
-	defer p.release()
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -424,22 +384,6 @@ func (p *Pool) ForMorselsCtx(ctx context.Context, n int, fn func(worker, lo, hi 
 	})
 }
 
-// Run executes fn over the morsels of [0, n) on a transient pool sized by
-// cfg — the one-shot form of NewPool + ForMorsels + Close for operators
-// that parallelize a single phase.
-func Run(cfg Config, n int, fn func(worker, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	cfg = cfg.withDefaults()
-	if m := morselsFor(n, cfg.MorselSize); cfg.Workers > m {
-		cfg.Workers = m // never start workers that could not claim a morsel
-	}
-	p := NewPool(cfg)
-	defer p.Close()
-	return p.ForMorsels(n, fn)
-}
-
 // RunTasks executes fn once per task in [0, tasks) on a transient pool
 // sized by cfg — the one-shot form for discrete units of work (one task
 // per shard, one per client).
@@ -454,46 +398,6 @@ func RunTasks(cfg Config, tasks int, fn func(worker, task int) error) error {
 	p := NewPool(cfg)
 	defer p.Close()
 	return p.ForEach(tasks, fn)
-}
-
-// Map executes fn for every task and gathers the results in task order —
-// a deterministic gather regardless of which worker ran which task or in
-// what order they completed. On error the returned slice is nil.
-func Map[T any](p *Pool, tasks int, fn func(worker, task int) (T, error)) ([]T, error) {
-	return MapCtx(p.ctx, p, tasks, fn)
-}
-
-// MapCtx is Map under an explicit context, with ForEachCtx cancellation
-// semantics. On cancellation the returned slice is nil.
-func MapCtx[T any](ctx context.Context, p *Pool, tasks int, fn func(worker, task int) (T, error)) ([]T, error) {
-	out := make([]T, tasks)
-	err := p.ForEachCtx(ctx, tasks, func(w, t int) error {
-		v, err := fn(w, t)
-		if err != nil {
-			return err
-		}
-		out[t] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapMorsels executes fn over the morsels of [0, n) and gathers the
-// results in morsel order (deterministic gather). On error the returned
-// slice is nil.
-func MapMorsels[T any](p *Pool, n int, fn func(worker, lo, hi int) (T, error)) ([]T, error) {
-	size := p.morsel
-	return Map(p, morselsFor(n, size), func(w, t int) (T, error) {
-		lo := t * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		return fn(w, lo, hi)
-	})
 }
 
 // Locals runs fn over the morsels of [0, n) with one lazily created

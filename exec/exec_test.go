@@ -135,53 +135,6 @@ func TestPoolCloseLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestMapGathersInTaskOrder: Map's gather is deterministic — results land
-// at their task index regardless of execution order.
-func TestMapGathersInTaskOrder(t *testing.T) {
-	p := exec.NewPool(exec.Config{Workers: 8})
-	defer p.Close()
-	out, err := exec.Map(p, 500, func(_, task int) (int, error) {
-		return task * 3, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-	if _, err := exec.Map(p, 10, func(_, task int) (int, error) {
-		return 0, errors.New("nope")
-	}); err == nil {
-		t.Fatal("Map swallowed the task error")
-	}
-}
-
-// TestMapMorselsGather: morsel-order gather with exact range tiling.
-func TestMapMorselsGather(t *testing.T) {
-	const n = 3000
-	p := exec.NewPool(exec.Config{Workers: 4, MorselSize: 128})
-	defer p.Close()
-	sums, err := exec.MapMorsels(p, n, func(_, lo, hi int) (int, error) {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += i
-		}
-		return s, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range sums {
-		total += s
-	}
-	if want := n * (n - 1) / 2; total != want {
-		t.Fatalf("morsel sums total %d, want %d", total, want)
-	}
-}
-
 // TestLocalsPerWorker: per-worker accumulators see every index exactly
 // once between them, and at most one accumulator exists per worker.
 func TestLocalsPerWorker(t *testing.T) {
@@ -228,32 +181,14 @@ func TestLocalsPerWorker(t *testing.T) {
 	}
 }
 
-// TestRunAndRunTasks: the transient-pool conveniences cover their ranges
-// and tolerate empty input.
-func TestRunAndRunTasks(t *testing.T) {
-	if err := exec.Run(exec.Config{}, 0, func(_, _, _ int) error {
-		t.Error("fn called for empty range")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+// TestRunTasks: the transient-pool convenience runs every task once and
+// tolerates zero tasks.
+func TestRunTasks(t *testing.T) {
 	if err := exec.RunTasks(exec.Config{}, 0, func(_, _ int) error {
 		t.Error("fn called for zero tasks")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-	var sum atomic.Int64
-	if err := exec.Run(exec.Config{Workers: 3, MorselSize: 10}, 100, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			sum.Add(int64(i))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("Run sum = %d, want 4950", sum.Load())
 	}
 	var tasks atomic.Int64
 	if err := exec.RunTasks(exec.Config{Workers: 3}, 17, func(_, task int) error {

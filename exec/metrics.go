@@ -10,7 +10,7 @@ import "repro/obs"
 //
 // All fields are constructed by NewPoolMetrics; the zero value is not
 // usable. A PoolMetrics may be shared by several pools (e.g. transient
-// Run pools in a loop) — the counters simply accumulate across them.
+// RunTasks pools in a loop) — the counters simply accumulate across them.
 type PoolMetrics struct {
 	// Tasks counts executed tasks (morsels, for the morsel entry points).
 	Tasks *obs.Counter
@@ -28,11 +28,8 @@ type PoolMetrics struct {
 	// most one per submission: the cancellation observation that claimed
 	// the run's return slot).
 	Cancels *obs.Counter
-	// Submissions counts admitted submissions (ForEach/ForMorsels/Map/
-	// Locals calls that passed admission control).
+	// Submissions counts submissions (ForEach/ForMorsels/Locals calls).
 	Submissions *obs.Counter
-	// Overloads counts submissions refused with ErrOverloaded.
-	Overloads *obs.Counter
 	// BusyNanos accumulates per-worker time spent inside task callbacks;
 	// stripe w is worker w's exclusive slot, so ValueAt(w) reads one
 	// worker's busy time and Value() the pool total.
@@ -58,7 +55,6 @@ func NewPoolMetrics(workers int) *PoolMetrics {
 		Panics:      obs.NewCounter(workers),
 		Cancels:     obs.NewCounter(workers),
 		Submissions: obs.NewCounter(1),
-		Overloads:   obs.NewCounter(1),
 		BusyNanos:   obs.NewCounter(workers),
 		QueueWait:   obs.NewHistogram(workers),
 		TaskNanos:   obs.NewHistogram(workers),
@@ -74,8 +70,7 @@ func (m *PoolMetrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+`exec_events_total{kind="error"}`, "", m.Errors)
 	r.RegisterCounter(prefix+`exec_events_total{kind="panic"}`, "", m.Panics)
 	r.RegisterCounter(prefix+`exec_events_total{kind="cancel"}`, "", m.Cancels)
-	r.RegisterCounter(prefix+"exec_submissions_total", "submissions admitted by the pool", m.Submissions)
-	r.RegisterCounter(prefix+"exec_overloads_total", "submissions refused with ErrOverloaded", m.Overloads)
+	r.RegisterCounter(prefix+"exec_submissions_total", "submissions to the pool", m.Submissions)
 	r.RegisterCounter(prefix+"exec_busy_nanos_total", "nanoseconds workers spent inside task callbacks", m.BusyNanos)
 	r.RegisterHistogram(prefix+"exec_queue_wait_nanos", "submission-to-task-start latency in nanoseconds", m.QueueWait)
 	r.RegisterHistogram(prefix+"exec_task_nanos", "per-task execution latency in nanoseconds", m.TaskNanos)

@@ -126,38 +126,6 @@ func TestPoolMetricsCancel(t *testing.T) {
 	}
 }
 
-func TestPoolMetricsOverload(t *testing.T) {
-	m := exec.NewPoolMetrics(2)
-	p := exec.NewPool(exec.Config{Workers: 2, Ctx: context.Background(), MaxInFlight: 1, Metrics: m})
-	defer p.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- p.ForEach(2, func(w, task int) error {
-			if task == 0 {
-				close(started)
-			}
-			<-release
-			return nil
-		})
-	}()
-	<-started
-	if err := p.ForEach(2, func(w, task int) error { return nil }); !errors.Is(err, exec.ErrOverloaded) {
-		t.Fatalf("second submission err = %v, want ErrOverloaded", err)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Overloads.Value(); got != 1 {
-		t.Fatalf("Overloads = %d, want 1", got)
-	}
-	if got := m.Submissions.Value(); got != 1 {
-		t.Fatalf("Submissions = %d, want 1 (the refused one must not count)", got)
-	}
-}
-
 func TestTraceEventsCoverTasks(t *testing.T) {
 	p, _, tr := newInstrumented(t, 4)
 	const n = 100_000

@@ -152,50 +152,10 @@ func TestPoolCtxPreCancelled(t *testing.T) {
 		if n := ran.Load(); n != 0 {
 			t.Errorf("workers=%d: %d tasks ran under a pre-cancelled pool context", workers, n)
 		}
-		if _, err := exec.Map(p, 4, func(_, t int) (int, error) { return t, nil }); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: Map error = %v, want context.Canceled", workers, err)
+		if err := p.ForEachCtx(nil, 4, func(_, _ int) error { return nil }); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: ForEachCtx(nil) error = %v, want context.Canceled", workers, err)
 		}
 		p.Close()
-	}
-}
-
-// TestOverloaded: MaxInFlight admission control refuses the submission
-// beyond the bound with ErrOverloaded before running anything, and
-// admits again once the in-flight submission drains.
-func TestOverloaded(t *testing.T) {
-	p := exec.NewPool(exec.Config{Workers: 2, MaxInFlight: 1})
-	defer p.Close()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- p.ForEach(1, func(_, _ int) error {
-			close(started)
-			<-release
-			return nil
-		})
-	}()
-	<-started
-
-	var ran atomic.Int64
-	err := p.ForEach(4, func(_, _ int) error {
-		ran.Add(1)
-		return nil
-	})
-	if !errors.Is(err, exec.ErrOverloaded) {
-		t.Fatalf("second submission error = %v, want ErrOverloaded", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Fatalf("refused submission ran %d tasks", n)
-	}
-
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("first submission: %v", err)
-	}
-	if err := p.ForEach(4, func(_, _ int) error { return nil }); err != nil {
-		t.Fatalf("submission after drain: %v", err)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // taxonomyPkgs are the packages that define the typed error taxonomy:
-// table (ErrFull, *FullError), exec (ErrOverloaded, *PanicError,
-// *SuppressedError), shard (*DegradedError), and internal/fault
-// (ErrInjected). Matching is by package-path base, so the fixture stubs
-// of the analysistest harness exercise the same code paths.
+// table (ErrFull, *FullError), exec (*PanicError, *SuppressedError),
+// shard (*DegradedError), and internal/fault (ErrInjected). Matching is by
+// package-path base, so the fixture stubs of the analysistest harness
+// exercise the same code paths.
 var taxonomyPkgs = map[string]bool{
 	"table": true,
 	"exec":  true,
@@ -40,7 +40,7 @@ var ErrTaxonomy = &Analyzer{
 }
 
 // isSentinelUse reports whether e is a use of a package-level error
-// sentinel (ErrFull, ErrOverloaded, ErrInjected, ...) from a taxonomy
+// sentinel (ErrFull, ErrInjected, ...) from a taxonomy
 // package.
 func (p *Pass) isSentinelUse(e ast.Expr) (string, bool) {
 	var id *ast.Ident

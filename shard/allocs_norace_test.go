@@ -3,7 +3,8 @@
 package shard_test
 
 // Steady-state batch calls allocate nothing: the staging comes from the
-// pool and the tables' chunk scratch is already there. Not a race-build
+// pool and the tables' chunk scratch is already there. Nor do the scalar
+// writes, whose table callback is bound once per shard. Not a race-build
 // test: there sync.Pool drops a quarter of what it is handed back.
 
 import (
@@ -32,6 +33,7 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 		t.Fatal("Drain did not reach idle")
 	}
 	bump := func(lane int, old uint64, _ bool) uint64 { return old + uint64(lane) }
+	inc := func(old uint64, _ bool) uint64 { return old + 1 }
 	calls := []struct {
 		name string
 		call func()
@@ -40,6 +42,10 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 		{"PutBatch", func() { e.PutBatch(keys, vals) }},
 		{"GetOrPutBatch", func() { e.GetOrPutBatch(keys, vals, out, ok) }},
 		{"UpsertBatch", func() { e.UpsertBatch(keys, bump) }},
+		{"Put", func() { e.Put(keys[0], vals[0]) }},
+		{"GetOrPut", func() { e.GetOrPut(keys[0], 0) }},
+		{"Upsert", func() { e.Upsert(keys[0], inc) }},
+		{"Delete of an absent key", func() { e.Delete(0) }},
 	}
 	for _, c := range calls {
 		c.call() // warm: pool, chunk scratch
@@ -52,8 +58,9 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
 	// A resize in flight costs a mutation no allocation: the step collects
 	// its chunk into the shard's own buffer through a callback built once,
-	// and the overlay only allocates when it doubles. One shard, so every
-	// call below hosts a step; large enough that the resize outlasts them.
+	// the write reaches the successor through another, and the overlay only
+	// allocates when it doubles. One shard, so every call below hosts a
+	// step; large enough that the resize outlasts them.
 	e := newEngine(t, table.SchemeRH, 1, 1<<16, 0.85, 5)
 	key := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15 + 1 }
 	n := uint64(0)
@@ -64,12 +71,17 @@ func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
 		}
 	}
 	i := uint64(0)
+	inc := func(old uint64, _ bool) uint64 { return old + 1 }
 	calls := []struct {
 		name string
 		call func()
 	}{
 		{"Put of a frozen key", func() { i++; e.Put(key(i), i) }},
 		{"Put of a new key", func() { n++; e.Put(key(n), n) }},
+		{"GetOrPut of a frozen key", func() { i++; e.GetOrPut(key(i), 0) }},
+		{"GetOrPut of a new key", func() { n++; e.GetOrPut(key(n), n) }},
+		{"Upsert of a frozen key", func() { i++; e.Upsert(key(i), inc) }},
+		{"Upsert of a new key", func() { n++; e.Upsert(key(n), inc) }},
 		{"Delete of a frozen key", func() { i++; e.Delete(key(i)) }},
 		{"Delete of an absent key", func() { i++; e.Delete(key(i) + 1) }},
 	}

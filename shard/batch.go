@@ -20,9 +20,10 @@ package shard
 // (see readRange), while the mutation pipelines use table-owned scratch
 // under the shard's writer lock. A migrating shard's reads stay batched —
 // the frozen table's GetBatch over the range, then the successor's over
-// its misses and dead lanes (view.getRange). Its writes fall back to the
-// scalar migration-aware path per staged key, which also advances the
-// migration — batches make resize progress proportional to their size.
+// its misses and dead lanes (view.getRange). Its writes go key by key
+// through rmwLocked, the scalar writers' one locked path, which also
+// advances the migration — batches make resize progress proportional to
+// their size — and so does a steady range whose pipeline was refused.
 
 import (
 	"sync"
@@ -37,13 +38,16 @@ import (
 type staging struct {
 	scatter
 
-	// UpsertBatch's relay: the table pipeline is handed relay — bound to
-	// this staging once, when it is made, so no closure is allocated per
-	// call — which forwards to the caller's fn under the caller's lane
-	// numbering and records the last lane computed (see upsertBatchShard).
+	// UpsertBatch's relays, bound to this staging once, when it is made, so
+	// no closure is allocated per call. Both forward to the caller's fn
+	// under the caller's lane numbering: relay is handed to the table
+	// pipeline and records the last lane computed (see upsertBatchShard);
+	// relayAt is handed to rmwLocked, for the staged lane in lane.
 	relay    func(lane int, old uint64, exists bool) uint64
+	relayAt  func(old uint64, exists bool) uint64
 	fn       func(lane int, old uint64, exists bool) uint64
 	orig     []int32 // staged lane → caller lane; nil when the range is unscattered
+	lane     int
 	lastLane int
 	lastVal  uint64
 }
@@ -55,7 +59,7 @@ const maxPooledLanes = 1 << 16
 
 var stagingPool = sync.Pool{New: func() any {
 	st := new(staging)
-	st.relay = st.relayUpsert
+	st.relay, st.relayAt = st.relayUpsert, st.relayLane
 	return st
 }}
 
@@ -83,6 +87,10 @@ func (st *staging) relayUpsert(lane int, old uint64, exists bool) uint64 {
 	v := st.fn(st.callerLane(lane), old, exists)
 	st.lastLane, st.lastVal = lane, v
 	return v
+}
+
+func (st *staging) relayLane(old uint64, exists bool) uint64 {
+	return st.fn(st.callerLane(st.lane), old, exists)
 }
 
 // stage takes a staging from the pool and routes keys into it: the
@@ -170,30 +178,23 @@ func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded [
 		}
 		// The pipeline refused a key (Cuckoo kick failure): the table
 		// cannot place keys at this occupancy, so grow now — or degrade
-		// when the allocator refuses — and re-apply the whole range scalar,
+		// when the allocator refuses — and re-apply the whole range key by key,
 		// carrying the pipeline's insert count. Re-applying is idempotent:
 		// a pair already in is an update to, or a GetOrPut hit on, the same
 		// value, and is not counted twice; a within-batch duplicate may
 		// then report loaded=true for the lane that actually inserted —
 		// accepted on this pathological path.
-		e.growForBatchRefusal(s)
+		_ = e.growForRefusal(s, err) // the key-by-key pass below reports each key's outcome
 	}
 	for i, k := range keys {
-		fresh := false
-		if put {
-			fresh, err = e.putLocked(s, k, vals[i])
-		} else {
-			var v uint64
-			var ld bool
-			if v, ld, err = e.getOrPutLocked(s, k, vals[i]); err == nil && out != nil {
-				out[i], loaded[i] = v, ld
-			}
-			fresh = !ld
-		}
+		v, existed, err := e.rmwLocked(s, k, vals[i], put, nil)
 		if err != nil {
 			return inserted, err
 		}
-		if fresh {
+		if out != nil {
+			out[i], loaded[i] = v, existed
+		}
+		if !existed {
 			inserted++
 		}
 	}
@@ -267,7 +268,7 @@ func (e *Engine) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 
 // upsertBatchShard applies one shard's staged keys; orig maps staged lanes
 // back to the caller's lanes for fn (nil when keys is the caller's own
-// column). st carries the relay the table pipeline calls.
+// column). st carries the relays fn is reached through.
 func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
@@ -275,7 +276,7 @@ func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, ori
 	e.degradedTick(s)
 	st.fn, st.orig = fn, orig
 	inserted := 0
-	resume := 0
+	st.lane = 0
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
 		// A half-applied UpsertBatch cannot simply be re-applied (fn
 		// would observe its own partial effects), so the relay records
@@ -283,7 +284,7 @@ func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, ori
 		// unreachable for the probing and chained schemes below the
 		// threshold, a failed kick chain for Cuckoo — the pipeline's
 		// contract guarantees every earlier lane is stored, and the last
-		// computed value is re-stored directly (idempotent if it already
+		// computed value is re-stored as a Put (idempotent if it already
 		// landed) without invoking fn again.
 		st.lastLane = -1
 		ins, err := v.cur.UpsertBatch(keys, st.relay)
@@ -292,40 +293,25 @@ func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, ori
 			return ins, err
 		}
 		inserted = ins
-		e.growForBatchRefusal(s)
+		_ = e.growForRefusal(s, err) // the key-by-key pass below reports each key's outcome
 		if st.lastLane >= 0 {
-			// putLocked grows the shard (or degrades it) as needed while
-			// re-storing the last computed value.
-			in, err := e.putLocked(s, keys[st.lastLane], st.lastVal)
+			_, existed, err := e.rmwLocked(s, keys[st.lastLane], st.lastVal, true, nil)
 			if err != nil {
 				return inserted, err
 			}
-			if in {
+			if !existed {
 				inserted++
 			}
-			resume = st.lastLane + 1
+			st.lane = st.lastLane + 1
 		}
 	}
-	n, err := e.upsertScalarLocked(s, st, keys[resume:], resume, fn)
-	return inserted + n, err
-}
-
-// upsertScalarLocked is upsertBatchShard's migration-aware scalar path,
-// over the staged keys from lane base on. It is its own function so that
-// the counter its per-key closures capture — heap-allocated, like them —
-// costs the pipeline path nothing.
-func (e *Engine) upsertScalarLocked(s *shardState, st *staging, keys []uint64, base int, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	inserted := 0
-	for i, k := range keys {
-		lane := st.callerLane(base + i)
-		_, err := e.upsertLocked(s, k, func(old uint64, exists bool) uint64 {
-			if !exists {
-				inserted++
-			}
-			return fn(lane, old, exists)
-		})
+	for ; st.lane < len(keys); st.lane++ {
+		_, existed, err := e.rmwLocked(s, keys[st.lane], 0, false, st.relayAt)
 		if err != nil {
 			return inserted, err
+		}
+		if !existed {
+			inserted++
 		}
 	}
 	return inserted, nil

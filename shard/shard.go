@@ -62,6 +62,15 @@
 //   - When the cursor is exhausted the successor becomes the shard's
 //     table and the frozen one is dropped wholesale.
 //
+// Every write but a delete goes through one locked path, rmwLocked: Put,
+// GetOrPut and Upsert, and a batch's keys wherever its table's pipeline
+// cannot run (a migrating shard, or a refused range). A steady shard's
+// write is its table's own Put, GetOrPut or Upsert. A migrating shard's is
+// one successor Upsert, whose callback (bound once per shard, so nothing
+// is allocated) asks the frozen table minus the dead overlay about a key
+// the successor lacks, and the write then marks a frozen entry whose value
+// it changed dead.
+//
 // The cursor is one integer, the position Table.RangeFrom stopped at: a
 // frozen table never changes, so there is no goroutine, nothing to stop,
 // and an engine dropped mid-resize is ordinary garbage. A step collects
@@ -269,6 +278,15 @@ type shardState struct {
 	collect func(k, v uint64) bool // RangeFrom callback filling buf; built once with it, so a step allocates nothing
 	carry   []kv                   // cursor entries the successor refused (see advance)
 
+	// The rmwLocked call in flight, as rmw reads and records it. rmw is
+	// rmwStep bound once with the shard, so a write allocates no closure.
+	rmw      func(old uint64, exists bool) uint64
+	key, val uint64
+	put      bool
+	fn       func(old uint64, exists bool) uint64
+	old      uint64 // what the key held, when existed
+	existed  bool
+
 	// Degraded-state retry scheduling; zero when the allocator is
 	// healthy. (The degraded flag itself lives in the view.)
 	backoff int // current retry window (mutations), doubles per failure
@@ -352,7 +370,7 @@ func New(cfg Config) (*Engine, error) {
 	tables := make([]Table, p)
 	open := func(_, i int) (err error) {
 		s := &e.shards[i]
-		s.idx, s.eng = i, e
+		s.idx, s.eng, s.rmw = i, e, s.rmwStep
 		s.seed = cfg.Seed + uint64(i)*shardSeedStep
 		s.jitter = prng.NewSplitMix64(s.seed ^ jitterSeedMix)
 		tables[i], err = e.allocTable(perShard, s.seed)
@@ -732,7 +750,9 @@ func (e *Engine) degradedTick(s *shardState) {
 // When the shard is already degraded (this mutation's retry, if due,
 // already ran in degradedTick) or the allocation fails, it converts the
 // refusal into a typed *DegradedError; on success the caller proceeds
-// onto the freshly installed successor.
+// onto the freshly installed successor. The batched pipelines drop the
+// error: they re-apply a refused range key by key, which reports per-key
+// outcomes.
 func (e *Engine) growForRefusal(s *shardState, refusal error) error {
 	if s.view.Load().degraded {
 		return &DegradedError{Shard: s.idx, Err: refusal}
@@ -784,20 +804,6 @@ func (e *Engine) Drain() bool {
 		s.unlockShard()
 	}
 	return idle
-}
-
-// growForBatchRefusal is growForRefusal for the batched pipelines, where
-// the refusal is recovered from (the range is re-applied scalar) rather
-// than surfaced: it starts the migration or degrades the shard, and the
-// scalar fallback loop reports per-key outcomes.
-func (e *Engine) growForBatchRefusal(s *shardState) {
-	v := s.view.Load()
-	if v.degraded || v.migrating() {
-		return
-	}
-	if err := e.beginMigration(s); err != nil {
-		e.enterDegraded(s)
-	}
 }
 
 // tryRebuild is rebuild with degraded-state accounting: a failed
@@ -871,70 +877,153 @@ func (e *Engine) rebuild(s *shardState) error {
 // inserted. With growth enabled the error is always nil; with GrowAt zero
 // a full shard surfaces the table's ErrFull.
 func (e *Engine) Put(key, val uint64) (bool, error) {
+	_, existed, err := e.write(key, val, true, nil)
+	return err == nil && !existed, err
+}
+
+// GetOrPut returns the value stored under key if present (loaded true);
+// otherwise it inserts val and returns it (loaded false). One probe
+// sequence in the steady state; during a migration a successor miss adds
+// one probe of the frozen table.
+func (e *Engine) GetOrPut(key, val uint64) (actual uint64, loaded bool, err error) {
+	return e.write(key, val, false, nil)
+}
+
+// Upsert applies fn to the value stored under key (exists true) or to
+// (0, false) when absent, stores the result, and returns it. fn runs under
+// the shard's writer lock and must not call back into the engine. fn is
+// invoked exactly once per call.
+func (e *Engine) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	nv, _, err := e.write(key, 0, false, fn)
+	return nv, err
+}
+
+// write is the scalar writers' body: rmwLocked under the shard's lock,
+// timed into the mode's histogram when sampled.
+func (e *Engine) write(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	s := e.shardFor(key)
 	m, start := e.opStart(key)
 	s.lockShard()
-	ins, err := e.putLocked(s, key, val)
+	nv, existed, err := e.rmwLocked(s, key, val, overwrite, fn)
 	s.unlockShard()
 	if m != nil {
-		m.Put.Record(s.idx, obs.Now()-start)
+		h := m.GetOrPut
+		if fn != nil {
+			h = m.Upsert
+		} else if overwrite {
+			h = m.Put
+		}
+		h.Record(s.idx, obs.Now()-start)
 	}
-	return ins, err
+	return nv, existed, err
 }
 
-func (e *Engine) putLocked(s *shardState, key, val uint64) (bool, error) {
+// rmwLocked is the one write path under the shard's lock, with the tables'
+// rmwHashed mode rule: Upsert when fn is set, else Put when overwrite, else
+// GetOrPut. It returns the value it leaves under key and whether the key
+// was there before, and like every mutation it first advances the
+// migration and ticks the degraded backoff.
+//
+// A steady shard's write is its table's own Put, GetOrPut or Upsert. A
+// refused one (the table full, a failed Cuckoo kick chain below the
+// threshold, or an injected refusal, which does not imply absence) grows
+// the shard and goes on as a migrating write: the frozen table is
+// read-only, so that is one successor Upsert through s.rmw, which asks the
+// frozen table minus the dead overlay about a key the successor lacks. The
+// callback is thus handed the key's current value.
+func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	e.advance(s)
 	e.degradedTick(s)
 	v := s.view.Load()
 	if !v.migrating() {
 		var (
-			ins bool
-			err error
+			nv      uint64
+			existed bool
+			err     error
 		)
 		if fault.Should(fault.Full) {
-			err = fmt.Errorf("put %#x: %w", key, fault.ErrInjected)
+			err = fmt.Errorf("write %#x: %w", key, fault.ErrInjected)
 		} else {
-			ins, err = v.cur.Put(key, val)
+			nv, existed, err = s.steadyWrite(v.cur, key, val, overwrite, fn)
 		}
 		if err == nil {
-			if ins {
+			if !existed {
 				s.live.Add(1)
 				e.maybeGrow(s)
 			}
-			return ins, nil
+			return nv, existed, nil
 		}
 		if e.growAt <= 0 {
-			return false, err
+			return 0, false, err
 		}
-		// The table refused the insert (full, or a failed Cuckoo kick
-		// chain below the threshold): grow now, write to the successor.
 		if derr := e.growForRefusal(s, err); derr != nil {
-			return false, derr
+			return 0, false, derr
 		}
 		v = s.view.Load() // the epoch with the successor installed
 	}
-	// Migrating: the frozen table is read-only, so the write lands in the
-	// successor. A live frozen entry makes the key not new, and dead if it
-	// holds another value: readers ask the frozen table first.
-	inserted, err := v.next.Put(key, val)
+	nv, err := s.upsert(v.next, key, val, overwrite, fn)
 	if err != nil {
 		if !e.tryRebuild(s) {
-			return false, &DegradedError{Shard: s.idx, Err: err}
+			return 0, false, &DegradedError{Shard: s.idx, Err: err}
 		}
-		ins, err := s.view.Load().cur.Put(key, val)
-		if ins {
+		// The successor refused before calling fn, and the rebuilt table
+		// holds every live entry: the retry is a steady write.
+		nv, existed, err := s.steadyWrite(s.view.Load().cur, key, val, overwrite, fn)
+		if err == nil && !existed {
 			s.live.Add(1)
 		}
-		return ins, err
+		return nv, existed, err
 	}
-	cv, live := v.curLive(key)
-	if live && cv != val {
-		e.markDead(s, key)
-	}
-	if inserted && !live {
+	if !s.existed {
 		s.live.Add(1)
+	} else if nv != s.old {
+		// A live frozen entry holds the value the key held, and readers ask
+		// the frozen table first: a changed value makes it dead.
+		if _, live := v.curLive(key); live {
+			e.markDead(s, key)
+		}
 	}
-	return inserted && !live, nil
+	return nv, s.existed, nil
+}
+
+// steadyWrite is a write into t, the one table of a shard not migrating:
+// t's own Put or GetOrPut, or its Upsert through s.rmw.
+func (s *shardState) steadyWrite(t Table, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
+	switch {
+	case fn != nil:
+		nv, err := s.upsert(t, key, val, overwrite, fn)
+		return nv, s.existed, err
+	case overwrite:
+		ins, err := t.Put(key, val)
+		return val, !ins, err
+	}
+	return t.GetOrPut(key, val)
+}
+
+// upsert is t.Upsert through s.rmw, handed the write's arguments in s.
+func (s *shardState) upsert(t Table, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	s.key, s.val, s.put, s.fn = key, val, overwrite, fn
+	nv, err := t.Upsert(key, s.rmw)
+	s.fn = nil // keep nothing of the caller's alive
+	return nv, err
+}
+
+// rmwStep is s.rmw: the write's mode applied to what the key holds, which
+// it records in s. On a migrating shard a key the successor lacks may still
+// live in the frozen table; its value then moves to the successor in the
+// same probe sequence (eager migration).
+func (s *shardState) rmwStep(old uint64, exists bool) uint64 {
+	if v := s.view.Load(); !exists && v.migrating() {
+		old, exists = v.curLive(s.key)
+	}
+	s.old, s.existed = old, exists
+	switch {
+	case s.fn != nil:
+		return s.fn(old, exists)
+	case exists && !s.put:
+		return old
+	}
+	return s.val
 }
 
 // markDead marks dead the frozen entry of key, which the caller saw live.
@@ -988,178 +1077,4 @@ func (e *Engine) deleteLocked(s *shardState, key uint64) bool {
 		s.live.Add(-1)
 	}
 	return deleted
-}
-
-// GetOrPut returns the value stored under key if present (loaded true);
-// otherwise it inserts val and returns it (loaded false). One probe
-// sequence in the steady state; during a migration a successor miss adds
-// one probe of the frozen table.
-func (e *Engine) GetOrPut(key, val uint64) (actual uint64, loaded bool, err error) {
-	s := e.shardFor(key)
-	m, start := e.opStart(key)
-	s.lockShard()
-	actual, loaded, err = e.getOrPutLocked(s, key, val)
-	s.unlockShard()
-	if m != nil {
-		m.GetOrPut.Record(s.idx, obs.Now()-start)
-	}
-	return actual, loaded, err
-}
-
-func (e *Engine) getOrPutLocked(s *shardState, key, val uint64) (uint64, bool, error) {
-	e.advance(s)
-	e.degradedTick(s)
-	v := s.view.Load()
-	if !v.migrating() {
-		var (
-			actual uint64
-			loaded bool
-			err    error
-		)
-		if fault.Should(fault.Full) {
-			err = fmt.Errorf("getorput %#x: %w", key, fault.ErrInjected)
-		} else {
-			actual, loaded, err = v.cur.GetOrPut(key, val)
-		}
-		if err == nil {
-			if !loaded {
-				s.live.Add(1)
-				e.maybeGrow(s)
-			}
-			return actual, loaded, nil
-		}
-		if e.growAt <= 0 {
-			return 0, false, err
-		}
-		if derr := e.growForRefusal(s, err); derr != nil {
-			return 0, false, derr
-		}
-		v = s.view.Load()
-	}
-	actual, loaded := uint64(0), false
-	_, err := v.next.Upsert(key, func(old uint64, exists bool) uint64 {
-		if exists {
-			actual, loaded = old, true
-			return old
-		}
-		if cv, ok := v.curLive(key); ok {
-			// Eager migration: the key's value moves to the successor so
-			// the one probe sequence that found its slot also claims it.
-			actual, loaded = cv, true
-			return cv
-		}
-		actual = val
-		return val
-	})
-	if err != nil {
-		if !e.tryRebuild(s) {
-			return 0, false, &DegradedError{Shard: s.idx, Err: err}
-		}
-		actual, loaded, err = s.view.Load().cur.GetOrPut(key, val)
-		if err == nil && !loaded {
-			s.live.Add(1)
-		}
-		return actual, loaded, err
-	}
-	if !loaded {
-		s.live.Add(1)
-	}
-	return actual, loaded, nil
-}
-
-// Upsert applies fn to the value stored under key (exists true) or to
-// (0, false) when absent, stores the result, and returns it. fn runs under
-// the shard's writer lock and must not call back into the engine. fn is
-// invoked exactly once per call.
-func (e *Engine) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	s := e.shardFor(key)
-	m, start := e.opStart(key)
-	s.lockShard()
-	nv, err := e.upsertLocked(s, key, fn)
-	s.unlockShard()
-	if m != nil {
-		m.Upsert.Record(s.idx, obs.Now()-start)
-	}
-	return nv, err
-}
-
-func (e *Engine) upsertLocked(s *shardState, key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	e.advance(s)
-	e.degradedTick(s)
-	// A table refusal can only happen before fn runs (the kernels call
-	// fn only once a slot is secured), so the grow-and-retry paths below
-	// may pass wrap again without breaking the invoked-exactly-once
-	// contract.
-	inserted := false
-	wrap := func(old uint64, exists bool) uint64 {
-		if !exists {
-			inserted = true
-		}
-		return fn(old, exists)
-	}
-	v := s.view.Load()
-	if !v.migrating() {
-		var (
-			nv  uint64
-			err error
-		)
-		if fault.Should(fault.Full) {
-			err = fmt.Errorf("upsert %#x: %w", key, fault.ErrInjected)
-		} else {
-			nv, err = v.cur.Upsert(key, wrap)
-		}
-		if err == nil {
-			if inserted {
-				s.live.Add(1)
-				e.maybeGrow(s)
-			}
-			return nv, nil
-		}
-		if e.growAt <= 0 {
-			return 0, err
-		}
-		if derr := e.growForRefusal(s, err); derr != nil {
-			return 0, derr
-		}
-		// A migration is now in flight; fall through to the migrating
-		// path, which consults the frozen table — so fn still observes
-		// the key's current value (a refusal does not imply absence once
-		// injected refusals exist).
-		v = s.view.Load()
-	}
-	inserted = false
-	nv, err := v.next.Upsert(key, func(old uint64, exists bool) uint64 {
-		if exists {
-			return wrap(old, true)
-		}
-		if cv, ok := v.curLive(key); ok {
-			return wrap(cv, true) // eager migration of the frozen value
-		}
-		inserted = true
-		return wrap(0, false)
-	})
-	if err != nil {
-		if !e.tryRebuild(s) {
-			return 0, &DegradedError{Shard: s.idx, Err: err}
-		}
-		// The rebuilt table holds every live entry (the successor refused
-		// before calling fn), so the retry is a plain single-table upsert
-		// with correct exists semantics — a key that was still living in
-		// the frozen table is seen, not re-created from (0, false).
-		inserted = false
-		nv, err := s.view.Load().cur.Upsert(key, wrap)
-		if err != nil {
-			return 0, err
-		}
-		if inserted {
-			s.live.Add(1)
-		}
-		return nv, nil
-	}
-	if inserted {
-		s.live.Add(1)
-	} else if cv, ok := v.curLive(key); ok && cv != nv {
-		e.markDead(s, key) // as in putLocked
-	}
-	return nv, nil
 }
