@@ -22,9 +22,9 @@ type Fig7Series struct {
 }
 
 // fig7Variant is one of the four table variants one runner covers: AoS or
-// SoA with scalar or vectorized probing. "SIMD" here means the portable
-// 4-lane kernels of internal/vec — see README's "Regenerating the paper's
-// figures".
+// SoA with scalar or vectorized probing. "SIMD" here means the kernel's
+// portable 4-slot block compare (table/batch.go) — see README's
+// "Regenerating the paper's figures".
 type fig7Variant struct {
 	label  string
 	scheme table.Scheme

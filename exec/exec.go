@@ -20,8 +20,8 @@
 //   - Pool owns the worker goroutines. ForEach schedules discrete tasks
 //     (e.g. one per partition), ForMorsels carves an index range [0, n)
 //     into morsels; both propagate the first error and stop scheduling
-//     further work once a task fails. The Ctx variants thread a
-//     per-submission context through the same claim cursor.
+//     further work once a task fails; Config.Ctx cancels them through the
+//     same claim cursor.
 //   - Locals threads a per-worker accumulator through the morsels a worker
 //     claims — the pre-aggregation pattern — and returns the used
 //     accumulators in worker order. RunTasks is ForEach on a transient pool.
@@ -67,11 +67,11 @@ type Config struct {
 	// MorselSize is the number of consecutive indexes per morsel in
 	// ForMorsels/Locals (default DefaultMorselSize).
 	MorselSize int
-	// Ctx, when non-nil, is the pool's default context: every submission
-	// without an explicit context (ForEach, ForMorsels, Locals) is
-	// cancelled when Ctx is. Cancellation stops the claim cursor exactly
-	// like a task error — running tasks finish, unclaimed tasks never
-	// start — and the context's error is returned.
+	// Ctx, when non-nil, is the pool's context: every submission
+	// (ForEach, ForMorsels, Locals) is cancelled when Ctx is.
+	// Cancellation stops the claim cursor exactly like a task error —
+	// running tasks finish, unclaimed tasks never start — and the
+	// context's error is returned.
 	Ctx context.Context
 	// Metrics, when non-nil, receives pool telemetry (task and steal
 	// counts, queue-wait and task latency, per-worker busy time) from
@@ -302,20 +302,7 @@ func (r *run) result() error {
 // calling goroutine, in task order — the serial oracle of the parallel
 // schedule.
 func (p *Pool) ForEach(tasks int, fn func(worker, task int) error) error {
-	return p.forEach(p.ctx, tasks, fn)
-}
-
-// ForEachCtx is ForEach under an explicit context: cancellation stops
-// the claim cursor exactly like a task error (running tasks finish,
-// unclaimed tasks never start) and ctx.Err() is returned.
-func (p *Pool) ForEachCtx(ctx context.Context, tasks int, fn func(worker, task int) error) error {
-	if ctx == nil {
-		ctx = p.ctx
-	}
-	return p.forEach(ctx, tasks, fn)
-}
-
-func (p *Pool) forEach(ctx context.Context, tasks int, fn func(worker, task int) error) error {
+	ctx := p.ctx
 	if tasks <= 0 {
 		return nil
 	}
@@ -367,14 +354,8 @@ func morselsFor(n, size int) int {
 // error contract as ForEach. Indexes are covered exactly once; morsel
 // boundaries are deterministic (only the worker assignment varies).
 func (p *Pool) ForMorsels(n int, fn func(worker, lo, hi int) error) error {
-	return p.ForMorselsCtx(p.ctx, n, fn)
-}
-
-// ForMorselsCtx is ForMorsels under an explicit context, with ForEachCtx
-// cancellation semantics.
-func (p *Pool) ForMorselsCtx(ctx context.Context, n int, fn func(worker, lo, hi int) error) error {
 	size := p.morsel
-	return p.ForEachCtx(ctx, morselsFor(n, size), func(w, t int) error {
+	return p.ForEach(morselsFor(n, size), func(w, t int) error {
 		lo := t * size
 		hi := lo + size
 		if hi > n {

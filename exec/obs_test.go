@@ -11,17 +11,17 @@ import (
 	"repro/exec"
 )
 
-func newInstrumented(t *testing.T, workers int) (*exec.Pool, *exec.PoolMetrics, *exec.Trace) {
+func newInstrumented(t *testing.T, workers int, ctx context.Context) (*exec.Pool, *exec.PoolMetrics, *exec.Trace) {
 	t.Helper()
 	m := exec.NewPoolMetrics(workers)
 	tr := exec.NewTrace(workers, 4096)
-	p := exec.NewPool(exec.Config{Workers: workers, Ctx: context.Background(), Metrics: m, Trace: tr})
+	p := exec.NewPool(exec.Config{Workers: workers, Ctx: ctx, Metrics: m, Trace: tr})
 	t.Cleanup(p.Close)
 	return p, m, tr
 }
 
 func TestPoolMetricsCounts(t *testing.T) {
-	p, m, _ := newInstrumented(t, 4)
+	p, m, _ := newInstrumented(t, 4, context.Background())
 	const tasks = 64
 	if err := p.ForEach(tasks, func(w, task int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestPoolMetricsCounts(t *testing.T) {
 
 func TestPoolMetricsInlinePath(t *testing.T) {
 	// One worker forces the inline fast path: telemetry must still flow.
-	p, m, tr := newInstrumented(t, 1)
+	p, m, tr := newInstrumented(t, 1, context.Background())
 	if err := p.ForEach(10, func(w, task int) error {
 		time.Sleep(time.Microsecond)
 		return nil
@@ -70,7 +70,7 @@ func TestPoolMetricsInlinePath(t *testing.T) {
 }
 
 func TestPoolMetricsErrorAndPanic(t *testing.T) {
-	p, m, _ := newInstrumented(t, 4)
+	p, m, _ := newInstrumented(t, 4, context.Background())
 	boom := errors.New("boom")
 	if err := p.ForEach(16, func(w, task int) error {
 		if task == 3 {
@@ -99,10 +99,10 @@ func TestPoolMetricsErrorAndPanic(t *testing.T) {
 }
 
 func TestPoolMetricsCancel(t *testing.T) {
-	p, m, tr := newInstrumented(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := p.ForEachCtx(ctx, 256, func(w, task int) error {
+	p, m, tr := newInstrumented(t, 4, ctx)
+	err := p.ForEach(256, func(w, task int) error {
 		if task == 0 {
 			cancel()
 		}
@@ -127,7 +127,7 @@ func TestPoolMetricsCancel(t *testing.T) {
 }
 
 func TestTraceEventsCoverTasks(t *testing.T) {
-	p, _, tr := newInstrumented(t, 4)
+	p, _, tr := newInstrumented(t, 4, context.Background())
 	const n = 100_000
 	if err := p.ForMorsels(n, func(w, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestTraceDropsWhenFull(t *testing.T) {
 }
 
 func TestTraceChromeJSON(t *testing.T) {
-	p, _, tr := newInstrumented(t, 2)
+	p, _, tr := newInstrumented(t, 2, context.Background())
 	if err := p.ForEach(8, func(w, task int) error {
 		time.Sleep(50 * time.Microsecond)
 		return nil

@@ -103,18 +103,18 @@ func TestInjectedPanic(t *testing.T) {
 	}
 }
 
-// TestForEachCtxCancel: cancelling the context stops the claim cursor
-// like a first error — running tasks finish, unclaimed tasks never
+// TestForEachCtxCancel: cancelling the pool's context stops the claim
+// cursor like a first error — running tasks finish, unclaimed tasks never
 // start — and the context's error is returned.
 func TestForEachCtxCancel(t *testing.T) {
 	const workers, tasks = 4, 64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := exec.NewPool(exec.Config{Workers: workers})
+	p := exec.NewPool(exec.Config{Workers: workers, Ctx: ctx})
 	defer p.Close()
 
 	var ran atomic.Int64
-	err := p.ForEachCtx(ctx, tasks, func(_, task int) error {
+	err := p.ForEach(tasks, func(_, task int) error {
 		ran.Add(1)
 		if task == 0 {
 			cancel()
@@ -151,9 +151,6 @@ func TestPoolCtxPreCancelled(t *testing.T) {
 		}
 		if n := ran.Load(); n != 0 {
 			t.Errorf("workers=%d: %d tasks ran under a pre-cancelled pool context", workers, n)
-		}
-		if err := p.ForEachCtx(nil, 4, func(_, _ int) error { return nil }); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: ForEachCtx(nil) error = %v, want context.Canceled", workers, err)
 		}
 		p.Close()
 	}

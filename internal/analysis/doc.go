@@ -11,8 +11,8 @@
 //	all concurrency flows through exec/shard    nogoroutine     bounded fan-out, first-error, panic containment (PR 5)
 //	typed errors matched via errors.Is/As,      errtaxonomy     the FullError -> DegradedError -> %w chain must stay
 //	re-surfaced only with %w                                    inspectable end to end (PR 6)
-//	unsafe only in table/policy.go,             unsafeconfine   unsafe aliasing stays where checkptr/ASan and
-//	internal/vec                                                FuzzColumnView exercise it (PR 4)
+//	unsafe only in table/policy.go              unsafeconfine   unsafe aliasing stays where checkptr/ASan and
+//	                                                            FuzzColumnView and FuzzProbeKernel exercise it
 //	shard locks paired in-function; factory     lockdiscipline  incremental resize and degraded mode assume the
 //	calls only via allocTable; no exec calls                    chokepoint and the lock ownership rules (PR 3/6)
 //	under a shard lock

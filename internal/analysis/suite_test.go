@@ -29,7 +29,7 @@ func TestErrTaxonomy(t *testing.T) {
 
 func TestUnsafeConfine(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.UnsafeConfine,
-		"unsafeconfine/bad", "unsafeconfine/table")
+		"unsafeconfine/bad", "unsafeconfine/table", "unsafeconfine/vec")
 }
 
 func TestLockDiscipline(t *testing.T) {

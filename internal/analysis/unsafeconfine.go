@@ -5,28 +5,21 @@ import (
 	"strconv"
 )
 
-// UnsafeConfine confines `unsafe` to the explicit allowlist: the probe
-// kernel's column view (table/policy.go, where both slot layouts alias
-// one []uint64 view over their backing arrays) and internal/vec (the
-// SIMD stand-in kernels, should they ever need layout-exact views). The
-// aliasing in policy.go is checkptr- and ASan-exercised by the sanitizer
-// CI job plus FuzzColumnView; a new unsafe import anywhere else would
-// dodge that coverage, so it is refused outright.
+// UnsafeConfine confines `unsafe` to one file: the probe kernel's column
+// view (table/policy.go, where both slot layouts alias one []uint64 view
+// over their backing arrays). That aliasing is checkptr- and
+// ASan-exercised by the sanitizer CI job plus FuzzColumnView and
+// FuzzProbeKernel; a new unsafe import anywhere else would dodge that
+// coverage, so it is refused outright.
 var UnsafeConfine = &Analyzer{
 	Name: "unsafeconfine",
-	Doc:  "allow the unsafe import only in table/policy.go and internal/vec",
+	Doc:  "allow the unsafe import only in table/policy.go",
 	Run:  runUnsafeConfine,
 }
 
 // unsafeAllowed reports whether the file may import unsafe.
 func unsafeAllowed(pkgBase, fileBase string) bool {
-	switch pkgBase {
-	case "vec":
-		return true
-	case "table":
-		return fileBase == "policy.go"
-	}
-	return false
+	return pkgBase == "table" && fileBase == "policy.go"
 }
 
 func runUnsafeConfine(pass *Pass) error {
@@ -39,7 +32,7 @@ func runUnsafeConfine(pass *Pass) error {
 			}
 			file := filepath.Base(pass.Fset.Position(imp.Pos()).Filename)
 			if !unsafeAllowed(base, file) {
-				pass.Reportf(imp.Pos(), "unsafe imported outside the allowlist (table/policy.go, internal/vec): unsafe aliasing must stay where the checkptr/ASan jobs and FuzzColumnView exercise it")
+				pass.Reportf(imp.Pos(), "unsafe imported outside the allowlist (table/policy.go): unsafe aliasing must stay where the checkptr/ASan jobs and FuzzColumnView exercise it")
 			}
 		}
 	}

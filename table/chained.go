@@ -224,7 +224,7 @@ func (t *chained8) ChainLengths() []int {
 // inline and collision-free lookups touch no linked list at all (§2.1).
 //
 // Invariants: if next != nil the inline entry is occupied; an unoccupied
-// inline slot has key == emptyKey (real key 0 is kept in a side field).
+// inline slot has key == emptyKey (real key 0 is kept in the sentinels).
 type bucket24 struct {
 	key  uint64
 	val  uint64
@@ -246,8 +246,7 @@ type chained24 struct {
 
 	grows int
 
-	hasZero bool   // inline sentinel escape for real key 0
-	zeroVal uint64 // stored out-of-line like open addressing's sentinels
+	sent sentinels // real key 0, out of line like open addressing's; 2^64-1 is an ordinary key here
 	rmwSurface[*chained24]
 }
 
@@ -280,12 +279,7 @@ func (t *chained24) HashName() string { return t.fn.Name() }
 func (t *chained24) Rehashes() int { return t.grows }
 
 // Len implements Table.
-func (t *chained24) Len() int {
-	if t.hasZero {
-		return t.size + 1
-	}
-	return t.size
-}
+func (t *chained24) Len() int { return t.size + t.sent.len() }
 
 // Capacity implements Table (directory slots).
 func (t *chained24) Capacity() int { return len(t.dir) }
@@ -306,7 +300,7 @@ func inlineOccupied(b *bucket24) bool { return b.key != emptyKey || b.next != ni
 // Get implements Table.
 func (t *chained24) Get(key uint64) (uint64, bool) {
 	if key == emptyKey {
-		return t.zeroVal, t.hasZero
+		return t.sent.get(key)
 	}
 	b := &t.dir[t.home(key)]
 	if b.key == key {
@@ -326,20 +320,8 @@ func (t *chained24) Get(key uint64) (uint64, bool) {
 // sentinel routing here.
 func (t *chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	if key == emptyKey {
-		if t.hasZero {
-			if fn != nil {
-				t.zeroVal = fn(t.zeroVal, true)
-			} else if overwrite {
-				t.zeroVal = val
-			}
-			return t.zeroVal, true, nil
-		}
-		v := val
-		if fn != nil {
-			v = fn(0, false)
-		}
-		t.hasZero, t.zeroVal = true, v
-		return v, false, nil
+		v, existed := t.sent.rmw(key, val, overwrite, fn)
+		return v, existed, nil
 	}
 	t.maybeGrow()
 	b := &t.dir[hash>>t.shift]
@@ -384,9 +366,7 @@ func (t *chained24) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uin
 // is preserved.
 func (t *chained24) Delete(key uint64) bool {
 	if key == emptyKey {
-		had := t.hasZero
-		t.hasZero, t.zeroVal = false, 0
-		return had
+		return t.sent.delete(key)
 	}
 	b := &t.dir[t.home(key)]
 	if b.key == key {
@@ -455,7 +435,7 @@ func (t *chained24) maybeGrow() {
 
 // Range implements Table.
 func (t *chained24) Range(fn func(key, val uint64) bool) {
-	if t.hasZero && !fn(emptyKey, t.zeroVal) {
+	if _, more := t.sent.rangeFrom(0, fn); !more {
 		return
 	}
 	for i := range t.dir {
@@ -471,17 +451,15 @@ func (t *chained24) Range(fn func(key, val uint64) bool) {
 	}
 }
 
-// RangeFrom implements Table at bucket granularity like chained8's:
-// position 0 is the out-of-line key 0, position 1+i is bucket i, inline
-// entry and chain visited whole.
+// RangeFrom implements Table at bucket granularity like chained8's: the
+// sentinel entries take the first sentinelPositions positions and bucket i
+// follows at sentinelPositions+i, inline entry and chain visited whole.
 func (t *chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
-	if pos <= 0 {
-		if t.hasZero && !fn(emptyKey, t.zeroVal) {
-			return 1
-		}
-		pos = 1
+	pos, more := t.sent.rangeFrom(pos, fn)
+	if !more {
+		return pos
 	}
-	for i := pos - 1; i < len(t.dir); i++ {
+	for i := pos - sentinelPositions; i < len(t.dir); i++ {
 		b := &t.dir[i]
 		more := true
 		if inlineOccupied(b) {
@@ -491,10 +469,10 @@ func (t *chained24) RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
 			more = fn(e.Key, e.Val) && more
 		}
 		if !more {
-			return i + 2
+			return i + 1 + sentinelPositions
 		}
 	}
-	return len(t.dir) + 1
+	return len(t.dir) + sentinelPositions
 }
 
 // ChainLengths returns, for every non-empty bucket, the number of entries

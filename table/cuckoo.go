@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/hashfn"
 	"repro/internal/prng"
@@ -240,6 +241,10 @@ func (t *cuckoo) emptyCandidate(key uint64) bool {
 	return false
 }
 
+// rebuildAttempts is how many function redraws a rebuild tries at one
+// capacity before it gives up (insertFixed) or doubles (insertFresh).
+const rebuildAttempts = 16
+
 // insertFixed inserts an entry known to be absent WITHOUT ever growing:
 // a failed kick chain redraws the hash functions and rebuilds at the same
 // capacity a bounded number of times (the paper's construction-failure
@@ -248,62 +253,37 @@ func (t *cuckoo) emptyCandidate(key uint64) bool {
 // §2.5) — it restores a table holding exactly the prior entries and
 // reports false.
 func (t *cuckoo) insertFixed(cur pair) bool {
-	newKey := cur.key
 	left, ok := t.kickInsert(cur)
 	if ok {
 		t.size++
 		return true
 	}
-	entries := make([]pair, 0, t.size+1)
-	for i := range t.slots {
-		if t.slots[i].key != emptyKey {
-			entries = append(entries, t.slots[i])
-		}
-	}
-	entries = append(entries, left)
-	const fixedAttempts = 16
-	for a := 0; a < fixedAttempts; a++ {
-		t.gen++
-		t.rehashes++
-		t.drawFunctions()
-		t.init(len(t.slots))
-		if t.buildFrom(entries) {
-			t.size = len(entries)
-			return true
-		}
+	entries := t.entries(left)
+	if t.redraw(entries, len(t.slots), rebuildAttempts, false) {
+		return true
 	}
 	// The new entry does not fit this capacity. Rebuild without it; the
 	// prior configuration was feasible (it existed), so a function redraw
 	// succeeds with overwhelming probability per attempt.
-	prior := entries[:0]
-	for _, e := range entries {
-		if e.key != newKey {
-			prior = append(prior, e)
-		}
-	}
-	for {
-		t.gen++
-		t.rehashes++
-		t.drawFunctions()
-		t.init(len(t.slots))
-		if t.buildFrom(prior) {
-			t.size = len(prior)
-			return false
-		}
-	}
+	prior := slices.DeleteFunc(entries, func(e pair) bool { return e.key == cur.key })
+	t.redraw(prior, len(t.slots), 0, false)
+	return false
 }
 
-// insertFresh inserts an entry known to be absent into a growing table,
-// rehashing (and as a last resort growing) until it fits.
+// insertFresh inserts an entry known to be absent into a growing table.
+// A kick chain that exceeds maxKicks redraws the functions and rebuilds
+// with the homeless entry carried along, doubling the table as a last
+// resort so that construction always terminates.
 func (t *cuckoo) insertFresh(cur pair) {
 	left, ok := t.kickInsert(cur)
 	if ok {
 		t.size++
 		return
 	}
-	// Kick chain exceeded maxKicks: redraw functions and rebuild with the
-	// homeless entry carried along (rehashAll places it and fixes size).
-	t.rehashAll(&left)
+	entries := t.entries(left)
+	for c := len(t.slots); !t.redraw(entries, c, rebuildAttempts, false); {
+		c *= 2
+	}
 }
 
 // kickInsert runs the displacement loop for cur. On success it returns
@@ -329,47 +309,40 @@ func (t *cuckoo) kickInsert(cur pair) (pair, bool) {
 	return cur, false
 }
 
-// rehashAll redraws the hash functions and rebuilds the table, carrying the
-// homeless entry pending. After several failed attempts at the same
-// capacity it doubles the table as a last resort so that construction
-// always terminates.
-func (t *cuckoo) rehashAll(pending *pair) {
-	entries := make([]pair, 0, t.size+1)
-	for i := range t.slots {
-		if t.slots[i].key != emptyKey {
-			entries = append(entries, t.slots[i])
+// entries collects the live slot entries followed by extra, for a rebuild.
+func (t *cuckoo) entries(extra ...pair) []pair {
+	out := make([]pair, 0, t.size+len(extra))
+	for _, s := range t.slots {
+		if s.key != emptyKey {
+			out = append(out, s)
 		}
 	}
-	if pending.key != emptyKey {
-		entries = append(entries, *pending)
-		pending.key = emptyKey
-	}
-	capacity := len(t.slots)
-	const attemptsPerCapacity = 16
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 && attempt%attemptsPerCapacity == 0 {
-			capacity *= 2
-		}
-		t.gen++
-		t.rehashes++
-		t.drawFunctions()
-		t.init(capacity)
-		if t.buildFrom(entries) {
-			t.size = len(entries)
-			return
-		}
-	}
+	return append(out, extra...)
 }
 
-// buildFrom inserts all entries, reporting failure instead of recursing
-// into another rehash.
-func (t *cuckoo) buildFrom(entries []pair) bool {
-	for _, e := range entries {
-		if _, ok := t.kickInsert(e); !ok {
-			return false
+// redraw is the one rebuild loop (§2.5's construction failure): it places
+// entries into a fresh table of capacity slots, drawing the next generation
+// of hash functions before every attempt — except the first when keep is
+// set, which tries the current ones — and gives up after attempts failed
+// builds (0: it tries until one succeeds).
+func (t *cuckoo) redraw(entries []pair, capacity, attempts int, keep bool) bool {
+attempt:
+	for a := 0; attempts == 0 || a < attempts; a++ {
+		if a > 0 || !keep {
+			t.gen++
+			t.rehashes++
+			t.drawFunctions()
 		}
+		t.init(capacity)
+		for _, e := range entries {
+			if _, ok := t.kickInsert(e); !ok {
+				continue attempt
+			}
+		}
+		t.size = len(entries)
+		return true
 	}
-	return true
+	return false
 }
 
 // Delete implements Table: Cuckoo needs no tombstones, slots are simply
@@ -400,28 +373,9 @@ func (t *cuckoo) maybeGrow() {
 	t.growTo(len(t.slots) * 2)
 }
 
-// growTo rebuilds the table at the given total capacity, redrawing hash
-// functions on construction failure.
-func (t *cuckoo) growTo(capacity int) {
-	entries := make([]pair, 0, t.size)
-	for i := range t.slots {
-		if t.slots[i].key != emptyKey {
-			entries = append(entries, t.slots[i])
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			t.gen++
-			t.rehashes++
-			t.drawFunctions()
-		}
-		t.init(capacity)
-		if t.buildFrom(entries) {
-			t.size = len(entries)
-			return
-		}
-	}
-}
+// growTo rebuilds the table at the given total capacity, with the current
+// functions first and redrawn ones on construction failure.
+func (t *cuckoo) growTo(capacity int) { t.redraw(t.entries(), capacity, 0, true) }
 
 // Range implements Table.
 func (t *cuckoo) Range(fn func(key, val uint64) bool) { t.RangeFrom(0, fn) }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/prng"
@@ -150,5 +151,65 @@ func TestCuckooStatsMeasureWayOccupancy(t *testing.T) {
 	}
 	if st := StatsOf(m); st.MeanProbe < 1 || st.MeanProbe >= 2.5 || st.MaxProbe != 4 {
 		t.Fatalf("70%%-full table: mean/max probe = %v/%d", st.MeanProbe, st.MaxProbe)
+	}
+}
+
+// TestCuckooRebuildIsDeterministic pins the tables that fixed-seed CuckooH4
+// fills build through every §2.5 rebuild path. The growth-disabled fill
+// runs past the ≈97% threshold: one kick-chain failure is settled by a
+// function redraw at the same capacity, and a later one exhausts the
+// redraws and restores the prior entries (ErrFull). The 0.99 growing fill
+// redraws on kick-chain failures, and doubles when a capacity's redraws run
+// out, beside the growths of maybeGrow; the 0.9 growing fill only grows,
+// and a growth keeps the current functions for its first build. A table's
+// function generations, kick count and slot contents follow from the
+// rebuild order alone, so any change to that order shows up here.
+func TestCuckooRebuildIsDeterministic(t *testing.T) {
+	fills := []struct {
+		name     string
+		cfg      Config
+		keys     int    // Puts issued, keys drawn from one seeded stream
+		refused  int    // Puts that reported ErrFull
+		rehashes int    // Rehashes
+		kicks    uint64 // TotalKicks
+		capacity int
+		occ      []int  // WayOccupancy
+		digest   uint64 // of Range's (key, value) sequence, in order
+	}{
+		{"fixed-past-threshold", Config{InitialCapacity: 1 << 12, Seed: 21}, 1 << 12,
+			108, 18, 207807, 4096, []int{1012, 1003, 999, 974}, 0xfcf67b7c33d1caa9},
+		{"growing-0.99", Config{InitialCapacity: 64, MaxLoadFactor: 0.99, Seed: 21}, 20000,
+			0, 181, 2386938, 32768, []int{7493, 6451, 4309, 1747}, 0xe2a81c532d9f236f},
+		{"growing-0.9", Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: 5}, 20000,
+			0, 0, 13562, 32768, []int{7459, 6400, 4354, 1787}, 0xf9481b0b643adfab},
+	}
+	for _, f := range fills {
+		t.Run(f.name, func(t *testing.T) {
+			m := newCuckoo(f.cfg)
+			rng := prng.NewSplitMix64(f.cfg.Seed)
+			refused := 0
+			for i := 0; i < f.keys; i++ {
+				if _, err := m.Put(rng.Next()|1, uint64(i)); errors.Is(err, ErrFull) {
+					refused++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			digest := uint64(0)
+			m.Range(func(k, v uint64) bool {
+				digest = prng.Mix(digest ^ k ^ v*0x9e3779b97f4a7c15)
+				return true
+			})
+			if refused != f.refused || m.Rehashes() != f.rehashes || m.TotalKicks() != f.kicks || m.Capacity() != f.capacity {
+				t.Errorf("refused %d, rehashes %d, kicks %d, capacity %d; want %d, %d, %d, %d",
+					refused, m.Rehashes(), m.TotalKicks(), m.Capacity(), f.refused, f.rehashes, f.kicks, f.capacity)
+			}
+			if occ := m.WayOccupancy(); !slices.Equal(occ, f.occ) {
+				t.Errorf("WayOccupancy %v, want %v", occ, f.occ)
+			}
+			if digest != f.digest {
+				t.Errorf("Range digest %#x, want %#x", digest, f.digest)
+			}
+		})
 	}
 }

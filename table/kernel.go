@@ -370,9 +370,10 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 	}
 }
 
-// shiftChain continues a Robin Hood displacement chain: cur was just
-// evicted from the slot before cursor si and sits at displacement d
-// there.
+// shiftChain places cur at or after cursor si, where its displacement is
+// d, under the Robin Hood ordering: cur is an entry just evicted from the
+// slot before si (rmwHashed) or one placed from its home cursor with d = 0
+// (reinsert).
 func (c *kern) shiftChain(cur pair, si, d uint64) {
 	for {
 		k := c.keyAtS(si)
@@ -548,22 +549,9 @@ func (c *kern) reinsert(key, val uint64) {
 	hash := c.fn.Hash(key)
 	si, sstep := c.scursor(hash)
 	if c.robin {
-		cur := pair{key, val}
-		for n := uint64(0); ; n++ {
-			k := c.keyAtS(si)
-			if k == emptyKey {
-				c.setAtS(si, cur.key, cur.val)
-				c.size++
-				return
-			}
-			if de := c.sdisp(si, c.homeS(k)); de < n {
-				evicted := pair{k, c.valAtS(si)}
-				c.setAtS(si, cur.key, cur.val)
-				cur = evicted
-				n = de
-			}
-			si = (si + c.sone) & c.smask
-		}
+		c.shiftChain(pair{key, val}, si, 0)
+		c.size++
+		return
 	}
 	for {
 		if c.keyAtS(si) == emptyKey {

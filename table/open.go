@@ -152,11 +152,29 @@ func WithPartitions(n int) Option {
 // shard.Engine.Range). There is nothing to close: a handle dropped at any
 // point, mid-resize included, is ordinary garbage.
 type Handle struct {
-	single Table         // the one table of an unpartitioned handle (nil when sharded)
+	ops    handleOps     // the one table of an unpartitioned handle, or eng
 	eng    *shard.Engine // the sharded engine (nil when single)
 	scheme Scheme
 	family string
 	path   []string // Figure 8 decision trail when opened WithWorkload
+}
+
+// handleOps is the surface a Handle forwards to, which a raw Table and a
+// *shard.Engine share.
+type handleOps interface {
+	Get(key uint64) (uint64, bool)
+	Delete(key uint64) bool
+	Put(key, val uint64) (bool, error)
+	GetOrPut(key, val uint64) (uint64, bool, error)
+	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
+	GetBatch(keys, vals []uint64, ok []bool) int
+	PutBatch(keys, vals []uint64) (int, error)
+	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error)
+	UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error)
+	Len() int
+	Capacity() int
+	MemoryFootprint() uint64
+	Range(fn func(key, val uint64) bool)
 }
 
 // Open builds a Handle from functional options. With no options it opens
@@ -207,7 +225,7 @@ func Open(opts ...Option) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.single = t
+		h.ops = t
 		return h, nil
 	}
 	// Partitioned: one shard.Engine over per-shard tables with scheme-level
@@ -232,7 +250,7 @@ func Open(opts ...Option) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.eng = eng
+	h.ops, h.eng = eng, eng
 	return h, nil
 }
 
@@ -298,30 +316,17 @@ func (h *Handle) Put(key, val uint64) (bool, error) {
 	if err := h.injectFull(); err != nil {
 		return false, err
 	}
-	if h.eng != nil {
-		return h.eng.Put(key, val)
-	}
-	return h.single.Put(key, val)
+	return h.ops.Put(key, val)
 }
 
 // Get returns the value stored under key and whether it is present. On a
 // partitioned handle this takes no lock at all (the engine's wait-free
 // read path), so lookups proceed concurrently with each other and with
 // writers.
-func (h *Handle) Get(key uint64) (uint64, bool) {
-	if h.eng != nil {
-		return h.eng.Get(key)
-	}
-	return h.single.Get(key)
-}
+func (h *Handle) Get(key uint64) (uint64, bool) { return h.ops.Get(key) }
 
 // Delete removes key, reporting whether it was present.
-func (h *Handle) Delete(key uint64) bool {
-	if h.eng != nil {
-		return h.eng.Delete(key)
-	}
-	return h.single.Delete(key)
-}
+func (h *Handle) Delete(key uint64) bool { return h.ops.Delete(key) }
 
 // GetOrPut returns the value stored under key if present (loaded true);
 // otherwise it inserts val and returns it (loaded false). Exactly one
@@ -330,10 +335,7 @@ func (h *Handle) GetOrPut(key, val uint64) (actual uint64, loaded bool, err erro
 	if err := h.injectFull(); err != nil {
 		return 0, false, err
 	}
-	if h.eng != nil {
-		return h.eng.GetOrPut(key, val)
-	}
-	return h.single.GetOrPut(key, val)
+	return h.ops.GetOrPut(key, val)
 }
 
 // Upsert applies fn to the value stored under key (exists true) or to
@@ -343,28 +345,15 @@ func (h *Handle) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (ui
 	if err := h.injectFull(); err != nil {
 		return 0, err
 	}
-	if h.eng != nil {
-		return h.eng.Upsert(key, fn)
-	}
-	return h.single.Upsert(key, fn)
+	return h.ops.Upsert(key, fn)
 }
 
 // Len returns the number of live entries. On a partitioned handle it takes
 // no lock: each shard publishes its count atomically.
-func (h *Handle) Len() int {
-	if h.eng != nil {
-		return h.eng.Len()
-	}
-	return h.single.Len()
-}
+func (h *Handle) Len() int { return h.ops.Len() }
 
 // Capacity returns the total slot capacity across all shards.
-func (h *Handle) Capacity() int {
-	if h.eng != nil {
-		return h.eng.Capacity()
-	}
-	return h.single.Capacity()
-}
+func (h *Handle) Capacity() int { return h.ops.Capacity() }
 
 // LoadFactor returns Len/Capacity.
 func (h *Handle) LoadFactor() float64 {
@@ -372,24 +361,13 @@ func (h *Handle) LoadFactor() float64 {
 }
 
 // MemoryFootprint returns the total bytes across all shards.
-func (h *Handle) MemoryFootprint() uint64 {
-	if h.eng != nil {
-		return h.eng.MemoryFootprint()
-	}
-	return h.single.MemoryFootprint()
-}
+func (h *Handle) MemoryFootprint() uint64 { return h.ops.MemoryFootprint() }
 
 // Range calls fn for every entry until fn returns false. On a partitioned
 // handle iteration is weakly consistent (it holds one shard's writer lock
 // at a time; see shard.Engine.Range) and fn must not call back into the
 // handle.
-func (h *Handle) Range(fn func(key, val uint64) bool) {
-	if h.eng != nil {
-		h.eng.Range(fn)
-		return
-	}
-	h.single.Range(fn)
-}
+func (h *Handle) Range(fn func(key, val uint64) bool) { h.ops.Range(fn) }
 
 // All returns a Go 1.23 range-over-func iterator over the entries,
 // equivalent to Range.
@@ -405,7 +383,7 @@ func (h *Handle) All() iter.Seq2[uint64, uint64] {
 // its tables).
 func (h *Handle) Stats() Stats {
 	if h.eng == nil {
-		return StatsOf(h.single)
+		return StatsOf(h.ops.(Table))
 	}
 	var s Stats
 	first := true
@@ -442,12 +420,7 @@ func (h *Handle) EngineStats() shard.Stats {
 
 // GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
 // the number of hits. vals and ok must be at least as long as keys.
-func (h *Handle) GetBatch(keys, vals []uint64, ok []bool) int {
-	if h.eng != nil {
-		return h.eng.GetBatch(keys, vals, ok)
-	}
-	return h.single.GetBatch(keys, vals, ok)
-}
+func (h *Handle) GetBatch(keys, vals []uint64, ok []bool) int { return h.ops.GetBatch(keys, vals, ok) }
 
 // PutBatch upserts the pairs (keys[i], vals[i]) in slice order, returning
 // the number of newly inserted keys. On ErrFull it stops; pairs already
@@ -456,10 +429,7 @@ func (h *Handle) PutBatch(keys, vals []uint64) (int, error) {
 	if err := h.injectFull(); err != nil {
 		return 0, err
 	}
-	if h.eng != nil {
-		return h.eng.PutBatch(keys, vals)
-	}
-	return h.single.PutBatch(keys, vals)
+	return h.ops.PutBatch(keys, vals)
 }
 
 // GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in slice
@@ -470,10 +440,7 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 	if err := h.injectFull(); err != nil {
 		return 0, err
 	}
-	if h.eng != nil {
-		return h.eng.GetOrPutBatch(keys, vals, out, loaded)
-	}
-	return h.single.GetOrPutBatch(keys, vals, out, loaded)
+	return h.ops.GetOrPutBatch(keys, vals, out, loaded)
 }
 
 // PutIfAbsentBatch is GetOrPutBatch with nothing returned but the number of
@@ -483,7 +450,7 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 // that meets another's key may be ahead of its value. Every other handle
 // runs it as GetOrPutBatch. On ErrFull it stops, with earlier pairs applied.
 func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
-	b, ok := h.single.(sharedBuilder)
+	b, ok := h.ops.(sharedBuilder)
 	if !ok || !b.sharedBuild() {
 		return h.GetOrPutBatch(keys, vals, nil, nil)
 	}
@@ -501,8 +468,5 @@ func (h *Handle) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists
 	if err := h.injectFull(); err != nil {
 		return 0, err
 	}
-	if h.eng != nil {
-		return h.eng.UpsertBatch(keys, fn)
-	}
-	return h.single.UpsertBatch(keys, fn)
+	return h.ops.UpsertBatch(keys, fn)
 }

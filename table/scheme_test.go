@@ -564,23 +564,32 @@ func TestVecScalarEquivalence(t *testing.T) {
 	}
 }
 
-// TestVecWraparound exercises vector probes that wrap the table end.
+// TestVecWraparound exercises vector probes that wrap the table end, on
+// both column views.
 func TestVecWraparound(t *testing.T) {
-	m := newLinearProbing(Config{InitialCapacity: 8, Seed: 26})
-	// Fill 7 of 8 slots: clusters will wrap.
-	keys := []uint64{3, 11, 19, 27, 35, 43, 51}
-	for _, k := range keys {
-		if _, err := m.PutVec(k, k*2); err != nil {
-			t.Fatal(err)
-		}
+	type vecTable interface {
+		GetVec(key uint64) (uint64, bool)
+		PutVec(key, val uint64) (bool, error)
 	}
-	for _, k := range keys {
-		if v, ok := m.GetVec(k); !ok || v != k*2 {
-			t.Fatalf("GetVec(%d) = %d,%v", k, v, ok)
+	for _, m := range []vecTable{
+		newLinearProbing(Config{InitialCapacity: 8, Seed: 26}),
+		newLinearProbingSoA(Config{InitialCapacity: 8, Seed: 26}),
+	} {
+		// Fill 7 of 8 slots: clusters will wrap.
+		keys := []uint64{3, 11, 19, 27, 35, 43, 51}
+		for _, k := range keys {
+			if _, err := m.PutVec(k, k*2); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, ok := m.GetVec(999); ok {
-		t.Fatal("phantom hit across wraparound")
+		for _, k := range keys {
+			if v, ok := m.GetVec(k); !ok || v != k*2 {
+				t.Fatalf("%T: GetVec(%d) = %d,%v", m, k, v, ok)
+			}
+		}
+		if _, ok := m.GetVec(999); ok {
+			t.Fatalf("%T: phantom hit across wraparound", m)
+		}
 	}
 }
 
