@@ -18,6 +18,9 @@
 //	Figure 7 — RunFig7 / RenderFig7: AoS vs SoA layout with and without
 //	           vectorized probing.
 //
+// Every WORM figure (2, 3, 4, 6 and 7) measures through one point,
+// wormPoint; Figure 5 measures through the one RW point, rwPoint.
+//
 // Capacities are scaled for a single laptop-class machine (see README's
 // "Regenerating the paper's figures"): the paper's 2^16 / 2^27 / 2^30 slots become
 // 2^16 / 2^20 / 2^24 by default, all configurable.
@@ -112,12 +115,21 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // contender is one curve in a plot: a scheme paired with a hash family.
+// simd measures the LP schemes' vectorized probes (GetVec/PutVec, Figure
+// 7) in place of Get/Put; name, when set, replaces the scheme+family label.
 type contender struct {
 	scheme table.Scheme
 	family hashfn.Family
+	simd   bool
+	name   string
 }
 
-func (c contender) label() string { return string(c.scheme) + c.family.Name() }
+func (c contender) label() string {
+	if c.name != "" {
+		return c.name
+	}
+	return string(c.scheme) + c.family.Name()
+}
 
 // multMurmur pairs each scheme with the two families the paper plots.
 func multMurmur(schemes ...table.Scheme) []contender {
@@ -134,7 +146,7 @@ func withFamilies(families []hashfn.Family, schemes ...table.Scheme) []contender
 	out := make([]contender, 0, len(families)*len(schemes))
 	for _, s := range schemes {
 		for _, f := range families {
-			out = append(out, contender{s, f})
+			out = append(out, contender{scheme: s, family: f})
 		}
 	}
 	return out

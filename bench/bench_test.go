@@ -178,10 +178,14 @@ func TestRunFig6Structure(t *testing.T) {
 }
 
 func TestRunFig7Structure(t *testing.T) {
-	series, err := RunFig7(tinyOpts())
+	exps, err := RunFig7(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(exps) != 1 || exps[0].Dist != dist.Sparse {
+		t.Fatalf("Fig7 panels = %+v, want one sparse panel", exps)
+	}
+	series := exps[0].Series
 	want := []string{"LPAoSMult", "LPAoSMultSIMD", "LPSoAMult", "LPSoAMultSIMD"}
 	if len(series) != len(want) {
 		t.Fatalf("%d series, want %d", len(series), len(want))
@@ -202,9 +206,15 @@ func TestRunFig7Structure(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	RenderFig7(&sb, series)
-	if !strings.Contains(sb.String(), "LPSoAMultSIMD") {
-		t.Fatal("rendered Fig7 missing series")
+	RenderFig7(&sb, exps)
+	out := sb.String()
+	prev := 0
+	for _, w := range want {
+		i := strings.Index(out[prev:], "\n"+w+" ")
+		if i < 0 {
+			t.Fatalf("rendered Fig7 missing %s after offset %d (series out of order?)", w, prev)
+		}
+		prev += i + 1
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/dist"
 	"repro/table"
-	"repro/workload"
 )
 
 // RunFig2 regenerates Figure 2: WORM insert and lookup throughput at the
@@ -16,7 +15,7 @@ import (
 func RunFig2(opt Options) ([]WORMExperiment, error) {
 	opt = opt.withDefaults()
 	contenders := opt.contendersFor(table.SchemeChained8, table.SchemeChained24, table.SchemeLP)
-	return runWORMFigure(opt, "fig2", contenders, LowLoadFactors, nil)
+	return runWORMFigure(opt, "fig2", dist.Kinds(), contenders, LowLoadFactors, nil)
 }
 
 // RunFig4 regenerates Figure 4: WORM at the high load factors 50/70/90%
@@ -31,76 +30,7 @@ func RunFig4(opt Options) ([]WORMExperiment, error) {
 	only50 := func(c contender, lf int) bool {
 		return c.scheme == table.SchemeChained24 && lf > 50
 	}
-	return runWORMFigure(opt, "fig4", contenders, HighLoadFactors, only50)
-}
-
-// runWORMAveraged runs one WORM point opt.Repeats times with derived seeds
-// and averages the throughputs (memory and budget flags come from the last
-// run; they are seed-independent up to slab chunk rounding).
-func runWORMAveraged(opt Options, cfg workload.WORMConfig) (workload.WORMResult, error) {
-	var avg workload.WORMResult
-	for r := 0; r < opt.Repeats; r++ {
-		cfg.Seed = opt.Seed + uint64(r)*0x9e3779b9
-		res, err := workload.RunWORM(cfg)
-		if err != nil {
-			return res, err
-		}
-		if r == 0 {
-			avg = res
-			continue
-		}
-		avg.InsertMops += res.InsertMops
-		for u, v := range res.LookupMops {
-			avg.LookupMops[u] += v
-		}
-		avg.MemoryBytes = res.MemoryBytes
-		avg.OverBudget = avg.OverBudget || res.OverBudget
-	}
-	avg.InsertMops /= float64(opt.Repeats)
-	for u := range avg.LookupMops {
-		avg.LookupMops[u] /= float64(opt.Repeats)
-	}
-	return avg, nil
-}
-
-// runWORMFigure executes one WORM figure: every contender at every load
-// factor under every distribution. skip, when non-nil, excludes
-// (contender, load factor) points, mirroring the paper's Figure 1 subsets.
-func runWORMFigure(opt Options, name string, contenders []contender, lfs []int, skip func(contender, int) bool) ([]WORMExperiment, error) {
-	var exps []WORMExperiment
-	for _, d := range dist.Kinds() {
-		exp := WORMExperiment{Dist: d}
-		for _, c := range contenders {
-			series := newWORMSeries(c.label())
-			for _, lf := range lfs {
-				if skip != nil && skip(c, lf) {
-					continue
-				}
-				res, err := runWORMAveraged(opt, workload.WORMConfig{
-					Scheme:     c.scheme,
-					Family:     c.family,
-					Dist:       d,
-					Capacity:   opt.Capacity,
-					LoadFactor: float64(lf) / 100,
-					Mixes:      Mixes,
-					Lookups:    opt.Lookups,
-					Seed:       opt.Seed,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s %s/%s lf=%d: %w", name, c.label(), d, lf, err)
-				}
-				series.InsertMops[lf] = res.InsertMops
-				series.LookupMops[lf] = res.LookupMops
-				series.MemoryBytes[lf] = res.MemoryBytes
-				series.OverBudget[lf] = res.OverBudget
-				opt.logf("%s %-18s %-6s lf=%2d%%: insert %6.1f Mops, lookup(u=0) %6.1f Mops, mem %d MB",
-					name, c.label(), d, lf, res.InsertMops, res.LookupMops[0], res.MemoryBytes>>20)
-			}
-			exp.Series = append(exp.Series, series)
-		}
-		exps = append(exps, exp)
-	}
-	return exps, nil
+	return runWORMFigure(opt, "fig4", dist.Kinds(), contenders, HighLoadFactors, only50)
 }
 
 // RenderFig2 prints the Figure 2 panels.

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/dist"
 	"repro/table"
@@ -76,29 +77,80 @@ func RunFig5(opt Options) ([]RWExperiment, error) {
 					continue
 				}
 				for _, up := range UpdatePcts {
-					res, err := workload.RunRW(workload.RWConfig{
-						Scheme:      c.scheme,
-						Family:      c.family,
-						Dist:        dist.Sparse,
-						InitialKeys: opt.RWInitial,
-						Ops:         opt.RWOps,
-						UpdatePct:   up,
-						GrowAt:      float64(grow) / 100,
-						Seed:        seed,
-						Tape:        tapes[up],
-					})
-					if err != nil {
+					if err := rwPoint(opt, c, tapes[up], seed, grow, up, s); err != nil {
 						return nil, fmt.Errorf("bench: fig5 %s grow=%d up=%d: %w", c.label(), grow, up, err)
 					}
-					s.Mops[up] += res.Mops / float64(opt.Repeats)
-					s.MemoryBytes[up] = res.MemoryBytes
-					opt.logf("fig5[r%d] %-18s grow=%2d%% updates=%3d%%: %6.1f Mops, mem %d MB",
-						r, c.label(), grow, up, res.Mops, res.MemoryBytes>>20)
 				}
 			}
 		}
 	}
 	return exps, nil
+}
+
+// rwPoint replays one RW tape (§6) against a fresh table of contender c
+// and writes its throughput, averaged over opt.Repeats, and its final
+// footprint into s at update percentage up. The table starts just under
+// 50% full, the paper's ~47%, with the first opt.RWInitial keys of the
+// sparse distribution under seed (the tape's own), and grows at grow%
+// load. The timed loop holds nothing but table operations; hit and miss
+// counts and the final size are checked against the tape. It runs
+// through a Handle, since the RW stream is the dynamic case Open serves.
+func rwPoint(opt Options, c contender, tape *workload.Tape, seed uint64, grow, up int, s *RWSeries) error {
+	if grow <= 0 || grow >= 100 {
+		return fmt.Errorf("RW grow-at threshold must be in (0,100)%%, got %d%%", grow)
+	}
+	m, err := table.Open(
+		table.WithScheme(c.scheme),
+		table.WithCapacity(2*opt.RWInitial+1),
+		table.WithMaxLoadFactor(float64(grow)/100),
+		table.WithHashFamily(c.family),
+		table.WithSeed(seed),
+	)
+	if err != nil {
+		return err
+	}
+	gen := dist.New(dist.Sparse, seed)
+	for i := 0; i < opt.RWInitial; i++ {
+		m.Put(gen.Key(uint64(i)), uint64(i))
+	}
+	if m.Len() != opt.RWInitial {
+		return fmt.Errorf("RW prefill left %d entries, want %d", m.Len(), opt.RWInitial)
+	}
+
+	var hits, misses int
+	var sink uint64
+	start := time.Now()
+	for i, kind := range tape.Kinds {
+		k := tape.Keys[i]
+		switch kind {
+		case workload.OpInsert:
+			m.Put(k, k)
+		case workload.OpDelete:
+			m.Delete(k)
+		default:
+			if v, ok := m.Get(k); ok {
+				hits++
+				sink ^= v
+			} else {
+				misses++
+			}
+		}
+	}
+	elapsed := time.Since(start)
+	_ = sink
+
+	if hits != tape.Hits || misses != tape.Misses {
+		return fmt.Errorf("RW replay observed %d hits/%d misses, tape has %d/%d", hits, misses, tape.Hits, tape.Misses)
+	}
+	if want := opt.RWInitial + tape.Inserts - tape.Deletes; m.Len() != want {
+		return fmt.Errorf("RW replay left %d entries, want %d", m.Len(), want)
+	}
+	run := mops(tape.Len(), elapsed)
+	s.Mops[up] += run / float64(opt.Repeats)
+	s.MemoryBytes[up] = m.MemoryFootprint()
+	opt.logf("fig5 %-18s grow=%2d%% updates=%3d%%: %6.1f Mops, mem %d MB",
+		c.label(), grow, up, run, s.MemoryBytes[up]>>20)
+	return nil
 }
 
 // RenderFig5 prints the Figure 5 panels.

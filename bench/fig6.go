@@ -7,7 +7,6 @@ import (
 	"repro/dist"
 	"repro/hashfn"
 	"repro/table"
-	"repro/workload"
 )
 
 // Fig6Cell is one matrix cell: the winning table and its throughput.
@@ -40,16 +39,11 @@ func Fig6Capacities() []int { return []int{1 << 14, 1 << 17, 1 << 20} }
 // Murmur"), so the matrix competes the Mult tables plus ChainedH24 where
 // it fits the memory budget (load factor 50% only).
 func fig6Contenders(lf int) []contender {
-	out := []contender{
-		{table.SchemeLP, hashfn.MultFamily{}},
-		{table.SchemeQP, hashfn.MultFamily{}},
-		{table.SchemeRH, hashfn.MultFamily{}},
-		{table.SchemeCuckooH4, hashfn.MultFamily{}},
-	}
+	schemes := []table.Scheme{table.SchemeLP, table.SchemeQP, table.SchemeRH, table.SchemeCuckooH4}
 	if lf <= 50 {
-		out = append(out, contender{table.SchemeChained24, hashfn.MultFamily{}})
+		schemes = append(schemes, table.SchemeChained24)
 	}
-	return out
+	return withFamilies([]hashfn.Family{hashfn.MultFamily{}}, schemes...)
 }
 
 // RunFig6 regenerates Figure 6 by running the full WORM sweep across three
@@ -74,31 +68,24 @@ func RunFig6(opt Options) (*Fig6Result, error) {
 			for ci, capSlots := range res.Capacities {
 				res.Lookup[d][lf][ci] = make([]Fig6Cell, len(Mixes))
 				for _, c := range fig6Contenders(lf) {
-					r, err := runWORMAveraged(opt, workload.WORMConfig{
-						Scheme:     c.scheme,
-						Family:     c.family,
-						Dist:       d,
-						Capacity:   capSlots,
-						LoadFactor: float64(lf) / 100,
-						Mixes:      Mixes,
-						Seed:       opt.Seed,
-					})
-					if err != nil {
+					s := newWORMSeries(c.label())
+					if err := wormPoint(opt, c, d, capSlots, lf, s); err != nil {
 						return nil, fmt.Errorf("bench: fig6 %s/%s lf=%d cap=%d: %w", c.label(), d, lf, capSlots, err)
 					}
-					if r.OverBudget {
+					if s.OverBudget[lf] {
 						continue
 					}
-					if r.InsertMops > res.Insert[d][lf][ci].Mops {
-						res.Insert[d][lf][ci] = Fig6Cell{c.label(), r.InsertMops}
+					insert, lookups := s.InsertMops[lf], s.LookupMops[lf]
+					if insert > res.Insert[d][lf][ci].Mops {
+						res.Insert[d][lf][ci] = Fig6Cell{c.label(), insert}
 					}
 					for mi, u := range Mixes {
-						if r.LookupMops[u] > res.Lookup[d][lf][ci][mi].Mops {
-							res.Lookup[d][lf][ci][mi] = Fig6Cell{c.label(), r.LookupMops[u]}
+						if lookups[u] > res.Lookup[d][lf][ci][mi].Mops {
+							res.Lookup[d][lf][ci][mi] = Fig6Cell{c.label(), lookups[u]}
 						}
 					}
 					opt.logf("fig6 %-18s %-6s lf=%2d cap=2^%2d: insert %6.1f, lookups %v",
-						c.label(), d, lf, log2int(capSlots), r.InsertMops, r.LookupMops)
+						c.label(), d, lf, log2int(capSlots), insert, lookups)
 				}
 			}
 		}

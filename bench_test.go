@@ -1,14 +1,11 @@
-// Benchmarks regenerating the paper's tables and figures, plus per-operation
-// micro-benchmarks of every ⟨scheme, hash function⟩ combination.
+// Micro-benchmarks of every ⟨scheme, hash function⟩ combination: single
+// operations (BenchmarkPut, BenchmarkLookupHit, ...) measured the
+// conventional testing.B way, the right tool for comparing
+// scheme/function inner-loop costs, plus the batched, layout, join and
+// aggregation comparisons below.
 //
-// The figure benchmarks (BenchmarkFig2 ... BenchmarkFig7) wrap the bench
-// package's runners at a laptop-friendly scale and report the paper's
-// metric — millions of operations per second — via b.ReportMetric. Run the
-// full-size sweeps with cmd/hashbench (-slots 24 and up).
-//
-// The micro-benchmarks (BenchmarkPut, BenchmarkLookupHit, ...) measure
-// single operations the conventional testing.B way and are the right tool
-// for comparing scheme/function inner-loop costs.
+// The paper's figures are not benchmarks here: `go run ./cmd/hashbench
+// -experiment all` regenerates every one through the bench package.
 package repro_test
 
 import (
@@ -16,7 +13,6 @@ import (
 	"testing"
 
 	"repro/agg"
-	"repro/bench"
 	"repro/dist"
 	"repro/hashfn"
 	"repro/internal/prng"
@@ -26,136 +22,6 @@ import (
 	"repro/table"
 	"repro/workload"
 )
-
-// benchOpts returns harness options sized for the Go benchmark runner: the
-// WORM figures use 2^16 slots, the RW figure a 2^15-initial/2^19-op stream.
-func benchOpts() bench.Options {
-	return bench.Options{
-		Capacity:  1 << 16,
-		RWInitial: 1 << 13,
-		RWOps:     1 << 19,
-		Fig6Caps:  []int{1 << 12, 1 << 14, 1 << 16},
-		Seed:      42,
-	}
-}
-
-// reportBest surfaces a few representative numbers from a WORM figure so
-// `go test -bench` output is directly comparable to the paper's panels.
-func reportWORM(b *testing.B, exps []bench.WORMExperiment, lf int) {
-	b.Helper()
-	for _, e := range exps {
-		for _, s := range e.Series {
-			if v, ok := s.InsertMops[lf]; ok {
-				b.ReportMetric(v, fmt.Sprintf("%s/%s:insert:Mops", e.Dist, s.Label))
-			}
-		}
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2 (WORM, low load factors: chained
-// variants vs linear probing) once per iteration.
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exps, err := bench.RunFig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportWORM(b, exps, 45)
-		}
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3 (memory footprints at low load
-// factors, dense distribution).
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exps, err := bench.RunFig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := bench.Fig3FromFig2(exps)
-		if i == 0 {
-			for _, r := range rows {
-				if r.LoadFactor == 45 {
-					b.ReportMetric(float64(r.MemoryBytes)/(1<<20), r.Label+":MB")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates Figure 4 (WORM, high load factors: all
-// open-addressing schemes plus ChainedH24 at 50%).
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exps, err := bench.RunFig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportWORM(b, exps, 90)
-		}
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5 (the RW workload sweep over sparse
-// keys).
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exps, err := bench.RunFig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, e := range exps {
-				if e.GrowAtPct != 70 {
-					continue
-				}
-				for _, s := range e.Series {
-					b.ReportMetric(s.Mops[50], fmt.Sprintf("grow70/%s:up50:Mops", s.Label))
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6 (the best-performer matrix).
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			// Surface the large-capacity sparse winners at 90% as a probe.
-			lf := 90
-			cells := res.Lookup[dist.Sparse][lf]
-			last := len(res.Capacities) - 1
-			for mi, u := range bench.Mixes {
-				c := cells[last][mi]
-				b.ReportMetric(c.Mops, fmt.Sprintf("sparse/L/lf90/u%d:%s:Mops", u, c.Label))
-			}
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7 (AoS vs SoA layout, scalar vs
-// vectorized probing).
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := bench.RunFig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range series {
-				b.ReportMetric(s.InsertMops[90], s.Label+":insert90:Mops")
-				b.ReportMetric(s.LookupMops[90][100], s.Label+":lookup90u100:Mops")
-			}
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: single operations per scheme and function

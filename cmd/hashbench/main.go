@@ -1,6 +1,6 @@
 // Command hashbench regenerates the tables and figures of the paper's
 // evaluation. Each experiment prints the same rows/series the paper plots;
-// EXPERIMENTS.md maps outputs back to the paper's claims.
+// README's "Regenerating the paper's figures" maps them to the paper.
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	hashbench -experiment fig4 -slots 24  # Figure 4 at 2^24 slots
 //	hashbench -experiment all -v          # everything, with progress lines
 //
-// Experiments: fig2, fig3, fig4, fig5, fig6, fig7, all.
+// Experiments: fig2, fig3, fig4, fig5, fig6, fig7, layout, all.
 package main
 
 import (
@@ -92,11 +92,11 @@ func run(experiment string, opt bench.Options, w io.Writer) error {
 		}
 		bench.RenderFig6(w, res)
 	case "fig7":
-		series, err := bench.RunFig7(opt)
+		exps, err := bench.RunFig7(opt)
 		if err != nil {
 			return err
 		}
-		bench.RenderFig7(w, series)
+		bench.RenderFig7(w, exps)
 	case "layout":
 		points, err := bench.RunLayoutModel(opt)
 		if err != nil {

@@ -14,14 +14,15 @@
 //	           pool, morsel scheduling, the shared scatter→gather primitive)
 //	hashfn   — the four hash-function classes
 //	dist     — the three key distributions
-//	workload — the WORM, RW and concurrent-RW workload drivers
+//	workload — the WORM table constructor, the RW op tapes and the chaos harness
 //	stats    — displacement/cluster/chain analysis and Knuth's formulas
-//	bench    — the harness regenerating every figure of the evaluation
+//	bench    — the harness regenerating every figure of the evaluation,
+//	           through one WORM and one RW measuring point
 //	decision — the Figure 8 practitioner decision graph (+ shard/worker-count advice)
 //
 // See README.md for a tour, the new-API migration table, and how to
-// regenerate the paper's figures. The benchmarks in bench_test.go
-// regenerate each figure via "go test -bench Fig -benchmem"; the batched
-// pipeline is measured by "go test -bench Batch" and the single-probe
-// build primitives by "go test -bench BuildSingleProbe ./table/".
+// regenerate the paper's figures ("go run ./cmd/hashbench -experiment
+// all"). The batched pipeline is measured by "go test -bench Batch" and
+// the single-probe build primitives by "go test -bench BuildSingleProbe
+// ./table/".
 package repro

@@ -66,29 +66,9 @@ func (c *Counter) ValueAt(hint int) uint64 {
 	return c.stripes[uint32(hint)&c.mask].v.Load()
 }
 
-// Gauge is a settable level: an atomic int64. Gauges record low-rate
-// state (pool depth, degraded shards), so they are deliberately not
-// striped — Set would have no meaning across stripes.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// NewGauge returns a zero Gauge. (The zero value is also usable; the
-// constructor exists for symmetry and to keep call sites uniform.)
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores the level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the level by d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // epoch is the process-global monotonic base for Now. Using one base for
-// every subsystem makes timestamps from exec traces, shard migration
-// timing, and workload sampling directly comparable.
+// every subsystem makes timestamps from exec traces and shard migration
+// timing directly comparable.
 var epoch = time.Now()
 
 // Now returns monotonic nanoseconds since the process epoch: the one

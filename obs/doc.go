@@ -22,8 +22,6 @@
 //   - Counter: a striped monotonic uint64 (Inc/Add), read as the sum of
 //     its stripes. ValueAt exposes a single stripe, which is how exec
 //     reports per-worker busy time from one Counter.
-//   - Gauge: a single atomic int64 level (Set/Add). Gauges are low-rate
-//     (queue depths, degraded-shard counts), so they are not striped.
 //   - Histogram: a log-bucketed power-of-two value/latency histogram
 //     with sub-bucket resolution: values bucket by their leading bit
 //     (the power of two) plus subBits further bits, giving a bounded
@@ -38,19 +36,19 @@
 //
 // A Registry names metrics and renders them on demand — it is an
 // http.Handler emitting the Prometheus text exposition format (counters
-// and gauges as samples, histograms as quantile summaries), and it can
-// publish the same snapshot as one expvar variable. Export is strictly
-// pull-based: the registry owns no goroutines (the repo's nogoroutine
-// invariant — concurrency stays in exec and shard), takes no locks on
-// the recording paths, and reading a metric never blocks a writer.
+// and RegisterFunc's pull-computed gauges as samples, histograms as
+// quantile summaries), and it can publish the same snapshot as one expvar
+// variable. Export is strictly pull-based: the registry owns no
+// goroutines (the repo's nogoroutine invariant — concurrency stays in
+// exec and shard), takes no locks on the recording paths, and reading a
+// metric never blocks a writer.
 //
 // # Users
 //
 // exec.PoolMetrics and exec.Trace instrument the morsel pool (task and
 // queue-wait latency, steals, per-worker busy time, and a per-worker
 // event ring dumpable as Chrome trace JSON); shard.Metrics instruments
-// the engine's per-operation latency and migration cost; the workload
-// drivers surface latency Snapshots in their results. All hooks are
+// the engine's per-operation latency and migration cost. All hooks are
 // nil-guarded: an engine or pool without metrics attached pays a single
 // pointer check.
 package obs

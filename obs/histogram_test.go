@@ -177,15 +177,6 @@ func TestCounterStripePadding(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	g := NewGauge()
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("Value() = %d, want 4", g.Value())
-	}
-}
-
 func TestNowMonotone(t *testing.T) {
 	a := Now()
 	b := Now()

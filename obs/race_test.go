@@ -16,11 +16,9 @@ func TestRegistryHammer(t *testing.T) {
 		perOp   = 5000
 	)
 	c := NewCounter(writers)
-	g := NewGauge()
 	h := NewHistogram(writers)
 	r := NewRegistry()
 	r.RegisterCounter("hammer_ops_total", "ops recorded by the hammer", c)
-	r.RegisterGauge("hammer_level", "", g)
 	r.RegisterHistogram(`hammer_nanos{path="hot"}`, "", h)
 	r.RegisterFunc("hammer_fn", "", func() float64 { return float64(c.Value()) })
 
@@ -33,7 +31,6 @@ func TestRegistryHammer(t *testing.T) {
 			<-start
 			for i := 0; i < perOp; i++ {
 				c.Inc(w)
-				g.Add(1)
 				h.Record(w, int64(w*perOp+i))
 			}
 		}(w)
@@ -60,9 +57,6 @@ settled:
 	const total = writers * perOp
 	if got := c.Value(); got != total {
 		t.Fatalf("counter = %d, want %d", got, total)
-	}
-	if got := g.Value(); got != total {
-		t.Fatalf("gauge = %d, want %d", got, total)
 	}
 	snap := h.Snapshot()
 	if snap.Count != total {

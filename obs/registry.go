@@ -18,7 +18,6 @@ type metricKind int
 
 const (
 	counterKind metricKind = iota
-	gaugeKind
 	histogramKind
 	funcKind // pull-computed gauge
 )
@@ -40,7 +39,6 @@ type sample struct {
 	name    string // full sample name, e.g. shard_op_nanos{op="get"}
 	labels  string // label body without braces, "" when unlabeled
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
 }
@@ -120,11 +118,6 @@ func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 	r.register(name, help, counterKind, &sample{counter: c})
 }
 
-// RegisterGauge registers a Gauge under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.register(name, help, gaugeKind, &sample{gauge: g})
-}
-
 // RegisterHistogram registers a Histogram under name, exported as a
 // Prometheus summary: quantile samples (p50/p90/p99/p999 estimates from
 // the log-bucketed snapshot) plus name_sum and name_count.
@@ -177,8 +170,6 @@ func (r *Registry) WriteText(w io.Writer) {
 			switch f.kind {
 			case counterKind:
 				sampleLine(w, f.name, s.labels, strconv.FormatUint(s.counter.Value(), 10))
-			case gaugeKind:
-				sampleLine(w, f.name, s.labels, strconv.FormatInt(s.gauge.Value(), 10))
 			case funcKind:
 				sampleLine(w, f.name, s.labels, formatFloat(s.fn()))
 			case histogramKind:
@@ -215,8 +206,6 @@ func (r *Registry) expvarMap() any {
 			switch f.kind {
 			case counterKind:
 				out[s.name] = s.counter.Value()
-			case gaugeKind:
-				out[s.name] = s.gauge.Value()
 			case funcKind:
 				out[s.name] = s.fn()
 			case histogramKind:

@@ -26,9 +26,7 @@ func goldenRegistry() *Registry {
 	r.RegisterCounter(`exec_events_total{kind="steal"}`, "scheduling events by kind", steals)
 	errs := NewCounter(1)
 	r.RegisterCounter(`exec_events_total{kind="error"}`, "", errs)
-	depth := NewGauge()
-	depth.Set(3)
-	r.RegisterGauge("engine_degraded_shards", "shards in the degraded-but-serving state", depth)
+	r.RegisterFunc("engine_degraded_shards", "shards in the degraded-but-serving state", func() float64 { return 3 })
 	lat := NewHistogram(1)
 	for v := int64(1); v <= 1000; v++ {
 		lat.Record(0, v)
@@ -91,6 +89,7 @@ func TestRegistryExpvar(t *testing.T) {
 }
 
 func TestRegistryMisusePanics(t *testing.T) {
+	zero := func() float64 { return 0 }
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -102,18 +101,18 @@ func TestRegistryMisusePanics(t *testing.T) {
 	}
 	mustPanic("duplicate name", func() {
 		r := NewRegistry()
-		r.RegisterGauge("x", "", NewGauge())
-		r.RegisterGauge("x", "", NewGauge())
+		r.RegisterFunc("x", "", zero)
+		r.RegisterFunc("x", "", zero)
 	})
 	mustPanic("kind conflict", func() {
 		r := NewRegistry()
 		r.RegisterCounter(`f{a="1"}`, "", NewCounter(1))
-		r.RegisterGauge(`f{a="2"}`, "", NewGauge())
+		r.RegisterFunc(`f{a="2"}`, "", zero)
 	})
 	mustPanic("malformed labels", func() {
-		NewRegistry().RegisterGauge("f{oops", "", NewGauge())
+		NewRegistry().RegisterFunc("f{oops", "", zero)
 	})
 	mustPanic("empty family", func() {
-		NewRegistry().RegisterGauge(`{a="1"}`, "", NewGauge())
+		NewRegistry().RegisterFunc(`{a="1"}`, "", zero)
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"repro/exec"
 	"repro/hashfn"
 	"repro/internal/fault"
-	"repro/obs"
 	"repro/shard"
 	"repro/table"
 )
@@ -95,11 +94,6 @@ type ChaosConfig struct {
 	// Ctx cancels the replay between morsels; it is threaded into the
 	// exec pool (nil means context.Background()).
 	Ctx context.Context
-	// LatencySample records every Nth replayed operation's latency into
-	// the result's Latency snapshot — armed rounds included, so injected
-	// stalls and degraded retries show up in the tail. Zero means the
-	// default (every 32nd); negative disables recording.
-	LatencySample int
 }
 
 // ChaosResult reports what one chaos run absorbed and surfaced.
@@ -125,10 +119,6 @@ type ChaosResult struct {
 	// engine's final observability snapshot.
 	Faults fault.Counts
 	Stats  shard.Stats
-	// Latency is the sampled per-operation latency distribution across
-	// every replay phase (armed rounds and the fault-free completion);
-	// zero-valued when sampling is disabled (see LatencySample).
-	Latency obs.Snapshot
 }
 
 // chaosThread is one goroutine's private replay state. Rounds are
@@ -141,12 +131,16 @@ type chaosThread struct {
 	rot    int // insert-primitive rotation: Put, GetOrPut, Upsert
 
 	applied, degraded, injected int
+}
 
-	// lat is the run's shared latency histogram (thread index = stripe);
-	// nil when sampling is disabled. every/countdown pace the sampling.
-	lat       *obs.Histogram
-	every     int
-	countdown int
+// initialCapacityFor returns a power-of-two capacity that places initial
+// keys at just under 50% load factor, the paper's ~47% starting point.
+func initialCapacityFor(initial int) int {
+	c := 8
+	for c < initial*2+1 {
+		c *= 2
+	}
+	return c
 }
 
 // RunChaos replays cfg's differential chaos workload and returns the
@@ -199,12 +193,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		Shards:  m.Partitions(),
 	}
 
-	every := latencyEvery(cfg.LatencySample)
-	var lat *obs.Histogram
-	if every > 0 {
-		lat = obs.NewHistogram(cfg.Threads)
-	}
-
 	base := dist.New(cfg.Dist, cfg.Seed)
 	threads := make([]chaosThread, cfg.Threads)
 	for g := range threads {
@@ -212,7 +200,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		th.gen = offsetGen{gen: base, base: uint64(g) * threadStride}
 		th.tape = GenRWTape(th.gen, cfg.InitialKeys, cfg.Ops, cfg.UpdatePct, cfg.Seed+uint64(g))
 		th.oracle = make(map[uint64]uint64, cfg.InitialKeys+th.tape.Inserts)
-		th.lat, th.every = lat, every
 		res.Ops += th.tape.Len()
 	}
 
@@ -313,9 +300,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	res.FinalLen = m.Len()
 	res.Stats = m.EngineStats()
-	if lat != nil {
-		res.Latency = lat.Snapshot()
-	}
 	return res, nil
 }
 
@@ -351,16 +335,6 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 		i := th.cursor
 		kind, k := th.tape.Kinds[i], th.tape.Keys[i]
 		th.cursor++
-		var t0 int64
-		sampled := false
-		if th.lat != nil {
-			if th.countdown == 0 {
-				th.countdown = th.every
-				sampled = true
-				t0 = obs.Now()
-			}
-			th.countdown--
-		}
 		switch kind {
 		case OpInsert:
 			val := k ^ chaosValSalt
@@ -428,9 +402,6 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 				return fmt.Errorf("workload: chaos thread %d op %d: Get(%#x) = (%#x,%v), oracle (%#x,%v)", g, i, k, v, ok, want, wok)
 			}
 			th.applied++
-		}
-		if sampled {
-			th.lat.Record(g, obs.Now()-t0)
 		}
 	}
 	return nil

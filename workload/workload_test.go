@@ -8,116 +8,6 @@ import (
 	"repro/table"
 )
 
-func TestRunWORMValidation(t *testing.T) {
-	if _, err := RunWORM(WORMConfig{Capacity: 0, LoadFactor: 0.5}); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := RunWORM(WORMConfig{Capacity: 1 << 10, LoadFactor: 0}); err == nil {
-		t.Error("zero load factor accepted")
-	}
-	if _, err := RunWORM(WORMConfig{Capacity: 1 << 10, LoadFactor: 1.5}); err == nil {
-		t.Error("load factor > 1 accepted")
-	}
-}
-
-// TestRunWORMAllPoints executes a miniature version of the paper's full
-// WORM grid: every scheme x function x distribution at a low and a high
-// load factor. The runner itself validates hit counts and build sizes, so
-// success here is a meaningful end-to-end check.
-func TestRunWORMAllPoints(t *testing.T) {
-	const capacity = 1 << 10
-	for _, s := range table.Schemes() {
-		for _, f := range hashfn.Families() {
-			for _, d := range dist.Kinds() {
-				for _, lf := range []float64{0.25, 0.9} {
-					if (s == table.SchemeChained8 || s == table.SchemeChained24) && lf > 0.5 {
-						continue // over the §4.5 budget by design
-					}
-					res, err := RunWORM(WORMConfig{
-						Scheme:     s,
-						Family:     f,
-						Dist:       d,
-						Capacity:   capacity,
-						LoadFactor: lf,
-						Mixes:      []int{0, 50, 100},
-						Lookups:    2048,
-						Seed:       7,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s/%s lf=%v: %v", s, f.Name(), d, lf, err)
-					}
-					if res.N != int(lf*capacity) {
-						t.Fatalf("%s: N = %d", s, res.N)
-					}
-					if res.InsertMops <= 0 {
-						t.Fatalf("%s: non-positive insert throughput", s)
-					}
-					for _, u := range []int{0, 50, 100} {
-						if res.LookupMops[u] <= 0 {
-							t.Fatalf("%s: non-positive lookup throughput at u=%d", s, u)
-						}
-					}
-					if res.MemoryBytes == 0 {
-						t.Fatalf("%s: zero memory footprint", s)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWORMChainedBudget: chained schemes at low load factors must fit the
-// §4.5 budget; the harness flags them otherwise.
-func TestWORMChainedBudget(t *testing.T) {
-	res, err := RunWORM(WORMConfig{
-		Scheme:     table.SchemeChained24,
-		Family:     hashfn.MultFamily{},
-		Dist:       dist.Sparse,
-		Capacity:   1 << 14,
-		LoadFactor: 0.35,
-		Mixes:      []int{0},
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OverBudget {
-		t.Fatalf("Chained24 at 35%% flagged over budget (%d bytes)", res.MemoryBytes)
-	}
-	oaCap := 1 << 14
-	budget := uint64(table.ChainedBudgetFactor * 16 * float64(oaCap))
-	if res.MemoryBytes > budget {
-		t.Fatalf("footprint %d exceeds budget %d but was not flagged", res.MemoryBytes, budget)
-	}
-}
-
-func TestWormProbeTape(t *testing.T) {
-	gen := dist.New(dist.Dense, 1)
-	present := gen.Keys(100)
-	for _, u := range []int{0, 25, 50, 75, 100} {
-		probes, wantHits := wormProbeTape(gen, present, 100, 200, u, 9)
-		if len(probes) != 200 {
-			t.Fatalf("u=%d: tape length %d", u, len(probes))
-		}
-		if wantHits != 200-200*u/100 {
-			t.Fatalf("u=%d: wantHits = %d", u, wantHits)
-		}
-		presentSet := map[uint64]bool{}
-		for _, k := range present {
-			presentSet[k] = true
-		}
-		hits := 0
-		for _, k := range probes {
-			if presentSet[k] {
-				hits++
-			}
-		}
-		if hits != wantHits {
-			t.Fatalf("u=%d: tape contains %d present keys, want %d", u, hits, wantHits)
-		}
-	}
-}
-
 func TestGenRWTapeComposition(t *testing.T) {
 	gen := dist.New(dist.Sparse, 5)
 	const initial, ops = 1000, 20000
@@ -175,48 +65,6 @@ func TestGenRWTapeEdgeCases(t *testing.T) {
 		}
 	}()
 	GenRWTape(gen, 0, 10, 101, 1)
-}
-
-// TestRunRWAllSchemes replays one shared tape against every scheme and
-// relies on the runner's internal validation (hit/miss counts, final
-// sizes).
-func TestRunRWAllSchemes(t *testing.T) {
-	gen := dist.New(dist.Sparse, 21)
-	const initial, ops = 2000, 30000
-	tape := GenRWTape(gen, initial, ops, 25, 22)
-	for _, s := range table.Schemes() {
-		for _, grow := range []float64{0.5, 0.9} {
-			res, err := RunRW(RWConfig{
-				Scheme:      s,
-				Family:      hashfn.MultFamily{},
-				Dist:        dist.Sparse,
-				InitialKeys: initial,
-				Ops:         ops,
-				UpdatePct:   25,
-				GrowAt:      grow,
-				Seed:        21,
-				Tape:        tape,
-			})
-			if err != nil {
-				t.Fatalf("%s grow=%v: %v", s, grow, err)
-			}
-			if res.Mops <= 0 || res.MemoryBytes == 0 {
-				t.Fatalf("%s grow=%v: degenerate result %+v", s, grow, res)
-			}
-			if res.FinalLen != initial+tape.Inserts-tape.Deletes {
-				t.Fatalf("%s: final length %d", s, res.FinalLen)
-			}
-		}
-	}
-}
-
-func TestRunRWValidation(t *testing.T) {
-	if _, err := RunRW(RWConfig{GrowAt: 0}); err == nil {
-		t.Error("GrowAt 0 accepted")
-	}
-	if _, err := RunRW(RWConfig{GrowAt: 1.2}); err == nil {
-		t.Error("GrowAt > 1 accepted")
-	}
 }
 
 func TestInitialCapacityFor(t *testing.T) {
