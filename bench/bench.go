@@ -15,8 +15,9 @@
 //	Figure 5 — RunFig5 / RenderFig5: the RW workload sweep.
 //	Figure 6 — RunFig6 / RenderFig6: best-performer matrix across
 //	           capacities, distributions, load factors and lookup mixes.
-//	Figure 7 — RunFig7 / RenderFig7: AoS vs SoA layout with and without
-//	           vectorized probing.
+//	Figure 7 — RunFig7 / RenderFig7: AoS vs SoA layout under linear
+//	           probing (the paper's AVX-2 series are not reproduced; see
+//	           EXPERIMENTS.md).
 //
 // Every WORM figure (2, 3, 4, 6 and 7) measures through one point,
 // wormPoint; Figure 5 measures through the one RW point, rwPoint.
@@ -115,19 +116,12 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // contender is one curve in a plot: a scheme paired with a hash family.
-// simd measures the LP schemes' vectorized probes (GetVec/PutVec, Figure
-// 7) in place of Get/Put; name, when set, replaces the scheme+family label.
 type contender struct {
 	scheme table.Scheme
 	family hashfn.Family
-	simd   bool
-	name   string
 }
 
 func (c contender) label() string {
-	if c.name != "" {
-		return c.name
-	}
 	return string(c.scheme) + c.family.Name()
 }
 

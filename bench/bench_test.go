@@ -186,7 +186,7 @@ func TestRunFig7Structure(t *testing.T) {
 		t.Fatalf("Fig7 panels = %+v, want one sparse panel", exps)
 	}
 	series := exps[0].Series
-	want := []string{"LPAoSMult", "LPAoSMultSIMD", "LPSoAMult", "LPSoAMultSIMD"}
+	want := []string{"LPMult", "LPSoAMult"}
 	if len(series) != len(want) {
 		t.Fatalf("%d series, want %d", len(series), len(want))
 	}

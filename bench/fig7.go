@@ -8,20 +8,16 @@ import (
 	"repro/table"
 )
 
-// fig7Contenders are Figure 7's four variants of LPMult: AoS or SoA layout,
-// with scalar or vectorized probing. "SIMD" here means the kernel's
-// portable 4-slot block compare (table/batch.go) — see README's
-// "Regenerating the paper's figures".
+// fig7Contenders are Figure 7's two layouts of LPMult: AoS and SoA. The
+// paper's AVX-2 series are not reproduced (see EXPERIMENTS.md).
 var fig7Contenders = []contender{
-	{scheme: table.SchemeLP, family: hashfn.MultFamily{}, name: "LPAoSMult"},
-	{scheme: table.SchemeLP, family: hashfn.MultFamily{}, simd: true, name: "LPAoSMultSIMD"},
-	{scheme: table.SchemeLPSoA, family: hashfn.MultFamily{}, name: "LPSoAMult"},
-	{scheme: table.SchemeLPSoA, family: hashfn.MultFamily{}, simd: true, name: "LPSoAMultSIMD"},
+	{scheme: table.SchemeLP, family: hashfn.MultFamily{}},
+	{scheme: table.SchemeLPSoA, family: hashfn.MultFamily{}},
 }
 
-// RunFig7 regenerates Figure 7: the effect of table layout (AoS vs SoA)
-// and vectorized probing on LPMult over sparse keys at load factors
-// 50/70/90%. It is one WORM panel, the sparse one.
+// RunFig7 regenerates Figure 7's layout comparison: AoS vs SoA linear
+// probing with LPMult over sparse keys at load factors 50/70/90%. It is
+// one WORM panel, the sparse one.
 func RunFig7(opt Options) ([]WORMExperiment, error) {
 	opt = opt.withDefaults()
 	return runWORMFigure(opt, "fig7", []dist.Kind{dist.Sparse}, fig7Contenders, HighLoadFactors, nil)
@@ -29,5 +25,5 @@ func RunFig7(opt Options) ([]WORMExperiment, error) {
 
 // RenderFig7 prints the Figure 7 panel.
 func RenderFig7(w io.Writer, exps []WORMExperiment) {
-	renderWORM(w, "Figure 7: layout (AoS vs SoA) and vectorized probing, LPMult, sparse", exps, HighLoadFactors)
+	renderWORM(w, "Figure 7: layout (AoS vs SoA), LPMult, sparse", exps, HighLoadFactors)
 }

@@ -52,23 +52,6 @@ func TestRunWORMAllPoints(t *testing.T) {
 	}
 }
 
-// TestWORMPointSIMDNeedsVectorProbes: a simd contender is measured through
-// GetVec/PutVec, which only the LP layouts have; asking for them on QP is
-// an error, not a silent scalar run.
-func TestWORMPointSIMDNeedsVectorProbes(t *testing.T) {
-	opt := tinyOpts().withDefaults()
-	for _, s := range []table.Scheme{table.SchemeLP, table.SchemeLPSoA} {
-		c := contender{scheme: s, family: hashfn.MultFamily{}, simd: true}
-		if err := wormPoint(opt, c, dist.Sparse, 1<<10, 90, newWORMSeries(c.label())); err != nil {
-			t.Fatalf("%s simd: %v", s, err)
-		}
-	}
-	c := contender{scheme: table.SchemeQP, family: hashfn.MultFamily{}, simd: true}
-	if err := wormPoint(opt, c, dist.Sparse, 1<<10, 50, newWORMSeries(c.label())); err == nil {
-		t.Fatal("simd QP accepted; QP has no vectorized probes")
-	}
-}
-
 // TestWORMChainedBudget: chained schemes at low load factors must fit the
 // §4.5 budget; the harness flags them otherwise.
 func TestWORMChainedBudget(t *testing.T) {

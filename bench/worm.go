@@ -39,8 +39,7 @@ func runWORMFigure(opt Options, name string, dists []dist.Kind, contenders []con
 // lf: a timed build of lf% of capacity keys drawn from d, then one timed
 // probe pass per lookup mix. Each throughput is averaged over opt.Repeats
 // runs with derived seeds (§4.2); memory comes from the last run. Every
-// contender is measured through method values, Put/Get or, for a simd
-// one, PutVec/GetVec, so all series share one call shape. A build that
+// contender is timed through Put/Get on the Table interface. A build that
 // does not fill the table exactly, or a mix that does not hit exactly its
 // present keys, is an error.
 func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMSeries) error {
@@ -70,23 +69,12 @@ func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMS
 		if err != nil {
 			return err
 		}
-		put, get := m.Put, m.Get
-		if c.simd {
-			vm, ok := m.(interface {
-				GetVec(key uint64) (uint64, bool)
-				PutVec(key, val uint64) (bool, error)
-			})
-			if !ok {
-				return fmt.Errorf("%s has no vectorized probes", c.scheme)
-			}
-			put, get = vm.PutVec, vm.GetVec
-		}
 
 		gen := dist.New(d, seed)
 		keys := dist.Shuffled(gen.Keys(n), seed+1)
 		start := time.Now()
 		for i, k := range keys {
-			if _, err := put(k, uint64(i)); err != nil {
+			if _, err := m.Put(k, uint64(i)); err != nil {
 				return fmt.Errorf("WORM build: %w", err)
 			}
 		}
@@ -101,7 +89,7 @@ func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMS
 			var sink uint64
 			start = time.Now()
 			for _, k := range probes {
-				if v, ok := get(k); ok {
+				if v, ok := m.Get(k); ok {
 					hits++
 					sink ^= v
 				}

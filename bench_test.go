@@ -167,53 +167,6 @@ func BenchmarkSlabVsNaive(b *testing.B) {
 	})
 }
 
-// BenchmarkVecLookup compares scalar and vectorized probe paths on both
-// layouts (Figure 7's four variants) at 90% load factor, all-unsuccessful
-// probes — where probe sequences are longest and vectorization matters
-// most.
-func BenchmarkVecLookup(b *testing.B) {
-	const capacity = 1 << 16
-	n := capacity * 9 / 10
-	gen := dist.New(dist.Sparse, 1)
-	keys := dist.Shuffled(gen.Keys(n), 2)
-	probes := dist.Shuffled(gen.AbsentKeys(n, n), 3)
-
-	type vecTable interface {
-		table.Table
-		GetVec(key uint64) (uint64, bool)
-	}
-	build := func(s table.Scheme) vecTable {
-		m, err := table.New(s, table.Config{InitialCapacity: capacity, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.PutBatch(keys, keys); err != nil {
-			b.Fatal(err)
-		}
-		return m.(vecTable)
-	}
-	aos, soa := build(table.SchemeLP), build(table.SchemeLPSoA)
-	variants := []struct {
-		name string
-		get  func(uint64) (uint64, bool)
-	}{
-		{"AoS/scalar", aos.Get},
-		{"AoS/vec", aos.GetVec},
-		{"SoA/scalar", soa.Get},
-		{"SoA/vec", soa.GetVec},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				val, _ := v.get(probes[i%len(probes)])
-				sink ^= val
-			}
-			_ = sink
-		})
-	}
-}
-
 // escapeSink defeats escape analysis in the naive allocation benchmarks.
 var escapeSink *slab.Entry
 

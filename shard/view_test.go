@@ -102,7 +102,9 @@ func (t *testTable) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int,
 		if err != nil {
 			return ins, err
 		}
-		out[i], loaded[i] = v, ld
+		if out != nil {
+			out[i], loaded[i] = v, ld
+		}
 		if !ld {
 			ins++
 		}
@@ -301,8 +303,17 @@ func TestViewGenerationAdvancesAcrossMigration(t *testing.T) {
 	e := testEngine(t, 1, 64)
 	s := &e.shards[0]
 	born := s.view.Load().gen
-	// Fill past the threshold to start a migration, then drain it.
-	for i := uint64(1); i <= 60; i++ {
+	// Fill past the threshold to start a migration, then drain it. The
+	// first keys go in through GetOrPutBatch with its results dropped (out
+	// and loaded nil), which the table's batch must accept.
+	keys, vals := make([]uint64, 8), make([]uint64, 8)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i+1)*0x9e3779b97f4a7c15, uint64(i+1)
+	}
+	if ins, err := e.GetOrPutBatch(keys, vals, nil, nil); ins != len(keys) || err != nil {
+		t.Fatalf("GetOrPutBatch(nil results) = %d, %v; want %d inserts", ins, err, len(keys))
+	}
+	for i := uint64(len(keys) + 1); i <= 60; i++ {
 		if _, err := e.Put(i*0x9e3779b97f4a7c15, i); err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,7 @@ package table
 //     live probe sequence by one step. Consecutive loads belong to
 //     *different* sequences, so they are independent and the memory system
 //     overlaps their misses — the software analogue of the group
-//     prefetching / AMAC literature the paper cites for vectorized probing,
-//     built from the same lane/mask structure as the §7 block probe
-//     (batch.go).
+//     prefetching / AMAC literature the paper cites for vectorized probing.
 //
 // Batched semantics are exactly sequential semantics: GetBatch(keys)[i]
 // equals Get(keys[i]), and PutBatch applies its pairs in slice order, so

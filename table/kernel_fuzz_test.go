@@ -14,9 +14,7 @@ import (
 // tombstones are created and recycled (and the growth-disabled tables
 // cross the in-place tombstone-purge rehash), and one op code flushes
 // through the batched surfaces with lengths that straddle the BatchWidth
-// chunk boundary. On LP and LPSoA the Get ops cross-check the §7 block
-// probe's GetVec, and the Put ops whose argument has bit 4 set go through
-// PutVec, so the vectorized probe is fuzzed over both column views.
+// chunk boundary.
 func FuzzProbeKernel(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67})
 	f.Add([]byte("put-get-delete-put-get tape with sentinels \x00\xff"))
@@ -28,7 +26,7 @@ func FuzzProbeKernel(f *testing.F) {
 	})
 	// A batch-heavy tape: op 5 with lengths around BatchWidth.
 	f.Add([]byte{0x05, 0x3f, 0x05, 0x40, 0x05, 0x41, 0x05, 0x81, 0x05, 0x00})
-	// A PutVec tape: Puts with bit 4 of the argument set, around deletes.
+	// A put-delete tape: Puts of the same few keys around deletes and gets.
 	f.Add([]byte{
 		0x00, 0x12, 0x00, 0x13, 0x00, 0x14, 0x02, 0x13, 0x00, 0x15,
 		0x01, 0x13, 0x00, 0x33, 0x01, 0x14, 0x00, 0x10, 0x01, 0x10,
@@ -64,22 +62,12 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 	m := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: maxLF, Seed: 7})
 	oracle := map[uint64]uint64{}
 	ctx := func(i int) string { return string(s) }
-	vm, hasVec := m.(interface {
-		GetVec(key uint64) (uint64, bool)
-		PutVec(key, val uint64) (bool, error)
-	})
 
 	checkGet := func(i int, k uint64) {
 		v, ok := m.Get(k)
 		wv, wok := oracle[k]
 		if ok != wok || (ok && v != wv) {
 			t.Fatalf("%s lf=%v op %d: Get(%#x) = %d,%v; oracle %d,%v", ctx(i), maxLF, i, k, v, ok, wv, wok)
-		}
-		if !hasVec {
-			return
-		}
-		if vv, vok := vm.GetVec(k); vok != ok || vv != v {
-			t.Fatalf("%s lf=%v op %d: GetVec(%#x) = %d,%v; Get %d,%v", ctx(i), maxLF, i, k, vv, vok, v, ok)
 		}
 	}
 
@@ -102,11 +90,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 		k := tapeKey(arg)
 		switch op % 6 {
 		case 0: // Put
-			put := m.Put
-			if hasVec && arg&16 != 0 {
-				put = vm.PutVec
-			}
-			ins, err := put(k, uint64(i)+1)
+			ins, err := m.Put(k, uint64(i)+1)
 			if err != nil {
 				t.Fatalf("%s lf=%v op %d: Put(%#x): %v", ctx(i), maxLF, i, k, err)
 			}

@@ -122,8 +122,8 @@ func (aosLayout) alloc(capacity int) colView {
 	slots := make([]pair, capacity)
 	// View the pair array as its underlying uint64 words (a pair is
 	// exactly two uint64s, so the aliasing is layout-exact): keys sit at
-	// even words, values at odd ones — GetVec's 4-slot blocks are the
-	// stride-2 reads of this view. The view shares the backing array, so
+	// even words, values at odd ones, so a probe over the key column
+	// reads at stride 2. The view shares the backing array, so
 	// it and slots always hold the same entries (FuzzColumnView checks).
 	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(slots))), 2*capacity)
 	return colView{kc: words, vc: words, ks: 1, slots: slots}

@@ -319,37 +319,6 @@ func TestCuckooWallRefusesOnlyBlockedKeys(t *testing.T) {
 	}
 }
 
-// TestPutVecUpdateOnFullTableDoesNotGrow: like Put, PutVec updates an
-// existing key in place on a full growth-disabled table and reports a
-// genuine insert there as a *FullError, leaving Capacity and Len as they
-// were.
-func TestPutVecUpdateOnFullTableDoesNotGrow(t *testing.T) {
-	for _, m := range []interface {
-		Table
-		PutVec(key, val uint64) (bool, error)
-	}{
-		newLinearProbing(Config{InitialCapacity: 8, Seed: 29}),
-		newLinearProbingSoA(Config{InitialCapacity: 8, Seed: 29}),
-	} {
-		for i := uint64(1); i <= 7; i++ {
-			put(t, m, i, i)
-		}
-		if ins, err := m.PutVec(3, 99); ins || err != nil {
-			t.Fatalf("%s: update = %v, %v", m.Name(), ins, err)
-		}
-		if v, _ := m.Get(3); v != 99 {
-			t.Fatalf("%s: update lost: %d", m.Name(), v)
-		}
-		var fe *FullError
-		if ins, err := m.PutVec(8, 8); ins || !errors.As(err, &fe) {
-			t.Fatalf("%s: insert on full table = %v, %v; want a *FullError", m.Name(), ins, err)
-		}
-		if m.Capacity() != 8 || m.Len() != 7 {
-			t.Fatalf("%s: full table moved to %d/%d", m.Name(), m.Len(), m.Capacity())
-		}
-	}
-}
-
 // TestChainedNeverFull: the chained schemes absorb any number of entries
 // with growth disabled and never return ErrFull.
 func TestChainedNeverFull(t *testing.T) {

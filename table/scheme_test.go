@@ -514,85 +514,6 @@ func TestChainLengthsAndOverflow(t *testing.T) {
 	}
 }
 
-// --- Layout and vectorized variants -----------------------------------------------
-
-// TestVecScalarEquivalence cross-checks GetVec/PutVec against the scalar
-// paths on identical random workloads for both layouts.
-func TestVecScalarEquivalence(t *testing.T) {
-	rng := prng.NewXoshiro256(24)
-	aosS := newLinearProbing(Config{InitialCapacity: 256, Seed: 25})
-	aosV := newLinearProbing(Config{InitialCapacity: 256, Seed: 25})
-	soaS := newLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
-	soaV := newLinearProbingSoA(Config{InitialCapacity: 256, Seed: 25})
-	oracle := map[uint64]uint64{}
-	for i := 0; i < 20000; i++ {
-		k := rng.Uint64n(300) // includes key 0 (sentinel path)
-		switch rng.Uint64n(6) {
-		case 0, 1, 2:
-			v := rng.Next()
-			insS, errS := aosS.Put(k, v)
-			insV, errV := aosV.PutVec(k, v)
-			if insS != insV || errS != nil || errV != nil {
-				t.Fatalf("op %d: AoS Put=%v,%v PutVec=%v,%v", i, insS, errS, insV, errV)
-			}
-			insS, errS = soaS.Put(k, v)
-			insV, errV = soaV.PutVec(k, v)
-			if insS != insV || errS != nil || errV != nil {
-				t.Fatalf("op %d: SoA Put=%v,%v PutVec=%v,%v", i, insS, errS, insV, errV)
-			}
-			oracle[k] = v
-		case 3:
-			dS := aosS.Delete(k)
-			if dV := aosV.Delete(k); dS != dV {
-				t.Fatalf("op %d: delete mismatch", i)
-			}
-			soaS.Delete(k)
-			soaV.Delete(k)
-			delete(oracle, k)
-		default:
-			wantV, wantOK := oracle[k]
-			for name, get := range map[string]func(uint64) (uint64, bool){
-				"AoS/Get": aosS.Get, "AoS/GetVec": aosV.GetVec,
-				"SoA/Get": soaS.Get, "SoA/GetVec": soaV.GetVec,
-			} {
-				v, ok := get(k)
-				if ok != wantOK || (ok && v != wantV) {
-					t.Fatalf("op %d: %s(%d) = %d,%v; want %d,%v", i, name, k, v, ok, wantV, wantOK)
-				}
-			}
-		}
-	}
-}
-
-// TestVecWraparound exercises vector probes that wrap the table end, on
-// both column views.
-func TestVecWraparound(t *testing.T) {
-	type vecTable interface {
-		GetVec(key uint64) (uint64, bool)
-		PutVec(key, val uint64) (bool, error)
-	}
-	for _, m := range []vecTable{
-		newLinearProbing(Config{InitialCapacity: 8, Seed: 26}),
-		newLinearProbingSoA(Config{InitialCapacity: 8, Seed: 26}),
-	} {
-		// Fill 7 of 8 slots: clusters will wrap.
-		keys := []uint64{3, 11, 19, 27, 35, 43, 51}
-		for _, k := range keys {
-			if _, err := m.PutVec(k, k*2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, k := range keys {
-			if v, ok := m.GetVec(k); !ok || v != k*2 {
-				t.Fatalf("%T: GetVec(%d) = %d,%v", m, k, v, ok)
-			}
-		}
-		if _, ok := m.GetVec(999); ok {
-			t.Fatalf("%T: phantom hit across wraparound", m)
-		}
-	}
-}
-
 // --- Displacement / cluster diagnostics ----------------------------------------
 
 func TestDisplacementsConsistency(t *testing.T) {

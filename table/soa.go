@@ -10,9 +10,9 @@ package table
 //   - long probe sequences scan only keys — half the bytes of AoS — which
 //     helps at high load factors;
 //   - densely packed keys make vectorized comparison natural, which is why
-//     the paper's SIMD variant favours SoA: the kernel's block probe
-//     (getVec/putVec in batch.go) loads four consecutive key words here
-//     where AoS gathers them.
+//     the paper's AVX-2 variant favours SoA. Go emits no vector
+//     instructions, so both layouts share the one scalar kernel (see
+//     EXPERIMENTS.md, "Figure 7 SIMD").
 //
 // Semantics are identical to linearProbing, including the optimized
 // tombstone deletion: the two schemes are the same kernel instantiated

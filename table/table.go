@@ -16,7 +16,7 @@
 //   - CuckooH4: k-ary Cuckoo hashing (default k = 4).
 //
 // plus LPSoA, the struct-of-arrays layout variant used by the paper's §7
-// layout and SIMD study, and DH (double hashing), an extension scheme
+// layout study, and DH (double hashing), an extension scheme
 // expressed purely as a probe-sequence policy of the shared kernel.
 //
 // The open-addressing schemes are instantiations of one policy-driven
@@ -29,8 +29,8 @@
 // There are two ways in. Open builds a Handle, the workload-aware façade
 // most callers want. New builds one raw scheme behind the Table contract,
 // for shard.Engine's NewTable and for analysis tools; the per-scheme
-// diagnostics (Displacements, ChainLengths, WayOccupancy, ProbeSlots,
-// GetVec/PutVec) are reached from it through interface assertions.
+// diagnostics (Displacements, ChainLengths, WayOccupancy, ProbeSlots)
+// are reached from it through interface assertions.
 //
 // All tables store 64-bit integer keys and 64-bit values with map
 // semantics (Put is an upsert). A raw table has one writer at a time and
