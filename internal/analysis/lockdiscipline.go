@@ -31,6 +31,10 @@ import (
 //     view) is stored only inside publish, the one epoch-publication
 //     chokepoint (which itself asserts it runs inside a writer's
 //     window).
+//  6. The pending set's writer methods (add and apply on a pendingSet)
+//     are called only while a shard lock is held, found the way rule 3
+//     finds a held region. Readers share the set with one writer at a
+//     time; an add or an apply outside the lock races another.
 //
 // lockShard/unlockShard calls count as Lock/Unlock for rules 1 and 3 —
 // they ARE the shard writer lock, wrapped in the sequence bump — and so
@@ -46,7 +50,7 @@ import (
 // same function, on the same expression.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "shard locking rules: paired Lock/Unlock, allocTable chokepoint, no exec calls under a shard lock, seqlock bumps and view stores only at their chokepoints",
+	Doc:  "shard locking rules: paired Lock/Unlock, allocTable chokepoint, no exec calls under a shard lock, seqlock bumps and view stores only at their chokepoints, pending-set writes only under a shard lock",
 	Run:  runLockDiscipline,
 }
 
@@ -288,7 +292,8 @@ func checkPublishChokepoint(pass *Pass, fd *ast.FuncDecl) {
 
 // scanHeldRegions walks a statement list tracking which shard locks are
 // held (raw mutex calls and the seqlock window helpers alike), and
-// flags exec-package calls made while any is. held maps receiver text
+// flags exec-package calls made while any is, and pending-set writes
+// made while none is. held maps receiver text
 // to the read/write flavor last taken; nested blocks see a copy, so
 // branch-local locks do not leak into siblings.
 func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
@@ -315,6 +320,8 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 		}
 		if len(held) > 0 {
 			flagExecCalls(pass, stmt, held)
+		} else {
+			flagPendingWrites(pass, stmt)
 		}
 		// Recurse into nested statement lists with the current view.
 		switch s := stmt.(type) {
@@ -400,6 +407,29 @@ func flagExecCalls(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 				break
 			}
 			pass.Reportf(call.Pos(), "call into exec while %s is locked: a pool submission under a shard lock can deadlock against tasks touching the same shard — release the lock first", some)
+		}
+		return true
+	})
+}
+
+// flagPendingWrites reports the pending set's writer methods called
+// inside stmt, which runs with no shard lock held (nested statement lists
+// excepted, as in flagExecCalls).
+func flagPendingWrites(pass *Pass, stmt ast.Stmt) {
+	ast.Inspect(stmt, func(n ast.Node) bool {
+		if _, ok := n.(*ast.BlockStmt); ok {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "add" && sel.Sel.Name != "apply") {
+			return true
+		}
+		if typeIs(pass.typeOf(sel.X), "shard", "pendingSet") {
+			pass.Reportf(call.Pos(), "pending set's %s called with no shard lock held: its writer is whoever holds the shard lock, and readers trust that there is one", sel.Sel.Name)
 		}
 		return true
 	})

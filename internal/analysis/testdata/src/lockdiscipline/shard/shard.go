@@ -309,3 +309,48 @@ func (s *bumpState) acquire() {
 	s.mu.Lock()
 	s.seq.Add(1) // want `seqlock word mutated outside lockShard/unlockShard`
 }
+
+// pendingSet stands in for the engine's logical deletes: readers load it
+// atomically, and whoever holds the shard lock is its one writer.
+type pendingSet struct{ n atomic.Int32 }
+
+func (p *pendingSet) add(key uint64) { p.n.Add(1) }
+func (p *pendingSet) apply(t *table) { p.n.Store(0) }
+func (p *pendingSet) has(key uint64) bool { return p.n.Load() > 0 }
+
+// pendState is a shard with a pending set.
+type pendState struct {
+	seqState
+	pend pendingSet
+}
+
+// goodPendingAdd adds under the lock the acquire helper took.
+func (e *Engine) goodPendingAdd(s *pendState, key uint64) {
+	s.acquire()
+	defer s.mu.Unlock()
+	if !s.pend.has(key) {
+		s.pend.add(key)
+	}
+}
+
+// goodPendingApply applies inside a window.
+func (e *Engine) goodPendingApply(s *pendState) {
+	s.lockShard()
+	s.pend.apply(s.view.Load())
+	s.unlockShard()
+}
+
+// badPendingAdd adds with no lock held; reading the set is fine.
+func (e *Engine) badPendingAdd(s *pendState, key uint64) {
+	if !s.pend.has(key) {
+		s.pend.add(key) // want `pending set's add called with no shard lock held`
+	}
+}
+
+// badPendingApply applies after the window has closed.
+func (e *Engine) badPendingApply(s *pendState) {
+	s.lockShard()
+	t := s.view.Load()
+	s.unlockShard()
+	s.pend.apply(t) // want `pending set's apply called with no shard lock held`
+}

@@ -46,6 +46,7 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 		{"GetOrPut", func() { e.GetOrPut(keys[0], 0) }},
 		{"Upsert", func() { e.Upsert(keys[0], inc) }},
 		{"Delete of an absent key", func() { e.Delete(0) }},
+		{"Delete of a live key, then its Put", func() { e.Delete(keys[1]); e.Put(keys[1], vals[1]) }},
 	}
 	for _, c := range calls {
 		c.call() // warm: pool, chunk scratch

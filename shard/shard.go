@@ -71,6 +71,16 @@
 // the successor lacks, and the write then marks a frozen entry whose value
 // it changed dead.
 //
+// A delete on a steady shard — neither migrating nor degraded — opens no
+// seqlock window. A table's delete moves entries (Robin Hood's backward
+// shift), so it would tear every batched read that overlaps it; instead
+// the delete looks the key up under the writer lock and records it in the
+// shard's pending set (pending.go), which readers mask. The next window on
+// the shard, whatever opens it, first deletes the pending keys from the
+// table, so growth checks, migrations and Table.Len never see one. A
+// migrating or degraded shard's delete, and one that finds 256 keys
+// pending, takes a window as every other write does.
+//
 // The cursor is one integer, the position Table.RangeFrom stopped at: a
 // frozen table never changes, so there is no goroutine, nothing to stop,
 // and an engine dropped mid-resize is ordinary garbage. A step collects
@@ -114,15 +124,18 @@
 // batched operations are linearizable per key: each key lives in exactly
 // one shard, whose writers are serialized by its lock, and a validated
 // wait-free read is a point-in-time observation of that shard (see
-// view.go). Get, GetBatch and Len take no locks at all — readers never
-// block writers, and a read that keeps colliding with writer windows
-// (readMaxRetries torn attempts of a Get, readRangeDiscards discarded
-// probes of a GetBatch range) finishes under the writer lock instead of
-// spinning forever. There is no cross-shard snapshot: Len, Stats and
+// view.go). A steady shard's delete linearizes at the store that
+// publishes the pending set's new count. Get, GetBatch and Len take no
+// locks at all — readers never block writers, and a read that keeps
+// colliding with writer windows (readMaxRetries torn attempts of a Get,
+// readRangeDiscards discarded probes of a GetBatch range) finishes under
+// the writer lock instead of spinning forever. There is no cross-shard snapshot: Len, Stats and
 // iteration observe one shard at a time and may observe different shards
 // at different instants. Range and ForEachTable hold the shard's writer
 // lock while they visit it (their callbacks must observe a quiescent
-// shard exactly once, which the optimistic protocol cannot promise).
+// shard exactly once, which the optimistic protocol cannot promise);
+// Range skips the pending keys, ForEachTable opens a window and so
+// applies them first.
 // Callbacks passed to Upsert/UpsertBatch/Range/All run while a shard
 // lock is held and must not call back into the engine.
 package shard
@@ -262,9 +275,13 @@ type shardState struct {
 	seq atomic.Uint64
 	// view is the published epoch readers probe; see view.go.
 	view atomic.Pointer[view]
-	// live counts live entries (engine-maintained; cur+next dedup'd).
-	// Atomic so Len is one wait-free load per shard.
+	// live counts live entries (engine-maintained; cur+next dedup'd,
+	// pending deletes not counted). Atomic so Len is one wait-free load
+	// per shard.
 	live atomic.Int64
+	// pend holds the logical deletes the next window applies; see
+	// pending.go.
+	pend pendingSet
 
 	seed   uint64  // table seed, reused for every successor generation
 	idx    int     // shard index (for DegradedError)
@@ -1039,22 +1056,54 @@ func (e *Engine) markDead(s *shardState, key uint64) {
 	v.dead.add(key)
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. On a steady shard
+// it is logical and opens no seqlock window (deletePending). A migrating
+// or degraded shard's delete, or one that finds the pending set full,
+// takes the window.
 func (e *Engine) Delete(key uint64) bool {
 	s := e.shardFor(key)
 	m, start := e.opStart(key)
-	s.lockShard()
-	// Deletes advance the migration and tick the degraded backoff too:
-	// every mutation makes progress, and a delete that frees space can
-	// heal a degraded shard outright (the pressure-receded path).
-	e.advance(s)
-	e.degradedTick(s)
-	deleted := e.deleteLocked(s, key)
-	s.unlockShard()
+	deleted, done := e.deletePending(s, key)
+	if !done {
+		s.lockShard()
+		// These deletes advance the migration and tick the degraded backoff
+		// too: every such mutation makes progress, and a delete that frees
+		// space can heal a degraded shard outright (the pressure-receded
+		// path).
+		e.advance(s)
+		e.degradedTick(s)
+		deleted = e.deleteLocked(s, key)
+		s.unlockShard()
+	}
 	if m != nil {
 		m.Delete.Record(s.idx, obs.Now()-start)
 	}
 	return deleted
+}
+
+// deletePending is a steady shard's delete: under the writer lock, with no
+// window, it looks key up read-only and, when it is live, adds it to the
+// pending set and counts it out of live. It reports done false, having
+// changed nothing, when the shard is migrating or degraded or the set is
+// full. The unlocked look at the view spares those a second lock.
+func (e *Engine) deletePending(s *shardState, key uint64) (deleted, done bool) {
+	if !s.view.Load().steady() {
+		return false, false
+	}
+	s.acquire()
+	v := s.view.Load()
+	if !v.steady() || s.pend.full() {
+		s.mu.Unlock()
+		return false, false
+	}
+	if _, ok := v.get(key); !ok {
+		s.mu.Unlock()
+		return false, true
+	}
+	s.pend.add(key)
+	s.live.Add(-1)
+	s.mu.Unlock()
+	return true, true
 }
 
 func (e *Engine) deleteLocked(s *shardState, key uint64) bool {

@@ -120,26 +120,26 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// ForEachTable visits every shard's table(s) under that shard's writer
-// lock: the active table, and during a migration the frozen table too
+// ForEachTable visits every shard's table(s) inside that shard's write
+// window: the active table, and during a migration the frozen table too
 // (whose entries may be dead: deleted or overwritten since). fn must not
 // mutate the table or call back into the engine. Intended for
 // observability aggregation, e.g. table.StatsOf merges.
 //
 // The writer lock — not the wait-free protocol — because fn is a caller
-// callback that cannot be re-invoked on a torn window; mutating nothing,
-// it needs no seqlock window, so concurrent optimistic readers proceed
-// untouched.
+// callback that cannot be re-invoked on a torn window; and a window, whose
+// opening applies the shard's pending deletes, so fn sees no key the
+// engine no longer holds.
 func (e *Engine) ForEachTable(fn func(shard int, t Table)) {
 	for i := range e.shards {
 		s := &e.shards[i]
-		s.mu.Lock()
+		s.lockShard()
 		v := s.view.Load()
 		if v.next != nil {
 			fn(i, v.next)
 		}
 		fn(i, v.cur)
-		s.mu.Unlock()
+		s.unlockShard()
 	}
 }
 
@@ -148,7 +148,8 @@ func (e *Engine) ForEachTable(fn func(shard int, t Table)) {
 // Iteration is WEAKLY CONSISTENT: one shard is locked at a time, so
 // concurrent writers proceed on other shards mid-iteration (readers
 // proceed everywhere — iteration holds the writer lock without opening a
-// seqlock window, since it mutates nothing). Within one shard the view
+// seqlock window, since it mutates nothing, and so skips the keys pending
+// deletion rather than applying them). Within one shard the view
 // is consistent and each key is yielded at most once (during a migration
 // the successor is walked first and frozen-table entries shadowed by it,
 // or marked dead, are skipped); across shards there is no snapshot — an
@@ -179,6 +180,9 @@ func (e *Engine) RangeShard(shard int, fn func(key, val uint64) bool) bool {
 	v := s.view.Load()
 	stopped := false
 	visit := func(k, val uint64) bool {
+		if s.pend.has(k) {
+			return true
+		}
 		stopped = stopped || !fn(k, val)
 		return !stopped
 	}

@@ -25,6 +25,14 @@ import (
 // odd count, or a count that changed across its probe, discards what it
 // read and retries.
 //
+// One write needs no window: a steady shard's scalar Delete moves nothing.
+// Under the writer lock it records the key in the shard's pending set
+// (pending.go), which readers consult through the view and which the next
+// window applies to the table before anything else. get and getRange mask
+// a pending key's hit, so a validated read sees the table minus the keys
+// pending at the instant it loaded the set's count: the tables it probed
+// cannot change without a window, and the set only grows between windows.
+//
 // The sequence word is also what a waiter watches before it sleeps on the
 // mutex — a writer behind a held lock (acquire), a batched read at an open
 // window (readRange). Watching only loads; every transition of the word
@@ -34,12 +42,13 @@ import (
 //
 // A validated read (sequence even and unchanged across the probe) is a
 // consistent point-in-time snapshot OF ONE SHARD: it observed the
-// frozen table, dead overlay and successor with no writer mid-flight, so the
-// value it returns was the shard's current value at some instant inside
-// the probe window — single-key reads are linearizable. There is no
-// cross-shard snapshot anywhere in the engine: aggregates (Len, Stats)
-// combine per-shard-consistent observations taken at different
-// instants, and a batched read validates per shard, not per batch.
+// frozen table, dead overlay and successor with no writer mid-flight, and
+// the pending set as of one load of its count, so the value it returns was
+// the shard's current value at some instant inside the probe window —
+// single-key reads are linearizable. There is no cross-shard snapshot
+// anywhere in the engine: aggregates (Len, Stats) combine
+// per-shard-consistent observations taken at different instants, and a
+// batched read validates per shard, not per batch.
 type view struct {
 	// cur is the shard's main table. Outside a resize it is the write
 	// target; during one it is frozen (no write ever touches it again),
@@ -61,14 +70,25 @@ type view struct {
 	// gen counts this shard's publications; strictly increasing. It
 	// lets tests and debugging tie an observation to an epoch.
 	gen uint64
+	// pend is the shard's pending set (the same one in every epoch),
+	// which only a steady view's reads need: a logical delete needs a
+	// steady shard, and a migration begins after the window's apply.
+	pend *pendingSet
 }
 
-// get asks the frozen table minus the dead overlay, else the successor:
-// writers mark every frozen entry that stops holding its key's value, so
-// under a validated seqlock window this is the lookup writers use.
+// get asks a steady shard's table minus the pending set, or a migrating
+// shard's frozen table minus the dead overlay, else the successor: writers
+// mark every frozen entry that stops holding its key's value, so under a
+// validated seqlock window this is the lookup writers use.
 func (v *view) get(key uint64) (uint64, bool) {
 	val, ok := v.cur.Get(key)
-	if !v.migrating() || ok && !v.dead.has(key) {
+	if !v.migrating() {
+		if ok && v.pend.has(key) {
+			return 0, false
+		}
+		return val, ok
+	}
+	if ok && !v.dead.has(key) {
 		return val, ok
 	}
 	return v.next.Get(key)
@@ -79,14 +99,14 @@ func (v *view) get(key uint64) (uint64, bool) {
 // touched together, lanes walked round-robin — which reads only (its chunk
 // scratch is per call) and terminates whatever a racing writer shows it,
 // so getRange runs inside a reader's unvalidated window as well as under
-// the lock. A steady-state view hands its table the whole column. A
-// migrating view is get a table at a time: the frozen table answers the
-// whole column, the lanes it missed or the overlay marks dead are
-// compacted readStride at a time into scratch of the call's own, and the
-// successor answers those.
+// the lock. A steady-state view hands its table the whole column, then
+// clears the hits of pending keys. A migrating view is get a table at a
+// time: the frozen table answers the whole column, the lanes it missed or
+// the overlay marks dead are compacted readStride at a time into scratch
+// of the call's own, and the successor answers those.
 func (v *view) getRange(keys, vals []uint64, ok []bool) int {
 	if !v.migrating() {
-		return v.cur.GetBatch(keys, vals, ok)
+		return v.cur.GetBatch(keys, vals, ok) - v.pend.mask(keys, vals, ok)
 	}
 	v.cur.GetBatch(keys, vals, ok)
 	m := missBufs.Get().(*missBuf)
@@ -146,6 +166,10 @@ func (v *view) curLive(key uint64) (uint64, bool) {
 
 // migrating reports whether this view has a resize in flight.
 func (v *view) migrating() bool { return v.next != nil }
+
+// steady reports whether a delete may be logical: no resize in flight and
+// the allocator healthy.
+func (v *view) steady() bool { return v.next == nil && !v.degraded }
 
 // ---------------------------------------------------------------------------
 // Dead-key overlay
@@ -304,14 +328,19 @@ func (s *shardState) acquire() {
 }
 
 // lockShard opens a writer's seqlock window: it acquires the shard's
-// writer lock, then makes the sequence odd so optimistic readers know a
-// mutation is in flight. Every in-place mutation of the shard's tables
-// (and every view publication) must happen between lockShard and
-// unlockShard. This helper and unlockShard are the only places the
-// sequence word is written — the lockdiscipline analyzer enforces it.
+// writer lock, makes the sequence odd so optimistic readers know a
+// mutation is in flight, and applies the pending deletes, so whatever the
+// window does next — a growth check, a migration, Table.Len — never sees a
+// pending key. Every in-place mutation of the shard's tables (and every
+// view publication) must happen between lockShard and unlockShard. This
+// helper and unlockShard are the only places the sequence word is written
+// — the lockdiscipline analyzer enforces it.
 func (s *shardState) lockShard() {
 	s.acquire()
 	s.seq.Add(1)
+	if s.pend.n.Load() != 0 {
+		s.pend.apply(s.view.Load().cur)
+	}
 }
 
 // unlockShard closes the window: sequence back to even (readers that
@@ -336,6 +365,7 @@ func (e *Engine) publish(s *shardState, v *view) {
 	} else {
 		v.gen = 1 // birth epoch: New publishes the first view
 	}
+	v.pend = &s.pend
 	s.view.Store(v)
 	e.viewPublishes.Add(1)
 	if m := e.metrics.Load(); m != nil {

@@ -160,6 +160,16 @@ func (t *cuckoo) Get(key uint64) (uint64, bool) {
 // candidate slots from its own per-subtable functions.
 func (*cuckoo) hash(uint64) uint64 { return 0 }
 
+// maxCuckooWays bounds k (newCuckooK), so one key's candidate slots fit a
+// fixed array on the stack.
+const maxCuckooWays = 8
+
+// candidates is one key's k candidate slots, pos(0..k-1, key), as
+// rmwHashed's lookup computed them: the insert that follows a miss reuses
+// them instead of hashing the key k times again. They hold until a
+// rebuild or a growth redraws the functions or resizes the table.
+type candidates [maxCuckooWays]int
+
 // rmwHashed is the single-probe read-modify-write primitive; see
 // kern.rmwHashed. The precomputed hash is unused (see hash).
 func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
@@ -167,8 +177,10 @@ func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, b
 		v, existed := t.sent.rmw(key, val, overwrite, fn)
 		return v, existed, nil
 	}
+	var at candidates
 	for j := 0; j < t.ways; j++ {
-		s := &t.slots[t.pos(j, key)]
+		at[j] = t.pos(j, key)
+		s := &t.slots[at[j]]
 		if s.key == key {
 			if fn != nil {
 				s.val = fn(s.val, true)
@@ -180,7 +192,7 @@ func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, b
 	}
 	if fn == nil {
 		// Value known upfront and no caller side effects: place directly.
-		if err := t.placeFresh(pair{key, val}); err != nil {
+		if err := t.placeFresh(pair{key, val}, &at); err != nil {
 			return 0, false, err
 		}
 		return val, false, nil
@@ -188,12 +200,18 @@ func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, b
 	// Upsert: the callback may have side effects (agg folds state through
 	// it), so place a hole first and invoke fn only once the insert is
 	// guaranteed, matching the other schemes' fn-after-room-check order.
-	if err := t.placeFresh(pair{key, 0}); err != nil {
+	gen, n := t.gen, len(t.slots)
+	if err := t.placeFresh(pair{key, 0}, &at); err != nil {
 		return 0, false, err
 	}
 	v := fn(0, false)
+	moved := t.gen != gen || len(t.slots) != n // a rebuild or a growth: at is stale
 	for j := 0; j < t.ways; j++ {
-		if s := &t.slots[t.pos(j, key)]; s.key == key {
+		p := at[j]
+		if moved {
+			p = t.pos(j, key)
+		}
+		if s := &t.slots[p]; s.key == key {
 			s.val = v
 			break
 		}
@@ -201,40 +219,44 @@ func (t *cuckoo) rmwHashed(key, val, _ uint64, overwrite bool, fn func(uint64, b
 	return v, false, nil
 }
 
-// placeFresh inserts an entry known to be absent, honouring the growth
-// contract: with growth disabled the fixed pre-allocated capacity is hard
-// — a key the capacity cannot place reports ErrFull instead of
-// insertFresh's doubling fallback. After a refusal, further inserts
-// short-circuit to ErrFull in O(1) until a delete frees a slot (which
-// invalidates the memo), so a caller looping Put against a full table
-// pays insertFixed's rebuild attempts once, not per key.
-func (t *cuckoo) placeFresh(cur pair) error {
+// placeFresh inserts an entry known to be absent, whose candidate slots
+// are at, honouring the growth contract: with growth disabled the fixed
+// pre-allocated capacity is hard — a key the capacity cannot place
+// reports ErrFull instead of insertFresh's doubling fallback. After a
+// refusal, further inserts short-circuit to ErrFull in O(1) until a delete
+// frees a slot (which invalidates the memo), so a caller looping Put
+// against a full table pays insertFixed's rebuild attempts once, not per
+// key.
+func (t *cuckoo) placeFresh(cur pair, at *candidates) error {
 	if t.maxLF == 0 {
 		if t.size >= len(t.slots) {
 			return errFull(t.Name(), t.size, len(t.slots))
 		}
-		if t.fixedWall > 0 && !t.emptyCandidate(cur.key) {
+		if t.fixedWall > 0 && !t.emptyCandidate(at) {
 			// A prior insert was refused at this occupancy and this key
 			// has no free candidate slot: refuse in O(k) rather than
 			// re-paying the rebuild attempts. Keys with a free candidate
 			// bypass the memo — they place in one sweep.
 			return errFull(t.Name(), t.size, len(t.slots))
 		}
-		if !t.insertFixed(cur) {
+		if !t.insertFixed(cur, at) {
 			t.fixedWall = t.size
 			return errFull(t.Name(), t.size, len(t.slots))
 		}
 		return nil
 	}
-	t.maybeGrow()
-	t.insertFresh(cur)
+	if t.maybeGrow() {
+		at = nil // the doubled table moved every candidate
+	}
+	t.insertFresh(cur, at)
 	return nil
 }
 
-// emptyCandidate reports whether any of key's k candidate slots is free.
-func (t *cuckoo) emptyCandidate(key uint64) bool {
-	for j := 0; j < t.ways; j++ {
-		if t.slots[t.pos(j, key)].key == emptyKey {
+// emptyCandidate reports whether any of a key's candidate slots at is
+// free.
+func (t *cuckoo) emptyCandidate(at *candidates) bool {
+	for _, p := range at[:t.ways] {
+		if t.slots[p].key == emptyKey {
 			return true
 		}
 	}
@@ -252,8 +274,8 @@ const rebuildAttempts = 16
 // occupancy is past the scheme's feasibility threshold (~96.7% for k=4,
 // §2.5) — it restores a table holding exactly the prior entries and
 // reports false.
-func (t *cuckoo) insertFixed(cur pair) bool {
-	left, ok := t.kickInsert(cur)
+func (t *cuckoo) insertFixed(cur pair, at *candidates) bool {
+	left, ok := t.kickInsert(cur, at)
 	if ok {
 		t.size++
 		return true
@@ -274,8 +296,8 @@ func (t *cuckoo) insertFixed(cur pair) bool {
 // A kick chain that exceeds maxKicks redraws the functions and rebuilds
 // with the homeless entry carried along, doubling the table as a last
 // resort so that construction always terminates.
-func (t *cuckoo) insertFresh(cur pair) {
-	left, ok := t.kickInsert(cur)
+func (t *cuckoo) insertFresh(cur pair, at *candidates) {
+	left, ok := t.kickInsert(cur, at)
 	if ok {
 		t.size++
 		return
@@ -288,11 +310,13 @@ func (t *cuckoo) insertFresh(cur pair) {
 
 // kickInsert runs the displacement loop for cur. On success it returns
 // (zero, true); on failure it returns the entry left homeless and false.
-func (t *cuckoo) kickInsert(cur pair) (pair, bool) {
+// at, when not nil, holds cur's candidate slots, so the first round hashes
+// nothing; every later round's cur is an evicted entry, hashed afresh.
+func (t *cuckoo) kickInsert(cur pair, at *candidates) (pair, bool) {
 	for kicks := 0; kicks <= t.maxKicks; kicks++ {
 		// First give cur a chance at any empty candidate slot.
 		for j := 0; j < t.ways; j++ {
-			s := &t.slots[t.pos(j, cur.key)]
+			s := &t.slots[t.slot(j, cur.key, at)]
 			if s.key == emptyKey {
 				*s = cur
 				return pair{}, true
@@ -302,11 +326,21 @@ func (t *cuckoo) kickInsert(cur pair) (pair, bool) {
 		// (a random walk avoids the short cycles a fixed rotation can
 		// fall into on k-ary tables).
 		j := int(t.rng.Next() % uint64(t.ways))
-		p := t.pos(j, cur.key)
+		p := t.slot(j, cur.key, at)
 		cur, t.slots[p] = t.slots[p], cur
+		at = nil
 		t.totalKicks++
 	}
 	return cur, false
+}
+
+// slot is key's candidate slot in subtable j: at[j] when the caller has
+// them, else pos(j, key).
+func (t *cuckoo) slot(j int, key uint64, at *candidates) int {
+	if at != nil {
+		return at[j]
+	}
+	return t.pos(j, key)
 }
 
 // entries collects the live slot entries followed by extra, for a rebuild.
@@ -335,7 +369,7 @@ attempt:
 		}
 		t.init(capacity)
 		for _, e := range entries {
-			if _, ok := t.kickInsert(e); !ok {
+			if _, ok := t.kickInsert(e, nil); !ok {
 				continue attempt
 			}
 		}
@@ -363,14 +397,14 @@ func (t *cuckoo) Delete(key uint64) bool {
 	return false
 }
 
-func (t *cuckoo) maybeGrow() {
-	if t.maxLF == 0 {
-		return
-	}
-	if t.size+1 <= int(t.maxLF*float64(len(t.slots))) {
-		return
+// maybeGrow doubles a growing table that one more entry would take past
+// its load limit, and reports whether it did.
+func (t *cuckoo) maybeGrow() bool {
+	if t.maxLF == 0 || t.size+1 <= int(t.maxLF*float64(len(t.slots))) {
+		return false
 	}
 	t.growTo(len(t.slots) * 2)
+	return true
 }
 
 // growTo rebuilds the table at the given total capacity, with the current

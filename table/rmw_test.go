@@ -302,7 +302,11 @@ func TestCuckooWallRefusesOnlyBlockedKeys(t *testing.T) {
 	// A key with all candidate slots occupied is refused in O(k)...
 	var blocked, free uint64
 	for k := uint64(10_000); blocked == 0 || free == 0; k++ {
-		if m.emptyCandidate(k) {
+		var at candidates
+		for j := range m.ways {
+			at[j] = m.pos(j, k)
+		}
+		if m.emptyCandidate(&at) {
 			if free == 0 {
 				free = k
 			}
