@@ -196,10 +196,14 @@ func reportKeyedNs(b *testing.B, total int) {
 // Expected shape: batching wins wherever probe sequences have cache-line
 // locality (LP, LPSoA, RH, the chained schemes) or bounded candidate sets
 // (Cuckoo), with the largest gains on out-of-cache tables. QP at very high
-// load factors can tie or lose: its triangular jumps touch a fresh page
-// almost every probe, so page-walk throughput — which batching cannot
-// increase — dominates, and the paper's §7 observation that vectorization
-// only helps linear probing carries over to batching.
+// load factors can tie or lose: its triangular jumps leave the current
+// cache line almost every probe, so a lane's walk is a chain of dependent
+// misses, and the paper's §7 observation that vectorization only helps
+// linear probing carries over to batching. The 2^22-slot tables sit on
+// 2 MiB pages wherever transparent huge pages are available (see the
+// table package doc), so few of those misses also pay a page walk; where
+// THP is off, most of them do, at 4 KiB granularity, and batching cannot
+// make the walks cheaper.
 func BenchmarkBatchProbe(b *testing.B) {
 	const capacity = 1 << 22
 	gen := dist.New(dist.Sparse, 1)

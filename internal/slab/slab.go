@@ -12,6 +12,11 @@
 // recycled through an intrusive free list threaded over the Next pointer.
 // Allocating from a chunk is a bump of an index; the garbage collector never
 // sees per-entry allocations.
+//
+// A chunk holds at most DefaultChunkEntries entries, 1.5 MiB, which is too
+// small to contain an aligned 2 MiB page. So the huge-page advice package
+// table gives its slot arrays and directories never reaches a chunk, and a
+// chained table's overflow entries stay on 4 KiB pages.
 package slab
 
 // Entry is a chained hash table entry: a key-value pair plus the chain

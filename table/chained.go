@@ -53,7 +53,7 @@ func newChained8(cfg Config) *chained8 {
 	}
 	t.self = t
 	t.fn = cfg.Family.New(cfg.Seed)
-	t.dir = make([]*slab.Entry, cfg.InitialCapacity)
+	t.dir = makeLarge[*slab.Entry](cfg.InitialCapacity)
 	t.shift = 64 - log2(cfg.InitialCapacity)
 	return t
 }
@@ -157,7 +157,7 @@ func (t *chained8) maybeGrow() {
 	// Double the directory and relink existing entries in place; no entry
 	// is reallocated.
 	old := t.dir
-	t.dir = make([]*slab.Entry, len(old)*2)
+	t.dir = makeLarge[*slab.Entry](len(old) * 2)
 	t.shift--
 	for i := range old {
 		e := old[i]
@@ -261,7 +261,7 @@ func newChained24(cfg Config) *chained24 {
 	}
 	t.self = t
 	t.fn = cfg.Family.New(cfg.Seed)
-	t.dir = make([]bucket24, cfg.InitialCapacity)
+	t.dir = makeLarge[bucket24](cfg.InitialCapacity)
 	t.shift = 64 - log2(cfg.InitialCapacity)
 	return t
 }
@@ -416,7 +416,7 @@ func (t *chained24) maybeGrow() {
 		}
 	}
 	t.alloc.Reset()
-	t.dir = make([]bucket24, len(t.dir)*2)
+	t.dir = makeLarge[bucket24](len(t.dir) * 2)
 	t.shift--
 	t.size = 0
 	for _, p := range entries {

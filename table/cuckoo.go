@@ -98,7 +98,7 @@ func (t *cuckoo) init(capacity int) {
 		sub = 2
 	}
 	t.subCap = uint64(sub)
-	t.slots = make([]pair, sub*t.ways)
+	t.slots = makeLarge[pair](sub * t.ways)
 	t.size = 0
 	t.fixedWall = 0
 }

@@ -154,6 +154,25 @@ func TestCuckooStatsMeasureWayOccupancy(t *testing.T) {
 	}
 }
 
+// TestCuckooMeanProbeAtSeventyPercent pins the figure EXPERIMENTS.md
+// gives for Cuckoo's bounded probes: CuckooH4 filled to 70% load answers a
+// hit after 2.15 probes on average (an entry in way j costs j+1), where a
+// placement uniform over the four ways would cost 2.5. Over 2^12–2^20
+// slots, seeds 1–4 and random or Sparse keys it measured 2.14–2.17; the
+// band is 2.10–2.20.
+func TestCuckooMeanProbeAtSeventyPercent(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		m := newCuckoo(Config{InitialCapacity: 1 << 16, Seed: seed})
+		rng := prng.NewXoshiro256(seed + 100)
+		for loadFactor(m) < 0.7 {
+			put(t, m, rng.Next()|1, 0)
+		}
+		if mean := StatsOf(m).MeanProbe; mean < 2.10 || mean > 2.20 {
+			t.Errorf("seed %d: MeanProbe = %.4f at 70%% load on 4 ways, want 2.10–2.20", seed, mean)
+		}
+	}
+}
+
 // TestCuckooRebuildIsDeterministic pins the tables that fixed-seed CuckooH4
 // fills build through every §2.5 rebuild path. The growth-disabled fill
 // runs past the ≈97% threshold: one kick-chain failure is settled by a

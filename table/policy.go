@@ -119,7 +119,7 @@ type layoutPolicy interface {
 type aosLayout struct{}
 
 func (aosLayout) alloc(capacity int) colView {
-	slots := make([]pair, capacity)
+	slots := makeLarge[pair](capacity)
 	// View the pair array as its underlying uint64 words (a pair is
 	// exactly two uint64s, so the aliasing is layout-exact): keys sit at
 	// even words, values at odd ones, so a probe over the key column
@@ -142,8 +142,8 @@ const soaKeysPerLine = 8
 type soaLayout struct{}
 
 func (soaLayout) alloc(capacity int) colView {
-	keys := make([]uint64, capacity)
-	vals := make([]uint64, capacity)
+	keys := makeLarge[uint64](capacity)
+	vals := makeLarge[uint64](capacity)
 	return colView{kc: keys, vc: vals, keys: keys, vals: vals}
 }
 func (soaLayout) perLine() uint64 { return soaKeysPerLine }
@@ -167,3 +167,41 @@ func (noDisplace) robinHood() bool { return false }
 type robinDisplace struct{}
 
 func (robinDisplace) robinHood() bool { return true }
+
+// hugePageBytes is the size of a transparent huge page on x86-64 (and on
+// arm64 with 4 KiB base pages): one page-table entry maps 2 MiB, not 4 KiB.
+const hugePageBytes = 2 << 20
+
+// makeLarge is make([]T, n) for a table's big arrays — both slot layouts,
+// Cuckoo's slots and the chained directories. Their probes land at random
+// far beyond what the TLB covers, so on 4 KiB pages most of them pay a
+// page walk on top of the cache miss. makeLarge advises the array's
+// 2 MiB-aligned interior for huge pages (adviseHugePages): pages the array
+// touches first later fault in whole, and pages the heap had already
+// faulted in at 4 KiB are collapsed. An array with no aligned 2 MiB page
+// inside gets no advice and costs no system call. The advice is a hint
+// only; where it is refused or unsupported the array is an ordinary one.
+func makeLarge[T any](n int) []T {
+	s := make([]T, n)
+	var elem T
+	base := unsafe.Pointer(unsafe.SliceData(s))
+	off, size := hugeInterior(uintptr(base), uintptr(n)*unsafe.Sizeof(elem))
+	if size > 0 {
+		// The interior is derived from the array's own base, so checkptr
+		// sees an in-bounds pointer into the one allocation.
+		adviseHugePages(unsafe.Slice((*byte)(unsafe.Add(base, off)), size))
+	}
+	return s
+}
+
+// hugeInterior returns the largest run of whole, 2 MiB-aligned pages
+// inside [addr, addr+size), as an offset from addr and a length; the
+// length is 0 when no aligned 2 MiB page fits.
+func hugeInterior(addr, size uintptr) (off, n uintptr) {
+	lo := (addr + hugePageBytes - 1) &^ (hugePageBytes - 1)
+	hi := (addr + size) &^ (hugePageBytes - 1)
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo - addr, hi - lo
+}

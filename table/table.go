@@ -44,6 +44,19 @@
 // tombstone = 2^64-1). The two real keys 0 and 2^64-1 are nevertheless
 // fully supported: they are routed to two dedicated side fields, so the
 // map domain is the complete uint64 space.
+//
+// # Huge pages
+//
+// A table's big arrays — the slot arrays of both layouts, Cuckoo's slots
+// and the chained directories — are ordinary Go heap slices whose
+// 2 MiB-aligned interior is advised for transparent huge pages on Linux
+// (makeLarge: MADV_HUGEPAGE, then MADV_COLLAPSE). Random probes over an
+// array far larger than the TLB covers then miss the TLB far less often.
+// The advice outlives the array. MADV_HUGEPAGE splits the heap's mapping
+// at the advised range, and the range keeps its flag after the array is
+// freed, so later heap objects placed there may fault in 2 MiB pages too.
+// That shows in the process's RSS, not in runtime.MemStats.HeapAlloc.
+// Where THP is off ("never") or madvise refuses, nothing changes.
 package table
 
 import (
