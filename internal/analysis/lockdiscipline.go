@@ -34,7 +34,12 @@ import (
 //  6. The pending set's writer methods (add and apply on a pendingSet)
 //     are called only while a shard lock is held, found the way rule 3
 //     finds a held region. Readers share the set with one writer at a
-//     time; an add or an apply outside the lock races another.
+//     time; an add or an apply outside the lock races another. And the
+//     set's keys, slots and filter are assigned only inside those two
+//     methods: readers load those words atomically, trusting that the
+//     plain stores to them are published by the count store that ends
+//     an add or an apply, and a store anywhere else is published by
+//     nothing.
 //
 // lockShard/unlockShard calls count as Lock/Unlock for rules 1 and 3 —
 // they ARE the shard writer lock, wrapped in the sequence bump — and so
@@ -50,7 +55,7 @@ import (
 // same function, on the same expression.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "shard locking rules: paired Lock/Unlock, allocTable chokepoint, no exec calls under a shard lock, seqlock bumps and view stores only at their chokepoints, pending-set writes only under a shard lock",
+	Doc:  "shard locking rules: paired Lock/Unlock, allocTable chokepoint, no exec calls under a shard lock, seqlock bumps and view stores only at their chokepoints, pending-set writes only under a shard lock and its words stored only by add and apply",
 	Run:  runLockDiscipline,
 }
 
@@ -142,6 +147,7 @@ func runLockDiscipline(pass *Pass) error {
 			checkFactoryChokepoint(pass, fd)
 			checkSeqChokepoint(pass, fd)
 			checkPublishChokepoint(pass, fd)
+			checkPendingWords(pass, fd)
 			scanHeldRegions(pass, fd.Body.List, nil)
 		}
 	}
@@ -430,6 +436,48 @@ func flagPendingWrites(pass *Pass, stmt ast.Stmt) {
 		}
 		if typeIs(pass.typeOf(sel.X), "shard", "pendingSet") {
 			pass.Reportf(call.Pos(), "pending set's %s called with no shard lock held: its writer is whoever holds the shard lock, and readers trust that there is one", sel.Sel.Name)
+		}
+		return true
+	})
+}
+
+// pendingWords are the pending set's fields that readers load atomically
+// and its writer stores plainly.
+var pendingWords = map[string]bool{"keys": true, "slots": true, "filter": true}
+
+// checkPendingWords flags assignments to a pendingSet's keys, slots or
+// filter — an element or the whole array — outside the set's add and
+// apply methods, whose closing count store is what publishes them.
+func checkPendingWords(pass *Pass, fd *ast.FuncDecl) {
+	if (fd.Name.Name == "add" || fd.Name.Name == "apply") && fd.Recv != nil &&
+		typeIs(pass.typeOf(fd.Recv.List[0].Type), "shard", "pendingSet") {
+		return
+	}
+	check := func(lhs ast.Expr) {
+		for {
+			switch e := lhs.(type) {
+			case *ast.IndexExpr:
+				lhs = e.X
+			case *ast.ParenExpr:
+				lhs = e.X
+			case *ast.SelectorExpr:
+				if pendingWords[e.Sel.Name] && typeIs(pass.typeOf(e.X), "shard", "pendingSet") {
+					pass.Reportf(e.Pos(), "pending set's %s stored outside add and apply: readers load it atomically after the count, and only the count store ending add or apply publishes it", e.Sel.Name)
+				}
+				return
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				check(lhs)
+			}
+		case *ast.IncDecStmt:
+			check(s.X)
 		}
 		return true
 	})

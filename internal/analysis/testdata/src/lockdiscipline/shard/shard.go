@@ -311,12 +311,55 @@ func (s *bumpState) acquire() {
 }
 
 // pendingSet stands in for the engine's logical deletes: readers load it
-// atomically, and whoever holds the shard lock is its one writer.
-type pendingSet struct{ n atomic.Int32 }
+// atomically, and whoever holds the shard lock is its one writer, which
+// stores keys, slots and filter plainly and publishes them with the count.
+type pendingSet struct {
+	n      atomic.Int32
+	filter [8]uint64
+	slots  [512]uint32
+	keys   [256]uint64
+}
 
-func (p *pendingSet) add(key uint64) { p.n.Add(1) }
-func (p *pendingSet) apply(t *table) { p.n.Store(0) }
-func (p *pendingSet) has(key uint64) bool { return p.n.Load() > 0 }
+// add and apply may store the plain words: their count store publishes them.
+func (p *pendingSet) add(key uint64) {
+	n := p.n.Load()
+	p.keys[n] = key
+	p.slots[key%512] = uint32(n + 1)
+	p.filter[key%8] |= 1
+	p.n.Store(n + 1)
+}
+
+func (p *pendingSet) apply(t *table) {
+	for i := range p.n.Load() {
+		p.slots[p.keys[i]%512] = 0
+	}
+	p.filter = [8]uint64{}
+	p.n.Store(0)
+}
+
+func (p *pendingSet) has(key uint64) bool {
+	n := p.n.Load()
+	return n > 0 && atomic.LoadUint64(&p.keys[n-1]) == key
+}
+
+// forget clears a slot itself, with nothing to publish the store.
+func (p *pendingSet) forget(key uint64) {
+	p.slots[key%512] = 0 // want `pending set's slots stored outside add and apply`
+	p.slots[key%512]++   // want `pending set's slots stored outside add and apply`
+}
+
+// reset is not apply: the count it stores is not the writer's.
+func (p *pendingSet) reset() {
+	p.filter = [8]uint64{} // want `pending set's filter stored outside add and apply`
+	p.n.Store(0)
+}
+
+// add on another type is not the pending set's writer.
+type keyLog struct{ pend *pendingSet }
+
+func (l keyLog) add(key uint64) {
+	l.pend.keys[0] = key // want `pending set's keys stored outside add and apply`
+}
 
 // pendState is a shard with a pending set.
 type pendState struct {
@@ -345,6 +388,14 @@ func (e *Engine) badPendingAdd(s *pendState, key uint64) {
 	if !s.pend.has(key) {
 		s.pend.add(key) // want `pending set's add called with no shard lock held`
 	}
+}
+
+// badPendingStore writes a key under the lock, but not through add: no
+// count store publishes it.
+func (e *Engine) badPendingStore(s *pendState, key uint64) {
+	s.acquire()
+	defer s.mu.Unlock()
+	s.pend.keys[s.pend.n.Load()] = key // want `pending set's keys stored outside add and apply`
 }
 
 // badPendingApply applies after the window has closed.

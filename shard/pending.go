@@ -15,7 +15,12 @@ import "sync/atomic"
 // both happen inside a window, after the apply.
 //
 // Readers share the set with the writer that adds to it, outside any
-// window, so every word of it is a sync/atomic one:
+// window. Every word but the count is written plainly, under the shard
+// lock, and published by one sequentially consistent store, the count's: a
+// reader loads n first and the rest after it, with sync/atomic, so the Go
+// memory model orders everything add wrote before storing n before
+// whatever a reader that saw that n loads. (On amd64 each atomic store is
+// an XCHG, a full fence; an atomic load is a plain MOV.)
 //
 //   - keys lists the pending keys in the order they were deleted;
 //   - slots is an open-addressed index over keys, holding the ordinal
@@ -27,18 +32,24 @@ import "sync/atomic"
 //     so a reader that loaded n sees every slot and key before it, and a
 //     Delete linearizes at that store.
 //
-// A reader probing for a key stops at an empty slot or at an ordinal
-// above the n it loaded: every slot on a key's probe path before its own
-// was taken before it was, so a later entry there means the key was not
-// pending as of n. A batched read loads n once, so its whole range sees
-// the set as of one instant, as it sees the table. at, the slot of each
-// key, is the writer's alone: apply empties exactly those slots, not all
-// of them.
+// A reader may also meet the words of a later add still being written.
+// The slots that add fills carry ordinals above the reader's n, and a
+// filter bit it sets early only sends a lane on to the slots. A reader
+// probing for a key stops at an empty slot or at an ordinal above the n it
+// loaded: every slot on a key's probe path before its own was taken before
+// it was, so a later entry there means the key was not pending as of n. A
+// batched read loads n once, so its whole range sees the set as of one
+// instant, as it sees the table. apply runs inside a window, whose readers
+// discard what they read. at, the slot of each key, is the writer's alone:
+// apply empties exactly those slots, not all of them. Only add and apply
+// write the plain words (the lockdiscipline analyzer checks it), and under
+// -race no reader consults the set outside the lock (read_racedetector.go).
 type pendingSet struct {
 	n      atomic.Int32
-	filter [pendingSlots / 64]atomic.Uint64
-	slots  [pendingSlots]atomic.Uint32
-	keys   [pendingCap]atomic.Uint64
+	_      [0]atomic.Uint64 // filter and keys 8-byte aligned for 64-bit atomic loads, on 32-bit platforms too
+	filter [pendingSlots / 64]uint64
+	slots  [pendingSlots]uint32
+	keys   [pendingCap]uint64
 	at     [pendingCap]uint16
 }
 
@@ -67,14 +78,14 @@ func (p *pendingSet) full() bool { return p.n.Load() == pendingCap }
 func (p *pendingSet) add(key uint64) {
 	n := p.n.Load()
 	slot, bit := pendingHash(key)
-	for p.slots[slot].Load() != 0 {
+	for p.slots[slot] != 0 {
 		slot = (slot + 1) & (pendingSlots - 1)
 	}
-	p.keys[n].Store(key)
+	p.keys[n] = key
 	p.at[n] = uint16(slot)
-	p.slots[slot].Store(uint32(n + 1))
-	if w, b := p.filter[bit/64].Load(), uint64(1)<<(bit%64); w&b == 0 {
-		p.filter[bit/64].Store(w | b) // one writer: no read-modify-write
+	p.slots[slot] = uint32(n + 1)
+	if b := uint64(1) << (bit % 64); p.filter[bit/64]&b == 0 {
+		p.filter[bit/64] |= b // a store to the readers' line only when it changes
 	}
 	p.n.Store(n + 1)
 }
@@ -85,12 +96,10 @@ func (p *pendingSet) add(key uint64) {
 func (p *pendingSet) apply(t Table) {
 	n := p.n.Load()
 	for i := range n {
-		t.Delete(p.keys[i].Load())
-		p.slots[p.at[i]].Store(0)
+		t.Delete(p.keys[i])
+		p.slots[p.at[i]] = 0
 	}
-	for i := range p.filter {
-		p.filter[i].Store(0)
-	}
+	p.filter = [len(p.filter)]uint64{}
 	p.n.Store(0)
 }
 
@@ -101,7 +110,7 @@ func (p *pendingSet) has(key uint64) bool {
 		return false
 	}
 	slot, bit := pendingHash(key)
-	return p.filter[bit/64].Load()&(1<<(bit%64)) != 0 && p.holds(key, slot, n)
+	return atomic.LoadUint64(&p.filter[bit/64])&(1<<(bit%64)) != 0 && p.holds(key, slot, n)
 }
 
 // mask clears the lanes of a looked-up range whose key is pending, and
@@ -115,7 +124,7 @@ func (p *pendingSet) mask(keys, vals []uint64, ok []bool) (masked int) {
 	}
 	var filter [len(p.filter)]uint64
 	for i := range filter {
-		filter[i] = p.filter[i].Load()
+		filter[i] = atomic.LoadUint64(&p.filter[i])
 	}
 	for i, k := range keys {
 		if !ok[i] {
@@ -136,11 +145,11 @@ func (p *pendingSet) mask(keys, vals []uint64, ok []bool) (masked int) {
 // validation discards the answer.
 func (p *pendingSet) holds(key, slot uint64, n int32) bool {
 	for range pendingSlots {
-		o := p.slots[slot].Load()
+		o := atomic.LoadUint32(&p.slots[slot])
 		if o == 0 || int32(o) > n {
 			return false
 		}
-		if p.keys[o-1].Load() == key {
+		if atomic.LoadUint64(&p.keys[o-1]) == key {
 			return true
 		}
 		slot = (slot + 1) & (pendingSlots - 1)

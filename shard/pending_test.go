@@ -126,6 +126,77 @@ func TestPendingDeleteInvisibleToConcurrentReads(t *testing.T) {
 	}
 }
 
+// TestPendingDeletesLeaveOtherKeysHit: while one goroutine logically
+// deletes keys of a steady shard, another's GetBatch of keys never deleted
+// hits every one under its value — no pending key clears a lane that is
+// not its own — and its GetBatch of deleted keys misses every one whose
+// Delete returned before the batch began. Every few hundred deletes a
+// PutBatch opens a window that applies them, and between those the set
+// fills up, so reads race adds, applies and the full set's windowed delete.
+func TestPendingDeletesLeaveOtherKeysHit(t *testing.T) {
+	const live, deleted, recent = 1 << 11, 1 << 13, 512
+	e := newEngine(t, table.SchemeRH, 1, 1<<15, 0, 5) // one steady shard
+	keys := make([]uint64, live+deleted)
+	vals := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		vals[i] = pendingVal(keys[i])
+	}
+	if _, err := e.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	alive, gone := keys[:live], keys[live:]
+
+	var done atomic.Int64 // gone[:done] have been deleted
+	var stop atomic.Bool
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		out, hit := make([]uint64, live), make([]bool, live)
+		for !stop.Load() {
+			if got := e.GetBatch(alive, out, hit); got != live {
+				for j, k := range alive {
+					if !hit[j] || out[j] != vals[j] {
+						t.Errorf("GetBatch = (%d, %v) for never-deleted key %#x, want (%d, true): %d of %d hit", out[j], hit[j], k, vals[j], got, live)
+						break
+					}
+				}
+				stop.Store(true)
+			}
+			d := int(done.Load())
+			lo := max(0, d-recent)
+			if got := e.GetBatch(gone[lo:d], out, hit); got != 0 {
+				t.Errorf("GetBatch hit %d of %d keys whose Delete had returned", got, d-lo)
+				stop.Store(true)
+			}
+			runtime.Gosched() // one P: let the deleter on
+		}
+	}()
+	for i, k := range gone {
+		if stop.Load() {
+			break
+		}
+		if !e.Delete(k) {
+			t.Errorf("Delete of live key %#x = false", k)
+			break
+		}
+		done.Store(int64(i + 1))
+		switch {
+		case i%400 == 399:
+			if _, err := e.PutBatch(alive[:64], vals[:64]); err != nil {
+				t.Error(err)
+			}
+		case i%16 == 15:
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	<-read
+	if got := e.Len(); !t.Failed() && got != live {
+		t.Fatalf("Len = %d after every deletable key was deleted, want %d", got, live)
+	}
+}
+
 // TestPendingKeyRevivedByWrites: every write of a pending key finds it
 // absent and brings it back under the new value, and a second Delete of a
 // pending key reports false.

@@ -1,6 +1,10 @@
 package shard
 
-import "testing"
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
 
 // TestPendingSetFullTakesTheWindow: a steady shard's deletes leave the
 // sequence word alone and the table untouched until the set holds
@@ -42,4 +46,53 @@ func TestPendingSetFullTakesTheWindow(t *testing.T) {
 			t.Fatalf("Get(%d) present = %v", k, ok)
 		}
 	}
+}
+
+// TestPendingCountPublishesItsAdd: a reader that has loaded the set's count
+// finds every key added before it, in keys, through has and through mask.
+// Writer and reader take turns through atomics, each add under the shard
+// lock and a window's apply after every pendingCap of them. Under -race an
+// add that stored a word after the count races the reader's load of that
+// word; without -race the reader, spinning on the count, can look before
+// the word lands.
+func TestPendingCountPublishesItsAdd(t *testing.T) {
+	e := testEngine(t, 1, 1<<12)
+	s := &e.shards[0]
+	p := &s.pend
+	const adds = 8 * pendingCap
+	key := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+	var acked atomic.Int32
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		vals, ok := make([]uint64, 1), make([]bool, 1)
+		for i := range adds {
+			n := int32(i%pendingCap + 1)
+			for p.n.Load() != n {
+				runtime.Gosched()
+			}
+			k := key(i)
+			ok[0] = true
+			if got := atomic.LoadUint64(&p.keys[n-1]); got != k {
+				t.Errorf("add %d: keys[%d] = %#x at count %d, want %#x", i, n-1, got, n, k)
+			}
+			if !p.has(k) || p.mask([]uint64{k}, vals, ok) != 1 {
+				t.Errorf("add %d: key %#x not pending at count %d", i, k, n)
+			}
+			acked.Store(int32(i + 1))
+		}
+	}()
+	for i := range adds {
+		if i > 0 && i%pendingCap == 0 {
+			s.lockShard() // applies the full set
+			s.unlockShard()
+		}
+		s.acquire()
+		p.add(key(i))
+		s.mu.Unlock()
+		for acked.Load() != int32(i+1) {
+			runtime.Gosched()
+		}
+	}
+	<-read
 }

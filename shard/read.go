@@ -20,11 +20,28 @@ const readMaxRetries = 8
 
 // A staged range pays for a torn probe with every key it looked up, so its
 // budget is readRangeDiscards probes, not readMaxRetries (readRange).
-// lockWatchNanos, about one batch hold, is how long a waiter watches a held
-// shard before it sleeps on the mutex (acquire).
+const readRangeDiscards = 2
+
+// How long a waiter watches the sequence word before it sleeps on the
+// mutex, two ways:
+//
+//   - parkRoundTripNanos bounds a writer's watch of a held shard (acquire,
+//     which the locked read fallbacks use too). It is about what parking
+//     on the mutex and being woken costs (3–6 µs from Unlock to running
+//     again, p50 to p90, on a 2-vCPU KVM guest): the competitive
+//     spin-then-block rule (Karlin et al., SOSP '91) — watch no longer than
+//     a park would cost, and no wait costs more than twice the best
+//     choice. A longer watch buys the waiter nothing and taxes the holder:
+//     where the two share a core, as hyperthreads do, the watching loop
+//     takes about half the holder's speed.
+//   - windowWatchNanos, about one batch hold, bounds a batched read's watch
+//     of an open window (readRange). A reader that gives up reads its range
+//     under the lock, holding writers off for the whole of it, so it waits
+//     the window out instead: with readers on the short bound too,
+//     rw_resize's p90 rose 40–130%.
 const (
-	readRangeDiscards = 2
-	lockWatchNanos    = 40_000
+	parkRoundTripNanos = 5_000
+	windowWatchNanos   = 40_000
 )
 
 // readGetSlow is the locked single-key read: the optimistic path's

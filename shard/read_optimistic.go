@@ -49,7 +49,7 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 // loads amortize over the batch. A torn probe is discarded and the range
 // looked up again (the output lanes are caller-owned scratch until the
 // batch returns); an open window is not probed into but watched until it
-// closes. readRangeDiscards torn probes, or lockWatchNanos of watching in
+// closes. readRangeDiscards torn probes, or windowWatchNanos of watching in
 // all, and the range is read under the lock.
 //
 // Inside the window the range goes to view.getRange — the tables' own
@@ -63,7 +63,7 @@ func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 		s1 := s.seq.Load()
 		if s1&1 != 0 {
 			if watchUntil < 0 {
-				watchUntil = watchEnd()
+				watchUntil = watchEnd(windowWatchNanos)
 			}
 			if !s.awaitEven(watchUntil) {
 				break

@@ -27,6 +27,7 @@ package shard_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,4 +462,81 @@ func BenchmarkTwoClients(b *testing.B) {
 	b.ReportMetric(float64(sharedStats.ReadRetries)/n, "retries/op")
 	b.ReportMetric(float64(sharedStats.ReadFallbacks)/n, "fallbacks/op")
 	b.ReportMetric(float64(sharedStats.LockParks)/n, "parks/op")
+}
+
+// BenchmarkHolderBesideWaiter measures what a waiter watching a held shard
+// costs the holder. One goroutine runs 256-key PutBatch windows on a
+// one-shard engine over a 2^20-slot Robin Hood table kept half full, in
+// rw_resize's shape: each window inserts 256 fresh keys and applies the
+// 256 logical deletes of the window before, whose keys the holder then
+// deletes again. A second goroutine is (a) absent, (b) taking the shard's
+// lock as acquire does but with a batched read's 40 µs watch, or (c) with
+// acquire's own bound, letting go at once and asking again. Each iteration
+// runs the three modes in turn and reports the holder's ns per window in
+// each (the PutBatch calls alone): where the two goroutines share a core,
+// as hyperthreads do, a watching loop takes the holder's cycles, and a
+// parked waiter costs it only the wake-up at Unlock. Run with -cpu 2; with
+// one P a waiter parks at once and (b) reads as (c). Timing, so no test
+// asserts it.
+func BenchmarkHolderBesideWaiter(b *testing.B) {
+	const (
+		base    = 1 << 19
+		window  = 256
+		blocks  = 64
+		windows = 2000
+	)
+	e := shard.MustNew(shard.Config{
+		Shards: 1, Capacity: 2 * base, Seed: 1,
+		NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+			return table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+		},
+	})
+	keys, vals := make([]uint64, base+blocks*window), make([]uint64, base+blocks*window)
+	for i := range keys {
+		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		vals[i] = uint64(i)
+	}
+	if _, err := e.PutBatch(keys[:base], vals[:base]); err != nil {
+		b.Fatal(err)
+	}
+	pass := func(watch int64) time.Duration {
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		if watch > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					shard.WatchThenLock(e, watch)
+				}
+			}()
+		}
+		var held time.Duration
+		for w := range windows {
+			lo := base + w%blocks*window
+			ks, vs := keys[lo:lo+window], vals[lo:lo+window]
+			start := time.Now()
+			if n, err := e.PutBatch(ks, vs); err != nil || n != window {
+				b.Fatalf("PutBatch inserted %d of %d: %v", n, window, err)
+			}
+			held += time.Since(start)
+			for _, k := range ks {
+				e.Delete(k)
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		return held
+	}
+	var alone, long, short time.Duration
+	b.ResetTimer()
+	for range b.N {
+		alone += pass(0)
+		long += pass(shard.WindowWatchNanos)
+		short += pass(shard.ParkRoundTripNanos)
+	}
+	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*windows) }
+	b.ReportMetric(per(alone), "alone-ns/window")
+	b.ReportMetric(per(long), "watch40us-ns/window")
+	b.ReportMetric(per(short), "watch5us-ns/window")
 }

@@ -408,7 +408,7 @@ func TestReadRangeFollowsAClosingWindow(t *testing.T) {
 			writing.Store(true)
 			for !reading.Load() {
 			}
-			for end := obs.Now() + lockWatchNanos/8; obs.Now() < end; {
+			for end := obs.Now() + windowWatchNanos/8; obs.Now() < end; {
 			}
 			closeWindow()
 		}()
@@ -428,7 +428,7 @@ func TestReadRangeFollowsAClosingWindow(t *testing.T) {
 			return
 		}
 		if trial == 20 {
-			t.Fatalf("%d readers behind a window open for %d ns all took the lock", trial, lockWatchNanos/8)
+			t.Fatalf("%d readers behind a window open for %d ns all took the lock", trial, windowWatchNanos/8)
 		}
 		time.Sleep(time.Duration(trial) * time.Millisecond)
 	}
@@ -568,23 +568,13 @@ func contend(s *shardState, hold func()) {
 	<-done
 }
 
-func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("a waiter can only watch a holder that runs beside it")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := testEngine(t, 1, 64)
-	s := &e.shards[0]
-	// Holder and waiter hand the turn over through atomics and never
-	// block, so after a moment each has a P of its own, as two clients of
-	// a handle have. The holder lets go a few microseconds after calling
-	// the waiter in, well inside the watch. A noisy machine may take a
-	// core away for longer than the watch now and then, so a quarter of
-	// one trial's attempts, in any of a few trials, must end without a
-	// park; a waiter that did not watch would park on nearly every one.
-	// TestAcquireParksBehindALongHold is the deterministic half.
-	const trials, attempts = 5, 40
-	var turn, got atomic.Int32 // turn < 0 stops the waiter
+// parksBehindHolds counts, in each of trials runs of attempts, the times
+// a waiter's lockShard parked behind this goroutine's window on s, held
+// for hold ns from when the waiter set out to take it. Holder and waiter
+// hand the turn over through atomics and never block, so after a moment
+// each has a P of its own, as two clients of a handle have.
+func parksBehindHolds(s *shardState, hold int64, trials, attempts int) []int {
+	var turn, setOut, got atomic.Int32 // turn < 0 stops the waiter
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
@@ -594,6 +584,7 @@ func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
 					return
 				}
 			}
+			setOut.Store(round)
 			s.lockShard()
 			s.unlockShard()
 			got.Store(round)
@@ -603,27 +594,65 @@ func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
 		turn.Store(-1)
 		<-stopped
 	}()
-	round, best := int32(0), 0
-	for trial := 0; trial < trials && best < attempts/4; trial++ {
-		watched := 0
+	parks := make([]int, trials)
+	round := int32(0)
+	for trial := range parks {
 		for range attempts {
 			round++
-			before := e.lockParks.Load()
+			before := s.eng.lockParks.Load()
 			s.lockShard()
 			turn.Store(round)
-			for end := obs.Now() + lockWatchNanos/8; obs.Now() < end; {
+			for setOut.Load() != round {
+			}
+			for end := obs.Now() + hold; obs.Now() < end; {
 			}
 			s.unlockShard()
 			for got.Load() != round {
 			}
-			if e.lockParks.Load() == before {
-				watched++
+			if s.eng.lockParks.Load() != before {
+				parks[trial]++
 			}
 		}
-		best = max(best, watched)
 	}
-	if best < attempts/4 {
-		t.Fatalf("at best %d of %d waiters behind a %d ns hold got the lock without parking in %d trials", best, attempts, lockWatchNanos/8, trials)
+	return parks
+}
+
+func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a waiter can only watch a holder that runs beside it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := testEngine(t, 1, 64)
+	// The holder lets go well inside the watch. A noisy machine may take a
+	// core away for longer than the watch now and then, so a quarter of
+	// one trial's attempts, in any of a few trials, must end without a
+	// park; a waiter that did not watch would park on nearly every one.
+	// TestAcquireParksBehindALongHold is the deterministic half.
+	const hold, attempts = parkRoundTripNanos / 8, 40
+	parks := parksBehindHolds(&e.shards[0], hold, 5, attempts)
+	if watched := attempts - slices.Min(parks); watched < attempts/4 {
+		t.Fatalf("at best %d of %d waiters behind a %d ns hold got the lock without parking (parks per trial %v)", watched, attempts, hold, parks)
+	}
+}
+
+// TestAcquireStopsWatchingAtItsBound: a writer behind a hold four times
+// acquire's watch, half a batched read's, parks instead of watching it out.
+// A waiter with the read's watch would get the lock unparked nearly every
+// time, so half of one trial's attempts, in any of a few trials, must
+// park.
+func TestAcquireStopsWatchingAtItsBound(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("with one P the waiter parks at once: see TestAcquireParksAtOnceOnOneP")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := testEngine(t, 1, 64)
+	const hold, attempts = 4 * parkRoundTripNanos, 20
+	if hold >= windowWatchNanos {
+		t.Fatalf("a %d ns hold is not between the bounds %d and %d ns", hold, parkRoundTripNanos, windowWatchNanos)
+	}
+	parks := parksBehindHolds(&e.shards[0], hold, 5, attempts)
+	if most := slices.Max(parks); most < attempts/2 {
+		t.Fatalf("at most %d of %d waiters behind a %d ns hold parked (parks per trial %v): acquire watched past its %d ns bound", most, attempts, hold, parks, parkRoundTripNanos)
 	}
 }
 
@@ -636,7 +665,7 @@ func TestAcquireParksBehindALongHold(t *testing.T) {
 	// The holder lets go only once the waiter has given the watch up: a
 	// waiter that never parked would keep it waiting.
 	contend(&e.shards[0], func() {
-		for deadline := time.Now().Add(10 * time.Second); e.lockParks.Load() == 0; time.Sleep(lockWatchNanos) {
+		for deadline := time.Now().Add(10 * time.Second); e.lockParks.Load() == 0; time.Sleep(parkRoundTripNanos) {
 			if time.Now().After(deadline) {
 				t.Error("the waiter is still watching a lock held for ten seconds")
 				return
@@ -669,7 +698,7 @@ func TestAcquireParksAtOnceOnOneP(t *testing.T) {
 			t.Fatal("the waiter never slept on a lock held for ten seconds")
 		}
 	}
-	if fastest >= lockWatchNanos {
-		t.Fatalf("a holder on the only P got it back no sooner than %d ns after yielding to a waiter: the waiter watched (%d ns) before it slept", fastest, lockWatchNanos)
+	if fastest >= parkRoundTripNanos {
+		t.Fatalf("a holder on the only P got it back no sooner than %d ns after yielding to a waiter: the waiter watched (%d ns) before it slept", fastest, parkRoundTripNanos)
 	}
 }

@@ -75,7 +75,9 @@
 // seqlock window. A table's delete moves entries (Robin Hood's backward
 // shift), so it would tear every batched read that overlaps it; instead
 // the delete looks the key up under the writer lock and records it in the
-// shard's pending set (pending.go), which readers mask. The next window on
+// shard's pending set (pending.go), which readers mask. The record is plain
+// stores published by one atomic store of the set's count, so a delete
+// costs one fence, not one per word it writes. The next window on
 // the shard, whatever opens it, first deletes the pending keys from the
 // table, so growth checks, migrations and Table.Len never see one. A
 // migrating or degraded shard's delete, and one that finds 256 keys
@@ -129,7 +131,11 @@
 // locks at all — readers never block writers, and a read that keeps
 // colliding with writer windows (readMaxRetries torn attempts of a Get,
 // readRangeDiscards discarded probes of a GetBatch range) finishes under
-// the writer lock instead of spinning forever. There is no cross-shard snapshot: Len, Stats and
+// the writer lock instead of spinning forever. A writer, or a read's
+// fallback, behind a held shard lock watches it for about as long as
+// parking on the lock and being woken would take, then parks: watching
+// longer would slow the holder it waits for wherever the two share a
+// core. There is no cross-shard snapshot: Len, Stats and
 // iteration observe one shard at a time and may observe different shards
 // at different instants. Range and ForEachTable hold the shard's writer
 // lock while they visit it (their callbacks must observe a quiescent

@@ -34,9 +34,11 @@ import (
 // cannot change without a window, and the set only grows between windows.
 //
 // The sequence word is also what a waiter watches before it sleeps on the
-// mutex — a writer behind a held lock (acquire), a batched read at an open
-// window (readRange). Watching only loads; every transition of the word
-// stays in lockShard/unlockShard.
+// mutex: a writer behind a held lock (acquire) for about one park and
+// wake-up, a batched read at an open window (readRange) for about one
+// batch hold, since its fallback holds writers off (read.go has both
+// bounds). Watching only loads; every transition of the word stays in
+// lockShard/unlockShard.
 //
 // # Snapshot semantics
 //
@@ -283,14 +285,14 @@ func (d *deadSet) add(k uint64) {
 // Seqlock window + publication chokepoint
 // ---------------------------------------------------------------------------
 
-// watchEnd is when a waiter starting now stops watching a held shard and
-// sleeps: lockWatchNanos from now — or at once with one P, where the
-// holder cannot run while the waiter watches.
-func watchEnd() int64 {
+// watchEnd is when a waiter starting now stops watching and sleeps: nanos
+// from now — or at once with one P, where the holder cannot run while the
+// waiter watches.
+func watchEnd(nanos int64) int64 {
 	if runtime.GOMAXPROCS(0) == 1 {
 		return 0
 	}
-	return obs.Now() + lockWatchNanos
+	return obs.Now() + nanos
 }
 
 // awaitEven loads the sequence word until no writer's window is open, and
@@ -306,16 +308,18 @@ func (s *shardState) awaitEven(end int64) bool {
 
 // acquire takes the shard's writer lock, for writers (lockShard) and the
 // readers' locked fallbacks alike: the one place outside stats.go's
-// observers where s.mu is taken. A held lock is watched before it is slept
-// on — wait for the window to close, try again — because a park and a
-// wake-up cost as much as the typical hold; a waiter that outlasts the
-// watch queues on the mutex (Stats.LockParks), so progress and
-// starvation-mode fairness (TryLock then fails) are sync.Mutex's own.
+// observers where s.mu is taken. A held lock is watched for at most
+// parkRoundTripNanos — wait for the window to close, try again — and then
+// slept on: a short hold is over before a park and a wake-up would be, and
+// a long one is not worth the holder's cycles that watching it takes. A
+// waiter that outlasts the watch queues on the mutex (Stats.LockParks), so
+// progress and starvation-mode fairness (TryLock then fails) are
+// sync.Mutex's own.
 func (s *shardState) acquire() {
 	if s.mu.TryLock() {
 		return
 	}
-	for end := watchEnd(); s.awaitEven(end); {
+	for end := watchEnd(parkRoundTripNanos); s.awaitEven(end); {
 		if s.mu.TryLock() {
 			return
 		}
