@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/hashfn"
+	"repro/join"
 	"repro/table"
 )
 
@@ -144,13 +145,9 @@ func NewGroupBy(cfg Config) (*GroupBy, error) {
 	if cfg.Family == nil {
 		cfg.Family = hashfn.MultFamily{}
 	}
-	capacity := 1 << 10
-	for float64(cfg.ExpectedGroups) > 0.7*float64(capacity) {
-		capacity *= 2
-	}
 	idx, err := table.Open(
 		table.WithScheme(cfg.Scheme),
-		table.WithCapacity(capacity),
+		table.WithCapacity(max(join.CapacityFor(cfg.ExpectedGroups, 0.7), 1<<10)),
 		table.WithMaxLoadFactor(0.7),
 		table.WithHashFamily(cfg.Family),
 		table.WithSeed(cfg.Seed),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/prng"
 	"repro/table"
@@ -178,5 +179,23 @@ func TestTableName(t *testing.T) {
 	g := MustNewGroupBy(Config{})
 	if g.TableName() != "QPMult" {
 		t.Fatalf("TableName = %s, want QPMult", g.TableName())
+	}
+}
+
+// TestNewGroupByHugeExpectedGroups: a group count no index can hold is an
+// error, returned in bounded time.
+func TestNewGroupByHugeExpectedGroups(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewGroupBy(Config{ExpectedGroups: 1 << 62})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("NewGroupBy sized an index for 2^62 groups")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewGroupBy still sizing after 5 s")
 	}
 }

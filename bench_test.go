@@ -28,8 +28,7 @@ import (
 // ---------------------------------------------------------------------------
 
 // microSchemes is every scheme the micro-benchmarks sweep — the full
-// registry, including the LPSoA layout variant and the DH probe-kernel
-// extension.
+// registry, including the LPSoA layout variant.
 var microSchemes = table.AllSchemes()
 
 var microFamilies = []hashfn.Family{hashfn.MultFamily{}, hashfn.MurmurFamily{}}
@@ -110,10 +109,9 @@ func BenchmarkLookupMiss(b *testing.B) {
 
 // BenchmarkHashFn measures raw hash-code computation for the four families
 // (§4.4: "we could observe the effect of even one more instruction per hash
-// code computation") plus the FNV and MultAdd32 extensions — the latter is
-// the paper's predicted Mult-class MultAdd for 32-bit keys.
+// code computation").
 func BenchmarkHashFn(b *testing.B) {
-	for _, f := range hashfn.ExtendedFamilies() {
+	for _, f := range hashfn.Families() {
 		b.Run(f.Name(), func(b *testing.B) {
 			fn := f.New(42)
 			var sink uint64

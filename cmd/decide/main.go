@@ -12,8 +12,8 @@
 //
 //	{"scheme":"CuckooH4","family":"Mult","path":[...],"label":"CH4Mult"}
 //
-// The JSON path resolves the recommendation by actually opening a handle
-// through table.Open(WithWorkload(...)), so the emitted choice is exactly
+// Either way the recommendation is resolved by actually opening a handle
+// through table.Open(WithWorkload(...)), so the printed choice is exactly
 // what the library would pick for the same description.
 package main
 
@@ -36,11 +36,11 @@ func main() {
 		dynamic      = flag.Bool("dynamic", false, "table grows/shrinks over its lifetime (OLTP-like)")
 		dense        = flag.Bool("dense", false, "keys are densely distributed integers (e.g. generated primary keys)")
 		threads      = flag.Int("threads", 1, "goroutines expected to share the table concurrently; >1 adds shard-count and exec worker-count recommendations")
-		jsonOut      = flag.Bool("json", false, "emit the decision.Choice (scheme, family, label, shards, workers, path) as JSON")
+		jsonOut      = flag.Bool("json", false, "emit the recommendation (scheme, family, shards, workers, path, label) as JSON")
 	)
 	flag.Parse()
 
-	w := decision.Workload{
+	w := table.Workload{
 		LoadFactor:      *loadFactor,
 		UnsuccessfulPct: *unsuccessful,
 		WriteHeavy:      *writeHeavy,
@@ -53,42 +53,60 @@ func main() {
 	}
 }
 
-// jsonChoice is the -json payload: the decision.Choice plus its composed
-// label, so scripts need not re-derive the paper-style name.
-type jsonChoice struct {
-	decision.Choice
+// choice is a recommendation: a scheme, a hash-function family name, the
+// sizing advice for concurrent use and the audit trail of decisions that
+// led there. Its JSON tags are the -json payload.
+type choice struct {
+	Scheme table.Scheme `json:"scheme"`
+	Family string       `json:"family"` // always "Mult" per the paper's Figure 8
+	// Shards is the recommended shard count for concurrent use (the
+	// argument to table.Open's WithPartitions), set when the thread count
+	// is > 1; zero means single-threaded use, no striping.
+	Shards int `json:"shards,omitempty"`
+	// Workers is the recommended exec.Config.Workers for the parallel
+	// operators, set alongside Shards; zero means no pool.
+	Workers int      `json:"workers,omitempty"`
+	Path    []string `json:"path"`
+	// Label is the paper-style table label, e.g. "RHMult".
 	Label string `json:"label"`
 }
 
-func run(out io.Writer, w decision.Workload, threads int, asJSON bool) error {
-	shards := decision.ShardsFor(threads)
-	workers := decision.WorkersFor(threads)
-	if asJSON {
-		// Resolve through the Open façade rather than decision.Recommend:
-		// the emitted choice is then by construction the one the library
-		// acts on for this description. The handle exists only to be read,
-		// so it is opened at the minimum capacity.
-		h, err := table.Open(table.WithWorkload(w), table.WithCapacity(8))
-		if err != nil {
-			return err
-		}
-		choice := decision.Choice{Scheme: h.Scheme(), Family: h.HashName(), Shards: shards, Workers: workers, Path: h.DecisionPath()}
-		enc := json.NewEncoder(out)
-		return enc.Encode(jsonChoice{Choice: choice, Label: choice.Label()})
+// label composes the paper-style table label from a scheme and a family
+// name; Figure 8 abbreviates CuckooH4 as CH4.
+func label(s table.Scheme, family string) string {
+	if s == table.SchemeCuckooH4 {
+		return "CH4" + family
 	}
-	choice, err := decision.Recommend(w)
+	return string(s) + family
+}
+
+func run(out io.Writer, w table.Workload, threads int, asJSON bool) error {
+	// The handle exists only to be read, so it is opened at the minimum
+	// capacity.
+	h, err := table.Open(table.WithWorkload(w), table.WithCapacity(8))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "Recommendation: %s\n", choice.Label())
-	if shards > 0 {
-		fmt.Fprintf(out, "Striping: WithPartitions(%d) for %d concurrent goroutines (power of two >= 2x threads)\n", shards, threads)
+	c := choice{
+		Scheme:  h.Scheme(),
+		Family:  h.HashName(),
+		Shards:  decision.ShardsFor(threads),
+		Workers: decision.WorkersFor(threads),
+		Path:    h.DecisionPath(),
 	}
-	if workers > 0 {
-		fmt.Fprintf(out, "Execution: exec.Config{Workers: %d} for the parallel operators (threads clamped to GOMAXPROCS)\n", workers)
+	c.Label = label(c.Scheme, c.Family)
+	if asJSON {
+		return json.NewEncoder(out).Encode(c)
+	}
+	fmt.Fprintf(out, "Recommendation: %s\n", c.Label)
+	if c.Shards > 0 {
+		fmt.Fprintf(out, "Striping: WithPartitions(%d) for %d concurrent goroutines (power of two >= 2x threads)\n", c.Shards, threads)
+	}
+	if c.Workers > 0 {
+		fmt.Fprintf(out, "Execution: exec.Config{Workers: %d} for the parallel operators (threads clamped to GOMAXPROCS)\n", c.Workers)
 	}
 	fmt.Fprintln(out, "Decision path:")
-	for i, step := range choice.Path {
+	for i, step := range c.Path {
 		fmt.Fprintf(out, "  %d. %s\n", i+1, step)
 	}
 	return nil

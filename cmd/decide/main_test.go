@@ -6,12 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/decision"
+	"repro/table"
 )
 
 func TestRunText(t *testing.T) {
 	var buf bytes.Buffer
-	w := decision.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
+	w := table.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
 	if err := run(&buf, w, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRunText(t *testing.T) {
 
 func TestRunTextThreads(t *testing.T) {
 	var buf bytes.Buffer
-	w := decision.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
+	w := table.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
 	if err := run(&buf, w, 6, false); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRunTextThreads(t *testing.T) {
 
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	w := decision.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
+	w := table.Workload{LoadFactor: 0.9, UnsuccessfulPct: 25}
 	if err := run(&buf, w, 8, true); err != nil {
 		t.Fatal(err)
 	}
@@ -56,25 +56,47 @@ func TestRunJSON(t *testing.T) {
 		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
 	}
 	// 90% load factor, read-mostly, 25% misses -> CuckooH4 per Figure 8,
-	// and -json must agree with the decision package.
-	want, err := decision.Recommend(w)
+	// and -json must agree with the graph itself.
+	want, path, err := table.Recommend(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scheme != string(want.Scheme) || got.Family != want.Family || got.Label != want.Label() {
-		t.Fatalf("JSON choice = %+v, want %v", got, want)
+	if got.Scheme != string(want) || got.Family != "Mult" || got.Label != "CH4Mult" {
+		t.Fatalf("JSON choice = %+v, want %sMult", got, want)
 	}
-	if len(got.Path) == 0 {
-		t.Fatal("JSON output lost the decision path")
+	if len(got.Path) != len(path) {
+		t.Fatalf("JSON path %v, want %v", got.Path, path)
 	}
 	if got.Shards != 16 {
 		t.Fatalf("JSON shards = %d, want 16 for 8 threads", got.Shards)
+	}
+	// The label is the payload's last field, where scripts reading the
+	// line found it before.
+	if line := strings.TrimSpace(buf.String()); !strings.HasSuffix(line, `,"label":"CH4Mult"}`) {
+		t.Fatalf("JSON label not last: %s", line)
 	}
 }
 
 func TestRunJSONInvalidWorkload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, decision.Workload{LoadFactor: 1.5}, 1, true); err == nil {
+	if err := run(&buf, table.Workload{LoadFactor: 1.5}, 1, true); err == nil {
 		t.Fatal("invalid workload should error")
+	}
+}
+
+// TestLabels pins the paper-style labels: the scheme name plus the family,
+// with Figure 8's CH4 abbreviation for CuckooH4.
+func TestLabels(t *testing.T) {
+	for _, c := range []struct {
+		s    table.Scheme
+		want string
+	}{
+		{table.SchemeCuckooH4, "CH4Mult"},
+		{table.SchemeLP, "LPMult"},
+		{table.SchemeChained24, "ChainedH24Mult"},
+	} {
+		if got := label(c.s, "Mult"); got != c.want {
+			t.Errorf("label(%s) = %s, want %s", c.s, got, c.want)
+		}
 	}
 }

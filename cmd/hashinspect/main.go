@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		scheme     = flag.String("scheme", "LP", "hashing scheme: ChainedH8|ChainedH24|LP|LPSoA|QP|RH|DH|CuckooH4")
+		scheme     = flag.String("scheme", "LP", "hashing scheme: ChainedH8|ChainedH24|LP|LPSoA|QP|RH|CuckooH4")
 		fnName     = flag.String("fn", "Mult", "hash function family: Mult|MultAdd|Tab|Murmur")
 		distName   = flag.String("dist", "Sparse", "key distribution: Dense|Grid|Sparse")
 		slotsLog2  = flag.Int("slots", 20, "log2 of the open-addressing capacity")

@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestRunAllSchemes(t *testing.T) {
-	for _, scheme := range []string{"ChainedH8", "ChainedH24", "LP", "LPSoA", "QP", "RH", "DH", "CuckooH4"} {
+	for _, scheme := range []string{"ChainedH8", "ChainedH24", "LP", "LPSoA", "QP", "RH", "CuckooH4"} {
 		if err := run(scheme, "Mult", "Sparse", 12, 0.7, 1); err != nil {
 			t.Fatalf("run(%s): %v", scheme, err)
 		}

@@ -7,8 +7,8 @@
 // striped partitioning, or a workload description routed through the
 // paper's Figure 8 decision graph). The library lives in the subpackages:
 //
-//	table    — the Open/Handle façade and the hashing schemes: the paper's
-//	           five (+ SoA layout variant) plus the DH probe-kernel extension
+//	table    — the Open/Handle façade, the hashing schemes (the paper's
+//	           five + SoA layout variant) and the Figure 8 decision graph
 //	shard    — the concurrent sharded engine (wait-free seqlock reads, incremental resize)
 //	exec     — the morsel-driven parallel execution core (bounded worker
 //	           pool, morsel scheduling, the shared scatter→gather primitive)
@@ -18,7 +18,7 @@
 //	stats    — displacement/cluster/chain analysis and Knuth's formulas
 //	bench    — the harness regenerating every figure of the evaluation,
 //	           through one WORM and one RW measuring point
-//	decision — the Figure 8 practitioner decision graph (+ shard/worker-count advice)
+//	decision — shard-count and worker-count advice for concurrent use
 //
 // See README.md for a tour, the new-API migration table, and how to
 // regenerate the paper's figures ("go run ./cmd/hashbench -experiment

@@ -3,8 +3,8 @@
 // operations such as joins and aggregates — like SUM, MIN, etc."
 //
 // We aggregate a fact table of (storeID, saleCents) into per-store
-// statistics. Group states live in a side array; the hash table maps group
-// key -> state index, exactly how a vectorized query engine lays out its
+// statistics with agg.GroupBy: its hash table maps group key -> index into
+// a dense state array, exactly how a vectorized query engine lays out its
 // aggregation hash table.
 package main
 
@@ -12,18 +12,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/hashfn"
+	"repro/agg"
 	"repro/internal/prng"
-	"repro/table"
 )
-
-type groupState struct {
-	store uint64
-	count uint64
-	sum   uint64
-	min   uint64
-	max   uint64
-}
 
 func main() {
 	const (
@@ -32,69 +23,46 @@ func main() {
 	)
 
 	// Synthesize sales with a skewed store popularity (low IDs sell more),
-	// the shape real retail data tends to have.
+	// the shape real retail data tends to have, as two columns.
 	rng := prng.NewXoshiro256(99)
-	type sale struct{ store, cents uint64 }
-	sales := make([]sale, numSales)
-	for i := range sales {
+	stores := make([]uint64, numSales)
+	cents := make([]uint64, numSales)
+	for i := range stores {
 		s := rng.Uint64n(numStores)
 		s = (s * s) / numStores // skew towards low store IDs
-		sales[i] = sale{store: s + 1, cents: 100 + rng.Uint64n(100_000)}
+		stores[i], cents[i] = s+1, 100+rng.Uint64n(100_000)
 	}
 
-	// Group-by via a quadratic-probing table: the paper's pick for
-	// write-heavy workloads, and an aggregation build is exactly that.
-	// The build uses the single-probe GetOrPut: one probe sequence finds a
-	// group's state index or claims the next one — no Get-then-Put double
-	// walk for rows that open a new group.
-	groups, err := table.Open(
-		table.WithScheme(table.SchemeQP),
-		table.WithCapacity(1<<12),
-		table.WithMaxLoadFactor(0.7),
-		table.WithHashFamily(hashfn.MultFamily{}),
-		table.WithSeed(7),
-	)
-	if err != nil {
+	// Group-by via a quadratic-probing table (GroupBy's default scheme):
+	// the paper's pick for write-heavy workloads, and an aggregation build
+	// is exactly that. AddBatch looks the rows up in bulk and opens a
+	// group with a single probe sequence only for the rows that miss.
+	groups := agg.MustNewGroupBy(agg.Config{Seed: 7})
+	if err := groups.AddBatch(stores, cents); err != nil {
 		panic(err)
-	}
-	var states []groupState
-
-	for _, s := range sales {
-		idx, existed, _ := groups.GetOrPut(s.store, uint64(len(states)))
-		if existed {
-			st := &states[idx]
-			st.count++
-			st.sum += s.cents
-			if s.cents < st.min {
-				st.min = s.cents
-			}
-			if s.cents > st.max {
-				st.max = s.cents
-			}
-			continue
-		}
-		states = append(states, groupState{
-			store: s.store, count: 1, sum: s.cents, min: s.cents, max: s.cents,
-		})
 	}
 
 	// Report the top stores by revenue.
-	sort.Slice(states, func(i, j int) bool { return states[i].sum > states[j].sum })
+	var states []*agg.State
+	for _, st := range groups.Groups() {
+		states = append(states, st)
+	}
+	sort.Slice(states, func(i, j int) bool { return states[i].Sum > states[j].Sum })
 	fmt.Printf("aggregated %d sales into %d groups (table: %s at load factor %.2f)\n\n",
-		numSales, len(states), groups.Name(), groups.LoadFactor())
+		numSales, groups.NumGroups(), groups.TableName(), groups.Stats().LoadFactor)
 	fmt.Printf("%-8s %10s %14s %10s %8s %8s\n", "store", "COUNT", "SUM", "AVG", "MIN", "MAX")
 	for _, st := range states[:10] {
 		fmt.Printf("%-8d %10d %14d %10d %8d %8d\n",
-			st.store, st.count, st.sum, st.sum/st.count, st.min, st.max)
+			st.Key, st.Count, st.Sum, st.Sum/st.Count, st.Min, st.Max)
 	}
 
 	// Sanity: total of sums must equal total of inputs.
 	var wantTotal, gotTotal uint64
-	for _, s := range sales {
-		wantTotal += s.cents
+	for _, c := range cents {
+		wantTotal += c
 	}
 	for _, st := range states {
-		gotTotal += st.sum
+		gotTotal += st.Sum
 	}
 	if wantTotal != gotTotal {
 		panic(fmt.Sprintf("aggregate mismatch: %d != %d", gotTotal, wantTotal))

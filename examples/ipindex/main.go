@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/decision"
 	"repro/dist"
 	"repro/table"
 )
@@ -22,20 +21,20 @@ func main() {
 	n := capacity * 9 / 10 // alpha * capacity
 
 	// Describe the workload and let the paper's decision graph choose.
-	w := decision.Workload{
+	w := table.Workload{
 		LoadFactor:      alpha,
 		UnsuccessfulPct: unsucc,
 		WriteHeavy:      false,
 		Dynamic:         false,
 		Dense:           false, // grid is dense-like per byte, not as an integer sequence
 	}
-	choice, err := decision.Recommend(w)
+	choice, path, err := table.Recommend(w)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("workload: static index, load factor %.0f%%, %d%% unknown probes\n", alpha*100, unsucc)
-	fmt.Printf("decision graph recommends: %s\n", choice.Label())
-	for i, step := range choice.Path {
+	fmt.Printf("decision graph recommends: %s with Mult\n", choice)
+	for i, step := range path {
 		fmt.Printf("  %d. %s\n", i+1, step)
 	}
 
@@ -88,7 +87,7 @@ func main() {
 		}
 
 		marker := ""
-		if string(s)+"Mult" == choice.Label() || (s == table.SchemeCuckooH4 && choice.Label() == "CH4Mult") {
+		if s == choice {
 			marker = "  <- recommended"
 		}
 		fmt.Printf("%-12s %14.1f %14.1f%s\n", s, buildMops, probeMops, marker)

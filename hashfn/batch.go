@@ -90,27 +90,3 @@ func (m Murmur) HashBatch(keys []uint64, dst []uint64) {
 		dst[i] = key
 	}
 }
-
-// HashBatch implements Batcher for the FNV-1a extension.
-func (f FNV) HashBatch(keys []uint64, dst []uint64) {
-	seed := f.seed
-	dst = dst[:len(keys)]
-	for i, x := range keys {
-		h := uint64(fnvOffset) ^ seed
-		for b := 0; b < 8; b++ {
-			h ^= x & 0xff
-			h *= fnvPrime
-			x >>= 8
-		}
-		dst[i] = h
-	}
-}
-
-// HashBatch implements Batcher for the 32-bit multiply-add extension.
-func (m MultAdd32) HashBatch(keys []uint64, dst []uint64) {
-	a, b := m.a, m.b
-	dst = dst[:len(keys)]
-	for i, x := range keys {
-		dst[i] = a*uint64(uint32(x)) + b
-	}
-}

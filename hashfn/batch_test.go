@@ -15,7 +15,7 @@ func TestHashBatchMatchesScalar(t *testing.T) {
 		keys[i] = rng.Next()
 	}
 	keys[0], keys[1] = 0, ^uint64(0) // sentinel-valued keys hash like any other
-	for _, f := range ExtendedFamilies() {
+	for _, f := range Families() {
 		fn := f.New(42)
 		if _, ok := fn.(Batcher); !ok {
 			t.Fatalf("%s: function does not implement Batcher", f.Name())

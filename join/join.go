@@ -11,6 +11,8 @@
 // materialize, count, or aggregate without intermediate allocation.
 package join
 
+import "math"
+
 // Row is one tuple of a relation: a join key and a payload.
 type Row struct {
 	Key     uint64
@@ -25,13 +27,15 @@ type Emit func(key, buildPayload, probePayload uint64)
 
 // CapacityFor returns the power-of-two capacity that places n keys at or
 // below the target load factor lf — the build-side pre-sizing rule of
-// pipe.HashJoin. lf outside (0, 1) is treated as the join default 0.5.
+// pipe.HashJoin and agg.GroupBy. lf outside (0, 1) is treated as the join
+// default 0.5. The result stops at the largest power of two an int holds,
+// which no table opens: table.Open rejects it.
 func CapacityFor(n int, lf float64) int {
 	if lf <= 0 || lf >= 1 {
 		lf = 0.5
 	}
 	c := 8
-	for float64(n) > lf*float64(c) {
+	for float64(n) > lf*float64(c) && c <= math.MaxInt/2 {
 		c *= 2
 	}
 	return c

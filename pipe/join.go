@@ -57,7 +57,7 @@ type JoinConfig struct {
 // The private build never opens a shard.Engine (that serves only shared,
 // live handles): it is ONE fixed table at every worker count, filled through
 // Handle.PutIfAbsentBatch — a compare-and-swap per key for the schemes that
-// hold their entries still (table.Scheme.SharedBuild: LP, LPSoA, QP, DH), a
+// hold their entries still (table.Scheme.SharedBuild: LP, LPSoA, QP), a
 // batch at a time under a mutex for RH, Cuckoo and chained — and probed with
 // plain GetBatch after the build phase's barrier. A build that overruns its
 // table re-runs into one twice the size: doubling wastes about one build.

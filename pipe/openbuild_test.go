@@ -43,7 +43,7 @@ func TestOpenBuildFollowsRecommend(t *testing.T) {
 		{"pinned RH", sized(1_000_000), JoinConfig{Scheme: table.SchemeRH}, table.SchemeRH},
 		{"pinned CuckooH4", sized(1_000_000), JoinConfig{Scheme: table.SchemeCuckooH4}, table.SchemeCuckooH4},
 		{"pinned ChainedH24", sized(100_000), JoinConfig{Scheme: table.SchemeChained24}, table.SchemeChained24},
-		{"pinned, no hint", noHint, JoinConfig{Scheme: table.SchemeDH}, table.SchemeDH},
+		{"pinned, no hint", noHint, JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP},
 	}
 	for _, workers := range []int{1, 2, 8} {
 		rt := newRuntime(Config{Workers: workers})

@@ -403,6 +403,26 @@ func TestSharedBuildKeepsOneOfferedPayload(t *testing.T) {
 	}
 }
 
+// TestHugeHintIsAnError: a Hint no table can be sized for fails the query
+// in bounded time.
+func TestHugeHintIsAnError(t *testing.T) {
+	rel := join.Relation{{Key: 1, Payload: 1}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := pipe.HashJoin(pipe.FromRelation(rel).Hint(1<<62), pipe.FromRelation(rel), pipe.JoinConfig{}).
+			Count(pipe.Config{Workers: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a join sized its build for 2^62 rows")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("HashJoin still sizing its build after 5 s")
+	}
+}
+
 func TestHintPreSizesSerialBuild(t *testing.T) {
 	// One worker follows the rule every worker count does: an understated
 	// Hint re-runs the build into a table twice the size, and the join

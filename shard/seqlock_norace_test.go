@@ -391,46 +391,66 @@ func TestReadRangeFollowsAClosingWindow(t *testing.T) {
 	const n = 600
 	vals := make([]uint64, n)
 	ok := make([]bool, n)
-	// The writer closes its window a few microseconds after the reader
-	// set out, well inside the watch. A noisy machine may take its core
-	// away for longer than that, so one of several trials, spread over a
-	// while, must get through without the lock; a reader that did not
-	// watch never would.
+	// The writer closes its window a quarter of the watch after the
+	// reader set out: well inside the watch, and long after the reader,
+	// which needs well under a microsecond to route its range, met the
+	// window open. A noisy machine may take the writer's core away for
+	// longer than the whole watch, and a reader then rightly takes the
+	// lock, so a trial counts only if the writer measured its close
+	// within half the watch. One counted trial must get through without
+	// the lock; a reader that did not watch never would.
+	fallbacks := 0        // counted trials that took the lock
+	var latencies []int64 // ns from the reader setting out to the close, every trial
+	giveUp := time.Now().Add(2 * time.Second)
 	for trial := 1; ; trial++ {
 		e, _, keys := hookedEngine(t, n)
 		closeWindow := holdWindowOpen(&e.shards[0])
 		// The writer has a P of its own, and says so, before the reader
 		// sets out.
 		var writing, reading atomic.Bool
+		var closedAt int64
 		closed := make(chan struct{})
 		go func() {
 			defer close(closed)
 			writing.Store(true)
 			for !reading.Load() {
 			}
-			for end := obs.Now() + windowWatchNanos/8; obs.Now() < end; {
+			for end := obs.Now() + windowWatchNanos/4; obs.Now() < end; {
 			}
 			closeWindow()
+			closedAt = obs.Now()
 		}()
 		for !writing.Load() {
 			runtime.Gosched()
 		}
+		setOut := obs.Now()
 		reading.Store(true)
 		hits := e.GetBatch(keys, vals, ok)
 		<-closed
 		if hits != n {
 			t.Fatalf("hit %d of %d", hits, n)
 		}
-		if e.readFallbacks.Load() == 0 {
-			if got := e.readRetries.Load(); got != 0 {
-				t.Fatalf("%d probes discarded, want none: an open window is not probed into", got)
+		latency := closedAt - setOut
+		latencies = append(latencies, latency)
+		if latency <= windowWatchNanos/2 {
+			giveUp = time.Now().Add(2 * time.Second)
+			if e.readFallbacks.Load() == 0 {
+				if got := e.readRetries.Load(); got != 0 {
+					t.Fatalf("%d probes discarded, want none: an open window is not probed into", got)
+				}
+				return
 			}
-			return
+			fallbacks++
+			if fallbacks == 20 {
+				t.Fatalf("%d readers behind a window closed within %d ns all took the lock; close latencies (ns): %v",
+					fallbacks, windowWatchNanos/2, latencies)
+			}
 		}
-		if trial == 20 {
-			t.Fatalf("%d readers behind a window open for %d ns all took the lock", trial, windowWatchNanos/8)
+		if time.Now().After(giveUp) {
+			t.Fatalf("no window closed within %d ns of its reader for 2 s (%d trials, %d counted before); close latencies (ns): %v",
+				windowWatchNanos/2, trial, fallbacks, latencies)
 		}
-		time.Sleep(time.Duration(trial) * time.Millisecond)
+		time.Sleep(time.Duration(min(trial, 20)) * time.Millisecond)
 	}
 }
 

@@ -294,8 +294,6 @@ func kernOf(t *testing.T, tbl Table) *kern {
 		return &tbl.kern
 	case *robinHood:
 		return &tbl.kern
-	case *doubleHashing:
-		return &tbl.kern
 	}
 	t.Fatalf("%T is not a kernel scheme", tbl)
 	return nil

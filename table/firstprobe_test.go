@@ -67,7 +67,7 @@ var fpCases = []fpCase{
 	},
 	{
 		// The pass stands down while the table holds tombstones (LP,
-		// LPSoA, QP, DH; Robin Hood deletes by shifting back and keeps
+		// LPSoA, QP; Robin Hood deletes by shifting back and keeps
 		// it): filled to the brim and half deleted, the table owes a
 		// rehash in place before its next insert or update.
 		name: "tombstones",
@@ -97,7 +97,7 @@ var fpCases = []fpCase{
 	{
 		// Two free slots left and a new key at home on each: the first
 		// goes in, the second takes the last slot where the probe
-		// sequence may fill the table (QP, DH) and is ErrFull where it
+		// sequence may fill the table (QP) and is ErrFull where it
 		// must keep one slot empty; nothing new fits after that.
 		name: "last free slot",
 		cfg:  Config{InitialCapacity: 128, Seed: 7},

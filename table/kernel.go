@@ -12,7 +12,6 @@ package table
 //	linearProbingSoA = kern(soaLayout, linearSeq, noDisplace)
 //	quadraticProbing = kern(aosLayout, quadSeq,   noDisplace)
 //	robinHood        = kern(aosLayout, linearSeq, robinDisplace)
-//	doubleHashing    = kern(aosLayout, dhSeq,     noDisplace)
 //
 // The policies are consulted once, at construction: probe stepping
 // reduces to si += sstep; sstep += sinc (see probeSpec), slot access to
@@ -61,16 +60,12 @@ type kern struct {
 	layout  layoutPolicy
 	perLine uint64 // slots per 64-byte key-column cache line (4 AoS, 8 SoA)
 
-	// Hoisted probe policy: the initial step of a key's sequence is
-	// (hash & strideMask) | 1 slots, and the step grows by stepInc after
-	// every probe. strideMask is 0 except under double hashing, where it
-	// is the table mask (recomputed on growth).
-	strideMask uint64
-	stepInc    uint64
-	lowStride  bool // probeSpec.lowBitsStride; strideMask follows the mask
-	bounded    bool // probeSpec.bounded
-	contig     bool // probeSpec.contiguous
-	robin      bool // displacePolicy.robinHood
+	// Hoisted probe policy: a key's sequence starts with a step of one
+	// slot, and the step grows by stepInc after every probe.
+	stepInc uint64
+	bounded bool // probeSpec.bounded
+	contig  bool // probeSpec.contiguous
+	robin   bool // displacePolicy.robinHood
 
 	// Scaled probe geometry (word units, see the package comment):
 	// smask wraps a scaled cursor, sone is one slot, sinc the scaled
@@ -110,7 +105,6 @@ func (c *kern) setup(cfg Config, name string, lay layoutPolicy, pp probePolicy, 
 	c.perLine = lay.perLine()
 	ps := pp.probe()
 	c.stepInc = ps.inc
-	c.lowStride = ps.lowBitsStride
 	c.bounded = ps.bounded
 	c.contig = ps.contiguous
 	c.robin = dp.robinHood()
@@ -121,10 +115,6 @@ func (c *kern) init(capacity int) {
 	c.colView = c.layout.alloc(capacity)
 	c.shift = 64 - log2(capacity)
 	c.mask = uint64(capacity - 1)
-	c.strideMask = 0
-	if c.lowStride {
-		c.strideMask = c.mask
-	}
 	c.smask = c.mask << c.ks
 	c.sone = 1 << c.ks
 	c.sshift = uint64(c.shift) - c.ks
@@ -146,7 +136,7 @@ func (c *kern) init(capacity int) {
 // out-of-order window overlaps consecutive calls, so every prologue
 // instruction costs throughput.
 func (c *kern) scursor(hash uint64) (si, sstep uint64) {
-	return (hash >> (c.sshift & 63)) &^ (c.sone - 1), ((hash & c.strideMask) | 1) * c.sone
+	return (hash >> (c.sshift & 63)) &^ (c.sone - 1), c.sone
 }
 
 // keyAtS, valAtS, setAtS and setValAtS address a slot by its scaled
@@ -841,10 +831,10 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 // — or a walk behind a call — measurably serializes the lanes). Each
 // variant still serves every scheme with its policy shape: linear covers
 // LP and LPSoA (the column view folds the layouts), stepped covers QP
-// and DH (triangular and fixed strides are both si += sstep; sstep +=
-// sinc), robin covers RH, and sweep covers any bounded scheme on a
-// degenerate completely-occupied table, which the scalar lookup's single
-// sweep answers far sooner than the walks' round bound.
+// (its triangular stride is si += sstep; sstep += sinc), robin covers
+// RH, and sweep covers any bounded scheme on a degenerate
+// completely-occupied table, which the scalar lookup's single sweep
+// answers far sooner than the walks' round bound.
 func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	if c.fullSweepOnly() {
 		return c.getChunkSweep(keys, vals, ok)
@@ -1042,17 +1032,16 @@ func (c *kern) getChunkRobin(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	return hits
 }
 
-// getChunkStepped is the walk for the stepping sequences (triangular
-// quadratic and double hashing): a lane advances by sstep slots per
-// probe, with sstep growing by sinc, and yields when the advance leaves
-// the current cache line. bt.a carries the cursor and bt.b the next
-// step.
+// getChunkStepped is the walk for QP's triangular quadratic sequence: a
+// lane advances by sstep slots per probe, with sstep growing by sinc, and
+// yields when the advance leaves the current cache line. bt.a carries the
+// cursor and bt.b the next step.
 func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	kc, smask := c.kc, c.smask
 	vcb := c.vc[c.ks:]
 	sinc := c.sinc
 	sshift, soneM := c.sshift, c.sone-1
-	strideM, sone := c.strideMask, c.sone
+	sone := c.sone
 	hits := 0
 	live := bt.lane[:0]
 	for l := range keys {
@@ -1066,7 +1055,7 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 		}
 		hash := bt.hash[l]
 		si := (hash >> (sshift & 63)) &^ soneM
-		sstep := ((hash & strideM) | 1) * sone
+		sstep := sone
 		for {
 			k := kc[si]
 			if k == key {

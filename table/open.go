@@ -66,12 +66,20 @@ func WithWorkload(w Workload) Option {
 	}
 }
 
+// maxCapacity bounds WithCapacity: 2^43 slots of 16 bytes fill 2^47
+// bytes, the whole user address space of 64-bit Linux, so no larger slot
+// array can be allocated.
+const maxCapacity = 1 << 43
+
 // WithCapacity sets the initial slot capacity, rounded up to a power of
 // two (total across partitions when combined with WithPartitions).
 func WithCapacity(n int) Option {
 	return func(c *openConfig) error {
 		if n < 0 {
 			return fmt.Errorf("table: negative capacity %d", n)
+		}
+		if int64(n) > maxCapacity {
+			return fmt.Errorf("table: capacity %d exceeds the %d slots an address space can hold", n, int64(maxCapacity))
 		}
 		c.capacity = n
 		return nil

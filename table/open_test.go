@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -42,6 +43,11 @@ func TestOpenOptionValidation(t *testing.T) {
 		{"maxLF>1", []Option{WithMaxLoadFactor(1.5)}, "never trigger growth"},
 		{"maxLF<0", []Option{WithMaxLoadFactor(-0.3)}, "negative"},
 		{"negative capacity", []Option{WithCapacity(-1)}, "negative capacity"},
+		// A slot array no address space holds is an error, not a
+		// makeslice panic, single or striped.
+		{"capacity past the address space", []Option{WithCapacity(maxCapacity + 1)}, "exceeds"},
+		{"capacity 2^62, striped", []Option{WithCapacity(1 << 62), WithPartitions(4)}, "exceeds"},
+		{"capacity MaxInt", []Option{WithCapacity(math.MaxInt)}, "exceeds"},
 		{"negative partitions", []Option{WithPartitions(-2)}, "negative partition"},
 		{"nil family", []Option{WithHashFamily(nil)}, "nil hash family"},
 		{"unknown scheme", []Option{WithScheme("bogus")}, "unknown scheme"},

@@ -6,7 +6,7 @@ package table
 // dimension is an actual type, and a scheme is one choice per dimension:
 //
 //	dimension (paper)            policy type      implementations
-//	probe sequence (§2.2–2.5)    probePolicy      linearSeq, quadSeq, dhSeq
+//	probe sequence (§2.2–2.5)    probePolicy      linearSeq, quadSeq
 //	slot layout (§7)             layoutPolicy     aosLayout, soaLayout
 //	displacement on insert       displacePolicy   noDisplace, robinDisplace
 //	deletion strategy            derived          see below
@@ -23,12 +23,11 @@ package table
 // per-slot dispatch of any kind. Two representation tricks make that
 // possible:
 //
-//   - All three probe sequences are instances of i += step; step += inc.
-//     Linear probing is step=1, inc=0; triangular quadratic probing is
-//     step=1, inc=1 (the offsets 1, 2, 3, ... accumulate to the
-//     triangular numbers); double hashing is step=h2(k), inc=0. probeSpec
-//     captures exactly this, so advancing a probe sequence is two adds
-//     and a mask for every scheme.
+//   - Both probe sequences are instances of i += step; step += inc,
+//     starting from step=1. Linear probing is inc=0; triangular quadratic
+//     probing is inc=1 (the offsets 1, 2, 3, ... accumulate to the
+//     triangular numbers). probeSpec captures exactly this, so advancing
+//     a probe sequence is two adds and a mask for every scheme.
 //   - Both slot layouts are column views over []uint64 storage: the key
 //     of slot i lives at kc[i<<ks] and its value at vc[(i<<ks)|ks], with
 //     ks=1 for the interleaved AoS array and ks=0 for the split SoA
@@ -44,13 +43,9 @@ package table
 import "unsafe"
 
 // probeSpec is a probe sequence reduced to the kernel's uniform stepping
-// model: the i-th advance moves by step, then step grows by inc.
+// model: the i-th advance moves by step (initially one slot), then step
+// grows by inc.
 type probeSpec struct {
-	// lowBitsStride derives the initial step from the key's hash code —
-	// (hash & mask) | 1, double hashing's h2 — instead of 1. Odd strides
-	// are coprime to the power-of-two capacity, so such sequences are
-	// full permutations.
-	lowBitsStride bool
 	// inc is added to the step after every probe: 0 keeps a fixed
 	// stride, 1 yields the triangular quadratic sequence.
 	inc uint64
@@ -82,12 +77,6 @@ func (linearSeq) probe() probeSpec { return probeSpec{contiguous: true} }
 type quadSeq struct{}
 
 func (quadSeq) probe() probeSpec { return probeSpec{inc: 1, bounded: true} }
-
-// dhSeq is double hashing: h(k, i) = h1(k) + i*h2(k), with h2 drawn from
-// the low hash bits forced odd (see doubleHashing).
-type dhSeq struct{}
-
-func (dhSeq) probe() probeSpec { return probeSpec{lowBitsStride: true, bounded: true} }
 
 // colView is the unified slot addressing produced by a layoutPolicy: the
 // key of slot i lives at kc[i<<ks], its value at vc[(i<<ks)|ks]. Exactly

@@ -6,8 +6,7 @@ import "fmt"
 type Scheme string
 
 // The schemes studied in the paper (§2), plus the SoA layout variant of LP
-// used by the §7 layout study and the double-hashing extension shipped as
-// a probe-kernel policy (see doubleHashing).
+// used by the §7 layout study.
 const (
 	SchemeChained8  Scheme = "ChainedH8"
 	SchemeChained24 Scheme = "ChainedH24"
@@ -15,14 +14,13 @@ const (
 	SchemeLPSoA     Scheme = "LPSoA"
 	SchemeQP        Scheme = "QP"
 	SchemeRH        Scheme = "RH"
-	SchemeDH        Scheme = "DH"
 	SchemeCuckooH4  Scheme = "CuckooH4"
 )
 
 // Schemes returns the paper's six schemes in presentation order (chained
 // variants first, then open addressing). It deliberately omits the LPSoA
-// layout variant and the DH extension, which the paper's figures do not
-// plot; use AllSchemes for everything this package implements.
+// layout variant, which only the §7 layout study plots; use AllSchemes for
+// everything this package implements.
 func Schemes() []Scheme {
 	return []Scheme{
 		SchemeChained8, SchemeChained24,
@@ -30,23 +28,22 @@ func Schemes() []Scheme {
 	}
 }
 
-// openAddressingSchemes returns the six open-addressing schemes: the
-// paper's LP, QP, RH and CuckooH4 plus the LPSoA layout variant and the
-// DH extension.
+// openAddressingSchemes returns the five open-addressing schemes: the
+// paper's LP, QP, RH and CuckooH4 plus the LPSoA layout variant.
 func openAddressingSchemes() []Scheme {
-	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeDH, SchemeCuckooH4}
+	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeCuckooH4}
 }
 
 // KernelSchemes returns the schemes served by the policy-driven probe
 // kernel (kernel.go) — every open-addressing scheme except Cuckoo, whose
 // bounded candidate set needs a structurally different core.
 func KernelSchemes() []Scheme {
-	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeDH}
+	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH}
 }
 
 // AllSchemes returns every scheme this package implements, in presentation
 // order: the chained variants, then all open-addressing schemes including
-// the LPSoA layout variant and the DH extension.
+// the LPSoA layout variant.
 func AllSchemes() []Scheme {
 	return append([]Scheme{SchemeChained8, SchemeChained24}, openAddressingSchemes()...)
 }
@@ -85,8 +82,6 @@ func New(s Scheme, cfg Config) (Table, error) {
 		return newQuadraticProbing(cfg), nil
 	case SchemeRH:
 		return newRobinHood(cfg), nil
-	case SchemeDH:
-		return newDoubleHashing(cfg), nil
 	case SchemeCuckooH4:
 		return newCuckoo(cfg), nil
 	}

@@ -194,7 +194,7 @@ func TestGetOrPutMatchesGetThenPut(t *testing.T) {
 // reports ErrFull, then verifies nothing was lost, that the batched forms
 // agree, and that nothing grew the table.
 func TestErrFullContract(t *testing.T) {
-	for _, s := range []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeDH, SchemeCuckooH4} {
+	for _, s := range []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeCuckooH4} {
 		t.Run(string(s), func(t *testing.T) {
 			m := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0, Seed: 13})
 			capacity := m.Capacity()

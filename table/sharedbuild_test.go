@@ -19,7 +19,7 @@ func sharedSchemes(t *testing.T) []Scheme {
 			out = append(out, s)
 		}
 	}
-	want := []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeDH}
+	want := []Scheme{SchemeLP, SchemeLPSoA, SchemeQP}
 	if fmt.Sprint(out) != fmt.Sprint(want) {
 		t.Fatalf("SharedBuild holds for %v, want %v: the kernel schemes that never displace", out, want)
 	}

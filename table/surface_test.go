@@ -28,7 +28,7 @@ var exportedSurface = []string{
 	"Handle.UpsertBatch",
 	// The scheme registry and Figure 8.
 	"Scheme", "Scheme.SharedBuild", "SchemeChained8", "SchemeChained24", "SchemeLP",
-	"SchemeLPSoA", "SchemeQP", "SchemeRH", "SchemeDH", "SchemeCuckooH4",
+	"SchemeLPSoA", "SchemeQP", "SchemeRH", "SchemeCuckooH4",
 	"Schemes", "KernelSchemes", "AllSchemes",
 	"Workload", "Workload.Validate", "Recommend",
 	// The §4.5 chained memory budget.

@@ -16,8 +16,7 @@
 //   - CuckooH4: k-ary Cuckoo hashing (default k = 4).
 //
 // plus LPSoA, the struct-of-arrays layout variant used by the paper's §7
-// layout study, and DH (double hashing), an extension scheme
-// expressed purely as a probe-sequence policy of the shared kernel.
+// layout study.
 //
 // The open-addressing schemes are instantiations of one policy-driven
 // probe kernel (kernel.go) over the paper's design dimensions made types

@@ -8,10 +8,9 @@ import (
 	"repro/internal/prng"
 )
 
-// allSchemes lists every scheme, including the SoA layout variant and the
-// DH kernel extension — the registry's AllSchemes, so a newly registered
-// scheme is picked up by the whole differential/property suite
-// automatically.
+// allSchemes lists every scheme, including the SoA layout variant — the
+// registry's AllSchemes, so a newly registered scheme is picked up by the
+// whole differential/property suite automatically.
 func allSchemes() []Scheme { return AllSchemes() }
 
 func allFamilies() []hashfn.Family { return hashfn.Families() }
@@ -315,8 +314,8 @@ func TestDeleteThenReinsert(t *testing.T) {
 // list again (as LPSoA once did from Schemes and openAddressingSchemes).
 func TestRegistryDrift(t *testing.T) {
 	all := AllSchemes()
-	if len(all) != 8 {
-		t.Fatalf("AllSchemes lists %d schemes, want 8: %v", len(all), all)
+	if len(all) != 7 {
+		t.Fatalf("AllSchemes lists %d schemes, want 7: %v", len(all), all)
 	}
 	in := func(list []Scheme, s Scheme) bool {
 		for _, x := range list {
@@ -336,7 +335,7 @@ func TestRegistryDrift(t *testing.T) {
 			t.Errorf("New(%s).Name() = %s", s, m.Name())
 		}
 	}
-	// Schemes is the paper's six; it must omit only the two extensions.
+	// Schemes is the paper's six; it must omit only the layout variant.
 	if len(Schemes()) != 6 {
 		t.Fatalf("Schemes lists %d schemes, want the paper's 6", len(Schemes()))
 	}
@@ -344,8 +343,8 @@ func TestRegistryDrift(t *testing.T) {
 		if !in(all, s) {
 			t.Errorf("Schemes lists %s but AllSchemes does not", s)
 		}
-		if s == SchemeLPSoA || s == SchemeDH {
-			t.Errorf("Schemes must not list extension scheme %s", s)
+		if s == SchemeLPSoA {
+			t.Errorf("Schemes must not list the layout variant %s", s)
 		}
 	}
 	// openAddressingSchemes = AllSchemes minus the chained variants.
@@ -353,7 +352,7 @@ func TestRegistryDrift(t *testing.T) {
 	if len(oa) != len(all)-2 {
 		t.Fatalf("openAddressingSchemes lists %d schemes, want %d", len(oa), len(all)-2)
 	}
-	for _, s := range []Scheme{SchemeLPSoA, SchemeDH, SchemeLP, SchemeQP, SchemeRH, SchemeCuckooH4} {
+	for _, s := range []Scheme{SchemeLPSoA, SchemeLP, SchemeQP, SchemeRH, SchemeCuckooH4} {
 		if !in(oa, s) {
 			t.Errorf("openAddressingSchemes omits %s", s)
 		}
