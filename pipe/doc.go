@@ -50,8 +50,10 @@
 //   - Shared scheduling: every phase of every operator runs on one
 //     exec.Pool with the established first-error, cancellation
 //     (Config.Ctx) and panic-containment conventions; per-worker column
-//     scratch is reused across morsels, so steady-state processing does
-//     not allocate.
+//     scratch is reused across morsels and runs (a package sync.Pool lends
+//     it to each operator run), the join projects its matches in place
+//     into the probe batch, and the group-by's result is its first worker
+//     local, so steady-state processing does not allocate.
 //   - Observability: Config.Metrics attaches per-operator rows in/out,
 //     morsel counts and morsel-latency histograms (obs primitives),
 //     registrable on an obs.Registry for the /metrics exposition —

@@ -4,10 +4,11 @@ package pipe
 // into its own agg.GroupBy local with AddBatch — a lookup phase over the
 // worker's group index with an insert tail for the rows that open a
 // group, the paper's §4 equivalence (no locks — the batchSink contract
-// delivers worker w's batches on worker w's goroutine), and the locals
-// are merged once on drain. GroupByStream re-enters the pipeline: the
-// merged result is streamed downstream group-at-a-time via agg's Groups
-// iterator, never materialized into a result slice.
+// delivers worker w's batches on worker w's goroutine), and the other
+// locals are merged once on drain into the first, which is the result.
+// GroupByStream re-enters the pipeline: the merged result is streamed
+// downstream group-at-a-time via agg's Groups iterator, never
+// materialized into a result slice.
 
 import (
 	"fmt"
@@ -75,17 +76,22 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 	if err != nil {
 		return nil, err
 	}
-	result, err := agg.NewGroupBy(gcfg.aggConfig())
-	if err != nil {
-		return nil, err
-	}
+	// The first local is the result; the others fold into it.
+	var result *agg.GroupBy
 	for _, local := range locals {
 		if local == nil {
+			continue
+		}
+		if result == nil {
+			result = local
 			continue
 		}
 		if err := result.Merge(local); err != nil {
 			return nil, err
 		}
+	}
+	if result == nil { // no row reached the group-by
+		return agg.NewGroupBy(gcfg.aggConfig())
 	}
 	return result, nil
 }
@@ -156,9 +162,10 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	// as one pool task for panic containment and cancellation parity
 	// with the parallel scans.
 	return rt.pool.ForEach(1, func(w, _ int) error {
-		b := rt.newBatch()
+		b := rt.takeBatch()
+		defer putBatch(b)
 		var verr error
-		err := rt.drain(stages, sink, w, &b, func(fn func(k, v uint64) bool) {
+		err := rt.drain(stages, sink, w, b, func(fn func(k, v uint64) bool) {
 			for key, st := range g.Groups() {
 				var v uint64
 				if v, verr = stateValue(s.fn, st); verr != nil || !fn(key, v) {

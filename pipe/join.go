@@ -90,6 +90,33 @@ type joinScratch struct {
 	flag []bool
 }
 
+// scratchPool holds the probe scratch of finished joins, as batchPool
+// holds the operators' batches.
+var scratchPool sync.Pool
+
+// takeScratch lends one morsel-sized probe scratch per pool worker until
+// putScratch, under takeBatches' rules.
+func (rt *runtime) takeScratch() []*joinScratch {
+	m := rt.pool.MorselSize()
+	scs := make([]*joinScratch, rt.pool.Workers())
+	for w := range scs {
+		sc, _ := scratchPool.Get().(*joinScratch)
+		if sc == nil || cap(sc.out) < m {
+			sc = &joinScratch{out: make([]uint64, m), flag: make([]bool, m)}
+		}
+		scs[w] = sc
+	}
+	return scs
+}
+
+func putScratch(scs []*joinScratch) {
+	for _, sc := range scs {
+		if cap(sc.out) <= maxPooledRows {
+			scratchPool.Put(sc)
+		}
+	}
+}
+
 // unsizedBuildRows sizes a build side of unknown size: 2^11 slots at the
 // default load factor, 0.488, LP on Figure 8.
 const unsizedBuildRows = 1000
@@ -163,11 +190,6 @@ func (j *joinSource) indexed() *table.Handle {
 }
 
 func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	scratch := make([]joinScratch, rt.pool.Workers())
-	for w := range scratch {
-		scratch[w].out = make([]uint64, rt.pool.MorselSize())
-		scratch[w].flag = make([]bool, rt.pool.MorselSize())
-	}
 	h := j.indexed()
 	if h == nil {
 		// Build phase: re-run the stream into a larger table while the last
@@ -182,23 +204,25 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		}
 	}
 	// Probe phase: each probe batch is answered by one GetBatch; the
-	// matches are projected into the worker's batch and pushed through
-	// the downstream stages in the same pass — no intermediate join
-	// result exists anywhere.
+	// matches are projected in place into the batch the probe side handed
+	// over (the write cursor never passes the read cursor, as in Filter)
+	// and pushed through the downstream stages in the same pass — no
+	// intermediate join result exists anywhere.
+	scratch := rt.takeScratch()
+	defer putScratch(scratch)
 	project := j.cfg.Project
-	bufs := rt.newBatches()
 	return j.probe.src.run(rt, j.probe.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
-		sc := &scratch[w]
+		sc := scratch[w]
 		ok, out := sc.flag[:len(keys)], sc.out[:len(keys)]
+		vals = vals[:len(keys)]
 		h.GetBatch(keys, out, ok)
-		b := &bufs[w]
 		n := 0
 		if project == nil {
 			// The default projection (key, probeVal), without the
 			// indirect call per match.
 			for i, k := range keys {
-				b.keys[n], b.vals[n] = k, vals[i]
+				keys[n], vals[n] = k, vals[i]
 				if ok[i] {
 					n++
 				}
@@ -206,11 +230,11 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		} else {
 			for i, k := range keys {
 				if ok[i] {
-					b.keys[n], b.vals[n] = project(k, out[i], vals[i])
+					keys[n], vals[n] = project(k, out[i], vals[i])
 					n++
 				}
 			}
 		}
-		return rt.emit(opJoinProbe, w, stages, sink, b, len(keys), n, start)
+		return rt.emit(opJoinProbe, w, stages, sink, &batch{keys, vals}, len(keys), n, start)
 	})
 }

@@ -2,6 +2,7 @@ package pipe
 
 import (
 	"context"
+	"sync"
 
 	"repro/exec"
 )
@@ -39,7 +40,9 @@ type stage func(keys, vals []uint64) int
 // batchSink consumes one batch of column data. Batches from different
 // workers may arrive concurrently; batch w is always delivered on worker
 // w's goroutine, so per-worker state needs no locks. The slices are
-// owned by the producer and invalid after return.
+// owned by the producer and invalid after return. A sink may rewrite the
+// batch it is handed in place (the join projects its matches into it),
+// and the producer does not read it after the call.
 type batchSink func(worker int, keys, vals []uint64) error
 
 // source produces the rows of a Stream. run drives the source to
@@ -180,21 +183,49 @@ type batch struct {
 	keys, vals []uint64
 }
 
-// newBatch allocates one morsel-sized batch.
-func (rt *runtime) newBatch() batch {
-	return batch{
-		keys: make([]uint64, rt.pool.MorselSize()),
-		vals: make([]uint64, rt.pool.MorselSize()),
+// batchPool holds the batches of finished operator runs, so that every
+// operator of a plan run, and every later run, reuses their columns
+// instead of allocating morsel-sized scratch per operator and worker.
+var batchPool sync.Pool
+
+// maxPooledRows is the largest batch that goes back to batchPool: sixteen
+// default morsels. A larger one is dropped for the collector, so one run
+// with giant morsels cannot pin its columns.
+const maxPooledRows = 1 << 16
+
+// takeBatch lends one morsel-sized batch until putBatch. A pooled batch
+// too small for this pool's morsels is dropped and a new one allocated.
+func (rt *runtime) takeBatch() *batch {
+	m := rt.pool.MorselSize()
+	if b, _ := batchPool.Get().(*batch); b != nil && cap(b.keys) >= m {
+		b.keys, b.vals = b.keys[:m], b.vals[:m]
+		return b
+	}
+	return &batch{keys: make([]uint64, m), vals: make([]uint64, m)}
+}
+
+// putBatch returns b to the pool; the caller must not touch it again.
+func putBatch(b *batch) {
+	if cap(b.keys) <= maxPooledRows {
+		batchPool.Put(b)
 	}
 }
 
-// newBatches allocates one morsel-sized batch per pool worker.
-func (rt *runtime) newBatches() []batch {
-	bufs := make([]batch, rt.pool.Workers())
+// takeBatches lends one batch per pool worker until putBatches — called
+// once the pool run that writes them has returned, i.e. every worker is
+// done with its batch.
+func (rt *runtime) takeBatches() []*batch {
+	bufs := make([]*batch, rt.pool.Workers())
 	for i := range bufs {
-		bufs[i] = rt.newBatch()
+		bufs[i] = rt.takeBatch()
 	}
 	return bufs
+}
+
+func putBatches(bufs []*batch) {
+	for _, b := range bufs {
+		putBatch(b)
+	}
 }
 
 // emit finishes the batch an operator filled with n rows out of in rows
@@ -215,9 +246,9 @@ func (rt *runtime) emit(o op, w int, stages []stage, sink batchSink, b *batch, i
 // ---------------------------------------------------------------------------
 
 // Sink runs the stream, delivering every surviving batch to fn with the
-// batchSink contract (concurrent calls from different workers; slices
-// invalid after return). It is the low-level terminal the others build
-// on.
+// batchSink contract (concurrent calls from different workers; fn may
+// rewrite a batch in place; slices invalid after return). It is the
+// low-level terminal the others build on.
 func (s *Stream) Sink(cfg Config, fn func(worker int, keys, vals []uint64) error) error {
 	rt := newRuntime(cfg)
 	defer rt.close()

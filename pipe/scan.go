@@ -53,10 +53,11 @@ type columnsSource struct {
 func (s *columnsSource) rows() int { return len(s.keys) }
 
 func (s *columnsSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	bufs := rt.newBatches()
+	bufs := rt.takeBatches()
+	defer putBatches(bufs)
 	return rt.pool.ForMorsels(len(s.keys), func(w, lo, hi int) error {
 		start := rt.opStart()
-		b := &bufs[w]
+		b := bufs[w]
 		n := copy(b.keys, s.keys[lo:hi])
 		if s.vals != nil {
 			copy(b.vals, s.vals[lo:hi])
@@ -74,10 +75,11 @@ type relationSource struct {
 func (s *relationSource) rows() int { return len(s.rel) }
 
 func (s *relationSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	bufs := rt.newBatches()
+	bufs := rt.takeBatches()
+	defer putBatches(bufs)
 	return rt.pool.ForMorsels(len(s.rel), func(w, lo, hi int) error {
 		start := rt.opStart()
-		b := &bufs[w]
+		b := bufs[w]
 		rows := s.rel[lo:hi]
 		keys, vals := b.keys[:len(rows)], b.vals[:len(rows)]
 		for i, r := range rows {
@@ -104,13 +106,15 @@ func (s *handleSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		// task so a panicking stage is contained and cancellation is
 		// checked like everywhere else.
 		return rt.pool.ForEach(1, func(w, _ int) error {
-			b := rt.newBatch()
-			return rt.drain(stages, sink, w, &b, s.h.Range)
+			b := rt.takeBatch()
+			defer putBatch(b)
+			return rt.drain(stages, sink, w, b, s.h.Range)
 		})
 	}
-	bufs := rt.newBatches()
+	bufs := rt.takeBatches()
+	defer putBatches(bufs)
 	return rt.pool.ForEach(eng.Shards(), func(w, shard int) error {
-		return rt.drain(stages, sink, w, &bufs[w], func(fn func(k, v uint64) bool) {
+		return rt.drain(stages, sink, w, bufs[w], func(fn func(k, v uint64) bool) {
 			eng.RangeShard(shard, fn)
 		})
 	})

@@ -275,36 +275,3 @@ func TestStageKernelsMidResizeScan(t *testing.T) {
 		}
 	}
 }
-
-// planAllocs measures a scan → stages → terminal plan over four morsels
-// and over sixty-four.
-func planAllocs(t *testing.T, terminal func(*pipe.Stream, pipe.Config) error) (short, long float64) {
-	plan := func(morsels int) func() {
-		_, _, rows := stageColumns(morsels * stageMorsel)
-		rel := make(join.Relation, len(rows))
-		for i, r := range rows {
-			rel[i] = join.Row{Key: r[0], Payload: r[1]}
-		}
-		s, _ := withStages(pipe.FromRelation(rel), stageChains[1].ops)
-		return func() {
-			if err := terminal(s, pipe.Config{Workers: 1, MorselSize: stageMorsel}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return testing.AllocsPerRun(10, plan(4)), testing.AllocsPerRun(10, plan(64))
-}
-
-// TestPlanAllocationsDoNotGrowWithMorsels: the per-worker batches are
-// reused across morsels and the stages work in place, so a scan → stages
-// → count plan over sixteen times the morsels allocates what the short
-// one does. (The group-by terminal's turn is in allocs_norace_test.go.)
-func TestPlanAllocationsDoNotGrowWithMorsels(t *testing.T) {
-	short, long := planAllocs(t, func(s *pipe.Stream, cfg pipe.Config) error {
-		_, err := s.Count(cfg)
-		return err
-	})
-	if long > short {
-		t.Fatalf("%v allocations over 64 morsels, %v over 4: the plan allocates per morsel", long, short)
-	}
-}
