@@ -22,6 +22,12 @@
 // Every WORM figure (2, 3, 4, 6 and 7) measures through one point,
 // wormPoint; Figure 5 measures through the one RW point, rwPoint.
 //
+// The package is also the one owner of the workloads those points run,
+// for every other caller too: NewWORMTable with the §4.5 memory budget
+// that sizes chained directories and decides which ChainedH24 points
+// Figure 4 runs, and the RW tape (Tape, GenRWTape). RunChaos, the
+// robustness harness, replays the same tapes under a fault schedule.
+//
 // Capacities are scaled for a single laptop-class machine (see README's
 // "Regenerating the paper's figures"): the paper's 2^16 / 2^27 / 2^30 slots become
 // 2^16 / 2^20 / 2^24 by default, all configurable.

@@ -1,4 +1,4 @@
-package workload
+package bench
 
 // Chaos harness: the RW differential replay run under a seeded fault
 // schedule. T goroutines replay disjoint RW tapes against ONE sharded
@@ -133,23 +133,13 @@ type chaosThread struct {
 	applied, degraded, injected int
 }
 
-// initialCapacityFor returns a power-of-two capacity that places initial
-// keys at just under 50% load factor, the paper's ~47% starting point.
-func initialCapacityFor(initial int) int {
-	c := 8
-	for c < initial*2+1 {
-		c *= 2
-	}
-	return c
-}
-
 // RunChaos replays cfg's differential chaos workload and returns the
 // tally. The fault plan is armed after the pre-fill and disarmed (via
 // defer, so failures cannot leak an armed plan into the caller's
 // process) before the heal phase and final differential check.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.Threads < 1 {
-		return ChaosResult{}, fmt.Errorf("workload: chaos needs at least 1 thread, got %d", cfg.Threads)
+		return ChaosResult{}, fmt.Errorf("bench: chaos needs at least 1 thread, got %d", cfg.Threads)
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = table.SchemeLP
@@ -166,8 +156,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.GrowAt == 0 {
 		cfg.GrowAt = 0.85
 	}
-	if cfg.GrowAt < 0 || cfg.GrowAt >= 1 {
-		return ChaosResult{}, fmt.Errorf("workload: chaos grow-at threshold must be in (0,1), got %v", cfg.GrowAt)
+	if !(cfg.GrowAt > 0 && cfg.GrowAt < 1) {
+		return ChaosResult{}, fmt.Errorf("bench: chaos grow-at threshold must be in (0,1), got %v", cfg.GrowAt)
 	}
 
 	// At least two shards even single-threaded, so the handle always has
@@ -264,10 +254,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// Drain call retires every in-flight migration, parked carry entry,
 	// and degraded shard without waiting for organic mutations.
 	if !m.Engine().Drain() {
-		return res, fmt.Errorf("workload: chaos engine failed to heal after drain: %+v", m.EngineStats())
+		return res, fmt.Errorf("bench: chaos engine failed to heal after drain: %+v", m.EngineStats())
 	}
 	if st := m.EngineStats(); st.Degraded != 0 || st.Migrating != 0 {
-		return res, fmt.Errorf("workload: chaos engine reports unhealed state after drain: %+v", st)
+		return res, fmt.Errorf("bench: chaos engine reports unhealed state after drain: %+v", st)
 	}
 
 	// Final differential: the handle must agree with the union of the
@@ -279,24 +269,24 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}
 	if m.Len() != len(merged) {
-		return res, fmt.Errorf("workload: chaos left %d entries, oracle has %d", m.Len(), len(merged))
+		return res, fmt.Errorf("bench: chaos left %d entries, oracle has %d", m.Len(), len(merged))
 	}
 	for k, v := range merged {
 		got, ok := m.Get(k)
 		if !ok || got != v {
-			return res, fmt.Errorf("workload: chaos Get(%#x) = (%#x,%v), oracle %#x", k, got, ok, v)
+			return res, fmt.Errorf("bench: chaos Get(%#x) = (%#x,%v), oracle %#x", k, got, ok, v)
 		}
 	}
 	seen := 0
 	for k, v := range m.All() {
 		want, ok := merged[k]
 		if !ok || v != want {
-			return res, fmt.Errorf("workload: chaos All() yielded (%#x,%#x), oracle (%#x,%v)", k, v, want, ok)
+			return res, fmt.Errorf("bench: chaos All() yielded (%#x,%#x), oracle (%#x,%v)", k, v, want, ok)
 		}
 		seen++
 	}
 	if seen != len(merged) {
-		return res, fmt.Errorf("workload: chaos All() yielded %d entries, oracle has %d", seen, len(merged))
+		return res, fmt.Errorf("bench: chaos All() yielded %d entries, oracle has %d", seen, len(merged))
 	}
 	res.FinalLen = m.Len()
 	res.Stats = m.EngineStats()
@@ -351,11 +341,11 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 				if err == nil {
 					if want, ok := th.oracle[k]; ok {
 						if !loaded || actual != want {
-							return fmt.Errorf("workload: chaos thread %d op %d: GetOrPut(%#x) = (%#x,%v), oracle %#x", g, i, k, actual, loaded, want)
+							return fmt.Errorf("bench: chaos thread %d op %d: GetOrPut(%#x) = (%#x,%v), oracle %#x", g, i, k, actual, loaded, want)
 						}
 					} else {
 						if loaded || actual != val {
-							return fmt.Errorf("workload: chaos thread %d op %d: GetOrPut(%#x) = (%#x,%v), oracle absent", g, i, k, actual, loaded)
+							return fmt.Errorf("bench: chaos thread %d op %d: GetOrPut(%#x) = (%#x,%v), oracle absent", g, i, k, actual, loaded)
 						}
 						th.oracle[k] = val
 					}
@@ -366,7 +356,7 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 				nv, err = m.Upsert(k, func(old uint64, exists bool) uint64 {
 					want, ok := th.oracle[k]
 					if exists != ok || (ok && old != want) {
-						mismatch = fmt.Errorf("workload: chaos thread %d op %d: Upsert(%#x) saw (%#x,%v), oracle (%#x,%v)", g, i, k, old, exists, want, ok)
+						mismatch = fmt.Errorf("bench: chaos thread %d op %d: Upsert(%#x) saw (%#x,%v), oracle (%#x,%v)", g, i, k, old, exists, want, ok)
 					}
 					if exists {
 						return old
@@ -383,7 +373,7 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 			th.rot++
 			if err != nil {
 				if !classifyChaosErr(th, err) {
-					return fmt.Errorf("workload: chaos thread %d op %d (insert %#x): unexpected error: %w", g, i, k, err)
+					return fmt.Errorf("bench: chaos thread %d op %d (insert %#x): unexpected error: %w", g, i, k, err)
 				}
 			} else {
 				th.applied++
@@ -391,7 +381,7 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 		case OpDelete:
 			_, want := th.oracle[k]
 			if ok := m.Delete(k); ok != want {
-				return fmt.Errorf("workload: chaos thread %d op %d: Delete(%#x) = %v, oracle %v", g, i, k, ok, want)
+				return fmt.Errorf("bench: chaos thread %d op %d: Delete(%#x) = %v, oracle %v", g, i, k, ok, want)
 			}
 			delete(th.oracle, k)
 			th.applied++
@@ -399,7 +389,7 @@ func replayChaos(m *table.Handle, th *chaosThread, g, limit int) error {
 			v, ok := m.Get(k)
 			want, wok := th.oracle[k]
 			if ok != wok || (wok && v != want) {
-				return fmt.Errorf("workload: chaos thread %d op %d: Get(%#x) = (%#x,%v), oracle (%#x,%v)", g, i, k, v, ok, want, wok)
+				return fmt.Errorf("bench: chaos thread %d op %d: Get(%#x) = (%#x,%v), oracle (%#x,%v)", g, i, k, v, ok, want, wok)
 			}
 			th.applied++
 		}

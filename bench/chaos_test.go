@@ -1,7 +1,8 @@
-package workload
+package bench
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -84,8 +85,10 @@ func TestRunChaosValidation(t *testing.T) {
 	if _, err := RunChaos(ChaosConfig{Threads: 0}); err == nil {
 		t.Error("Threads 0 accepted")
 	}
-	if _, err := RunChaos(ChaosConfig{Threads: 1, GrowAt: 1.5}); err == nil {
-		t.Error("GrowAt 1.5 accepted")
+	for _, growAt := range []float64{1.5, -0.5, math.NaN()} {
+		if _, err := RunChaos(ChaosConfig{Threads: 1, GrowAt: growAt}); err == nil {
+			t.Errorf("GrowAt %v accepted", growAt)
+		}
 	}
 }
 

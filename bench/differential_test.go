@@ -1,4 +1,4 @@
-package workload
+package bench
 
 // Differential property test: replay RW op tapes against every scheme —
 // through the table.Open façade, partitioned and not — and cross-check

@@ -19,18 +19,18 @@ func RunFig2(opt Options) ([]WORMExperiment, error) {
 }
 
 // RunFig4 regenerates Figure 4: WORM at the high load factors 50/70/90%
-// with all open-addressing schemes; ChainedH24 participates only at 50%,
-// the last point where it fits the §4.5 memory budget.
+// with all open-addressing schemes; ChainedH24 participates only where it
+// fits the §4.5 memory budget, which is 50% alone.
 func RunFig4(opt Options) ([]WORMExperiment, error) {
 	opt = opt.withDefaults()
 	contenders := opt.contendersFor(
 		table.SchemeChained24,
 		table.SchemeCuckooH4, table.SchemeLP, table.SchemeQP, table.SchemeRH,
 	)
-	only50 := func(c contender, lf int) bool {
-		return c.scheme == table.SchemeChained24 && lf > 50
+	overBudget := func(c contender, lf int) bool {
+		return c.scheme == table.SchemeChained24 && !fitsChained24Budget(float64(lf)/100, opt.Capacity)
 	}
-	return runWORMFigure(opt, "fig4", dist.Kinds(), contenders, HighLoadFactors, only50)
+	return runWORMFigure(opt, "fig4", dist.Kinds(), contenders, HighLoadFactors, overBudget)
 }
 
 // RenderFig2 prints the Figure 2 panels.

@@ -7,7 +7,6 @@ import (
 
 	"repro/dist"
 	"repro/table"
-	"repro/workload"
 )
 
 // RWSeries is one curve of Figure 5: a labelled table across the
@@ -66,9 +65,9 @@ func RunFig5(opt Options) ([]RWExperiment, error) {
 	for r := 0; r < opt.Repeats; r++ {
 		seed := opt.Seed + uint64(r)*0x9e3779b9
 		gen := dist.New(dist.Sparse, seed)
-		tapes := make(map[int]*workload.Tape, len(UpdatePcts))
+		tapes := make(map[int]*Tape, len(UpdatePcts))
 		for _, up := range UpdatePcts {
-			tapes[up] = workload.GenRWTape(gen, opt.RWInitial, opt.RWOps, up, seed+uint64(up))
+			tapes[up] = GenRWTape(gen, opt.RWInitial, opt.RWOps, up, seed+uint64(up))
 		}
 		for _, grow := range GrowAtPcts {
 			for _, c := range contenders {
@@ -95,13 +94,13 @@ func RunFig5(opt Options) ([]RWExperiment, error) {
 // load. The timed loop holds nothing but table operations; hit and miss
 // counts and the final size are checked against the tape. It runs
 // through a Handle, since the RW stream is the dynamic case Open serves.
-func rwPoint(opt Options, c contender, tape *workload.Tape, seed uint64, grow, up int, s *RWSeries) error {
+func rwPoint(opt Options, c contender, tape *Tape, seed uint64, grow, up int, s *RWSeries) error {
 	if grow <= 0 || grow >= 100 {
 		return fmt.Errorf("RW grow-at threshold must be in (0,100)%%, got %d%%", grow)
 	}
 	m, err := table.Open(
 		table.WithScheme(c.scheme),
-		table.WithCapacity(2*opt.RWInitial+1),
+		table.WithCapacity(initialCapacityFor(opt.RWInitial)),
 		table.WithMaxLoadFactor(float64(grow)/100),
 		table.WithHashFamily(c.family),
 		table.WithSeed(seed),
@@ -123,9 +122,9 @@ func rwPoint(opt Options, c contender, tape *workload.Tape, seed uint64, grow, u
 	for i, kind := range tape.Kinds {
 		k := tape.Keys[i]
 		switch kind {
-		case workload.OpInsert:
+		case OpInsert:
 			m.Put(k, k)
-		case workload.OpDelete:
+		case OpDelete:
 			m.Delete(k)
 		default:
 			if v, ok := m.Get(k); ok {

@@ -6,7 +6,6 @@ import (
 	"repro/dist"
 	"repro/hashfn"
 	"repro/table"
-	"repro/workload"
 )
 
 func TestRunWORMValidation(t *testing.T) {
@@ -64,7 +63,7 @@ func TestWORMChainedBudget(t *testing.T) {
 	if s.OverBudget[35] {
 		t.Fatalf("Chained24 at 35%% flagged over budget (%d bytes)", s.MemoryBytes[35])
 	}
-	budget := uint64(table.ChainedBudgetFactor * 16 * float64(capacity))
+	budget := uint64(chainedBudget(capacity))
 	if s.MemoryBytes[35] > budget {
 		t.Fatalf("footprint %d exceeds budget %d but was not flagged", s.MemoryBytes[35], budget)
 	}
@@ -102,7 +101,7 @@ func TestWormProbeTape(t *testing.T) {
 // sizes).
 func TestRunRWAllSchemes(t *testing.T) {
 	const initial, ops, seed = 2000, 30000, 21
-	tape := workload.GenRWTape(dist.New(dist.Sparse, seed), initial, ops, 25, 22)
+	tape := GenRWTape(dist.New(dist.Sparse, seed), initial, ops, 25, 22)
 	opt := Options{RWInitial: initial}.withDefaults()
 	for _, c := range withFamilies([]hashfn.Family{hashfn.MultFamily{}}, table.Schemes()...) {
 		for _, grow := range []int{50, 90} {

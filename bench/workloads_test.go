@@ -1,4 +1,4 @@
-package workload
+package bench
 
 import (
 	"testing"
@@ -85,10 +85,51 @@ func TestNewWORMTableChainedSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Capacity() != table.Chained24DirectorySlots(0.35, 1<<16) {
+	if m.Capacity() != chained24DirectorySlots(0.35, 1<<16) {
 		t.Fatalf("directory = %d slots", m.Capacity())
 	}
 	if _, err := NewWORMTable("bogus", hashfn.MultFamily{}, 1<<10, 0.5, 1); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+}
+
+// TestChainedDirectorySizing pins the §4.5 budget arithmetic at the
+// paper's own scale (2^30 slots).
+func TestChainedDirectorySizing(t *testing.T) {
+	const l = 1 << 30
+	// Paper Figure 3: ChainedH8 directory is 2^30 slots at 25/35%, 2^29 at 45%.
+	if got := chained8DirectorySlots(0.25, l); got != 1<<30 {
+		t.Errorf("Chained8 at 25%%: %d slots, want 2^30", got)
+	}
+	if got := chained8DirectorySlots(0.35, l); got != 1<<30 {
+		t.Errorf("Chained8 at 35%%: %d slots, want 2^30", got)
+	}
+	if got := chained8DirectorySlots(0.45, l); got != 1<<29 {
+		t.Errorf("Chained8 at 45%%: %d slots, want 2^29", got)
+	}
+	// ChainedH24 directory is 2^29 across the low load factors.
+	for _, a := range []float64{0.25, 0.35, 0.45} {
+		if got := chained24DirectorySlots(a, l); got != 1<<29 {
+			t.Errorf("Chained24 at %.0f%%: %d slots, want 2^29", a*100, got)
+		}
+	}
+	// §5: chained fits the budget up to ~50% and fails at >= 70%.
+	if !fitsChained24Budget(0.5, l) {
+		t.Error("Chained24 should fit the budget at 50%")
+	}
+	if fitsChained24Budget(0.7, l) {
+		t.Error("Chained24 should exceed the budget at 70%")
+	}
+	if fitsChained24Budget(0.9, l) {
+		t.Error("Chained24 should exceed the budget at 90%")
+	}
+	// Figure 4 drops ChainedH24 by this model: at every capacity the
+	// figures run, it must keep exactly the points at or below 50%.
+	for slots := 4; slots <= 30; slots++ {
+		for _, lf := range AllLoadFactors {
+			if got := fitsChained24Budget(float64(lf)/100, 1<<slots); got != (lf <= 50) {
+				t.Errorf("Chained24 at %d%% of 2^%d slots: fits = %v, want %v", lf, slots, got, lf <= 50)
+			}
+		}
 	}
 }

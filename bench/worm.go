@@ -6,7 +6,6 @@ import (
 
 	"repro/dist"
 	"repro/table"
-	"repro/workload"
 )
 
 // runWORMFigure executes one WORM figure: every contender at every load
@@ -57,7 +56,7 @@ func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMS
 	repeats := float64(opt.Repeats)
 	// The paper drops chained tables over the §4.5 memory budget (110% of
 	// the open-addressing footprint).
-	budget := uint64(table.ChainedBudgetFactor * 16 * float64(capacity))
+	budget := uint64(chainedBudget(capacity))
 	chained := c.scheme == table.SchemeChained8 || c.scheme == table.SchemeChained24
 	var insertMops float64
 	var mem uint64
@@ -65,7 +64,7 @@ func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMS
 	lookupMops := make(map[int]float64, len(Mixes))
 	for r := 0; r < opt.Repeats; r++ {
 		seed := opt.Seed + uint64(r)*0x9e3779b9
-		m, err := workload.NewWORMTable(c.scheme, c.family, capacity, float64(lf)/100, seed)
+		m, err := NewWORMTable(c.scheme, c.family, capacity, float64(lf)/100, seed)
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/agg"
+	"repro/bench"
 	"repro/dist"
 	"repro/hashfn"
 	"repro/internal/prng"
@@ -20,7 +21,6 @@ import (
 	"repro/join"
 	"repro/pipe"
 	"repro/table"
-	"repro/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ func BenchmarkPut(b *testing.B) {
 func lookupBench(b *testing.B, s table.Scheme, f hashfn.Family, unsuccessfulPct int) {
 	const capacity = 1 << 16
 	n := capacity * 7 / 10
-	m, err := workload.NewWORMTable(s, f, capacity, 0.7, 42)
+	m, err := bench.NewWORMTable(s, f, capacity, 0.7, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func BenchmarkBatchProbe(b *testing.B) {
 				continue
 			}
 			n := capacity * lf / 100
-			m, err := workload.NewWORMTable(s, hashfn.MultFamily{}, capacity, float64(lf)/100, 42)
+			m, err := bench.NewWORMTable(s, hashfn.MultFamily{}, capacity, float64(lf)/100, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func BenchmarkBatchInsert(b *testing.B) {
 			vals[i] = uint64(i)
 		}
 		fresh := func(b *testing.B) table.Table {
-			m, err := workload.NewWORMTable(s, hashfn.MultFamily{}, capacity, 0.7, 42)
+			m, err := bench.NewWORMTable(s, hashfn.MultFamily{}, capacity, 0.7, 42)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -79,8 +80,10 @@ func TestRunJSON(t *testing.T) {
 
 func TestRunJSONInvalidWorkload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, table.Workload{LoadFactor: 1.5}, 1, true); err == nil {
-		t.Fatal("invalid workload should error")
+	for _, lf := range []float64{1.5, math.NaN()} {
+		if err := run(&buf, table.Workload{LoadFactor: lf}, 1, true); err == nil {
+			t.Fatalf("load factor %v: invalid workload should error", lf)
+		}
 	}
 }
 

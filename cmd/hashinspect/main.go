@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"os"
 
+	"repro/bench"
 	"repro/dist"
 	"repro/hashfn"
 	"repro/stats"
 	"repro/table"
-	"repro/workload"
 )
 
 func main() {
@@ -47,13 +47,16 @@ func run(scheme, fnName, distName string, slotsLog2 int, alpha float64, seed uin
 	if err != nil {
 		return err
 	}
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) {
 		return fmt.Errorf("load factor %v outside (0,1)", alpha)
+	}
+	if slotsLog2 < 4 || slotsLog2 > 30 {
+		return fmt.Errorf("-slots %d outside [4,30]", slotsLog2)
 	}
 	capacity := 1 << slotsLog2
 	n := int(alpha * float64(capacity))
 
-	m, err := workload.NewWORMTable(table.Scheme(scheme), family, capacity, alpha, seed)
+	m, err := bench.NewWORMTable(table.Scheme(scheme), family, capacity, alpha, seed)
 	if err != nil {
 		return err
 	}

@@ -30,12 +30,12 @@ import (
 	"net/http/pprof"
 	"os"
 
+	"repro/bench"
 	"repro/dist"
 	"repro/exec"
 	"repro/obs"
 	"repro/shard"
 	"repro/table"
-	"repro/workload"
 )
 
 type config struct {
@@ -78,6 +78,12 @@ const chunksPerThread = 8
 func run(out io.Writer, cfg config) error {
 	if cfg.threads < 1 {
 		return fmt.Errorf("need at least 1 thread, got %d", cfg.threads)
+	}
+	if cfg.initial < 0 || cfg.ops < 0 {
+		return fmt.Errorf("-initial %d and -ops %d must not be negative", cfg.initial, cfg.ops)
+	}
+	if cfg.updatePct < 0 || cfg.updatePct > 100 {
+		return fmt.Errorf("-update-pct %d outside [0,100]", cfg.updatePct)
 	}
 
 	// The instrumented pool: metrics striped per worker, one trace ring
@@ -129,11 +135,11 @@ func run(out io.Writer, cfg config) error {
 	// Per-thread tapes over per-thread generators. The demo drives load
 	// rather than a differential check, so the threads' key spaces may
 	// overlap — the engine is safe under that, and it keeps setup plain.
-	tapes := make([]*workload.Tape, cfg.threads)
+	tapes := make([]*bench.Tape, cfg.threads)
 	gens := make([]dist.Generator, cfg.threads)
 	for g := range tapes {
 		gens[g] = dist.New(dist.Dense, cfg.seed+uint64(g)*1257787)
-		tapes[g] = workload.GenRWTape(gens[g], cfg.initial, cfg.ops, cfg.updatePct, cfg.seed+uint64(g))
+		tapes[g] = bench.GenRWTape(gens[g], cfg.initial, cfg.ops, cfg.updatePct, cfg.seed+uint64(g))
 	}
 
 	// Untimed pre-fill, one pool task per thread.
@@ -162,11 +168,11 @@ func run(out io.Writer, cfg config) error {
 		for i := lo; i < hi; i++ {
 			k := tape.Keys[i]
 			switch tape.Kinds[i] {
-			case workload.OpInsert:
+			case bench.OpInsert:
 				if _, err := h.Put(k, k); err != nil {
 					return err
 				}
-			case workload.OpDelete:
+			case bench.OpDelete:
 				h.Delete(k)
 			default:
 				h.Get(k)

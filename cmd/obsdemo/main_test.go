@@ -103,3 +103,26 @@ func TestRunRejectsBadThreads(t *testing.T) {
 		t.Fatal("run accepted 0 threads")
 	}
 }
+
+// TestRunRejectsBadTapes: flag values the tape generator cannot honour
+// are errors from run, not panics inside it.
+func TestRunRejectsBadTapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*config)
+	}{
+		{"update-pct 150", func(c *config) { c.updatePct = 150 }},
+		{"update-pct -1", func(c *config) { c.updatePct = -1 }},
+		{"ops -1", func(c *config) { c.ops = -1 }},
+		{"initial -1", func(c *config) { c.initial = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig("")
+			tc.edit(&cfg)
+			var buf bytes.Buffer
+			if err := run(&buf, cfg); err == nil {
+				t.Fatal("run accepted it")
+			}
+		})
+	}
+}

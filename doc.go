@@ -14,10 +14,11 @@
 //	           pool, morsel scheduling, the shared scatter→gather primitive)
 //	hashfn   — the four hash-function classes
 //	dist     — the three key distributions
-//	workload — the WORM table constructor, the RW op tapes and the chaos harness
 //	stats    — displacement/cluster/chain analysis and Knuth's formulas
-//	bench    — the harness regenerating every figure of the evaluation,
-//	           through one WORM and one RW measuring point
+//	bench    — the paper's workloads (the WORM table constructor with the
+//	           §4.5 memory budget, the RW op tapes), the harness
+//	           regenerating every figure of the evaluation through one WORM
+//	           and one RW measuring point, and the chaos harness
 //	decision — shard-count and worker-count advice for concurrent use
 //
 // See README.md for a tour, the new-API migration table, and how to

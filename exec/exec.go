@@ -2,7 +2,7 @@
 //
 // Every parallel operator above the table layer — pipe's scans, join
 // phases and group-bys, the sharded engine's parallel open,
-// workload.RunChaos — schedules its work here rather than with ad-hoc
+// bench.RunChaos — schedules its work here rather than with ad-hoc
 // goroutine fan-out: one scheduling core, the way morsel-driven query
 // execution (Leis et al., SIGMOD 2014) structures parallelism: a bounded
 // pool of workers, work carved into cache-friendly morsels (index

@@ -6,7 +6,7 @@ import (
 )
 
 // CtxPropagate enforces the cancellation contract: a function that
-// accepts a Config carrying a Ctx field (pipe.Config, workload's
+// accepts a Config carrying a Ctx field (pipe.Config, bench's
 // ChaosConfig, ...) must thread that context into
 // the exec.Config values it builds. An exec.Config composite literal
 // without a Ctx element inside such a function silently launches

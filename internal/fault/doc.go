@@ -35,7 +35,7 @@
 //   - Stall   -> scheduler yields inside migration steps -> widened
 //     race windows for -race chaos runs.
 //
-// The package is internal: it exists for workload.RunChaos, the
+// The package is internal: it exists for bench.RunChaos, the
 // FuzzFaultSchedule target, and robustness tests — not as a public
 // chaos API.
 package fault

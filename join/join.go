@@ -27,11 +27,11 @@ type Emit func(key, buildPayload, probePayload uint64)
 
 // CapacityFor returns the power-of-two capacity that places n keys at or
 // below the target load factor lf — the build-side pre-sizing rule of
-// pipe.HashJoin and agg.GroupBy. lf outside (0, 1) is treated as the join
-// default 0.5. The result stops at the largest power of two an int holds,
+// pipe.HashJoin and agg.GroupBy. lf outside (0, 1), NaN included, is
+// treated as the join default 0.5. The result stops at the largest power of two an int holds,
 // which no table opens: table.Open rejects it.
 func CapacityFor(n int, lf float64) int {
-	if lf <= 0 || lf >= 1 {
+	if !(lf > 0 && lf < 1) {
 		lf = 0.5
 	}
 	c := 8

@@ -24,6 +24,9 @@ package shard
 // through rmwLocked, the scalar writers' one locked path, which also
 // advances the migration — batches make resize progress proportional to
 // their size — and so does a steady range whose pipeline was refused.
+// UpsertBatch always goes key by key, steady or not: no workload batches
+// its upserts through an engine, and a refused pipeline could not be
+// re-applied without calling fn twice for a lane.
 
 import (
 	"sync"
@@ -38,18 +41,14 @@ import (
 type staging struct {
 	scatter
 
-	// UpsertBatch's relays, bound to this staging once, when it is made, so
-	// no closure is allocated per call. Both forward to the caller's fn
-	// under the caller's lane numbering: relay is handed to the table
-	// pipeline and records the last lane computed (see upsertBatchShard);
-	// relayAt is handed to rmwLocked, for the staged lane in lane.
-	relay    func(lane int, old uint64, exists bool) uint64
-	relayAt  func(old uint64, exists bool) uint64
-	fn       func(lane int, old uint64, exists bool) uint64
-	orig     []int32 // staged lane → caller lane; nil when the range is unscattered
-	lane     int
-	lastLane int
-	lastVal  uint64
+	// UpsertBatch's relay, bound to this staging once, when it is made, so
+	// no closure is allocated per call. It is handed to rmwLocked and
+	// forwards to the caller's fn for the staged lane in lane, under the
+	// caller's lane numbering.
+	relay func(old uint64, exists bool) uint64
+	fn    func(lane int, old uint64, exists bool) uint64
+	orig  []int32 // staged lane → caller lane; nil when the range is unscattered
+	lane  int
 }
 
 // maxPooledLanes is the largest scatter (in staged lanes, 25 bytes each)
@@ -59,7 +58,7 @@ const maxPooledLanes = 1 << 16
 
 var stagingPool = sync.Pool{New: func() any {
 	st := new(staging)
-	st.relay, st.relayAt = st.relayUpsert, st.relayLane
+	st.relay = st.relayLane
 	return st
 }}
 
@@ -81,12 +80,6 @@ func (st *staging) callerLane(i int) int {
 		return int(st.orig[i])
 	}
 	return i
-}
-
-func (st *staging) relayUpsert(lane int, old uint64, exists bool) uint64 {
-	v := st.fn(st.callerLane(lane), old, exists)
-	st.lastLane, st.lastVal = lane, v
-	return v
 }
 
 func (st *staging) relayLane(old uint64, exists bool) uint64 {
@@ -266,47 +259,17 @@ func (e *Engine) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 	return n, err
 }
 
-// upsertBatchShard applies one shard's staged keys; orig maps staged lanes
-// back to the caller's lanes for fn (nil when keys is the caller's own
-// column). st carries the relays fn is reached through.
+// upsertBatchShard applies one shard's staged keys under one lock, key by
+// key through rmwLocked; orig maps staged lanes back to the caller's lanes
+// for fn (nil when keys is the caller's own column). st carries the relay
+// fn is reached through.
 func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	s.lockShard()
 	defer s.unlockShard()
-	e.advance(s)
-	e.degradedTick(s)
 	st.fn, st.orig = fn, orig
 	inserted := 0
-	st.lane = 0
-	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
-		// A half-applied UpsertBatch cannot simply be re-applied (fn
-		// would observe its own partial effects), so the relay records
-		// the last lane fn computed for and its value: on a refusal —
-		// unreachable for the probing and chained schemes below the
-		// threshold, a failed kick chain for Cuckoo — the pipeline's
-		// contract guarantees every earlier lane is stored, and the last
-		// computed value is re-stored as a Put (idempotent if it already
-		// landed) without invoking fn again.
-		st.lastLane = -1
-		ins, err := v.cur.UpsertBatch(keys, st.relay)
-		s.live.Add(int64(ins))
-		if err == nil || e.growAt <= 0 {
-			return ins, err
-		}
-		inserted = ins
-		_ = e.growForRefusal(s, err) // the key-by-key pass below reports each key's outcome
-		if st.lastLane >= 0 {
-			_, existed, err := e.rmwLocked(s, keys[st.lastLane], st.lastVal, true, nil)
-			if err != nil {
-				return inserted, err
-			}
-			if !existed {
-				inserted++
-			}
-			st.lane = st.lastLane + 1
-		}
-	}
-	for ; st.lane < len(keys); st.lane++ {
-		_, existed, err := e.rmwLocked(s, keys[st.lane], 0, false, st.relayAt)
+	for st.lane = 0; st.lane < len(keys); st.lane++ {
+		_, existed, err := e.rmwLocked(s, keys[st.lane], 0, false, st.relay)
 		if err != nil {
 			return inserted, err
 		}

@@ -1,7 +1,7 @@
 package shard_test
 
 // Concurrent differential test: 8 writer goroutines replay interleaved RW
-// op tapes (workload.GenRWTape) against one shard.Engine and validate
+// op tapes (bench.GenRWTape) against one shard.Engine and validate
 // every operation's result against a mutex-guarded builtin-map oracle.
 // The goroutines' tapes draw from disjoint index ranges of one injective
 // distribution, so each goroutine's keys are private — its oracle view is
@@ -25,11 +25,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/bench"
 	"repro/dist"
 	"repro/internal/fault"
 	"repro/shard"
 	"repro/table"
-	"repro/workload"
 )
 
 // valTag makes stored values a checkable function of their key, so the
@@ -97,7 +97,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			og := offsetGen{gen: gen, base: uint64(g) * stride}
-			tape := workload.GenRWTape(og, initial, ops, updatePct, uint64(g)*977+1)
+			tape := bench.GenRWTape(og, initial, ops, updatePct, uint64(g)*977+1)
 			// Pre-fill this goroutine's initial live set (concurrently with
 			// the other goroutines' replays — the tape's first ops assume
 			// these keys are live).
@@ -114,7 +114,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 			for i, kind := range tape.Kinds {
 				k := tape.Keys[i]
 				switch kind {
-				case workload.OpInsert:
+				case bench.OpInsert:
 					omu.Lock()
 					_, existed := oracle[k]
 					omu.Unlock()
@@ -142,7 +142,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 					omu.Lock()
 					oracle[k] = k ^ valTag
 					omu.Unlock()
-				case workload.OpDelete:
+				case bench.OpDelete:
 					omu.Lock()
 					_, existed := oracle[k]
 					delete(oracle, k)
@@ -151,7 +151,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 						t.Errorf("g%d Delete(%d) = %v, oracle existed=%v", g, k, had, existed)
 						return
 					}
-				case workload.OpLookupHit, workload.OpLookupMiss:
+				case bench.OpLookupHit, bench.OpLookupMiss:
 					omu.Lock()
 					want, existed := oracle[k]
 					omu.Unlock()

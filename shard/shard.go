@@ -362,7 +362,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.NewTable == nil {
 		return nil, fmt.Errorf("shard: Config.NewTable is required")
 	}
-	if cfg.GrowAt < 0 || cfg.GrowAt >= 1 {
+	if !(cfg.GrowAt >= 0 && cfg.GrowAt < 1) {
 		return nil, fmt.Errorf("shard: grow threshold %v outside [0, 1); use 0 to disable growth", cfg.GrowAt)
 	}
 	if cfg.Capacity < 0 {

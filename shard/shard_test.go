@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/shard"
@@ -34,11 +35,10 @@ func TestEngineConfigValidation(t *testing.T) {
 	nt := func(capacity int, seed uint64) (shard.Table, error) {
 		return table.New(table.SchemeLP, table.Config{InitialCapacity: capacity, Seed: seed})
 	}
-	if _, err := shard.New(shard.Config{GrowAt: 1.0, NewTable: nt}); err == nil {
-		t.Fatal("grow threshold 1.0 accepted")
-	}
-	if _, err := shard.New(shard.Config{GrowAt: -0.1, NewTable: nt}); err == nil {
-		t.Fatal("negative grow threshold accepted")
+	for _, growAt := range []float64{1.0, -0.1, math.NaN(), math.Inf(1)} {
+		if _, err := shard.New(shard.Config{GrowAt: growAt, NewTable: nt}); err == nil {
+			t.Fatalf("grow threshold %v accepted", growAt)
+		}
 	}
 	if _, err := shard.New(shard.Config{Capacity: -1, NewTable: nt}); err == nil {
 		t.Fatal("negative capacity accepted")
@@ -304,29 +304,23 @@ func TestEngineGetOrPutBatchDropsResults(t *testing.T) {
 	}
 }
 
-// refusingTable wraps a real table and synthesizes one mid-batch
-// UpsertBatch refusal: earlier lanes are stored, the failing lane's fn is
-// invoked but its value is NOT stored — exactly the state a failed Cuckoo
-// kick chain leaves behind. The engine must recover without invoking any
-// lane's fn a second time.
+// refusingTable wraps a real table and refuses its refuseAt-th scalar
+// Upsert before calling fn, as the Table contract requires of a refusal:
+// the state a failed Cuckoo kick chain leaves behind. UpsertBatch reaches
+// a steady shard's table one key at a time, so the refusal lands
+// mid-batch. The engine must recover without invoking any lane's fn a
+// second time.
 type refusingTable struct {
 	shard.Table
-	refused bool
+	upserts, refuseAt int
 }
 
-func (r *refusingTable) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	if r.refused || len(keys) < 3 {
-		return r.Table.UpsertBatch(keys, fn)
+func (r *refusingTable) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	r.upserts++
+	if r.upserts == r.refuseAt {
+		return 0, errors.New("synthetic kick-chain refusal")
 	}
-	r.refused = true
-	j := len(keys) / 2
-	ins, err := r.Table.UpsertBatch(keys[:j], fn)
-	if err != nil {
-		return ins, err
-	}
-	old, exists := r.Table.Get(keys[j])
-	_ = fn(j, old, exists) // computed but never stored
-	return ins, errors.New("synthetic kick-chain refusal")
+	return r.Table.Upsert(key, fn)
 }
 
 func TestEngineUpsertBatchRefusalRecovery(t *testing.T) {
@@ -340,7 +334,7 @@ func TestEngineUpsertBatchRefusalRecovery(t *testing.T) {
 			}
 			if first {
 				first = false
-				return &refusingTable{Table: inner}, nil
+				return &refusingTable{Table: inner, refuseAt: 50}, nil
 			}
 			return inner, nil
 		},

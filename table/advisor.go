@@ -54,7 +54,7 @@ type Workload struct {
 
 // Validate reports whether the workload's fields are in range.
 func (w Workload) Validate() error {
-	if w.LoadFactor <= 0 || w.LoadFactor >= 1 {
+	if !(w.LoadFactor > 0 && w.LoadFactor < 1) {
 		return fmt.Errorf("table: workload load factor %v outside (0,1)", w.LoadFactor)
 	}
 	if w.UnsuccessfulPct < 0 || w.UnsuccessfulPct > 100 {

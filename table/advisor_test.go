@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ func TestValidation(t *testing.T) {
 		{LoadFactor: 0, UnsuccessfulPct: 0},
 		{LoadFactor: 1, UnsuccessfulPct: 0},
 		{LoadFactor: -0.5, UnsuccessfulPct: 0},
+		{LoadFactor: math.NaN(), UnsuccessfulPct: 0},
 		{LoadFactor: 0.5, UnsuccessfulPct: -1},
 		{LoadFactor: 0.5, UnsuccessfulPct: 101},
 	}

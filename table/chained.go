@@ -1,9 +1,6 @@
 package table
 
 import (
-	"math"
-	"math/bits"
-
 	"repro/hashfn"
 	"repro/internal/slab"
 )
@@ -493,62 +490,4 @@ func (t *chained24) ChainLengths() []int {
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// §4.5 memory-budget directory sizing
-// ---------------------------------------------------------------------------
-
-// ChainedBudgetFactor is the paper's memory allowance for chained tables:
-// their footprint may exceed the open-addressing footprint by at most 10%.
-const ChainedBudgetFactor = 1.10
-
-// floorPow2 returns the largest power of two <= x (minimum 8).
-func floorPow2(x float64) int {
-	if x < 8 {
-		return 8
-	}
-	return 1 << uint(bits.Len64(uint64(x))-1)
-}
-
-// Chained8DirectorySlots returns the largest power-of-two directory size
-// such that a ChainedH8 table holding n = alpha*oaCapacity entries stays
-// within 110% of the open-addressing footprint 16*oaCapacity (§4.5). Every
-// ChainedH8 entry lives in the slab (24 bytes), so the directory gets what
-// remains of the budget at 8 bytes per slot.
-func Chained8DirectorySlots(alpha float64, oaCapacity int) int {
-	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
-	n := alpha * float64(oaCapacity)
-	remaining := budget - 24*n
-	return floorPow2(remaining / 8)
-}
-
-// Chained24DirectorySlots returns the largest power-of-two directory size
-// whose 24-byte slots alone fit the §4.5 budget; overflow chains must fit
-// in the remaining slack, which fitsChained24Budget estimates.
-func Chained24DirectorySlots(alpha float64, oaCapacity int) int {
-	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
-	return floorPow2(budget / 24)
-}
-
-// expectedChained24Overflow estimates, for n entries hashed uniformly into
-// dirSlots buckets, how many entries overflow into chains: n minus the
-// expected number of occupied buckets m*(1 - (1-1/m)^n) ~= m*(1-e^(-n/m)).
-func expectedChained24Overflow(n, dirSlots int) float64 {
-	m := float64(dirSlots)
-	lam := float64(n) / m
-	occupied := m * (1 - math.Exp(-lam))
-	return float64(n) - occupied
-}
-
-// fitsChained24Budget reports whether a ChainedH24 table with the §4.5
-// directory sizing is expected to hold n = alpha*oaCapacity entries within
-// the 110% budget. At alpha >= ~0.7 this returns false — the paper's reason
-// for dropping chained hashing from the high-load-factor experiments.
-func fitsChained24Budget(alpha float64, oaCapacity int) bool {
-	budget := ChainedBudgetFactor * 16 * float64(oaCapacity)
-	dir := Chained24DirectorySlots(alpha, oaCapacity)
-	n := int(alpha * float64(oaCapacity))
-	overflow := expectedChained24Overflow(n, dir)
-	return float64(dir)*24+overflow*24 <= budget
 }

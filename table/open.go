@@ -89,8 +89,8 @@ func WithCapacity(n int) Option {
 // WithMaxLoadFactor sets the occupancy threshold at which the table grows.
 // Zero disables growth (the paper's pre-allocated WORM contract: mutations
 // return ErrFull when the fixed capacity is exhausted). Values outside
-// [0, 1) are rejected by Open, where New's Config would silently read them
-// as 0.
+// [0, 1), NaN included, are rejected by Open, where New's Config would
+// silently read them as 0.
 func WithMaxLoadFactor(f float64) Option {
 	return func(c *openConfig) error {
 		c.maxLF = f
@@ -201,11 +201,11 @@ func Open(opts ...Option) (*Handle, error) {
 			return nil, err
 		}
 	}
-	if cfg.maxLFSet && (cfg.maxLF < 0 || cfg.maxLF >= 1) {
+	if cfg.maxLFSet && !(cfg.maxLF >= 0 && cfg.maxLF < 1) {
 		if cfg.maxLF < 0 {
 			return nil, fmt.Errorf("table: max load factor %v is negative; use 0 to disable growth explicitly", cfg.maxLF)
 		}
-		return nil, fmt.Errorf("table: max load factor %v >= 1 can never trigger growth; use a value in (0,1), or 0 to disable growth", cfg.maxLF)
+		return nil, fmt.Errorf("table: max load factor %v can never trigger growth; use a value in (0,1), or 0 to disable growth", cfg.maxLF)
 	}
 	if cfg.schemeSet && cfg.workload != nil {
 		return nil, fmt.Errorf("table: WithScheme and WithWorkload are mutually exclusive; drop one")

@@ -42,6 +42,10 @@ func TestOpenOptionValidation(t *testing.T) {
 		{"maxLF>=1", []Option{WithMaxLoadFactor(1.0)}, "never trigger growth"},
 		{"maxLF>1", []Option{WithMaxLoadFactor(1.5)}, "never trigger growth"},
 		{"maxLF<0", []Option{WithMaxLoadFactor(-0.3)}, "negative"},
+		// NaN fails every comparison, so only a check written to accept
+		// the valid range rejects it; a NaN threshold grows on every Put.
+		{"maxLF NaN", []Option{WithMaxLoadFactor(math.NaN())}, "never trigger growth"},
+		{"maxLF NaN, striped", []Option{WithMaxLoadFactor(math.NaN()), WithPartitions(4)}, "never trigger growth"},
 		{"negative capacity", []Option{WithCapacity(-1)}, "negative capacity"},
 		// A slot array no address space holds is an error, not a
 		// makeslice panic, single or striped.

@@ -450,38 +450,6 @@ func TestChained8SlabReuse(t *testing.T) {
 	}
 }
 
-// TestChainedDirectorySizing pins the §4.5 budget arithmetic at the
-// paper's own scale (2^30 slots).
-func TestChainedDirectorySizing(t *testing.T) {
-	const l = 1 << 30
-	// Paper Figure 3: ChainedH8 directory is 2^30 slots at 25/35%, 2^29 at 45%.
-	if got := Chained8DirectorySlots(0.25, l); got != 1<<30 {
-		t.Errorf("Chained8 at 25%%: %d slots, want 2^30", got)
-	}
-	if got := Chained8DirectorySlots(0.35, l); got != 1<<30 {
-		t.Errorf("Chained8 at 35%%: %d slots, want 2^30", got)
-	}
-	if got := Chained8DirectorySlots(0.45, l); got != 1<<29 {
-		t.Errorf("Chained8 at 45%%: %d slots, want 2^29", got)
-	}
-	// ChainedH24 directory is 2^29 across the low load factors.
-	for _, a := range []float64{0.25, 0.35, 0.45} {
-		if got := Chained24DirectorySlots(a, l); got != 1<<29 {
-			t.Errorf("Chained24 at %.0f%%: %d slots, want 2^29", a*100, got)
-		}
-	}
-	// §5: chained fits the budget up to ~50% and fails at >= 70%.
-	if !fitsChained24Budget(0.5, l) {
-		t.Error("Chained24 should fit the budget at 50%")
-	}
-	if fitsChained24Budget(0.7, l) {
-		t.Error("Chained24 should exceed the budget at 70%")
-	}
-	if fitsChained24Budget(0.9, l) {
-		t.Error("Chained24 should exceed the budget at 90%")
-	}
-}
-
 // TestChainLengthsAndOverflow sanity-checks the diagnostics.
 func TestChainLengthsAndOverflow(t *testing.T) {
 	m8 := newChained8(Config{InitialCapacity: 16, Seed: 23})

@@ -31,8 +31,6 @@ var exportedSurface = []string{
 	"SchemeLPSoA", "SchemeQP", "SchemeRH", "SchemeCuckooH4",
 	"Schemes", "KernelSchemes", "AllSchemes",
 	"Workload", "Workload.Validate", "Recommend",
-	// The §4.5 chained memory budget.
-	"ChainedBudgetFactor", "Chained8DirectorySlots", "Chained24DirectorySlots",
 	// Errors and observability.
 	"ErrFull", "FullError", "FullError.Error", "FullError.Unwrap", "Stats", "StatsOf",
 }

@@ -201,7 +201,7 @@ func (c Config) withDefaults() Config {
 	if c.Family == nil {
 		c.Family = hashfn.MultFamily{}
 	}
-	if c.MaxLoadFactor < 0 || c.MaxLoadFactor >= 1 {
+	if !(c.MaxLoadFactor >= 0 && c.MaxLoadFactor < 1) {
 		c.MaxLoadFactor = 0
 	}
 	return c

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/hashfn"
@@ -397,8 +398,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.InitialCapacity != 1024 {
 		t.Errorf("capacity 1000 rounded to %d, want 1024", c.InitialCapacity)
 	}
-	c = Config{MaxLoadFactor: 1.5}.withDefaults()
-	if c.MaxLoadFactor != 0 {
-		t.Errorf("out-of-range MaxLoadFactor normalized to %v, want 0", c.MaxLoadFactor)
+	for _, lf := range []float64{1.5, -0.5, math.NaN()} {
+		if c := (Config{MaxLoadFactor: lf}).withDefaults(); c.MaxLoadFactor != 0 {
+			t.Errorf("out-of-range MaxLoadFactor %v normalized to %v, want 0", lf, c.MaxLoadFactor)
+		}
 	}
 }
