@@ -299,12 +299,18 @@ func checkPublishChokepoint(pass *Pass, fd *ast.FuncDecl) {
 // scanHeldRegions walks a statement list tracking which shard locks are
 // held (raw mutex calls and the seqlock window helpers alike), and
 // flags exec-package calls made while any is, and pending-set writes
-// made while none is. held maps receiver text
+// made while none is. It walks into every nested statement list —
+// blocks, if and else-if branches, loops (labeled or not), switch and
+// select cases — and visits each statement once. held maps receiver text
 // to the read/write flavor last taken; nested blocks see a copy, so
 // branch-local locks do not leak into siblings.
 func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 	held = copyHeld(held)
 	for _, stmt := range stmts {
+		// A label names its statement: scan the statement itself.
+		for l, ok := stmt.(*ast.LabeledStmt); ok; l, ok = stmt.(*ast.LabeledStmt) {
+			stmt = l.Stmt
+		}
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
@@ -344,8 +350,8 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 				body[recv] = true
 			}
 			scanHeldRegions(pass, s.Body.List, body)
-			if el, ok := s.Else.(*ast.BlockStmt); ok {
-				scanHeldRegions(pass, el.List, held)
+			if s.Else != nil { // a block, or the if of an else-if
+				scanHeldRegions(pass, []ast.Stmt{s.Else}, held)
 			}
 			if n := len(s.Body.List); recv != "" && negated && n > 0 {
 				if _, leaves := s.Body.List[n-1].(*ast.ReturnStmt); leaves {
@@ -357,17 +363,22 @@ func scanHeldRegions(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 		case *ast.RangeStmt:
 			scanHeldRegions(pass, s.Body.List, held)
 		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanHeldRegions(pass, cc.Body, held)
-				}
-			}
+			scanClauses(pass, s.Body, held)
 		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanHeldRegions(pass, cc.Body, held)
-				}
-			}
+			scanClauses(pass, s.Body, held)
+		case *ast.SelectStmt:
+			scanClauses(pass, s.Body, held)
+		}
+	}
+}
+
+// scanClauses scans the case bodies of a switch, type switch or select.
+func scanClauses(pass *Pass, body *ast.BlockStmt, held map[string]bool) {
+	for _, c := range body.List {
+		if cc, ok := c.(*ast.CaseClause); ok {
+			scanHeldRegions(pass, cc.Body, held)
+		} else if cc, ok := c.(*ast.CommClause); ok {
+			scanHeldRegions(pass, cc.Body, held)
 		}
 	}
 }
@@ -398,12 +409,12 @@ func copyHeld(held map[string]bool) map[string]bool {
 }
 
 // flagExecCalls reports exec-package calls inside stmt (excluding nested
-// statement lists, which the caller recurses into separately with the
-// right held set, but including expressions like call arguments).
+// statement lists and else-if statements, which the caller recurses into
+// separately with the right held set, but including expressions like call
+// arguments).
 func flagExecCalls(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.BlockStmt:
+		if nested(stmt, n) {
 			return false // handled by the caller's recursion
 		}
 		if call, ok := n.(*ast.CallExpr); ok && pass.isExecCall(call) {
@@ -418,12 +429,20 @@ func flagExecCalls(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 	})
 }
 
+// nested reports whether n, met inside stmt, is a block or an else-if,
+// which scanHeldRegions scans on its own: each statement is visited once.
+func nested(stmt ast.Stmt, n ast.Node) bool {
+	_, isIf := n.(*ast.IfStmt)
+	_, isBlock := n.(*ast.BlockStmt)
+	return isBlock || isIf && n != stmt
+}
+
 // flagPendingWrites reports the pending set's writer methods called
 // inside stmt, which runs with no shard lock held (nested statement lists
 // excepted, as in flagExecCalls).
 func flagPendingWrites(pass *Pass, stmt ast.Stmt) {
 	ast.Inspect(stmt, func(n ast.Node) bool {
-		if _, ok := n.(*ast.BlockStmt); ok {
+		if nested(stmt, n) {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)

@@ -405,3 +405,47 @@ func (e *Engine) badPendingApply(s *pendState) {
 	s.unlockShard()
 	s.pend.apply(t) // want `pending set's apply called with no shard lock held`
 }
+
+// badPendingAddElseIf adds with no lock held in an else-if branch.
+func (e *Engine) badPendingAddElseIf(s *pendState, key uint64) {
+	if s.pend.has(key) {
+		return
+	} else if key != 0 {
+		s.pend.add(key) // want `pending set's add called with no shard lock held`
+	}
+}
+
+// badPendingAddLabeled adds with no lock held in a labeled loop.
+func (e *Engine) badPendingAddLabeled(s *pendState, keys []uint64) {
+outer:
+	for _, key := range keys {
+		if s.pend.has(key) {
+			continue outer
+		}
+		s.pend.add(key) // want `pending set's add called with no shard lock held`
+	}
+}
+
+// badPendingAddSelect adds with no lock held in a select case.
+func (e *Engine) badPendingAddSelect(s *pendState, key uint64, done <-chan struct{}) {
+	select {
+	case <-done:
+		s.pend.add(key) // want `pending set's add called with no shard lock held`
+	default:
+	}
+}
+
+// badElseIfSubmit submits to the pool under the lock from an else-if
+// condition and from its body; each call is reported once.
+func (e *Engine) badElseIfSubmit(s *seqState, n int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n == 0 {
+		return nil
+	} else if err := e.pool.ForEach(n, func(_, _ int) error { return nil }); err != nil { // want `call into exec while s\.mu is locked`
+		return err
+	} else if n > 1 {
+		return e.pool.ForEach(n, func(_, _ int) error { return nil }) // want `call into exec while s\.mu is locked`
+	}
+	return nil
+}

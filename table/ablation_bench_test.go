@@ -22,7 +22,7 @@ import (
 // rhGetNoAbort is RH lookup without the early-abort criterion: plain LP
 // probing over the RH layout, the baseline the paper's tuned variant beats
 // on unsuccessful lookups.
-func rhGetNoAbort(t *robinHood, key uint64) (uint64, bool) {
+func rhGetNoAbort(t *kern, key uint64) (uint64, bool) {
 	i := t.home(key)
 	for {
 		s := &t.slots[i]
@@ -38,7 +38,7 @@ func rhGetNoAbort(t *robinHood, key uint64) (uint64, bool) {
 
 // rhGetAbortEveryProbe recomputes the displacement on every probe — the
 // variant the paper rejected as "prohibitively expensive w.r.t. runtime".
-func rhGetAbortEveryProbe(t *robinHood, key uint64) (uint64, bool) {
+func rhGetAbortEveryProbe(t *kern, key uint64) (uint64, bool) {
 	i := t.home(key)
 	for d := uint64(0); ; d++ {
 		s := &t.slots[i]
@@ -55,10 +55,10 @@ func rhGetAbortEveryProbe(t *robinHood, key uint64) (uint64, bool) {
 	}
 }
 
-func buildRH(b *testing.B, capacity int, lfPct int) (*robinHood, []uint64, []uint64) {
+func buildRH(b *testing.B, capacity int, lfPct int) (*kern, []uint64, []uint64) {
 	b.Helper()
 	n := capacity * lfPct / 100
-	m := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+	m := newKern(SchemeRH, Config{InitialCapacity: capacity, Seed: 42})
 	rng := prng.NewXoshiro256(1)
 	present := make([]uint64, n)
 	for i := range present {
@@ -79,9 +79,9 @@ func BenchmarkAblationRHEarlyAbort(b *testing.B) {
 		m, _, absent := buildRH(b, 1<<16, lf)
 		variants := []struct {
 			name string
-			get  func(*robinHood, uint64) (uint64, bool)
+			get  func(*kern, uint64) (uint64, bool)
 		}{
-			{"cacheline", (*robinHood).Get}, // the paper's tuned choice
+			{"cacheline", (*kern).Get}, // the paper's tuned choice
 			{"never", rhGetNoAbort},
 			{"everyprobe", rhGetAbortEveryProbe},
 		}
@@ -104,9 +104,9 @@ func BenchmarkAblationRHEarlyAbortSuccessful(b *testing.B) {
 	m, present, _ := buildRH(b, 1<<16, 90)
 	variants := []struct {
 		name string
-		get  func(*robinHood, uint64) (uint64, bool)
+		get  func(*kern, uint64) (uint64, bool)
 	}{
-		{"cacheline", (*robinHood).Get},
+		{"cacheline", (*kern).Get},
 		{"never", rhGetNoAbort},
 	}
 	for _, v := range variants {
@@ -129,8 +129,8 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	const lfPct = 70
 	n := capacity * lfPct / 100
 	setup := func() (Table, Table, []uint64) {
-		lp := newLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
-		rh := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+		lp := newKern(SchemeLP, Config{InitialCapacity: capacity, Seed: 42})
+		rh := newKern(SchemeRH, Config{InitialCapacity: capacity, Seed: 42})
 		rng := prng.NewXoshiro256(2)
 		keys := make([]uint64, n)
 		for i := range keys {
@@ -236,8 +236,8 @@ func BenchmarkAblationChainedDirectory(b *testing.B) {
 func BenchmarkAblationAoSvsSoAHit(b *testing.B) {
 	const capacity = 1 << 18
 	n := capacity / 2
-	aos := newLinearProbing(Config{InitialCapacity: capacity, Seed: 42})
-	soa := newLinearProbingSoA(Config{InitialCapacity: capacity, Seed: 42})
+	aos := newKern(SchemeLP, Config{InitialCapacity: capacity, Seed: 42})
+	soa := newKern(SchemeLPSoA, Config{InitialCapacity: capacity, Seed: 42})
 	rng := prng.NewXoshiro256(6)
 	keys := make([]uint64, n)
 	for i := range keys {
@@ -267,7 +267,7 @@ func BenchmarkAblationAoSvsSoAHit(b *testing.B) {
 // recomputation; this ablation quantifies the difference (it is why our RH
 // is more competitive on write-heavy workloads than the paper's, see
 // EXPERIMENTS.md).
-func rhDeleteTailRehash(t *robinHood, key uint64) bool {
+func rhDeleteTailRehash(t *kern, key uint64) bool {
 	i := t.home(key)
 	for d := uint64(0); ; d++ {
 		s := &t.slots[i]
@@ -304,8 +304,8 @@ func rhDeleteTailRehash(t *robinHood, key uint64) bool {
 func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 	const capacity = 1 << 14
 	n := capacity * 85 / 100
-	build := func() (*robinHood, []uint64) {
-		m := newRobinHood(Config{InitialCapacity: capacity, Seed: 42})
+	build := func() (*kern, []uint64) {
+		m := newKern(SchemeRH, Config{InitialCapacity: capacity, Seed: 42})
 		rng := prng.NewXoshiro256(7)
 		keys := make([]uint64, n)
 		for i := range keys {
@@ -337,8 +337,8 @@ func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 // TestRHDeleteTailRehashEquivalence verifies the ablation baseline is a
 // correct delete: both strategies must leave semantically identical tables.
 func TestRHDeleteTailRehashEquivalence(t *testing.T) {
-	a := newRobinHood(Config{InitialCapacity: 256, Seed: 3})
-	b := newRobinHood(Config{InitialCapacity: 256, Seed: 3})
+	a := newKern(SchemeRH, Config{InitialCapacity: 256, Seed: 3})
+	b := newKern(SchemeRH, Config{InitialCapacity: 256, Seed: 3})
 	rng := prng.NewXoshiro256(4)
 	live := map[uint64]bool{}
 	for i := 0; i < 8000; i++ {

@@ -283,20 +283,13 @@ func TestGetBatchConcurrentReaders(t *testing.T) {
 	}
 }
 
-// kernOf returns the probe kernel inside a kernel scheme's table.
+// kernOf returns a kernel scheme's table as the probe kernel it is.
 func kernOf(t *testing.T, tbl Table) *kern {
-	switch tbl := tbl.(type) {
-	case *linearProbing:
-		return &tbl.kern
-	case *linearProbingSoA:
-		return &tbl.kern
-	case *quadraticProbing:
-		return &tbl.kern
-	case *robinHood:
-		return &tbl.kern
+	c, ok := tbl.(*kern)
+	if !ok {
+		t.Fatalf("%T is not a kernel scheme", tbl)
 	}
-	t.Fatalf("%T is not a kernel scheme", tbl)
-	return nil
+	return c
 }
 
 // TestGetBatchTerminatesWithoutEmptySlot: a reader racing a writer can be

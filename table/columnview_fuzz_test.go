@@ -3,7 +3,7 @@ package table
 import "testing"
 
 // FuzzColumnView hammers the one unsafe construction in the kernel: the
-// aosLayout view that aliases a []pair backing array as 2*capacity
+// aosView that aliases a []pair backing array as 2*capacity
 // uint64 words. A fuzzer-chosen tape of writes is applied alternately
 // through the view (kc/vc) and through the typed backing (slots or
 // keys/vals) on BOTH layouts, with a map oracle checked after every
@@ -20,13 +20,13 @@ func FuzzColumnView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, capByte uint8, tape []byte) {
 		capacity := int(capByte%32) + 1
 		for _, lay := range []struct {
-			name   string
-			layout layoutPolicy
+			name string
+			view func(capacity int) colView
 		}{
-			{"aos", aosLayout{}},
-			{"soa", soaLayout{}},
+			{"aos", aosView},
+			{"soa", soaView},
 		} {
-			cv := lay.layout.alloc(capacity)
+			cv := lay.view(capacity)
 			oracleKeys := make([]uint64, capacity)
 			oracleVals := make([]uint64, capacity)
 

@@ -35,8 +35,8 @@ func TestSlotArraysAdvisedForHugePages(t *testing.T) {
 	t.Logf("transparent_hugepage/enabled: %s", strings.TrimSpace(string(mode)))
 
 	const slots = 1 << 19 // an 8 MiB AoS array; the chained24 directory is 12 MiB
-	lp := newLinearProbing(Config{InitialCapacity: slots})
-	soa := newLinearProbingSoA(Config{InitialCapacity: 2 * slots})
+	lp := newKern(SchemeLP, Config{InitialCapacity: slots})
+	soa := newKern(SchemeLPSoA, Config{InitialCapacity: 2 * slots})
 	ck := newCuckoo(Config{InitialCapacity: slots})
 	c24 := newChained24(Config{InitialCapacity: slots})
 	c8 := newChained8(Config{InitialCapacity: 2 * slots})

@@ -1,25 +1,24 @@
 package table
 
-// The policy-driven open-addressing probe kernel. kern implements the
-// complete Table surface — scalar point operations, the single-probe
-// read-modify-write primitive, the home-line touch pass with the
-// group-interleaved lookup walks, the one mutating-batch driver and the one
-// concurrent insert (putIfAbsentBatch) behind it, the Range walks and the
-// diagnostics Stats feeds on — exactly once, against
-// the policy dimensions of policy.go. A scheme is a thin instantiation:
+// The open-addressing probe kernel. kern implements the complete Table
+// surface — scalar point operations, the single-probe read-modify-write
+// primitive, the home-line touch pass with the group-interleaved lookup
+// walks, the one mutating-batch driver and the one concurrent insert
+// (putIfAbsentBatch) behind it, the Range walks and the diagnostics Stats
+// feeds on — exactly once. A scheme is one kernSpec row of kernSchemes
+// (policy.go), and New returns its table as a *kern:
 //
-//	linearProbing    = kern(aosLayout, linearSeq, noDisplace)
-//	linearProbingSoA = kern(soaLayout, linearSeq, noDisplace)
-//	quadraticProbing = kern(aosLayout, quadSeq,   noDisplace)
-//	robinHood        = kern(aosLayout, linearSeq, robinDisplace)
+//	LP    = kernSpec{}
+//	LPSoA = kernSpec{soa: true}
+//	QP    = kernSpec{quad: true}
+//	RH    = kernSpec{robin: true}
 //
-// The policies are consulted once, at construction: probe stepping
-// reduces to si += sstep; sstep += sinc (see probeSpec), slot access to
-// direct indexing of the hoisted column views (see colView), and the
-// remaining behavioral switches (bounded, contiguous, robin) to
-// loop-invariant booleans the hot loops keep in registers. The shared
-// loops therefore compile to the same per-slot instruction mix as
-// hand-written per-scheme copies would.
+// newKern reads the row once, at construction: probe stepping reduces to
+// si += sstep; sstep += sinc, slot access to direct indexing of the
+// hoisted column views (see colView), and the remaining behavioral
+// switches (bounded, contiguous, robin) to loop-invariant booleans the hot
+// loops keep in registers. The shared loops therefore compile to the same
+// per-slot instruction mix as hand-written per-scheme copies would.
 //
 // # Scaled slot cursors
 //
@@ -50,41 +49,37 @@ import (
 // words of key column per 64-byte line under either layout.
 const lineWordsM = 8 - 1
 
-// kern is the shared open-addressing core. Its fields are the union the
-// former schemes each carried — slot storage (as a column view), derived
-// hash geometry, occupancy counters, the hash function, growth
-// configuration, sentinel side fields and the lazily allocated batch
-// buffer — plus the hoisted policy state.
+// kern is the shared open-addressing core: slot storage (as a column
+// view), the scheme's kernSpec row and the loop-invariant state hoisted
+// from it, derived hash geometry, occupancy counters, the hash function,
+// growth configuration, sentinel side fields and the lazily allocated
+// batch buffer.
 type kern struct {
-	colView // slot storage; also exposes slots / keys / vals to in-package diagnostics
-	layout  layoutPolicy
-	perLine uint64 // slots per 64-byte key-column cache line (4 AoS, 8 SoA)
-
-	// Hoisted probe policy: a key's sequence starts with a step of one
-	// slot, and the step grows by stepInc after every probe.
-	stepInc uint64
-	bounded bool // probeSpec.bounded
-	contig  bool // probeSpec.contiguous
-	robin   bool // displacePolicy.robinHood
+	colView       // slot storage; also exposes slots / keys / vals to in-package diagnostics
+	kernSpec      // the scheme's row: quad, soa, robin
+	bounded  bool // quad: a permutation of the table, ended by a full sweep
+	contig   bool // !quad: consecutive probes are adjacent slots
 
 	// Scaled probe geometry (word units, see the package comment):
 	// smask wraps a scaled cursor, sone is one slot, sinc the scaled
-	// step increment, slineEnd the scaled line-end test mask.
+	// step increment, slineEnd the scaled line-end test mask. A key's
+	// sequence starts with a step of one slot, and the step grows by
+	// sinc after every probe: one slot under quad, none otherwise.
 	smask    uint64
 	sone     uint64
 	sinc     uint64
 	slineEnd uint64
 	sshift   uint64 // shift - ks: scaled home cursor = hash>>sshift &^ (sone-1)
 	// rEnd gates the Robin Hood early abort in the scalar lookup
-	// without a flag register: it equals slineEnd under robinDisplace
-	// and ^0 otherwise — cursors never exceed smask, so ^0 can never
-	// match and the branch predicts away for the other schemes.
+	// without a flag register: it equals slineEnd under robin and ^0
+	// otherwise — cursors never exceed smask, so ^0 can never match and
+	// the branch predicts away for the other schemes.
 	rEnd uint64
 
 	shift  uint // 64 - log2(capacity); home = hash >> shift
 	mask   uint64
 	size   int // live entries in slots (sentinel-keyed entries excluded)
-	tombs  int // tombstoned slots (always 0 under robinDisplace)
+	tombs  int // tombstoned slots (always 0 under robin)
 	fn     hashfn.Function
 	maxLF  float64
 	grows  int    // rehash events (growth and in-place), for Stats
@@ -94,32 +89,35 @@ type kern struct {
 	batchState
 }
 
-// setup configures a zeroed kernel from cfg and the scheme's three
-// policies; name is the paper-style scheme name returned by Name.
-func (c *kern) setup(cfg Config, name string, lay layoutPolicy, pp probePolicy, dp displacePolicy) {
+// newKern returns an empty table of kernel scheme s, built from its
+// kernSchemes row and configured by cfg.
+func newKern(s Scheme, cfg Config) *kern {
+	spec := kernSchemes[s]
 	cfg = cfg.withDefaults()
-	c.maxLF = cfg.MaxLoadFactor
-	c.scheme = name
-	c.fn = cfg.Family.New(cfg.Seed)
-	c.layout = lay
-	c.perLine = lay.perLine()
-	ps := pp.probe()
-	c.stepInc = ps.inc
-	c.bounded = ps.bounded
-	c.contig = ps.contiguous
-	c.robin = dp.robinHood()
+	c := &kern{kernSpec: spec, bounded: spec.quad, contig: !spec.quad,
+		maxLF: cfg.MaxLoadFactor, fn: cfg.Family.New(cfg.Seed), scheme: string(s)}
 	c.init(cfg.InitialCapacity)
+	return c
 }
 
 func (c *kern) init(capacity int) {
-	c.colView = c.layout.alloc(capacity)
+	if c.soa {
+		c.colView = soaView(capacity)
+	} else {
+		c.colView = aosView(capacity)
+	}
 	c.shift = 64 - log2(capacity)
 	c.mask = uint64(capacity - 1)
 	c.smask = c.mask << c.ks
 	c.sone = 1 << c.ks
 	c.sshift = uint64(c.shift) - c.ks
-	c.sinc = c.stepInc << c.ks
-	c.slineEnd = (c.perLine - 1) << c.ks
+	c.sinc = 0 // linear: a fixed one-slot step
+	if c.quad {
+		c.sinc = c.sone // triangular quadratic: the step grows a slot per probe
+	}
+	// A line's last slot: 4 AoS slots or 8 SoA keys share a 64-byte line,
+	// and Robin Hood's early-abort check fires once per line (§2.4).
+	c.slineEnd = lineWordsM &^ (c.sone - 1)
 	c.rEnd = ^uint64(0)
 	if c.robin {
 		c.rEnd = c.slineEnd
@@ -204,7 +202,7 @@ func (c *kern) fullSweepOnly() bool {
 }
 
 // Get implements Table, including the Robin Hood cache-line-granular early
-// abort when the displacement policy enables it.
+// abort when the scheme is robin.
 func (c *kern) Get(key uint64) (uint64, bool) {
 	if isSentinelKey(key) {
 		return c.sent.get(key)
@@ -262,7 +260,7 @@ func (c *kern) robinAbort(si, si0, k uint64) bool {
 // actually needed, so operations that resolve to an existing key keep
 // working on a full table.
 //
-// Fullness itself follows the probe policy: bounded sequences detect it
+// Fullness itself follows the probe sequence: bounded sequences detect it
 // naturally at the end of their full-table sweep (and may therefore fill
 // to 100% occupancy), while unbounded ones preserve one truly empty slot
 // for probe termination and refuse the last insert.
@@ -382,9 +380,10 @@ func (c *kern) shiftChain(cur pair, si, d uint64) {
 	}
 }
 
-// Delete implements Table with the policy-derived strategy: backward shift
-// under Robin Hood displacement, the optimized tombstone placement on
-// contiguous sequences, and unconditional tombstones otherwise.
+// Delete implements Table with the deletion strategy its row derives:
+// backward shift under Robin Hood displacement, the optimized tombstone
+// placement on contiguous sequences, and unconditional tombstones
+// otherwise.
 func (c *kern) Delete(key uint64) bool {
 	if isSentinelKey(key) {
 		return c.sent.delete(key)
@@ -473,31 +472,6 @@ func (c *kern) deleteBackshift(key uint64) bool {
 	return true
 }
 
-// ensureRoom keeps the probing invariant that probe loops can terminate:
-// unbounded sequences reserve one truly empty slot, bounded (permutation)
-// sequences only need the table not to be live-full. With growth enabled
-// it defers to maybeGrow; with growth disabled it sheds tombstone
-// pressure by rehashing in place, and reports ErrFull only when live
-// entries alone exhaust the fixed capacity.
-func (c *kern) ensureRoom() error {
-	if c.maxLF != 0 {
-		c.maybeGrow()
-		return nil
-	}
-	spare := 1
-	if c.bounded {
-		spare = 0 // permutation sequences may fill to 100%
-	}
-	if c.size+c.tombs+spare < c.slotCount() {
-		return nil
-	}
-	if c.size+spare >= c.slotCount() {
-		return errFull(c.scheme, c.size, c.slotCount())
-	}
-	c.rehashTo(c.slotCount())
-	return nil
-}
-
 // maybeGrow rehashes when occupancy (live + tombstones) would exceed the
 // configured threshold: it doubles when live entries alone demand it, and
 // rehashes in place when the pressure comes from tombstones.
@@ -534,7 +508,7 @@ func (c *kern) rehashTo(capacity int) {
 }
 
 // reinsert places an entry known to be absent, maintaining the Robin
-// Hood ordering when the displacement policy demands it.
+// Hood ordering when the scheme is robin.
 func (c *kern) reinsert(key, val uint64) {
 	hash := c.fn.Hash(key)
 	si, sstep := c.scursor(hash)
@@ -629,7 +603,7 @@ func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists b
 // first-probe pass, the mutation twin of GetBatch's: when nothing has to be
 // shed or grown first and the home slot — hashAndTouch has just loaded it —
 // holds the lane's key or is empty with room to spare, the lane is settled
-// there, where rmwHashed would settle it under every probe policy. All
+// there, where rmwHashed would settle it under every probe sequence. All
 // other lanes and the sentinel keys take rmwHashed, which owns ErrFull,
 // tombstone recycling and the Robin Hood ordering.
 func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
@@ -824,12 +798,12 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 }
 
 // getChunk resolves one chunk through one of four walk variants, chosen
-// once per chunk from the hoisted policy state. The variants exist
+// once per chunk from the hoisted kernSpec state. The variants exist
 // because the round-robin walk is bound by memory-level parallelism: its
 // entire value is how many independent lane loads fit the out-of-order
 // window, so each walk body must stay small (a shared parameterized body
 // — or a walk behind a call — measurably serializes the lanes). Each
-// variant still serves every scheme with its policy shape: linear covers
+// variant still serves every scheme with its row's shape: linear covers
 // LP and LPSoA (the column view folds the layouts), stepped covers QP
 // (its triangular stride is si += sstep; sstep += sinc), robin covers
 // RH, and sweep covers any bounded scheme on a degenerate
@@ -1164,8 +1138,26 @@ func (c *kern) Displacements() []int {
 // slots (tombstones count as occupied, since probes must traverse them).
 // Primary clustering shows up as a heavy tail here.
 func (c *kern) ClusterLengths() []int {
-	occupied := func(i int) bool { return c.keyAt(uint64(i)) != emptyKey }
-	return clusterLengths(c.slotCount(), occupied)
+	n := c.slotCount()
+	occupied := func(i int) bool { return c.keyAt(uint64(i%n)) != emptyKey }
+	start := 0 // anchor the circular walk at an empty slot, where it ends
+	for start < n && occupied(start) {
+		start++
+	}
+	if start == n {
+		return []int{n} // completely full: one cluster
+	}
+	var out []int
+	run := 0
+	for i := start + 1; i <= start+n; i++ {
+		if occupied(i) {
+			run++
+		} else if run > 0 {
+			out = append(out, run)
+			run = 0
+		}
+	}
+	return out
 }
 
 // ProbeSlots invokes visit for every slot a lookup of key examines, in

@@ -7,9 +7,9 @@ import (
 
 // FuzzProbeKernel is the kernel-equivalence differential fuzz: a
 // fuzzer-chosen operation tape is replayed against every open-addressing
-// scheme (all five kernel instantiations plus Cuckoo) and a Go map
-// oracle, pinning the pre-refactor semantics the policy-driven kernel
-// must reproduce. The key space is tiny and deliberately includes both
+// scheme (the four kernSchemes rows plus Cuckoo) and a Go map oracle,
+// pinning the pre-refactor semantics the one probe kernel must
+// reproduce. The key space is tiny and deliberately includes both
 // sentinel keys (0 and 2^64-1), the tapes mix deletes between inserts so
 // tombstones are created and recycled (and the growth-disabled tables
 // cross the in-place tombstone-purge rehash), and one op code flushes

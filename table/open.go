@@ -458,14 +458,14 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 // that meets another's key may be ahead of its value. Every other handle
 // runs it as GetOrPutBatch. On ErrFull it stops, with earlier pairs applied.
 func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
-	b, ok := h.ops.(sharedBuilder)
-	if !ok || !b.sharedBuild() {
+	c, ok := h.ops.(*kern)
+	if !ok || !c.sharedBuild() {
 		return h.GetOrPutBatch(keys, vals, nil, nil)
 	}
 	if err := h.injectFull(); err != nil {
 		return 0, err
 	}
-	return b.putIfAbsentBatch(keys, vals)
+	return c.putIfAbsentBatch(keys, vals)
 }
 
 // UpsertBatch applies an Upsert to every key, passing fn the key's lane

@@ -1,33 +1,32 @@
 package table
 
-// This file defines the policy types behind the open-addressing probe
-// kernel (kernel.go). The paper's §2 observation is that its probing
-// schemes differ only along a few orthogonal dimensions; here each
-// dimension is an actual type, and a scheme is one choice per dimension:
+// This file holds the open-addressing probe kernel's schemes (kernel.go).
+// The paper's §2 observation is that its probing schemes differ only along
+// a few orthogonal dimensions, so a kernel scheme is one choice per
+// dimension: one kernSpec row of kernSchemes.
 //
-//	dimension (paper)            policy type      implementations
-//	probe sequence (§2.2–2.5)    probePolicy      linearSeq, quadSeq
-//	slot layout (§7)             layoutPolicy     aosLayout, soaLayout
-//	displacement on insert       displacePolicy   noDisplace, robinDisplace
+//	dimension (paper)            kernSpec field   false / true
+//	probe sequence (§2.2–2.5)    quad             linear / triangular quadratic
+//	slot layout (§7)             soa              AoS / SoA (aosView, soaView)
+//	displacement on insert       robin            first come / Robin Hood
 //	deletion strategy            derived          see below
 //
-// The deletion policy is derived rather than free-standing, because the
-// probe sequence dictates it: robinDisplace implies partial-cluster
-// rehash (backward shifting, §2.4), contiguous sequences take the
+// The deletion strategy is derived rather than free-standing, because the
+// probe sequence dictates it: robin implies partial-cluster rehash
+// (backward shifting, §2.4), contiguous (linear) sequences take the
 // optimized tombstone strategy (§2.2), and non-contiguous ones must
 // tombstone unconditionally (§2.3).
 //
-// Policies are consulted at construction time only: their decisions are
-// hoisted into the kernel's loop-invariant state (probe step parameters,
-// column views, feature flags), so the one shared probe loop carries no
-// per-slot dispatch of any kind. Two representation tricks make that
-// possible:
+// newKern reads a row once, at construction: its choices are hoisted into
+// the kernel's loop-invariant state (probe step parameters, column views,
+// feature flags), so the one shared probe loop carries no per-slot
+// dispatch of any kind. Two representation tricks make that possible:
 //
 //   - Both probe sequences are instances of i += step; step += inc,
 //     starting from step=1. Linear probing is inc=0; triangular quadratic
 //     probing is inc=1 (the offsets 1, 2, 3, ... accumulate to the
-//     triangular numbers). probeSpec captures exactly this, so advancing
-//     a probe sequence is two adds and a mask for every scheme.
+//     triangular numbers), so advancing a probe sequence is two adds and
+//     a mask for every scheme.
 //   - Both slot layouts are column views over []uint64 storage: the key
 //     of slot i lives at kc[i<<ks] and its value at vc[(i<<ks)|ks], with
 //     ks=1 for the interleaved AoS array and ks=0 for the split SoA
@@ -37,49 +36,117 @@ package table
 // of a generic kernel, relying on monomorphization to specialize the
 // loops. Go's gcshape stenciling put a dictionary-dispatched call on
 // every per-slot policy use (3x on the probe benchmarks); hoisting the
-// policies into loop-invariant registers achieves the specialization
+// choices into loop-invariant registers achieves the specialization
 // with a single copy of every loop instead.
 
 import "unsafe"
 
-// probeSpec is a probe sequence reduced to the kernel's uniform stepping
-// model: the i-th advance moves by step (initially one slot), then step
-// grows by inc.
-type probeSpec struct {
-	// inc is added to the step after every probe: 0 keeps a fixed
-	// stride, 1 yields the triangular quadratic sequence.
-	inc uint64
-	// bounded marks sequences needing an explicit full-sweep termination
-	// guard: they are permutations of the table, so after capacity
-	// probes every slot has been seen and the key is absent. Unbounded
-	// (linear) sequences instead rely on the kernel keeping at least one
-	// truly empty slot for probe loops to terminate on — which is also
-	// why bounded schemes may fill to 100% occupancy while linear ones
-	// refuse the last slot.
-	bounded bool
-	// contiguous marks sequences whose consecutive probes are adjacent
-	// slots, which enables the optimized tombstone deletion (§2.2) and
-	// O(1) displacement computation.
-	contiguous bool
+// kernSpec is one kernel scheme: its choice along each design dimension.
+type kernSpec struct {
+	// quad selects triangular quadratic probing, h(k, i) = h'(k) + i/2 +
+	// i²/2 (§2.3), over linear probing, h(k, i) = h'(k) + i (§2.2). A
+	// quadratic sequence is a permutation of any power-of-two table, so
+	// it needs an explicit full-sweep termination guard (after capacity
+	// probes every slot has been seen and the key is absent) and may fill
+	// the table to 100% occupancy. A linear sequence instead relies on the
+	// kernel keeping at least one truly empty slot for probe loops to
+	// terminate on, and its consecutive probes are adjacent slots, which
+	// enables the optimized tombstone deletion (§2.2) and O(1)
+	// displacement computation.
+	quad bool
+	// soa selects the struct-of-arrays slot layout of §7 (soaView) over
+	// the array-of-structs layout of §2 (aosView).
+	soa bool
+	// robin enables displacement-ordered (Robin Hood) insertion, the
+	// cache-line-granular early abort for unsuccessful lookups, and
+	// backward-shift deletion (§2.4).
+	robin bool
 }
 
-// probePolicy is the probe-sequence dimension: the order in which slots
-// are examined after a collision.
-type probePolicy interface{ probe() probeSpec }
+// kernSchemes holds every scheme the probe kernel serves, one row each.
+var kernSchemes = map[Scheme]kernSpec{
+	// LP is open addressing with linear probing in array-of-structs layout
+	// (§2.2 of the paper). It is the simplest probing scheme: on a
+	// collision the next slots are scanned circularly until a free one is
+	// found. Its strengths are minimal code complexity and perfectly
+	// sequential memory access; its weakness is primary clustering at high
+	// load factors.
+	//
+	// Deletion uses the paper's optimized tombstone strategy: a tombstone
+	// is placed only when it is needed to keep a cluster connected (i.e.
+	// when the slot following the deleted entry is occupied); otherwise the
+	// slot is simply cleared, and any tombstones immediately preceding a
+	// new cluster end are cleared as well. Inserts recycle tombstones after
+	// confirming the key is not already present.
+	SchemeLP: {},
 
-// linearSeq probes slots circularly: h(k, i) = h'(k) + i (§2.2).
-type linearSeq struct{}
+	// LPSoA is linear probing in struct-of-arrays layout (§7 of the
+	// paper): keys and values live in two separate, aligned arrays, like a
+	// column layout. Compared to the array-of-structs LP:
+	//
+	//   - a successful probe must touch at least two cache lines (one in
+	//     the key array, one in the value array), which hurts short probe
+	//     sequences;
+	//   - long probe sequences scan only keys — half the bytes of AoS —
+	//     which helps at high load factors;
+	//   - densely packed keys make vectorized comparison natural, which is
+	//     why the paper's AVX-2 variant favours SoA. Go emits no vector
+	//     instructions, so both layouts share the one scalar kernel (see
+	//     EXPERIMENTS.md, "Figure 7 SIMD").
+	//
+	// Semantics are identical to LP, including the optimized tombstone
+	// deletion: the two rows differ in the layout dimension alone.
+	SchemeLPSoA: {soa: true},
 
-func (linearSeq) probe() probeSpec { return probeSpec{contiguous: true} }
+	// QP is open addressing with quadratic probing (§2.3 of the paper):
+	// the i-th probe lands at
+	//
+	//	h(k, i) = (h'(k) + c1*i + c2*i^2) mod l, with c1 = c2 = 1/2,
+	//
+	// i.e. the probe offsets are the triangular numbers 0, 1, 3, 6, 10, ...
+	// With a power-of-two capacity this particular parameterization is a
+	// permutation of the slots: as long as a free slot exists, it will be
+	// found. Compared to linear probing, QP trades some locality (after
+	// the third probe every step lands on a new cache line) for a reduced
+	// tendency to primary clustering; it still exhibits secondary
+	// clustering because two keys that collide on their first probe share
+	// their entire probe sequence.
+	//
+	// Deletion places a tombstone unconditionally: the "is the next slot
+	// occupied" shortcut of the optimized LP strategy has no analogue here
+	// because probe sequences through a slot are not physically
+	// contiguous. Inserts recycle tombstones, and tombstone pressure
+	// triggers an in-place rehash when growth is enabled.
+	SchemeQP: {quad: true},
 
-// quadSeq is triangular-number quadratic probing: h(k, i) = h'(k) + i/2 +
-// i²/2 (§2.3), a permutation of any power-of-two table.
-type quadSeq struct{}
+	// RH is the paper's tuned Robin Hood hashing on linear probing (§2.4):
+	// exactly LP with the displacement dimension flipped, which is the
+	// paper's own description of the scheme. It keeps the probe sequences
+	// of linear probing but resolves every collision in favour of the
+	// "poorer" key — the one farther from its optimal slot — which
+	// minimizes the variance of displacements without changing their sum.
+	// The established ordering buys a cheap early-abort criterion for
+	// unsuccessful lookups: while probing for k at distance d, an entry
+	// whose own displacement is smaller than d proves k is absent (k would
+	// have robbed that slot during insertion).
+	//
+	// Recomputing the probed entry's displacement on every step is what
+	// the paper found prohibitively expensive; their tuned variant —
+	// reproduced here — performs the check once per cache line (every 4th
+	// slot with 16-byte AoS slots), which balances the overhead on
+	// successful probes against early termination of unsuccessful ones.
+	//
+	// Deletion uses partial cluster rehash rather than tombstones
+	// (tombstones in RH would need to carry the deleted entry's
+	// displacement to preserve the ordering): the hole is filled by
+	// shifting the remainder of the cluster back one slot, which
+	// re-establishes every invariant and is exactly the result of
+	// rehashing the cluster tail in place.
+	SchemeRH: {robin: true},
+}
 
-func (quadSeq) probe() probeSpec { return probeSpec{inc: 1, bounded: true} }
-
-// colView is the unified slot addressing produced by a layoutPolicy: the
-// key of slot i lives at kc[i<<ks], its value at vc[(i<<ks)|ks]. Exactly
+// colView is the unified slot addressing of aosView and soaView: the key
+// of slot i lives at kc[i<<ks], its value at vc[(i<<ks)|ks]. Exactly
 // one of slots (AoS) or keys/vals (SoA) is non-nil and owns the storage;
 // kc and vc alias it.
 type colView struct {
@@ -92,22 +159,9 @@ type colView struct {
 	vals  []uint64 // SoA value column (nil under AoS)
 }
 
-// layoutPolicy is the §7 slot-layout dimension: how a capacity's worth of
-// key/value slots is stored and addressed.
-type layoutPolicy interface {
-	// alloc returns a view over capacity zeroed slots.
-	alloc(capacity int) colView
-	// perLine is how many slots share one 64-byte cache line of the key
-	// column — the batch walk's yield granularity and the Robin Hood
-	// early-abort cadence.
-	perLine() uint64
-}
-
-// aosLayout is the array-of-structs layout: 16-byte key/value pairs in
-// one array, the default layout of §2.
-type aosLayout struct{}
-
-func (aosLayout) alloc(capacity int) colView {
+// aosView returns capacity zeroed slots in the array-of-structs layout:
+// 16-byte key/value pairs in one array, the default layout of §2.
+func aosView(capacity int) colView {
 	slots := makeLarge[pair](capacity)
 	// View the pair array as its underlying uint64 words (a pair is
 	// exactly two uint64s, so the aliasing is layout-exact): keys sit at
@@ -117,45 +171,16 @@ func (aosLayout) alloc(capacity int) colView {
 	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(slots))), 2*capacity)
 	return colView{kc: words, vc: words, ks: 1, slots: slots}
 }
-func (aosLayout) perLine() uint64 { return slotsPerCacheLine }
 
-// soaKeysPerLine is how many 8-byte key-column entries share a 64-byte
-// cache line — twice the AoS granularity, the §7 "half the bytes"
-// advantage of long SoA probe sequences.
-const soaKeysPerLine = 8
-
-// soaLayout is the struct-of-arrays layout of §7: keys and values in two
-// parallel arrays, like a column layout. A successful probe touches at
-// least two cache lines (key column + value column), but long walks scan
-// only the densely packed key column.
-type soaLayout struct{}
-
-func (soaLayout) alloc(capacity int) colView {
+// soaView returns capacity zeroed slots in the struct-of-arrays layout of
+// §7: keys and values in two parallel arrays, like a column layout. A
+// successful probe touches at least two cache lines (key column + value
+// column), but long walks scan only the densely packed key column.
+func soaView(capacity int) colView {
 	keys := makeLarge[uint64](capacity)
 	vals := makeLarge[uint64](capacity)
 	return colView{kc: keys, vc: vals, keys: keys, vals: vals}
 }
-func (soaLayout) perLine() uint64 { return soaKeysPerLine }
-
-// displacePolicy is the collision-arbitration dimension: whether an
-// insert may displace already-resident entries.
-type displacePolicy interface {
-	// robinHood enables displacement-ordered (Robin Hood) insertion,
-	// the cache-line-granular early abort for unsuccessful lookups, and
-	// backward-shift deletion (§2.4).
-	robinHood() bool
-}
-
-// noDisplace is first-come-first-served slot ownership.
-type noDisplace struct{}
-
-func (noDisplace) robinHood() bool { return false }
-
-// robinDisplace resolves every collision in favour of the key farther
-// from its optimal slot (§2.4).
-type robinDisplace struct{}
-
-func (robinDisplace) robinHood() bool { return true }
 
 // hugePageBytes is the size of a transparent huge page on x86-64 (and on
 // arm64 with 4 KiB base pages): one page-table entry maps 2 MiB, not 4 KiB.

@@ -117,7 +117,7 @@ func TestQuickPutGetRoundTrip(t *testing.T) {
 // displacement ordering holds along every cluster.
 func TestQuickRHInvariant(t *testing.T) {
 	prop := func(keys []uint64, seed uint64) bool {
-		m := newRobinHood(Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: seed})
+		m := newKern(SchemeRH, Config{InitialCapacity: 64, MaxLoadFactor: 0.9, Seed: seed})
 		for _, k := range keys {
 			put(t, m, k, k)
 		}

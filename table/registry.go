@@ -34,11 +34,18 @@ func openAddressingSchemes() []Scheme {
 	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH, SchemeCuckooH4}
 }
 
-// KernelSchemes returns the schemes served by the policy-driven probe
-// kernel (kernel.go) — every open-addressing scheme except Cuckoo, whose
-// bounded candidate set needs a structurally different core.
+// KernelSchemes returns the schemes served by the probe kernel
+// (kernel.go), one per kernSchemes row, in presentation order: every
+// open-addressing scheme except Cuckoo, whose bounded candidate set needs
+// a structurally different core.
 func KernelSchemes() []Scheme {
-	return []Scheme{SchemeLP, SchemeLPSoA, SchemeQP, SchemeRH}
+	var out []Scheme
+	for _, s := range openAddressingSchemes() {
+		if _, ok := kernSchemes[s]; ok {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // AllSchemes returns every scheme this package implements, in presentation
@@ -48,20 +55,14 @@ func AllSchemes() []Scheme {
 	return append([]Scheme{SchemeChained8, SchemeChained24}, openAddressingSchemes()...)
 }
 
-// sharedBuilder is the probe kernel as Handle.PutIfAbsentBatch sees it.
-type sharedBuilder interface {
-	sharedBuild() bool
-	putIfAbsentBatch(keys, vals []uint64) (inserted int, err error)
-}
-
 // SharedBuild reports whether goroutines may share Handle.PutIfAbsentBatch
-// on one growth-disabled single table of the scheme, which the table itself
-// answers: the kernel's schemes that never displace a resident entry. RH,
-// Cuckoo and chained move or allocate on insert; share them WithPartitions.
+// on one growth-disabled single table of the scheme, which its kernSchemes
+// row answers: the kernel's schemes that never displace a resident entry.
+// RH, Cuckoo and chained move or allocate on insert; share them
+// WithPartitions.
 func (s Scheme) SharedBuild() bool {
-	t, _ := New(s, Config{})
-	b, ok := t.(sharedBuilder)
-	return ok && b.sharedBuild()
+	spec, ok := kernSchemes[s]
+	return ok && !spec.robin
 }
 
 // New constructs an empty table of the given scheme, or returns an error
@@ -69,19 +70,14 @@ func (s Scheme) SharedBuild() bool {
 // builds on it, and shard.Config.NewTable, tests and analysis tools call it
 // directly. Most callers want Open.
 func New(s Scheme, cfg Config) (Table, error) {
+	if _, ok := kernSchemes[s]; ok {
+		return newKern(s, cfg), nil
+	}
 	switch s {
 	case SchemeChained8:
 		return newChained8(cfg), nil
 	case SchemeChained24:
 		return newChained24(cfg), nil
-	case SchemeLP:
-		return newLinearProbing(cfg), nil
-	case SchemeLPSoA:
-		return newLinearProbingSoA(cfg), nil
-	case SchemeQP:
-		return newQuadraticProbing(cfg), nil
-	case SchemeRH:
-		return newRobinHood(cfg), nil
 	case SchemeCuckooH4:
 		return newCuckoo(cfg), nil
 	}

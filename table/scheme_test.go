@@ -13,7 +13,7 @@ import (
 // TestLPTombstonePlacement verifies the optimized delete: a tombstone is
 // placed only when the next slot is occupied.
 func TestLPTombstonePlacement(t *testing.T) {
-	m := newLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 1})
+	m := newKern(SchemeLP, Config{InitialCapacity: 1 << 10, Seed: 1})
 	// Force a collision cluster by inserting until we find three keys in a
 	// row somewhere; easier: insert enough keys to create clusters.
 	for i := uint64(1); i <= 512; i++ {
@@ -45,7 +45,7 @@ func TestLPTombstonePlacement(t *testing.T) {
 
 // TestLPTombstoneRecycling: inserts must reuse tombstoned slots.
 func TestLPTombstoneRecycling(t *testing.T) {
-	m := newLinearProbing(Config{InitialCapacity: 64, Seed: 2})
+	m := newKern(SchemeLP, Config{InitialCapacity: 64, Seed: 2})
 	// Fill half, delete half, refill: with growth disabled this only works
 	// if tombstones are recycled.
 	for round := 0; round < 100; round++ {
@@ -64,7 +64,7 @@ func TestLPTombstoneRecycling(t *testing.T) {
 // TestLPClusterConnectivity: after arbitrary deletes, every resident key
 // must remain reachable (the invariant the tombstone strategy protects).
 func TestLPClusterConnectivity(t *testing.T) {
-	m := newLinearProbing(Config{InitialCapacity: 256, Seed: 3})
+	m := newKern(SchemeLP, Config{InitialCapacity: 256, Seed: 3})
 	rng := prng.NewXoshiro256(4)
 	live := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
@@ -115,7 +115,7 @@ func TestQPTriangularCoverage(t *testing.T) {
 // guarantee means every insert must find the remaining empty slots.
 func TestQPFullTableInsert(t *testing.T) {
 	const l = 256
-	m := newQuadraticProbing(Config{InitialCapacity: l, Seed: 5})
+	m := newKern(SchemeQP, Config{InitialCapacity: l, Seed: 5})
 	for i := uint64(1); i <= l; i++ {
 		put(t, m, i*0x9E3779B97F4A7C15, i)
 	}
@@ -137,7 +137,7 @@ func TestQPFullTableInsert(t *testing.T) {
 // fixed table exercise the full-sweep tombstone-recycling path.
 func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 	const l = 128
-	m := newQuadraticProbing(Config{InitialCapacity: l, Seed: 6})
+	m := newKern(SchemeQP, Config{InitialCapacity: l, Seed: 6})
 	for i := uint64(1); i <= l; i++ { // completely full
 		put(t, m, i, i)
 	}
@@ -172,7 +172,7 @@ func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 // each slot i holding an entry with displacement d, the entry at i-1 (if in
 // the same cluster) has displacement >= d-1.
 func TestRHOrderingInvariant(t *testing.T) {
-	m := newRobinHood(Config{InitialCapacity: 512, Seed: 7})
+	m := newKern(SchemeRH, Config{InitialCapacity: 512, Seed: 7})
 	rng := prng.NewXoshiro256(8)
 	live := map[uint64]bool{}
 	for i := 0; i < 20000; i++ {
@@ -208,8 +208,8 @@ func TestRHOrderingInvariant(t *testing.T) {
 // TestRHMatchesLPTotalDisplacement: RH redistributes displacement but
 // cannot change its total relative to LP on identical inputs (§2.4).
 func TestRHMatchesLPTotalDisplacement(t *testing.T) {
-	lp := newLinearProbing(Config{InitialCapacity: 1 << 12, Seed: 9})
-	rh := newRobinHood(Config{InitialCapacity: 1 << 12, Seed: 9})
+	lp := newKern(SchemeLP, Config{InitialCapacity: 1 << 12, Seed: 9})
+	rh := newKern(SchemeRH, Config{InitialCapacity: 1 << 12, Seed: 9})
 	rng := prng.NewXoshiro256(10)
 	for i := 0; i < 3000; i++ {
 		k := rng.Next()
@@ -243,7 +243,7 @@ func TestRHMatchesLPTotalDisplacement(t *testing.T) {
 // TestRHEarlyAbortCorrectness: the cache-line early abort must never
 // produce a false negative. Compare Get against a linear reference scan.
 func TestRHEarlyAbortCorrectness(t *testing.T) {
-	m := newRobinHood(Config{InitialCapacity: 256, Seed: 11})
+	m := newKern(SchemeRH, Config{InitialCapacity: 256, Seed: 11})
 	rng := prng.NewXoshiro256(12)
 	present := map[uint64]uint64{}
 	for i := 0; i < 230; i++ { // ~90% load factor
@@ -270,7 +270,7 @@ func TestRHEarlyAbortCorrectness(t *testing.T) {
 // TestRHDeleteBackshift: deletions rehash the cluster tail; afterwards all
 // remaining keys stay reachable and the invariant holds.
 func TestRHDeleteBackshift(t *testing.T) {
-	m := newRobinHood(Config{InitialCapacity: 128, Seed: 13})
+	m := newKern(SchemeRH, Config{InitialCapacity: 128, Seed: 13})
 	keys := make([]uint64, 0, 100)
 	rng := prng.NewXoshiro256(14)
 	for i := 0; i < 100; i++ {
@@ -485,8 +485,8 @@ func TestChainLengthsAndOverflow(t *testing.T) {
 // --- Displacement / cluster diagnostics ----------------------------------------
 
 func TestDisplacementsConsistency(t *testing.T) {
-	lp := newLinearProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
-	qp := newQuadraticProbing(Config{InitialCapacity: 1 << 10, Seed: 27})
+	lp := newKern(SchemeLP, Config{InitialCapacity: 1 << 10, Seed: 27})
+	qp := newKern(SchemeQP, Config{InitialCapacity: 1 << 10, Seed: 27})
 	rng := prng.NewXoshiro256(28)
 	for i := 0; i < 700; i++ {
 		k := rng.Next()
@@ -517,7 +517,7 @@ func TestDisplacementsConsistency(t *testing.T) {
 // the run detector (reachable only through internal construction: the
 // public API always preserves one empty slot for probe termination).
 func TestClusterLengthsFullTable(t *testing.T) {
-	m := newLinearProbing(Config{InitialCapacity: 8, Seed: 29})
+	m := newKern(SchemeLP, Config{InitialCapacity: 8, Seed: 29})
 	for i := range m.slots {
 		m.slots[i] = pair{uint64(i) + 1, 0}
 	}
@@ -528,7 +528,7 @@ func TestClusterLengthsFullTable(t *testing.T) {
 	// And the one-empty-slot invariant: filling via the public API stops
 	// at capacity-1, where Put reports ErrFull and leaves the table as it
 	// was.
-	m2 := newLinearProbing(Config{InitialCapacity: 8, Seed: 29})
+	m2 := newKern(SchemeLP, Config{InitialCapacity: 8, Seed: 29})
 	for i := uint64(1); i <= 7; i++ {
 		put(t, m2, i, i)
 	}

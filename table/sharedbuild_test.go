@@ -287,6 +287,16 @@ func TestSharedBuildAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSchemeSharedBuildAllocatesNothing: the answer is read off the scheme's
+// row, not off a table built to ask; pipe asks it once per build.
+func TestSchemeSharedBuildAllocatesNothing(t *testing.T) {
+	for _, s := range AllSchemes() {
+		if allocs := testing.AllocsPerRun(20, func() { s.SharedBuild() }); allocs != 0 {
+			t.Errorf("%s: SharedBuild costs %v allocations", s, allocs)
+		}
+	}
+}
+
 // TestPutIfAbsentBatchOnOtherHandles: where the call cannot be shared on one
 // table it is GetOrPutBatch with the results dropped — single-writer on a
 // growing or displacing single table, from any goroutine on a partitioned

@@ -18,12 +18,12 @@
 // plus LPSoA, the struct-of-arrays layout variant used by the paper's §7
 // layout study.
 //
-// The open-addressing schemes are instantiations of one policy-driven
-// probe kernel (kernel.go) over the paper's design dimensions made types
-// (policy.go): probe sequence x slot layout x displacement policy, with
-// the deletion strategy derived from them. Chained hashing and Cuckoo
-// keep structurally different cores but share the sentinel routing and
-// batch staging machinery.
+// LP, LPSoA, QP and RH are one probe kernel (kernel.go), each scheme a
+// row of the paper's design dimensions (kernSchemes in policy.go): probe
+// sequence x slot layout x displacement, with the deletion strategy
+// derived from them. Chained hashing and Cuckoo keep structurally
+// different cores but share the sentinel routing and batch staging
+// machinery.
 //
 // There are two ways in. Open builds a Handle, the workload-aware façade
 // most callers want. New builds one raw scheme behind the Table contract,
@@ -79,9 +79,6 @@ const (
 	tombKey uint64 = ^uint64(0)
 	// pairBytes is the size of one AoS slot: 8-byte key + 8-byte value.
 	pairBytes = 16
-	// slotsPerCacheLine is how many 16-byte AoS slots fit a 64-byte line;
-	// Robin Hood's early-abort check fires once per cache line (§2.4).
-	slotsPerCacheLine = 4
 )
 
 // pair is one array-of-structs slot: a key and its value, 16 bytes.
