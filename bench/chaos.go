@@ -2,16 +2,15 @@ package bench
 
 // Chaos harness: the RW differential replay run under a seeded fault
 // schedule. T goroutines replay disjoint RW tapes against ONE sharded
-// handle while internal/fault injects allocator failures, table
-// refusals, worker panics, and scheduler stalls at the rates of the
-// armed plan. Every injected failure must be either absorbed by the
-// engine (alloc failures degrade shards, stalls just reshuffle timing)
-// or surfaced as a typed error the replay can classify (injected
-// *table.FullError refusals, *shard.DegradedError inserts, contained
-// *exec.PanicError rounds) — anything else fails the run. Each
-// goroutine mirrors its applied operations into a private map oracle,
-// so after the faults are disarmed and the engine has healed, the
-// handle must agree with the union of the oracles exactly.
+// handle while internal/fault injects table refusals, worker panics, and
+// scheduler stalls at the rates of the armed plan. Every injected failure
+// must be either absorbed by the engine (refusals inside it grow the
+// shard, stalls just reshuffle timing) or surfaced as a typed error the
+// replay can classify (injected *table.FullError refusals, contained
+// *exec.PanicError rounds) — anything else fails the run. Each goroutine
+// mirrors its applied operations into a private map oracle, so after the
+// faults are disarmed and the engine has drained, the handle must agree
+// with the union of the oracles exactly.
 
 import (
 	"context"
@@ -106,10 +105,8 @@ type ChaosResult struct {
 	// a typed refusal.
 	Ops     int
 	Applied int
-	// SkippedDegraded counts mutations refused with *shard.DegradedError,
-	// SkippedInjected those refused with an injected *table.FullError or
-	// raw fault.ErrInjected.
-	SkippedDegraded int
+	// SkippedInjected counts mutations refused with an injected
+	// *table.FullError or raw fault.ErrInjected.
 	SkippedInjected int
 	// PanickedRounds counts replay rounds aborted by a contained
 	// *exec.PanicError (the affected cursors resume next round).
@@ -130,13 +127,13 @@ type chaosThread struct {
 	cursor int
 	rot    int // insert-primitive rotation: Put, GetOrPut, Upsert
 
-	applied, degraded, injected int
+	applied, injected int
 }
 
 // RunChaos replays cfg's differential chaos workload and returns the
 // tally. The fault plan is armed after the pre-fill and disarmed (via
 // defer, so failures cannot leak an armed plan into the caller's
-// process) before the heal phase and final differential check.
+// process) before the drain and final differential check.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if cfg.Threads < 1 {
 		return ChaosResult{}, fmt.Errorf("bench: chaos needs at least 1 thread, got %d", cfg.Threads)
@@ -161,7 +158,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 
 	// At least two shards even single-threaded, so the handle always has
-	// an engine (and with it Drain, the post-chaos heal hook).
+	// an engine (and with it Drain, the post-chaos settling hook).
 	shards := decision.ShardsFor(cfg.Threads)
 	if shards < 2 {
 		shards = 2
@@ -246,18 +243,17 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	for g := range threads {
 		th := &threads[g]
 		res.Applied += th.applied
-		res.SkippedDegraded += th.degraded
 		res.SkippedInjected += th.injected
 	}
 
-	// Heal: with the injector disarmed the allocator works again, so one
-	// Drain call retires every in-flight migration, parked carry entry,
-	// and degraded shard without waiting for organic mutations.
+	// Drain: with the injector disarmed, one Drain call retires every
+	// in-flight migration and parked carry entry without waiting for
+	// organic mutations.
 	if !m.Engine().Drain() {
-		return res, fmt.Errorf("bench: chaos engine failed to heal after drain: %+v", m.EngineStats())
+		return res, fmt.Errorf("bench: chaos engine still migrating after drain: %+v", m.EngineStats())
 	}
-	if st := m.EngineStats(); st.Degraded != 0 || st.Migrating != 0 {
-		return res, fmt.Errorf("bench: chaos engine reports unhealed state after drain: %+v", st)
+	if st := m.EngineStats(); st.Migrating != 0 {
+		return res, fmt.Errorf("bench: chaos engine reports a migrating shard after drain: %+v", st)
 	}
 
 	// Final differential: the handle must agree with the union of the
@@ -294,16 +290,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 }
 
 // classifyChaosErr records a typed, expected refusal on th and reports
-// whether err was one: *shard.DegradedError (allocator failing — the
-// insert is refused but the shard keeps serving) or an injected refusal
-// (*table.FullError from the handle entry hook, or a raw
-// fault.ErrInjected chain). Anything else is a real failure.
+// whether err was one: an injected refusal (*table.FullError from the
+// handle entry hook, or a raw fault.ErrInjected chain). Anything else is
+// a real failure.
 func classifyChaosErr(th *chaosThread, err error) bool {
-	var de *shard.DegradedError
-	if errors.As(err, &de) {
-		th.degraded++
-		return true
-	}
 	var fe *table.FullError
 	if errors.As(err, &fe) || errors.Is(err, fault.ErrInjected) {
 		th.injected++

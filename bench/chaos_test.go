@@ -8,21 +8,19 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/shard"
 	"repro/table"
 )
 
 // TestRunChaosAllFaultKinds is the headline robustness test: a seeded
-// schedule injecting all four fault kinds at once into a concurrent RW
+// schedule injecting every fault kind at once into a concurrent RW
 // replay. Every kind must actually fire, every injected failure must be
 // absorbed or surfaced typed (RunChaos fails otherwise), the engine must
-// heal after disarming, the final state must match the map oracles
+// drain after disarming, the final state must match the map oracles
 // exactly, and no goroutine may leak.
 func TestRunChaosAllFaultKinds(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	var rates [fault.NumKinds]float64
-	rates[fault.Alloc] = 0.5
 	rates[fault.Full] = 0.02
 	rates[fault.Panic] = 0.12
 	rates[fault.Stall] = 0.05
@@ -43,25 +41,22 @@ func TestRunChaosAllFaultKinds(t *testing.T) {
 	if fault.Armed() {
 		t.Fatal("RunChaos returned with the fault plan still armed")
 	}
-	for k := fault.Alloc; int(k) < fault.NumKinds; k++ {
+	for k := fault.Full; int(k) < fault.NumKinds; k++ {
 		if res.Faults.Fired[k] == 0 {
 			t.Errorf("fault kind %v never fired (seen %d): %+v", k, res.Faults.Seen[k], res.Faults)
 		}
 	}
 	// Every tape operation is consumed exactly once: applied, or skipped
 	// on a typed refusal.
-	if got := res.Applied + res.SkippedDegraded + res.SkippedInjected; got != res.Ops {
-		t.Errorf("applied %d + skipped %d+%d = %d, want %d ops",
-			res.Applied, res.SkippedDegraded, res.SkippedInjected, got, res.Ops)
+	if got := res.Applied + res.SkippedInjected; got != res.Ops {
+		t.Errorf("applied %d + skipped %d = %d, want %d ops",
+			res.Applied, res.SkippedInjected, got, res.Ops)
 	}
 	if res.Faults.Fired[fault.Panic] > 0 && res.PanickedRounds == 0 {
 		t.Errorf("%d injected panics but no panicked rounds", res.Faults.Fired[fault.Panic])
 	}
-	if res.Faults.Fired[fault.Alloc] > 0 && res.Stats.AllocFailures == 0 {
-		t.Errorf("%d injected alloc failures but engine recorded none: %+v", res.Faults.Fired[fault.Alloc], res.Stats)
-	}
-	if res.Stats.Degraded != 0 || res.Stats.Migrating != 0 {
-		t.Errorf("engine not healed: %+v", res.Stats)
+	if res.Stats.Migrating != 0 {
+		t.Errorf("engine still migrating: %+v", res.Stats)
 	}
 	t.Logf("chaos: %+v", res)
 
@@ -111,12 +106,12 @@ func chaosTapeKey(b byte) uint64 {
 // checked against a map oracle with typed-refusal tolerance: injected
 // refusals may skip a mutation (the oracle skips it too) but may never
 // corrupt a read, leak an untyped error, or leave the engine unable to
-// heal once the schedule is disarmed.
+// drain once the schedule is disarmed.
 func FuzzFaultSchedule(f *testing.F) {
-	f.Add(uint64(1), byte(64), byte(32), []byte{0x00, 0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67})
-	f.Add(uint64(7), byte(255), byte(0), []byte{0x05, 0x3f, 0x05, 0x40, 0x03, 0x41, 0x02, 0x81})
-	f.Add(uint64(42), byte(0), byte(255), []byte("chaos tape with sentinels \x00\xff"))
-	f.Fuzz(func(t *testing.T, seed uint64, allocB, fullB byte, tape []byte) {
+	f.Add(uint64(1), byte(32), []byte{0x00, 0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67})
+	f.Add(uint64(7), byte(0), []byte{0x05, 0x3f, 0x05, 0x40, 0x03, 0x41, 0x02, 0x81})
+	f.Add(uint64(42), byte(255), []byte("chaos tape with sentinels \x00\xff"))
+	f.Fuzz(func(t *testing.T, seed uint64, fullB byte, tape []byte) {
 		if len(tape) > 4096 {
 			tape = tape[:4096]
 		}
@@ -131,7 +126,6 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		var rates [fault.NumKinds]float64
-		rates[fault.Alloc] = float64(allocB) / 512 // up to ~0.5
 		rates[fault.Full] = float64(fullB) / 512
 		rates[fault.Stall] = 0.05
 		fault.Arm(fault.Config{Seed: seed, Rates: rates, StallYields: 2})
@@ -139,9 +133,8 @@ func FuzzFaultSchedule(f *testing.F) {
 
 		oracle := map[uint64]uint64{}
 		skip := func(err error) bool {
-			var de *shard.DegradedError
 			var fe *table.FullError
-			return errors.As(err, &de) || errors.As(err, &fe) || errors.Is(err, fault.ErrInjected)
+			return errors.As(err, &fe) || errors.Is(err, fault.ErrInjected)
 		}
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, k := tape[i], chaosTapeKey(tape[i+1])
@@ -208,14 +201,13 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 		}
 
-		// Disarm and heal: the allocator works again, so one Drain call
-		// must retire every migration and degraded shard.
+		// Disarm and drain: one Drain call must retire every migration.
 		fault.Disarm()
 		if !m.Engine().Drain() {
-			t.Fatalf("engine failed to heal after drain: %+v", m.EngineStats())
+			t.Fatalf("engine still migrating after drain: %+v", m.EngineStats())
 		}
-		if st := m.EngineStats(); st.Degraded != 0 || st.Migrating != 0 {
-			t.Fatalf("engine reports unhealed state after drain: %+v", st)
+		if st := m.EngineStats(); st.Migrating != 0 {
+			t.Fatalf("engine reports a migrating shard after drain: %+v", st)
 		}
 
 		// Exact final differential.

@@ -124,9 +124,6 @@ func run(out io.Writer, cfg config) error {
 	reg.RegisterFunc("engine_load_factor", "live entries over total slot capacity", func() float64 {
 		return engine.LoadFactor()
 	})
-	reg.RegisterFunc("engine_degraded_shards", "shards in the degraded-but-serving state", func() float64 {
-		return float64(engine.Stats().Degraded)
-	})
 	reg.RegisterFunc("engine_migrations_done", "incremental resizes completed", func() float64 {
 		return float64(engine.Stats().MigrationsDone)
 	})

@@ -9,13 +9,13 @@
 //	rule                                        analyzer        why
 //	----                                        --------        ---
 //	all concurrency flows through exec/shard    nogoroutine     bounded fan-out, first-error, panic containment (PR 5)
-//	typed errors matched via errors.Is/As,      errtaxonomy     the FullError -> DegradedError -> %w chain must stay
+//	typed errors matched via errors.Is/As,      errtaxonomy     the FullError -> errors.Join -> %w chain must stay
 //	re-surfaced only with %w                                    inspectable end to end (PR 6)
 //	unsafe only in table/policy.go              unsafeconfine   unsafe aliasing stays where checkptr/ASan and
 //	                                                            FuzzColumnView and FuzzProbeKernel exercise it
-//	shard locks paired in-function; factory     lockdiscipline  incremental resize and degraded mode assume the
-//	calls only via allocTable; no exec calls                    chokepoint and the lock ownership rules (PR 3/6)
-//	under a shard lock
+//	shard locks paired in-function; factory     lockdiscipline  incremental resize assumes the lock ownership
+//	calls only via allocTable; no exec calls                    rules; allocTable is the one place a factory
+//	under a shard lock                                          error is handled (PR 3/6)
 //	Config.Ctx threaded into exec.Config        ctxpropagate    accepted contexts must reach the pool, or the
 //	                                                            work is uncancellable (PR 6)
 //

@@ -8,14 +8,14 @@ import (
 )
 
 // taxonomyPkgs are the packages that define the typed error taxonomy:
-// table (ErrFull, *FullError), exec (*PanicError, *SuppressedError),
-// shard (*DegradedError), and internal/fault (ErrInjected). Matching is by
-// package-path base, so the fixture stubs of the analysistest harness
-// exercise the same code paths.
+// table (ErrFull, *FullError), exec (*PanicError, *SuppressedError) and
+// internal/fault (ErrInjected). (shard defines none: it joins a table's
+// refusal with its factory's error.) Matching is by package-path base, so
+// the fixture stubs of the analysistest harness exercise the same code
+// paths.
 var taxonomyPkgs = map[string]bool{
 	"table": true,
 	"exec":  true,
-	"shard": true,
 	"fault": true,
 }
 
@@ -140,7 +140,7 @@ func runErrTaxonomy(pass *Pass) error {
 				}
 				for _, side := range []ast.Expr{n.X, n.Y} {
 					if name, ok := pass.isSentinelUse(side); ok {
-						pass.Reportf(n.Pos(), "%s compared with %s: use errors.Is — the sentinel is wrapped (FullError, DegradedError, %%w chains) and == misses every wrapped occurrence", name, n.Op)
+						pass.Reportf(n.Pos(), "%s compared with %s: use errors.Is — the sentinel is wrapped (FullError, errors.Join, %%w chains) and == misses every wrapped occurrence", name, n.Op)
 					}
 				}
 
@@ -174,7 +174,7 @@ func runErrTaxonomy(pass *Pass) error {
 
 			case *ast.CallExpr:
 				if pass.isFmtCall(n, "Errorf") && pass.hasErrorArg(n) && formatLacksW(n) {
-					pass.Reportf(n.Pos(), "error re-surfaced through fmt.Errorf without %%w: the taxonomy chain (errors.Is/As through FullError, DegradedError, ...) is severed here")
+					pass.Reportf(n.Pos(), "error re-surfaced through fmt.Errorf without %%w: the taxonomy chain (errors.Is/As through FullError, errors.Join, ...) is severed here")
 				}
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "panic" && len(n.Args) == 1 {
 					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {

@@ -7,7 +7,7 @@ import (
 )
 
 // LockDiscipline enforces the shard package's locking rules, the ones
-// the incremental-resize and degraded-mode machinery depend on:
+// the incremental-resize machinery depends on:
 //
 //  1. Every mu.Lock()/mu.RLock() — and every mu.TryLock(), which takes
 //     the lock whenever it answers true — has a matching
@@ -15,9 +15,8 @@ import (
 //     function (deferred or explicit) — a shard lock never leaks out of
 //     the function that took it.
 //  2. The raw table factory (the Config.NewTable function value, stored
-//     as Engine.create) is invoked only inside the allocTable
-//     chokepoint, so every allocation is fallible in exactly one place
-//     and the fault injector's Alloc hook covers all of them.
+//     as Engine.create) is invoked only inside allocTable, so a factory
+//     error is handled in exactly one place.
 //  3. No call into the exec package while a shard lock is held: a pool
 //     submission under a shard lock can deadlock against a task that
 //     needs the same shard (the documented must-not-call-back-into-the-
@@ -221,7 +220,7 @@ func checkFactoryChokepoint(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		if name == "create" || name == "NewTable" {
-			pass.Reportf(call.Pos(), "raw table-factory call outside allocTable: every allocation must pass through the one fallible chokepoint (fault injection, degraded-mode accounting)")
+			pass.Reportf(call.Pos(), "raw table-factory call outside allocTable: every allocation must pass through the one place a factory error is handled")
 		}
 		return true
 	})

@@ -9,7 +9,6 @@
 //	fault.Arm(fault.Config{
 //		Seed: 42,
 //		Rates: func() (r [fault.NumKinds]float64) {
-//			r[fault.Alloc] = 0.5  // fail half the table allocations
 //			r[fault.Full] = 0.01  // refuse 1% of mutations as "full"
 //			r[fault.Panic] = 0.05 // panic 5% of exec worker tasks
 //			r[fault.Stall] = 0.02 // stretch 2% of migration steps
@@ -25,10 +24,8 @@
 // (same number of occurrences, same number of fires for a serial
 // replay) rather than per call site.
 //
-// The four kinds map onto the stack's failure contracts:
+// The three kinds map onto the stack's failure contracts:
 //
-//   - Alloc   -> shard allocator failure -> degraded-but-serving shard,
-//     *shard.DegradedError on refused inserts, seeded-backoff retry.
 //   - Full    -> synthesized table refusal -> *table.FullError from
 //     table.Handle, grow-on-refusal inside the shard engine.
 //   - Panic   -> worker panic in exec -> contained *exec.PanicError.

@@ -16,16 +16,12 @@ import (
 type Kind uint8
 
 const (
-	// Alloc fails a table allocation in the shard engine (construction,
-	// 2x successor allocation, and rebuilds all pass through the same
-	// chokepoint), exercising the degraded-but-serving path.
-	Alloc Kind = iota
 	// Full refuses a mutation as if the underlying table were full: at
 	// the table.Handle entry points it synthesizes a *table.FullError,
 	// inside the shard engine's locked paths it forces the
 	// grow-on-refusal machinery (and, during migration, the
 	// park-and-rebuild path) to run.
-	Full
+	Full Kind = iota
 	// Panic panics an exec worker task; the pool must contain it and
 	// return a typed *exec.PanicError instead of crashing the process.
 	Panic
@@ -41,8 +37,6 @@ const (
 // String names the kind for counters and logs.
 func (k Kind) String() string {
 	switch k {
-	case Alloc:
-		return "alloc"
 	case Full:
 		return "full"
 	case Panic:
@@ -85,9 +79,9 @@ type plan struct {
 // costs exactly one atomic pointer load when disarmed.
 var active atomic.Pointer[plan]
 
-// Arm installs a fault schedule process-wide. Arm after constructing
-// the structures under test unless construction itself is the target
-// (the Alloc kind fires in shard-engine construction too).
+// Arm installs a fault schedule process-wide. Arm after building and
+// pre-filling the structures under test, or an armed Full refuses the
+// pre-fill too.
 func Arm(cfg Config) {
 	p := &plan{seed: cfg.Seed, yields: cfg.StallYields}
 	if p.yields <= 0 {

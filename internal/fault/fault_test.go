@@ -11,7 +11,7 @@ func TestDisarmedNeverFires(t *testing.T) {
 	if Armed() {
 		t.Fatal("Armed() = true after Disarm")
 	}
-	for k := Alloc; int(k) < NumKinds; k++ {
+	for k := Full; int(k) < NumKinds; k++ {
 		for i := 0; i < 1000; i++ {
 			if Should(k) {
 				t.Fatalf("disarmed Should(%v) fired", k)
@@ -29,15 +29,15 @@ func TestDisarmedNeverFires(t *testing.T) {
 func TestDeterministicSchedule(t *testing.T) {
 	defer Disarm()
 	cfg := Config{Seed: 99}
-	cfg.Rates[Alloc] = 0.3
-	cfg.Rates[Full] = 1.0
+	cfg.Rates[Full] = 0.3
+	cfg.Rates[Stall] = 1.0
 	cfg.Rates[Panic] = 0.0
 
 	record := func() []bool {
 		Arm(cfg)
 		var got []bool
 		for i := 0; i < 4096; i++ {
-			got = append(got, Should(Alloc))
+			got = append(got, Should(Full))
 		}
 		return got
 	}
@@ -58,7 +58,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 	Arm(cfg)
 	for i := 0; i < 64; i++ {
-		if !Should(Full) {
+		if !Should(Stall) {
 			t.Fatalf("rate 1.0 did not fire at occurrence %d", i)
 		}
 		if Should(Panic) {
@@ -66,8 +66,8 @@ func TestDeterministicSchedule(t *testing.T) {
 		}
 	}
 	c := Snapshot()
-	if c.Seen[Full] != 64 || c.Fired[Full] != 64 {
-		t.Fatalf("Full counters = %d seen / %d fired, want 64/64", c.Seen[Full], c.Fired[Full])
+	if c.Seen[Stall] != 64 || c.Fired[Stall] != 64 {
+		t.Fatalf("Stall counters = %d seen / %d fired, want 64/64", c.Seen[Stall], c.Fired[Stall])
 	}
 	if c.Fired[Panic] != 0 {
 		t.Fatalf("Panic fired %d times at rate 0", c.Fired[Panic])

@@ -26,7 +26,7 @@ func goldenRegistry() *Registry {
 	r.RegisterCounter(`exec_events_total{kind="steal"}`, "scheduling events by kind", steals)
 	errs := NewCounter(1)
 	r.RegisterCounter(`exec_events_total{kind="error"}`, "", errs)
-	r.RegisterFunc("engine_degraded_shards", "shards in the degraded-but-serving state", func() float64 { return 3 })
+	r.RegisterFunc("engine_migrating_shards", "shards with a resize in flight", func() float64 { return 3 })
 	lat := NewHistogram(1)
 	for v := int64(1); v <= 1000; v++ {
 		lat.Record(0, v)

@@ -158,7 +158,6 @@ func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded [
 	s.lockShard()
 	defer s.unlockShard()
 	e.advance(s)
-	e.degradedTick(s)
 	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
 		if put {
 			inserted, err = v.cur.PutBatch(keys, vals)
@@ -170,8 +169,8 @@ func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded [
 			return inserted, err
 		}
 		// The pipeline refused a key (Cuckoo kick failure): the table
-		// cannot place keys at this occupancy, so grow now — or degrade
-		// when the allocator refuses — and re-apply the whole range key by key,
+		// cannot place keys at this occupancy, so grow now (a factory
+		// error leaves the shard steady) and re-apply the whole range key by key,
 		// carrying the pipeline's insert count. Re-applying is idempotent:
 		// a pair already in is an update to, or a GetOrPut hit on, the same
 		// value, and is not counted twice; a within-batch duplicate may

@@ -11,7 +11,7 @@ import "repro/obs"
 const opSampleMask = 63
 
 // Metrics is the engine's telemetry surface: latency histograms per
-// operation plus degraded-state transition counters, striped by shard
+// operation plus read-path and publication counters, striped by shard
 // index so concurrent shards never contend on a cache line. Attach with
 // Engine.SetMetrics; a nil Metrics (the default) leaves every hook as a
 // single atomic-pointer load.
@@ -37,19 +37,14 @@ type Metrics struct {
 	// mutation (or Drain) hosts while a resize is in flight.
 	MigrationChunk *obs.Histogram
 
-	// DegradedEnter counts healthy→degraded shard transitions; Healed
-	// counts degraded→healthy. Their difference tracks Stats().Degraded.
-	DegradedEnter *obs.Counter
-	Healed        *obs.Counter
-
 	// Wait-free read-path health. ReadRetry counts optimistic probes
 	// discarded because a writer's seqlock window overlapped them (a Get's
 	// lookup, a GetBatch's whole shard range); ReadFallback, reads that
 	// exhausted their budget and finished under the writer lock; LockPark,
 	// lock acquisitions that outlasted the watch and slept on the mutex;
-	// ViewRepublish, epoch publications (resize begin/finish, rebuild,
-	// degraded flips — plus the birth epochs if Metrics are attached at
-	// construction). All four stay zero under read-only load.
+	// ViewRepublish, epoch publications (resize begin/finish, dead
+	// overlay doubling, rebuild — plus the birth epochs if Metrics are
+	// attached at construction). All four stay zero under read-only load.
 	ReadRetry     *obs.Counter
 	ReadFallback  *obs.Counter
 	LockPark      *obs.Counter
@@ -73,8 +68,6 @@ func NewMetrics(shards int) *Metrics {
 		GetOrPutBatch:  obs.NewHistogram(shards),
 		UpsertBatch:    obs.NewHistogram(shards),
 		MigrationChunk: obs.NewHistogram(shards),
-		DegradedEnter:  obs.NewCounter(shards),
-		Healed:         obs.NewCounter(shards),
 		ReadRetry:      obs.NewCounter(shards),
 		ReadFallback:   obs.NewCounter(shards),
 		LockPark:       obs.NewCounter(shards),
@@ -95,8 +88,6 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+`shard_batch_nanos{op="get_or_put"}`, "", m.GetOrPutBatch)
 	r.RegisterHistogram(prefix+`shard_batch_nanos{op="upsert"}`, "", m.UpsertBatch)
 	r.RegisterHistogram(prefix+"shard_migration_chunk_nanos", "bounded migration step latency in nanoseconds", m.MigrationChunk)
-	r.RegisterCounter(prefix+`shard_degraded_total{transition="enter"}`, "degraded-state transitions by direction", m.DegradedEnter)
-	r.RegisterCounter(prefix+`shard_degraded_total{transition="heal"}`, "", m.Healed)
 	r.RegisterCounter(prefix+"shard_read_retries_total", "optimistic read attempts discarded by a writer's seqlock window", m.ReadRetry)
 	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", m.ReadFallback)
 	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the watch and slept on the mutex", m.LockPark)

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -121,56 +120,6 @@ func TestMetricsBatchPerCall(t *testing.T) {
 		if h != calls {
 			t.Errorf("%s histogram count = %d, want %d (one sample per call)", name, h, calls)
 		}
-	}
-}
-
-func TestMetricsDegradedTransitions(t *testing.T) {
-	fail := false
-	e := shard.MustNew(shard.Config{
-		Shards: 1, Capacity: 64, GrowAt: 0.8, Seed: 7,
-		NewTable: func(capacity int, seed uint64) (shard.Table, error) {
-			if fail {
-				return nil, fmt.Errorf("allocator out of memory for %d slots", capacity)
-			}
-			return table.New(table.SchemeRH, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
-		},
-	})
-	m := shard.NewMetrics(1)
-	e.SetMetrics(m)
-	fail = true
-	var degradedSeen bool
-	for k := uint64(1); k <= 256; k++ {
-		if _, err := e.Put(k, k); err != nil {
-			var derr *shard.DegradedError
-			if !errors.As(err, &derr) {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			degradedSeen = true
-			break
-		}
-		if e.Stats().Degraded > 0 {
-			degradedSeen = true
-			break
-		}
-	}
-	if !degradedSeen {
-		t.Fatal("fixture never degraded the shard")
-	}
-	if m.DegradedEnter.Value() == 0 {
-		t.Fatal("DegradedEnter stayed zero through a degraded transition")
-	}
-	if m.Healed.Value() != 0 {
-		t.Fatalf("Healed = %d before the allocator recovered", m.Healed.Value())
-	}
-	fail = false
-	if !e.Drain() {
-		t.Fatal("Drain did not heal with a recovered allocator")
-	}
-	if m.Healed.Value() == 0 {
-		t.Fatal("Healed stayed zero after Drain healed the shard")
-	}
-	if got := e.Stats().Degraded; got != 0 {
-		t.Fatalf("Stats.Degraded = %d after heal", got)
 	}
 }
 

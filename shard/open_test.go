@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/shard"
 	"repro/table"
 )
@@ -98,17 +97,6 @@ func TestNewParallelOpenMatchesSerial(t *testing.T) {
 func TestNewParallelOpenRefused(t *testing.T) {
 	var f openFactory
 	cfg := shard.Config{Shards: openShards, Capacity: openParallel, Seed: 42, NewTable: f.new}
-
-	var rates [fault.NumKinds]float64
-	rates[fault.Alloc] = 1
-	fault.Arm(fault.Config{Seed: 1, Rates: rates})
-	e, err := shard.New(cfg)
-	fault.Disarm()
-	if e != nil || !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("armed allocator: engine %v, error %v", e, err)
-	}
-
-	// The factory's own refusal, for one shard only.
 	good, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)

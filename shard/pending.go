@@ -10,9 +10,9 @@ import "sync/atomic"
 // logical delete opens none: under the shard lock it records the key here,
 // where readers see it, and the next write window deletes it from the table
 // (apply, called by lockShard) before it does anything else. So nothing but
-// a reader ever meets a pending key, and only a steady shard — neither
-// migrating nor degraded — has any: beginning a migration and degrading
-// both happen inside a window, after the apply.
+// a reader ever meets a pending key, and only a steady shard — one not
+// migrating — has any: a migration begins inside a window, after the
+// apply.
 //
 // Readers share the set with the writer that adds to it, outside any
 // window. Every word but the count is written plainly, under the shard

@@ -344,43 +344,3 @@ func TestPendingKeysNotCarriedIntoSuccessor(t *testing.T) {
 		}
 	}
 }
-
-// TestPendingDegradedDeleteTicksBackoff: a delete on a degraded shard is
-// not logical. It takes the window, which ticks the allocator backoff, so
-// deletes alone heal the shard once the allocator recovers.
-func TestPendingDegradedDeleteTicksBackoff(t *testing.T) {
-	fail := false
-	e := shard.MustNew(flakyAllocator(64, &fail))
-	fail = true
-	n := uint64(0)
-	for k := uint64(1); ; k++ {
-		if _, err := e.Put(k, k); err != nil {
-			break
-		}
-		n = k
-	}
-	if st := e.Stats(); st.Degraded != 1 {
-		t.Fatalf("stats %+v, want one degraded shard", st)
-	}
-	fail = false
-	healedAt := uint64(0)
-	for k := uint64(1); k <= n && healedAt == 0; k++ {
-		if !e.Delete(k) {
-			t.Fatalf("Delete(%d) = false", k)
-		}
-		if e.Stats().Degraded == 0 {
-			healedAt = k
-		}
-	}
-	if healedAt == 0 {
-		t.Fatalf("%d deletes never healed the degraded shard: %+v", n, e.Stats())
-	}
-	for k := uint64(1); k <= n; k++ {
-		if v, ok := e.Get(k); ok != (k > healedAt) || ok && v != k {
-			t.Fatalf("Get(%d) = (%d, %v) after deleting keys 1..%d", k, v, ok, healedAt)
-		}
-	}
-	if got := e.Len(); got != int(n-healedAt) {
-		t.Fatalf("Len = %d, want %d", got, n-healedAt)
-	}
-}

@@ -553,7 +553,7 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 	if after.gen != before.gen+1 || e.viewPublishes.Load() != publishes+1 {
 		t.Fatalf("the doubling published %d views (gen %d → %d), want exactly one", e.viewPublishes.Load()-publishes, before.gen, after.gen)
 	}
-	if after.cur != before.cur || after.next != before.next || after.degraded != before.degraded {
+	if after.cur != before.cur || after.next != before.next {
 		t.Fatal("the doubling's view changed more than the overlay")
 	}
 	if before.dead.has(victim) || before.dead.n != deadSetFloor/2 {

@@ -71,17 +71,17 @@
 // the successor lacks, and the write then marks a frozen entry whose value
 // it changed dead.
 //
-// A delete on a steady shard — neither migrating nor degraded — opens no
-// seqlock window. A table's delete moves entries (Robin Hood's backward
-// shift), so it would tear every batched read that overlaps it; instead
+// A delete on a steady shard, one not migrating, opens no seqlock window.
+// A table's delete moves entries (Robin Hood's backward shift), so it
+// would tear every batched read that overlaps it; instead
 // the delete looks the key up under the writer lock and records it in the
 // shard's pending set (pending.go), which readers mask. The record is plain
 // stores published by one atomic store of the set's count, so a delete
 // costs one fence, not one per word it writes. The next window on
 // the shard, whatever opens it, first deletes the pending keys from the
 // table, so growth checks, migrations and Table.Len never see one. A
-// migrating or degraded shard's delete, and one that finds 256 keys
-// pending, takes a window as every other write does.
+// migrating shard's delete, and one that finds 256 keys pending, takes a
+// window as every other write does.
 //
 // The cursor is one integer, the position Table.RangeFrom stopped at: a
 // frozen table never changes, so there is no goroutine, nothing to stop,
@@ -105,20 +105,15 @@
 // run against a successor with capacity(old) spare slots beyond the
 // threshold.
 //
-// # Graceful degradation
+// # Factory errors
 //
-// Every table allocation — construction, the 2x successor, rebuilds —
-// goes through one fallible chokepoint. When allocating a successor
-// fails, the shard does not fail with it: it enters a degraded-but-
-// serving state on its frozen current table. Reads, deletes, and
-// in-place updates keep working; only inserts that genuinely need new
-// slots surface a typed *DegradedError (wrapping the table's refusal,
-// so errors.Is(err, table.ErrFull) still holds). Subsequent mutations
-// retry the allocation under seeded exponential backoff with per-shard
-// jitter, and the shard heals in place the moment an allocation
-// succeeds (or the pressure recedes below the growth threshold).
-// Stats() exposes the degraded-shard count and the failure/retry
-// counters.
+// Every table allocation — construction, the successor, rebuilds — calls
+// Config.NewTable in one place, and a factory error there leaves no state
+// behind: New returns it, a failed pre-emptive growth is retried by the
+// next mutation over the threshold, and an insert whose table refused it
+// returns the refusal joined with the factory's error (so errors.Is(err,
+// table.ErrFull) still holds). A rebuild that cannot allocate keeps its
+// carry list for the next mutation, and Drain reports false.
 //
 // # Concurrency contract
 //
@@ -147,6 +142,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -155,7 +151,6 @@ import (
 	"repro/exec"
 	"repro/hashfn"
 	"repro/internal/fault"
-	"repro/internal/prng"
 	"repro/obs"
 )
 
@@ -219,15 +214,6 @@ const routerSeedMix = 0x9a77_e4b0_0f00_d001
 // shardSeedStep spaces the per-shard table seeds (golden-ratio step).
 const shardSeedStep = 0x9e3779b97f4a7c15
 
-// maxBackoff caps a degraded shard's retry window: at most this many
-// mutations pass between allocator retries, however long the allocator
-// has been failing.
-const maxBackoff = 256
-
-// jitterSeedMix derives the per-shard backoff-jitter stream from the
-// shard's table seed, independent of the hashing streams.
-const jitterSeedMix = 0x5bd1_e995_7b93_b1a9
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Shards is the number of shards, rounded up to a power of two
@@ -268,10 +254,10 @@ type Config struct {
 type kv struct{ k, v uint64 }
 
 // shardState is one shard: the published read view plus the writer-side
-// state. Structural read state (tables, dead overlay, degraded flag)
-// lives in the view — the single source of truth for readers AND
-// writers; everything else here is either atomic (seq, live) or
-// writer-private under mu (cursor, carry, backoff).
+// state. Structural read state (tables, dead overlay) lives in the view —
+// the single source of truth for readers AND writers; everything else
+// here is either atomic (seq, live) or writer-private under mu (cursor,
+// carry).
 type shardState struct {
 	// mu serializes writers. Readers touch it only on the bounded-retry
 	// fallback path (and in race-detector builds); everyone through acquire.
@@ -289,10 +275,9 @@ type shardState struct {
 	// pending.go.
 	pend pendingSet
 
-	seed   uint64  // table seed, reused for every successor generation
-	idx    int     // shard index (for DegradedError)
-	eng    *Engine // the owner, for acquire's park accounting
-	jitter *prng.SplitMix64
+	seed uint64  // table seed, reused for every successor generation
+	idx  int     // shard index (the metrics stripe)
+	eng  *Engine // the owner, for acquire's park accounting
 
 	// Migration cursor state, meaningful while a resize is in flight.
 	// (The successor table and dead overlay live in the view.)
@@ -309,11 +294,6 @@ type shardState struct {
 	fn       func(old uint64, exists bool) uint64
 	old      uint64 // what the key held, when existed
 	existed  bool
-
-	// Degraded-state retry scheduling; zero when the allocator is
-	// healthy. (The degraded flag itself lives in the view.)
-	backoff int // current retry window (mutations), doubles per failure
-	retryIn int // mutations left before the next allocator retry
 }
 
 // Engine is the sharded concurrent engine. See the package documentation
@@ -334,9 +314,6 @@ type Engine struct {
 	migChunks  atomic.Uint64
 	migNanos   atomic.Uint64
 	rebuilds   atomic.Uint64
-
-	allocFails   atomic.Uint64
-	allocRetries atomic.Uint64
 
 	// Wait-free read-path accounting: discarded probes, falls back to the
 	// writer lock, view publications, lock waits that slept (see view.go).
@@ -395,7 +372,6 @@ func New(cfg Config) (*Engine, error) {
 		s := &e.shards[i]
 		s.idx, s.eng, s.rmw = i, e, s.rmwStep
 		s.seed = cfg.Seed + uint64(i)*shardSeedStep
-		s.jitter = prng.NewSplitMix64(s.seed ^ jitterSeedMix)
 		tables[i], err = e.allocTable(perShard, s.seed)
 		return err
 	}
@@ -530,14 +506,10 @@ func (e *Engine) MemoryFootprint() uint64 {
 // Incremental migration machinery (inside the writer's seqlock window)
 // ---------------------------------------------------------------------------
 
-// allocTable is the one chokepoint every table allocation goes through —
-// construction, successor allocation, and rebuilds — so a failing
-// NewTable factory (or the armed fault injector's Alloc kind) exercises
-// every degradation path.
+// allocTable is the one place every table allocation goes through —
+// construction, successor allocation, and rebuilds — and so the one place
+// a factory error is handled (see the package documentation).
 func (e *Engine) allocTable(capacity int, seed uint64) (Table, error) {
-	if fault.Should(fault.Alloc) {
-		return nil, fmt.Errorf("shard: allocating %d-slot table: %w", capacity, fault.ErrInjected)
-	}
 	return e.create(capacity, seed)
 }
 
@@ -574,7 +546,7 @@ func (e *Engine) beginMigration(s *shardState) error {
 		}
 	}
 	s.pos = 0
-	e.publish(s, &view{cur: v.cur, next: nt, dead: newDeadSet(), degraded: v.degraded})
+	e.publish(s, &view{cur: v.cur, next: nt, dead: newDeadSet()})
 	e.migStarted.Add(1)
 	return nil
 }
@@ -583,7 +555,7 @@ func (e *Engine) beginMigration(s *shardState) error {
 // drops the frozen table.
 func (e *Engine) finishMigration(s *shardState) {
 	v := s.view.Load()
-	e.publish(s, &view{cur: v.next, degraded: v.degraded})
+	e.publish(s, &view{cur: v.next})
 	e.migDone.Add(1)
 }
 
@@ -596,7 +568,7 @@ func (e *Engine) finishMigration(s *shardState) {
 // successor refusal parks the refused entry and the unplaced rest of the
 // step's buffer on the carry list (they are still readable in the frozen
 // table) and falls back to a rebuild, and a failed rebuild allocation
-// leaves the shard degraded-but-serving. The migration can only finish
+// leaves them there for the next mutation. The migration can only finish
 // once the carry list is empty — the carry loop runs before the cursor
 // moves — so a failed rebuild can never lose an entry the cursor is
 // already past.
@@ -621,7 +593,7 @@ func (e *Engine) advance(s *shardState) {
 // chunk of MigrationChunk entries collected from the cursor (dead ones
 // counted) and placed in order. It returns how many entries it moved. The
 // view it loads stays current throughout: the only republications it can
-// trigger (finishMigration, tryRebuild) are immediately followed by a
+// trigger (finishMigration, rebuild) are immediately followed by a
 // return.
 func (e *Engine) advanceChunk(s *shardState) (moved int) {
 	fault.MaybeStall()
@@ -631,11 +603,9 @@ func (e *Engine) advanceChunk(s *shardState) (moved int) {
 		if !v.dead.has(c.k) {
 			_, loaded, err := v.next.GetOrPut(c.k, c.v)
 			if err != nil {
-				// Still refused: only a rebuild can place it. Honor the
-				// degraded backoff when a previous rebuild allocation failed.
-				if !v.degraded || e.retryDue(s) {
-					e.tryRebuild(s)
-				}
+				// Still refused: only a rebuild can place it. One that
+				// cannot allocate keeps the carry list for the next try.
+				_ = e.rebuild(s)
 				return moved
 			}
 			if !loaded {
@@ -680,123 +650,38 @@ func (e *Engine) advanceChunk(s *shardState) (moved int) {
 }
 
 // maybeGrow starts a migration when s has crossed the threshold. The
-// growth is pre-emptive, so an allocator failure here is absorbed — the
-// hosting mutation already succeeded — and the shard degrades instead.
+// growth is pre-emptive and the hosting mutation already succeeded, so a
+// factory error here is dropped: the shard stays steady, and the next
+// mutation over the threshold tries again.
 func (e *Engine) maybeGrow(s *shardState) {
 	v := s.view.Load()
-	if e.growAt <= 0 || v.migrating() || v.degraded {
+	if e.growAt <= 0 || v.migrating() {
 		return
 	}
 	if float64(v.cur.Len()) < e.growAt*float64(v.cur.Capacity()) {
 		return
 	}
-	if err := e.beginMigration(s); err != nil {
-		e.enterDegraded(s)
-	}
+	_ = e.beginMigration(s)
 }
 
-// enterDegraded records an allocator failure: the shard keeps serving
-// from its current state (the degraded flag is republished so lock-free
-// observers see it) and the next retry is scheduled with seeded
-// exponential backoff plus per-shard jitter (so shards that failed
-// together do not hammer a struggling allocator in lockstep).
-func (e *Engine) enterDegraded(s *shardState) {
-	e.allocFails.Add(1)
-	v := s.view.Load()
-	if !v.degraded {
-		s.backoff = 1
-		if m := e.metrics.Load(); m != nil {
-			m.DegradedEnter.Inc(s.idx)
-		}
-		nv := *v
-		nv.degraded = true
-		e.publish(s, &nv)
-	} else if s.backoff < maxBackoff {
-		s.backoff *= 2
-	}
-	s.retryIn = s.backoff + int(s.jitter.Next()%uint64(s.backoff))
-}
-
-// heal clears a shard's degraded state — the single exit point of the
-// degraded-but-serving mode, so the heal transition is counted exactly
-// once however the shard recovered (pressure receded, retry succeeded,
-// or a rebuild landed). Calling it on a healthy shard (tryRebuild on a
-// non-degraded shard) is a no-op beyond re-zeroing zero fields.
-func (e *Engine) heal(s *shardState) {
-	v := s.view.Load()
-	if v.degraded {
-		if m := e.metrics.Load(); m != nil {
-			m.Healed.Inc(s.idx)
-		}
-		nv := *v
-		nv.degraded = false
-		e.publish(s, &nv)
-	}
-	s.backoff, s.retryIn = 0, 0
-}
-
-// retryDue ticks a degraded shard's backoff window (one tick per
-// mutation) and reports whether an allocator retry is due now.
-func (e *Engine) retryDue(s *shardState) bool {
-	if s.retryIn > 0 {
-		s.retryIn--
-		return false
-	}
-	e.allocRetries.Add(1)
-	return true
-}
-
-// degradedTick runs once per mutation on a degraded shard without a
-// successor: if the pressure receded below the growth threshold the
-// shard simply heals; otherwise, once the backoff window has elapsed,
-// it retries the successor allocation and heals on success.
-func (e *Engine) degradedTick(s *shardState) {
-	v := s.view.Load()
-	if !v.degraded || v.migrating() {
-		return
-	}
-	if float64(v.cur.Len()) < e.growAt*float64(v.cur.Capacity()) {
-		e.heal(s)
-		return
-	}
-	if !e.retryDue(s) {
-		return
-	}
-	if err := e.beginMigration(s); err != nil {
-		e.enterDegraded(s)
-		return
-	}
-	e.heal(s)
-}
-
-// growForRefusal starts a migration in response to a table refusal.
-// When the shard is already degraded (this mutation's retry, if due,
-// already ran in degradedTick) or the allocation fails, it converts the
-// refusal into a typed *DegradedError; on success the caller proceeds
-// onto the freshly installed successor. The batched pipelines drop the
-// error: they re-apply a refused range key by key, which reports per-key
-// outcomes.
+// growForRefusal starts a migration in response to a table refusal; on
+// success the caller proceeds onto the freshly installed successor. When
+// the factory fails it returns the refusal joined with the factory's
+// error, so errors.Is(err, table.ErrFull) still holds. The batched
+// pipelines drop the error: they re-apply a refused range key by key,
+// which reports per-key outcomes.
 func (e *Engine) growForRefusal(s *shardState, refusal error) error {
-	if s.view.Load().degraded {
-		return &DegradedError{Shard: s.idx, Err: refusal}
-	}
 	if err := e.beginMigration(s); err != nil {
-		e.enterDegraded(s)
-		return &DegradedError{Shard: s.idx, Err: refusal}
+		return errors.Join(refusal, fmt.Errorf("shard %d: growing: %w", s.idx, err))
 	}
 	return nil
 }
 
-// Drain drives every shard's deferred work — in-flight incremental
-// migrations, parked carry entries, and degraded-state allocator retries
-// — to completion without waiting for organic mutations to tick it
-// forward, and reports whether every shard ended idle (neither migrating
-// nor degraded). It is the maintenance hook for the degraded state: once
-// the table allocator recovers, one Drain call heals the engine instead
-// of the next few hundred mutations. A false return means some shard is
-// still degraded because its allocation kept failing even after sitting
-// out the full backoff window several times; the shard keeps serving and
-// a later Drain (or organic mutation load) will retry.
+// Drain drives every shard's in-flight migration, parked carry entries
+// included, to completion without waiting for organic mutations to tick
+// it forward, and reports whether every shard ended steady. A false return
+// means some shard's rebuild could not allocate its table: the shard keeps
+// serving, and a later Drain (or mutation) tries again.
 //
 // Drain takes each shard's writer lock in turn, so it may briefly block
 // concurrent mutations shard by shard, but never the whole engine (and
@@ -806,39 +691,18 @@ func (e *Engine) Drain() bool {
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.lockShard()
-		// Budget: the deepest backoff window (maxBackoff plus equal
-		// jitter) a few times over, plus several full migrations' worth
-		// of advances — enough for heal → grow → finish, never enough to
-		// spin forever on a permanently failing allocator.
-		v := s.view.Load()
-		budget := 16*maxBackoff + 8*(v.cur.Capacity()/e.chunk+2)
-		for it := 0; it < budget; it++ {
-			v = s.view.Load()
-			if !v.migrating() && !v.degraded {
-				break
-			}
+		// Budget: several full migrations' worth of advances — enough to
+		// finish one, never enough to spin forever on a failing factory.
+		budget := 8 * (s.view.Load().cur.Capacity()/e.chunk + 2)
+		for it := 0; it < budget && s.view.Load().migrating(); it++ {
 			e.advance(s)
-			e.degradedTick(s)
 		}
-		v = s.view.Load()
-		if v.migrating() || v.degraded {
+		if s.view.Load().migrating() {
 			idle = false
 		}
 		s.unlockShard()
 	}
 	return idle
-}
-
-// tryRebuild is rebuild with degraded-state accounting: a failed
-// allocation flips the shard into the degraded state (carry and cursor
-// intact), success heals it.
-func (e *Engine) tryRebuild(s *shardState) bool {
-	if err := e.rebuild(s); err != nil {
-		e.enterDegraded(s)
-		return false
-	}
-	e.heal(s)
-	return true
 }
 
 // rebuild is the pathological-path escape hatch: when the successor itself
@@ -885,7 +749,7 @@ func (e *Engine) rebuild(s *shardState) error {
 			capacity *= 2
 			continue
 		}
-		e.publish(s, &view{cur: nt, degraded: v.degraded})
+		e.publish(s, &view{cur: nt})
 		s.carry = nil // every entry (carried or not) is in the rebuilt table
 		e.rebuilds.Add(1)
 		return nil
@@ -945,7 +809,7 @@ func (e *Engine) write(key, val uint64, overwrite bool, fn func(old uint64, exis
 // rmwHashed mode rule: Upsert when fn is set, else Put when overwrite, else
 // GetOrPut. It returns the value it leaves under key and whether the key
 // was there before, and like every mutation it first advances the
-// migration and ticks the degraded backoff.
+// migration.
 //
 // A steady shard's write is its table's own Put, GetOrPut or Upsert. A
 // refused one (the table full, a failed Cuckoo kick chain below the
@@ -956,7 +820,6 @@ func (e *Engine) write(key, val uint64, overwrite bool, fn func(old uint64, exis
 // callback is thus handed the key's current value.
 func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	e.advance(s)
-	e.degradedTick(s)
 	v := s.view.Load()
 	if !v.migrating() {
 		var (
@@ -979,15 +842,15 @@ func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn fu
 		if e.growAt <= 0 {
 			return 0, false, err
 		}
-		if derr := e.growForRefusal(s, err); derr != nil {
-			return 0, false, derr
+		if gerr := e.growForRefusal(s, err); gerr != nil {
+			return 0, false, gerr
 		}
 		v = s.view.Load() // the epoch with the successor installed
 	}
 	nv, err := s.upsert(v.next, key, val, overwrite, fn)
 	if err != nil {
-		if !e.tryRebuild(s) {
-			return 0, false, &DegradedError{Shard: s.idx, Err: err}
+		if rerr := e.rebuild(s); rerr != nil {
+			return 0, false, errors.Join(err, fmt.Errorf("shard %d: rebuilding: %w", s.idx, rerr))
 		}
 		// The successor refused before calling fn, and the rebuilt table
 		// holds every live entry: the retry is a steady write.
@@ -1064,20 +927,17 @@ func (e *Engine) markDead(s *shardState, key uint64) {
 
 // Delete removes key, reporting whether it was present. On a steady shard
 // it is logical and opens no seqlock window (deletePending). A migrating
-// or degraded shard's delete, or one that finds the pending set full,
-// takes the window.
+// shard's delete, or one that finds the pending set full, takes the
+// window.
 func (e *Engine) Delete(key uint64) bool {
 	s := e.shardFor(key)
 	m, start := e.opStart(key)
 	deleted, done := e.deletePending(s, key)
 	if !done {
 		s.lockShard()
-		// These deletes advance the migration and tick the degraded backoff
-		// too: every such mutation makes progress, and a delete that frees
-		// space can heal a degraded shard outright (the pressure-receded
-		// path).
+		// These deletes advance the migration too: every such mutation
+		// makes progress.
 		e.advance(s)
-		e.degradedTick(s)
 		deleted = e.deleteLocked(s, key)
 		s.unlockShard()
 	}
@@ -1090,15 +950,15 @@ func (e *Engine) Delete(key uint64) bool {
 // deletePending is a steady shard's delete: under the writer lock, with no
 // window, it looks key up read-only and, when it is live, adds it to the
 // pending set and counts it out of live. It reports done false, having
-// changed nothing, when the shard is migrating or degraded or the set is
-// full. The unlocked look at the view spares those a second lock.
+// changed nothing, when the shard is migrating or the set is full. The
+// unlocked look at the view spares those a second lock.
 func (e *Engine) deletePending(s *shardState, key uint64) (deleted, done bool) {
-	if !s.view.Load().steady() {
+	if s.view.Load().migrating() {
 		return false, false
 	}
 	s.acquire()
 	v := s.view.Load()
-	if !v.steady() || s.pend.full() {
+	if v.migrating() || s.pend.full() {
 		s.mu.Unlock()
 		return false, false
 	}

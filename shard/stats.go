@@ -3,7 +3,7 @@ package shard
 import "iter"
 
 // Stats is an engine-level snapshot: merged size accounting plus the
-// incremental-resize, degradation and wait-free-read counters. Each
+// incremental-resize and wait-free-read counters. Each
 // shard's contribution is a validated per-shard observation (the
 // readSnapshot protocol — see view.go); there is no cross-shard
 // point-in-time consistency. Per-scheme probe diagnostics stay with the
@@ -36,14 +36,6 @@ type Stats struct {
 	// zero in any healthy configuration).
 	Rebuilds uint64 `json:"rebuilds,omitempty"`
 
-	// Degraded counts shards currently in the degraded-but-serving state
-	// (allocator failing; see the package docs on graceful degradation).
-	Degraded int `json:"degraded,omitempty"`
-	// AllocFailures counts table-allocation failures absorbed into the
-	// degraded state; AllocRetries counts the backoff-scheduled retries.
-	AllocFailures uint64 `json:"alloc_failures,omitempty"`
-	AllocRetries  uint64 `json:"alloc_retries,omitempty"`
-
 	// ReadRetries counts optimistic probes discarded because a writer's
 	// seqlock window overlapped them (a Get's lookup, a GetBatch's whole
 	// shard range); ReadFallbacks counts reads that exhausted their budget
@@ -55,8 +47,8 @@ type Stats struct {
 	ReadFallbacks uint64 `json:"read_fallbacks,omitempty"`
 	LockParks     uint64 `json:"lock_parks,omitempty"`
 	// ViewPublishes counts shard view publications (epoch transitions):
-	// the Shards birth epochs plus one per resize begin/finish, rebuild,
-	// and degraded-state flip. Reads and in-place mutations never
+	// the Shards birth epochs plus one per resize begin/finish, dead
+	// overlay doubling, and rebuild. Reads and in-place mutations never
 	// republish.
 	ViewPublishes uint64 `json:"view_publishes,omitempty"`
 }
@@ -74,8 +66,6 @@ func (e *Engine) Stats() Stats {
 		MigrationChunks:   e.migChunks.Load(),
 		MigrationNanos:    e.migNanos.Load(),
 		Rebuilds:          e.rebuilds.Load(),
-		AllocFailures:     e.allocFails.Load(),
-		AllocRetries:      e.allocRetries.Load(),
 		ReadRetries:       e.readRetries.Load(),
 		ReadFallbacks:     e.readFallbacks.Load(),
 		LockParks:         e.lockParks.Load(),
@@ -89,13 +79,11 @@ func (e *Engine) Stats() Stats {
 		// assigns — the accumulation into st happens once, after the
 		// validated invocation wins.
 		var (
-			degraded  bool
 			migrating bool
 			capacity  int
 			memory    uint64
 		)
 		e.readSnapshot(s, func(v *view) {
-			degraded = v.degraded
 			migrating = v.migrating()
 			memory = v.cur.MemoryFootprint()
 			if v.next != nil {
@@ -105,9 +93,6 @@ func (e *Engine) Stats() Stats {
 				capacity = v.cur.Capacity()
 			}
 		})
-		if degraded {
-			st.Degraded++
-		}
 		if migrating {
 			st.Migrating++
 		}

@@ -15,7 +15,7 @@ import (
 //
 // The view STRUCT is immutable after publication — writers never assign
 // its fields in place; structural transitions (a resize beginning or
-// finishing, a rebuild, a degraded-state flip) build a fresh view and
+// finishing, a dead overlay doubling, a rebuild) build a fresh view and
 // republish the pointer. The TABLES a view names are not immutable: the
 // active write target (cur in the steady state, next during a resize)
 // is mutated in place by writers, and dead gains entries as keys frozen in
@@ -65,10 +65,6 @@ type view struct {
 	// cur (nil outside a resize). Insert-only, and never reallocated in
 	// place: a set that outgrows its array is republished as a larger copy.
 	dead *deadSet
-	// degraded mirrors the shard's degraded-but-serving state (the
-	// allocator is failing; see the package docs) so observers read it
-	// without the writer lock.
-	degraded bool
 	// gen counts this shard's publications; strictly increasing. It
 	// lets tests and debugging tie an observation to an epoch.
 	gen uint64
@@ -166,12 +162,9 @@ func (v *view) curLive(key uint64) (uint64, bool) {
 	return v.cur.Get(key)
 }
 
-// migrating reports whether this view has a resize in flight.
+// migrating reports whether this view has a resize in flight: the one
+// test between a shard's two states, steady and migrating.
 func (v *view) migrating() bool { return v.next != nil }
-
-// steady reports whether a delete may be logical: no resize in flight and
-// the allocator healthy.
-func (v *view) steady() bool { return v.next == nil && !v.degraded }
 
 // ---------------------------------------------------------------------------
 // Dead-key overlay

@@ -284,7 +284,7 @@ func TestBirthEpoch(t *testing.T) {
 		if v.gen != 1 {
 			t.Fatalf("shard %d birth generation %d, want 1", i, v.gen)
 		}
-		if v.migrating() || v.degraded || v.dead != nil {
+		if v.migrating() || v.dead != nil {
 			t.Fatalf("shard %d birth view not quiescent: %+v", i, v)
 		}
 		if seq := e.shards[i].seq.Load(); seq&1 != 0 {

@@ -1161,18 +1161,20 @@ func (c *kern) ClusterLengths() []int {
 }
 
 // ProbeSlots invokes visit for every slot a lookup of key examines, in
-// probe order, ending at the matching or first empty slot (inclusive),
-// or earlier if visit returns false. Sentinel-routed keys (0 and 2^64-1)
-// touch no slots. This diagnostic feeds the §7 layout/cache analysis:
-// the slot trace converts to cache-line traces under AoS (16 B/slot) or
-// SoA (8 B/slot key column) layout.
+// probe order, ending where Get's walk ends (inclusive): at the matching
+// or first empty slot, at the line end where Robin Hood's early abort
+// fires, or at the last slot before the cursor cycles — or earlier if
+// visit returns false. Sentinel-routed keys (0 and 2^64-1) touch no
+// slots. This diagnostic feeds the §7 layout/cache analysis: the slot
+// trace converts to cache-line traces under AoS (16 B/slot) or SoA
+// (8 B/slot key column) layout.
 func (c *kern) ProbeSlots(key uint64, visit func(slot int) bool) {
 	if isSentinelKey(key) {
 		return
 	}
-	hash := c.fn.Hash(key)
-	si, sstep := c.scursor(hash)
-	for n := uint64(0); ; n++ {
+	si, sstep := c.scursor(c.fn.Hash(key))
+	si0 := si
+	for {
 		if !visit(int(si >> c.ks)) {
 			return
 		}
@@ -1180,11 +1182,14 @@ func (c *kern) ProbeSlots(key uint64, visit func(slot int) bool) {
 		if k == key || k == emptyKey {
 			return
 		}
-		if c.bounded && n >= c.mask {
+		if si&c.rEnd == c.rEnd && c.robinAbort(si, si0, k) {
 			return
 		}
 		si = (si + sstep) & c.smask
 		sstep += c.sinc
+		if si == si0 {
+			return
+		}
 	}
 }
 
