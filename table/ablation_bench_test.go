@@ -207,8 +207,8 @@ func BenchmarkAblationCuckooMaxKicks(b *testing.B) {
 func BenchmarkAblationChainedDirectory(b *testing.B) {
 	const dirSlots = 1 << 16
 	n := dirSlots / 2 // low load: most buckets collision-free
-	c8 := newChained8(Config{InitialCapacity: dirSlots, Seed: 42})
-	c24 := newChained24(Config{InitialCapacity: dirSlots, Seed: 42})
+	c8 := newChained(SchemeChained8, Config{InitialCapacity: dirSlots, Seed: 42})
+	c24 := newChained(SchemeChained24, Config{InitialCapacity: dirSlots, Seed: 42})
 	rng := prng.NewXoshiro256(5)
 	keys := make([]uint64, n)
 	for i := range keys {

@@ -27,7 +27,8 @@ package table
 //
 // The open-addressing schemes share one implementation of the chunk
 // loops and lane walks (kernel.go), with no indirect call on a per-key
-// path; Chained8/24 and Cuckoo keep bespoke lookup walks over their chain
+// path; the chained core (ChainedH8 and ChainedH24, one walk over either
+// directory layout) and Cuckoo keep bespoke lookup walks over their chain
 // and candidate-set structures, and open their mutation chunks with a
 // touch pass of their own (openChunk) ahead of rmw.go's generic driver.
 

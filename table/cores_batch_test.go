@@ -22,8 +22,8 @@ var batchCores = []struct {
 	name string
 	new  func(Config) Table
 }{
-	{"Chained8", func(c Config) Table { return newChained8(c) }},
-	{"Chained24", func(c Config) Table { return newChained24(c) }},
+	{"Chained8", func(c Config) Table { return newChained(SchemeChained8, c) }},
+	{"Chained24", func(c Config) Table { return newChained(SchemeChained24, c) }},
 	{"CuckooH2", func(c Config) Table { return newCuckooK(c, 2) }},
 	{"CuckooH3", func(c Config) Table { return newCuckooK(c, 3) }},
 	{"CuckooH4", func(c Config) Table { return newCuckooK(c, 4) }},

@@ -34,20 +34,20 @@ func TestSlotArraysAdvisedForHugePages(t *testing.T) {
 	}
 	t.Logf("transparent_hugepage/enabled: %s", strings.TrimSpace(string(mode)))
 
-	const slots = 1 << 19 // an 8 MiB AoS array; the chained24 directory is 12 MiB
+	const slots = 1 << 19 // an 8 MiB AoS array; the ChainedH24 directory is 12 MiB
 	lp := newKern(SchemeLP, Config{InitialCapacity: slots})
 	soa := newKern(SchemeLPSoA, Config{InitialCapacity: 2 * slots})
 	ck := newCuckoo(Config{InitialCapacity: slots})
-	c24 := newChained24(Config{InitialCapacity: slots})
-	c8 := newChained8(Config{InitialCapacity: 2 * slots})
+	c24 := newChained(SchemeChained24, Config{InitialCapacity: slots})
+	c8 := newChained(SchemeChained8, Config{InitialCapacity: 2 * slots})
 	// Growth allocates the chained directories afresh, outside the
 	// constructors; the kernel and Cuckoo grow through the paths above.
-	g24 := newChained24(Config{InitialCapacity: slots / 2, MaxLoadFactor: 0.5})
-	g8 := newChained8(Config{InitialCapacity: slots, MaxLoadFactor: 0.5})
-	for k := uint64(1); len(g24.dir) == slots/2; k++ {
+	g24 := newChained(SchemeChained24, Config{InitialCapacity: slots / 2, MaxLoadFactor: 0.5})
+	g8 := newChained(SchemeChained8, Config{InitialCapacity: slots, MaxLoadFactor: 0.5})
+	for k := uint64(1); len(g24.wide) == slots/2; k++ {
 		put(t, g24, k, k)
 	}
-	for k := uint64(1); len(g8.dir) == slots; k++ {
+	for k := uint64(1); len(g8.heads) == slots; k++ {
 		put(t, g8, k, k)
 	}
 	arrays := []struct {
@@ -58,10 +58,10 @@ func TestSlotArraysAdvisedForHugePages(t *testing.T) {
 		{"LPSoA keys", soa.keys},
 		{"LPSoA vals", soa.vals},
 		{"CuckooH4 slots", ck.slots},
-		{"ChainedH24 directory", c24.dir},
-		{"ChainedH8 directory", c8.dir},
-		{"ChainedH24 directory, grown", g24.dir},
-		{"ChainedH8 directory, grown", g8.dir},
+		{"ChainedH24 directory", c24.wide},
+		{"ChainedH8 directory", c8.heads},
+		{"ChainedH24 directory, grown", g24.wide},
+		{"ChainedH8 directory, grown", g8.heads},
 	}
 
 	maps, err := readSmaps()

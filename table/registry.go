@@ -74,10 +74,8 @@ func New(s Scheme, cfg Config) (Table, error) {
 		return newKern(s, cfg), nil
 	}
 	switch s {
-	case SchemeChained8:
-		return newChained8(cfg), nil
-	case SchemeChained24:
-		return newChained24(cfg), nil
+	case SchemeChained8, SchemeChained24:
+		return newChained(s, cfg), nil
 	case SchemeCuckooH4:
 		return newCuckoo(cfg), nil
 	}

@@ -6,11 +6,12 @@ package table
 // The five open-addressing schemes get the same surface from the probe
 // kernel, batch driver (kern.rmwBatch) included.
 //
-// The surface is one generic type, rmwSurface, embedded in all three
-// cores. Its batched forms are one driver, rmwBatchImpl: each chunk is
-// opened by the scheme's openChunk — bulk-hash, then load back to back
-// every line the scalar step is going to read first (the directory word or
-// inline key of a chained lane, all k candidate slots of a Cuckoo lane) —
+// The surface is one generic type, rmwSurface, embedded in both cores
+// (one chained core serves ChainedH8 and ChainedH24). Its batched forms
+// are one driver, rmwBatchImpl: each chunk is opened by the scheme's
+// openChunk — bulk-hash, then load back to back every line the scalar
+// step is going to read first (the head pointer or inline key of a
+// chained lane, all k candidate slots of a Cuckoo lane) —
 // and then applied lane by lane through the scheme's rmwHashed. Unlike a
 // Get-then-Put sequence they issue exactly ONE probe sequence per key —
 // the probe that finds the key doubles as the probe that finds its

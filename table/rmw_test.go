@@ -445,8 +445,10 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 	}
 }
 
-// FuzzDifferentialOps drives a byte-coded op stream against LP, RH and
-// Cuckoo simultaneously, cross-checked against a builtin map oracle.
+// FuzzDifferentialOps drives a byte-coded op stream against LP, RH, Cuckoo
+// and both chained directory layouts simultaneously, cross-checked against
+// a builtin map oracle. The chained tables start at 8 buckets, so a tape
+// crosses directory doublings and (in ChainedH24) inline promotion.
 func FuzzDifferentialOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x83, 0x44, 0x00, 0xff, 0xfe, 0x10})
 	f.Add([]byte("getorput-upsert-delete"))
@@ -455,6 +457,8 @@ func FuzzDifferentialOps(f *testing.F) {
 			mustNew(SchemeLP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 1}),
 			mustNew(SchemeRH, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 2}),
 			mustNew(SchemeCuckooH4, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: 3}),
+			mustNew(SchemeChained8, Config{InitialCapacity: 8, MaxLoadFactor: 0.8, Seed: 4}),
+			mustNew(SchemeChained24, Config{InitialCapacity: 8, MaxLoadFactor: 0.8, Seed: 5}),
 		}
 		oracle := map[uint64]uint64{}
 		for i, b := range data {

@@ -405,80 +405,90 @@ func TestCuckooLookupProbeBound(t *testing.T) {
 
 // --- Chained specifics ----------------------------------------------------------
 
-// TestChained24InlinePromotion: deleting an inline entry promotes the chain
-// head into the directory slot.
+// chainedSchemes are the two directory layouts of the chained core.
+var chainedSchemes = []Scheme{SchemeChained8, SchemeChained24}
+
+// TestChained24InlinePromotion: deleting a bucket's first entry — a wide
+// bucket's inline entry, promoting the chain head into the directory slot,
+// or a pointer directory's head — keeps every other entry of the bucket.
 func TestChained24InlinePromotion(t *testing.T) {
-	m := newChained24(Config{InitialCapacity: 8, Seed: 21})
-	// With 8 slots, colliding keys are easy to make: insert many keys and
-	// delete aggressively.
-	for i := uint64(1); i <= 64; i++ {
-		put(t, m, i, i*10)
-	}
-	for i := uint64(1); i <= 64; i++ {
-		if !m.Delete(i) {
-			t.Fatalf("delete %d failed", i)
-		}
-		for j := i + 1; j <= 64; j++ {
-			if v, ok := m.Get(j); !ok || v != j*10 {
-				t.Fatalf("after deleting %d, key %d = %d,%v", i, j, v, ok)
+	for _, s := range chainedSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			m := newChained(s, Config{InitialCapacity: 8, Seed: 21})
+			// With 8 slots, colliding keys are easy to make: insert many
+			// keys and delete aggressively.
+			for i := uint64(1); i <= 64; i++ {
+				put(t, m, i, i*10)
 			}
-		}
-	}
-	if m.Overflow() != 0 {
-		t.Fatalf("overflow = %d after emptying", m.Overflow())
+			for i := uint64(1); i <= 64; i++ {
+				if !m.Delete(i) {
+					t.Fatalf("delete %d failed", i)
+				}
+				for j := i + 1; j <= 64; j++ {
+					if v, ok := m.Get(j); !ok || v != j*10 {
+						t.Fatalf("after deleting %d, key %d = %d,%v", i, j, v, ok)
+					}
+				}
+			}
+			if m.Overflow() != 0 {
+				t.Fatalf("overflow = %d after emptying", m.Overflow())
+			}
+		})
 	}
 }
 
 // TestChained8SlabReuse: delete must return entries to the slab free list
-// so churn does not grow the footprint.
+// so churn does not grow the footprint, in either directory layout.
 func TestChained8SlabReuse(t *testing.T) {
-	m := newChained8(Config{InitialCapacity: 64, Seed: 22})
-	for i := uint64(1); i <= 64; i++ {
-		put(t, m, i, i)
-	}
-	before := m.MemoryFootprint()
-	for round := 0; round < 50; round++ {
-		for i := uint64(1); i <= 64; i++ {
-			m.Delete(i)
-		}
-		for i := uint64(1); i <= 64; i++ {
-			put(t, m, i, i)
-		}
-	}
-	if after := m.MemoryFootprint(); after != before {
-		t.Fatalf("footprint grew under churn: %d -> %d", before, after)
+	for _, s := range chainedSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			m := newChained(s, Config{InitialCapacity: 64, Seed: 22})
+			for i := uint64(1); i <= 64; i++ {
+				put(t, m, i, i)
+			}
+			before := m.MemoryFootprint()
+			for round := 0; round < 50; round++ {
+				for i := uint64(1); i <= 64; i++ {
+					m.Delete(i)
+				}
+				for i := uint64(1); i <= 64; i++ {
+					put(t, m, i, i)
+				}
+			}
+			if after := m.MemoryFootprint(); after != before {
+				t.Fatalf("footprint grew under churn: %d -> %d", before, after)
+			}
+		})
 	}
 }
 
-// TestChainLengthsAndOverflow sanity-checks the diagnostics.
+// TestChainLengthsAndOverflow checks the diagnostics exactly: the chain
+// lengths sum to Len, and Overflow counts every entry outside the
+// directory — all of them in the pointer layout, all but one per
+// non-empty bucket in the wide one.
 func TestChainLengthsAndOverflow(t *testing.T) {
-	m8 := newChained8(Config{InitialCapacity: 16, Seed: 23})
-	m24 := newChained24(Config{InitialCapacity: 16, Seed: 23})
-	total := 0
-	for i := uint64(1); i <= 64; i++ {
-		put(t, m8, i, i)
-		put(t, m24, i, i)
-		total++
-	}
-	sum := func(xs []int) (s int) {
-		for _, x := range xs {
-			s += x
-		}
-		return
-	}
-	if got := sum(m8.ChainLengths()); got != total {
-		t.Fatalf("Chained8 chain lengths sum to %d, want %d", got, total)
-	}
-	if got := sum(m24.ChainLengths()); got != total {
-		t.Fatalf("Chained24 chain lengths sum to %d, want %d", got, total)
-	}
-	if m24.Overflow() != total-16 {
-		// 64 keys into 16 slots: all slots occupied inline (any hash
-		// function will fill all 16 with 64 keys... not guaranteed, so
-		// only check bounds).
-		if m24.Overflow() < total-16 || m24.Overflow() >= total {
-			t.Fatalf("Chained24 overflow = %d, want in [%d,%d)", m24.Overflow(), total-16, total)
-		}
+	for _, s := range chainedSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			m := newChained(s, Config{InitialCapacity: 16, Seed: 23})
+			for i := uint64(1); i <= 64; i++ {
+				put(t, m, i, i)
+			}
+			lengths := m.ChainLengths()
+			sum := 0
+			for _, l := range lengths {
+				sum += l
+			}
+			if sum != m.Len() || m.Len() != 64 {
+				t.Fatalf("chain lengths sum to %d, Len %d, want 64", sum, m.Len())
+			}
+			want := m.Len()
+			if s == SchemeChained24 {
+				want -= len(lengths)
+			}
+			if m.Overflow() != want {
+				t.Fatalf("overflow = %d, want %d (%d non-empty buckets)", m.Overflow(), want, len(lengths))
+			}
+		})
 	}
 }
 

@@ -21,9 +21,11 @@
 // LP, LPSoA, QP and RH are one probe kernel (kernel.go), each scheme a
 // row of the paper's design dimensions (kernSchemes in policy.go): probe
 // sequence x slot layout x displacement, with the deletion strategy
-// derived from them. Chained hashing and Cuckoo keep structurally
-// different cores but share the sentinel routing and batch staging
-// machinery.
+// derived from them. ChainedH8 and ChainedH24 are one chained core
+// (chained.go) whose directory layout — 8-byte head pointers or 24-byte
+// slots with the first entry inline — is chosen by the scheme. Chained
+// hashing and Cuckoo keep structurally different cores but share the
+// sentinel routing and batch staging machinery.
 //
 // There are two ways in. Open builds a Handle, the workload-aware façade
 // most callers want. New builds one raw scheme behind the Table contract,
@@ -42,7 +44,9 @@
 // paper's; slot emptiness is encoded in the key itself (empty = 0,
 // tombstone = 2^64-1). The two real keys 0 and 2^64-1 are nevertheless
 // fully supported: they are routed to two dedicated side fields, so the
-// map domain is the complete uint64 space.
+// map domain is the complete uint64 space. The chained core routes key 0
+// the same way, in both directory layouts, so that an empty inline entry
+// is simply one whose key is 0.
 //
 // # Huge pages
 //
