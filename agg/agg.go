@@ -120,6 +120,7 @@ const chunk, coldRun = 256, 4096
 
 // GroupBy is a streaming hash aggregation operator.
 type GroupBy struct {
+	cfg    Config // the index's settings, defaults filled in; Reset reopens it
 	idx    *table.Handle
 	states []State
 
@@ -131,6 +132,13 @@ type GroupBy struct {
 	missVal  [chunk]uint64
 	missLane [chunk]int32
 	cold     bool // the last stride opened groups on more than half its lanes
+
+	// upsert's UpsertBatch callback, bound once by NewGroupBy so that a
+	// call allocates no closure, and the columns and count it works on
+	// for the duration of one call.
+	upsertLane         func(lane int, old uint64, exists bool) uint64
+	upGroups, upValues []uint64
+	upDone             int
 }
 
 // NewGroupBy builds an empty aggregation operator on the unified table
@@ -145,17 +153,35 @@ func NewGroupBy(cfg Config) (*GroupBy, error) {
 	if cfg.Family == nil {
 		cfg.Family = hashfn.MultFamily{}
 	}
-	idx, err := table.Open(
-		table.WithScheme(cfg.Scheme),
-		table.WithCapacity(max(join.CapacityFor(cfg.ExpectedGroups, 0.7), 1<<10)),
-		table.WithMaxLoadFactor(0.7),
-		table.WithHashFamily(cfg.Family),
-		table.WithSeed(cfg.Seed),
-	)
-	if err != nil {
+	g := &GroupBy{cfg: cfg}
+	if err := g.Reset(cfg.Seed); err != nil {
 		return nil, err
 	}
-	return &GroupBy{idx: idx, states: make([]State, 0, max(cfg.ExpectedGroups, 0))}, nil
+	g.states = make([]State, 0, max(cfg.ExpectedGroups, 0))
+	g.upsertLane = g.foldLane
+	return g, nil
+}
+
+// Reset empties g for reuse, as if it were new from NewGroupBy with the
+// same scheme, family and ExpectedGroups and the given seed: it drops
+// every group and opens a fresh group index hashed with seed. It keeps
+// the state array and the chunk scratch, so a reset operator re-opens
+// only its index. The error is table.Open's; it refuses only settings
+// that NewGroupBy would have refused first, and it leaves g unchanged.
+func (g *GroupBy) Reset(seed uint64) error {
+	idx, err := table.Open(
+		table.WithScheme(g.cfg.Scheme),
+		table.WithCapacity(max(join.CapacityFor(g.cfg.ExpectedGroups, 0.7), 1<<10)),
+		table.WithMaxLoadFactor(0.7),
+		table.WithHashFamily(g.cfg.Family),
+		table.WithSeed(seed),
+	)
+	if err != nil {
+		return err
+	}
+	g.cfg.Seed = seed
+	g.idx, g.states, g.cold = idx, g.states[:0], false
+	return nil
 }
 
 // MustNewGroupBy is NewGroupBy that panics on error.
@@ -258,18 +284,23 @@ func (g *GroupBy) lookupFold(groups, values []uint64) error {
 // UpsertBatch probe sequence, in row order. done counts the rows folded,
 // which on an error is the row the index refused.
 func (g *GroupBy) upsert(groups, values []uint64) (done int, err error) {
-	_, err = g.idx.UpsertBatch(groups, func(lane int, old uint64, exists bool) uint64 {
-		done = lane + 1
-		if exists {
-			g.states[old].fold(values[lane])
-			return old
-		}
-		g.states = append(g.states, State{
-			Key: groups[lane], Count: 1, Sum: values[lane], Min: values[lane], Max: values[lane],
-		})
-		return uint64(len(g.states) - 1)
-	})
+	g.upGroups, g.upValues, g.upDone = groups, values, 0
+	_, err = g.idx.UpsertBatch(groups, g.upsertLane)
+	done = g.upDone
+	g.upGroups, g.upValues = nil, nil // do not pin the caller's columns
 	return done, err
+}
+
+// foldLane is upsert's callback for one lane of the columns it works on.
+func (g *GroupBy) foldLane(lane int, old uint64, exists bool) uint64 {
+	g.upDone = lane + 1
+	v := g.upValues[lane]
+	if exists {
+		g.states[old].fold(v)
+		return old
+	}
+	g.states = append(g.states, State{Key: g.upGroups[lane], Count: 1, Sum: v, Min: v, Max: v})
+	return uint64(len(g.states) - 1)
 }
 
 // NumGroups returns the number of distinct groups seen.

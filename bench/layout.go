@@ -53,12 +53,9 @@ func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 				return nil, fmt.Errorf("bench: layout lf=%d: %w", lf, err)
 			}
 		}
-		tracer, ok := m.(interface {
+		tracer := m.(interface { // every scheme traces its probes
 			ProbeSlots(key uint64, visit func(slot int) bool)
 		})
-		if !ok {
-			return nil, fmt.Errorf("bench: layout: %s has no ProbeSlots", m.Name())
-		}
 		probes := opt.Lookups
 		if probes <= 0 {
 			probes = n / 4

@@ -64,18 +64,12 @@ func TestGroupByPlanAllocationsDoNotGrowWithMorsels(t *testing.T) {
 	}
 }
 
-// TestPlanScratchDoesNotGrowWithMorselSize: an indexed join → filter →
-// group-by plan at two workers takes its batches and probe scratch from
-// the package pools, projects the join's matches in place and returns a
-// group-by local as its result, so after a warm-up run what a run
-// allocates does not depend on the morsel size: at 8192-row morsels it
-// stays under its group-by locals plus 64 KiB. Each figure is the median
-// of nine runs, because a run whose goroutine woke on another P can miss
-// the pooled item left in the first P's private slot.
-func TestPlanScratchDoesNotGrowWithMorselSize(t *testing.T) {
-	const workers, groups = 2, 64
+// indexedPlan is an indexed join over a four-shard handle → filter →
+// group-by into groups groups, the shape of the end-to-end query over a
+// live handle.
+func indexedPlan(t *testing.T, groups uint64) (plan *pipe.Stream, gcfg pipe.GroupConfig, keys []uint64) {
 	h := table.MustOpen(table.WithPartitions(4), table.WithCapacity(1<<14), table.WithSeed(5))
-	keys := make([]uint64, 1<<12)
+	keys = make([]uint64, 1<<12)
 	for i := range keys {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
@@ -87,45 +81,95 @@ func TestPlanScratchDoesNotGrowWithMorselSize(t *testing.T) {
 		// Two rows in three match; the third has a key bit flipped.
 		probe[i] = join.Row{Key: keys[i%len(keys)] ^ uint64(i%3/2)<<63, Payload: uint64(i)}
 	}
-	gcfg := pipe.GroupConfig{ExpectedGroups: groups}
-	plan := pipe.HashJoin(pipe.FromHandle(h), pipe.FromRelation(probe), pipe.JoinConfig{
+	plan = pipe.HashJoin(pipe.FromHandle(h), pipe.FromRelation(probe), pipe.JoinConfig{
 		Project: func(_, b, p uint64) (uint64, uint64) { return b % groups, p },
 	}).Filter(func(_, v uint64) bool { return v%4 != 0 })
-	bytesPerRun := func(f func()) uint64 {
-		runs := make([]uint64, 9)
-		for i := range runs {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			runs[i] = after.TotalAlloc - before.TotalAlloc
+	return plan, pipe.GroupConfig{ExpectedGroups: int(groups)}, keys
+}
+
+// bytesPerRun is the median of what nine runs of f allocate, each after a
+// runtime.GC() when gc is set.
+func bytesPerRun(f func(), gc bool) uint64 {
+	runs := make([]uint64, 9)
+	for i := range runs {
+		if gc {
+			runtime.GC()
 		}
-		slices.Sort(runs)
-		return runs[len(runs)/2]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		runs[i] = after.TotalAlloc - before.TotalAlloc
 	}
+	slices.Sort(runs)
+	return runs[len(runs)/2]
+}
+
+// TestPlanScratchDoesNotGrowWithMorselSize: the indexed plan at two
+// workers takes its batches and probe scratch from the package's lists,
+// projects the join's matches in place and returns a group-by local as
+// its result, so after a warm-up run what a run allocates does not depend
+// on the morsel size: at 8192-row morsels it stays under its group-by
+// locals plus 64 KiB. Each figure is the median of nine runs, because a
+// worker that woke on another P can miss the staging that shard pools left
+// in the first P's private slot.
+func TestPlanScratchDoesNotGrowWithMorselSize(t *testing.T) {
+	const workers = 2
+	plan, gcfg, keys := indexedPlan(t, 64)
 	at := func(morsel int) uint64 {
 		run := func() {
 			if _, err := plan.GroupBy(pipe.Config{Workers: workers, MorselSize: morsel}, gcfg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runtime.GC() // twice: empty the pools of earlier tests' batches
+		runtime.GC() // twice: empty the pools of earlier tests' staging
 		runtime.GC()
 		run()
-		return bytesPerRun(run)
+		return bytesPerRun(run, false)
 	}
 	short, long := at(1024), at(8192)
 	locals := workers * bytesPerRun(func() {
-		g, err := agg.NewGroupBy(agg.Config{ExpectedGroups: groups})
+		g, err := agg.NewGroupBy(agg.Config{ExpectedGroups: gcfg.ExpectedGroups})
 		if err == nil {
-			err = g.AddBatch(keys[:groups], keys[:groups])
+			err = g.AddBatch(keys[:gcfg.ExpectedGroups], keys[:gcfg.ExpectedGroups])
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
+	}, false)
 	const slack = 64 << 10
 	if long > short+16<<10 || long > locals+slack {
 		t.Fatalf("a run allocates %d B at 1024-row morsels, %d B at 8192 (group-by locals %d B): the plan's scratch grows with the morsel", short, long, locals)
+	}
+}
+
+// TestPlanScratchSurvivesGC: a run finds the scratch the last run gave
+// back even when a GC comes in between (the end-to-end benchmark collects
+// before every timed round) and whichever P it wakes on, so a run after a
+// GC allocates what a run straight after another does, within 8 KiB. And
+// the second worker reuses a merged-away local, so a run at two workers
+// allocates at most 48 KiB more than one at one worker: the second local's
+// fresh group index. The test runs at two Ps, one per worker: shard's
+// batch staging stays a sync.Pool (the wait-free readers take it per
+// call), and with more Ps than workers a GC leaves it in the private slot
+// of a P the next run's workers may not wake on.
+func TestPlanScratchSurvivesGC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	plan, gcfg, _ := indexedPlan(t, 1024)
+	at := func(workers int, gc bool) uint64 {
+		run := func() {
+			if _, err := plan.GroupBy(pipe.Config{Workers: workers, MorselSize: 4096}, gcfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return bytesPerRun(run, gc)
+	}
+	warm, collected := at(2, false), at(2, true)
+	if collected > warm+8<<10 {
+		t.Errorf("a run after a GC allocates %d B, one straight after another %d B: the scratch did not survive the GC", collected, warm)
+	}
+	if one := at(1, true); collected > one+48<<10 {
+		t.Errorf("a run at two workers allocates %d B, at one %d B: the second worker's local is not reused", collected, one)
 	}
 }

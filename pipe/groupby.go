@@ -12,6 +12,7 @@ package pipe
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/agg"
 	"repro/hashfn"
@@ -58,13 +59,8 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 		start := rt.opStart()
 		local := locals[w]
 		if local == nil {
-			c := gcfg.aggConfig()
-			// Independent per-worker seeds: the locals' group indexes
-			// are private, so their hash functions need not match.
-			c.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
 			var err error
-			local, err = agg.NewGroupBy(c)
-			if err != nil {
+			if local, err = takeLocal(gcfg, w); err != nil {
 				return err
 			}
 			locals[w] = local
@@ -76,8 +72,10 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The first local is the result; the others fold into it.
+	// The first local is the result; the others fold into it and, once
+	// every merge has succeeded, go back to the list.
 	var result *agg.GroupBy
+	merged := locals[:0]
 	for _, local := range locals {
 		if local == nil {
 			continue
@@ -89,11 +87,79 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 		if err := result.Merge(local); err != nil {
 			return nil, err
 		}
+		merged = append(merged, local)
 	}
+	putLocals(gcfg, merged)
 	if result == nil { // no row reached the group-by
 		return agg.NewGroupBy(gcfg.aggConfig())
 	}
 	return result, nil
+}
+
+// listedLocal is a group-by local a finished run gave back, listed under
+// the settings it was opened with.
+type listedLocal struct {
+	key localKey
+	g   *agg.GroupBy
+}
+
+// localKey is what a worker's local must match to be reused: everything
+// of its GroupConfig but the seed, which Reset replaces.
+type localKey struct {
+	scheme table.Scheme
+	family hashfn.Family
+	groups int
+}
+
+func (c GroupConfig) localKey() localKey {
+	return localKey{c.Scheme, c.Family, c.ExpectedGroups}
+}
+
+// listable reports whether locals under k may be listed: a family is
+// matched with ==, which panics on two values of one uncomparable type.
+func (k localKey) listable() bool {
+	return k.family == nil || reflect.TypeOf(k.family).Comparable()
+}
+
+// groupLocals holds the group-by locals of finished runs: the ones a GroupBy
+// merged away, and a GroupByStream's result once drained.
+var groupLocals freeList[listedLocal]
+
+// takeLocal lends worker w a group-by local for gcfg: a listed one opened
+// under the same scheme, family and ExpectedGroups, reset, or else a new
+// one. Either way its index hashes with the worker's own seed — the
+// locals' group indexes are private, so their hash functions need not
+// match.
+func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
+	c := gcfg.aggConfig()
+	c.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
+	if key := gcfg.localKey(); key.listable() {
+		var got [1]listedLocal
+		groupLocals.take(got[:], func(l listedLocal) bool { return l.key == key })
+		if g := got[0].g; g != nil {
+			if err := g.Reset(c.Seed); err != nil {
+				return nil, err
+			}
+			return g, nil
+		}
+	}
+	return agg.NewGroupBy(c)
+}
+
+// putLocals gives the locals of a run that ended without an error back to
+// the list; the caller must not touch them again. A local holding more
+// than maxPooledRows groups is dropped, so one run with a huge group
+// count cannot pin its state array.
+func putLocals(gcfg GroupConfig, gs []*agg.GroupBy) {
+	key := gcfg.localKey()
+	if len(gs) == 0 || !key.listable() {
+		return
+	}
+	ls := make([]listedLocal, len(gs))
+	for i, g := range gs {
+		ls[i] = listedLocal{key, g}
+	}
+	groupLocals.give(ls, func(l listedLocal) bool { return l.g.NumGroups() <= maxPooledRows })
 }
 
 // GroupByStream is the mid-pipeline group-by: it aggregates src like
@@ -160,12 +226,13 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	}
 	// The drain is serial (groups live in one merged operator), wrapped
 	// as one pool task for panic containment and cancellation parity
-	// with the parallel scans.
-	return rt.pool.ForEach(1, func(w, _ int) error {
-		b := rt.takeBatch()
-		defer putBatch(b)
+	// with the parallel scans. An aggregation built here is this run's
+	// own, so a drain that ends without an error gives it back.
+	err := rt.pool.ForEach(1, func(w, _ int) error {
+		b := rt.takeBatches(1)
+		defer putBatches(b)
 		var verr error
-		err := rt.drain(stages, sink, w, b, func(fn func(k, v uint64) bool) {
+		err := rt.drain(stages, sink, w, b[0], func(fn func(k, v uint64) bool) {
 			for key, st := range g.Groups() {
 				var v uint64
 				if v, verr = stateValue(s.fn, st); verr != nil || !fn(key, v) {
@@ -178,4 +245,8 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		}
 		return err
 	})
+	if err == nil && s.agg == nil {
+		putLocals(s.gcfg, []*agg.GroupBy{g})
+	}
+	return err
 }

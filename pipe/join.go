@@ -90,31 +90,26 @@ type joinScratch struct {
 	flag []bool
 }
 
-// scratchPool holds the probe scratch of finished joins, as batchPool
-// holds the operators' batches.
-var scratchPool sync.Pool
+// scratches holds the probe scratch of finished joins, as batches holds
+// the operators' batches.
+var scratches freeList[*joinScratch]
 
 // takeScratch lends one morsel-sized probe scratch per pool worker until
 // putScratch, under takeBatches' rules.
 func (rt *runtime) takeScratch() []*joinScratch {
 	m := rt.pool.MorselSize()
 	scs := make([]*joinScratch, rt.pool.Workers())
-	for w := range scs {
-		sc, _ := scratchPool.Get().(*joinScratch)
-		if sc == nil || cap(sc.out) < m {
-			sc = &joinScratch{out: make([]uint64, m), flag: make([]bool, m)}
+	scratches.take(scs, func(sc *joinScratch) bool { return cap(sc.out) >= m })
+	for w, sc := range scs {
+		if sc == nil {
+			scs[w] = &joinScratch{out: make([]uint64, m), flag: make([]bool, m)}
 		}
-		scs[w] = sc
 	}
 	return scs
 }
 
 func putScratch(scs []*joinScratch) {
-	for _, sc := range scs {
-		if cap(sc.out) <= maxPooledRows {
-			scratchPool.Put(sc)
-		}
-	}
+	scratches.give(scs, func(sc *joinScratch) bool { return cap(sc.out) <= maxPooledRows })
 }
 
 // unsizedBuildRows sizes a build side of unknown size: 2^11 slots at the

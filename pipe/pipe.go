@@ -2,6 +2,8 @@ package pipe
 
 import (
 	"context"
+	goruntime "runtime"
+	"slices"
 	"sync"
 
 	"repro/exec"
@@ -183,49 +185,83 @@ type batch struct {
 	keys, vals []uint64
 }
 
-// batchPool holds the batches of finished operator runs, so that every
+// freeList is a bounded stack of per-run scratch: what a finished run
+// hands back, the next run takes. Unlike a sync.Pool it is one list for
+// every P and a GC does not empty it, so a run finds what the last run
+// returned whichever P it wakes on. A run takes from it once and gives
+// back once, so its mutex is never on a per-batch path. It keeps at most
+// 2×GOMAXPROCS items: what two runs side by side use on every P.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// take moves into dst the most recently given items that pass fits and
+// leaves the others listed; the slots of dst it cannot fill keep their
+// zero value.
+func (l *freeList[T]) take(dst []T, fits func(T) bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for i := len(l.items) - 1; i >= 0 && n < len(dst); i-- {
+		if fits(l.items[i]) {
+			dst[n] = l.items[i]
+			n++
+			l.items = slices.Delete(l.items, i, i+1)
+		}
+	}
+}
+
+// give pushes back the items that pass keep. A full list drops its oldest
+// item for each one pushed, so an item no run takes ages out.
+func (l *freeList[T]) give(items []T, keep func(T) bool) {
+	bound := 2 * goruntime.GOMAXPROCS(0)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, x := range items {
+		if !keep(x) {
+			continue
+		}
+		if over := len(l.items) + 1 - bound; over > 0 {
+			l.items = slices.Delete(l.items, 0, over)
+		}
+		l.items = append(l.items, x)
+	}
+}
+
+// batches holds the batches of finished operator runs, so that every
 // operator of a plan run, and every later run, reuses their columns
 // instead of allocating morsel-sized scratch per operator and worker.
-var batchPool sync.Pool
+var batches freeList[*batch]
 
-// maxPooledRows is the largest batch that goes back to batchPool: sixteen
+// maxPooledRows is the largest batch or probe scratch (in rows), and the
+// largest group-by local (in groups), that goes back to its list: sixteen
 // default morsels. A larger one is dropped for the collector, so one run
-// with giant morsels cannot pin its columns.
+// with giant morsels or a huge group count cannot pin its columns.
 const maxPooledRows = 1 << 16
 
-// takeBatch lends one morsel-sized batch until putBatch. A pooled batch
-// too small for this pool's morsels is dropped and a new one allocated.
-func (rt *runtime) takeBatch() *batch {
+// takeBatches lends n morsel-sized batches, one per pool worker that
+// fills one, until putBatches — called once the pool run that writes them
+// has returned, i.e. every worker is done with its batch. A listed batch
+// too small for this pool's morsels stays listed, and a new one is made.
+func (rt *runtime) takeBatches(n int) []*batch {
 	m := rt.pool.MorselSize()
-	if b, _ := batchPool.Get().(*batch); b != nil && cap(b.keys) >= m {
-		b.keys, b.vals = b.keys[:m], b.vals[:m]
-		return b
-	}
-	return &batch{keys: make([]uint64, m), vals: make([]uint64, m)}
-}
-
-// putBatch returns b to the pool; the caller must not touch it again.
-func putBatch(b *batch) {
-	if cap(b.keys) <= maxPooledRows {
-		batchPool.Put(b)
-	}
-}
-
-// takeBatches lends one batch per pool worker until putBatches — called
-// once the pool run that writes them has returned, i.e. every worker is
-// done with its batch.
-func (rt *runtime) takeBatches() []*batch {
-	bufs := make([]*batch, rt.pool.Workers())
-	for i := range bufs {
-		bufs[i] = rt.takeBatch()
+	bufs := make([]*batch, n)
+	batches.take(bufs, func(b *batch) bool { return cap(b.keys) >= m })
+	for i, b := range bufs {
+		if b == nil {
+			bufs[i] = &batch{keys: make([]uint64, m), vals: make([]uint64, m)}
+		} else {
+			b.keys, b.vals = b.keys[:m], b.vals[:m]
+		}
 	}
 	return bufs
 }
 
+// putBatches returns bufs to the list; the caller must not touch them
+// again.
 func putBatches(bufs []*batch) {
-	for _, b := range bufs {
-		putBatch(b)
-	}
+	batches.give(bufs, func(b *batch) bool { return cap(b.keys) <= maxPooledRows })
 }
 
 // emit finishes the batch an operator filled with n rows out of in rows

@@ -53,7 +53,7 @@ type columnsSource struct {
 func (s *columnsSource) rows() int { return len(s.keys) }
 
 func (s *columnsSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	bufs := rt.takeBatches()
+	bufs := rt.takeBatches(rt.pool.Workers())
 	defer putBatches(bufs)
 	return rt.pool.ForMorsels(len(s.keys), func(w, lo, hi int) error {
 		start := rt.opStart()
@@ -75,7 +75,7 @@ type relationSource struct {
 func (s *relationSource) rows() int { return len(s.rel) }
 
 func (s *relationSource) run(rt *runtime, stages []stage, sink batchSink) error {
-	bufs := rt.takeBatches()
+	bufs := rt.takeBatches(rt.pool.Workers())
 	defer putBatches(bufs)
 	return rt.pool.ForMorsels(len(s.rel), func(w, lo, hi int) error {
 		start := rt.opStart()
@@ -106,12 +106,12 @@ func (s *handleSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		// task so a panicking stage is contained and cancellation is
 		// checked like everywhere else.
 		return rt.pool.ForEach(1, func(w, _ int) error {
-			b := rt.takeBatch()
-			defer putBatch(b)
-			return rt.drain(stages, sink, w, b, s.h.Range)
+			b := rt.takeBatches(1)
+			defer putBatches(b)
+			return rt.drain(stages, sink, w, b[0], s.h.Range)
 		})
 	}
-	bufs := rt.takeBatches()
+	bufs := rt.takeBatches(rt.pool.Workers())
 	defer putBatches(bufs)
 	return rt.pool.ForEach(eng.Shards(), func(w, shard int) error {
 		return rt.drain(stages, sink, w, bufs[w], func(fn func(k, v uint64) bool) {

@@ -1,12 +1,15 @@
 package pipe_test
 
-// The operators' batches and the join's probe scratch come from package
-// pools and go back when an operator's run ends, so plans running side by
-// side hand each other their scratch. A run that is cancelled or whose
-// stage panics returns its scratch too, half written. Every plan that
-// completes must still equal the oracle (join.NestedLoopJoin folded into a
-// scalar group-by, oracleStates); under -race, a batch still in use
-// when it went back to a pool shows up as a race.
+// The operators' batches, the join's probe scratch and the group-by
+// locals come from the package's free lists and go back when a run ends,
+// so plans running side by side hand each other their scratch. A run that
+// is cancelled or whose stage panics gives its batches back too, half
+// written, and its group-by locals not at all. Every plan that completes
+// must still equal the oracle (join.NestedLoopJoin folded into a scalar
+// group-by, oracleStates), and so must every GroupBy result once all the
+// plans are done: a result is its caller's, and a list that handed it to
+// a later run would reset it. Under -race, a batch or local serving two
+// runs at once shows up as a race.
 
 import (
 	"context"
@@ -46,11 +49,14 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 		probe := pipe.FromRelation(orders).Filter(func(_, _ uint64) bool { hook(); return true })
 		return pipe.HashJoin(build, probe, pipe.JoinConfig{Project: bySegment}).Filter(kept)
 	}
+	// A query runs one plan and returns the check of its result, which
+	// the caller runs at once and again after every plan is done.
+	type check func() error
 	queries := []struct {
 		name string
-		run  func(cfg pipe.Config, hook func()) error
+		run  func(cfg pipe.Config, hook func()) (check, error)
 	}{
-		{"join-filter-map", func(cfg pipe.Config, hook func()) error {
+		{"join-filter-map", func(cfg pipe.Config, hook func()) (check, error) {
 			// The join's matches go through a Filter and a Map that
 			// rewrite its batch in place; the Map's shift is undone below.
 			g, err := pipe.HashJoin(pipe.FromRelation(customers),
@@ -59,38 +65,34 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 				Filter(kept).
 				Map(func(k, v uint64) (uint64, uint64) { return k - 100, v }).
 				GroupBy(cfg, gcfg)
-			if err == nil {
-				err = sameStates(g, want)
-			}
-			return err
+			return func() error { return sameStates(g, want) }, err
 		}},
-		{"group-by-stream", func(cfg pipe.Config, hook func()) error {
-			// Each segment's SUM streams out of the groups drain's batch.
+		{"group-by-stream", func(cfg pipe.Config, hook func()) (check, error) {
+			// Each segment's SUM streams out of the groups drain's batch,
+			// and the drained aggregation goes back to the list.
 			g, err := pipe.GroupByStream(joined(pipe.FromRelation(customers), hook), gcfg, agg.Sum).
 				GroupBy(cfg, gcfg)
-			if err != nil {
-				return err
-			}
-			if g.NumGroups() != want.NumGroups() {
-				return fmt.Errorf("%d groups, oracle %d", g.NumGroups(), want.NumGroups())
-			}
-			for seg, ws := range want.Groups() {
-				if gs, ok := g.Get(seg); !ok || gs.Sum != ws.Sum {
-					return fmt.Errorf("segment %d: sum %+v, oracle %d", seg, gs, ws.Sum)
-				}
-			}
-			return nil
+			return func() error { return sameSums(g, want) }, err
 		}},
-		{"single-partition-handle", func(cfg pipe.Config, hook func()) error {
+		{"group-by-stream-chained", func(cfg pipe.Config, hook func()) (check, error) {
+			// The same under another index scheme and no size: its locals
+			// are listed beside the others and must never serve them.
+			chained := pipe.GroupConfig{Scheme: table.SchemeChained24}
+			g, err := pipe.GroupByStream(joined(pipe.FromRelation(customers), hook), chained, agg.Sum).
+				GroupBy(cfg, chained)
+			return func() error { return sameSums(g, want) }, err
+		}},
+		{"single-partition-handle", func(cfg pipe.Config, hook func()) (check, error) {
 			build := pipe.FromHandle(h).Filter(func(_, _ uint64) bool { return true })
 			g, err := joined(build, hook).GroupBy(cfg, gcfg)
-			if err == nil {
-				err = sameStates(g, want)
-			}
-			return err
+			return func() error { return sameStates(g, want) }, err
 		}},
 	}
 
+	var (
+		mu      sync.Mutex
+		results []check
+	)
 	var wg sync.WaitGroup
 	for i := range goroutines {
 		wg.Add(1)
@@ -103,11 +105,11 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 				cfg := pipe.Config{Workers: 2, MorselSize: []int{512, 4096}[(i+j/3)%2]}
 				label := fmt.Sprintf("goroutine %d plan %d (%s, morsel %d)", i, j, q.name, cfg.MorselSize)
 				var seen atomic.Int64
-				switch (i + j) % 4 {
+				switch (i + j/len(queries)) % 4 { // every query meets every case
 				case 0: // cancelled mid-stream
 					ctx, cancel := context.WithCancel(context.Background())
 					cfg.Ctx = ctx
-					err := q.run(cfg, func() {
+					_, err := q.run(cfg, func() {
 						if seen.Add(1) == diffOrders/2 {
 							cancel()
 						}
@@ -117,7 +119,7 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 						t.Errorf("%s: err = %v, want context.Canceled", label, err)
 					}
 				case 1: // a stage panics mid-stream
-					err := q.run(cfg, func() {
+					_, err := q.run(cfg, func() {
 						if seen.Add(1) == diffOrders/2 {
 							panic("stage fault")
 						}
@@ -127,14 +129,46 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 						t.Errorf("%s: err = %v, want *exec.PanicError", label, err)
 					}
 				default:
-					if err := q.run(cfg, func() {}); err != nil {
-						t.Errorf("%s: %v", label, err)
+					ok, err := q.run(cfg, func() {})
+					if err == nil {
+						err = ok()
 					}
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+						continue
+					}
+					mu.Lock()
+					results = append(results, func() error {
+						if err := ok(); err != nil {
+							return fmt.Errorf("%s, after every plan: %w", label, err)
+						}
+						return nil
+					})
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, ok := range results {
+		if err := ok(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// sameSums checks a group-by over a GroupByStream of each segment's SUM
+// against the oracle's sums.
+func sameSums(g, want *agg.GroupBy) error {
+	if g.NumGroups() != want.NumGroups() {
+		return fmt.Errorf("%d groups, oracle %d", g.NumGroups(), want.NumGroups())
+	}
+	for seg, ws := range want.Groups() {
+		if gs, ok := g.Get(seg); !ok || gs.Sum != ws.Sum {
+			return fmt.Errorf("segment %d: sum %+v, oracle %d", seg, gs, ws.Sum)
+		}
+	}
+	return nil
 }
 
 // sameStates is sameGroups as an error, for checks off the test's

@@ -52,9 +52,10 @@ type staging struct {
 }
 
 // maxPooledLanes is the largest scatter (in staged lanes, 25 bytes each)
-// that goes back to the pool: sixteen default morsels. A larger one is
-// dropped for the collector, so one giant batch cannot pin its columns.
-const maxPooledLanes = 1 << 16
+// that goes back to the pool: sixteen default morsels, plus growSlice's
+// quarter of headroom. A larger one is dropped for the collector, so one
+// giant batch cannot pin its columns.
+const maxPooledLanes = 1<<16 + 1<<14
 
 var stagingPool = sync.Pool{New: func() any {
 	st := new(staging)

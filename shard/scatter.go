@@ -39,10 +39,12 @@ type scatter struct {
 }
 
 // growSlice returns s with length exactly n, reusing its backing array
-// when possible.
+// when possible. A new array gets a quarter's headroom, so batches that
+// grow a few lanes at a time remake a column a logarithmic number of
+// times, not on every new largest batch.
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }

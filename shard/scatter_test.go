@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/hashfn"
@@ -66,5 +67,31 @@ func TestScatterStableAndComplete(t *testing.T) {
 				t.Fatalf("input lane %d never staged", i)
 			}
 		}
+	}
+}
+
+// TestScatterRegrowsLogarithmically: one scatter fed batches that grow a
+// lane at a time — a filtered probe side whose largest batch creeps up —
+// remakes its columns a logarithmic number of times, not on every call:
+// growSlice leaves a quarter's headroom.
+func TestScatterRegrowsLogarithmically(t *testing.T) {
+	const groups, widest = 4, 4096
+	router := hashfn.MultFamily{}.New(5)
+	rng := prng.NewXoshiro256(11)
+	keys, vals := make([]uint64, widest), make([]uint64, widest)
+	for i := range keys {
+		keys[i], vals[i] = rng.Next(), uint64(i)
+	}
+	var sc scatter
+	remakes := 0
+	for n := 1; n <= widest; n++ {
+		caps := [...]int{cap(sc.Keys), cap(sc.Vals), cap(sc.OK), cap(sc.Orig), cap(sc.group)}
+		sc.route(router, 64-2, groups, keys[:n], vals[:n])
+		if caps != [...]int{cap(sc.Keys), cap(sc.Vals), cap(sc.OK), cap(sc.Orig), cap(sc.group)} {
+			remakes++
+		}
+	}
+	if limit := 4 * bits.Len(widest); remakes > limit {
+		t.Fatalf("batches of 1..%d lanes remade the columns %d times, want at most %d", widest, remakes, limit)
 	}
 }

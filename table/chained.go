@@ -152,6 +152,36 @@ func (t *chained) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
+// ProbeSlots invokes visit for every position a lookup of key examines, in
+// walk order, ending where Get's walk ends (inclusive): at the entry
+// holding key or at the last entry of its chain — or earlier if visit
+// returns false. The first position is the key's directory slot
+// (ChainedH24's inline entry, ChainedH8's head pointer); the chain entry
+// d links past it is numbered slot + d·Capacity(), so positions at or past
+// Capacity() lie off the directory, and a key's trace stays the same while
+// its chain does. Key 0 touches no position.
+func (t *chained) ProbeSlots(key uint64, visit func(slot int) bool) {
+	if key == emptyKey {
+		return
+	}
+	i, n := t.home(key), uint64(t.Capacity())
+	if !visit(int(i)) {
+		return
+	}
+	e := t.first(i)
+	if t.wide != nil { // the directory slot holds the first entry
+		if e == nil || e.Key == key {
+			return
+		}
+		e = e.Next
+	}
+	for d := uint64(1); e != nil; e, d = e.Next, d+1 {
+		if !visit(int(i+d*n)) || e.Key == key {
+			return
+		}
+	}
+}
+
 // rmwHashed is the single-probe read-modify-write primitive behind every
 // mutation, scalar and batched; see kern.rmwHashed. Chained tables never
 // fill, so the error is always nil. The directory index is derived after

@@ -156,6 +156,23 @@ func (t *cuckoo) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
+// ProbeSlots invokes visit for each candidate slot a lookup of key
+// examines, in way order, ending where Get ends (inclusive): at the slot
+// holding key, or at the last way's — or earlier if visit returns false. A
+// slot is numbered across the k subtables laid end to end. Sentinel-routed
+// keys (0 and 2^64-1) touch no slots.
+func (t *cuckoo) ProbeSlots(key uint64, visit func(slot int) bool) {
+	if isSentinelKey(key) {
+		return
+	}
+	for j := 0; j < t.ways; j++ {
+		i := t.pos(j, key)
+		if !visit(i) || t.slots[i].key == key {
+			return
+		}
+	}
+}
+
 // hash is rmwSurface's per-key hash code: none, since Cuckoo derives its k
 // candidate slots from its own per-subtable functions.
 func (*cuckoo) hash(uint64) uint64 { return 0 }

@@ -462,6 +462,41 @@ func TestChained8SlabReuse(t *testing.T) {
 	}
 }
 
+// TestChainedFootprintAcrossDoublings: a doubling collects the entries,
+// resets the slab and relinks them, so a table grown from 8 buckets
+// through five doublings is no larger than a fresh table of its final size
+// holding the same keys: the same directory, no more slab, no more
+// overflow entries. (Both slabs have the smallest chunk size.)
+func TestChainedFootprintAcrossDoublings(t *testing.T) {
+	for _, s := range chainedSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			cfg := Config{InitialCapacity: 8, MaxLoadFactor: 0.9, Seed: 24}
+			grown := newChained(s, cfg)
+			rng := prng.NewXoshiro256(25)
+			var keys []uint64
+			for grown.Rehashes() < 5 && len(keys) < 1<<10 {
+				k := rng.Next() | 1
+				put(t, grown, k, k)
+				keys = append(keys, k)
+			}
+			cfg.InitialCapacity = grown.Capacity()
+			fresh := newChained(s, cfg)
+			for _, k := range keys {
+				put(t, fresh, k, k)
+			}
+			if fresh.Rehashes() != 0 || grown.Capacity() != 8<<5 {
+				t.Fatalf("grown to %d buckets; the fresh table rehashed %d times", grown.Capacity(), fresh.Rehashes())
+			}
+			if g, f := grown.MemoryFootprint(), fresh.MemoryFootprint(); g > f {
+				t.Errorf("footprint %d B after five doublings, %d B fresh", g, f)
+			}
+			if g, f := grown.Overflow(), fresh.Overflow(); g > f {
+				t.Errorf("overflow %d after five doublings, %d fresh", g, f)
+			}
+		})
+	}
+}
+
 // TestChainLengthsAndOverflow checks the diagnostics exactly: the chain
 // lengths sum to Len, and Overflow counts every entry outside the
 // directory — all of them in the pointer layout, all but one per

@@ -30,8 +30,9 @@
 // There are two ways in. Open builds a Handle, the workload-aware façade
 // most callers want. New builds one raw scheme behind the Table contract,
 // for shard.Engine's NewTable and for analysis tools; the per-scheme
-// diagnostics (Displacements, ChainLengths, WayOccupancy, ProbeSlots)
-// are reached from it through interface assertions.
+// diagnostics (Displacements, ChainLengths, WayOccupancy, and ProbeSlots,
+// which every scheme has) are reached from it through interface
+// assertions.
 //
 // All tables store 64-bit integer keys and 64-bit values with map
 // semantics (Put is an upsert). A raw table has one writer at a time and
