@@ -42,11 +42,11 @@ import (
 //
 // lockShard/unlockShard calls count as Lock/Unlock for rules 1 and 3 —
 // they ARE the shard writer lock, wrapped in the sequence bump — and so
-// does s.acquire(), the watch-then-park helper every acquisition of s.mu
+// does s.acquire(), the yield-then-park helper every acquisition of s.mu
 // goes through, which a bare s.mu.Unlock() answers. The three helper
 // definitions themselves are exempt from rule 1 (they split an acquire
 // and a release across functions by design); acquire gets nothing from
-// rule 4: it only loads the sequence word.
+// rule 4: it never writes the sequence word.
 //
 // The analysis is intra-procedural and syntactic about lock identity
 // (receivers are matched textually), which is exactly as strong as the

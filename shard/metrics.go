@@ -36,12 +36,16 @@ type Metrics struct {
 	// MigrationChunk is the latency of each bounded migration step a
 	// mutation (or Drain) hosts while a resize is in flight.
 	MigrationChunk *obs.Histogram
+	// LockWait is how long each contended acquisition of a shard's writer
+	// lock waited, from its first failed try to the lock held: writers and
+	// the reads that fell back to the lock alike.
+	LockWait *obs.Histogram
 
 	// Wait-free read-path health. ReadRetry counts optimistic probes
 	// discarded because a writer's seqlock window overlapped them (a Get's
 	// lookup, a GetBatch's whole shard range); ReadFallback, reads that
 	// exhausted their budget and finished under the writer lock; LockPark,
-	// lock acquisitions that outlasted the watch and slept on the mutex;
+	// lock acquisitions that outlasted the yield bound and slept on the mutex;
 	// ViewRepublish, epoch publications (resize begin/finish, dead
 	// overlay doubling, rebuild — plus the birth epochs if Metrics are
 	// attached at construction). All four stay zero under read-only load.
@@ -68,6 +72,7 @@ func NewMetrics(shards int) *Metrics {
 		GetOrPutBatch:  obs.NewHistogram(shards),
 		UpsertBatch:    obs.NewHistogram(shards),
 		MigrationChunk: obs.NewHistogram(shards),
+		LockWait:       obs.NewHistogram(shards),
 		ReadRetry:      obs.NewCounter(shards),
 		ReadFallback:   obs.NewCounter(shards),
 		LockPark:       obs.NewCounter(shards),
@@ -88,9 +93,10 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+`shard_batch_nanos{op="get_or_put"}`, "", m.GetOrPutBatch)
 	r.RegisterHistogram(prefix+`shard_batch_nanos{op="upsert"}`, "", m.UpsertBatch)
 	r.RegisterHistogram(prefix+"shard_migration_chunk_nanos", "bounded migration step latency in nanoseconds", m.MigrationChunk)
+	r.RegisterHistogram(prefix+"shard_lock_wait_nanos", "contended shard lock acquisition wait in nanoseconds", m.LockWait)
 	r.RegisterCounter(prefix+"shard_read_retries_total", "optimistic read attempts discarded by a writer's seqlock window", m.ReadRetry)
 	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", m.ReadFallback)
-	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the watch and slept on the mutex", m.LockPark)
+	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the yield bound and slept on the mutex", m.LockPark)
 	r.RegisterCounter(prefix+"shard_view_republish_total", "shard view (epoch) publications", m.ViewRepublish)
 }
 

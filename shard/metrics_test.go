@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -184,8 +185,9 @@ func TestMetricsReadPathCounters(t *testing.T) {
 }
 
 // TestMetricsLockParks: a writer that finds its shard's lock held for
-// longer than it is willing to watch sleeps on the mutex, and that is
-// counted once — in Stats, on the striped counter, in the exposition.
+// longer than it yields for sleeps on the mutex, and that is counted once —
+// in Stats, on the striped counter, in the exposition. Its wait is one
+// LockWait observation: the uncontended writes before it record none.
 func TestMetricsLockParks(t *testing.T) {
 	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
 	m := shard.NewMetrics(e.Shards())
@@ -193,20 +195,20 @@ func TestMetricsLockParks(t *testing.T) {
 	if _, err := e.Put(1, 10); err != nil {
 		t.Fatal(err)
 	}
+	if got := m.LockWait.Snapshot().Count; got != 0 {
+		t.Fatalf("LockWait holds %d waits after an uncontended Put", got)
+	}
 	// RangeShard holds the shard's lock while it visits the entry: the Put
 	// started from inside the visit cannot get it, and the visit returns
-	// only once the Put has given up watching.
+	// only once the Put has given up yielding.
 	put := make(chan error)
 	e.RangeShard(0, func(_, _ uint64) bool {
 		go func() {
 			_, err := e.Put(2, 20)
 			put <- err
 		}()
-		for deadline := time.Now().Add(10 * time.Second); m.LockPark.Value() == 0; time.Sleep(50 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Error("a writer is still watching a lock held for ten seconds")
-				break
-			}
+		for m.LockPark.Value() == 0 {
+			time.Sleep(time.Millisecond)
 		}
 		return false
 	})
@@ -219,12 +221,58 @@ func TestMetricsLockParks(t *testing.T) {
 	if got := m.LockPark.Value(); got != 1 {
 		t.Fatalf("LockPark counter = %d, want 1", got)
 	}
+	if got := m.LockWait.Snapshot().Count; got != 1 {
+		t.Fatalf("LockWait holds %d waits, want the one contended Put", got)
+	}
 	r := obs.NewRegistry()
 	m.Register(r, "")
 	var buf strings.Builder
 	r.WriteText(&buf)
-	if !strings.Contains(buf.String(), "shard_lock_parks_total 1") {
-		t.Errorf("exposition does not carry the LockPark total:\n%s", buf.String())
+	for _, line := range []string{"shard_lock_parks_total 1", "shard_lock_wait_nanos_count 1"} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition does not carry %q:\n%s", line, buf.String())
+		}
+	}
+}
+
+// TestMetricsLockWait: with one P, a Put started while RangeShard holds the
+// lock runs at the visit's first yield and finds the lock held, so each
+// round is exactly one contended acquire and one LockWait observation.
+// The exposition carries the histogram's count.
+func TestMetricsLockWait(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
+	m := shard.NewMetrics(e.Shards())
+	e.SetMetrics(m)
+	if _, err := e.Put(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	put := make(chan error)
+	for i := range uint64(rounds) {
+		e.RangeShard(0, func(_, _ uint64) bool {
+			go func() {
+				_, err := e.Put(2+i, 20)
+				put <- err
+			}()
+			for range 100 {
+				runtime.Gosched()
+			}
+			return false
+		})
+		if err := <-put; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.LockWait.Snapshot().Count; got != rounds {
+		t.Fatalf("LockWait holds %d waits, want one for each of %d contended Puts", got, rounds)
+	}
+	r := obs.NewRegistry()
+	m.Register(r, "")
+	var buf strings.Builder
+	r.WriteText(&buf)
+	if line := fmt.Sprintf("shard_lock_wait_nanos_count %d", rounds); !strings.Contains(buf.String(), line) {
+		t.Errorf("exposition does not carry %q:\n%s", line, buf.String())
 	}
 }
 

@@ -22,26 +22,30 @@ const readMaxRetries = 8
 // budget is readRangeDiscards probes, not readMaxRetries (readRange).
 const readRangeDiscards = 2
 
-// How long a waiter watches the sequence word before it sleeps on the
-// mutex, two ways:
+// How long a waiter waits before it sleeps on the mutex, two ways:
 //
-//   - parkRoundTripNanos bounds a writer's watch of a held shard (acquire,
-//     which the locked read fallbacks use too). It is about what parking
-//     on the mutex and being woken costs (3–6 µs from Unlock to running
-//     again, p50 to p90, on a 2-vCPU KVM guest): the competitive
-//     spin-then-block rule (Karlin et al., SOSP '91) — watch no longer than
-//     a park would cost, and no wait costs more than twice the best
-//     choice. A longer watch buys the waiter nothing and taxes the holder:
-//     where the two share a core, as hyperthreads do, the watching loop
-//     takes about half the holder's speed.
+//   - lockYieldNanos bounds how long a writer yields its P between tries of
+//     a held shard's lock (acquire, which the locked read fallbacks use
+//     too). The spin-then-block rule (Karlin et al., SOSP '91) sizes a
+//     watch by what a park costs, and a park here costs a halted vCPU's
+//     wake-up, not a context switch: timed around the mutex on rw_resize's
+//     two writers (a 2-vCPU KVM guest, 4 rounds), a round parked a writer
+//     414–679 times for 140–197 ms in all, the parks lasting p50 94–102 µs,
+//     p90 172–386 µs, p99 4.35–4.52 ms and at most 5.9–15.1 ms, while most
+//     holds last tens of µs. A waiter with nothing else to run gets its P
+//     straight back from a yield, and its loop slows a holder that shares
+//     its core less than a 5 µs watch did (BenchmarkHolderBesideWaiter), so
+//     the bound only has to cover the engine's longest hold — a batch range
+//     that hosts a migration, p99 ≈ 4.4 ms — with room to spare. Waits past
+//     it are rare and long enough that a park is cheap beside them.
 //   - windowWatchNanos, about one batch hold, bounds a batched read's watch
 //     of an open window (readRange). A reader that gives up reads its range
 //     under the lock, holding writers off for the whole of it, so it waits
-//     the window out instead: with readers on the short bound too,
-//     rw_resize's p90 rose 40–130%.
+//     the window out instead: with readers on a 5 µs bound, rw_resize's p90
+//     rose 40–130%.
 const (
-	parkRoundTripNanos = 5_000
-	windowWatchNanos   = 40_000
+	lockYieldNanos   = 10_000_000
+	windowWatchNanos = 40_000
 )
 
 // readGetSlow is the locked single-key read: the optimistic path's

@@ -470,14 +470,15 @@ func BenchmarkTwoClients(b *testing.B) {
 // rw_resize's shape: each window inserts 256 fresh keys and applies the
 // 256 logical deletes of the window before, whose keys the holder then
 // deletes again. A second goroutine is (a) absent, (b) taking the shard's
-// lock as acquire does but with a batched read's 40 µs watch, or (c) with
-// acquire's own bound, letting go at once and asking again. Each iteration
-// runs the three modes in turn and reports the holder's ns per window in
-// each (the PutBatch calls alone): where the two goroutines share a core,
-// as hyperthreads do, a watching loop takes the holder's cycles, and a
-// parked waiter costs it only the wake-up at Unlock. Run with -cpu 2; with
-// one P a waiter parks at once and (b) reads as (c). Timing, so no test
-// asserts it.
+// lock by watching its sequence word for a batched read's 40 µs before it
+// parks, or (c) taking it through acquire itself, which yields its P
+// between tries; each lets go at once and asks again. Each iteration runs
+// the three modes in turn and reports the holder's ns per window in each
+// (the PutBatch calls alone): where the two goroutines share a core, as
+// hyperthreads do, a waiting loop takes the holder's cycles, and a parked
+// waiter costs it only the wake-up at Unlock. Run with -cpu 2; with one P a
+// watcher parks at once and the yielder hands the holder its P. Timing, so
+// no test asserts it.
 func BenchmarkHolderBesideWaiter(b *testing.B) {
 	const (
 		base    = 1 << 19
@@ -499,15 +500,15 @@ func BenchmarkHolderBesideWaiter(b *testing.B) {
 	if _, err := e.PutBatch(keys[:base], vals[:base]); err != nil {
 		b.Fatal(err)
 	}
-	pass := func(watch int64) time.Duration {
+	pass := func(wait func()) time.Duration {
 		var stop atomic.Bool
 		var wg sync.WaitGroup
-		if watch > 0 {
+		if wait != nil {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for !stop.Load() {
-					shard.WatchThenLock(e, watch)
+					wait()
 				}
 			}()
 		}
@@ -528,15 +529,17 @@ func BenchmarkHolderBesideWaiter(b *testing.B) {
 		wg.Wait()
 		return held
 	}
-	var alone, long, short time.Duration
+	watch := func() { shard.WatchThenLock(e) }
+	yield := func() { shard.AcquireThenUnlock(e) }
+	var alone, watched, yielded time.Duration
 	b.ResetTimer()
 	for range b.N {
-		alone += pass(0)
-		long += pass(shard.WindowWatchNanos)
-		short += pass(shard.ParkRoundTripNanos)
+		alone += pass(nil)
+		watched += pass(watch)
+		yielded += pass(yield)
 	}
 	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*windows) }
 	b.ReportMetric(per(alone), "alone-ns/window")
-	b.ReportMetric(per(long), "watch40us-ns/window")
-	b.ReportMetric(per(short), "watch5us-ns/window")
+	b.ReportMetric(per(watched), "watch40us-ns/window")
+	b.ReportMetric(per(yielded), "acquire-ns/window")
 }

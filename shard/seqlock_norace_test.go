@@ -7,8 +7,7 @@ package shard
 // writer — the lock stays free), so a read must burn its full retry
 // budget, take the writer lock, and still return the right answer; a
 // table whose GetBatch is hooked crosses a staged range's window from
-// inside its probe; and acquire's watch-then-park is followed through
-// Stats.LockParks. Build-tagged !race because race builds replace the
+// inside its probe. Build-tagged !race because race builds replace the
 // optimistic path with the locked slow path (read_racedetector.go), which
 // neither retries nor accounts.
 
@@ -569,156 +568,5 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 		if _, ok := get(e, key(i)); ok {
 			t.Fatalf("dead key %d readable after the doubling", i)
 		}
-	}
-}
-
-// contend has a second goroutine take and release s's writer window while
-// the caller holds it: the caller starts the waiter, runs hold, lets go
-// and joins the waiter.
-func contend(s *shardState, hold func()) {
-	s.lockShard()
-	done := make(chan struct{})
-	go func() {
-		s.lockShard()
-		s.unlockShard()
-		close(done)
-	}()
-	hold()
-	s.unlockShard()
-	<-done
-}
-
-// parksBehindHolds counts, in each of trials runs of attempts, the times
-// a waiter's lockShard parked behind this goroutine's window on s, held
-// for hold ns from when the waiter set out to take it. Holder and waiter
-// hand the turn over through atomics and never block, so after a moment
-// each has a P of its own, as two clients of a handle have.
-func parksBehindHolds(s *shardState, hold int64, trials, attempts int) []int {
-	var turn, setOut, got atomic.Int32 // turn < 0 stops the waiter
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for round := int32(1); ; round++ {
-			for turn.Load() != round {
-				if turn.Load() < 0 {
-					return
-				}
-			}
-			setOut.Store(round)
-			s.lockShard()
-			s.unlockShard()
-			got.Store(round)
-		}
-	}()
-	defer func() {
-		turn.Store(-1)
-		<-stopped
-	}()
-	parks := make([]int, trials)
-	round := int32(0)
-	for trial := range parks {
-		for range attempts {
-			round++
-			before := s.eng.lockParks.Load()
-			s.lockShard()
-			turn.Store(round)
-			for setOut.Load() != round {
-			}
-			for end := obs.Now() + hold; obs.Now() < end; {
-			}
-			s.unlockShard()
-			for got.Load() != round {
-			}
-			if s.eng.lockParks.Load() != before {
-				parks[trial]++
-			}
-		}
-	}
-	return parks
-}
-
-func TestAcquireFollowsAShortHoldWithoutParking(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("a waiter can only watch a holder that runs beside it")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := testEngine(t, 1, 64)
-	// The holder lets go well inside the watch. A noisy machine may take a
-	// core away for longer than the watch now and then, so a quarter of
-	// one trial's attempts, in any of a few trials, must end without a
-	// park; a waiter that did not watch would park on nearly every one.
-	// TestAcquireParksBehindALongHold is the deterministic half.
-	const hold, attempts = parkRoundTripNanos / 8, 40
-	parks := parksBehindHolds(&e.shards[0], hold, 5, attempts)
-	if watched := attempts - slices.Min(parks); watched < attempts/4 {
-		t.Fatalf("at best %d of %d waiters behind a %d ns hold got the lock without parking (parks per trial %v)", watched, attempts, hold, parks)
-	}
-}
-
-// TestAcquireStopsWatchingAtItsBound: a writer behind a hold four times
-// acquire's watch, half a batched read's, parks instead of watching it out.
-// A waiter with the read's watch would get the lock unparked nearly every
-// time, so half of one trial's attempts, in any of a few trials, must
-// park.
-func TestAcquireStopsWatchingAtItsBound(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("with one P the waiter parks at once: see TestAcquireParksAtOnceOnOneP")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := testEngine(t, 1, 64)
-	const hold, attempts = 4 * parkRoundTripNanos, 20
-	if hold >= windowWatchNanos {
-		t.Fatalf("a %d ns hold is not between the bounds %d and %d ns", hold, parkRoundTripNanos, windowWatchNanos)
-	}
-	parks := parksBehindHolds(&e.shards[0], hold, 5, attempts)
-	if most := slices.Max(parks); most < attempts/2 {
-		t.Fatalf("at most %d of %d waiters behind a %d ns hold parked (parks per trial %v): acquire watched past its %d ns bound", most, attempts, hold, parks, parkRoundTripNanos)
-	}
-}
-
-func TestAcquireParksBehindALongHold(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("with one P the waiter parks at once: see TestAcquireParksAtOnceOnOneP")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := testEngine(t, 1, 64)
-	// The holder lets go only once the waiter has given the watch up: a
-	// waiter that never parked would keep it waiting.
-	contend(&e.shards[0], func() {
-		for deadline := time.Now().Add(10 * time.Second); e.lockParks.Load() == 0; time.Sleep(parkRoundTripNanos) {
-			if time.Now().After(deadline) {
-				t.Error("the waiter is still watching a lock held for ten seconds")
-				return
-			}
-		}
-	})
-	if got := e.Stats().LockParks; got != 1 {
-		t.Fatalf("Stats.LockParks = %d, want 1", got)
-	}
-}
-
-func TestAcquireParksAtOnceOnOneP(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	e := testEngine(t, 1, 64)
-	// With one P the holder yields, the waiter runs until it sleeps on the
-	// mutex, and the holder is back: a few microseconds, or no less than
-	// the whole watch if the waiter watched first. The fastest of many
-	// attempts is free of the machine's noise.
-	fastest := int64(1 << 62)
-	for range 50 {
-		before := e.lockParks.Load()
-		contend(&e.shards[0], func() {
-			start := obs.Now()
-			for e.lockParks.Load() == before && obs.Now()-start < int64(10*time.Second) {
-				runtime.Gosched()
-			}
-			fastest = min(fastest, obs.Now()-start)
-		})
-		if e.lockParks.Load() != before+1 {
-			t.Fatal("the waiter never slept on a lock held for ten seconds")
-		}
-	}
-	if fastest >= parkRoundTripNanos {
-		t.Fatalf("a holder on the only P got it back no sooner than %d ns after yielding to a waiter: the waiter watched (%d ns) before it slept", fastest, parkRoundTripNanos)
 	}
 }

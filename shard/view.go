@@ -278,9 +278,9 @@ func (d *deadSet) add(k uint64) {
 // Seqlock window + publication chokepoint
 // ---------------------------------------------------------------------------
 
-// watchEnd is when a waiter starting now stops watching and sleeps: nanos
-// from now — or at once with one P, where the holder cannot run while the
-// waiter watches.
+// watchEnd is when a batched reader starting now stops watching an open
+// window (readRange): nanos from now — or at once with one P, where the
+// holder cannot run while the reader watches.
 func watchEnd(nanos int64) int64 {
 	if runtime.GOMAXPROCS(0) == 1 {
 		return 0
@@ -301,19 +301,25 @@ func (s *shardState) awaitEven(end int64) bool {
 
 // acquire takes the shard's writer lock, for writers (lockShard) and the
 // readers' locked fallbacks alike: the one place outside stats.go's
-// observers where s.mu is taken. A held lock is watched for at most
-// parkRoundTripNanos — wait for the window to close, try again — and then
-// slept on: a short hold is over before a park and a wake-up would be, and
-// a long one is not worth the holder's cycles that watching it takes. A
-// waiter that outlasts the watch queues on the mutex (Stats.LockParks), so
-// progress and starvation-mode fairness (TryLock then fails) are
-// sync.Mutex's own.
+// observers where s.mu is taken. A held lock is tried again between
+// runtime.Gosched calls for up to lockYieldNanos, and only then slept on.
+// A yield hands the P to any runnable goroutine, so it costs nothing when
+// there is other work; when there is none it comes straight back, and the
+// waiter never pays a sleeping thread's wake-up, which is what a park costs
+// here (see lockYieldNanos). The yields also let the holder run where the
+// two share the only P. A waiter that outlasts the bound queues on the
+// mutex (Stats.LockParks), so progress and starvation-mode fairness
+// (TryLock then fails) are sync.Mutex's own. Metrics.LockWait times every
+// contended acquire from its first failed TryLock to the lock held.
 func (s *shardState) acquire() {
 	if s.mu.TryLock() {
 		return
 	}
-	for end := watchEnd(parkRoundTripNanos); s.awaitEven(end); {
+	start := obs.Now()
+	for now := start; now-start < lockYieldNanos; now = obs.Now() {
+		runtime.Gosched()
 		if s.mu.TryLock() {
+			s.lockWaited(start)
 			return
 		}
 	}
@@ -322,6 +328,14 @@ func (s *shardState) acquire() {
 		m.LockPark.Inc(s.idx)
 	}
 	s.mu.Lock()
+	s.lockWaited(start)
+}
+
+// lockWaited records a contended acquire that began at start.
+func (s *shardState) lockWaited(start int64) {
+	if m := s.eng.metrics.Load(); m != nil {
+		m.LockWait.Record(s.idx, obs.Now()-start)
+	}
 }
 
 // lockShard opens a writer's seqlock window: it acquires the shard's

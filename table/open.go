@@ -33,7 +33,6 @@ type openConfig struct {
 	workload   *Workload
 	capacity   int
 	maxLF      float64
-	maxLFSet   bool
 	family     hashfn.Family
 	seed       uint64
 	partitions int
@@ -89,12 +88,11 @@ func WithCapacity(n int) Option {
 // WithMaxLoadFactor sets the occupancy threshold at which the table grows.
 // Zero disables growth (the paper's pre-allocated WORM contract: mutations
 // return ErrFull when the fixed capacity is exhausted). Values outside
-// [0, 1), NaN included, are rejected by Open, where New's Config would
-// silently read them as 0.
+// [0, 1), NaN included, are rejected by Open, as New rejects them in a
+// Config.
 func WithMaxLoadFactor(f float64) Option {
 	return func(c *openConfig) error {
 		c.maxLF = f
-		c.maxLFSet = true
 		return nil
 	}
 }
@@ -201,11 +199,8 @@ func Open(opts ...Option) (*Handle, error) {
 			return nil, err
 		}
 	}
-	if cfg.maxLFSet && !(cfg.maxLF >= 0 && cfg.maxLF < 1) {
-		if cfg.maxLF < 0 {
-			return nil, fmt.Errorf("table: max load factor %v is negative; use 0 to disable growth explicitly", cfg.maxLF)
-		}
-		return nil, fmt.Errorf("table: max load factor %v can never trigger growth; use a value in (0,1), or 0 to disable growth", cfg.maxLF)
+	if err := checkMaxLoadFactor(cfg.maxLF); err != nil {
+		return nil, err
 	}
 	if cfg.schemeSet && cfg.workload != nil {
 		return nil, fmt.Errorf("table: WithScheme and WithWorkload are mutually exclusive; drop one")

@@ -66,10 +66,14 @@ func (s Scheme) SharedBuild() bool {
 }
 
 // New constructs an empty table of the given scheme, or returns an error
-// for an unknown scheme name. It is the one low-level constructor: Open
-// builds on it, and shard.Config.NewTable, tests and analysis tools call it
-// directly. Most callers want Open.
+// for an unknown scheme name or a MaxLoadFactor Open would reject. It is
+// the one low-level constructor: Open builds on it, and
+// shard.Config.NewTable, tests and analysis tools call it directly. Most
+// callers want Open.
 func New(s Scheme, cfg Config) (Table, error) {
+	if err := checkMaxLoadFactor(cfg.MaxLoadFactor); err != nil {
+		return nil, err
+	}
 	if _, ok := kernSchemes[s]; ok {
 		return newKern(s, cfg), nil
 	}
@@ -80,4 +84,17 @@ func New(s Scheme, cfg Config) (Table, error) {
 		return newCuckoo(cfg), nil
 	}
 	return nil, fmt.Errorf("table: unknown scheme %q", s)
+}
+
+// checkMaxLoadFactor rejects a growth threshold outside [0, 1), NaN
+// included: at 1 or above growth could never trigger, and a negative one
+// means nothing.
+func checkMaxLoadFactor(f float64) error {
+	if f < 0 {
+		return fmt.Errorf("table: max load factor %v is negative; use 0 to disable growth explicitly", f)
+	}
+	if !(f < 1) {
+		return fmt.Errorf("table: max load factor %v can never trigger growth; use a value in (0,1), or 0 to disable growth", f)
+	}
+	return nil
 }

@@ -184,7 +184,8 @@ type Config struct {
 	// MaxLoadFactor, when positive, is the occupancy threshold at which
 	// the table grows (doubling its capacity and rehashing). Zero disables
 	// growth: the capacity is pre-allocated, as in the paper's WORM
-	// experiments, and an insert that does not fit reports ErrFull.
+	// experiments, and an insert that does not fit reports ErrFull. New
+	// rejects a value outside [0, 1), NaN included.
 	MaxLoadFactor float64
 	// Family is the hash-function class to draw from. Defaults to Mult.
 	Family hashfn.Family
@@ -202,9 +203,6 @@ func (c Config) withDefaults() Config {
 	c.InitialCapacity = 1 << uint(bits.Len(uint(c.InitialCapacity-1)))
 	if c.Family == nil {
 		c.Family = hashfn.MultFamily{}
-	}
-	if !(c.MaxLoadFactor >= 0 && c.MaxLoadFactor < 1) {
-		c.MaxLoadFactor = 0
 	}
 	return c
 }

@@ -398,9 +398,29 @@ func TestConfigDefaults(t *testing.T) {
 	if c.InitialCapacity != 1024 {
 		t.Errorf("capacity 1000 rounded to %d, want 1024", c.InitialCapacity)
 	}
-	for _, lf := range []float64{1.5, -0.5, math.NaN()} {
-		if c := (Config{MaxLoadFactor: lf}).withDefaults(); c.MaxLoadFactor != 0 {
-			t.Errorf("out-of-range MaxLoadFactor %v normalized to %v, want 0", lf, c.MaxLoadFactor)
+}
+
+// TestNewRejectsWhatOpenRejects: a growth threshold outside [0, 1) is an
+// error from New, with Open's text, not a table that silently never grows;
+// a threshold inside it still grows the table.
+func TestNewRejectsWhatOpenRejects(t *testing.T) {
+	for _, lf := range []float64{1, 1.5, -0.5, math.NaN()} {
+		_, newErr := New(SchemeChained8, Config{MaxLoadFactor: lf})
+		_, openErr := Open(WithScheme(SchemeChained8), WithMaxLoadFactor(lf))
+		if newErr == nil || openErr == nil {
+			t.Fatalf("MaxLoadFactor %v: New error %v, Open error %v; want both to refuse", lf, newErr, openErr)
 		}
+		if newErr.Error() != openErr.Error() {
+			t.Errorf("MaxLoadFactor %v: New says %q, Open says %q", lf, newErr, openErr)
+		}
+	}
+	m := mustNew(SchemeLP, Config{InitialCapacity: 64, MaxLoadFactor: 0.5, Seed: 1})
+	for k := uint64(1); k <= 64; k++ {
+		if _, err := m.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Capacity() <= 64 {
+		t.Fatalf("LP at MaxLoadFactor 0.5 holds %d keys in %d slots: it never grew", m.Len(), m.Capacity())
 	}
 }
