@@ -148,7 +148,7 @@ func (e *Engine) roomFor(v *view, n int) bool {
 	if e.growAt <= 0 {
 		return true // growth disabled: the pipeline's ErrFull is the contract
 	}
-	return float64(v.cur.Len()+n) < e.growAt*float64(v.cur.Capacity())
+	return float64(occupied(v.cur)+n) < e.growAt*float64(v.cur.Capacity())
 }
 
 // rmwBatchShard applies one shard's staged pairs inside its writer's

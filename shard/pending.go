@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // pendingSet is a steady shard's logical deletes: keys a scalar Delete took
 // out of the shard (live no longer counts them) that are still in its
-// table. Deleting from a table moves entries — Robin Hood's backward shift,
-// linear probing's reinsertions — so a physical delete needs a seqlock
+// table. Deleting from a table moves entries — the backward shift of every
+// linear-probing scheme — so a physical delete needs a seqlock
 // window, and every window tears the batched reads that overlap it. A
 // logical delete opens none: under the shard lock it records the key here,
 // where readers see it, and the next write window deletes it from the table

@@ -72,8 +72,8 @@
 // it changed dead.
 //
 // A delete on a steady shard, one not migrating, opens no seqlock window.
-// A table's delete moves entries (Robin Hood's backward shift), so it
-// would tear every batched read that overlaps it; instead
+// A table's delete moves entries (the backward shift of LP, LPSoA and RH),
+// so it would tear every batched read that overlaps it; instead
 // the delete looks the key up under the writer lock and records it in the
 // shard's pending set (pending.go), which readers mask. The record is plain
 // stores published by one atomic store of the set's count, so a delete
@@ -658,10 +658,21 @@ func (e *Engine) maybeGrow(s *shardState) {
 	if e.growAt <= 0 || v.migrating() {
 		return
 	}
-	if float64(v.cur.Len()) < e.growAt*float64(v.cur.Capacity()) {
+	if float64(occupied(v.cur)) < e.growAt*float64(v.cur.Capacity()) {
 		return
 	}
 	_ = e.beginMigration(s)
+}
+
+// occupied counts t's entries and tombstones toward the growth threshold:
+// a QP table pushed there by tombstones migrates, chunk by chunk, to a
+// same-capacity successor without them (beginMigration sizes it by Len).
+func occupied(t Table) int {
+	n := t.Len()
+	if tb, ok := t.(interface{ Tombstones() int }); ok {
+		n += tb.Tombstones()
+	}
+	return n
 }
 
 // growForRefusal starts a migration in response to a table refusal; on

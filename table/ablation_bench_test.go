@@ -4,8 +4,9 @@ package table
 //
 //   - Robin Hood's cache-line-granular early abort (§2.4): probe misses
 //     with and without the abort criterion, across load factors.
-//   - LP's optimized tombstones vs RH's partial cluster rehash (§2.2/§2.4):
-//     delete cost and post-churn lookup cost under both strategies.
+//   - LP's backward shift (Algorithm R) vs RH's partial cluster rehash
+//     (§2.4), which stops at the first entry in its home slot: delete cost
+//     and post-churn lookup cost under both.
 //   - Cuckoo's kick bound (§2.5): insert throughput as maxKicks varies.
 //   - Chained24's inline directory vs Chained8's pointer-only directory
 //     (§2.1): the pointer-chase cost on successful lookups.
@@ -121,9 +122,10 @@ func BenchmarkAblationRHEarlyAbortSuccessful(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeleteStrategy compares LP's optimized tombstones with
-// RH's partial cluster rehash: first raw delete+reinsert churn, then miss
-// lookups after heavy churn (where accumulated tombstones hurt LP, §2.2).
+// BenchmarkAblationDeleteStrategy compares LP's backward shift, which
+// walks to the cluster's end, with RH's partial cluster rehash, which the
+// displacement ordering stops early: first raw delete+reinsert churn, then
+// miss lookups after heavy churn (which tombstones would lengthen).
 func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	const capacity = 1 << 14
 	const lfPct = 70
@@ -144,7 +146,7 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		m    Table
-	}{{"LP-tombstone", lp}, {"RH-partialrehash", rh}} {
+	}{{"LP-backshift", lp}, {"RH-partialrehash", rh}} {
 		b.Run("churn/"+v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := keys[i%len(keys)]
@@ -162,7 +164,7 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		m    Table
-	}{{"LP-tombstone", lp}, {"RH-partialrehash", rh}} {
+	}{{"LP-backshift", lp}, {"RH-partialrehash", rh}} {
 		b.Run("miss-after-churn/"+v.name, func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {

@@ -66,9 +66,9 @@ var fpCases = []fpCase{
 		batch: func(m Table) []uint64 { return fpKeys(m, 400, 1) },
 	},
 	{
-		// The pass stands down while the table holds tombstones (LP,
-		// LPSoA, QP; Robin Hood deletes by shifting back and keeps
-		// it): filled to the brim and half deleted, the table owes a
+		// The pass stands down while the table holds tombstones (QP;
+		// the linear rows delete by shifting back and keep it):
+		// filled to the brim and half deleted, a QP table owes a
 		// rehash in place before its next insert or update.
 		name: "tombstones",
 		cfg:  Config{InitialCapacity: 64, Seed: 7},

@@ -16,9 +16,9 @@ package table
 // newKern reads the row once, at construction: probe stepping reduces to
 // si += sstep; sstep += sinc, slot access to direct indexing of the
 // hoisted column views (see colView), and the remaining behavioral
-// switches (bounded, contiguous, robin) to loop-invariant booleans the hot
-// loops keep in registers. The shared loops therefore compile to the same
-// per-slot instruction mix as hand-written per-scheme copies would.
+// switches (quad, robin) to loop-invariant booleans the hot loops keep in
+// registers. The shared loops therefore compile to the same per-slot
+// instruction mix as hand-written per-scheme copies would.
 //
 // # Scaled slot cursors
 //
@@ -55,10 +55,8 @@ const lineWordsM = 8 - 1
 // growth configuration, sentinel side fields and the lazily allocated
 // batch buffer.
 type kern struct {
-	colView       // slot storage; also exposes slots / keys / vals to in-package diagnostics
-	kernSpec      // the scheme's row: quad, soa, robin
-	bounded  bool // quad: a permutation of the table, ended by a full sweep
-	contig   bool // !quad: consecutive probes are adjacent slots
+	colView  // slot storage; also exposes slots / keys / vals to in-package diagnostics
+	kernSpec // the scheme's row: quad, soa, robin
 
 	// Scaled probe geometry (word units, see the package comment):
 	// smask wraps a scaled cursor, sone is one slot, sinc the scaled
@@ -79,7 +77,7 @@ type kern struct {
 	shift  uint // 64 - log2(capacity); home = hash >> shift
 	mask   uint64
 	size   int // live entries in slots (sentinel-keyed entries excluded)
-	tombs  int // tombstoned slots (always 0 under robin)
+	tombs  int // tombstoned slots (always 0 under a linear sequence)
 	fn     hashfn.Function
 	maxLF  float64
 	grows  int    // rehash events (growth and in-place), for Stats
@@ -94,8 +92,7 @@ type kern struct {
 func newKern(s Scheme, cfg Config) *kern {
 	spec := kernSchemes[s]
 	cfg = cfg.withDefaults()
-	c := &kern{kernSpec: spec, bounded: spec.quad, contig: !spec.quad,
-		maxLF: cfg.MaxLoadFactor, fn: cfg.Family.New(cfg.Seed), scheme: string(s)}
+	c := &kern{kernSpec: spec, maxLF: cfg.MaxLoadFactor, fn: cfg.Family.New(cfg.Seed), scheme: string(s)}
 	c.init(cfg.InitialCapacity)
 	return c
 }
@@ -183,7 +180,7 @@ func (c *kern) Capacity() int { return c.slotCount() }
 func (c *kern) MemoryFootprint() uint64 { return uint64(c.slotCount()) * pairBytes }
 
 // Tombstones returns the number of tombstoned slots (diagnostics; always
-// zero under Robin Hood displacement, which deletes by backward shift).
+// zero under a linear sequence, which deletes by backward shift).
 func (c *kern) Tombstones() int { return c.tombs }
 
 // Rehashes returns the number of rehash events (growth and in-place) so
@@ -198,7 +195,7 @@ func (c *kern) Rehashes() int { return c.grows }
 // lookups in this degenerate state; the scalar loops handle it in place
 // with their cursor-cycle termination check.
 func (c *kern) fullSweepOnly() bool {
-	return c.bounded && c.size+c.tombs == c.slotCount()
+	return c.quad && c.size+c.tombs == c.slotCount()
 }
 
 // Get implements Table, including the Robin Hood cache-line-granular early
@@ -271,17 +268,10 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 	}
 	if c.maxLF != 0 {
 		c.maybeGrow()
-	} else if c.tombs > 0 {
-		// Shed tombstone pressure so the probe below is guaranteed a
-		// truly empty slot to terminate on (bounded sequences need that
-		// only once tombstones block the very last slot).
-		if c.bounded {
-			if c.size+c.tombs == c.slotCount() {
-				c.rehashTo(c.slotCount())
-			}
-		} else if c.size+c.tombs+1 >= c.slotCount() {
-			c.rehashTo(c.slotCount())
-		}
+	} else if c.tombs > 0 && c.size+c.tombs == c.slotCount() {
+		// Tombstones (quad only) block the very last slot: shed them so
+		// the probe below is guaranteed a truly empty slot to stop on.
+		c.rehashTo(c.slotCount())
 	}
 	kc, smask := c.kc, c.smask
 	robin, sinc := c.robin, c.sinc
@@ -299,7 +289,7 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 			return c.valAtS(si), true, nil
 		}
 		if k == emptyKey {
-			if !c.bounded && c.maxLF == 0 && c.size+1 >= c.slotCount() {
+			if !c.quad && c.maxLF == 0 && c.size+1 >= c.slotCount() {
 				return 0, false, errFull(c.scheme, c.size, c.slotCount())
 			}
 			v := val
@@ -380,55 +370,26 @@ func (c *kern) shiftChain(cur pair, si, d uint64) {
 	}
 }
 
-// Delete implements Table with the deletion strategy its row derives:
-// backward shift under Robin Hood displacement, the optimized tombstone
-// placement on contiguous sequences, and unconditional tombstones
-// otherwise.
+// Delete implements Table: Get's walk finds the key, then a quadratic
+// sequence leaves a tombstone and a linear one shifts back (Knuth's
+// Algorithm R, TAOCP Vol. 3, §6.4). Walking j from the hole to the first
+// empty slot, the entry at j moves into the hole unless its home lies
+// cyclically in (hole, j]; no tombstone is left. Under Robin Hood the
+// first entry that stays is in its home slot and ends the walk (§2.4).
 func (c *kern) Delete(key uint64) bool {
 	if isSentinelKey(key) {
 		return c.sent.delete(key)
 	}
-	if c.robin {
-		return c.deleteBackshift(key)
-	}
-	hash := c.fn.Hash(key)
 	kc, smask := c.kc, c.smask
-	contig := c.contig
-	sinc, sone := c.sinc, c.sone
-	si, sstep := c.scursor(hash)
+	sinc, rEnd := c.sinc, c.rEnd
+	si, sstep := c.scursor(c.fn.Hash(key))
 	si0 := si
 	for {
 		k := kc[si]
 		if k == key {
-			if contig {
-				next := (si + sone) & smask
-				if c.keyAtS(next) == emptyKey {
-					// Cluster ends here: no tombstone needed. Clearing
-					// this slot may also strand tombstones directly
-					// before it at the new cluster end; clear those
-					// too.
-					c.setAtS(si, emptyKey, 0)
-					j := (si - sone) & smask
-					for c.keyAtS(j) == tombKey {
-						c.setAtS(j, emptyKey, 0)
-						c.tombs--
-						j = (j - sone) & smask
-					}
-				} else {
-					c.setAtS(si, tombKey, 0)
-					c.tombs++
-				}
-			} else {
-				// Probe sequences through a slot are not physically
-				// contiguous: the "is the next slot occupied" shortcut
-				// has no analogue, so tombstone unconditionally.
-				c.setAtS(si, tombKey, 0)
-				c.tombs++
-			}
-			c.size--
-			return true
+			break
 		}
-		if k == emptyKey {
+		if k == emptyKey || si&rEnd == rEnd && c.robinAbort(si, si0, k) {
 			return false
 		}
 		si = (si + sstep) & smask
@@ -437,38 +398,29 @@ func (c *kern) Delete(key uint64) bool {
 			return false
 		}
 	}
-}
-
-// deleteBackshift is Robin Hood deletion (§2.4): the cluster tail after
-// the deleted entry is shifted back one slot until an entry in its
-// optimal position or an empty slot ends the cluster, re-establishing
-// the displacement ordering without tombstones.
-func (c *kern) deleteBackshift(key uint64) bool {
-	si := c.homeS(key)
-	for n := uint64(0); ; n++ {
-		k := c.keyAtS(si)
-		if k == emptyKey {
-			return false
-		}
-		if k == key {
-			break
-		}
-		if c.sdisp(si, c.homeS(k)) < n {
-			return false
-		}
-		si = (si + c.sone) & c.smask
+	c.size--
+	if c.quad {
+		c.setAtS(si, tombKey, 0)
+		c.tombs++
+		return true
 	}
-	for {
-		j := (si + c.sone) & c.smask
-		nk := c.keyAtS(j)
-		if nk == emptyKey || (j-c.homeS(nk))&c.smask == 0 {
-			c.setAtS(si, emptyKey, 0)
+	for j := si; ; {
+		j = (j + c.sone) & smask
+		k := kc[j]
+		if k == emptyKey {
 			break
 		}
-		c.setAtS(si, nk, c.valAtS(j))
+		if (j-c.homeS(k))&smask < (j-si)&smask {
+			// Home in (hole, j]: the entry stays.
+			if c.robin {
+				break
+			}
+			continue
+		}
+		c.setAtS(si, k, c.valAtS(j))
 		si = j
 	}
-	c.size--
+	c.setAtS(si, emptyKey, 0)
 	return true
 }
 
@@ -693,7 +645,7 @@ func (c *kern) putIfAbsentBatch(keys, vals []uint64) (inserted int, err error) {
 	kc, vcb, smask, sinc := c.kc, c.vc[c.ks:], c.smask, c.sinc
 	sshift, soneM := c.sshift, c.sone-1
 	full := c.slotCount() - c.tombs // the most size may reach
-	if !c.bounded {
+	if !c.quad {
 		full-- // the empty slot an unbounded sequence stops on
 	}
 	credit := 0 // slots reserved and not yet claimed
@@ -817,7 +769,7 @@ func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 	switch {
 	case c.robin:
 		return c.getChunkRobin(bt, keys, vals, ok)
-	case c.bounded:
+	case c.quad:
 		return c.getChunkStepped(bt, keys, vals, ok)
 	default:
 		return c.getChunkLinear(bt, keys, vals, ok)
@@ -1119,7 +1071,7 @@ func (c *kern) Displacements() []int {
 		hash := c.fn.Hash(k)
 		si, sstep := c.scursor(hash)
 		target := uint64(idx) << c.ks
-		if c.contig {
+		if !c.quad {
 			out = append(out, int(c.sdisp(target, si)))
 			continue
 		}

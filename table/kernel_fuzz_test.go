@@ -11,8 +11,9 @@ import (
 // pinning the pre-refactor semantics the one probe kernel must
 // reproduce. The key space is tiny and deliberately includes both
 // sentinel keys (0 and 2^64-1), the tapes mix deletes between inserts so
-// tombstones are created and recycled (and the growth-disabled tables
-// cross the in-place tombstone-purge rehash), and one op code flushes
+// linear sequences shift entries back and QP's tombstones are created and
+// recycled (its growth-disabled table crossing the in-place
+// tombstone-purge rehash), and one op code flushes
 // through the batched surfaces with lengths that straddle the BatchWidth
 // chunk boundary.
 func FuzzProbeKernel(f *testing.F) {
@@ -57,8 +58,8 @@ func tapeKey(b byte) uint64 {
 func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 	t.Helper()
 	// 64 slots with a 16-key working set: growth-disabled tables never
-	// legitimately fill (ErrFull is a bug), but deletes build tombstone
-	// pressure that forces the in-place purge rehash.
+	// legitimately fill (ErrFull is a bug), but QP's deletes build
+	// tombstone pressure that forces the in-place purge rehash.
 	m := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: maxLF, Seed: 7})
 	oracle := map[uint64]uint64{}
 	ctx := func(i int) string { return string(s) }

@@ -12,10 +12,10 @@ package table
 //	deletion strategy            derived          see below
 //
 // The deletion strategy is derived rather than free-standing, because the
-// probe sequence dictates it: robin implies partial-cluster rehash
-// (backward shifting, §2.4), contiguous (linear) sequences take the
-// optimized tombstone strategy (§2.2), and non-contiguous ones must
-// tombstone unconditionally (§2.3).
+// probe sequence dictates it: a linear sequence shifts later entries of
+// the cluster back into the hole (Knuth's Algorithm R; under robin it is
+// §2.4's partial-cluster rehash, which stops early), and a quadratic one,
+// whose probes are not adjacent slots, must tombstone (§2.3).
 //
 // newKern reads a row once, at construction: its choices are hoisted into
 // the kernel's loop-invariant state (probe step parameters, column views,
@@ -51,15 +51,15 @@ type kernSpec struct {
 	// the table to 100% occupancy. A linear sequence instead relies on the
 	// kernel keeping at least one truly empty slot for probe loops to
 	// terminate on, and its consecutive probes are adjacent slots, which
-	// enables the optimized tombstone deletion (§2.2) and O(1)
-	// displacement computation.
+	// enables backward-shift deletion (Algorithm R) and O(1) displacement
+	// computation.
 	quad bool
 	// soa selects the struct-of-arrays slot layout of §7 (soaView) over
 	// the array-of-structs layout of §2 (aosView).
 	soa bool
 	// robin enables displacement-ordered (Robin Hood) insertion, the
-	// cache-line-granular early abort for unsuccessful lookups, and
-	// backward-shift deletion (§2.4).
+	// cache-line-granular early abort for unsuccessful lookups, and the
+	// early stop of backward-shift deletion (§2.4).
 	robin bool
 }
 
@@ -72,12 +72,12 @@ var kernSchemes = map[Scheme]kernSpec{
 	// sequential memory access; its weakness is primary clustering at high
 	// load factors.
 	//
-	// Deletion uses the paper's optimized tombstone strategy: a tombstone
-	// is placed only when it is needed to keep a cluster connected (i.e.
-	// when the slot following the deleted entry is occupied); otherwise the
-	// slot is simply cleared, and any tombstones immediately preceding a
-	// new cluster end are cleared as well. Inserts recycle tombstones after
-	// confirming the key is not already present.
+	// Deletion is backward shift (Knuth's Algorithm R, TAOCP Vol. 3,
+	// §6.4): the rest of the cluster is walked to its end, and each entry
+	// whose home does not lie between the hole and itself moves into the
+	// hole, which moves along with it. The table is left exactly as if the
+	// key had never been inserted, so deletes and inserts at a steady load
+	// never lengthen a probe.
 	SchemeLP: {},
 
 	// LPSoA is linear probing in struct-of-arrays layout (§7 of the
@@ -94,7 +94,7 @@ var kernSchemes = map[Scheme]kernSpec{
 	//     instructions, so both layouts share the one scalar kernel (see
 	//     EXPERIMENTS.md, "Figure 7 SIMD").
 	//
-	// Semantics are identical to LP, including the optimized tombstone
+	// Semantics are identical to LP, including the backward-shift
 	// deletion: the two rows differ in the layout dimension alone.
 	SchemeLPSoA: {soa: true},
 
@@ -112,11 +112,11 @@ var kernSchemes = map[Scheme]kernSpec{
 	// clustering because two keys that collide on their first probe share
 	// their entire probe sequence.
 	//
-	// Deletion places a tombstone unconditionally: the "is the next slot
-	// occupied" shortcut of the optimized LP strategy has no analogue here
-	// because probe sequences through a slot are not physically
-	// contiguous. Inserts recycle tombstones, and tombstone pressure
-	// triggers an in-place rehash when growth is enabled.
+	// Deletion places a tombstone: the backward shift of the linear rows
+	// has no analogue here because probe sequences through a slot are not
+	// physically contiguous. Inserts recycle tombstones; tombstone pressure
+	// triggers an in-place rehash when growth is enabled, and only a full
+	// table rehashes in place when it is disabled.
 	SchemeQP: {quad: true},
 
 	// RH is the paper's tuned Robin Hood hashing on linear probing (§2.4):
@@ -139,9 +139,10 @@ var kernSchemes = map[Scheme]kernSpec{
 	// Deletion uses partial cluster rehash rather than tombstones
 	// (tombstones in RH would need to carry the deleted entry's
 	// displacement to preserve the ordering): the hole is filled by
-	// shifting the remainder of the cluster back one slot, which
-	// re-establishes every invariant and is exactly the result of
-	// rehashing the cluster tail in place.
+	// shifting the remainder of the cluster back one slot, up to the first
+	// entry in its home slot, which re-establishes every invariant and is
+	// exactly the result of rehashing the cluster tail in place. It is
+	// LP's backward shift, whose walk the ordering lets stop there.
 	SchemeRH: {robin: true},
 }
 

@@ -445,10 +445,12 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 	}
 }
 
-// FuzzDifferentialOps drives a byte-coded op stream against LP, RH, Cuckoo
-// and both chained directory layouts simultaneously, cross-checked against
-// a builtin map oracle. The chained tables start at 8 buckets, so a tape
-// crosses directory doublings and (in ChainedH24) inline promotion.
+// FuzzDifferentialOps drives a byte-coded op stream against LP, LPSoA, QP,
+// RH, Cuckoo and both chained directory layouts simultaneously,
+// cross-checked against a builtin map oracle. Every table grows: the
+// chained ones start at 8 buckets, so a tape crosses directory doublings
+// and (in ChainedH24) inline promotion, and the linear-sequence rows run
+// backward-shift deletes across doublings under both slot layouts.
 func FuzzDifferentialOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x83, 0x44, 0x00, 0xff, 0xfe, 0x10})
 	f.Add([]byte("getorput-upsert-delete"))
@@ -459,6 +461,8 @@ func FuzzDifferentialOps(f *testing.F) {
 			mustNew(SchemeCuckooH4, Config{InitialCapacity: 32, MaxLoadFactor: 0.8, Seed: 3}),
 			mustNew(SchemeChained8, Config{InitialCapacity: 8, MaxLoadFactor: 0.8, Seed: 4}),
 			mustNew(SchemeChained24, Config{InitialCapacity: 8, MaxLoadFactor: 0.8, Seed: 5}),
+			mustNew(SchemeLPSoA, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 6}),
+			mustNew(SchemeQP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 7}),
 		}
 		oracle := map[uint64]uint64{}
 		for i, b := range data {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/hashfn"
@@ -10,44 +11,37 @@ import (
 
 // --- Linear probing specifics -----------------------------------------------
 
-// TestLPTombstonePlacement verifies the optimized delete: a tombstone is
-// placed only when the next slot is occupied.
-func TestLPTombstonePlacement(t *testing.T) {
+// TestLPDeleteEverythingLeavesAnEmptyTable: deleting every key of a
+// clustered LP table leaves no tombstone and no occupied slot — the table
+// a fresh one would be — and resurrects nothing.
+func TestLPDeleteEverythingLeavesAnEmptyTable(t *testing.T) {
 	m := newKern(SchemeLP, Config{InitialCapacity: 1 << 10, Seed: 1})
-	// Force a collision cluster by inserting until we find three keys in a
-	// row somewhere; easier: insert enough keys to create clusters.
 	for i := uint64(1); i <= 512; i++ {
 		put(t, m, i*2654435761, i)
 	}
-	// Delete every key; afterwards no live entries remain and lookups of
-	// all keys miss (tombstones must not resurrect anything).
 	for i := uint64(1); i <= 512; i++ {
 		if !m.Delete(i * 2654435761) {
 			t.Fatalf("delete of key %d failed", i)
 		}
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after deleting everything", m.Len())
-	}
-	for i := uint64(1); i <= 512; i++ {
 		if _, ok := m.Get(i * 2654435761); ok {
 			t.Fatalf("deleted key %d still found", i)
 		}
 	}
-	// Cluster-end clearing must have removed trailing tombstones: an empty
-	// table should have zero or very few tombstones... in fact deleting in
-	// insertion order can leave tombstones mid-cluster, but a full sweep
-	// in reverse cleans cluster tails. At minimum, tombstones < deletes.
-	if m.Tombstones() >= 512 {
-		t.Fatalf("all %d deletes left tombstones; optimized placement is not working", m.Tombstones())
+	if m.Len() != 0 || m.Tombstones() != 0 {
+		t.Fatalf("Len = %d, %d tombstones after deleting everything", m.Len(), m.Tombstones())
+	}
+	for i := 0; i < m.slotCount(); i++ {
+		if k := m.keyAt(uint64(i)); k != emptyKey {
+			t.Fatalf("slot %d holds %#x after deleting everything", i, k)
+		}
 	}
 }
 
-// TestLPTombstoneRecycling: inserts must reuse tombstoned slots.
-func TestLPTombstoneRecycling(t *testing.T) {
+// TestLPRefillAfterDeletes: a growth-disabled table that is filled and
+// emptied a hundred times over never reports ErrFull, so deletes give
+// their slots back.
+func TestLPRefillAfterDeletes(t *testing.T) {
 	m := newKern(SchemeLP, Config{InitialCapacity: 64, Seed: 2})
-	// Fill half, delete half, refill: with growth disabled this only works
-	// if tombstones are recycled.
 	for round := 0; round < 100; round++ {
 		for i := uint64(1); i <= 30; i++ {
 			put(t, m, i, i)
@@ -61,8 +55,140 @@ func TestLPTombstoneRecycling(t *testing.T) {
 	}
 }
 
+// TestChurnedTableEqualsFresh: a linear-sequence table that has deleted a
+// live key and inserted a fresh one four times per slot is the table a
+// fresh build of its final keys gives — no tombstone, the same occupied
+// slots, the same total displacement and the same probes per miss —
+// with growth off and on. Backward-shift deletion makes the occupied
+// slots (and, for LP, everything but which key sits where) depend only on
+// the key set.
+func TestChurnedTableEqualsFresh(t *testing.T) {
+	const slots = 1 << 14
+	for _, s := range []Scheme{SchemeLP, SchemeLPSoA, SchemeRH} {
+		for _, maxLF := range []float64{0, 0.9} {
+			t.Run(fmt.Sprintf("%s/%v", s, maxLF), func(t *testing.T) {
+				cfg := Config{InitialCapacity: slots, MaxLoadFactor: maxLF, Family: hashfn.MultFamily{}, Seed: 7}
+				churned := newKern(s, cfg)
+				keys := prng.NewSplitMix64(7) // distinct outputs: every key drawn is fresh
+				pick := prng.NewXoshiro256(7)
+				live := make([]uint64, slots/2)
+				for i := range live {
+					live[i] = keys.Next()
+					put(t, churned, live[i], uint64(i))
+				}
+				for r := 0; r < 4*slots; r++ {
+					i := pick.Intn(len(live))
+					if !churned.Delete(live[i]) {
+						t.Fatalf("round %d: live key %#x not deleted", r, live[i])
+					}
+					live[i] = keys.Next()
+					put(t, churned, live[i], uint64(r))
+				}
+				fresh := newKern(s, cfg)
+				for i, k := range live {
+					put(t, fresh, k, uint64(i))
+				}
+				if n := churned.Tombstones(); n != 0 {
+					t.Fatalf("%d tombstones after churn", n)
+				}
+				if churned.slotCount() != fresh.slotCount() {
+					t.Fatalf("churned capacity %d, fresh %d", churned.slotCount(), fresh.slotCount())
+				}
+				for i := 0; i < fresh.slotCount(); i++ {
+					if a, b := churned.keyAt(uint64(i)) != emptyKey, fresh.keyAt(uint64(i)) != emptyKey; a != b {
+						t.Fatalf("slot %d: occupied %v churned, %v fresh", i, a, b)
+					}
+				}
+				if a, b := sum(churned.Displacements()), sum(fresh.Displacements()); a != b {
+					t.Fatalf("total displacement %d churned, %d fresh", a, b)
+				}
+				misses := make([]uint64, 20000)
+				for i := range misses {
+					misses[i] = keys.Next()
+				}
+				if a, b := missProbes(churned, misses), missProbes(fresh, misses); a != b {
+					t.Fatalf("probes per miss %.3f churned, %.3f fresh",
+						float64(a)/float64(len(misses)), float64(b)/float64(len(misses)))
+				}
+			})
+		}
+	}
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// missProbes counts the slots lookups of the absent keys examine.
+func missProbes(c *kern, absent []uint64) int {
+	n := 0
+	for _, k := range absent {
+		c.ProbeSlots(k, func(int) bool { n++; return true })
+	}
+	return n
+}
+
+// TestBackshiftWrapsAroundTheLastSlot deletes, one at a time, each key of
+// a cluster that runs from the table's last slots into slot 0: whichever
+// is deleted, every other key stays reachable and the slots it leaves
+// occupied are those of a fresh build. Past the wrap, an entry homed at
+// or before the hole moves back across slot 0 and one homed past the hole
+// stays, which a home test that is not cyclic gets wrong.
+func TestBackshiftWrapsAroundTheLastSlot(t *testing.T) {
+	const slots = 16
+	// Homes of each cluster's keys, in insertion order. In the first the
+	// key homed at 15 lands in slot 0; in the second every key is home.
+	clusters := [][]uint64{{13, 14, 14, 15, 0, 0, 1}, {14, 15, 0, 1}}
+	for _, s := range []Scheme{SchemeLP, SchemeLPSoA, SchemeRH} {
+		for c, homes := range clusters {
+			t.Run(fmt.Sprintf("%s/%d", s, c), func(t *testing.T) {
+				cfg := Config{InitialCapacity: slots, Seed: 11}
+				probe := newKern(s, cfg)
+				rng := prng.NewSplitMix64(11)
+				keys := make([]uint64, len(homes))
+				for i, h := range homes {
+					for keys[i] = rng.Next(); probe.home(keys[i]) != h; keys[i] = rng.Next() {
+					}
+				}
+				build := func(skip int) *kern {
+					m := newKern(s, cfg)
+					for i, k := range keys {
+						if i != skip {
+							put(t, m, k, uint64(i))
+						}
+					}
+					return m
+				}
+				if m := build(-1); m.keyAt(slots-1) == emptyKey || m.keyAt(0) == emptyKey {
+					t.Fatal("the cluster does not cross from the last slot into slot 0")
+				}
+				for del := range keys {
+					m, fresh := build(-1), build(del)
+					if !m.Delete(keys[del]) {
+						t.Fatalf("delete of key %d (home %d) failed", del, homes[del])
+					}
+					for i, k := range keys {
+						if _, ok := m.Get(k); ok != (i != del) {
+							t.Fatalf("after deleting key %d (home %d): Get of key %d (home %d) = %v", del, homes[del], i, homes[i], ok)
+						}
+					}
+					for i := 0; i < slots; i++ {
+						if a, b := m.keyAt(uint64(i)) != emptyKey, fresh.keyAt(uint64(i)) != emptyKey; a != b {
+							t.Fatalf("after deleting key %d (home %d): slot %d occupied %v, fresh build %v", del, homes[del], i, a, b)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestLPClusterConnectivity: after arbitrary deletes, every resident key
-// must remain reachable (the invariant the tombstone strategy protects).
+// must remain reachable (the invariant the backward shift protects).
 func TestLPClusterConnectivity(t *testing.T) {
 	m := newKern(SchemeLP, Config{InitialCapacity: 256, Seed: 3})
 	rng := prng.NewXoshiro256(4)

@@ -243,7 +243,7 @@ func TestSharedBuildOverfillIsErrFull(t *testing.T) {
 					}
 				}
 				full := h.Capacity() // a permutation sequence may use every slot
-				if !kernOf(t, h.ops.(Table)).bounded {
+				if !kernOf(t, h.ops.(Table)).quad {
 					full--
 				}
 				entries := 0

@@ -7,7 +7,7 @@
 //   - ChainedH24: chained hashing with a widened 24-byte directory slot
 //     that inlines the first entry of every bucket.
 //   - LP: open addressing with linear probing in array-of-structs layout,
-//     optimized tombstone deletion.
+//     backward-shift deletion (Knuth's Algorithm R, no tombstones).
 //   - QP: triangular-number quadratic probing (c1 = c2 = 1/2 on
 //     power-of-two capacities, guaranteeing full-table coverage).
 //   - RH: the paper's tuned Robin Hood hashing on linear probing, with

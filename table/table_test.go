@@ -279,7 +279,8 @@ func TestRangeEarlyStop(t *testing.T) {
 	})
 }
 
-// TestDeleteThenReinsert stresses tombstone recycling paths.
+// TestDeleteThenReinsert stresses the delete paths: QP's tombstone
+// recycling and the other rows' backward shift.
 func TestDeleteThenReinsert(t *testing.T) {
 	forEachTable(t, 256, 0, func(t *testing.T, m Table) {
 		// Growth disabled: churn within fixed capacity. 256 slots, keep
