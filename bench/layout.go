@@ -49,7 +49,7 @@ func RunLayoutModel(opt Options) ([]LayoutPoint, error) {
 			return nil, err
 		}
 		for i, k := range dist.Shuffled(gen.Keys(n), opt.Seed+1) {
-			if _, err := m.Put(k, uint64(i)); err != nil {
+			if _, _, err := m.RMW(k, uint64(i), true, nil); err != nil {
 				return nil, fmt.Errorf("bench: layout lf=%d: %w", lf, err)
 			}
 		}

@@ -73,7 +73,7 @@ func wormPoint(opt Options, c contender, d dist.Kind, capacity, lf int, s *WORMS
 		keys := dist.Shuffled(gen.Keys(n), seed+1)
 		start := time.Now()
 		for i, k := range keys {
-			if _, err := m.Put(k, uint64(i)); err != nil {
+			if _, _, err := m.RMW(k, uint64(i), true, nil); err != nil {
 				return fmt.Errorf("WORM build: %w", err)
 			}
 		}

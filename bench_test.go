@@ -51,7 +51,7 @@ func BenchmarkPut(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.Put(keys[i], uint64(i))
+					m.RMW(keys[i], uint64(i), true, nil)
 				}
 			})
 		}
@@ -70,7 +70,7 @@ func lookupBench(b *testing.B, s table.Scheme, f hashfn.Family, unsuccessfulPct 
 	gen := dist.New(dist.Sparse, 1)
 	keys := dist.Shuffled(gen.Keys(n), 2)
 	for i, k := range keys {
-		if _, err := m.Put(k, uint64(i)); err != nil {
+		if _, _, err := m.RMW(k, uint64(i), true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func BenchmarkBatchProbe(b *testing.B) {
 				b.Fatal(err)
 			}
 			keys := dist.Shuffled(gen.Keys(n), 2)
-			if _, err := m.PutBatch(keys, keys); err != nil {
+			if _, err := m.RMWBatch(keys, keys, nil, nil, true, nil); err != nil {
 				b.Fatal(err)
 			}
 			miss := n / 4
@@ -295,7 +295,7 @@ func BenchmarkBatchInsert(b *testing.B) {
 				m := fresh(b)
 				b.StartTimer()
 				for j, k := range keys {
-					if _, err := m.Put(k, vals[j]); err != nil {
+					if _, _, err := m.RMW(k, vals[j], true, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -307,7 +307,7 @@ func BenchmarkBatchInsert(b *testing.B) {
 				b.StopTimer()
 				m := fresh(b)
 				b.StartTimer()
-				if _, err := m.PutBatch(keys, vals); err != nil {
+				if _, err := m.RMWBatch(keys, vals, nil, nil, true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -381,7 +381,7 @@ func BenchmarkAggregateVsWORM(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := uint64(0); i < groups; i++ {
-			m.Put(i, i)
+			m.RMW(i, i, true, nil)
 		}
 		var sink uint64
 		b.ResetTimer()

@@ -62,7 +62,7 @@ func run(scheme, fnName, distName string, slotsLog2 int, alpha float64, seed uin
 	}
 	gen := dist.New(kind, seed)
 	for i, k := range dist.Shuffled(gen.Keys(n), seed+1) {
-		if _, err := m.Put(k, uint64(i)); err != nil {
+		if _, _, err := m.RMW(k, uint64(i), true, nil); err != nil {
 			return err
 		}
 	}

@@ -26,7 +26,7 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 	}
 	// The first PutBatch inserts (and may resize); every later call finds
 	// the keys in place on idle shards.
-	if _, err := e.PutBatch(keys, vals); err != nil {
+	if _, err := putBatch(e, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Drain() {
@@ -39,14 +39,14 @@ func TestBatchCallsAllocateNothing(t *testing.T) {
 		call func()
 	}{
 		{"GetBatch", func() { e.GetBatch(keys, out, ok) }},
-		{"PutBatch", func() { e.PutBatch(keys, vals) }},
-		{"GetOrPutBatch", func() { e.GetOrPutBatch(keys, vals, out, ok) }},
-		{"UpsertBatch", func() { e.UpsertBatch(keys, bump) }},
-		{"Put", func() { e.Put(keys[0], vals[0]) }},
-		{"GetOrPut", func() { e.GetOrPut(keys[0], 0) }},
-		{"Upsert", func() { e.Upsert(keys[0], inc) }},
+		{"PutBatch", func() { putBatch(e, keys, vals) }},
+		{"GetOrPutBatch", func() { getOrPutBatch(e, keys, vals, out, ok) }},
+		{"UpsertBatch", func() { upsertBatch(e, keys, bump) }},
+		{"Put", func() { tryPut(e, keys[0], vals[0]) }},
+		{"GetOrPut", func() { getOrPut(e, keys[0], 0) }},
+		{"Upsert", func() { upsert(e, keys[0], inc) }},
 		{"Delete of an absent key", func() { e.Delete(0) }},
-		{"Delete of a live key, then its Put", func() { e.Delete(keys[1]); e.Put(keys[1], vals[1]) }},
+		{"Delete of a live key, then its Put", func() { e.Delete(keys[1]); tryPut(e, keys[1], vals[1]) }},
 	}
 	for _, c := range calls {
 		c.call() // warm: pool, chunk scratch
@@ -67,7 +67,7 @@ func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
 	n := uint64(0)
 	for e.Stats().Migrating == 0 {
 		n++
-		if _, err := e.Put(key(n), n); err != nil {
+		if _, err := tryPut(e, key(n), n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,12 +77,12 @@ func TestMutationHostingMigrationStepAllocatesNothing(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"Put of a frozen key", func() { i++; e.Put(key(i), i) }},
-		{"Put of a new key", func() { n++; e.Put(key(n), n) }},
-		{"GetOrPut of a frozen key", func() { i++; e.GetOrPut(key(i), 0) }},
-		{"GetOrPut of a new key", func() { n++; e.GetOrPut(key(n), n) }},
-		{"Upsert of a frozen key", func() { i++; e.Upsert(key(i), inc) }},
-		{"Upsert of a new key", func() { n++; e.Upsert(key(n), inc) }},
+		{"Put of a frozen key", func() { i++; tryPut(e, key(i), i) }},
+		{"Put of a new key", func() { n++; tryPut(e, key(n), n) }},
+		{"GetOrPut of a frozen key", func() { i++; getOrPut(e, key(i), 0) }},
+		{"GetOrPut of a new key", func() { n++; getOrPut(e, key(n), n) }},
+		{"Upsert of a frozen key", func() { i++; upsert(e, key(i), inc) }},
+		{"Upsert of a new key", func() { n++; upsert(e, key(n), inc) }},
 		{"Delete of a frozen key", func() { i++; e.Delete(key(i)) }},
 		{"Delete of an absent key", func() { i++; e.Delete(key(i) + 1) }},
 	}

@@ -8,8 +8,8 @@ package shard
 // back to the callers' lanes in input order.
 //
 // Engines are meant for concurrent callers, so a call never shares scratch
-// with another: each takes a staging (the scatter's columns, UpsertBatch's
-// relay) from a pool for its own duration and returns it after the
+// with another: each takes a staging (the scatter's columns, the relay to
+// RMWBatch's fn) from a pool for its own duration and returns it after the
 // gather. The scatter grows its columns in place, so once the pool is warm
 // a batch call allocates nothing.
 //
@@ -24,9 +24,9 @@ package shard
 // through rmwLocked, the scalar writers' one locked path, which also
 // advances the migration — batches make resize progress proportional to
 // their size — and so does a steady range whose pipeline was refused.
-// UpsertBatch always goes key by key, steady or not: no workload batches
-// its upserts through an engine, and a refused pipeline could not be
-// re-applied without calling fn twice for a lane.
+// A range with fn always goes key by key, steady or not: no workload
+// batches its upserts through an engine, and a refused pipeline could not
+// be re-applied without calling fn twice for a lane.
 
 import (
 	"sync"
@@ -41,8 +41,8 @@ import (
 type staging struct {
 	scatter
 
-	// UpsertBatch's relay, bound to this staging once, when it is made, so
-	// no closure is allocated per call. It is handed to rmwLocked and
+	// The relay to RMWBatch's fn, bound to this staging once, when it is
+	// made, so no closure is allocated per call. It is handed to rmwLocked and
 	// forwards to the caller's fn for the staged lane in lane, under the
 	// caller's lane numbering.
 	relay func(old uint64, exists bool) uint64
@@ -75,16 +75,14 @@ func (st *staging) release() {
 	}
 }
 
-// callerLane maps a lane of the range the table sees to the caller's.
-func (st *staging) callerLane(i int) int {
-	if st.orig != nil {
-		return int(st.orig[i])
-	}
-	return i
-}
-
+// relayLane is the relay: it maps the lane of the range the table sees to
+// the caller's and calls fn for it.
 func (st *staging) relayLane(old uint64, exists bool) uint64 {
-	return st.fn(st.callerLane(st.lane), old, exists)
+	lane := st.lane
+	if st.orig != nil {
+		lane = int(st.orig[lane])
+	}
+	return st.fn(lane, old, exists)
 }
 
 // stage takes a staging from the pool and routes keys into it: the
@@ -151,67 +149,61 @@ func (e *Engine) roomFor(v *view, n int) bool {
 	return float64(occupied(v.cur)+n) < e.growAt*float64(v.cur.Capacity())
 }
 
-// rmwBatchShard applies one shard's staged pairs inside its writer's
-// seqlock window: PutBatch's when put, else GetOrPutBatch's, whose results go
-// to out and loaded — the shard-local staging views (out may alias vals), or
-// nil to drop them.
-func (e *Engine) rmwBatchShard(s *shardState, keys, vals, out []uint64, loaded []bool, put bool) (inserted int, err error) {
-	s.lockShard()
-	defer s.unlockShard()
-	e.advance(s)
-	if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
-		if put {
-			inserted, err = v.cur.PutBatch(keys, vals)
-		} else {
-			inserted, err = v.cur.GetOrPutBatch(keys, vals, out, loaded)
-		}
-		s.live.Add(int64(inserted))
-		if err == nil || e.growAt <= 0 {
-			return inserted, err
-		}
-		// The pipeline refused a key (Cuckoo kick failure): the table
-		// cannot place keys at this occupancy, so grow now (a factory
-		// error leaves the shard steady) and re-apply the whole range key by key,
-		// carrying the pipeline's insert count. Re-applying is idempotent:
-		// a pair already in is an update to, or a GetOrPut hit on, the same
-		// value, and is not counted twice; a within-batch duplicate may
-		// then report loaded=true for the lane that actually inserted —
-		// accepted on this pathological path.
-		_ = e.growForRefusal(s, err) // the key-by-key pass below reports each key's outcome
+// checkRMWBatch is RMWBatch's length rule: vals as long as keys, or nil
+// when fn is set; out and loaded both nil or at least as long as keys.
+func checkRMWBatch(keys, vals, out []uint64, loaded []bool, upsert bool) {
+	if len(vals) != len(keys) && !(upsert && vals == nil) {
+		panic("shard: RMWBatch keys/vals length mismatch")
 	}
-	for i, k := range keys {
-		v, existed, err := e.rmwLocked(s, k, vals[i], put, nil)
-		if err != nil {
-			return inserted, err
-		}
-		if out != nil {
-			out[i], loaded[i] = v, existed
-		}
-		if !existed {
-			inserted++
-		}
+	if (out != nil || loaded != nil) && (len(out) < len(keys) || len(loaded) < len(keys)) {
+		panic("shard: RMWBatch output slices shorter than keys")
 	}
-	return inserted, nil
 }
 
-// rmwBatch is the scatter loop of PutBatch and GetOrPutBatch: each shard's
-// staged range goes through rmwBatchShard once, and GetOrPutBatch's results,
-// when the caller wants them, gather back to its lanes.
-func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, put bool) (int, error) {
+// RMWBatch applies RMW to every key in slice order, with vals[i] as key
+// i's val (vals may be nil when fn is set) and fn passed the key's lane
+// index in the caller's slice: out[i] receives the value key i holds
+// afterwards, loaded[i] whether it was there before. out may alias vals;
+// out and loaded both nil drop the results and skip the gather. It returns
+// the number of newly inserted keys. Duplicate keys are processed in slice
+// order (they always share a shard). With growth disabled it stops on
+// ErrFull; pairs already applied remain. fn runs under a shard write lock
+// and must not call back into the engine.
+func (e *Engine) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	checkRMWBatch(keys, vals, out, loaded, fn != nil)
+	m, start := e.batchStart()
+	n, err := e.rmwBatch(keys, vals, out, loaded, overwrite, fn)
+	if m != nil {
+		m.writeBatch(overwrite, fn).Record(e.batchHint(keys), obs.Now()-start)
+	}
+	return n, err
+}
+
+// rmwBatch is RMWBatch's scatter loop: each shard's staged range goes
+// through rmwBatchShard once, and the results, when the caller wants them,
+// gather back to its lanes. One shard's range is the caller's own columns;
+// the staging then only carries the relay.
+func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	if len(e.shards) == 1 {
-		return e.rmwBatchShard(&e.shards[0], keys, vals, out, loaded, put)
+		st := takeStaging()
+		defer st.release()
+		st.fn = fn
+		return e.rmwBatchShard(&e.shards[0], st, keys, vals, out, loaded, overwrite)
 	}
 	st := e.stage(keys, vals)
 	defer st.release()
+	st.fn = fn
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
 		if lo == hi {
 			continue
 		}
+		st.orig = st.Orig[lo:hi]
 		// out aliases vals within the staged range: the tables read the
-		// insert value before writing the result lane.
-		n, err := e.rmwBatchShard(&e.shards[j], st.Keys[lo:hi], st.Vals[lo:hi], st.Vals[lo:hi], st.OK[lo:hi], put)
+		// insert value before writing the result lane (and with fn, whose
+		// calls route left stale vals, they read none).
+		n, err := e.rmwBatchShard(&e.shards[j], st, st.Keys[lo:hi], st.Vals[lo:hi], st.Vals[lo:hi], st.OK[lo:hi], overwrite)
 		inserted += n
 		if err != nil {
 			return inserted, err
@@ -225,93 +217,50 @@ func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, put bool) (in
 	return inserted, nil
 }
 
-// PutBatch upserts the pairs (keys[i], vals[i]) in slice order, returning
-// the number of newly inserted keys. With growth disabled it stops on
-// ErrFull; pairs already applied remain.
-func (e *Engine) PutBatch(keys, vals []uint64) (int, error) {
-	if len(keys) != len(vals) {
-		panic("shard: PutBatch keys/vals length mismatch")
-	}
-	m, start := e.batchStart()
-	n, err := e.rmwBatch(keys, vals, nil, nil, true)
-	if m != nil {
-		m.PutBatch.Record(e.batchHint(keys), obs.Now()-start)
-	}
-	return n, err
-}
-
-// GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in slice
-// order: out[i] receives the resulting value, loaded[i] whether the key
-// already existed. out may alias vals; out and loaded both nil drop the
-// results and skip the gather. It returns the number of newly inserted keys.
-func (e *Engine) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	if len(vals) != len(keys) {
-		panic("shard: GetOrPutBatch keys/vals length mismatch")
-	}
-	if out != nil && (len(out) < len(keys) || len(loaded) < len(keys)) {
-		panic("shard: GetOrPutBatch output slices shorter than keys")
-	}
-	m, start := e.batchStart()
-	n, err := e.rmwBatch(keys, vals, out, loaded, false)
-	if m != nil {
-		m.GetOrPutBatch.Record(e.batchHint(keys), obs.Now()-start)
-	}
-	return n, err
-}
-
-// upsertBatchShard applies one shard's staged keys under one lock, key by
-// key through rmwLocked; orig maps staged lanes back to the caller's lanes
-// for fn (nil when keys is the caller's own column). st carries the relay
-// fn is reached through.
-func (e *Engine) upsertBatchShard(s *shardState, st *staging, keys []uint64, orig []int32, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+// rmwBatchShard applies one shard's staged keys inside its writer's
+// seqlock window, with results to out and loaded — the shard-local staging
+// views (out may alias vals), or nil to drop them. Without fn a steady
+// shard with room runs its table's RMWBatch; with fn, reached through st's
+// relay under the caller's lane numbering, and wherever the pipeline
+// cannot run, the keys go one by one through rmwLocked.
+func (e *Engine) rmwBatchShard(s *shardState, st *staging, keys, vals, out []uint64, loaded []bool, overwrite bool) (inserted int, err error) {
 	s.lockShard()
 	defer s.unlockShard()
-	st.fn, st.orig = fn, orig
-	inserted := 0
-	for st.lane = 0; st.lane < len(keys); st.lane++ {
-		_, existed, err := e.rmwLocked(s, keys[st.lane], 0, false, st.relay)
+	e.advance(s)
+	var relay func(old uint64, exists bool) uint64
+	if st.fn != nil {
+		relay = st.relay
+	} else if v := s.view.Load(); !v.migrating() && e.roomFor(v, len(keys)) {
+		inserted, err = v.cur.RMWBatch(keys, vals, out, loaded, overwrite, nil)
+		s.live.Add(int64(inserted))
+		if err == nil || e.growAt <= 0 {
+			return inserted, err
+		}
+		// The pipeline refused a key (Cuckoo kick failure): the table
+		// cannot place keys at this occupancy, so grow now (a factory
+		// error leaves the shard steady) and re-apply the whole range key by key,
+		// carrying the pipeline's insert count. Re-applying is idempotent:
+		// a pair already in is an update to, or a get-or-put hit on, the
+		// same value, and is not counted twice; a within-batch duplicate may
+		// then report loaded=true for the lane that actually inserted —
+		// accepted on this pathological path.
+		_ = e.growForRefusal(s, err) // the key-by-key pass below reports each key's outcome
+	}
+	for i, k := range keys {
+		var val uint64
+		if vals != nil {
+			val = vals[i]
+		}
+		st.lane = i
+		v, existed, err := e.rmwLocked(s, k, val, overwrite, relay)
 		if err != nil {
 			return inserted, err
+		}
+		if out != nil {
+			out[i], loaded[i] = v, existed
 		}
 		if !existed {
 			inserted++
-		}
-	}
-	return inserted, nil
-}
-
-// UpsertBatch applies an Upsert to every key in slice order, passing fn
-// the key's lane index in the original slice. Duplicate keys are processed
-// in slice order (they always share a shard). It returns the number of
-// newly inserted keys. fn runs under a shard write lock and must not call
-// back into the engine.
-func (e *Engine) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	m, start := e.batchStart()
-	n, err := e.upsertBatch(keys, fn)
-	if m != nil {
-		m.UpsertBatch.Record(e.batchHint(keys), obs.Now()-start)
-	}
-	return n, err
-}
-
-func (e *Engine) upsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	if len(e.shards) == 1 {
-		st := takeStaging()
-		defer st.release()
-		return e.upsertBatchShard(&e.shards[0], st, keys, nil, fn)
-	}
-	st := e.stage(keys, nil)
-	defer st.release()
-	inserted := 0
-	for j := range e.shards {
-		lo, hi := st.Starts[j], st.Starts[j+1]
-		if lo == hi {
-			continue
-		}
-		n, err := e.upsertBatchShard(&e.shards[j], st, st.Keys[lo:hi], st.Orig[lo:hi], fn)
-		inserted += n
-		if err != nil {
-			return inserted, err
 		}
 	}
 	return inserted, nil

@@ -103,7 +103,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 			// these keys are live).
 			for i := 0; i < initial; i++ {
 				k := og.Key(uint64(i))
-				if _, err := e.Put(k, k^valTag); err != nil {
+				if _, err := tryPut(e, k, k^valTag); err != nil {
 					t.Errorf("g%d prefill Put(%d): %v", g, k, err)
 					return
 				}
@@ -119,7 +119,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 					_, existed := oracle[k]
 					omu.Unlock()
 					if i%3 == 0 {
-						_, loaded, err := e.GetOrPut(k, k^valTag)
+						_, loaded, err := getOrPut(e, k, k^valTag)
 						if err != nil {
 							t.Errorf("g%d GetOrPut(%d): %v", g, k, err)
 							return
@@ -129,7 +129,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 							return
 						}
 					} else {
-						ins, err := e.Put(k, k^valTag)
+						ins, err := tryPut(e, k, k^valTag)
 						if err != nil {
 							t.Errorf("g%d Put(%d): %v", g, k, err)
 							return
@@ -174,7 +174,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 		sentinels := []uint64{0, ^uint64(0)}
 		for round := 0; round < 2000; round++ {
 			for _, k := range sentinels {
-				if _, err := e.Put(k, k^valTag); err != nil {
+				if _, err := tryPut(e, k, k^valTag); err != nil {
 					t.Errorf("sentinel Put(%d): %v", k, err)
 					return
 				}
@@ -182,7 +182,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 					t.Errorf("sentinel Get(%d) = (%d,%v)", k, v, ok)
 					return
 				}
-				if _, err := e.Upsert(k, func(old uint64, exists bool) uint64 {
+				if _, err := upsert(e, k, func(old uint64, exists bool) uint64 {
 					if !exists || old != k^valTag {
 						t.Errorf("sentinel Upsert(%d) got (%d,%v)", k, old, exists)
 					}
@@ -200,7 +200,7 @@ func TestDifferentialConcurrentTapes(t *testing.T) {
 						t.Errorf("sentinel %d visible after delete", k)
 						return
 					}
-					if _, err := e.Put(k, k^valTag); err != nil {
+					if _, err := tryPut(e, k, k^valTag); err != nil {
 						t.Errorf("sentinel re-Put(%d): %v", k, err)
 						return
 					}
@@ -329,7 +329,7 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 		return uint64(version)<<laneBits | uint64(lane)
 	}
 	for i, k := range keys {
-		if _, err := e.Put(k, encode(1, i)); err != nil {
+		if _, err := tryPut(e, k, encode(1, i)); err != nil {
 			t.Fatalf("prefill Put(%d): %v", k, err)
 		}
 	}
@@ -391,7 +391,7 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 	// are validating against).
 	for round := 2; round < rounds+2 && !t.Failed(); round++ {
 		for i, k := range keys {
-			if _, err := e.Put(k, encode(round, i)); err != nil {
+			if _, err := tryPut(e, k, encode(round, i)); err != nil {
 				t.Fatalf("round %d Put(%d): %v", round, k, err)
 			}
 		}
@@ -399,7 +399,7 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 		case 0:
 			for i := 0; i < churn; i++ {
 				k := gen.Key(churnBase + uint64(i))
-				if _, err := e.Put(k, k^valTag); err != nil {
+				if _, err := tryPut(e, k, k^valTag); err != nil {
 					t.Fatalf("churn Put(%d): %v", k, err)
 				}
 			}
@@ -479,7 +479,7 @@ func TestDifferentialTwoClients(t *testing.T) {
 			return nil
 		}
 		for lo := 0; lo < perClient; lo += step {
-			n, err := e.PutBatch(keys[lo:lo+step], vals[lo:lo+step])
+			n, err := putBatch(e, keys[lo:lo+step], vals[lo:lo+step])
 			if err != nil || n != step {
 				return midResize, fmt.Errorf("client %d step %d: PutBatch inserted %d of %d: %v", c, lo/step, n, step, err)
 			}

@@ -75,7 +75,7 @@ func TestFailingFactory(t *testing.T) {
 	// refuses one.
 	var refusal error
 	for k := uint64(1); k <= 1000; k++ {
-		if _, err := e.Put(k, k*3); err != nil {
+		if _, err := tryPut(e, k, k*3); err != nil {
 			refusal = err
 			break
 		}
@@ -95,11 +95,11 @@ func TestFailingFactory(t *testing.T) {
 
 	// Reads, updates and deletes keep working; a freed slot takes one
 	// insert again, and a fresh insert with no room is refused the same way.
-	if _, err := e.Put(1, 1000); err != nil {
+	if _, err := tryPut(e, 1, 1000); err != nil {
 		t.Fatalf("in-place update: %v", err)
 	}
 	oracle[1] = 1000
-	nv, err := e.Upsert(2, func(old uint64, exists bool) uint64 {
+	nv, err := upsert(e, 2, func(old uint64, exists bool) uint64 {
 		if !exists || old != oracle[2] {
 			t.Errorf("Upsert(2) saw (%d,%v), oracle %d", old, exists, oracle[2])
 		}
@@ -109,7 +109,7 @@ func TestFailingFactory(t *testing.T) {
 		t.Fatalf("upsert of an existing key: %v", err)
 	}
 	oracle[2] = nv
-	if v, loaded, err := e.GetOrPut(3, 999); err != nil || !loaded || v != oracle[3] {
+	if v, loaded, err := getOrPut(e, 3, 999); err != nil || !loaded || v != oracle[3] {
 		t.Fatalf("GetOrPut(existing) = (%d,%v,%v), oracle %d", v, loaded, err, oracle[3])
 	}
 	if !e.Delete(4) || e.Delete(4) || e.Delete(5000) {
@@ -117,18 +117,18 @@ func TestFailingFactory(t *testing.T) {
 	}
 	delete(oracle, 4)
 	check("updated")
-	if _, err := e.Put(4, 40); err != nil {
+	if _, err := tryPut(e, 4, 40); err != nil {
 		t.Fatalf("insert into a freed slot: %v", err)
 	}
 	oracle[4] = 40
-	_, err = e.Put(5000, 1)
+	_, err = tryPut(e, 5000, 1)
 	refused(err)
 	check("refused again")
 
 	// The factory recovers: the next insert grows the shard, and Drain
 	// finishes the migration.
 	fail = false
-	if _, err := e.Put(5000, 5000); err != nil {
+	if _, err := tryPut(e, 5000, 5000); err != nil {
 		t.Fatalf("insert after the factory recovered: %v", err)
 	}
 	oracle[5000] = 5000
@@ -168,7 +168,7 @@ func TestFailingFactoryRebuild(t *testing.T) {
 	oracle := map[uint64]uint64{}
 	small = true
 	for k := uint64(1); e.Stats().Migrating == 0; k++ {
-		if _, err := e.Put(k, k*3); err != nil {
+		if _, err := tryPut(e, k, k*3); err != nil {
 			t.Fatalf("Put(%d): %v", k, err)
 		}
 		oracle[k] = k * 3
@@ -221,7 +221,7 @@ func TestBatchErrFullPropagation(t *testing.T) {
 	}
 
 	e := newFixed()
-	ins, err := e.PutBatch(keys, vals)
+	ins, err := putBatch(e, keys, vals)
 	var fe *table.FullError
 	if !errors.As(err, &fe) || !errors.Is(err, table.ErrFull) {
 		t.Fatalf("PutBatch error = %v, want *table.FullError wrapping ErrFull", err)
@@ -233,12 +233,12 @@ func TestBatchErrFullPropagation(t *testing.T) {
 	e = newFixed()
 	out := make([]uint64, len(keys))
 	loaded := make([]bool, len(keys))
-	if _, err := e.GetOrPutBatch(keys, vals, out, loaded); !errors.As(err, &fe) {
+	if _, err := getOrPutBatch(e, keys, vals, out, loaded); !errors.As(err, &fe) {
 		t.Fatalf("GetOrPutBatch error = %v, want *table.FullError", err)
 	}
 
 	e = newFixed()
-	if _, err := e.UpsertBatch(keys, func(lane int, old uint64, _ bool) uint64 {
+	if _, err := upsertBatch(e, keys, func(lane int, old uint64, _ bool) uint64 {
 		return vals[lane]
 	}); !errors.As(err, &fe) {
 		t.Fatalf("UpsertBatch error = %v, want *table.FullError", err)

@@ -20,14 +20,15 @@ const opSampleMask = 63
 // usable.
 type Metrics struct {
 	// Scalar per-operation latency (lock wait included), sampled by
-	// opSampleMask.
+	// opSampleMask; a write is timed into its mode's histogram.
 	Get      *obs.Histogram
 	Put      *obs.Histogram
 	Delete   *obs.Histogram
 	GetOrPut *obs.Histogram
 	Upsert   *obs.Histogram
 
-	// Whole-batch latency per batched entry point, one sample per call.
+	// Whole-batch latency per batched operation and write mode, one sample
+	// per call.
 	GetBatch      *obs.Histogram
 	PutBatch      *obs.Histogram
 	GetOrPutBatch *obs.Histogram
@@ -98,6 +99,29 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", m.ReadFallback)
 	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the yield bound and slept on the mutex", m.LockPark)
 	r.RegisterCounter(prefix+"shard_view_republish_total", "shard view (epoch) publications", m.ViewRepublish)
+}
+
+// write is the scalar histogram of a write's mode, by RMW's rule: Upsert
+// when fn is set, else Put when overwrite, else GetOrPut.
+func (m *Metrics) write(overwrite bool, fn func(old uint64, exists bool) uint64) *obs.Histogram {
+	switch {
+	case fn != nil:
+		return m.Upsert
+	case overwrite:
+		return m.Put
+	}
+	return m.GetOrPut
+}
+
+// writeBatch is write for RMWBatch's whole-batch histograms.
+func (m *Metrics) writeBatch(overwrite bool, fn func(lane int, old uint64, exists bool) uint64) *obs.Histogram {
+	switch {
+	case fn != nil:
+		return m.UpsertBatch
+	case overwrite:
+		return m.PutBatch
+	}
+	return m.GetOrPutBatch
 }
 
 // SetMetrics attaches (or, with nil, detaches) the engine's telemetry.

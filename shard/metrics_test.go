@@ -28,7 +28,7 @@ func TestMetricsMigrationChunks(t *testing.T) {
 	// Grow well past the initial capacity: several migrations run, each
 	// ticked forward chunk by chunk by the inserting mutations.
 	for k := uint64(1); k <= 4096; k++ {
-		if _, err := e.Put(k, k); err != nil {
+		if _, err := tryPut(e, k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,14 +56,14 @@ func TestMetricsScalarSampling(t *testing.T) {
 	const n = 100
 	for i := uint64(0); i < n; i++ {
 		k := i << 6
-		if _, err := e.Put(k, i); err != nil {
+		if _, err := tryPut(e, k, i); err != nil {
 			t.Fatal(err)
 		}
 		e.Get(k)
-		if _, _, err := e.GetOrPut(k, i); err != nil {
+		if _, _, err := getOrPut(e, k, i); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Upsert(k, func(old uint64, exists bool) uint64 { return old + 1 }); err != nil {
+		if _, err := upsert(e, k, func(old uint64, exists bool) uint64 { return old + 1 }); err != nil {
 			t.Fatal(err)
 		}
 		e.Delete(k)
@@ -101,14 +101,14 @@ func TestMetricsBatchPerCall(t *testing.T) {
 	}
 	const calls = 3
 	for c := 0; c < calls; c++ {
-		if _, err := e.PutBatch(keys, vals); err != nil {
+		if _, err := putBatch(e, keys, vals); err != nil {
 			t.Fatal(err)
 		}
 		e.GetBatch(keys, out, ok)
-		if _, err := e.GetOrPutBatch(keys, vals, out, ok); err != nil {
+		if _, err := getOrPutBatch(e, keys, vals, out, ok); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 { return old + 1 }); err != nil {
+		if _, err := upsertBatch(e, keys, func(lane int, old uint64, exists bool) uint64 { return old + 1 }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestMetricsReadPathCounters(t *testing.T) {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 		vals[i] = uint64(i)
 	}
-	if _, err := e.PutBatch(keys, vals); err != nil {
+	if _, err := putBatch(e, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	e.GetBatch(keys, out, ok)
@@ -192,7 +192,7 @@ func TestMetricsLockParks(t *testing.T) {
 	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
 	m := shard.NewMetrics(e.Shards())
 	e.SetMetrics(m)
-	if _, err := e.Put(1, 10); err != nil {
+	if _, err := tryPut(e, 1, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.LockWait.Snapshot().Count; got != 0 {
@@ -204,7 +204,7 @@ func TestMetricsLockParks(t *testing.T) {
 	put := make(chan error)
 	e.RangeShard(0, func(_, _ uint64) bool {
 		go func() {
-			_, err := e.Put(2, 20)
+			_, err := tryPut(e, 2, 20)
 			put <- err
 		}()
 		for m.LockPark.Value() == 0 {
@@ -244,7 +244,7 @@ func TestMetricsLockWait(t *testing.T) {
 	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
 	m := shard.NewMetrics(e.Shards())
 	e.SetMetrics(m)
-	if _, err := e.Put(1, 10); err != nil {
+	if _, err := tryPut(e, 1, 10); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 3
@@ -252,7 +252,7 @@ func TestMetricsLockWait(t *testing.T) {
 	for i := range uint64(rounds) {
 		e.RangeShard(0, func(_, _ uint64) bool {
 			go func() {
-				_, err := e.Put(2+i, 20)
+				_, err := tryPut(e, 2+i, 20)
 				put <- err
 			}()
 			for range 100 {

@@ -81,7 +81,7 @@ func TestNewParallelOpenMatchesSerial(t *testing.T) {
 	}
 	e := engines[1]
 	for k := uint64(0); k < 10_000; k++ {
-		if _, err := e.Put(k, k*3); err != nil {
+		if _, err := tryPut(e, k, k*3); err != nil {
 			t.Fatal(err)
 		}
 	}

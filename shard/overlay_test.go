@@ -29,7 +29,7 @@ func TestDeleteHeavyMigrationAgreesWithMap(t *testing.T) {
 			n := uint64(0)
 			for e.Stats().Migrating == 0 {
 				n++
-				if _, err := e.Put(key(n), key(n)^valTag); err != nil {
+				if _, err := tryPut(e, key(n), key(n)^valTag); err != nil {
 					t.Fatal(err)
 				}
 				oracle[key(n)] = key(n) ^ valTag
@@ -78,7 +78,7 @@ func TestDeleteHeavyMigrationAgreesWithMap(t *testing.T) {
 				}
 				delete(oracle, key(i))
 				if j := i - 3; i > 3 && j%5 == 0 {
-					if ins, err := e.Put(key(j), key(j)^valTag); err != nil || !ins {
+					if ins, err := tryPut(e, key(j), key(j)^valTag); err != nil || !ins {
 						t.Fatalf("re-insert of key %d = (%v,%v)", j, ins, err)
 					}
 					oracle[key(j)] = key(j) ^ valTag
@@ -144,7 +144,7 @@ func TestMigratingGetBatchMatchesScalarChain(t *testing.T) {
 			oracle := map[uint64]uint64{}
 			put := func(k, v uint64) {
 				t.Helper()
-				if _, err := e.Put(k, v); err != nil {
+				if _, err := tryPut(e, k, v); err != nil {
 					t.Fatal(err)
 				}
 				oracle[k] = v
@@ -239,10 +239,6 @@ func (c countingTable) RangeFrom(pos int, fn func(k, v uint64) bool) int {
 	return c.Table.RangeFrom(pos, func(k, v uint64) bool { *c.visits++; return fn(k, v) })
 }
 
-func (c countingTable) Range(fn func(k, v uint64) bool) {
-	c.Table.Range(func(k, v uint64) bool { *c.visits++; return fn(k, v) })
-}
-
 // TestMigrationStepVisitsAtMostOneChunk pins the resize-tail guarantee
 // (BenchmarkResizeTail measures it): whatever the scalar mutation, it
 // visits at most MigrationChunk entries of the frozen table, sentinel
@@ -259,7 +255,7 @@ func TestMigrationStepVisitsAtMostOneChunk(t *testing.T) {
 		},
 	})
 	key := func(i uint64) uint64 { return i * 0x9e3779b97f4a7c15 } // key(0) is sentinel key 0
-	e.Put(^uint64(0), 1)
+	tryPut(e, ^uint64(0), 1)
 	bump := func(old uint64, _ bool) uint64 { return old + 1 }
 	bumpLane := func(_ int, old uint64, _ bool) uint64 { return old + 1 }
 	batch := make([]uint64, 8)
@@ -277,22 +273,22 @@ func TestMigrationStepVisitsAtMostOneChunk(t *testing.T) {
 		hosted := 1 // migration steps the call may host
 		switch i % 8 {
 		case 0, 1, 2:
-			e.Put(key(i), i)
+			tryPut(e, key(i), i)
 		case 3:
 			e.Delete(key(i / 2))
 		case 4:
-			e.GetOrPut(key(i), i)
+			getOrPut(e, key(i), i)
 		case 5:
-			e.Upsert(key(i/3), bump)
+			upsert(e, key(i/3), bump)
 		case 6:
 			hosted += len(batch)
-			e.PutBatch(batch, out)
+			putBatch(e, batch, out)
 		case 7:
 			hosted += len(batch)
 			if i%16 == 7 {
-				e.UpsertBatch(batch, bumpLane)
+				upsertBatch(e, batch, bumpLane)
 			} else {
-				e.GetOrPutBatch(batch, out, out, flags)
+				getOrPutBatch(e, batch, out, out, flags)
 			}
 		}
 		// A batch hosts one step as a batch, and on a resizing shard one

@@ -32,7 +32,7 @@ func TestPendingDeleteInvisibleToConcurrentReads(t *testing.T) {
 		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
 		vals[i] = pendingVal(keys[i])
 	}
-	if _, err := e.PutBatch(keys, vals); err != nil {
+	if _, err := putBatch(e, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestPendingDeleteInvisibleToConcurrentReads(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
-			if _, err := e.PutBatch(keys[deleted:], vals[deleted:]); err != nil {
+			if _, err := putBatch(e, keys[deleted:], vals[deleted:]); err != nil {
 				t.Error(err)
 				break
 			}
@@ -142,7 +142,7 @@ func TestPendingDeletesLeaveOtherKeysHit(t *testing.T) {
 		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
 		vals[i] = pendingVal(keys[i])
 	}
-	if _, err := e.PutBatch(keys, vals); err != nil {
+	if _, err := putBatch(e, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	alive, gone := keys[:live], keys[live:]
@@ -183,7 +183,7 @@ func TestPendingDeletesLeaveOtherKeysHit(t *testing.T) {
 		done.Store(int64(i + 1))
 		switch {
 		case i%400 == 399:
-			if _, err := e.PutBatch(alive[:64], vals[:64]); err != nil {
+			if _, err := putBatch(e, alive[:64], vals[:64]); err != nil {
 				t.Error(err)
 			}
 		case i%16 == 15:
@@ -204,20 +204,20 @@ func TestPendingKeyRevivedByWrites(t *testing.T) {
 	const k, fresh = 77, 12345
 	writes := map[string]func(e *shard.Engine) error{
 		"Put": func(e *shard.Engine) error {
-			if ins, err := e.Put(k, fresh); err != nil || !ins {
+			if ins, err := tryPut(e, k, fresh); err != nil || !ins {
 				return fmt.Errorf("Put = (%v, %v), want a fresh insert", ins, err)
 			}
 			return nil
 		},
 		"GetOrPut": func(e *shard.Engine) error {
-			if v, loaded, err := e.GetOrPut(k, fresh); err != nil || loaded || v != fresh {
+			if v, loaded, err := getOrPut(e, k, fresh); err != nil || loaded || v != fresh {
 				return fmt.Errorf("GetOrPut = (%d, %v, %v), want (%d, false)", v, loaded, err, fresh)
 			}
 			return nil
 		},
 		"Upsert": func(e *shard.Engine) error {
 			saw := false
-			v, err := e.Upsert(k, func(_ uint64, exists bool) uint64 {
+			v, err := upsert(e, k, func(_ uint64, exists bool) uint64 {
 				saw = exists
 				return fresh
 			})
@@ -227,21 +227,21 @@ func TestPendingKeyRevivedByWrites(t *testing.T) {
 			return nil
 		},
 		"PutBatch": func(e *shard.Engine) error {
-			if n, err := e.PutBatch([]uint64{k, 1}, []uint64{fresh, pendingVal(1)}); err != nil || n != 1 {
+			if n, err := putBatch(e, []uint64{k, 1}, []uint64{fresh, pendingVal(1)}); err != nil || n != 1 {
 				return fmt.Errorf("PutBatch = (%d, %v), want one insert", n, err)
 			}
 			return nil
 		},
 		"GetOrPutBatch": func(e *shard.Engine) error {
 			out, loaded := make([]uint64, 1), make([]bool, 1)
-			if n, err := e.GetOrPutBatch([]uint64{k}, []uint64{fresh}, out, loaded); err != nil || n != 1 || loaded[0] || out[0] != fresh {
+			if n, err := getOrPutBatch(e, []uint64{k}, []uint64{fresh}, out, loaded); err != nil || n != 1 || loaded[0] || out[0] != fresh {
 				return fmt.Errorf("GetOrPutBatch = (%d, %v), lane (%d, %v)", n, err, out[0], loaded[0])
 			}
 			return nil
 		},
 		"UpsertBatch": func(e *shard.Engine) error {
 			saw := false
-			n, err := e.UpsertBatch([]uint64{k}, func(_ int, _ uint64, exists bool) uint64 {
+			n, err := upsertBatch(e, []uint64{k}, func(_ int, _ uint64, exists bool) uint64 {
 				saw = exists
 				return fresh
 			})
@@ -255,7 +255,7 @@ func TestPendingKeyRevivedByWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := newEngine(t, table.SchemeRH, 4, 1<<10, 0.85, 5)
 			for key := uint64(1); key <= 100; key++ {
-				if _, err := e.Put(key, pendingVal(key)); err != nil {
+				if _, err := tryPut(e, key, pendingVal(key)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -299,7 +299,7 @@ func TestPendingKeysNotCarriedIntoSuccessor(t *testing.T) {
 	e := newEngine(t, table.SchemeRH, 1, 1<<10, 0.5, 8)
 	key := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15 + 1 }
 	for i := uint64(0); i < 500; i++ {
-		if _, err := e.Put(key(i), pendingVal(key(i))); err != nil {
+		if _, err := tryPut(e, key(i), pendingVal(key(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestPendingKeysNotCarriedIntoSuccessor(t *testing.T) {
 	}
 	next := uint64(500)
 	for ; e.Stats().Migrating == 0; next++ {
-		if _, err := e.Put(key(next), pendingVal(key(next))); err != nil {
+		if _, err := tryPut(e, key(next), pendingVal(key(next))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ func TestPendingSetFullTakesTheWindow(t *testing.T) {
 	e := testEngine(t, 1, 1<<12)
 	const n = 600
 	for k := uint64(1); k <= n; k++ {
-		if _, err := e.Put(k, k); err != nil {
+		if _, err := tryPut(e, k, k); err != nil {
 			t.Fatal(err)
 		}
 	}

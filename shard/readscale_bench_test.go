@@ -166,7 +166,7 @@ func (e *rwEngine) putBatch(keys, vals []uint64) {
 		s := &e.shards[j]
 		s.mu.Lock()
 		for i := lo; i < hi; i++ {
-			if _, err := s.tab.Put(st.keys[i], st.vals[i]); err != nil {
+			if _, err := tryPut(s.tab, st.keys[i], st.vals[i]); err != nil {
 				panic(err)
 			}
 		}
@@ -241,7 +241,7 @@ func BenchmarkReadScale(b *testing.B) {
 	})
 	rw := newRWEngine(b, readScaleShard, capacity, 1)
 	for _, k := range keys {
-		if _, err := seq.Put(k, k); err != nil {
+		if _, err := tryPut(seq, k, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func BenchmarkReadScale(b *testing.B) {
 			get:      seq.Get,
 			getBatch: func(ks, vs []uint64, ok []bool) { seq.GetBatch(ks, vs, ok) },
 			putBatch: func(ks, vs []uint64) {
-				if _, err := seq.PutBatch(ks, vs); err != nil {
+				if _, err := putBatch(seq, ks, vs); err != nil {
 					panic(err)
 				}
 			},
@@ -302,7 +302,7 @@ func BenchmarkMigratingGetBatch(b *testing.B) {
 		})
 		n := 0
 		for ; e.Stats().Migrating == 0; n++ {
-			if _, err := e.Put(key(n), uint64(n)); err != nil {
+			if _, err := tryPut(e, key(n), uint64(n)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -401,7 +401,7 @@ func BenchmarkTwoClients(b *testing.B) {
 	}
 	replay := func(e *shard.Engine, t *tape) {
 		for lo := 0; lo < perClient; lo += step {
-			if n, err := e.PutBatch(t.keys[lo:lo+step], t.vals[lo:lo+step]); err != nil || n != step {
+			if n, err := putBatch(e, t.keys[lo:lo+step], t.vals[lo:lo+step]); err != nil || n != step {
 				panic(fmt.Sprintf("PutBatch inserted %d of %d: %v", n, step, err))
 			}
 			for r := 2 * lo; r < 2*lo+2*step; r += step {
@@ -497,7 +497,7 @@ func BenchmarkHolderBesideWaiter(b *testing.B) {
 		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
 		vals[i] = uint64(i)
 	}
-	if _, err := e.PutBatch(keys[:base], vals[:base]); err != nil {
+	if _, err := putBatch(e, keys[:base], vals[:base]); err != nil {
 		b.Fatal(err)
 	}
 	pass := func(wait func()) time.Duration {
@@ -517,7 +517,7 @@ func BenchmarkHolderBesideWaiter(b *testing.B) {
 			lo := base + w%blocks*window
 			ks, vs := keys[lo:lo+window], vals[lo:lo+window]
 			start := time.Now()
-			if n, err := e.PutBatch(ks, vs); err != nil || n != window {
+			if n, err := putBatch(e, ks, vs); err != nil || n != window {
 				b.Fatalf("PutBatch inserted %d of %d: %v", n, window, err)
 			}
 			held += time.Since(start)

@@ -72,7 +72,7 @@ func BenchmarkResizeTail(b *testing.B) {
 				b.Fatal(err)
 			}
 			lat = runTail(func(k uint64) {
-				if _, err := t.Put(k, k); err != nil {
+				if _, err := tryPut(t, k, k); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -97,7 +97,7 @@ func BenchmarkResizeTail(b *testing.B) {
 					},
 				})
 				lat = runTail(func(k uint64) {
-					if _, err := e.Put(k, k); err != nil {
+					if _, err := tryPut(e, k, k); err != nil {
 						b.Fatal(err)
 					}
 				})

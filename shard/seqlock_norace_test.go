@@ -34,7 +34,7 @@ func TestReadFallbackOnStuckWindow(t *testing.T) {
 	m := NewMetrics(1)
 	e.SetMetrics(m)
 	const key, val = 77, 770
-	if _, err := e.Put(key, val); err != nil {
+	if _, err := tryPut(e, key, val); err != nil {
 		t.Fatal(err)
 	}
 	s := &e.shards[0]
@@ -75,7 +75,7 @@ func TestReadRangeFallbackOnStuckWindow(t *testing.T) {
 	e := testEngine(t, 1, 128)
 	keys := []uint64{3, 9, 27, 81}
 	for _, k := range keys {
-		if _, err := e.Put(k, k*10); err != nil {
+		if _, err := tryPut(e, k, k*10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestReadRangeFallbackOnStuckWindow(t *testing.T) {
 
 func TestReadSnapshotFallbackOnStuckWindow(t *testing.T) {
 	e := testEngine(t, 1, 64)
-	if _, err := e.Put(5, 50); err != nil {
+	if _, err := tryPut(e, 5, 50); err != nil {
 		t.Fatal(err)
 	}
 	reopen := holdWindowOpen(&e.shards[0])
@@ -119,7 +119,7 @@ func TestReadFallbackWithoutMetrics(t *testing.T) {
 	// registry while still counting into the engine totals.
 	e := testEngine(t, 1, 64)
 	const key, val = 11, 1100
-	if _, err := e.Put(key, val); err != nil {
+	if _, err := tryPut(e, key, val); err != nil {
 		t.Fatal(err)
 	}
 	reopen := holdWindowOpen(&e.shards[0])
@@ -187,7 +187,7 @@ func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = uint64(i) + 1
-		if _, err := e.Put(keys[i], keys[i]*10); err != nil {
+		if _, err := tryPut(e, keys[i], keys[i]*10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func hookedEngine(t *testing.T, n int) (*Engine, *batchLog, []uint64) {
 func midResize(t *testing.T, e *Engine, bl *batchLog, n int) (perAttempt []int) {
 	t.Helper()
 	for k := uint64(n + 1); e.Stats().Migrating == 0; k++ {
-		if _, err := e.Put(k, k*10); err != nil {
+		if _, err := tryPut(e, k, k*10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 				// asked about them, readStride a call.
 				var fresh []uint64
 				for k := uint64(10 * n); k < 10*n+20; k++ {
-					if _, err := e.Put(k, k*10); err != nil {
+					if _, err := tryPut(e, k, k*10); err != nil {
 						t.Fatal(err)
 					}
 					fresh = append(fresh, k)

@@ -62,14 +62,14 @@
 //   - When the cursor is exhausted the successor becomes the shard's
 //     table and the frozen one is dropped wholesale.
 //
-// Every write but a delete goes through one locked path, rmwLocked: Put,
-// GetOrPut and Upsert, and a batch's keys wherever its table's pipeline
-// cannot run (a migrating shard, or a refused range). A steady shard's
-// write is its table's own Put, GetOrPut or Upsert. A migrating shard's is
-// one successor Upsert, whose callback (bound once per shard, so nothing
-// is allocated) asks the frozen table minus the dead overlay about a key
-// the successor lacks, and the write then marks a frozen entry whose value
-// it changed dead.
+// Every write but a delete goes through one locked path, rmwLocked: RMW in
+// each of its modes (put, get-or-put, upsert), and a batch's keys wherever
+// its table's pipeline cannot run (a migrating shard, a refused range, or
+// a batch with a callback). A steady shard's write is its table's own RMW.
+// A migrating shard's is one successor upsert, whose callback (bound once
+// per shard, so nothing is allocated) asks the frozen table minus the dead
+// overlay about a key the successor lacks, and the write then marks a
+// frozen entry whose value it changed dead.
 //
 // A delete on a steady shard, one not migrating, opens no seqlock window.
 // A table's delete moves entries (the backward shift of LP, LPSoA and RH),
@@ -137,8 +137,8 @@
 // shard exactly once, which the optimistic protocol cannot promise);
 // Range skips the pending keys, ForEachTable opens a window and so
 // applies them first.
-// Callbacks passed to Upsert/UpsertBatch/Range/All run while a shard
-// lock is held and must not call back into the engine.
+// Callbacks passed to RMW/RMWBatch/Range/All run while a shard lock is
+// held and must not call back into the engine.
 package shard
 
 import (
@@ -162,40 +162,34 @@ import (
 // a batch stops at the failing pair, with earlier pairs applied.
 type Table interface {
 	Get(key uint64) (uint64, bool)
-	Delete(key uint64) bool
-	// Put inserts or updates key -> val and reports whether key was new.
-	Put(key, val uint64) (inserted bool, err error)
-	// GetOrPut returns the value stored under key (loaded true), or stores
-	// val and returns it: one probe sequence either way.
-	GetOrPut(key, val uint64) (actual uint64, loaded bool, err error)
-	// Upsert stores fn(old, exists) under key and returns it, in one probe
-	// sequence. fn must not touch the table.
-	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
 	// GetBatch, like Get, runs inside the wait-free readers' unvalidated
 	// window: it must write nothing the table owns, be safe for
 	// concurrent callers, and terminate on contents a racing writer has
 	// half changed (its answer is then discarded).
 	GetBatch(keys, vals []uint64, ok []bool) int
-	// PutBatch, GetOrPutBatch and UpsertBatch apply their scalar forms in
-	// slice order and return the number of keys inserted. out and loaded
-	// receive GetOrPut's results (out may alias vals), or are both nil;
-	// UpsertBatch passes fn each key's lane index.
-	PutBatch(keys, vals []uint64) (inserted int, err error)
-	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (inserted int, err error)
-	UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (inserted int, err error)
+	Delete(key uint64) bool
+	// RMW is the one write, in one probe sequence: with fn set it stores
+	// fn(old, exists) (an upsert; fn must not touch the table), else with
+	// overwrite it stores val (a put), else it stores val only when key is
+	// absent (a get-or-put). It returns the value key holds afterwards and
+	// whether key was there before.
+	RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (actual uint64, existed bool, err error)
+	// RMWBatch applies RMW to every key in slice order and returns the
+	// number of keys inserted; fn is passed each key's lane index. vals is
+	// as long as keys, or nil when fn is set; out and loaded receive each
+	// lane's actual and existed (out may alias vals), or are both nil.
+	RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (inserted int, err error)
 	Len() int
 	// Capacity is the slot count: directory slots for a chained table,
 	// all subtables' slots for Cuckoo.
 	Capacity() int
 	MemoryFootprint() uint64
-	// Range calls fn for every entry until fn returns false, in no
-	// particular order. The table must not be mutated meanwhile.
-	Range(fn func(key, val uint64) bool)
-	// RangeFrom is the resumable Range behind the migration cursor: it
-	// visits entries from position pos (0 starts a walk) until fn returns
-	// false and returns where to resume; a call in which fn never did
-	// ends the walk. Positions hold while the table is not mutated. A
-	// chained scheme hands fn the rest of the chain fn returned false in.
+	// RangeFrom is the resumable walk behind the migration cursor and
+	// every iteration: it visits entries, in no particular order, from
+	// position pos (0 starts a walk) until fn returns false and returns
+	// where to resume; a call in which fn never did ends the walk.
+	// Positions hold while the table is not mutated. A chained scheme
+	// hands fn the rest of the chain fn returned false in.
 	RangeFrom(pos int, fn func(key, val uint64) bool) (next int)
 	// Name is the paper's scheme name ("LP", "RH", "CuckooH4", ...).
 	Name() string
@@ -562,7 +556,7 @@ func (e *Engine) finishMigration(s *shardState) {
 // advance migrates one chunk of cursor entries into the successor.
 // Entries the overlay marks dead are skipped; entries already written to
 // the successor (updated or re-inserted since the freeze) keep the
-// successor's value — GetOrPut never overwrites.
+// successor's value — a get-or-put never overwrites.
 //
 // Failures never abort the mutation hosting the migration step: a
 // successor refusal parks the refused entry and the unplaced rest of the
@@ -601,7 +595,7 @@ func (e *Engine) advanceChunk(s *shardState) (moved int) {
 	for len(s.carry) > 0 {
 		c := s.carry[0]
 		if !v.dead.has(c.k) {
-			_, loaded, err := v.next.GetOrPut(c.k, c.v)
+			_, loaded, err := v.next.RMW(c.k, c.v, false, nil)
 			if err != nil {
 				// Still refused: only a rebuild can place it. One that
 				// cannot allocate keeps the carry list for the next try.
@@ -621,15 +615,7 @@ func (e *Engine) advanceChunk(s *shardState) (moved int) {
 		if v.dead.has(c.k) {
 			continue
 		}
-		var (
-			loaded bool
-			err    error
-		)
-		if fault.Should(fault.Full) {
-			err = fmt.Errorf("migration step for key %#x: %w", c.k, fault.ErrInjected)
-		} else {
-			_, loaded, err = v.next.GetOrPut(c.k, c.v)
-		}
+		_, loaded, err := refusableRMW(v.next, "migration step for key", c.k, c.v, false, nil)
 		if err != nil {
 			// The successor refused the key (a Cuckoo kick chain can fail
 			// below any load threshold — or the refusal was injected).
@@ -734,24 +720,25 @@ func (e *Engine) rebuild(s *shardState) error {
 		if err != nil {
 			return err
 		}
+		// A chained RangeFrom hands fn the rest of the chain it stopped
+		// in, so once one write has failed the callbacks write no more.
 		ok := true
 		if v.next != nil {
-			v.next.Range(func(k, val uint64) bool {
-				if _, err = nt.Put(k, val); err != nil {
-					ok = false
+			v.next.RangeFrom(0, func(k, val uint64) bool {
+				if ok {
+					_, _, err = nt.RMW(k, val, true, nil)
+					ok = err == nil
 				}
 				return ok
 			})
 		}
 		if ok {
-			v.cur.Range(func(k, val uint64) bool {
-				if v.dead.has(k) {
-					return true
-				}
-				// Keep-first: a key already copied from the successor holds
-				// the value its live frozen entry holds.
-				if _, _, err = nt.GetOrPut(k, val); err != nil {
-					ok = false
+			v.cur.RangeFrom(0, func(k, val uint64) bool {
+				if ok && !v.dead.has(k) {
+					// Keep-first: a key already copied from the successor
+					// holds the value its live frozen entry holds.
+					_, _, err = nt.RMW(k, val, false, nil)
+					ok = err == nil
 				}
 				return ok
 			})
@@ -771,78 +758,43 @@ func (e *Engine) rebuild(s *shardState) error {
 // Mutations (writer lock + seqlock window)
 // ---------------------------------------------------------------------------
 
-// Put inserts or updates key -> val, reporting whether the key was newly
-// inserted. With growth enabled the error is always nil; with GrowAt zero
-// a full shard surfaces the table's ErrFull.
-func (e *Engine) Put(key, val uint64) (bool, error) {
-	_, existed, err := e.write(key, val, true, nil)
-	return err == nil && !existed, err
-}
-
-// GetOrPut returns the value stored under key if present (loaded true);
-// otherwise it inserts val and returns it (loaded false). One probe
-// sequence in the steady state; during a migration a successor miss adds
-// one probe of the frozen table.
-func (e *Engine) GetOrPut(key, val uint64) (actual uint64, loaded bool, err error) {
-	return e.write(key, val, false, nil)
-}
-
-// Upsert applies fn to the value stored under key (exists true) or to
-// (0, false) when absent, stores the result, and returns it. fn runs under
-// the shard's writer lock and must not call back into the engine. fn is
-// invoked exactly once per call.
-func (e *Engine) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	nv, _, err := e.write(key, 0, false, fn)
-	return nv, err
-}
-
-// write is the scalar writers' body: rmwLocked under the shard's lock,
-// timed into the mode's histogram when sampled.
-func (e *Engine) write(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
+// RMW is the one write, with the tables' mode rule: with fn set it stores
+// fn(old, exists) under key, else with overwrite it stores val, else it
+// stores val only when key is absent. It returns the value key holds
+// afterwards and whether key was there before. With growth enabled the
+// error is always nil; with GrowAt zero a full shard surfaces the table's
+// ErrFull. One probe sequence in the steady state; during a migration a
+// successor miss adds one probe of the frozen table. fn runs under the
+// shard's writer lock, exactly once, and must not call back into the
+// engine.
+func (e *Engine) RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	s := e.shardFor(key)
 	m, start := e.opStart(key)
 	s.lockShard()
 	nv, existed, err := e.rmwLocked(s, key, val, overwrite, fn)
 	s.unlockShard()
 	if m != nil {
-		h := m.GetOrPut
-		if fn != nil {
-			h = m.Upsert
-		} else if overwrite {
-			h = m.Put
-		}
-		h.Record(s.idx, obs.Now()-start)
+		m.write(overwrite, fn).Record(s.idx, obs.Now()-start)
 	}
 	return nv, existed, err
 }
 
-// rmwLocked is the one write path under the shard's lock, with the tables'
-// rmwHashed mode rule: Upsert when fn is set, else Put when overwrite, else
-// GetOrPut. It returns the value it leaves under key and whether the key
-// was there before, and like every mutation it first advances the
-// migration.
+// rmwLocked is the one write path under the shard's lock, with RMW's mode
+// rule. It returns the value it leaves under key and whether the key was
+// there before, and like every mutation it first advances the migration.
 //
-// A steady shard's write is its table's own Put, GetOrPut or Upsert. A
-// refused one (the table full, a failed Cuckoo kick chain below the
-// threshold, or an injected refusal, which does not imply absence) grows
-// the shard and goes on as a migrating write: the frozen table is
-// read-only, so that is one successor Upsert through s.rmw, which asks the
-// frozen table minus the dead overlay about a key the successor lacks. The
-// callback is thus handed the key's current value.
+// A steady shard's write is its table's own RMW. A refused one (the table
+// full, a failed Cuckoo kick chain below the threshold, or an injected
+// refusal, which does not imply absence) grows the shard and goes on as a
+// migrating write: the frozen table is read-only, so that is one successor
+// upsert through s.rmw, which asks the frozen table minus the dead overlay
+// about a key the successor lacks. The callback is thus handed the key's
+// current value.
 func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	e.advance(s)
 	v := s.view.Load()
 	if !v.migrating() {
-		var (
-			nv      uint64
-			existed bool
-			err     error
-		)
-		if fault.Should(fault.Full) {
-			err = fmt.Errorf("write %#x: %w", key, fault.ErrInjected)
-		} else {
-			nv, existed, err = s.steadyWrite(v.cur, key, val, overwrite, fn)
-		}
+		nv, existed, err := refusableRMW(v.cur, "write", key, val, overwrite, fn)
 		if err == nil {
 			if !existed {
 				s.live.Add(1)
@@ -858,14 +810,17 @@ func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn fu
 		}
 		v = s.view.Load() // the epoch with the successor installed
 	}
-	nv, err := s.upsert(v.next, key, val, overwrite, fn)
+	// One successor upsert through s.rmw, handed the write's arguments in s.
+	s.key, s.val, s.put, s.fn = key, val, overwrite, fn
+	nv, _, err := v.next.RMW(key, 0, false, s.rmw)
+	s.fn = nil // keep nothing of the caller's alive
 	if err != nil {
 		if rerr := e.rebuild(s); rerr != nil {
 			return 0, false, errors.Join(err, fmt.Errorf("shard %d: rebuilding: %w", s.idx, rerr))
 		}
 		// The successor refused before calling fn, and the rebuilt table
 		// holds every live entry: the retry is a steady write.
-		nv, existed, err := s.steadyWrite(s.view.Load().cur, key, val, overwrite, fn)
+		nv, existed, err := s.view.Load().cur.RMW(key, val, overwrite, fn)
 		if err == nil && !existed {
 			s.live.Add(1)
 		}
@@ -883,26 +838,14 @@ func (e *Engine) rmwLocked(s *shardState, key, val uint64, overwrite bool, fn fu
 	return nv, s.existed, nil
 }
 
-// steadyWrite is a write into t, the one table of a shard not migrating:
-// t's own Put or GetOrPut, or its Upsert through s.rmw.
-func (s *shardState) steadyWrite(t Table, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
-	switch {
-	case fn != nil:
-		nv, err := s.upsert(t, key, val, overwrite, fn)
-		return nv, s.existed, err
-	case overwrite:
-		ins, err := t.Put(key, val)
-		return val, !ins, err
+// refusableRMW is t.RMW, unless the armed fault injector's Full kind
+// refuses it first, as a full table or a failed Cuckoo kick chain would;
+// what names the write in the injected error.
+func refusableRMW(t Table, what string, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
+	if fault.Should(fault.Full) {
+		return 0, false, fmt.Errorf("%s %#x: %w", what, key, fault.ErrInjected)
 	}
-	return t.GetOrPut(key, val)
-}
-
-// upsert is t.Upsert through s.rmw, handed the write's arguments in s.
-func (s *shardState) upsert(t Table, key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	s.key, s.val, s.put, s.fn = key, val, overwrite, fn
-	nv, err := t.Upsert(key, s.rmw)
-	s.fn = nil // keep nothing of the caller's alive
-	return nv, err
+	return t.RMW(key, val, overwrite, fn)
 }
 
 // rmwStep is s.rmw: the write's mode applied to what the key holds, which

@@ -28,6 +28,39 @@ func newEngine(t testing.TB, scheme table.Scheme, shards, capacity int, growAt f
 	return e
 }
 
+// writer is the write surface a shard.Table and a *shard.Engine share; the
+// helpers below are the named write forms over its RMW and RMWBatch.
+type writer interface {
+	RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error)
+	RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error)
+}
+
+func tryPut(w writer, key, val uint64) (bool, error) {
+	_, existed, err := w.RMW(key, val, true, nil)
+	return !existed && err == nil, err
+}
+
+func getOrPut(w writer, key, val uint64) (uint64, bool, error) {
+	return w.RMW(key, val, false, nil)
+}
+
+func upsert(w writer, key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	v, _, err := w.RMW(key, 0, false, fn)
+	return v, err
+}
+
+func putBatch(w writer, keys, vals []uint64) (int, error) {
+	return w.RMWBatch(keys, vals, nil, nil, true, nil)
+}
+
+func getOrPutBatch(w writer, keys, vals, out []uint64, loaded []bool) (int, error) {
+	return w.RMWBatch(keys, vals, out, loaded, false, nil)
+}
+
+func upsertBatch(w writer, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	return w.RMWBatch(keys, nil, nil, nil, false, fn)
+}
+
 func TestEngineConfigValidation(t *testing.T) {
 	if _, err := shard.New(shard.Config{}); err == nil {
 		t.Fatal("nil NewTable accepted")
@@ -72,7 +105,7 @@ func TestEngineIncrementalResize(t *testing.T) {
 				}
 			}
 			put := func(k, v uint64) {
-				ins, err := e.Put(k, v)
+				ins, err := tryPut(e, k, v)
 				if err != nil {
 					t.Fatalf("Put(%d): %v", k, err)
 				}
@@ -155,7 +188,7 @@ func TestEngineGetOrPutUpsertMidMigration(t *testing.T) {
 	e := newEngine(t, table.SchemeRH, 1, 64, 0.8, 7)
 	oracle := map[uint64]uint64{}
 	for k := uint64(1); k <= 3000; k++ {
-		v, loaded, err := e.GetOrPut(k, k*3)
+		v, loaded, err := getOrPut(e, k, k*3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +199,7 @@ func TestEngineGetOrPutUpsertMidMigration(t *testing.T) {
 		if k%7 == 0 {
 			// Fold into an older key — often one still in the frozen table.
 			old := k / 2
-			nv, err := e.Upsert(old, func(o uint64, exists bool) uint64 {
+			nv, err := upsert(e, old, func(o uint64, exists bool) uint64 {
 				if exists != (oracle[old] != 0) {
 					t.Fatalf("Upsert(%d) exists=%v, oracle has %d", old, exists, oracle[old])
 				}
@@ -181,7 +214,7 @@ func TestEngineGetOrPutUpsertMidMigration(t *testing.T) {
 			}
 		}
 		if k%11 == 0 {
-			v, loaded, err := e.GetOrPut(k/2, 999999)
+			v, loaded, err := getOrPut(e, k/2, 999999)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +237,7 @@ func TestEngineGrowthDisabled(t *testing.T) {
 	e := newEngine(t, table.SchemeLP, 2, 32, 0, 3)
 	sawFull := false
 	for k := uint64(1); k <= 64; k++ {
-		if _, err := e.Put(k, k); err != nil {
+		if _, err := tryPut(e, k, k); err != nil {
 			sawFull = true
 			break
 		}
@@ -229,13 +262,13 @@ func TestEngineBatchMatchesScalar(t *testing.T) {
 		keys[i] = uint64(i%2500) + 1 // duplicates exercise last-wins order
 		vals[i] = uint64(i)
 	}
-	bi, err := eb.PutBatch(keys, vals)
+	bi, err := putBatch(eb, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	si := 0
 	for i, k := range keys {
-		ins, err := es.Put(k, vals[i])
+		ins, err := tryPut(es, k, vals[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,11 +312,11 @@ func TestEngineGetOrPutBatchDropsResults(t *testing.T) {
 			out, loaded := make([]uint64, step), make([]bool, step)
 			for lo := 0; lo < n; lo += step {
 				hi := min(lo+step, n)
-				want, err := kept.GetOrPutBatch(keys[lo:hi], vals[lo:hi], out, loaded)
+				want, err := getOrPutBatch(kept, keys[lo:hi], vals[lo:hi], out, loaded)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := dropped.GetOrPutBatch(keys[lo:hi], vals[lo:hi], nil, nil)
+				got, err := getOrPutBatch(dropped, keys[lo:hi], vals[lo:hi], nil, nil)
 				if err != nil || got != want {
 					t.Fatalf("%s x%d, rows %d-%d: %d inserted, %v; with results %d", scheme, shards, lo, hi, got, err, want)
 				}
@@ -305,22 +338,24 @@ func TestEngineGetOrPutBatchDropsResults(t *testing.T) {
 }
 
 // refusingTable wraps a real table and refuses its refuseAt-th scalar
-// Upsert before calling fn, as the Table contract requires of a refusal:
-// the state a failed Cuckoo kick chain leaves behind. UpsertBatch reaches
-// a steady shard's table one key at a time, so the refusal lands
-// mid-batch. The engine must recover without invoking any lane's fn a
+// upsert (an RMW with fn) before calling fn, as the Table contract
+// requires of a refusal: the state a failed Cuckoo kick chain leaves
+// behind. An RMWBatch with fn reaches a steady shard's table one key at a
+// time, so the refusal lands mid-batch. The engine must recover without invoking any lane's fn a
 // second time.
 type refusingTable struct {
 	shard.Table
 	upserts, refuseAt int
 }
 
-func (r *refusingTable) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	r.upserts++
-	if r.upserts == r.refuseAt {
-		return 0, errors.New("synthetic kick-chain refusal")
+func (r *refusingTable) RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
+	if fn != nil {
+		r.upserts++
+		if r.upserts == r.refuseAt {
+			return 0, false, errors.New("synthetic kick-chain refusal")
+		}
 	}
-	return r.Table.Upsert(key, fn)
+	return r.Table.RMW(key, val, overwrite, fn)
 }
 
 func TestEngineUpsertBatchRefusalRecovery(t *testing.T) {
@@ -341,7 +376,7 @@ func TestEngineUpsertBatchRefusalRecovery(t *testing.T) {
 	})
 	// Seed some existing keys so the batch mixes updates and inserts.
 	for k := uint64(1); k <= 40; k++ {
-		if _, err := e.Put(k, k*100); err != nil {
+		if _, err := tryPut(e, k, k*100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,7 +396,7 @@ func TestEngineUpsertBatchRefusalRecovery(t *testing.T) {
 		}
 		oracle[k] = oracle[k] + k + 7
 	}
-	inserted, err := e.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 {
+	inserted, err := upsertBatch(e, keys, func(lane int, old uint64, exists bool) uint64 {
 		calls[lane]++
 		if exists != (old != 0) && old == 0 {
 			// old==0 with exists=true is possible only for a stored zero,

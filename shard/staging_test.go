@@ -38,7 +38,7 @@ func TestConcurrentBatchesNeverShareStaging(t *testing.T) {
 				for i, k := range keys {
 					vals[i] = mine(k, round)
 				}
-				if _, err := e.PutBatch(keys, vals); err != nil {
+				if _, err := putBatch(e, keys, vals); err != nil {
 					t.Error(err)
 					return
 				}
@@ -55,7 +55,7 @@ func TestConcurrentBatchesNeverShareStaging(t *testing.T) {
 				// Every key exists: GetOrPutBatch must load the caller's
 				// own value into the caller's own lane, never insert.
 				clear(vals)
-				if ins, err := e.GetOrPutBatch(keys, vals, out, ok); err != nil || ins != 0 {
+				if ins, err := getOrPutBatch(e, keys, vals, out, ok); err != nil || ins != 0 {
 					t.Errorf("caller %d round %d: GetOrPutBatch inserted %d, err %v", c, round, ins, err)
 					return
 				}
@@ -67,7 +67,7 @@ func TestConcurrentBatchesNeverShareStaging(t *testing.T) {
 				}
 				// UpsertBatch hands fn the caller's lane numbers.
 				bad := -1
-				_, err := e.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 {
+				_, err := upsertBatch(e, keys, func(lane int, old uint64, exists bool) uint64 {
 					if !exists || old != mine(keys[lane], round) {
 						bad = lane
 					}

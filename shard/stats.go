@@ -172,10 +172,10 @@ func (e *Engine) RangeShard(shard int, fn func(key, val uint64) bool) bool {
 		return !stopped
 	}
 	if v.next == nil {
-		v.cur.Range(visit)
+		v.cur.RangeFrom(0, visit)
 		return !stopped
 	}
-	v.next.Range(visit)
+	v.next.RangeFrom(0, visit)
 	// Every frozen entry the migration cursor is past is in the successor
 	// (walked above), dead, or parked on the carry list: what is left of
 	// the frozen table is the carry list and the walk from the cursor on.

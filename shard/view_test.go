@@ -41,35 +41,19 @@ func (t *testTable) Delete(key uint64) bool {
 	delete(t.m, key)
 	return ok
 }
-func (t *testTable) Put(key, val uint64) (bool, error) {
-	if _, ok := t.m[key]; ok {
-		t.m[key] = val
-		return false, nil
-	}
-	if len(t.m) >= t.cap {
-		return false, errTestFull
-	}
-	t.m[key] = val
-	return true, nil
-}
-func (t *testTable) GetOrPut(key, val uint64) (uint64, bool, error) {
-	if v, ok := t.m[key]; ok {
-		return v, true, nil
-	}
-	if len(t.m) >= t.cap {
-		return 0, false, errTestFull
-	}
-	t.m[key] = val
-	return val, false, nil
-}
-func (t *testTable) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+func (t *testTable) RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	old, ok := t.m[key]
 	if !ok && len(t.m) >= t.cap {
-		return 0, errTestFull
+		return 0, false, errTestFull
 	}
-	nv := fn(old, ok)
-	t.m[key] = nv
-	return nv, nil
+	switch {
+	case fn != nil:
+		val = fn(old, ok)
+	case ok && !overwrite:
+		val = old
+	}
+	t.m[key] = val
+	return val, ok, nil
 }
 func (t *testTable) GetBatch(keys, vals []uint64, ok []bool) int {
 	hits := 0
@@ -82,23 +66,18 @@ func (t *testTable) GetBatch(keys, vals []uint64, ok []bool) int {
 	}
 	return hits
 }
-func (t *testTable) PutBatch(keys, vals []uint64) (int, error) {
+func (t *testTable) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	ins := 0
 	for i, k := range keys {
-		in, err := t.Put(k, vals[i])
-		if err != nil {
-			return ins, err
+		var val uint64
+		if vals != nil {
+			val = vals[i]
 		}
-		if in {
-			ins++
+		var lane func(old uint64, exists bool) uint64
+		if fn != nil {
+			lane = func(old uint64, exists bool) uint64 { return fn(i, old, exists) }
 		}
-	}
-	return ins, nil
-}
-func (t *testTable) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	ins := 0
-	for i, k := range keys {
-		v, ld, err := t.GetOrPut(k, vals[i])
+		v, ld, err := t.RMW(k, val, overwrite, lane)
 		if err != nil {
 			return ins, err
 		}
@@ -111,29 +90,9 @@ func (t *testTable) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int,
 	}
 	return ins, nil
 }
-func (t *testTable) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	ins := 0
-	for i, k := range keys {
-		before := len(t.m)
-		if _, err := t.Upsert(k, func(old uint64, exists bool) uint64 { return fn(i, old, exists) }); err != nil {
-			return ins, err
-		}
-		if len(t.m) > before {
-			ins++
-		}
-	}
-	return ins, nil
-}
 func (t *testTable) Len() int                { return len(t.m) }
 func (t *testTable) Capacity() int           { return t.cap }
 func (t *testTable) MemoryFootprint() uint64 { return uint64(t.cap) * 16 }
-func (t *testTable) Range(fn func(k, v uint64) bool) {
-	for k, v := range t.m {
-		if !fn(k, v) {
-			return
-		}
-	}
-}
 
 // RangeFrom walks the keys in ascending order: position i is the i-th
 // smallest key, stable for as long as the table is frozen.
@@ -147,6 +106,39 @@ func (t *testTable) RangeFrom(pos int, fn func(k, v uint64) bool) int {
 	return len(keys)
 }
 func (t *testTable) Name() string { return "testTable" }
+
+// writer is the write surface a Table and an Engine share; the helpers
+// below are the named write forms over its RMW and RMWBatch.
+type writer interface {
+	RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error)
+	RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error)
+}
+
+func tryPut(w writer, key, val uint64) (bool, error) {
+	_, existed, err := w.RMW(key, val, true, nil)
+	return !existed && err == nil, err
+}
+
+func getOrPut(w writer, key, val uint64) (uint64, bool, error) {
+	return w.RMW(key, val, false, nil)
+}
+
+func upsert(w writer, key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	v, _, err := w.RMW(key, 0, false, fn)
+	return v, err
+}
+
+func putBatch(w writer, keys, vals []uint64) (int, error) {
+	return w.RMWBatch(keys, vals, nil, nil, true, nil)
+}
+
+func getOrPutBatch(w writer, keys, vals, out []uint64, loaded []bool) (int, error) {
+	return w.RMWBatch(keys, vals, out, loaded, false, nil)
+}
+
+func upsertBatch(w writer, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	return w.RMWBatch(keys, nil, nil, nil, false, fn)
+}
 
 func testEngine(t *testing.T, shards, capacity int) *Engine {
 	t.Helper()
@@ -310,11 +302,11 @@ func TestViewGenerationAdvancesAcrossMigration(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = uint64(i+1)*0x9e3779b97f4a7c15, uint64(i+1)
 	}
-	if ins, err := e.GetOrPutBatch(keys, vals, nil, nil); ins != len(keys) || err != nil {
+	if ins, err := getOrPutBatch(e, keys, vals, nil, nil); ins != len(keys) || err != nil {
 		t.Fatalf("GetOrPutBatch(nil results) = %d, %v; want %d inserts", ins, err, len(keys))
 	}
 	for i := uint64(len(keys) + 1); i <= 60; i++ {
-		if _, err := e.Put(i*0x9e3779b97f4a7c15, i); err != nil {
+		if _, err := tryPut(e, i*0x9e3779b97f4a7c15, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +333,7 @@ func growUntilMigrating(t *testing.T, e *Engine) uint64 {
 	n := uint64(0)
 	for e.Stats().Migrating == 0 {
 		n++
-		if _, err := e.Put(n*0x9e3779b97f4a7c15, n); err != nil {
+		if _, err := tryPut(e, n*0x9e3779b97f4a7c15, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +358,7 @@ func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 	n := uint64(0)
 	for e.Stats().Migrating == 0 {
 		n++
-		if _, err := e.Put(n, n); err != nil {
+		if _, err := tryPut(e, n, n); err != nil {
 			t.Fatal(err)
 		}
 		oracle[n] = n
@@ -375,18 +367,18 @@ func TestRangeMidResizeWalksCarryAndCursor(t *testing.T) {
 	// this, and the steps to come are keys 33..36, 37..40, ... 101..104.
 	// A GetOrPut of a frozen key copies it into the successor and leaves
 	// it live in both tables; a Put of another value marks it dead.
-	e.GetOrPut(101, 0) // shadowed, and on the carry list below
-	e.Delete(102)      // dead, and on the carry list below
+	getOrPut(e, 101, 0) // shadowed, and on the carry list below
+	e.Delete(102)       // dead, and on the carry list below
 	delete(oracle, 102)
-	e.Put(103, 1030) // overwritten, and on the carry list below
+	tryPut(e, 103, 1030) // overwritten, and on the carry list below
 	oracle[103] = 1030
 	e.Delete(500) // dead, ahead of the cursor
 	delete(oracle, 500)
-	e.GetOrPut(501, 0) // shadowed, ahead of the cursor
-	e.Put(503, 5030)   // overwritten, ahead of the cursor
+	getOrPut(e, 501, 0)  // shadowed, ahead of the cursor
+	tryPut(e, 503, 5030) // overwritten, ahead of the cursor
 	oracle[503] = 5030
 	e.Delete(502) // dead and back, ahead of the cursor
-	e.Put(502, 5020)
+	tryPut(e, 502, 5020)
 	oracle[502] = 5020
 
 	// Every step's first entry is refused from here on: the step parks
@@ -454,7 +446,7 @@ func TestMigratingOverwriteMarksFrozenEntryDead(t *testing.T) {
 	n := uint64(0)
 	for e.Stats().Migrating == 0 {
 		n++
-		if _, err := e.Put(n, 10*n); err != nil {
+		if _, err := tryPut(e, n, 10*n); err != nil {
 			t.Fatal(err)
 		}
 		oracle[n] = 10 * n
@@ -484,12 +476,12 @@ func TestMigratingOverwriteMarksFrozenEntryDead(t *testing.T) {
 		name  string
 		write func(k, val uint64) error
 	}{
-		{"Put", func(k, val uint64) error { _, err := e.Put(k, val); return err }},
-		{"PutBatch", func(k, val uint64) error { _, err := e.PutBatch([]uint64{k}, []uint64{val}); return err }},
-		{"Upsert", func(k, val uint64) error { _, err := e.Upsert(k, upsertTo(k, val)); return err }},
+		{"Put", func(k, val uint64) error { _, err := tryPut(e, k, val); return err }},
+		{"PutBatch", func(k, val uint64) error { _, err := putBatch(e, []uint64{k}, []uint64{val}); return err }},
+		{"Upsert", func(k, val uint64) error { _, err := upsert(e, k, upsertTo(k, val)); return err }},
 		{"UpsertBatch", func(k, val uint64) error {
 			fn := upsertTo(k, val)
-			_, err := e.UpsertBatch([]uint64{k}, func(_ int, old uint64, exists bool) uint64 { return fn(old, exists) })
+			_, err := upsertBatch(e, []uint64{k}, func(_ int, old uint64, exists bool) uint64 { return fn(old, exists) })
 			return err
 		}},
 	}

@@ -151,7 +151,7 @@ func BenchmarkAblationDeleteStrategy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := keys[i%len(keys)]
 				v.m.Delete(k)
-				v.m.Put(k, uint64(i))
+				tryPut(v.m, k, uint64(i))
 			}
 		})
 	}
@@ -195,7 +195,7 @@ func BenchmarkAblationCuckooMaxKicks(b *testing.B) {
 				m := newCuckoo(Config{InitialCapacity: capacity, MaxLoadFactor: 0.95, Seed: uint64(i)})
 				m.maxKicks = kicks
 				for j, k := range keys {
-					m.Put(k, uint64(j))
+					tryPut(m, k, uint64(j))
 				}
 				b.ReportMetric(float64(m.Rehashes()), "rehashes")
 			}
@@ -322,7 +322,7 @@ func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := keys[i%len(keys)]
 			m.Delete(k)
-			m.Put(k, uint64(i))
+			tryPut(m, k, uint64(i))
 		}
 	})
 	b.Run("tailrehash", func(b *testing.B) {
@@ -331,7 +331,7 @@ func BenchmarkAblationRHDeleteStrategy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := keys[i%len(keys)]
 			rhDeleteTailRehash(m, k)
-			m.Put(k, uint64(i))
+			tryPut(m, k, uint64(i))
 		}
 	})
 }

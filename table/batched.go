@@ -12,7 +12,7 @@ package table
 //     before any lane is resolved, so the chunk's home-line cache misses
 //     are in flight together (kern.hashAndTouch). A first-probe pass then
 //     walks every key's home line (lookups) or tries its home slot
-//     (mutations, kern.rmwBatch) in a tight loop. At moderate load factors
+//     (mutations, kern.RMWBatch) in a tight loop. At moderate load factors
 //     most lanes resolve right there.
 //  3. Unresolved lanes enter a round-robin walk: each round advances every
 //     live probe sequence by one step. Consecutive loads belong to
@@ -21,8 +21,8 @@ package table
 //     prefetching / AMAC literature the paper cites for vectorized probing.
 //
 // Batched semantics are exactly sequential semantics: GetBatch(keys)[i]
-// equals Get(keys[i]), and PutBatch applies its pairs in slice order, so
-// duplicate keys inside a batch behave like consecutive scalar Puts. The
+// equals Get(keys[i]), and RMWBatch applies its pairs in slice order, so
+// duplicate keys inside a batch behave like consecutive scalar RMWs. The
 // property tests cross-check both on randomized workloads.
 //
 // The open-addressing schemes share one implementation of the chunk
@@ -49,9 +49,14 @@ func checkBatchGet(nKeys, nVals, nOK int) {
 	}
 }
 
-func checkBatchPut(nKeys, nVals int) {
-	if nKeys != nVals {
-		panic("table: PutBatch keys/vals length mismatch")
+// checkRMWBatch is RMWBatch's length rule: vals as long as keys, or nil
+// when fn is set; out and loaded both nil or at least as long as keys.
+func checkRMWBatch(keys, vals, out []uint64, loaded []bool, upsert bool) {
+	if len(vals) != len(keys) && !(upsert && vals == nil) {
+		panic("table: RMWBatch keys/vals length mismatch")
+	}
+	if (out != nil || loaded != nil) && (len(out) < len(keys) || len(loaded) < len(keys)) {
+		panic("table: RMWBatch output slices shorter than keys")
 	}
 }
 

@@ -18,7 +18,7 @@ func crossCheckBatch(s Scheme, cfg Config, keys, vals, probes []uint64) bool {
 	batched := mustNew(s, cfg)
 	insScalar := 0
 	for i, k := range keys {
-		ins, err := scalar.Put(k, vals[i])
+		ins, err := tryPut(scalar, k, vals[i])
 		if err != nil {
 			return false
 		}
@@ -26,7 +26,7 @@ func crossCheckBatch(s Scheme, cfg Config, keys, vals, probes []uint64) bool {
 			insScalar++
 		}
 	}
-	insBatch, err := batched.PutBatch(keys, vals)
+	insBatch, err := putBatch(batched, keys, vals)
 	if err != nil || insScalar != insBatch || scalar.Len() != batched.Len() {
 		return false
 	}
@@ -136,7 +136,7 @@ func TestPutBatchDuplicateKeysLastWins(t *testing.T) {
 		m := mustNew(s, Config{InitialCapacity: 64, Seed: 1})
 		keys := []uint64{7, 7, 7, 9, 9, emptyKey, emptyKey}
 		vals := []uint64{1, 2, 3, 4, 5, 6, 7}
-		if ins, err := m.PutBatch(keys, vals); err != nil || ins != 3 {
+		if ins, err := putBatch(m, keys, vals); err != nil || ins != 3 {
 			t.Fatalf("%s: PutBatch inserted %d (%v), want 3", s, ins, err)
 		}
 		for k, want := range map[uint64]uint64{7: 3, 9: 5, emptyKey: 7} {
@@ -209,7 +209,7 @@ func TestGetBatchIsReadOnly(t *testing.T) {
 			tbl, probes := readOnlyFixture(t, s)
 			contents := func() map[uint64]uint64 {
 				m := map[uint64]uint64{}
-				tbl.Range(func(k, v uint64) bool { m[k] = v; return true })
+				rangeAll(tbl, func(k, v uint64) bool { m[k] = v; return true })
 				return m
 			}
 			before, statsBefore, lenBefore := contents(), StatsOf(tbl), tbl.Len()

@@ -273,25 +273,11 @@ func (t *chained) maybeGrow() {
 	}
 }
 
-// Range implements Table.
-func (t *chained) Range(fn func(key, val uint64) bool) {
-	if _, more := t.sent.rangeFrom(0, fn); !more {
-		return
-	}
-	for i := range t.Capacity() {
-		for e := t.first(uint64(i)); e != nil; e = e.Next {
-			if !fn(e.Key, e.Val) {
-				return
-			}
-		}
-	}
-}
-
 // RangeFrom implements Table at bucket granularity: the sentinel entries
 // take the first sentinelPositions positions and bucket i follows at
-// sentinelPositions+i. A bucket is visited whole — unlike Range, fn is
-// still handed the rest of the bucket it returned false in, so that the
-// bucket index alone resumes the walk.
+// sentinelPositions+i. A bucket is visited whole — fn is still handed the
+// rest of the bucket it returned false in, so that the bucket index alone
+// resumes the walk.
 func (t *chained) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 	pos, more := t.sent.rangeFrom(pos, fn)
 	if !more {

@@ -67,7 +67,7 @@ func sameContents(t *testing.T, m Table, oracle map[uint64]uint64) {
 		t.Fatalf("Len %d, oracle %d", m.Len(), len(oracle))
 	}
 	seen := 0
-	m.Range(func(k, v uint64) bool {
+	rangeAll(m, func(k, v uint64) bool {
 		if want, ok := oracle[k]; !ok || want != v {
 			t.Fatalf("key %d: table holds %d, oracle %d (present %v)", k, v, want, ok)
 		}
@@ -123,9 +123,9 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 	}
 	switch op {
 	case "PutBatch", "TryPutBatch":
-		insB, err = batched.PutBatch(keys, vals)
+		insB, err = putBatch(batched, keys, vals)
 		for i, k := range keys {
-			ins, err := scalar.Put(k, vals[i])
+			ins, err := tryPut(scalar, k, vals[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,9 +136,9 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 		}
 	case "GetOrPutBatch":
 		out, loaded := make([]uint64, n), make([]bool, n)
-		insB, err = batched.GetOrPutBatch(keys, vals, out, loaded)
+		insB, err = getOrPutBatch(batched, keys, vals, out, loaded)
 		for i, k := range keys {
-			v, ok, err := scalar.GetOrPut(k, vals[i])
+			v, ok, err := getOrPut(scalar, k, vals[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 		}
 	case "UpsertBatch":
 		lanes := 0
-		insB, err = batched.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 {
+		insB, err = upsertBatch(batched, keys, func(lane int, old uint64, exists bool) uint64 {
 			if lane != lanes {
 				t.Fatalf("UpsertBatch called lane %d, want %d", lane, lanes)
 			}
@@ -165,7 +165,7 @@ func applyBatchOp(t *testing.T, op string, batched, scalar Table, oracle map[uin
 			t.Fatalf("UpsertBatch made %d calls for %d keys", lanes, n)
 		}
 		for _, k := range keys {
-			v, err := scalar.Upsert(k, bumpOrOne)
+			v, err := upsert(scalar, k, bumpOrOne)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 				oracle := map[uint64]uint64{}
 				fail := -1
 				for i, key := range keys {
-					if _, err := scalar.Put(key, vals[i]); err != nil {
+					if _, err := tryPut(scalar, key, vals[i]); err != nil {
 						if !errors.Is(err, ErrFull) {
 							t.Fatal(err)
 						}
@@ -314,16 +314,16 @@ func TestCuckooBatchErrFullMidBatch(t *testing.T) {
 				out, loaded := make([]uint64, n), make([]bool, n)
 				switch op {
 				case "PutBatch", "TryPutBatch":
-					ins, err = batched.PutBatch(keys, vals)
+					ins, err = putBatch(batched, keys, vals)
 				case "GetOrPutBatch":
-					ins, err = batched.GetOrPutBatch(keys, vals, out, loaded)
+					ins, err = getOrPutBatch(batched, keys, vals, out, loaded)
 					for i := range keys {
 						if want := i < fail; (out[i] == vals[i]) != want || loaded[i] {
 							t.Fatalf("lane %d (failure at %d): out %d loaded %v", i, fail, out[i], loaded[i])
 						}
 					}
 				case "UpsertBatch":
-					ins, err = batched.UpsertBatch(keys, func(lane int, _ uint64, exists bool) uint64 {
+					ins, err = upsertBatch(batched, keys, func(lane int, _ uint64, exists bool) uint64 {
 						if lane >= fail || exists {
 							t.Fatalf("callback for lane %d (exists %v), failure at %d", lane, exists, fail)
 						}
@@ -353,13 +353,13 @@ func TestCoreBatchCallsAllocateNothing(t *testing.T) {
 			keys := coreKeys(1000, 17)
 			vals := make([]uint64, len(keys))
 			out, ok := make([]uint64, len(keys)), make([]bool, len(keys))
-			if _, err := m.PutBatch(keys, vals); err != nil {
+			if _, err := putBatch(m, keys, vals); err != nil {
 				t.Fatal(err)
 			}
 			if allocs := testing.AllocsPerRun(20, func() { m.GetBatch(keys, out, ok) }); allocs != 0 {
 				t.Errorf("GetBatch: %v allocations per call", allocs)
 			}
-			if allocs := testing.AllocsPerRun(20, func() { m.PutBatch(keys, vals) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(20, func() { putBatch(m, keys, vals) }); allocs != 0 {
 				t.Errorf("PutBatch: %v allocations per call", allocs)
 			}
 		})

@@ -428,9 +428,6 @@ func (t *cuckoo) maybeGrow() bool {
 // functions first and redrawn ones on construction failure.
 func (t *cuckoo) growTo(capacity int) { t.redraw(t.entries(), capacity, 0, true) }
 
-// Range implements Table.
-func (t *cuckoo) Range(fn func(key, val uint64) bool) { t.RangeFrom(0, fn) }
-
 // RangeFrom implements Table: sentinel entries first, then slot i at
 // position sentinelPositions+i, subtable after subtable.
 func (t *cuckoo) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {

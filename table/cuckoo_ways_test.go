@@ -48,7 +48,7 @@ func TestCuckooAchievableLoadFactors(t *testing.T) {
 		nBreak := m2.Capacity() * c.breakPct / 100
 		var kept []int
 		for i := 0; i < nBreak; i++ {
-			if _, err := m2.Put(keys[i], uint64(i)); err == nil {
+			if _, err := tryPut(m2, keys[i], uint64(i)); err == nil {
 				kept = append(kept, i)
 			} else if !errors.Is(err, ErrFull) {
 				t.Fatal(err)
@@ -208,14 +208,14 @@ func TestCuckooRebuildIsDeterministic(t *testing.T) {
 			rng := prng.NewSplitMix64(f.cfg.Seed)
 			refused := 0
 			for i := 0; i < f.keys; i++ {
-				if _, err := m.Put(rng.Next()|1, uint64(i)); errors.Is(err, ErrFull) {
+				if _, err := tryPut(m, rng.Next()|1, uint64(i)); errors.Is(err, ErrFull) {
 					refused++
 				} else if err != nil {
 					t.Fatal(err)
 				}
 			}
 			digest := uint64(0)
-			m.Range(func(k, v uint64) bool {
+			rangeAll(m, func(k, v uint64) bool {
 				digest = prng.Mix(digest ^ k ^ v*0x9e3779b97f4a7c15)
 				return true
 			})

@@ -7,8 +7,8 @@ import (
 
 // ErrFull reports that a growth-disabled table has run out of room. It is
 // returned (wrapped in a *FullError carrying the scheme and occupancy) by
-// every mutation — Put, GetOrPut, Upsert and their batched forms, on a raw
-// Table, a shard.Engine or a Handle — when MaxLoadFactor is zero and live
+// every mutation — RMW and RMWBatch on a raw Table or a shard.Engine, and
+// the named write forms of a Handle — when MaxLoadFactor is zero and live
 // entries exhaust the fixed capacity, or, for Cuckoo, when the scheme
 // cannot place the key at the current occupancy (its feasibility limit
 // sits below 100%, ~96.7% for k=4; after a refusal, further keys without

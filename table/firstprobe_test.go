@@ -75,7 +75,7 @@ var fpCases = []fpCase{
 		prepare: func(t *testing.T, m Table) {
 			var err error
 			for k := uint64(1); err == nil; k++ {
-				_, err = m.Put(k, k)
+				_, err = tryPut(m, k, k)
 			}
 			for k := uint64(1); k <= uint64(m.Len()); k += 2 {
 				m.Delete(k)
@@ -102,7 +102,7 @@ var fpCases = []fpCase{
 		name: "last free slot",
 		cfg:  Config{InitialCapacity: 128, Seed: 7},
 		prepare: func(t *testing.T, m Table) {
-			if _, err := m.PutBatch(fpDistinct(1, 126), make([]uint64, 126)); err != nil {
+			if _, err := putBatch(m, fpDistinct(1, 126), make([]uint64, 126)); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -140,12 +140,12 @@ func sameErr(t *testing.T, lane int, got, want error) {
 }
 
 func fpPutBatch(t *testing.T, b, s Table, keys, vals []uint64) {
-	got, gotErr := b.PutBatch(keys, vals)
+	got, gotErr := putBatch(b, keys, vals)
 	want, lane := 0, 0
 	var wantErr error
 	for ; lane < len(keys) && wantErr == nil; lane++ {
 		var ins bool
-		if ins, wantErr = s.Put(keys[lane], vals[lane]); ins {
+		if ins, wantErr = tryPut(s, keys[lane], vals[lane]); ins {
 			want++
 		}
 	}
@@ -165,11 +165,11 @@ var fpOps = []fpOp{
 	{"GetOrPutBatch", func(t *testing.T, b, s Table, keys, vals []uint64) {
 		out := append([]uint64(nil), vals...) // out aliases the insert values
 		loaded := make([]bool, len(keys))
-		got, gotErr := b.GetOrPutBatch(keys, out, out, loaded)
+		got, gotErr := getOrPutBatch(b, keys, out, out, loaded)
 		want, lane := 0, 0
 		var wantErr error
 		for ; lane < len(keys); lane++ {
-			v, ld, err := s.GetOrPut(keys[lane], vals[lane])
+			v, ld, err := getOrPut(s, keys[lane], vals[lane])
 			if wantErr = err; err != nil {
 				break
 			}
@@ -192,14 +192,14 @@ var fpOps = []fpOp{
 			exists bool
 		}
 		var gotCalls, wantCalls []call
-		got, gotErr := b.UpsertBatch(keys, func(lane int, old uint64, exists bool) uint64 {
+		got, gotErr := upsertBatch(b, keys, func(lane int, old uint64, exists bool) uint64 {
 			gotCalls = append(gotCalls, call{lane, old, exists})
 			return old*31 + vals[lane]
 		})
 		want, lane := 0, 0
 		var wantErr error
 		for ; lane < len(keys) && wantErr == nil; lane++ {
-			_, wantErr = s.Upsert(keys[lane], func(old uint64, exists bool) uint64 {
+			_, wantErr = upsert(s, keys[lane], func(old uint64, exists bool) uint64 {
 				wantCalls = append(wantCalls, call{lane, old, exists})
 				if !exists {
 					want++
@@ -218,7 +218,7 @@ var fpOps = []fpOp{
 // sentinel entries, then slot by slot.
 func slotOrder(m Table) [][2]uint64 {
 	var out [][2]uint64
-	m.Range(func(k, v uint64) bool {
+	rangeAll(m, func(k, v uint64) bool {
 		out = append(out, [2]uint64{k, v})
 		return true
 	})
@@ -266,9 +266,9 @@ func TestBatchMutationsAllocateNothing(t *testing.T) {
 			vals, out, loaded := make([]uint64, len(keys)), make([]uint64, len(keys)), make([]bool, len(keys))
 			fold := func(lane int, old uint64, _ bool) uint64 { return old + vals[lane] }
 			calls := map[string]func(){
-				"PutBatch":      func() { m.PutBatch(keys, vals) },
-				"GetOrPutBatch": func() { m.GetOrPutBatch(keys, vals, out, loaded) },
-				"UpsertBatch":   func() { m.UpsertBatch(keys, fold) },
+				"PutBatch":      func() { putBatch(m, keys, vals) },
+				"GetOrPutBatch": func() { getOrPutBatch(m, keys, vals, out, loaded) },
+				"UpsertBatch":   func() { upsertBatch(m, keys, fold) },
 			}
 			calls["PutBatch"]() // warm: the keys are in, the scratch is there
 			for name, call := range calls {

@@ -4,7 +4,7 @@ package table
 // surface — scalar point operations, the single-probe read-modify-write
 // primitive, the home-line touch pass with the group-interleaved lookup
 // walks, the one mutating-batch driver and the one concurrent insert
-// (putIfAbsentBatch) behind it, the Range walks and the diagnostics Stats
+// (putIfAbsentBatch) behind it, the RangeFrom walk and the diagnostics Stats
 // feeds on — exactly once. A scheme is one kernSpec row of kernSchemes
 // (policy.go), and New returns its table as a *kern:
 //
@@ -248,14 +248,13 @@ func (c *kern) robinAbort(si, si0, k uint64) bool {
 	return c.sdisp(si, c.homeS(k)) < c.sdisp(si, si0)
 }
 
-// rmwHashed is the single-probe read-modify-write primitive behind
-// Put, GetOrPut and Upsert: one probe sequence finds the
-// key or its insertion point. With fn nil and overwrite false it is
-// GetOrPut(val); with overwrite true it is a plain put; with fn set it is
-// Upsert(fn). It returns the value now stored and whether the key already
-// existed. The growth-disabled full check fires only when an insert is
-// actually needed, so operations that resolve to an existing key keep
-// working on a full table.
+// rmwHashed is the single-probe read-modify-write primitive behind RMW and
+// RMWBatch: one probe sequence finds the key or its insertion point. With fn
+// nil and overwrite false it is a get-or-put of val; with overwrite true it
+// is a plain put; with fn set it is an upsert through fn. It returns the
+// value now stored and whether the key already existed. The growth-disabled
+// full check fires only when an insert is actually needed, so operations
+// that resolve to an existing key keep working on a full table.
 //
 // Fullness itself follows the probe sequence: bounded sequences detect it
 // naturally at the end of their full-table sweep (and may therefore fill
@@ -480,9 +479,6 @@ func (c *kern) reinsert(key, val uint64) {
 	}
 }
 
-// Range implements Table.
-func (c *kern) Range(fn func(key, val uint64) bool) { c.RangeFrom(0, fn) }
-
 // RangeFrom implements Table: the sentinel entries take the first
 // sentinelPositions positions and slot i follows at sentinelPositions+i.
 func (c *kern) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
@@ -507,58 +503,29 @@ func (c *kern) RangeFrom(pos int, fn func(key, val uint64) bool) (next int) {
 // Single-probe read-modify-write surface
 // ---------------------------------------------------------------------------
 
-// Put implements Table. On a full growth-disabled table an update of an
+// RMW implements Table. On a full growth-disabled table an update of an
 // existing key still succeeds (the full check fires only when an insert is
 // needed).
-func (c *kern) Put(key, val uint64) (bool, error) {
-	_, existed, err := c.rmwHashed(key, val, c.fn.Hash(key), true, nil)
-	return !existed && err == nil, err
+func (c *kern) RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
+	return c.rmwHashed(key, val, c.fn.Hash(key), overwrite, fn)
 }
 
-// GetOrPut implements Table.
-func (c *kern) GetOrPut(key, val uint64) (uint64, bool, error) {
-	return c.rmwHashed(key, val, c.fn.Hash(key), false, nil)
-}
-
-// Upsert implements Table.
-func (c *kern) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	v, _, err := c.rmwHashed(key, 0, c.fn.Hash(key), false, fn)
-	return v, err
-}
-
-// PutBatch implements Table. It stops at the first failing key, leaving
-// earlier pairs applied.
-func (c *kern) PutBatch(keys, vals []uint64) (int, error) {
-	checkBatchPut(len(keys), len(vals))
-	return c.rmwBatch(keys, vals, nil, nil, true, nil)
-}
-
-// GetOrPutBatch implements Table: the batched GetOrPut, one probe per
-// key, results in slice order. out may alias vals.
-func (c *kern) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	checkBatchGetOrPut(keys, vals, out, loaded)
-	return c.rmwBatch(keys, vals, out, loaded, false, nil)
-}
-
-// UpsertBatch implements Table. A caller whose keys mostly exist should
-// look them up with GetBatch and hand only the misses here, as
-// agg.AddBatch does: every lane pays fn's indirect call and the mutation
-// bookkeeping, hit or not.
-func (c *kern) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	return c.rmwBatch(keys, nil, nil, nil, false, fn)
-}
-
-// rmwBatch is the one chunk loop behind the three mutating batches: vals
-// nil stores fn's results (UpsertBatch), out/loaded nil drops the lanes'
-// results. Lanes apply in slice order, so
-// a duplicate key sees its earlier occurrence. Each opens with a
+// RMWBatch implements Table: the one chunk loop behind every mutating
+// batch. vals nil stores fn's results, out/loaded nil drops the lanes'
+// results; out may alias vals. Lanes apply in slice order, so
+// a duplicate key sees its earlier occurrence. It stops at the first
+// failing key, leaving earlier pairs applied. A caller whose keys mostly
+// exist and who passes fn should look them up with GetBatch and hand only
+// the misses here, as agg.AddBatch does: every lane pays fn's indirect call
+// and the mutation bookkeeping, hit or not. Each chunk opens with a
 // first-probe pass, the mutation twin of GetBatch's: when nothing has to be
 // shed or grown first and the home slot — hashAndTouch has just loaded it —
 // holds the lane's key or is empty with room to spare, the lane is settled
 // there, where rmwHashed would settle it under every probe sequence. All
 // other lanes and the sentinel keys take rmwHashed, which owns ErrFull,
 // tombstone recycling and the Robin Hood ordering.
-func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+func (c *kern) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	checkRMWBatch(keys, vals, out, loaded, fn != nil)
 	bt := c.buf()
 	lane := 0
 	var adapter func(uint64, bool) uint64 // fn as rmwHashed takes it, the lane threaded through
@@ -624,23 +591,23 @@ func (c *kern) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool,
 // table: it never displaces and never grows, so a claimed slot stays put.
 func (c *kern) sharedBuild() bool { return !c.robin && c.maxLF == 0 }
 
-// putIfAbsentBatch is the kernel's one concurrent entry point: GetOrPutBatch
-// with nothing returned, for any number of goroutines on one sharedBuild
-// table that nothing else touches meanwhile. A lane walks its ordinary probe
-// sequence loading key words atomically and claims an empty one by
-// compare-and-swap; the winner stores the value word plainly, so a caller
-// that meets another's key may be ahead of its value — hence no values come
-// back. Whatever joins the callers is the happens-before edge to the plain
-// reads and single-writer calls that follow, and size is exact by then. Room
-// is reserved before it is claimed: under c.shared a call counts free slots
-// into size — BatchWidth at a time, an eighth of what is left at most, so the
-// last ones go singly instead of stranding in reservations — and gives back
-// what it did not use. So an unbounded sequence keeps its empty slot however
-// claims interleave, and nothing left to reserve is ErrFull, earlier pairs
-// applied. Tombstones count as occupied, never recycled; the sentinel keys
-// take c.shared too.
+// putIfAbsentBatch is the kernel's one concurrent entry point: a get-or-put
+// RMWBatch with nothing returned, for any number of goroutines on one
+// sharedBuild table that nothing else touches meanwhile. A lane walks its
+// ordinary probe sequence loading key words atomically and claims an empty
+// one by compare-and-swap; the winner stores the value word plainly, so a
+// caller that meets another's key may be ahead of its value — hence no
+// values come back. Whatever joins the callers is the happens-before edge to
+// the plain reads and single-writer calls that follow, and size is exact by
+// then. Room is reserved before it is claimed: under c.shared a call counts
+// free slots into size — BatchWidth at a time, an eighth of what is left at
+// most, so the last ones go singly instead of stranding in reservations —
+// and gives back what it did not use. So an unbounded sequence keeps its
+// empty slot however claims interleave, and nothing left to reserve is
+// ErrFull, earlier pairs applied. Tombstones count as occupied, never
+// recycled; the sentinel keys take c.shared too.
 func (c *kern) putIfAbsentBatch(keys, vals []uint64) (inserted int, err error) {
-	checkBatchPut(len(keys), len(vals))
+	checkRMWBatch(keys, vals, nil, nil, false)
 	bt := readBufs.Get().(*batchBuf)
 	kc, vcb, smask, sinc := c.kc, c.vc[c.ks:], c.smask, c.sinc
 	sshift, soneM := c.sshift, c.sone-1
@@ -718,7 +685,7 @@ lanes:
 // back, before any lane is resolved. The addresses depend only on the
 // hash codes, so the loads are independent and a chunk's home-line cache
 // misses are in flight together; the first-probe pass that follows — the
-// lookups' in getChunk*, the mutations' in rmwBatch — finds the lines
+// lookups' in getChunk*, the mutations' in RMWBatch — finds the lines
 // arriving instead of paying one serialized miss per key. Only the home
 // line is covered: overflow lines further along a probe sequence and the
 // SoA value column are still fetched on demand. The loads are folded into

@@ -91,7 +91,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 		k := tapeKey(arg)
 		switch op % 6 {
 		case 0: // Put
-			ins, err := m.Put(k, uint64(i)+1)
+			ins, err := tryPut(m, k, uint64(i)+1)
 			if err != nil {
 				t.Fatalf("%s lf=%v op %d: Put(%#x): %v", ctx(i), maxLF, i, k, err)
 			}
@@ -110,7 +110,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 			}
 			delete(oracle, k)
 		case 3: // GetOrPut
-			v, loaded, err := m.GetOrPut(k, uint64(i)+1)
+			v, loaded, err := getOrPut(m, k, uint64(i)+1)
 			if err != nil {
 				if errors.Is(err, ErrFull) {
 					t.Fatalf("%s op %d: unexpected ErrFull at %d live entries", ctx(i), i, len(oracle))
@@ -125,7 +125,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 				oracle[k] = uint64(i) + 1
 			}
 		case 4: // Upsert: add arg to the stored value
-			v, err := m.Upsert(k, func(old uint64, exists bool) uint64 { return old + uint64(arg) + 1 })
+			v, err := upsert(m, k, func(old uint64, exists bool) uint64 { return old + uint64(arg) + 1 })
 			if err != nil {
 				t.Fatalf("%s op %d: Upsert error %v", ctx(i), i, err)
 			}
@@ -145,7 +145,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 				keys[j] = tapeKey(b + byte(j))
 				vals[j] = uint64(i*1000 + j)
 			}
-			inserted, err := m.PutBatch(keys, vals)
+			inserted, err := putBatch(m, keys, vals)
 			if err != nil {
 				t.Fatalf("%s op %d: PutBatch error %v", ctx(i), i, err)
 			}
@@ -184,7 +184,7 @@ func replayTape(t *testing.T, s Scheme, maxLF float64, tape []byte) {
 		checkGet(-1, k)
 	}
 	seen := 0
-	m.Range(func(k, v uint64) bool {
+	rangeAll(m, func(k, v uint64) bool {
 		wv, wok := oracle[k]
 		if !wok || v != wv {
 			t.Fatalf("%s: Range yielded %#x=%d; oracle %d,%v", string(s), k, v, wv, wok)

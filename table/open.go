@@ -166,21 +166,16 @@ type Handle struct {
 }
 
 // handleOps is the surface a Handle forwards to, which a raw Table and a
-// *shard.Engine share.
+// *shard.Engine share: the Table contract but for RangeFrom and Name.
 type handleOps interface {
 	Get(key uint64) (uint64, bool)
-	Delete(key uint64) bool
-	Put(key, val uint64) (bool, error)
-	GetOrPut(key, val uint64) (uint64, bool, error)
-	Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error)
 	GetBatch(keys, vals []uint64, ok []bool) int
-	PutBatch(keys, vals []uint64) (int, error)
-	GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error)
-	UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error)
+	Delete(key uint64) bool
+	RMW(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error)
+	RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error)
 	Len() int
 	Capacity() int
 	MemoryFootprint() uint64
-	Range(fn func(key, val uint64) bool)
 }
 
 // Open builds a Handle from functional options. With no options it opens
@@ -301,25 +296,31 @@ func (h *Handle) Engine() *shard.Engine { return h.eng }
 // WithWorkload, nil otherwise.
 func (h *Handle) DecisionPath() []string { return h.path }
 
-// injectFull fires the armed fault injector's Full kind at a Handle
-// mutation entry point, synthesizing the same *FullError a genuinely
-// full growth-disabled table would return. Disarmed (the default) it is
-// one atomic pointer load.
-func (h *Handle) injectFull() error {
+// rmw is every scalar write of the handle, with the Table contract's RMW
+// mode rule. First the armed fault injector's Full kind may fire,
+// synthesizing the same *FullError a genuinely full growth-disabled table
+// would return; disarmed (the default) that is one atomic pointer load.
+func (h *Handle) rmw(key, val uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool, error) {
 	if fault.Should(fault.Full) {
-		return errInjectedFull(string(h.scheme))
+		return 0, false, errInjectedFull(string(h.scheme))
 	}
-	return nil
+	return h.ops.RMW(key, val, overwrite, fn)
+}
+
+// rmwBatch is rmw for every batched write of the handle.
+func (h *Handle) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	if fault.Should(fault.Full) {
+		return 0, errInjectedFull(string(h.scheme))
+	}
+	return h.ops.RMWBatch(keys, vals, out, loaded, overwrite, fn)
 }
 
 // Put inserts or updates key -> val, reporting whether the key was newly
 // inserted. On a full growth-disabled handle it returns ErrFull (wrapped
 // in a *FullError) and leaves the table unchanged.
 func (h *Handle) Put(key, val uint64) (bool, error) {
-	if err := h.injectFull(); err != nil {
-		return false, err
-	}
-	return h.ops.Put(key, val)
+	_, existed, err := h.rmw(key, val, true, nil)
+	return !existed && err == nil, err
 }
 
 // Get returns the value stored under key and whether it is present. On a
@@ -335,20 +336,15 @@ func (h *Handle) Delete(key uint64) bool { return h.ops.Delete(key) }
 // otherwise it inserts val and returns it (loaded false). Exactly one
 // probe sequence is issued either way.
 func (h *Handle) GetOrPut(key, val uint64) (actual uint64, loaded bool, err error) {
-	if err := h.injectFull(); err != nil {
-		return 0, false, err
-	}
-	return h.ops.GetOrPut(key, val)
+	return h.rmw(key, val, false, nil)
 }
 
 // Upsert applies fn to the value stored under key (exists true) or to
 // (0, false) when absent, stores the result, and returns it — one probe
 // sequence. fn must not call back into the handle.
 func (h *Handle) Upsert(key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
-	if err := h.injectFull(); err != nil {
-		return 0, err
-	}
-	return h.ops.Upsert(key, fn)
+	v, _, err := h.rmw(key, 0, false, fn)
+	return v, err
 }
 
 // Len returns the number of live entries. On a partitioned handle it takes
@@ -370,7 +366,19 @@ func (h *Handle) MemoryFootprint() uint64 { return h.ops.MemoryFootprint() }
 // handle iteration is weakly consistent (it holds one shard's writer lock
 // at a time; see shard.Engine.Range) and fn must not call back into the
 // handle.
-func (h *Handle) Range(fn func(key, val uint64) bool) { h.ops.Range(fn) }
+func (h *Handle) Range(fn func(key, val uint64) bool) {
+	if h.eng != nil {
+		h.eng.Range(fn)
+		return
+	}
+	// A chained RangeFrom hands fn's wrapper the rest of the chain fn
+	// stopped in; fn itself sees nothing after it returned false.
+	stopped := false
+	h.ops.(Table).RangeFrom(0, func(k, v uint64) bool {
+		stopped = stopped || !fn(k, v)
+		return !stopped
+	})
+}
 
 // All returns a Go 1.23 range-over-func iterator over the entries,
 // equivalent to Range.
@@ -429,10 +437,7 @@ func (h *Handle) GetBatch(keys, vals []uint64, ok []bool) int { return h.ops.Get
 // the number of newly inserted keys. On ErrFull it stops; pairs already
 // applied remain.
 func (h *Handle) PutBatch(keys, vals []uint64) (int, error) {
-	if err := h.injectFull(); err != nil {
-		return 0, err
-	}
-	return h.ops.PutBatch(keys, vals)
+	return h.rmwBatch(keys, vals, nil, nil, true, nil)
 }
 
 // GetOrPutBatch applies GetOrPut to every (keys[i], vals[i]) pair in slice
@@ -440,10 +445,7 @@ func (h *Handle) PutBatch(keys, vals []uint64) (int, error) {
 // already existed. It returns the number of newly inserted keys; on
 // ErrFull it stops, with earlier pairs applied.
 func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, error) {
-	if err := h.injectFull(); err != nil {
-		return 0, err
-	}
-	return h.ops.GetOrPutBatch(keys, vals, out, loaded)
+	return h.rmwBatch(keys, vals, out, loaded, false, nil)
 }
 
 // PutIfAbsentBatch is GetOrPutBatch with nothing returned but the number of
@@ -455,10 +457,10 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
 	c, ok := h.ops.(*kern)
 	if !ok || !c.sharedBuild() {
-		return h.GetOrPutBatch(keys, vals, nil, nil)
+		return h.rmwBatch(keys, vals, nil, nil, false, nil)
 	}
-	if err := h.injectFull(); err != nil {
-		return 0, err
+	if fault.Should(fault.Full) {
+		return 0, errInjectedFull(string(h.scheme))
 	}
 	return c.putIfAbsentBatch(keys, vals)
 }
@@ -468,8 +470,5 @@ func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
 // (they always share a shard). It returns the number of newly inserted
 // keys.
 func (h *Handle) UpsertBatch(keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	if err := h.injectFull(); err != nil {
-		return 0, err
-	}
-	return h.ops.UpsertBatch(keys, fn)
+	return h.rmwBatch(keys, nil, nil, nil, false, fn)
 }

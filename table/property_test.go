@@ -29,7 +29,7 @@ func runScript(m Table, script opScript) bool {
 		switch op.Kind % 3 {
 		case 0:
 			_, existed := oracle[k]
-			if ins, err := m.Put(k, op.Val); err != nil || ins == existed {
+			if ins, err := tryPut(m, k, op.Val); err != nil || ins == existed {
 				return false
 			}
 			oracle[k] = op.Val
@@ -154,7 +154,7 @@ func TestQuickCuckooPlacement(t *testing.T) {
 			put(t, m, k, k)
 		}
 		ok := true
-		m.Range(func(k, v uint64) bool {
+		rangeAll(m, func(k, v uint64) bool {
 			if isSentinelKey(k) {
 				return true
 			}
@@ -215,7 +215,7 @@ func TestQuickRangeMatchesContents(t *testing.T) {
 					want[uint64(k)] = uint64(i)
 				}
 				got := map[uint64]uint64{}
-				m.Range(func(k, v uint64) bool {
+				rangeAll(m, func(k, v uint64) bool {
 					if _, dup := got[k]; dup {
 						return false
 					}

@@ -49,7 +49,7 @@ func walkFrom(t *testing.T, tb Table, chained bool, stop func(i int) bool) (got 
 
 // rangeOf collects tb's entries in Range order.
 func rangeOf(tb Table) (out []entry) {
-	tb.Range(func(k, v uint64) bool {
+	rangeAll(tb, func(k, v uint64) bool {
 		out = append(out, entry{k, v})
 		return true
 	})
@@ -132,7 +132,7 @@ func TestRangeFromChainLongerThanBudget(t *testing.T) {
 			// about fifty.
 			tb := mustNew(s, Config{InitialCapacity: 8, Seed: 5})
 			for k := uint64(0); k < 400; k++ {
-				if _, err := tb.Put(k, k+7); err != nil {
+				if _, err := tryPut(tb, k, k+7); err != nil {
 					t.Fatal(err)
 				}
 			}

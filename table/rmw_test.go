@@ -8,6 +8,7 @@ package table
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/prng"
@@ -49,13 +50,13 @@ func TestGetOrPutBatchEqualsScalar(t *testing.T) {
 
 			out := make([]uint64, len(keys))
 			loaded := make([]bool, len(keys))
-			insB, err := batched.GetOrPutBatch(keys, vals, out, loaded)
+			insB, err := getOrPutBatch(batched, keys, vals, out, loaded)
 			if err != nil {
 				t.Fatal(err)
 			}
 			insS := 0
 			for i, k := range keys {
-				v, ok, err := scalar.GetOrPut(k, vals[i])
+				v, ok, err := getOrPut(scalar, k, vals[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,13 +89,13 @@ func TestTryPutBatchEqualsScalar(t *testing.T) {
 			}
 			batched := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
 			scalar := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 9})
-			insB, err := batched.PutBatch(keys, vals)
+			insB, err := putBatch(batched, keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			insS := 0
 			for i, k := range keys {
-				ins, err := scalar.Put(k, vals[i])
+				ins, err := tryPut(scalar, k, vals[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +107,7 @@ func TestTryPutBatchEqualsScalar(t *testing.T) {
 				t.Fatalf("inserted: batch %d, scalar %d", insB, insS)
 			}
 			// Contents must match exactly (last write wins per key).
-			scalar.Range(func(k, v uint64) bool {
+			rangeAll(scalar, func(k, v uint64) bool {
 				bv, ok := batched.Get(k)
 				if !ok || bv != v {
 					t.Fatalf("key %d: batch %d,%v, scalar %d", k, bv, ok, v)
@@ -132,7 +133,7 @@ func TestUpsertBatchEqualsScalar(t *testing.T) {
 			}
 			batched := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
 			scalar := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.8, Seed: 3})
-			insB, err := batched.UpsertBatch(keys, func(_ int, old uint64, exists bool) uint64 {
+			insB, err := upsertBatch(batched, keys, func(_ int, old uint64, exists bool) uint64 {
 				return fold(old, exists)
 			})
 			if err != nil {
@@ -140,11 +141,11 @@ func TestUpsertBatchEqualsScalar(t *testing.T) {
 			}
 			insS := 0
 			for _, k := range keys {
-				if _, err := scalar.Upsert(k, fold); err != nil {
+				if _, err := upsert(scalar, k, fold); err != nil {
 					t.Fatal(err)
 				}
 			}
-			scalar.Range(func(k, v uint64) bool {
+			rangeAll(scalar, func(k, v uint64) bool {
 				bv, ok := batched.Get(k)
 				if !ok || bv != v {
 					t.Fatalf("key %d: batch %d,%v, scalar %d", k, bv, ok, v)
@@ -170,7 +171,7 @@ func TestGetOrPutMatchesGetThenPut(t *testing.T) {
 			double := mustNew(s, Config{InitialCapacity: 64, MaxLoadFactor: 0.7, Seed: 1})
 			for i, k := range keys {
 				v := uint64(i) + 10
-				got, loaded, err := single.GetOrPut(k, v)
+				got, loaded, err := getOrPut(single, k, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +202,7 @@ func TestErrFullContract(t *testing.T) {
 			var inserted []uint64
 			var full bool
 			for k := uint64(1); k <= 200; k++ {
-				ins, err := m.Put(k, k*10)
+				ins, err := tryPut(m, k, k*10)
 				if err != nil {
 					if !errors.Is(err, ErrFull) {
 						t.Fatalf("Put error %v, want ErrFull", err)
@@ -228,19 +229,19 @@ func TestErrFullContract(t *testing.T) {
 				}
 			}
 			// The batched forms surface the same error.
-			if _, err := m.PutBatch([]uint64{9999}, []uint64{1}); !errors.Is(err, ErrFull) {
+			if _, err := putBatch(m, []uint64{9999}, []uint64{1}); !errors.Is(err, ErrFull) {
 				t.Fatalf("PutBatch err = %v, want ErrFull", err)
 			}
 			out := make([]uint64, 1)
 			ld := make([]bool, 1)
-			if _, err := m.GetOrPutBatch([]uint64{9999}, []uint64{1}, out, ld); !errors.Is(err, ErrFull) {
+			if _, err := getOrPutBatch(m, []uint64{9999}, []uint64{1}, out, ld); !errors.Is(err, ErrFull) {
 				t.Fatalf("GetOrPutBatch err = %v, want ErrFull", err)
 			}
-			if _, err := m.Upsert(9999, func(uint64, bool) uint64 { return 1 }); !errors.Is(err, ErrFull) {
+			if _, err := upsert(m, 9999, func(uint64, bool) uint64 { return 1 }); !errors.Is(err, ErrFull) {
 				t.Fatalf("Upsert err = %v, want ErrFull", err)
 			}
 			// GetOrPut of an EXISTING key still succeeds on a full table.
-			if v, loaded, err := m.GetOrPut(inserted[0], 1); err != nil || !loaded || v != inserted[0]*10 {
+			if v, loaded, err := getOrPut(m, inserted[0], 1); err != nil || !loaded || v != inserted[0]*10 {
 				t.Fatalf("GetOrPut(existing) on full table = %d,%v,%v", v, loaded, err)
 			}
 			if m.Capacity() != capacity || m.Len() != len(inserted) {
@@ -260,7 +261,7 @@ func TestCuckooFixedCapacityNeverGrows(t *testing.T) {
 		capacity := m.Capacity()
 		var kept []uint64
 		for k := uint64(1); k <= uint64(capacity)+8; k++ {
-			ins, err := m.Put(k, k*3)
+			ins, err := tryPut(m, k, k*3)
 			if err != nil {
 				if !errors.Is(err, ErrFull) {
 					t.Fatalf("seed %d: Put(%d) err = %v", seed, k, err)
@@ -314,11 +315,11 @@ func TestCuckooWallRefusesOnlyBlockedKeys(t *testing.T) {
 			blocked = k
 		}
 	}
-	if _, err := m.Put(blocked, 1); !errors.Is(err, ErrFull) {
+	if _, err := tryPut(m, blocked, 1); !errors.Is(err, ErrFull) {
 		t.Fatalf("walled Put(no free candidate) err = %v, want ErrFull", err)
 	}
 	// ...but a key with a free candidate slot bypasses the memo.
-	if ins, err := m.Put(free, 1); err != nil || !ins {
+	if ins, err := tryPut(m, free, 1); err != nil || !ins {
 		t.Fatalf("walled Put(free candidate) = %v, %v", ins, err)
 	}
 }
@@ -414,7 +415,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 					m := mustNew(s, cfg)
 					for _, k := range keys {
 						if _, ok := m.Get(k); !ok {
-							m.Put(k, k)
+							tryPut(m, k, k)
 						}
 					}
 				}
@@ -424,7 +425,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					m := mustNew(s, cfg)
 					for _, k := range keys {
-						m.GetOrPut(k, k)
+						getOrPut(m, k, k)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
@@ -436,7 +437,7 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 					m := mustNew(s, cfg)
 					for base := 0; base < n; base += BatchWidth {
 						kc := keys[base : base+BatchWidth]
-						m.GetOrPutBatch(kc, kc, out, loaded)
+						getOrPutBatch(m, kc, kc, out, loaded)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
@@ -450,10 +451,19 @@ func BenchmarkBuildSingleProbe(b *testing.B) {
 // cross-checked against a builtin map oracle. Every table grows: the
 // chained ones start at 8 buckets, so a tape crosses directory doublings
 // and (in ChainedH24) inline promotion, and the linear-sequence rows run
-// backward-shift deletes across doublings under both slot layouts.
+// backward-shift deletes across doublings under both slot layouts. Fixed
+// LP, QP and RH tables ride along for the kernel's first-probe pass, which
+// only a growth-disabled table takes.
+//
+// Every RMW, in each of its three modes, and every Delete is checked for
+// what it returns, not only for what it leaves behind. One op runs
+// RMWBatch over the next eight tape keys at most, in a mode of its own, and
+// checks every lane's result and the insert count against the oracle
+// applied lane by lane in order.
 func FuzzDifferentialOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x83, 0x44, 0x00, 0xff, 0xfe, 0x10})
 	f.Add([]byte("getorput-upsert-delete"))
+	f.Add([]byte{0x01, 0x42, 0xbe, 0x01, 0x01, 0x12, 0x13, 0x02, 0x03, 0x04, 0x05, 0xa1, 0x01, 0x9f, 0xbb, 0x10, 0x01, 0x07})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tables := []Table{
 			mustNew(SchemeLP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 1}),
@@ -463,51 +473,55 @@ func FuzzDifferentialOps(f *testing.F) {
 			mustNew(SchemeChained24, Config{InitialCapacity: 8, MaxLoadFactor: 0.8, Seed: 5}),
 			mustNew(SchemeLPSoA, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 6}),
 			mustNew(SchemeQP, Config{InitialCapacity: 16, MaxLoadFactor: 0.8, Seed: 7}),
+			mustNew(SchemeLP, Config{InitialCapacity: 64, Seed: 8}),
+			mustNew(SchemeQP, Config{InitialCapacity: 64, Seed: 9}),
+			mustNew(SchemeRH, Config{InitialCapacity: 64, Seed: 10}),
 		}
 		oracle := map[uint64]uint64{}
-		for i, b := range data {
-			// Key universe of 16 (plus the sentinels) keeps collisions hot.
+		// Key universe of 16 (plus the sentinels) keeps collisions hot.
+		tapeKey := func(b byte) uint64 {
 			k := uint64(b & 0x0f)
 			if b&0x10 != 0 {
 				k = ^uint64(0) - k%2
 			}
-			v := uint64(i) + 1
-			switch b >> 5 {
-			case 0, 1:
-				for _, m := range tables {
-					put(t, m, k, v)
-				}
-				oracle[k] = v
-			case 2:
-				for _, m := range tables {
-					if _, _, err := m.GetOrPut(k, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, ok := oracle[k]; !ok {
-					oracle[k] = v
-				}
-			case 3:
-				for _, m := range tables {
-					if _, err := m.Upsert(k, func(old uint64, exists bool) uint64 {
+			return k
+		}
+		for i := 0; i < len(data); i++ {
+			b := data[i]
+			k, v := tapeKey(b), uint64(i)+1
+			switch op := b >> 5; op {
+			case 0, 1, 2, 3: // put, put, get-or-put, upsert
+				overwrite := op < 2
+				var fn func(old uint64, exists bool) uint64
+				if op == 3 {
+					fn = func(old uint64, exists bool) uint64 {
 						if exists {
 							return old + 1
 						}
 						return v
-					}); err != nil {
-						t.Fatal(err)
 					}
 				}
-				if old, ok := oracle[k]; ok {
-					oracle[k] = old + 1
-				} else {
-					oracle[k] = v
+				want, wantExisted := oracleRMW(oracle, k, v, overwrite, fn)
+				for _, m := range tables {
+					got, existed, err := m.RMW(k, v, overwrite, fn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want || existed != wantExisted {
+						t.Fatalf("%s: RMW(%d, %d, overwrite %v, fn %v) = %d,%v; oracle %d,%v", m.Name(), k, v, overwrite, fn != nil, got, existed, want, wantExisted)
+					}
 				}
 			case 4:
+				_, existed := oracle[k]
 				for _, m := range tables {
-					m.Delete(k)
+					if got := m.Delete(k); got != existed {
+						t.Fatalf("%s: Delete(%d) = %v; oracle %v", m.Name(), k, got, existed)
+					}
 				}
 				delete(oracle, k)
+			case 5:
+				checkTapeBatch(t, tables, oracle, data, i, tapeKey)
+				i += min(int(b>>2&7)+1, len(data)-i-1)
 			default:
 				ov, existed := oracle[k]
 				for _, m := range tables {
@@ -521,7 +535,7 @@ func FuzzDifferentialOps(f *testing.F) {
 			if m.Len() != len(oracle) {
 				t.Fatalf("%s: Len %d, oracle %d", m.Name(), m.Len(), len(oracle))
 			}
-			m.Range(func(k, v uint64) bool {
+			rangeAll(m, func(k, v uint64) bool {
 				if ov, ok := oracle[k]; !ok || ov != v {
 					t.Fatalf("%s: contains %d=%d, oracle %d,%v", m.Name(), k, v, ov, ok)
 				}
@@ -529,4 +543,72 @@ func FuzzDifferentialOps(f *testing.F) {
 			})
 		}
 	})
+}
+
+// oracleRMW is RMW's mode rule on the map oracle: it returns the value k
+// holds afterwards and whether k was there before.
+func oracleRMW(oracle map[uint64]uint64, k, v uint64, overwrite bool, fn func(old uint64, exists bool) uint64) (uint64, bool) {
+	old, existed := oracle[k]
+	switch {
+	case fn != nil:
+		v = fn(old, existed)
+	case existed && !overwrite:
+		v = old
+	}
+	oracle[k] = v
+	return v, existed
+}
+
+// checkTapeBatch is FuzzDifferentialOps' batch op at data[at]: RMWBatch
+// over the next (b>>2&7)+1 tape keys, duplicates and sentinels included,
+// in mode b&3 — put, get-or-put, upsert, or upsert with vals nil. Each
+// table's out, loaded and insert count must equal the oracle's, applied
+// lane by lane in order.
+func checkTapeBatch(t *testing.T, tables []Table, oracle map[uint64]uint64, data []byte, at int, tapeKey func(byte) uint64) {
+	t.Helper()
+	b := data[at]
+	n := min(int(b>>2&7)+1, len(data)-at-1)
+	keys, vals := make([]uint64, n), make([]uint64, n)
+	for l, lb := range data[at+1 : at+1+n] {
+		keys[l], vals[l] = tapeKey(lb), uint64(at+1+l)+1
+	}
+	mode := b & 3
+	overwrite := mode == 0
+	var fn func(lane int, old uint64, exists bool) uint64
+	if mode >= 2 {
+		fn = func(lane int, old uint64, exists bool) uint64 {
+			if exists {
+				return old + uint64(lane) + 1
+			}
+			return uint64(at+1+lane) + 1
+		}
+	}
+	if mode == 3 {
+		vals = nil
+	}
+	wantOut, wantLoaded, wantIns := make([]uint64, n), make([]bool, n), 0
+	for l, k := range keys {
+		var val uint64
+		var lane func(old uint64, exists bool) uint64
+		if vals != nil {
+			val = vals[l]
+		}
+		if fn != nil {
+			lane = func(old uint64, exists bool) uint64 { return fn(l, old, exists) }
+		}
+		wantOut[l], wantLoaded[l] = oracleRMW(oracle, k, val, overwrite, lane)
+		if !wantLoaded[l] {
+			wantIns++
+		}
+	}
+	for _, m := range tables {
+		out, loaded := make([]uint64, n), make([]bool, n)
+		ins, err := m.RMWBatch(keys, vals, out, loaded, overwrite, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins != wantIns || !slices.Equal(out, wantOut) || !slices.Equal(loaded, wantLoaded) {
+			t.Fatalf("%s: RMWBatch(%v, mode %d) = %d, out %v, loaded %v; oracle %d, %v, %v", m.Name(), keys, mode, ins, out, loaded, wantIns, wantOut, wantLoaded)
+		}
+	}
 }

@@ -516,7 +516,7 @@ func TestCuckooWaysValidation(t *testing.T) {
 func TestCuckooLookupProbeBound(t *testing.T) {
 	m := newCuckoo(Config{InitialCapacity: 64, Seed: 20})
 	for i := uint64(1); m.Len() < 60; i++ {
-		if _, err := m.Put(i, i); err != nil && !errors.Is(err, ErrFull) {
+		if _, err := tryPut(m, i, i); err != nil && !errors.Is(err, ErrFull) {
 			t.Fatal(err)
 		}
 	}
@@ -703,7 +703,7 @@ func TestClusterLengthsFullTable(t *testing.T) {
 	for i := uint64(1); i <= 7; i++ {
 		put(t, m2, i, i)
 	}
-	if _, err := m2.Put(8, 8); !errors.Is(err, ErrFull) {
+	if _, err := tryPut(m2, 8, 8); !errors.Is(err, ErrFull) {
 		t.Fatalf("Put on full table: err = %v, want ErrFull", err)
 	}
 	if m2.Len() != 7 || m2.Capacity() != 8 {

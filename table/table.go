@@ -28,14 +28,16 @@
 // sentinel routing and batch staging machinery.
 //
 // There are two ways in. Open builds a Handle, the workload-aware façade
-// most callers want. New builds one raw scheme behind the Table contract,
-// for shard.Engine's NewTable and for analysis tools; the per-scheme
+// most callers want, with the named write forms (Put, GetOrPut, Upsert and
+// their batches). New builds one raw scheme behind the Table contract —
+// one read, one read-modify-write (RMW, RMWBatch), one delete — for
+// shard.Engine's NewTable and for analysis tools; the per-scheme
 // diagnostics (Displacements, ChainLengths, WayOccupancy, and ProbeSlots,
 // which every scheme has) are reached from it through interface
 // assertions.
 //
 // All tables store 64-bit integer keys and 64-bit values with map
-// semantics (Put is an upsert). A raw table has one writer at a time and
+// semantics (a put is an upsert). A raw table has one writer at a time and
 // no internal locking, matching the paper's setting; concurrent use goes
 // through a Handle (see its concurrency contract).
 //
@@ -71,10 +73,12 @@ import (
 )
 
 // Table is the one contract every scheme implements: New returns one,
-// shard.Engine stripes them, and Handle wraps either. Put, PutBatch and
-// the other mutations report ErrFull (wrapped in a *FullError) on a full
-// growth-disabled table and leave its capacity as it was. The interface is
-// declared in shard so that the engine needs no import of this package.
+// shard.Engine stripes them, and Handle wraps either. It is one read (Get,
+// GetBatch), one read-modify-write (RMW, RMWBatch) and one delete, plus
+// Len, Capacity, MemoryFootprint, RangeFrom and Name. RMW and RMWBatch
+// report ErrFull (wrapped in a *FullError) on a full growth-disabled table
+// and leave its capacity as it was. The interface is declared in shard so
+// that the engine needs no import of this package.
 type Table = shard.Table
 
 const (
@@ -122,9 +126,9 @@ func (s *sentinels) delete(key uint64) bool {
 	return had
 }
 
-// rmw is the sentinel-side read-modify-write primitive behind GetOrPut,
-// Upsert and Put: with fn nil and overwrite false it is GetOrPut(val);
-// with overwrite true it is Put(val); with fn set it is Upsert(fn). It
+// rmw is the sentinel-side read-modify-write primitive behind RMW, with its
+// mode rule: with fn nil and overwrite false it is a get-or-put of val;
+// with overwrite true a put of val; with fn set an upsert through fn. It
 // returns the value now stored and whether the key already existed.
 func (s *sentinels) rmw(key, val uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool) {
 	has, stored := &s.hasEmpty, &s.emptyVal

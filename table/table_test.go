@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/hashfn"
@@ -25,15 +26,52 @@ func mustNew(s Scheme, cfg Config) Table {
 	return m
 }
 
-// put is Put on a table the test knows has room; it reports whether key
-// was new.
+// put is tryPut on a table the test knows has room; it reports whether
+// key was new.
 func put(t testing.TB, m Table, key, val uint64) bool {
 	t.Helper()
-	ins, err := m.Put(key, val)
+	ins, err := tryPut(m, key, val)
 	if err != nil {
 		t.Fatalf("%s: Put(%#x): %v", m.Name(), key, err)
 	}
 	return ins
+}
+
+// The named write forms a Handle has as methods, over a raw table's RMW
+// and RMWBatch in the matching mode, and rangeAll, Range's walk: RangeFrom
+// from 0, with fn called for nothing after it returned false.
+func tryPut(m Table, key, val uint64) (bool, error) {
+	_, existed, err := m.RMW(key, val, true, nil)
+	return !existed && err == nil, err
+}
+
+func getOrPut(m Table, key, val uint64) (uint64, bool, error) {
+	return m.RMW(key, val, false, nil)
+}
+
+func upsert(m Table, key uint64, fn func(old uint64, exists bool) uint64) (uint64, error) {
+	v, _, err := m.RMW(key, 0, false, fn)
+	return v, err
+}
+
+func putBatch(m Table, keys, vals []uint64) (int, error) {
+	return m.RMWBatch(keys, vals, nil, nil, true, nil)
+}
+
+func getOrPutBatch(m Table, keys, vals, out []uint64, loaded []bool) (int, error) {
+	return m.RMWBatch(keys, vals, out, loaded, false, nil)
+}
+
+func upsertBatch(m Table, keys []uint64, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
+	return m.RMWBatch(keys, nil, nil, nil, false, fn)
+}
+
+func rangeAll(m Table, fn func(key, val uint64) bool) {
+	stopped := false
+	m.RangeFrom(0, func(k, v uint64) bool {
+		stopped = stopped || !fn(k, v)
+		return !stopped
+	})
 }
 
 // loadFactor is Len/Capacity.
@@ -71,7 +109,7 @@ func TestEmptyTable(t *testing.T) {
 			t.Fatal("Delete on empty table reported success")
 		}
 		calls := 0
-		m.Range(func(k, v uint64) bool { calls++; return true })
+		rangeAll(m, func(k, v uint64) bool { calls++; return true })
 		if calls != 0 {
 			t.Fatalf("Range on empty table visited %d entries", calls)
 		}
@@ -131,7 +169,7 @@ func TestSentinelKeys(t *testing.T) {
 		}
 		// Sentinel keys must appear in Range.
 		seen := map[uint64]bool{}
-		m.Range(func(k, v uint64) bool { seen[k] = true; return true })
+		rangeAll(m, func(k, v uint64) bool { seen[k] = true; return true })
 		if !seen[0] || !seen[maxKey] {
 			t.Fatalf("Range missed sentinel keys: %v", seen)
 		}
@@ -194,7 +232,7 @@ func TestDifferentialVsBuiltinMap(t *testing.T) {
 			}
 		}
 		got := make(map[uint64]uint64, m.Len())
-		m.Range(func(k, v uint64) bool {
+		rangeAll(m, func(k, v uint64) bool {
 			if _, dup := got[k]; dup {
 				t.Fatalf("Range yielded key %d twice", k)
 			}
@@ -262,21 +300,69 @@ func TestFixedCapacityFill(t *testing.T) {
 	}
 }
 
-// TestRangeEarlyStop checks that Range stops when fn returns false.
+// TestRangeEarlyStop checks that Handle.Range stops when fn returns false,
+// on single-table and 4-partition handles of every scheme, and that All
+// honours a break. On the chained schemes the walk stops at the first
+// entry that has a successor in its chain, which a chained RangeFrom still
+// hands its callback.
 func TestRangeEarlyStop(t *testing.T) {
-	forEachTable(t, 64, 0.9, func(t *testing.T, m Table) {
-		for i := uint64(1); i <= 20; i++ {
-			put(t, m, i, i)
+	for _, s := range allSchemes() {
+		for _, f := range allFamilies() {
+			t.Run(fmt.Sprintf("%s/%s", s, f.Name()), func(t *testing.T) {
+				for _, parts := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%dparts", parts), func(t *testing.T) {
+						h := MustOpen(WithScheme(s), WithHashFamily(f), WithPartitions(parts), WithCapacity(64), WithMaxLoadFactor(0.9), WithSeed(11))
+						for i := uint64(1); i <= 24; i++ {
+							if _, err := h.Put(i, i); err != nil {
+								t.Fatal(err)
+							}
+						}
+						// chainedMid holds the keys with a successor in their chain.
+						chainedMid := map[uint64]bool{}
+						visit := func(_ int, tb Table) {
+							if c, ok := tb.(*chained); ok {
+								for i := range c.Capacity() {
+									for e := c.first(uint64(i)); e != nil && e.Next != nil; e = e.Next {
+										chainedMid[e.Key] = true
+									}
+								}
+							}
+						}
+						if h.Engine() != nil {
+							h.Engine().ForEachTable(visit)
+						} else {
+							visit(0, h.ops.(Table))
+						}
+						var order []uint64
+						h.Range(func(k, _ uint64) bool { order = append(order, k); return true })
+						want := 5
+						if s == SchemeChained8 || s == SchemeChained24 {
+							want = slices.IndexFunc(order, func(k uint64) bool { return chainedMid[k] }) + 1
+							if want == 0 {
+								t.Fatalf("no chain of two or more among %d keys", len(order))
+							}
+						}
+						calls := 0
+						h.Range(func(k, v uint64) bool {
+							calls++
+							return calls < want
+						})
+						if calls != want {
+							t.Fatalf("Range visited %d entries after early stop, want %d", calls, want)
+						}
+						n := 0
+						for range h.All() {
+							n++
+							break
+						}
+						if n != 1 {
+							t.Fatalf("All visited %d entries before a break, want 1", n)
+						}
+					})
+				}
+			})
 		}
-		calls := 0
-		m.Range(func(k, v uint64) bool {
-			calls++
-			return calls < 5
-		})
-		if calls != 5 {
-			t.Fatalf("Range visited %d entries after early stop, want 5", calls)
-		}
-	})
+	}
 }
 
 // TestDeleteThenReinsert stresses the delete paths: QP's tombstone
@@ -417,7 +503,7 @@ func TestNewRejectsWhatOpenRejects(t *testing.T) {
 	}
 	m := mustNew(SchemeLP, Config{InitialCapacity: 64, MaxLoadFactor: 0.5, Seed: 1})
 	for k := uint64(1); k <= 64; k++ {
-		if _, err := m.Put(k, k); err != nil {
+		if _, err := tryPut(m, k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
