@@ -120,7 +120,6 @@ const chunk, coldRun = 256, 4096
 
 // GroupBy is a streaming hash aggregation operator.
 type GroupBy struct {
-	cfg    Config // the index's settings, defaults filled in; Reset reopens it
 	idx    *table.Handle
 	states []State
 
@@ -147,39 +146,39 @@ type GroupBy struct {
 // by a single-probe primitive (GetOrPut in Add and Merge, UpsertBatch in
 // AddBatch); rows of an existing group only read the index.
 func NewGroupBy(cfg Config) (*GroupBy, error) {
+	g := &GroupBy{}
+	g.upsertLane = g.foldLane
+	if err := g.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Reset empties g for reuse, as if it were new from NewGroupBy(cfg),
+// whatever config g was opened under: it drops every group and opens a
+// fresh group index under cfg. It keeps the chunk scratch, and the state
+// array unless that is smaller than cfg.ExpectedGroups. The error is
+// table.Open's, the one NewGroupBy returns for cfg; it leaves g unchanged.
+func (g *GroupBy) Reset(cfg Config) error {
 	if cfg.Scheme == "" {
 		cfg.Scheme = table.SchemeQP
 	}
 	if cfg.Family == nil {
 		cfg.Family = hashfn.MultFamily{}
 	}
-	g := &GroupBy{cfg: cfg}
-	if err := g.Reset(cfg.Seed); err != nil {
-		return nil, err
-	}
-	g.states = make([]State, 0, max(cfg.ExpectedGroups, 0))
-	g.upsertLane = g.foldLane
-	return g, nil
-}
-
-// Reset empties g for reuse, as if it were new from NewGroupBy with the
-// same scheme, family and ExpectedGroups and the given seed: it drops
-// every group and opens a fresh group index hashed with seed. It keeps
-// the state array and the chunk scratch, so a reset operator re-opens
-// only its index. The error is table.Open's; it refuses only settings
-// that NewGroupBy would have refused first, and it leaves g unchanged.
-func (g *GroupBy) Reset(seed uint64) error {
 	idx, err := table.Open(
-		table.WithScheme(g.cfg.Scheme),
-		table.WithCapacity(max(join.CapacityFor(g.cfg.ExpectedGroups, 0.7), 1<<10)),
+		table.WithScheme(cfg.Scheme),
+		table.WithCapacity(max(join.CapacityFor(cfg.ExpectedGroups, 0.7), 1<<10)),
 		table.WithMaxLoadFactor(0.7),
-		table.WithHashFamily(g.cfg.Family),
-		table.WithSeed(seed),
+		table.WithHashFamily(cfg.Family),
+		table.WithSeed(cfg.Seed),
 	)
 	if err != nil {
 		return err
 	}
-	g.cfg.Seed = seed
+	if cap(g.states) < cfg.ExpectedGroups {
+		g.states = make([]State, 0, cfg.ExpectedGroups)
+	}
 	g.idx, g.states, g.cold = idx, g.states[:0], false
 	return nil
 }

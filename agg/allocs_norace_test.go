@@ -33,7 +33,7 @@ func TestAddBatchOpeningGroupsAfterResetAllocatesNothing(t *testing.T) {
 	g := MustNewGroupBy(Config{ExpectedGroups: 1024, Seed: 16})
 	fewest := uint64(math.MaxUint64)
 	for seed := range uint64(8) {
-		if err := g.Reset(seed); err != nil {
+		if err := g.Reset(Config{ExpectedGroups: 1024, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		// The first row opens a group: the fresh index makes its chunk

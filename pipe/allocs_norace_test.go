@@ -3,11 +3,12 @@
 package pipe_test
 
 // A plan allocates per run, not per morsel: its operators borrow their
-// batches and probe scratch from the package pools and reuse them across
-// morsels, and once a worker's groups are open, AddBatch looks a batch up
-// through table's pooled chunk scratch and folds it in place. Not
-// race-build tests: there sync.Pool drops a quarter of what it is handed
-// back, so allocation counts vary from run to run.
+// batches, the join's probe answers among them, from the package's list
+// and reuse them across morsels, and once a worker's groups are open,
+// AddBatch looks a batch up through table's pooled chunk scratch and
+// folds it in place. Not race-build tests: there sync.Pool drops a
+// quarter of what it is handed back, so allocation counts vary from run
+// to run.
 
 import (
 	"runtime"
@@ -106,11 +107,11 @@ func bytesPerRun(f func(), gc bool) uint64 {
 }
 
 // TestPlanScratchDoesNotGrowWithMorselSize: the indexed plan at two
-// workers takes its batches and probe scratch from the package's lists,
-// projects the join's matches in place and returns a group-by local as
-// its result, so after a warm-up run what a run allocates does not depend
-// on the morsel size: at 8192-row morsels it stays under its group-by
-// locals plus 64 KiB. Each figure is the median of nine runs, because a
+// workers takes its batches, its probe answers among them, and its
+// group-by locals from the package's lists, projects the join's matches
+// in place and returns a group-by local as its result, so after a warm-up
+// run what a run allocates does not depend on the morsel size: at
+// 8192-row morsels it stays under its group-by locals plus 64 KiB. Each figure is the median of nine runs, because a
 // worker that woke on another P can miss the staging that shard pools left
 // in the first P's private slot.
 func TestPlanScratchDoesNotGrowWithMorselSize(t *testing.T) {

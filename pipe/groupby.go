@@ -12,7 +12,6 @@ package pipe
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/agg"
 	"repro/hashfn"
@@ -89,59 +88,31 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 		}
 		merged = append(merged, local)
 	}
-	putLocals(gcfg, merged)
+	putLocals(merged)
 	if result == nil { // no row reached the group-by
 		return agg.NewGroupBy(gcfg.aggConfig())
 	}
 	return result, nil
 }
 
-// listedLocal is a group-by local a finished run gave back, listed under
-// the settings it was opened with.
-type listedLocal struct {
-	key localKey
-	g   *agg.GroupBy
-}
-
-// localKey is what a worker's local must match to be reused: everything
-// of its GroupConfig but the seed, which Reset replaces.
-type localKey struct {
-	scheme table.Scheme
-	family hashfn.Family
-	groups int
-}
-
-func (c GroupConfig) localKey() localKey {
-	return localKey{c.Scheme, c.Family, c.ExpectedGroups}
-}
-
-// listable reports whether locals under k may be listed: a family is
-// matched with ==, which panics on two values of one uncomparable type.
-func (k localKey) listable() bool {
-	return k.family == nil || reflect.TypeOf(k.family).Comparable()
-}
-
 // groupLocals holds the group-by locals of finished runs: the ones a GroupBy
 // merged away, and a GroupByStream's result once drained.
-var groupLocals freeList[listedLocal]
+var groupLocals freeList[*agg.GroupBy]
 
-// takeLocal lends worker w a group-by local for gcfg: a listed one opened
-// under the same scheme, family and ExpectedGroups, reset, or else a new
-// one. Either way its index hashes with the worker's own seed — the
-// locals' group indexes are private, so their hash functions need not
-// match.
+// takeLocal lends worker w a group-by local for gcfg: any listed one,
+// reset, or else a new one. Either way it is as new from agg.NewGroupBy
+// under gcfg with the worker's own seed — the locals' group indexes are
+// private, so their hash functions need not match.
 func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
 	c := gcfg.aggConfig()
 	c.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
-	if key := gcfg.localKey(); key.listable() {
-		var got [1]listedLocal
-		groupLocals.take(got[:], func(l listedLocal) bool { return l.key == key })
-		if g := got[0].g; g != nil {
-			if err := g.Reset(c.Seed); err != nil {
-				return nil, err
-			}
-			return g, nil
+	var got [1]*agg.GroupBy
+	groupLocals.take(got[:], func(*agg.GroupBy) bool { return true })
+	if g := got[0]; g != nil {
+		if err := g.Reset(c); err != nil {
+			return nil, err
 		}
+		return g, nil
 	}
 	return agg.NewGroupBy(c)
 }
@@ -150,16 +121,8 @@ func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
 // the list; the caller must not touch them again. A local holding more
 // than maxPooledRows groups is dropped, so one run with a huge group
 // count cannot pin its state array.
-func putLocals(gcfg GroupConfig, gs []*agg.GroupBy) {
-	key := gcfg.localKey()
-	if len(gs) == 0 || !key.listable() {
-		return
-	}
-	ls := make([]listedLocal, len(gs))
-	for i, g := range gs {
-		ls[i] = listedLocal{key, g}
-	}
-	groupLocals.give(ls, func(l listedLocal) bool { return l.g.NumGroups() <= maxPooledRows })
+func putLocals(gs []*agg.GroupBy) {
+	groupLocals.give(gs, func(g *agg.GroupBy) bool { return g.NumGroups() <= maxPooledRows })
 }
 
 // GroupByStream is the mid-pipeline group-by: it aggregates src like
@@ -246,7 +209,7 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		return err
 	})
 	if err == nil && s.agg == nil {
-		putLocals(s.gcfg, []*agg.GroupBy{g})
+		putLocals([]*agg.GroupBy{g})
 	}
 	return err
 }

@@ -83,35 +83,6 @@ type joinSource struct {
 // probe bound is the join's bound.
 func (j *joinSource) rows() int { return j.probe.size() }
 
-// joinScratch is one worker's probe column scratch: the values a probe
-// batch's GetBatch returns and their ok flags.
-type joinScratch struct {
-	out  []uint64
-	flag []bool
-}
-
-// scratches holds the probe scratch of finished joins, as batches holds
-// the operators' batches.
-var scratches freeList[*joinScratch]
-
-// takeScratch lends one morsel-sized probe scratch per pool worker until
-// putScratch, under takeBatches' rules.
-func (rt *runtime) takeScratch() []*joinScratch {
-	m := rt.pool.MorselSize()
-	scs := make([]*joinScratch, rt.pool.Workers())
-	scratches.take(scs, func(sc *joinScratch) bool { return cap(sc.out) >= m })
-	for w, sc := range scs {
-		if sc == nil {
-			scs[w] = &joinScratch{out: make([]uint64, m), flag: make([]bool, m)}
-		}
-	}
-	return scs
-}
-
-func putScratch(scs []*joinScratch) {
-	scratches.give(scs, func(sc *joinScratch) bool { return cap(sc.out) <= maxPooledRows })
-}
-
 // unsizedBuildRows sizes a build side of unknown size: 2^11 slots at the
 // default load factor, 0.488, LP on Figure 8.
 const unsizedBuildRows = 1000
@@ -203,13 +174,13 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	// over (the write cursor never passes the read cursor, as in Filter)
 	// and pushed through the downstream stages in the same pass — no
 	// intermediate join result exists anywhere.
-	scratch := rt.takeScratch()
-	defer putScratch(scratch)
+	answers := rt.takeBatches(rt.pool.Workers())
+	defer putBatches(answers)
 	project := j.cfg.Project
 	return j.probe.src.run(rt, j.probe.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
-		sc := scratch[w]
-		ok, out := sc.flag[:len(keys)], sc.out[:len(keys)]
+		a := answers[w]
+		out, ok := a.vals[:len(keys)], a.ok[:len(keys)]
 		vals = vals[:len(keys)]
 		h.GetBatch(keys, out, ok)
 		n := 0
@@ -230,6 +201,6 @@ func (j *joinSource) run(rt *runtime, stages []stage, sink batchSink) error {
 				}
 			}
 		}
-		return rt.emit(opJoinProbe, w, stages, sink, &batch{keys, vals}, len(keys), n, start)
+		return rt.emit(opJoinProbe, w, stages, sink, &batch{keys: keys, vals: vals}, len(keys), n, start)
 	})
 }

@@ -180,17 +180,21 @@ func (rt *runtime) ctxErr() error {
 	return nil
 }
 
-// batch is one worker's reusable output column pair.
+// batch is one worker's reusable output column pair, and an ok column
+// beside it for a join probe's GetBatch answers.
 type batch struct {
 	keys, vals []uint64
+	ok         []bool
 }
 
-// freeList is a bounded stack of per-run scratch: what a finished run
-// hands back, the next run takes. Unlike a sync.Pool it is one list for
-// every P and a GC does not empty it, so a run finds what the last run
-// returned whichever P it wakes on. A run takes from it once and gives
-// back once, so its mutex is never on a per-batch path. It keeps at most
-// 2×GOMAXPROCS items: what two runs side by side use on every P.
+// freeList is a bounded stack of per-run scratch (pipe keeps two: batches
+// and groupLocals): what a finished run hands back, the next run takes.
+// Unlike a sync.Pool it is one list for every P and a GC does not empty
+// it, so a run finds what the last run returned whichever P it wakes on.
+// A run takes from it once and gives back once, so its mutex is never on
+// a per-batch path. It keeps at most 4×GOMAXPROCS items: two runs side by
+// side on every P, each holding two batches a worker (a join's probe
+// scan's and its answers').
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []T
@@ -215,7 +219,7 @@ func (l *freeList[T]) take(dst []T, fits func(T) bool) {
 // give pushes back the items that pass keep. A full list drops its oldest
 // item for each one pushed, so an item no run takes ages out.
 func (l *freeList[T]) give(items []T, keep func(T) bool) {
-	bound := 2 * goruntime.GOMAXPROCS(0)
+	bound := 4 * goruntime.GOMAXPROCS(0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, x := range items {
@@ -234,10 +238,10 @@ func (l *freeList[T]) give(items []T, keep func(T) bool) {
 // instead of allocating morsel-sized scratch per operator and worker.
 var batches freeList[*batch]
 
-// maxPooledRows is the largest batch or probe scratch (in rows), and the
-// largest group-by local (in groups), that goes back to its list: sixteen
-// default morsels. A larger one is dropped for the collector, so one run
-// with giant morsels or a huge group count cannot pin its columns.
+// maxPooledRows is the largest batch (in rows), and the largest group-by
+// local (in groups), that goes back to its list: sixteen default morsels.
+// A larger one is dropped for the collector, so one run with giant
+// morsels or a huge group count cannot pin its columns.
 const maxPooledRows = 1 << 16
 
 // takeBatches lends n morsel-sized batches, one per pool worker that
@@ -250,9 +254,9 @@ func (rt *runtime) takeBatches(n int) []*batch {
 	batches.take(bufs, func(b *batch) bool { return cap(b.keys) >= m })
 	for i, b := range bufs {
 		if b == nil {
-			bufs[i] = &batch{keys: make([]uint64, m), vals: make([]uint64, m)}
+			bufs[i] = &batch{keys: make([]uint64, m), vals: make([]uint64, m), ok: make([]bool, m)}
 		} else {
-			b.keys, b.vals = b.keys[:m], b.vals[:m]
+			b.keys, b.vals, b.ok = b.keys[:m], b.vals[:m], b.ok[:m]
 		}
 	}
 	return bufs

@@ -1,6 +1,6 @@
 package pipe_test
 
-// The operators' batches, the join's probe scratch and the group-by
+// The operators' batches, the join's probe answers and the group-by
 // locals come from the package's free lists and go back when a run ends,
 // so plans running side by side hand each other their scratch. A run that
 // is cancelled or whose stage panics gives its batches back too, half
@@ -76,7 +76,7 @@ func TestPooledScratchAcrossConcurrentPlans(t *testing.T) {
 		}},
 		{"group-by-stream-chained", func(cfg pipe.Config, hook func()) (check, error) {
 			// The same under another index scheme and no size: its locals
-			// are listed beside the others and must never serve them.
+			// go to the same list as the others' and serve them once reset.
 			chained := pipe.GroupConfig{Scheme: table.SchemeChained24}
 			g, err := pipe.GroupByStream(joined(pipe.FromRelation(customers), hook), chained, agg.Sum).
 				GroupBy(cfg, chained)

@@ -244,3 +244,37 @@ func TestBatchErrFullPropagation(t *testing.T) {
 		t.Fatalf("UpsertBatch error = %v, want *table.FullError", err)
 	}
 }
+
+// TestMigratingShardSizes: a shard held mid-resize counts both of its
+// tables in MemoryFootprint and its successor's slots in Capacity, and
+// Stats says the same.
+func TestMigratingShardSizes(t *testing.T) {
+	var made []shard.Table
+	e := shard.MustNew(shard.Config{
+		Shards: 1, Capacity: 64, GrowAt: 0.85, Seed: 11, MigrationChunk: 1,
+		NewTable: func(capacity int, seed uint64) (shard.Table, error) {
+			tb, err := table.New(table.SchemeLP, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
+			made = append(made, tb)
+			return tb, err
+		},
+	})
+	for k := uint64(1); e.Stats().Migrating == 0; k++ {
+		if _, err := tryPut(e, k, k); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	if len(made) != 2 {
+		t.Fatalf("%d tables made, want the first and its successor", len(made))
+	}
+	frozen, next := made[0], made[1]
+	wantCap, wantMem := next.Capacity(), frozen.MemoryFootprint()+next.MemoryFootprint()
+	if got := e.Capacity(); got != wantCap || got == frozen.Capacity() {
+		t.Errorf("Capacity() = %d mid-resize, want the successor's %d (the frozen table has %d)", got, wantCap, frozen.Capacity())
+	}
+	if got := e.MemoryFootprint(); got != wantMem {
+		t.Errorf("MemoryFootprint() = %d mid-resize, want both tables' %d", got, wantMem)
+	}
+	if st := e.Stats(); st.Capacity != wantCap || st.MemoryBytes != wantMem {
+		t.Errorf("Stats() capacity %d, memory %d mid-resize, want %d and %d", st.Capacity, st.MemoryBytes, wantCap, wantMem)
+	}
+}

@@ -3,7 +3,7 @@ package shard
 // The wait-free read protocol, shared scaffolding. The optimistic
 // (seqlock) implementations of readGet, readRange and readSnapshot live
 // in read_optimistic.go; race-detector builds substitute the locked
-// slow paths below for every read (read_racedetector.go) because a
+// slow path below, readLocked, for every read (read_racedetector.go): a
 // seqlock reader's probes are deliberate data races — loads of table
 // slots a writer may be storing to, made safe only retroactively by
 // sequence validation — and the detector would (correctly, by its
@@ -48,32 +48,12 @@ const (
 	windowWatchNanos = 40_000
 )
 
-// readGetSlow is the locked single-key read: the optimistic path's
-// fallback and the race-build read path. It takes the writer lock (no
-// seqlock window — it mutates nothing, and other optimistic readers
-// must keep validating successfully while it holds the lock) and probes
-// the current view.
-func (e *Engine) readGetSlow(s *shardState, key uint64) (uint64, bool) {
-	s.acquire()
-	v := s.view.Load()
-	val, ok := v.get(key)
-	s.mu.Unlock()
-	return val, ok
-}
-
-// readRangeSlow is the locked staged-range read behind GetBatch.
-func (e *Engine) readRangeSlow(s *shardState, keys, vals []uint64, ok []bool) int {
-	s.acquire()
-	hits := s.view.Load().getRange(keys, vals, ok)
-	s.mu.Unlock()
-	return hits
-}
-
-// readSnapshotSlow runs fn against the shard's view under the writer
-// lock: the fallback for observer reads (Stats, Capacity,
-// MemoryFootprint) whose table accessors may touch writer-mutated
-// words.
-func (e *Engine) readSnapshotSlow(s *shardState, fn func(v *view)) {
+// readLocked runs fn against the shard's view under the writer lock: the
+// fallback of every optimistic read (readGet, readRange, readSnapshot) and
+// the race build's read path. It takes the lock without opening a seqlock
+// window — it mutates nothing, and other optimistic readers must keep
+// validating successfully while it holds the lock.
+func readLocked(s *shardState, fn func(v *view)) {
 	s.acquire()
 	fn(s.view.Load())
 	s.mu.Unlock()

@@ -41,7 +41,10 @@ func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
 		runtime.Gosched()
 	}
 	e.readAccount(s, readMaxRetries+1, true)
-	return e.readGetSlow(s, key)
+	var val uint64
+	var ok bool
+	readLocked(s, func(v *view) { val, ok = v.get(key) })
+	return val, ok
 }
 
 // readRange is the wait-free staged-range read behind GetBatch: one
@@ -80,7 +83,9 @@ func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
 		torn++
 	}
 	e.readAccount(s, torn, true)
-	return e.readRangeSlow(s, keys, vals, ok)
+	var hits int
+	readLocked(s, func(v *view) { hits = v.getRange(keys, vals, ok) })
+	return hits
 }
 
 // readSnapshot runs fn against a validated-quiescent view of s: the
@@ -102,5 +107,5 @@ func (e *Engine) readSnapshot(s *shardState, fn func(v *view)) {
 		runtime.Gosched()
 	}
 	e.readAccount(s, readMaxRetries+1, true)
-	e.readSnapshotSlow(s, fn)
+	readLocked(s, fn)
 }

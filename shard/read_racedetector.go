@@ -15,14 +15,16 @@ package shard
 // not protocol fallbacks, and tests asserting the counters' behavior
 // carry the !race tag.
 
-func (e *Engine) readGet(s *shardState, key uint64) (uint64, bool) {
-	return e.readGetSlow(s, key)
+func (e *Engine) readGet(s *shardState, key uint64) (val uint64, ok bool) {
+	readLocked(s, func(v *view) { val, ok = v.get(key) })
+	return val, ok
 }
 
-func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) int {
-	return e.readRangeSlow(s, keys, vals, ok)
+func (e *Engine) readRange(s *shardState, keys, vals []uint64, ok []bool) (hits int) {
+	readLocked(s, func(v *view) { hits = v.getRange(keys, vals, ok) })
+	return hits
 }
 
 func (e *Engine) readSnapshot(s *shardState, fn func(v *view)) {
-	e.readSnapshotSlow(s, fn)
+	readLocked(s, fn)
 }

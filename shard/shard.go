@@ -458,21 +458,7 @@ func (e *Engine) Len() int {
 
 // Capacity returns the total slot capacity across shards; a migrating
 // shard counts its successor's capacity (the one being filled).
-func (e *Engine) Capacity() int {
-	n := 0
-	for i := range e.shards {
-		var c int
-		e.readSnapshot(&e.shards[i], func(v *view) {
-			if v.next != nil {
-				c = v.next.Capacity()
-			} else {
-				c = v.cur.Capacity()
-			}
-		})
-		n += c
-	}
-	return n
-}
+func (e *Engine) Capacity() int { return e.Stats().Capacity }
 
 // LoadFactor returns Len/Capacity.
 func (e *Engine) LoadFactor() float64 {
@@ -481,20 +467,7 @@ func (e *Engine) LoadFactor() float64 {
 
 // MemoryFootprint returns the total bytes across shards, counting both
 // tables of a migrating shard.
-func (e *Engine) MemoryFootprint() uint64 {
-	var n uint64
-	for i := range e.shards {
-		var b uint64
-		e.readSnapshot(&e.shards[i], func(v *view) {
-			b = v.cur.MemoryFootprint()
-			if v.next != nil {
-				b += v.next.MemoryFootprint()
-			}
-		})
-		n += b
-	}
-	return n
-}
+func (e *Engine) MemoryFootprint() uint64 { return e.Stats().MemoryBytes }
 
 // ---------------------------------------------------------------------------
 // Incremental migration machinery (inside the writer's seqlock window)
