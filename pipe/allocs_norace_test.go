@@ -174,3 +174,35 @@ func TestPlanScratchSurvivesGC(t *testing.T) {
 		t.Errorf("a run at two workers allocates %d B, at one %d B: the second worker's local is not reused", collected, one)
 	}
 }
+
+// TestBigGroupByLocalsAreNotListed: a local sized for more than the lists
+// keep goes to the collector with the run, though few groups reached it,
+// so a dropped result leaves the live heap where it was.
+func TestBigGroupByLocalsAreNotListed(t *testing.T) {
+	keys := make([]uint64, 1<<14)
+	for i := range keys {
+		keys[i] = uint64(i % 16)
+	}
+	gcfg := pipe.GroupConfig{ExpectedGroups: 1 << 19}
+	cfg := pipe.Config{Workers: 2, MorselSize: 1 << 10}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"GroupBy", func() error { _, err := pipe.FromColumns(keys, keys).GroupBy(cfg, gcfg); return err }},
+		{"GroupByStream", func() error { return pipe.GroupByStream(pipe.FromColumns(keys, keys), gcfg, agg.Sum).Drain(cfg) }},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tc.run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+			t.Errorf("%s: the live heap grew by %d KiB over a run with a dropped result: a local sized for 2^19 groups stayed listed", tc.name, grew>>10)
+		}
+	}
+}

@@ -55,12 +55,13 @@
 //     its first worker local, so steady-state processing does not
 //     allocate. A run takes its batches (the join's probe answers ride in
 //     one too) and its group-by locals from two small bounded free lists
-//     once and gives them back once: whatever GC or P switch comes in
-//     between, the next run finds them. The locals a run merges away (and
-//     a GroupByStream's drained result) go back unkeyed: a worker resets
-//     whichever one it takes to its own config and seed, and mostly
-//     re-opens only its group index; a run that fails gives no local back,
-//     and a GroupBy terminal's result stays its caller's.
+//     (internal/freelist's) once and gives them back once: whatever GC or
+//     P switch comes in between, the next run finds them. The locals a run
+//     merges away (and a GroupByStream's drained result) go back unkeyed,
+//     unless sized past the lists' bound: a worker resets whichever one it
+//     takes to its own config and seed, and mostly re-opens only its group
+//     index; a run that fails gives no local back, and a GroupBy
+//     terminal's result stays its caller's.
 //   - Observability: Config.Metrics attaches per-operator rows in/out,
 //     morsel counts and morsel-latency histograms (obs primitives),
 //     registrable on an obs.Registry for the /metrics exposition —

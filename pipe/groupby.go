@@ -15,6 +15,7 @@ import (
 
 	"repro/agg"
 	"repro/hashfn"
+	"repro/internal/freelist"
 	"repro/table"
 )
 
@@ -88,7 +89,7 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 		}
 		merged = append(merged, local)
 	}
-	putLocals(merged)
+	putLocals(gcfg, merged...)
 	if result == nil { // no row reached the group-by
 		return agg.NewGroupBy(gcfg.aggConfig())
 	}
@@ -97,7 +98,7 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 
 // groupLocals holds the group-by locals of finished runs: the ones a GroupBy
 // merged away, and a GroupByStream's result once drained.
-var groupLocals freeList[*agg.GroupBy]
+var groupLocals freelist.List[*agg.GroupBy]
 
 // takeLocal lends worker w a group-by local for gcfg: any listed one,
 // reset, or else a new one. Either way it is as new from agg.NewGroupBy
@@ -106,9 +107,7 @@ var groupLocals freeList[*agg.GroupBy]
 func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
 	c := gcfg.aggConfig()
 	c.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
-	var got [1]*agg.GroupBy
-	groupLocals.take(got[:], func(*agg.GroupBy) bool { return true })
-	if g := got[0]; g != nil {
+	if g, ok := groupLocals.Take(nil); ok {
 		if err := g.Reset(c); err != nil {
 			return nil, err
 		}
@@ -117,12 +116,12 @@ func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
 	return agg.NewGroupBy(c)
 }
 
-// putLocals gives the locals of a run that ended without an error back to
-// the list; the caller must not touch them again. A local holding more
-// than maxPooledRows groups is dropped, so one run with a huge group
-// count cannot pin its state array.
-func putLocals(gs []*agg.GroupBy) {
-	groupLocals.give(gs, func(g *agg.GroupBy) bool { return g.NumGroups() <= maxPooledRows })
+// putLocals gives the locals of a gcfg run that ended without an error
+// back to the list; the caller must not touch them again. A local that
+// holds, or was sized for, more than maxPooledRows groups is dropped, so
+// one run with a huge group count cannot pin its state array and index.
+func putLocals(gcfg GroupConfig, gs ...*agg.GroupBy) {
+	groupLocals.Give(func(g *agg.GroupBy) bool { return max(g.NumGroups(), gcfg.ExpectedGroups) <= maxPooledRows }, gs...)
 }
 
 // GroupByStream is the mid-pipeline group-by: it aggregates src like
@@ -209,7 +208,7 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		return err
 	})
 	if err == nil && s.agg == nil {
-		putLocals([]*agg.GroupBy{g})
+		putLocals(s.gcfg, g)
 	}
 	return err
 }

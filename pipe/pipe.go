@@ -2,11 +2,9 @@ package pipe
 
 import (
 	"context"
-	goruntime "runtime"
-	"slices"
-	"sync"
 
 	"repro/exec"
+	"repro/internal/freelist"
 )
 
 // Config sizes one pipeline run. The zero value means "one worker per
@@ -187,61 +185,15 @@ type batch struct {
 	ok         []bool
 }
 
-// freeList is a bounded stack of per-run scratch (pipe keeps two: batches
-// and groupLocals): what a finished run hands back, the next run takes.
-// Unlike a sync.Pool it is one list for every P and a GC does not empty
-// it, so a run finds what the last run returned whichever P it wakes on.
-// A run takes from it once and gives back once, so its mutex is never on
-// a per-batch path. It keeps at most 4×GOMAXPROCS items: two runs side by
-// side on every P, each holding two batches a worker (a join's probe
-// scan's and its answers').
-type freeList[T any] struct {
-	mu    sync.Mutex
-	items []T
-}
-
-// take moves into dst the most recently given items that pass fits and
-// leaves the others listed; the slots of dst it cannot fill keep their
-// zero value.
-func (l *freeList[T]) take(dst []T, fits func(T) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for i := len(l.items) - 1; i >= 0 && n < len(dst); i-- {
-		if fits(l.items[i]) {
-			dst[n] = l.items[i]
-			n++
-			l.items = slices.Delete(l.items, i, i+1)
-		}
-	}
-}
-
-// give pushes back the items that pass keep. A full list drops its oldest
-// item for each one pushed, so an item no run takes ages out.
-func (l *freeList[T]) give(items []T, keep func(T) bool) {
-	bound := 4 * goruntime.GOMAXPROCS(0)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, x := range items {
-		if !keep(x) {
-			continue
-		}
-		if over := len(l.items) + 1 - bound; over > 0 {
-			l.items = slices.Delete(l.items, 0, over)
-		}
-		l.items = append(l.items, x)
-	}
-}
-
 // batches holds the batches of finished operator runs, so that every
 // operator of a plan run, and every later run, reuses their columns
 // instead of allocating morsel-sized scratch per operator and worker.
-var batches freeList[*batch]
+var batches freelist.List[*batch]
 
 // maxPooledRows is the largest batch (in rows), and the largest group-by
-// local (in groups), that goes back to its list: sixteen default morsels.
-// A larger one is dropped for the collector, so one run with giant
-// morsels or a huge group count cannot pin its columns.
+// local (in groups, reached or expected), that goes back to its list:
+// sixteen default morsels. A larger one is dropped for the collector, so
+// one run with giant morsels or a huge group count cannot pin its columns.
 const maxPooledRows = 1 << 16
 
 // takeBatches lends n morsel-sized batches, one per pool worker that
@@ -250,13 +202,14 @@ const maxPooledRows = 1 << 16
 // too small for this pool's morsels stays listed, and a new one is made.
 func (rt *runtime) takeBatches(n int) []*batch {
 	m := rt.pool.MorselSize()
+	fits := func(b *batch) bool { return cap(b.keys) >= m }
 	bufs := make([]*batch, n)
-	batches.take(bufs, func(b *batch) bool { return cap(b.keys) >= m })
-	for i, b := range bufs {
-		if b == nil {
-			bufs[i] = &batch{keys: make([]uint64, m), vals: make([]uint64, m), ok: make([]bool, m)}
-		} else {
+	for i := range bufs {
+		if b, ok := batches.Take(fits); ok {
 			b.keys, b.vals, b.ok = b.keys[:m], b.vals[:m], b.ok[:m]
+			bufs[i] = b
+		} else {
+			bufs[i] = &batch{keys: make([]uint64, m), vals: make([]uint64, m), ok: make([]bool, m)}
 		}
 	}
 	return bufs
@@ -265,7 +218,7 @@ func (rt *runtime) takeBatches(n int) []*batch {
 // putBatches returns bufs to the list; the caller must not touch them
 // again.
 func putBatches(bufs []*batch) {
-	batches.give(bufs, func(b *batch) bool { return cap(b.keys) <= maxPooledRows })
+	batches.Give(func(b *batch) bool { return cap(b.keys) <= maxPooledRows }, bufs...)
 }
 
 // emit finishes the batch an operator filled with n rows out of in rows

@@ -9,8 +9,10 @@ package shard
 //
 // Engines are meant for concurrent callers, so a call never shares scratch
 // with another: each takes a staging (the scatter's columns, the relay to
-// RMWBatch's fn) from a pool for its own duration and returns it after the
-// gather. The scatter grows its columns in place, so once the pool is warm
+// RMWBatch's fn) from a sync.Pool for its own duration and returns it
+// after the gather. The pool keeps one stack a P: a shared free list's one
+// mutex (internal/freelist), taken twice a call, would queue the wait-free
+// readers. The scatter grows its columns in place, so once the pool is warm
 // a batch call allocates nothing.
 //
 // A non-migrating shard's range runs its table's batched pipeline
@@ -85,16 +87,6 @@ func (st *staging) relayLane(old uint64, exists bool) uint64 {
 	return st.fn(lane, old, exists)
 }
 
-// stage takes a staging from the pool and routes keys into it: the
-// router's bulk-hash pipeline plus one stable counting pass regrouping the
-// column (and vals, when the call has values to store) shard-major. The
-// caller releases it once the results are gathered.
-func (e *Engine) stage(keys, vals []uint64) *staging {
-	st := takeStaging()
-	st.route(e.router, e.shift, len(e.shards), keys, vals)
-	return st
-}
-
 // GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
 // the number of hits. vals and ok must be at least as long as keys.
 //
@@ -123,8 +115,9 @@ func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
 	if len(e.shards) == 1 {
 		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
 	}
-	st := e.stage(keys, nil)
+	st := takeStaging()
 	defer st.release()
+	st.route(e.router, e.shift, len(e.shards), keys, nil)
 	hits := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
@@ -184,15 +177,13 @@ func (e *Engine) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite boo
 // gather back to its lanes. One shard's range is the caller's own columns;
 // the staging then only carries the relay.
 func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
-	if len(e.shards) == 1 {
-		st := takeStaging()
-		defer st.release()
-		st.fn = fn
-		return e.rmwBatchShard(&e.shards[0], st, keys, vals, out, loaded, overwrite)
-	}
-	st := e.stage(keys, vals)
+	st := takeStaging()
 	defer st.release()
 	st.fn = fn
+	if len(e.shards) == 1 {
+		return e.rmwBatchShard(&e.shards[0], st, keys, vals, out, loaded, overwrite)
+	}
+	st.route(e.router, e.shift, len(e.shards), keys, vals)
 	inserted := 0
 	for j := range e.shards {
 		lo, hi := st.Starts[j], st.Starts[j+1]
