@@ -117,6 +117,7 @@ func run(out io.Writer, cfg config) error {
 
 	reg := obs.NewRegistry()
 	poolMetrics.Register(reg, "")
+	engine.Register(reg, "")
 	engineMetrics.Register(reg, "")
 	reg.RegisterFunc("engine_entries", "live entries across shards", func() float64 {
 		return float64(h.Len())

@@ -48,7 +48,9 @@
 // exec.PoolMetrics and exec.Trace instrument the morsel pool (task and
 // queue-wait latency, steals, per-worker busy time, and a per-worker
 // event ring dumpable as Chrome trace JSON); shard.Metrics instruments
-// the engine's per-operation latency and migration cost. All hooks are
+// the engine's per-operation latency and migration cost. Those hooks are
 // nil-guarded: an engine or pool without metrics attached pays a single
-// pointer check.
+// pointer check. The engine's read-path and publication counters are not
+// hooks: it owns them from construction, bumps them unconditionally and
+// files them itself (shard.Engine.Register).
 package obs

@@ -9,8 +9,8 @@ package obs_test
 // is the end-to-end benchmark's trace.overhead_ratio.<workload>.)
 //
 // It lives in package obs_test (not shard_test) because what it measures
-// is the obs recording machinery — striped counters and histograms — as
-// wired into the hottest consumer.
+// is the obs recording machinery — striped histograms — as wired into the
+// hottest consumer.
 
 import (
 	"testing"

@@ -88,19 +88,60 @@ func indexedPlan(t *testing.T, groups uint64) (plan *pipe.Stream, gcfg pipe.Grou
 	return plan, pipe.GroupConfig{ExpectedGroups: int(groups)}, keys
 }
 
+// bytesOf is what one run of f allocates, after a runtime.GC() when gc is
+// set.
+func bytesOf(f func(), gc bool) uint64 {
+	if gc {
+		runtime.GC()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // bytesPerRun is the median of what nine runs of f allocate, each after a
 // runtime.GC() when gc is set.
 func bytesPerRun(f func(), gc bool) uint64 {
 	runs := make([]uint64, 9)
 	for i := range runs {
-		if gc {
-			runtime.GC()
+		runs[i] = bytesOf(f, gc)
+	}
+	slices.Sort(runs)
+	return runs[len(runs)/2]
+}
+
+// groupByBytes is bytesPerRun for plan's group-by at cfg, after a warm-up
+// run, counting only runs in which every worker folded a morsel, as in the
+// run before: which worker claims which morsel is the scheduler's choice,
+// and a run whose second worker got none opens one group-by local fewer
+// and gives none back for the next run.
+func groupByBytes(t *testing.T, plan *pipe.Stream, cfg pipe.Config, gcfg pipe.GroupConfig, gc bool) uint64 {
+	cfg.Metrics = pipe.NewMetrics(cfg.Workers)
+	morsels := cfg.Metrics.GroupBy().Morsels
+	folded := make([]uint64, cfg.Workers)
+	run := func() {
+		for w := range folded {
+			folded[w] = morsels.ValueAt(w)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		runs[i] = after.TotalAlloc - before.TotalAlloc
+		if _, err := plan.GroupBy(cfg, gcfg); err != nil {
+			t.Fatal(err)
+		}
+		for w := range folded {
+			folded[w] = morsels.ValueAt(w) - folded[w]
+		}
+	}
+	run()
+	runs := make([]uint64, 0, 9)
+	for tries, all := 0, false; len(runs) < cap(runs); tries++ {
+		if tries == 100 {
+			t.Fatalf("only %d of %d runs followed a run in which every worker folded a morsel and did so too", len(runs), tries)
+		}
+		b, before := bytesOf(run, gc), all
+		if all = !slices.Contains(folded, 0); all && before {
+			runs = append(runs, b)
+		}
 	}
 	slices.Sort(runs)
 	return runs[len(runs)/2]
@@ -150,21 +191,16 @@ func TestPlanScratchDoesNotGrowWithMorselSize(t *testing.T) {
 // GC allocates what a run straight after another does, within 8 KiB. And
 // the second worker reuses a merged-away local, so a run at two workers
 // allocates at most 48 KiB more than one at one worker: the second local's
-// fresh group index. The test runs at two Ps, one per worker: shard's
-// batch staging stays a sync.Pool (the wait-free readers take it per
-// call), and with more Ps than workers a GC leaves it in the private slot
-// of a P the next run's workers may not wake on.
+// fresh group index. Only runs in which every worker folded a morsel, as
+// in the run before, count. The test runs at two Ps, one per worker:
+// shard's batch staging stays a sync.Pool (the wait-free readers take it
+// per call), and with more Ps than workers a GC leaves it in the private
+// slot of a P the next run's workers may not wake on.
 func TestPlanScratchSurvivesGC(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	plan, gcfg, _ := indexedPlan(t, 1024)
 	at := func(workers int, gc bool) uint64 {
-		run := func() {
-			if _, err := plan.GroupBy(pipe.Config{Workers: workers, MorselSize: 4096}, gcfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		return bytesPerRun(run, gc)
+		return groupByBytes(t, plan, pipe.Config{Workers: workers, MorselSize: 4096}, gcfg, gc)
 	}
 	warm, collected := at(2, false), at(2, true)
 	if collected > warm+8<<10 {

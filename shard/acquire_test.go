@@ -56,7 +56,7 @@ func TestAcquireParksBehindALongHold(t *testing.T) {
 	m := NewMetrics(1)
 	e.SetMetrics(m)
 	contend(&e.shards[0], func() {
-		for e.lockParks.Load() == 0 {
+		for e.lockParks.Value() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	})
@@ -74,7 +74,7 @@ func TestAcquireParksBehindALongHold(t *testing.T) {
 func TestAcquireStopsWatchingAtItsBound(t *testing.T) {
 	e := testEngine(t, 1, 64)
 	contend(&e.shards[0], func() {
-		for e.lockParks.Load() == 0 {
+		for e.lockParks.Value() == 0 {
 			runtime.Gosched()
 		}
 	})

@@ -10,11 +10,12 @@ import "repro/obs"
 // so they are never sampled.
 const opSampleMask = 63
 
-// Metrics is the engine's telemetry surface: latency histograms per
-// operation plus read-path and publication counters, striped by shard
-// index so concurrent shards never contend on a cache line. Attach with
-// Engine.SetMetrics; a nil Metrics (the default) leaves every hook as a
-// single atomic-pointer load.
+// Metrics is the engine's optional telemetry: the latency histograms,
+// whatever costs a clock read, striped by shard index so concurrent shards
+// never contend on a cache line. Attach with Engine.SetMetrics; a nil
+// Metrics (the default) leaves every hook as a single atomic-pointer load.
+// The read-path and publication counters are the engine's own, counted
+// whether or not Metrics are attached (Engine.Register).
 //
 // All fields are constructed by NewMetrics; the zero value is not
 // usable.
@@ -41,19 +42,6 @@ type Metrics struct {
 	// lock waited, from its first failed try to the lock held: writers and
 	// the reads that fell back to the lock alike.
 	LockWait *obs.Histogram
-
-	// Wait-free read-path health. ReadRetry counts optimistic probes
-	// discarded because a writer's seqlock window overlapped them (a Get's
-	// lookup, a GetBatch's whole shard range); ReadFallback, reads that
-	// exhausted their budget and finished under the writer lock; LockPark,
-	// lock acquisitions that outlasted the yield bound and slept on the mutex;
-	// ViewRepublish, epoch publications (resize begin/finish, dead
-	// overlay doubling, rebuild — plus the birth epochs if Metrics are
-	// attached at construction). All four stay zero under read-only load.
-	ReadRetry     *obs.Counter
-	ReadFallback  *obs.Counter
-	LockPark      *obs.Counter
-	ViewRepublish *obs.Counter
 }
 
 // NewMetrics returns a Metrics striped for the given shard count
@@ -74,10 +62,6 @@ func NewMetrics(shards int) *Metrics {
 		UpsertBatch:    obs.NewHistogram(shards),
 		MigrationChunk: obs.NewHistogram(shards),
 		LockWait:       obs.NewHistogram(shards),
-		ReadRetry:      obs.NewCounter(shards),
-		ReadFallback:   obs.NewCounter(shards),
-		LockPark:       obs.NewCounter(shards),
-		ViewRepublish:  obs.NewCounter(shards),
 	}
 }
 
@@ -95,10 +79,17 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 	r.RegisterHistogram(prefix+`shard_batch_nanos{op="upsert"}`, "", m.UpsertBatch)
 	r.RegisterHistogram(prefix+"shard_migration_chunk_nanos", "bounded migration step latency in nanoseconds", m.MigrationChunk)
 	r.RegisterHistogram(prefix+"shard_lock_wait_nanos", "contended shard lock acquisition wait in nanoseconds", m.LockWait)
-	r.RegisterCounter(prefix+"shard_read_retries_total", "optimistic read attempts discarded by a writer's seqlock window", m.ReadRetry)
-	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", m.ReadFallback)
-	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the yield bound and slept on the mutex", m.LockPark)
-	r.RegisterCounter(prefix+"shard_view_republish_total", "shard view (epoch) publications", m.ViewRepublish)
+}
+
+// Register files the engine's own read-path and publication counters with
+// r, prefixed by prefix as Metrics.Register's are. They count from New on,
+// whatever SetMetrics does, so they equal Stats' ReadRetries,
+// ReadFallbacks, LockParks and ViewPublishes (birth epochs included).
+func (e *Engine) Register(r *obs.Registry, prefix string) {
+	r.RegisterCounter(prefix+"shard_read_retries_total", "optimistic read attempts discarded by a writer's seqlock window", e.readRetries)
+	r.RegisterCounter(prefix+"shard_read_fallbacks_total", "reads that exhausted the optimistic retry budget and took the writer lock", e.readFallbacks)
+	r.RegisterCounter(prefix+"shard_lock_parks_total", "shard lock acquisitions that outlasted the yield bound and slept on the mutex", e.lockParks)
+	r.RegisterCounter(prefix+"shard_view_republish_total", "shard view (epoch) publications", e.viewPublishes)
 }
 
 // write is the scalar histogram of a write's mode, by RMW's rule: Upsert

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,10 +127,9 @@ func TestMetricsBatchPerCall(t *testing.T) {
 
 func TestMetricsReadPathCounters(t *testing.T) {
 	e := shard.MustNew(metricsConfig(2, 256, 0.8))
-	m := shard.NewMetrics(e.Shards())
-	e.SetMetrics(m)
+	e.SetMetrics(shard.NewMetrics(e.Shards()))
 	// Grow past the threshold: every migration republishes the view
-	// twice (freeze, promote), each through the metrics hook.
+	// twice (freeze, promote).
 	keys := make([]uint64, 2048)
 	vals := make([]uint64, 2048)
 	out := make([]uint64, 2048)
@@ -144,49 +144,101 @@ func TestMetricsReadPathCounters(t *testing.T) {
 	e.GetBatch(keys, out, ok)
 	st := e.Stats()
 	if st.MigrationsStarted == 0 {
-		t.Fatal("fixture never migrated; ViewRepublish has nothing to count")
-	}
-	// Birth epochs predate SetMetrics, so the counter sees exactly the
-	// post-attach publications.
-	if got, want := m.ViewRepublish.Value(), st.ViewPublishes-uint64(e.Shards()); got != want {
-		t.Fatalf("ViewRepublish = %d, want %d (Stats.ViewPublishes %d minus %d birth epochs)",
-			got, want, st.ViewPublishes, e.Shards())
+		t.Fatal("fixture never migrated; ViewPublishes has nothing to count")
 	}
 	// Single-goroutine traffic never overlaps a writer window: the
-	// retry/fallback counters must hold at zero.
-	if m.ReadRetry.Value() != 0 || m.ReadFallback.Value() != 0 || m.LockPark.Value() != 0 {
-		t.Fatalf("uncontended run counted retries=%d fallbacks=%d parks=%d, want 0/0/0",
-			m.ReadRetry.Value(), m.ReadFallback.Value(), m.LockPark.Value())
-	}
+	// retry/fallback/park counters must hold at zero.
 	if st.ReadRetries != 0 || st.ReadFallbacks != 0 || st.LockParks != 0 {
 		t.Fatalf("Stats counted retries=%d fallbacks=%d parks=%d uncontended", st.ReadRetries, st.ReadFallbacks, st.LockParks)
 	}
+	seriesEqualStats(t, e, st)
+}
 
-	// The exposition carries the four read-path and lock series under
-	// their conventional names.
-	r := obs.NewRegistry()
-	m.Register(r, "")
-	var buf strings.Builder
-	r.WriteText(&buf)
-	text := buf.String()
-	for _, name := range []string{
-		"shard_read_retries_total",
-		"shard_read_fallbacks_total",
-		"shard_lock_parks_total",
-		"shard_view_republish_total",
+// TestMetricsEngineSeriesEqualStats: the four read-path and publication
+// series are the counters Stats reads, so two writers growing a four-shard
+// engine through several migrations, with Metrics attached only midway,
+// leave each series equal to its Stats field.
+func TestMetricsEngineSeriesEqualStats(t *testing.T) {
+	e := shard.MustNew(metricsConfig(4, 1<<10, 0.8))
+	const writers, batches, batch = 2, 32, 256
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := range uint64(writers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys := make([]uint64, batch)
+			out := make([]uint64, batch)
+			ok := make([]bool, batch)
+			for b := range uint64(batches) {
+				if w == 0 && b == batches/2 {
+					e.SetMetrics(shard.NewMetrics(e.Shards()))
+				}
+				for i := range keys {
+					keys[i] = ((b*batch+uint64(i))*writers+w)*0x9e3779b97f4a7c15 + 1
+				}
+				if _, err := putBatch(e, keys, keys); err != nil {
+					errs <- err
+					return
+				}
+				e.GetBatch(keys, out, ok)
+				e.Delete(keys[0])
+				e.Get(keys[1])
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.MigrationsDone < 3*uint64(e.Shards()) {
+		t.Fatalf("%d migrations done; the fixture must grow every shard several times", st.MigrationsDone)
+	}
+	seriesEqualStats(t, e, st)
+}
+
+// seriesEqualStats checks that the exposition carries the four read-path
+// and publication series under their conventional names, each equal to
+// its field of st, birth epochs included.
+func seriesEqualStats(t *testing.T, e *shard.Engine, st shard.Stats) {
+	t.Helper()
+	got := series(e, nil)
+	for name, want := range map[string]uint64{
+		"shard_read_retries_total":   st.ReadRetries,
+		"shard_read_fallbacks_total": st.ReadFallbacks,
+		"shard_lock_parks_total":     st.LockParks,
+		"shard_view_republish_total": st.ViewPublishes,
 	} {
-		if !strings.Contains(text, name) {
-			t.Errorf("exposition missing %s", name)
+		if got[name] != fmt.Sprint(want) {
+			t.Errorf("exposition has %s = %q, Stats %d", name, got[name], want)
 		}
 	}
-	if !strings.Contains(text, fmt.Sprintf("shard_view_republish_total %d", m.ViewRepublish.Value())) {
-		t.Errorf("exposition does not carry the ViewRepublish total:\n%s", text)
+}
+
+// series renders the engine's counters, and m's series unless m is nil,
+// as the exposition does: each sample's name mapped to its value.
+func series(e *shard.Engine, m *shard.Metrics) map[string]string {
+	r := obs.NewRegistry()
+	e.Register(r, "")
+	if m != nil {
+		m.Register(r, "")
 	}
+	var buf strings.Builder
+	r.WriteText(&buf)
+	out := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			out[name] = val
+		}
+	}
+	return out
 }
 
 // TestMetricsLockParks: a writer that finds its shard's lock held for
 // longer than it yields for sleeps on the mutex, and that is counted once —
-// in Stats, on the striped counter, in the exposition. Its wait is one
+// in Stats and in the exposition. Its wait is one
 // LockWait observation: the uncontended writes before it record none.
 func TestMetricsLockParks(t *testing.T) {
 	e := shard.MustNew(metricsConfig(1, 1<<10, 0.85))
@@ -207,7 +259,7 @@ func TestMetricsLockParks(t *testing.T) {
 			_, err := tryPut(e, 2, 20)
 			put <- err
 		}()
-		for m.LockPark.Value() == 0 {
+		for series(e, nil)["shard_lock_parks_total"] == "0" {
 			time.Sleep(time.Millisecond)
 		}
 		return false
@@ -218,19 +270,13 @@ func TestMetricsLockParks(t *testing.T) {
 	if got := e.Stats().LockParks; got != 1 {
 		t.Fatalf("Stats.LockParks = %d, want 1", got)
 	}
-	if got := m.LockPark.Value(); got != 1 {
-		t.Fatalf("LockPark counter = %d, want 1", got)
-	}
 	if got := m.LockWait.Snapshot().Count; got != 1 {
 		t.Fatalf("LockWait holds %d waits, want the one contended Put", got)
 	}
-	r := obs.NewRegistry()
-	m.Register(r, "")
-	var buf strings.Builder
-	r.WriteText(&buf)
-	for _, line := range []string{"shard_lock_parks_total 1", "shard_lock_wait_nanos_count 1"} {
-		if !strings.Contains(buf.String(), line) {
-			t.Errorf("exposition does not carry %q:\n%s", line, buf.String())
+	got := series(e, m)
+	for name, want := range map[string]string{"shard_lock_parks_total": "1", "shard_lock_wait_nanos_count": "1"} {
+		if got[name] != want {
+			t.Errorf("exposition has %s = %q, want %s", name, got[name], want)
 		}
 	}
 }

@@ -60,19 +60,11 @@ func readLocked(s *shardState, fn func(v *view)) {
 }
 
 // readAccount records a read that discarded probes (and possibly fell
-// back): engine totals for Stats, striped counters for the registry. Off
-// the hot path by construction — validated first-attempt reads never call
-// it.
+// back). Off the hot path by construction — validated first-attempt reads
+// never call it.
 func (e *Engine) readAccount(s *shardState, retries uint64, fellBack bool) {
-	e.readRetries.Add(retries)
-	m := e.metrics.Load()
-	if m != nil {
-		m.ReadRetry.Add(s.idx, retries)
-	}
+	e.readRetries.Add(s.idx, retries)
 	if fellBack {
-		e.readFallbacks.Add(1)
-		if m != nil {
-			m.ReadFallback.Inc(s.idx)
-		}
+		e.readFallbacks.Inc(s.idx)
 	}
 }

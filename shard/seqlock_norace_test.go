@@ -12,8 +12,10 @@ package shard
 // neither retries nor accounts.
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,8 +33,7 @@ func holdWindowOpen(s *shardState) func() {
 
 func TestReadFallbackOnStuckWindow(t *testing.T) {
 	e := testEngine(t, 1, 64)
-	m := NewMetrics(1)
-	e.SetMetrics(m)
+	e.SetMetrics(NewMetrics(1))
 	const key, val = 77, 770
 	if _, err := tryPut(e, key, val); err != nil {
 		t.Fatal(err)
@@ -45,17 +46,20 @@ func TestReadFallbackOnStuckWindow(t *testing.T) {
 	if !ok || v != val {
 		t.Fatalf("Get through the fallback = (%d,%v), want (%d,true)", v, ok, val)
 	}
-	if got := e.readFallbacks.Load(); got != 1 {
+	if got := e.readFallbacks.Value(); got != 1 {
 		t.Fatalf("readFallbacks = %d, want exactly 1", got)
 	}
-	if got := e.readRetries.Load(); got != readMaxRetries+1 {
+	if got := e.readRetries.Value(); got != readMaxRetries+1 {
 		t.Fatalf("readRetries = %d, want the full budget %d", got, readMaxRetries+1)
 	}
-	if got := m.ReadFallback.Value(); got != 1 {
-		t.Fatalf("ReadFallback counter = %d, want 1", got)
-	}
-	if got := m.ReadRetry.Value(); got != readMaxRetries+1 {
-		t.Fatalf("ReadRetry counter = %d, want %d", got, readMaxRetries+1)
+	r := obs.NewRegistry()
+	e.Register(r, "")
+	var text strings.Builder
+	r.WriteText(&text)
+	for _, line := range []string{"shard_read_fallbacks_total 1\n", fmt.Sprintf("shard_read_retries_total %d\n", readMaxRetries+1)} {
+		if !strings.Contains(text.String(), line) {
+			t.Errorf("exposition does not carry %q:\n%s", line, text.String())
+		}
 	}
 
 	// Window closed: the next read validates first try and accounts
@@ -63,10 +67,10 @@ func TestReadFallbackOnStuckWindow(t *testing.T) {
 	if v, ok := e.Get(key); !ok || v != val {
 		t.Fatalf("Get after reopen = (%d,%v)", v, ok)
 	}
-	if got := e.readFallbacks.Load(); got != 1 {
+	if got := e.readFallbacks.Value(); got != 1 {
 		t.Fatalf("validated read bumped readFallbacks to %d", got)
 	}
-	if got := e.readRetries.Load(); got != readMaxRetries+1 {
+	if got := e.readRetries.Value(); got != readMaxRetries+1 {
 		t.Fatalf("validated read bumped readRetries to %d", got)
 	}
 }
@@ -93,7 +97,7 @@ func TestReadRangeFallbackOnStuckWindow(t *testing.T) {
 			t.Fatalf("lane %d = (%d,%v), want (%d,true)", i, vals[i], ok[i], k*10)
 		}
 	}
-	if got := e.readFallbacks.Load(); got != 1 {
+	if got := e.readFallbacks.Value(); got != 1 {
 		t.Fatalf("readFallbacks = %d, want 1 (one validation per shard range, not per key)", got)
 	}
 }
@@ -109,14 +113,13 @@ func TestReadSnapshotFallbackOnStuckWindow(t *testing.T) {
 	if st.Len != 1 || st.Capacity == 0 {
 		t.Fatalf("Stats through the fallback: %+v", st)
 	}
-	if e.readFallbacks.Load() == 0 {
+	if e.readFallbacks.Value() == 0 {
 		t.Fatal("snapshot read never fell back despite the stuck window")
 	}
 }
 
 func TestReadFallbackWithoutMetrics(t *testing.T) {
-	// No Metrics attached: the accounting path must tolerate the nil
-	// registry while still counting into the engine totals.
+	// No Metrics attached: the engine's own counters count all the same.
 	e := testEngine(t, 1, 64)
 	const key, val = 11, 1100
 	if _, err := tryPut(e, key, val); err != nil {
@@ -127,7 +130,7 @@ func TestReadFallbackWithoutMetrics(t *testing.T) {
 		t.Fatalf("Get with nil metrics through fallback = (%d,%v)", v, ok)
 	}
 	reopen()
-	if got := e.readFallbacks.Load(); got != 1 {
+	if got := e.readFallbacks.Value(); got != 1 {
 		t.Fatalf("readFallbacks = %d, want 1", got)
 	}
 }
@@ -283,7 +286,7 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 		{
 			e, bl, keys, dead, perAttempt := build()
 			read(name("quiet"), e, bl, keys, dead, perAttempt, 1)
-			if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 0 {
+			if e.readRetries.Value() != 0 || e.readFallbacks.Value() != 0 {
 				t.Fatal("quiet read retried")
 			}
 			if migrating {
@@ -337,10 +340,10 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 			bl.before = func(call int) { rewrite(call, 1) }
 			bl.after = func(call int) { rewrite(call, 0) }
 			read(name("torn once"), e, bl, keys, dead, perAttempt, 2)
-			if got := e.readRetries.Load(); got != 1 {
+			if got := e.readRetries.Value(); got != 1 {
 				t.Fatalf("readRetries = %d, want the one discarded probe", got)
 			}
-			if e.readFallbacks.Load() != 0 {
+			if e.readFallbacks.Value() != 0 {
 				t.Fatal("fell back with budget to spare")
 			}
 		}
@@ -358,10 +361,10 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 				}
 			}
 			read(name("budget spent"), e, bl, keys, dead, perAttempt, readRangeDiscards+1)
-			if got := e.readFallbacks.Load(); got != 1 {
+			if got := e.readFallbacks.Value(); got != 1 {
 				t.Fatalf("readFallbacks = %d, want 1", got)
 			}
-			if got := e.readRetries.Load(); got != readRangeDiscards {
+			if got := e.readRetries.Value(); got != readRangeDiscards {
 				t.Fatalf("readRetries = %d, want the budget %d", got, readRangeDiscards)
 			}
 		}
@@ -373,8 +376,8 @@ func TestReadRangeTouchRetryAndFallback(t *testing.T) {
 			closeWindow := holdWindowOpen(&e.shards[0])
 			read(name("window stays open"), e, bl, keys, dead, perAttempt, 1)
 			closeWindow()
-			if e.readRetries.Load() != 0 || e.readFallbacks.Load() != 1 {
-				t.Fatalf("window stays open: %d probes discarded, %d fallbacks, want 0 and 1", e.readRetries.Load(), e.readFallbacks.Load())
+			if e.readRetries.Value() != 0 || e.readFallbacks.Value() != 1 {
+				t.Fatalf("window stays open: %d probes discarded, %d fallbacks, want 0 and 1", e.readRetries.Value(), e.readFallbacks.Value())
 			}
 		}
 	}
@@ -433,8 +436,8 @@ func TestReadRangeFollowsAClosingWindow(t *testing.T) {
 		latencies = append(latencies, latency)
 		if latency <= windowWatchNanos/2 {
 			giveUp = time.Now().Add(2 * time.Second)
-			if e.readFallbacks.Load() == 0 {
-				if got := e.readRetries.Load(); got != 0 {
+			if e.readFallbacks.Value() == 0 {
+				if got := e.readRetries.Value(); got != 0 {
 					t.Fatalf("%d probes discarded, want none: an open window is not probed into", got)
 				}
 				return
@@ -524,7 +527,7 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 	if !before.migrating() || before.dead.n != deadSetFloor/2 {
 		t.Fatalf("set-up: migrating %v, %d dead keys, want a resize with the overlay at half load", before.migrating(), before.dead.n)
 	}
-	publishes := e.viewPublishes.Load()
+	publishes := e.viewPublishes.Value()
 
 	// The reader is inside its probe of the old view (at the frozen table's
 	// lookup) when a whole writer window passes: the delete of the very key
@@ -538,10 +541,10 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 	if v, ok := get(e, victim); ok {
 		t.Fatalf("Get(victim) = (%d,true): the reader kept what it concluded from the overlay of the epoch before", v)
 	}
-	if got := e.readRetries.Load(); got != 1 {
+	if got := e.readRetries.Value(); got != 1 {
 		t.Fatalf("readRetries = %d, want the one discarded attempt", got)
 	}
-	if e.readFallbacks.Load() != 0 {
+	if e.readFallbacks.Value() != 0 {
 		t.Fatal("the reader fell back to the lock")
 	}
 
@@ -549,8 +552,8 @@ func readHeldOpenAcrossOverlayDoubling(t *testing.T, get func(e *Engine, k uint6
 	if after.dead == before.dead || len(after.dead.slots) != 2*len(before.dead.slots) {
 		t.Fatalf("overlay has %d slots after the delete past half load of %d", len(after.dead.slots), len(before.dead.slots))
 	}
-	if after.gen != before.gen+1 || e.viewPublishes.Load() != publishes+1 {
-		t.Fatalf("the doubling published %d views (gen %d → %d), want exactly one", e.viewPublishes.Load()-publishes, before.gen, after.gen)
+	if after.gen != before.gen+1 || e.viewPublishes.Value() != publishes+1 {
+		t.Fatalf("the doubling published %d views (gen %d → %d), want exactly one", e.viewPublishes.Value()-publishes, before.gen, after.gen)
 	}
 	if after.cur != before.cur || after.next != before.next {
 		t.Fatal("the doubling's view changed more than the overlay")

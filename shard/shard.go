@@ -12,8 +12,8 @@
 //
 //   - Writers serialize on the shard's sync.Mutex and mutate the table in
 //     place inside a seqlock window (the shard's sequence counter is odd
-//     for the duration). One that finds the lock held watches that
-//     counter for a batch hold's length before it sleeps (acquire).
+//     for the duration). One that finds the lock held yields its P between
+//     tries of it for up to 10 ms, then sleeps on it (acquire).
 //   - Readers never lock. They load the shard's published view (an
 //     atomic.Pointer to an immutable epoch struct naming the tables),
 //     probe it with plain loads, and validate the sequence counter was
@@ -127,10 +127,10 @@
 // colliding with writer windows (readMaxRetries torn attempts of a Get,
 // readRangeDiscards discarded probes of a GetBatch range) finishes under
 // the writer lock instead of spinning forever. A writer, or a read's
-// fallback, behind a held shard lock watches it for about as long as
-// parking on the lock and being woken would take, then parks: watching
-// longer would slow the holder it waits for wherever the two share a
-// core. There is no cross-shard snapshot: Len, Stats and
+// fallback, behind a held shard lock yields its P between tries of the
+// lock for up to lockYieldNanos (10 ms, past the engine's longest hold),
+// then parks: a yield lets the holder run where the two share a P, and
+// never pays a sleeping thread's wake-up. There is no cross-shard snapshot: Len, Stats and
 // iteration observe one shard at a time and may observe different shards
 // at different instants. Range and ForEachTable hold the shard's writer
 // lock while they visit it (their callbacks must observe a quiescent
@@ -309,12 +309,14 @@ type Engine struct {
 	migNanos   atomic.Uint64
 	rebuilds   atomic.Uint64
 
-	// Wait-free read-path accounting: discarded probes, falls back to the
-	// writer lock, view publications, lock waits that slept (see view.go).
-	readRetries   atomic.Uint64
-	readFallbacks atomic.Uint64
-	viewPublishes atomic.Uint64
-	lockParks     atomic.Uint64
+	// Wait-free read-path accounting, striped by shard and counted from New
+	// on: discarded probes, falls back to the writer lock, view
+	// publications, lock waits that slept (see view.go). Stats sums them;
+	// Register files them for the exposition.
+	readRetries   *obs.Counter
+	readFallbacks *obs.Counter
+	viewPublishes *obs.Counter
+	lockParks     *obs.Counter
 
 	// metrics is the optional telemetry attachment (SetMetrics); nil —
 	// the default — keeps every hook to one atomic pointer load.
@@ -359,6 +361,11 @@ func New(cfg Config) (*Engine, error) {
 		growAt: cfg.GrowAt,
 		chunk:  chunk,
 		create: cfg.NewTable,
+
+		readRetries:   obs.NewCounter(p),
+		readFallbacks: obs.NewCounter(p),
+		viewPublishes: obs.NewCounter(p),
+		lockParks:     obs.NewCounter(p),
 	}
 	perShard := cfg.Capacity / p
 	tables := make([]Table, p)

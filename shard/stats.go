@@ -40,9 +40,9 @@ type Stats struct {
 	// seqlock window overlapped them (a Get's lookup, a GetBatch's whole
 	// shard range); ReadFallbacks counts reads that exhausted their budget
 	// and finished under the writer lock; LockParks counts lock
-	// acquisitions (writers' and fallbacks') that outlasted the watch and
-	// slept on the mutex. All zero under read-only load — the wait-free
-	// read path's health ledger.
+	// acquisitions (writers' and fallbacks') that outlasted the yield bound
+	// (10 ms) and slept on the mutex. All zero under read-only load — the
+	// wait-free read path's health ledger.
 	ReadRetries   uint64 `json:"read_retries,omitempty"`
 	ReadFallbacks uint64 `json:"read_fallbacks,omitempty"`
 	LockParks     uint64 `json:"lock_parks,omitempty"`
@@ -66,10 +66,10 @@ func (e *Engine) Stats() Stats {
 		MigrationChunks:   e.migChunks.Load(),
 		MigrationNanos:    e.migNanos.Load(),
 		Rebuilds:          e.rebuilds.Load(),
-		ReadRetries:       e.readRetries.Load(),
-		ReadFallbacks:     e.readFallbacks.Load(),
-		LockParks:         e.lockParks.Load(),
-		ViewPublishes:     e.viewPublishes.Load(),
+		ReadRetries:       e.readRetries.Value(),
+		ReadFallbacks:     e.readFallbacks.Value(),
+		LockParks:         e.lockParks.Value(),
+		ViewPublishes:     e.viewPublishes.Value(),
 	}
 	for i := range e.shards {
 		s := &e.shards[i]

@@ -33,12 +33,13 @@ import (
 // pending at the instant it loaded the set's count: the tables it probed
 // cannot change without a window, and the set only grows between windows.
 //
-// The sequence word is also what a waiter watches before it sleeps on the
-// mutex: a writer behind a held lock (acquire) for about one park and
-// wake-up, a batched read at an open window (readRange) for about one
-// batch hold, since its fallback holds writers off (read.go has both
-// bounds). Watching only loads; every transition of the word stays in
-// lockShard/unlockShard.
+// The sequence word is also what a batched read at an open window
+// (readRange) watches, for about one batch hold, before it reads its range
+// under the lock, since that fallback holds writers off. Watching only
+// loads; every transition of the word stays in lockShard/unlockShard. A
+// writer behind a held lock (acquire) does not watch the word: it yields
+// between tries of the lock for up to lockYieldNanos, then parks (read.go
+// has both bounds).
 //
 // # Snapshot semantics
 //
@@ -323,10 +324,7 @@ func (s *shardState) acquire() {
 			return
 		}
 	}
-	s.eng.lockParks.Add(1)
-	if m := s.eng.metrics.Load(); m != nil {
-		m.LockPark.Inc(s.idx)
-	}
+	s.eng.lockParks.Inc(s.idx)
 	s.mu.Lock()
 	s.lockWaited(start)
 }
@@ -378,8 +376,5 @@ func (e *Engine) publish(s *shardState, v *view) {
 	}
 	v.pend = &s.pend
 	s.view.Store(v)
-	e.viewPublishes.Add(1)
-	if m := e.metrics.Load(); m != nil {
-		m.ViewRepublish.Inc(s.idx)
-	}
+	e.viewPublishes.Inc(s.idx)
 }

@@ -283,7 +283,7 @@ func TestBirthEpoch(t *testing.T) {
 			t.Fatalf("shard %d sequence left odd (%d) after construction", i, seq)
 		}
 	}
-	if got := e.viewPublishes.Load(); got != 4 {
+	if got := e.viewPublishes.Value(); got != 4 {
 		t.Fatalf("viewPublishes after construction = %d, want one birth epoch per shard (4)", got)
 	}
 	if st := e.Stats(); st.ViewPublishes != 4 {
