@@ -330,26 +330,15 @@ func (g *GroupBy) Get(group uint64) (*State, bool) {
 	return &g.states[i], true
 }
 
-// Range iterates group states in first-seen order until fn returns false.
-func (g *GroupBy) Range(fn func(*State) bool) {
-	for i := range g.states {
-		if !fn(&g.states[i]) {
-			return
-		}
-	}
-}
-
 // Merge folds other into g (for parallel aggregation: pipe's GroupBy
 // aggregates per worker, then merges), one probe per merged group. A
 // non-nil error (an injected index refusal; see AddBatch) stops the
 // merge with the remaining groups of other unmerged.
 func (g *GroupBy) Merge(other *GroupBy) error {
-	var err error
-	other.Range(func(s *State) bool {
-		i, existed, gerr := g.idx.GetOrPut(s.Key, uint64(len(g.states)))
-		if gerr != nil {
-			err = gerr
-			return false
+	for key, s := range other.Groups() {
+		i, existed, err := g.idx.GetOrPut(key, uint64(len(g.states)))
+		if err != nil {
+			return err
 		}
 		if existed {
 			dst := &g.states[i]
@@ -364,9 +353,8 @@ func (g *GroupBy) Merge(other *GroupBy) error {
 		} else {
 			g.states = append(g.states, *s)
 		}
-		return true
-	})
-	return err
+	}
+	return nil
 }
 
 // TableName reports the underlying scheme and function, e.g. "QPMult".

@@ -92,13 +92,11 @@ func TestGroupByMatchesOracle(t *testing.T) {
 		if g.NumGroups() != len(oracle) {
 			t.Fatalf("%s: %d groups, oracle %d", scheme, g.NumGroups(), len(oracle))
 		}
-		g.Range(func(s *State) bool {
-			want := oracle[s.Key]
-			if *s != *want {
-				t.Fatalf("%s: group %d = %+v, want %+v", scheme, s.Key, *s, *want)
+		for key, s := range g.Groups() {
+			if want := oracle[key]; *s != *want {
+				t.Fatalf("%s: group %d = %+v, want %+v", scheme, key, *s, *want)
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -143,13 +141,12 @@ func TestMergeEqualsSingle(t *testing.T) {
 	if merged.NumGroups() != single.NumGroups() {
 		t.Fatalf("merged %d groups, single %d", merged.NumGroups(), single.NumGroups())
 	}
-	single.Range(func(want *State) bool {
-		got, ok := merged.Get(want.Key)
+	for key, want := range single.Groups() {
+		got, ok := merged.Get(key)
 		if !ok || *got != *want {
-			t.Fatalf("group %d: %+v, want %+v", want.Key, got, want)
+			t.Fatalf("group %d: %+v, want %+v", key, got, want)
 		}
-		return true
-	})
+	}
 }
 
 // TestQuickGroupBySumInvariant: total SUM over groups equals the stream
@@ -163,11 +160,10 @@ func TestQuickGroupBySumInvariant(t *testing.T) {
 			streamTotal += uint64(i)
 		}
 		var sum, count uint64
-		g.Range(func(s *State) bool {
+		for _, s := range g.Groups() {
 			sum += s.Sum
 			count += s.Count
-			return true
-		})
+		}
 		return sum == streamTotal && count == uint64(len(groups))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

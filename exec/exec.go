@@ -17,14 +17,16 @@
 //     runtime.GOMAXPROCS) bounds the fan-out, MorselSize (default
 //     DefaultMorselSize) sets the range granularity, Ctx cancels
 //     everything scheduled on the pool.
-//   - Pool owns the worker goroutines. ForEach schedules discrete tasks
-//     (e.g. one per partition), ForMorsels carves an index range [0, n)
-//     into morsels; both propagate the first error and stop scheduling
-//     further work once a task fails; Config.Ctx cancels them through the
-//     same claim cursor.
+//   - Pool holds no goroutines: each submission runs worker 0 on the
+//     calling goroutine and starts one goroutine per further worker it
+//     uses, and those end with the submission. ForEach schedules discrete
+//     tasks (e.g. one per partition), ForMorsels carves an index range
+//     [0, n) into morsels; both propagate the first error and stop
+//     scheduling further work once a task fails; Config.Ctx cancels them
+//     through the same claim cursor.
 //   - Locals threads a per-worker accumulator through the morsels a worker
 //     claims — the pre-aggregation pattern — and returns the used
-//     accumulators in worker order. RunTasks is ForEach on a transient pool.
+//     accumulators in worker order. RunTasks is ForEach on a one-shot pool.
 //
 // Failure is a first-class input: a cancelled context stops the claim
 // cursor exactly like a task error does; a panicking task is recovered
@@ -32,9 +34,8 @@
 // concurrent task errors beyond the first are counted on the returned
 // error (*SuppressedError) rather than dropped.
 //
-// A Pool is safe for concurrent use by multiple goroutines; the task
-// callbacks must not call back into the same pool (a worker executing a
-// nested submit could deadlock waiting for itself).
+// A Pool is safe for concurrent use by multiple goroutines: each
+// submission has its own claim cursor and its own goroutines.
 package exec
 
 import (
@@ -59,10 +60,10 @@ const DefaultMorselSize = 4096
 // Config sizes the execution core. The zero value means "one worker per
 // CPU, default morsels, no cancellation".
 type Config struct {
-	// Workers bounds the number of concurrently executing tasks (default
-	// runtime.GOMAXPROCS(0)). Parallel operators accept this instead of
-	// spawning one goroutine per partition: the fan-out stays bounded by
-	// the machine, not by the data.
+	// Workers bounds the number of concurrently executing tasks of one
+	// submission (default runtime.GOMAXPROCS(0)). Parallel operators
+	// accept this instead of spawning one goroutine per partition: the
+	// fan-out stays bounded by the machine, not by the data.
 	Workers int
 	// MorselSize is the number of consecutive indexes per morsel in
 	// ForMorsels/Locals (default DefaultMorselSize).
@@ -94,43 +95,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Pool is a bounded set of worker goroutines executing tasks. Construct
-// with NewPool; Close releases the workers (and is required — an unclosed
-// pool leaks its goroutines). The zero value is not usable.
+// Pool is the configuration every submission schedules under: a worker
+// count, a morsel size, a context and the telemetry sinks. It holds no
+// goroutines; a submission's worker 0 is its caller, and the goroutines
+// it starts for workers 1 and up end before it returns. Construct with
+// NewPool; the zero value is not usable.
 type Pool struct {
 	workers int
 	morsel  int
 	ctx     context.Context
 	metrics *PoolMetrics
 	trace   *Trace
-	tasks   chan *run
 	closed  atomic.Bool
-	wg      sync.WaitGroup
 }
 
-// NewPool starts cfg.Workers worker goroutines. Callers must Close the
-// pool when done with it.
+// NewPool returns a pool sized by cfg. It starts nothing, so a pool that
+// is never closed leaks nothing.
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{
+	return &Pool{
 		workers: cfg.Workers,
 		morsel:  cfg.MorselSize,
 		ctx:     cfg.Ctx,
 		metrics: cfg.Metrics,
 		trace:   cfg.Trace,
-		tasks:   make(chan *run),
 	}
-	p.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		go func(w int) {
-			defer p.wg.Done()
-			for r := range p.tasks {
-				r.do(w)
-				r.wg.Done()
-			}
-		}(w)
-	}
-	return p
 }
 
 // Workers returns the pool's worker count. Worker indexes passed to task
@@ -140,15 +129,10 @@ func (p *Pool) Workers() int { return p.workers }
 // MorselSize returns the pool's morsel granularity.
 func (p *Pool) MorselSize() int { return p.morsel }
 
-// Close shuts the workers down and waits until every worker goroutine
-// has exited. Close is idempotent: additional calls wait for the same
-// shutdown instead of panicking. Submitting work after Close panics.
-func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.tasks)
-	}
-	p.wg.Wait()
-}
+// Close marks the pool closed: every submission after it panics,
+// whatever the worker or task count. There is nothing to release, so
+// Close is idempotent and may be called concurrently.
+func (p *Pool) Close() { p.closed.Store(true) }
 
 // run is one scheduled batch of tasks: a shared claim cursor (the
 // work-stealing hand-off — idle workers claim the next unclaimed task)
@@ -294,14 +278,18 @@ func (r *run) result() error {
 }
 
 // ForEach executes fn(worker, task) for every task in [0, tasks),
-// spreading tasks over the pool's workers; an idle worker claims the next
-// unstarted task, so uneven task costs balance automatically. The first
-// error stops the scheduling of further tasks (tasks already running
-// finish) and is returned; a panicking task surfaces as a *PanicError
-// the same way. With one worker (or one task) fn runs inline on the
-// calling goroutine, in task order — the serial oracle of the parallel
-// schedule.
+// spreading tasks over min(Workers, tasks) workers: worker 0 is the
+// calling goroutine and each further worker a goroutine of its own. An
+// idle worker claims the next unstarted task, so uneven task costs
+// balance automatically. The first error stops the scheduling of further
+// tasks (tasks already running finish) and is returned; a panicking task
+// surfaces as a *PanicError the same way. With one worker (or one task)
+// the caller runs every task, in task order — the serial oracle of the
+// parallel schedule. ForEach on a closed pool panics.
 func (p *Pool) ForEach(tasks int, fn func(worker, task int) error) error {
+	if p.closed.Load() {
+		panic("exec: submission to a closed Pool")
+	}
 	ctx := p.ctx
 	if tasks <= 0 {
 		return nil
@@ -318,28 +306,15 @@ func (p *Pool) ForEach(tasks int, fn func(worker, task int) error) error {
 	if r.metrics != nil {
 		r.metrics.Submissions.Inc(0)
 	}
-	if p.workers == 1 || tasks == 1 {
-		for t := 0; t < tasks; t++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					r.noteCancel(0)
-					return err
-				}
-			}
-			if err := r.execute(0, t); err != nil {
-				return err
-			}
-		}
-		return nil
+	k := min(p.workers, tasks)
+	r.wg.Add(k - 1)
+	for w := 1; w < k; w++ {
+		go func() {
+			r.do(w)
+			r.wg.Done()
+		}()
 	}
-	k := p.workers
-	if tasks < k {
-		k = tasks
-	}
-	r.wg.Add(k)
-	for i := 0; i < k; i++ {
-		p.tasks <- r
-	}
+	r.do(0)
 	r.wg.Wait()
 	return r.result()
 }
@@ -365,20 +340,12 @@ func (p *Pool) ForMorsels(n int, fn func(worker, lo, hi int) error) error {
 	})
 }
 
-// RunTasks executes fn once per task in [0, tasks) on a transient pool
-// sized by cfg — the one-shot form for discrete units of work (one task
-// per shard, one per client).
+// RunTasks executes fn once per task in [0, tasks) on a pool sized by
+// cfg — the one-shot form for discrete units of work (one task per shard,
+// one per client). The pool holds nothing afterwards, so there is nothing
+// to close.
 func RunTasks(cfg Config, tasks int, fn func(worker, task int) error) error {
-	if tasks <= 0 {
-		return nil
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Workers > tasks {
-		cfg.Workers = tasks
-	}
-	p := NewPool(cfg)
-	defer p.Close()
-	return p.ForEach(tasks, fn)
+	return NewPool(cfg).ForEach(tasks, fn)
 }
 
 // Locals runs fn over the morsels of [0, n) with one lazily created

@@ -135,6 +135,55 @@ func TestPoolCloseLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestPoolHoldsNoGoroutines: a pool starts nothing, and a submission's
+// goroutines end with it, so an open pool between submissions leaves the
+// goroutine count where it was before NewPool.
+func TestPoolHoldsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := exec.NewPool(exec.Config{Workers: 16})
+	defer p.Close()
+	if err := p.ForEach(64, func(_, _ int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// A finished worker may still be counted for a moment after it
+	// signalled the submission; poll briefly before declaring it held.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if now := runtime.NumGoroutine(); now <= before {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("an open, idle pool holds goroutines: %d before NewPool, %d after a submission", before, now)
+		}
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPoolSubmitAfterClosePanics: every submission after Close panics
+// and runs nothing, whether it would have run on the caller alone (one
+// worker, or one task) or on several workers.
+func TestPoolSubmitAfterClosePanics(t *testing.T) {
+	for _, tc := range []struct{ workers, tasks int }{{1, 8}, {4, 1}, {4, 8}} {
+		p := exec.NewPool(exec.Config{Workers: tc.workers})
+		p.Close()
+		var ran atomic.Int32
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d tasks=%d: a submission after Close did not panic", tc.workers, tc.tasks)
+				}
+			}()
+			_ = p.ForEach(tc.tasks, func(_, _ int) error {
+				ran.Add(1)
+				return nil
+			})
+		}()
+		if n := ran.Load(); n != 0 {
+			t.Errorf("workers=%d tasks=%d: %d tasks ran on a closed pool", tc.workers, tc.tasks, n)
+		}
+	}
+}
+
 // TestLocalsPerWorker: per-worker accumulators see every index exactly
 // once between them, and at most one accumulator exists per worker.
 func TestLocalsPerWorker(t *testing.T) {

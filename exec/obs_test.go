@@ -44,7 +44,8 @@ func TestPoolMetricsCounts(t *testing.T) {
 }
 
 func TestPoolMetricsInlinePath(t *testing.T) {
-	// One worker forces the inline fast path: telemetry must still flow.
+	// One worker runs every task inline, on the caller: telemetry must
+	// still flow.
 	p, m, tr := newInstrumented(t, 1, context.Background())
 	if err := p.ForEach(10, func(w, task int) error {
 		time.Sleep(time.Microsecond)

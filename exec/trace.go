@@ -68,9 +68,8 @@ type traceSlot struct {
 
 // workerRing is one worker's slice of the trace: a claim cursor plus a
 // fixed slot array. The cursor is padded onto its own cache line because
-// the pool's inline fast path (one worker or one task) records as
-// "worker 0" from the submitting goroutine, concurrently with pool
-// worker 0 — so a ring can briefly have two writers.
+// concurrent submissions to one pool each run their own worker w, and
+// several pools may share one Trace — so a ring can have several writers.
 type workerRing struct {
 	pos   atomic.Int64
 	_     [cacheLinePad]byte

@@ -48,7 +48,6 @@ func (c GroupConfig) aggConfig() agg.Config {
 // states are identical and only the first-seen group order varies.
 func (s *Stream) GroupBy(cfg Config, gcfg GroupConfig) (*agg.GroupBy, error) {
 	rt := newRuntime(cfg)
-	defer rt.close()
 	return s.groupBy(rt, gcfg)
 }
 
@@ -186,27 +185,21 @@ func (s *groupsSource) run(rt *runtime, stages []stage, sink batchSink) error {
 			return err
 		}
 	}
-	// The drain is serial (groups live in one merged operator), wrapped
-	// as one pool task for panic containment and cancellation parity
-	// with the parallel scans. An aggregation built here is this run's
-	// own, so a drain that ends without an error gives it back.
-	err := rt.pool.ForEach(1, func(w, _ int) error {
-		b := rt.takeBatches(1)
-		defer putBatches(b)
-		var verr error
-		err := rt.drain(stages, sink, w, b[0], func(fn func(k, v uint64) bool) {
-			for key, st := range g.Groups() {
-				var v uint64
-				if v, verr = stateValue(s.fn, st); verr != nil || !fn(key, v) {
-					return
-				}
+	// The drain is serial: groups live in one merged operator. An
+	// aggregation built here is this run's own, so a drain that ends
+	// without an error gives it back.
+	var verr error
+	err := rt.drainSerial(stages, sink, func(fn func(k, v uint64) bool) {
+		for key, st := range g.Groups() {
+			var v uint64
+			if v, verr = stateValue(s.fn, st); verr != nil || !fn(key, v) {
+				return
 			}
-		})
-		if verr != nil {
-			return verr
 		}
-		return err
 	})
+	if verr != nil {
+		err = verr
+	}
 	if err == nil && s.agg == nil {
 		putLocals(s.gcfg, g)
 	}

@@ -82,7 +82,6 @@ func TestOpenBuildFollowsRecommend(t *testing.T) {
 					held, first.Capacity(), workers, h.Capacity(), h.Partitions(), 2*first.Capacity())
 			}
 		}
-		rt.close()
 	}
 	if got := join.CapacityFor(1_000_000, 0); got != 1<<21 {
 		t.Fatalf("CapacityFor(1M, default) = %d; the cases above assume 2^21", got)

@@ -157,7 +157,8 @@ type runtime struct {
 	met  *Metrics
 }
 
-// newRuntime builds the shared pool for one terminal execution.
+// newRuntime builds the shared pool for one terminal execution. The pool
+// holds no goroutines between its phases, so nothing needs closing.
 func newRuntime(cfg Config) *runtime {
 	pool := exec.NewPool(exec.Config{
 		Workers:    cfg.Workers,
@@ -166,8 +167,6 @@ func newRuntime(cfg Config) *runtime {
 	})
 	return &runtime{pool: pool, ctx: cfg.Ctx, met: cfg.Metrics}
 }
-
-func (rt *runtime) close() { rt.pool.Close() }
 
 // ctxErr reports the run's cancellation, for serial emission loops that
 // are not paced by the pool's claim cursor.
@@ -244,7 +243,6 @@ func (rt *runtime) emit(o op, w int, stages []stage, sink batchSink, b *batch, i
 // low-level terminal the others build on.
 func (s *Stream) Sink(cfg Config, fn func(worker int, keys, vals []uint64) error) error {
 	rt := newRuntime(cfg)
-	defer rt.close()
 	return s.src.run(rt, s.stages, fn)
 }
 
@@ -257,7 +255,6 @@ func (s *Stream) Drain(cfg Config) error {
 // Count runs the stream and returns the number of surviving rows.
 func (s *Stream) Count(cfg Config) (int, error) {
 	rt := newRuntime(cfg)
-	defer rt.close()
 	counts := make([]int, rt.pool.Workers())
 	err := s.src.run(rt, s.stages, func(w int, keys, _ []uint64) error {
 		counts[w] += len(keys)
@@ -279,7 +276,6 @@ func (s *Stream) Count(cfg Config) (int, error) {
 // unspecified (rows within one morsel stay contiguous and ordered).
 func (s *Stream) Collect(cfg Config) (keys, vals []uint64, err error) {
 	rt := newRuntime(cfg)
-	defer rt.close()
 	type cols struct{ keys, vals []uint64 }
 	parts := make([]cols, rt.pool.Workers())
 	err = s.src.run(rt, s.stages, func(w int, k, v []uint64) error {

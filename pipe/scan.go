@@ -102,14 +102,8 @@ func (s *handleSource) rows() int { return s.h.Len() }
 func (s *handleSource) run(rt *runtime, stages []stage, sink batchSink) error {
 	eng := s.h.Engine()
 	if eng == nil {
-		// Single-partition handle: a serial walk, wrapped as one pool
-		// task so a panicking stage is contained and cancellation is
-		// checked like everywhere else.
-		return rt.pool.ForEach(1, func(w, _ int) error {
-			b := rt.takeBatches(1)
-			defer putBatches(b)
-			return rt.drain(stages, sink, w, b[0], s.h.Range)
-		})
+		// Single-partition handle: a serial walk.
+		return rt.drainSerial(stages, sink, s.h.Range)
 	}
 	bufs := rt.takeBatches(rt.pool.Workers())
 	defer putBatches(bufs)
@@ -117,6 +111,17 @@ func (s *handleSource) run(rt *runtime, stages []stage, sink batchSink) error {
 		return rt.drain(stages, sink, w, bufs[w], func(fn func(k, v uint64) bool) {
 			eng.RangeShard(shard, fn)
 		})
+	})
+}
+
+// drainSerial is drain as one pool task on a batch of its own: a serial
+// walk wrapped so that a panicking stage is contained and cancellation is
+// checked like everywhere else.
+func (rt *runtime) drainSerial(stages []stage, sink batchSink, rangeFn func(func(k, v uint64) bool)) error {
+	return rt.pool.ForEach(1, func(w, _ int) error {
+		b := rt.takeBatches(1)
+		defer putBatches(b)
+		return rt.drain(stages, sink, w, b[0], rangeFn)
 	})
 }
 
