@@ -32,21 +32,22 @@
 //     join.CapacityFor from the build stream's cardinality hint (known
 //     slice lengths, table.Handle.Len, or an explicit Hint from a dist
 //     tape), so the build never rehashes. The power-of-two sizing leaves
-//     the table in (JoinConfig.LoadFactor/2, LoadFactor], and its scheme
-//     is the paper's Figure 8 (table.Recommend) walked with that real load
-//     factor — LP below 50%, RH otherwise — unless JoinConfig.Scheme pins one.
+//     the table in (0.25, 0.5], and its scheme is the paper's Figure 8
+//     (table.Recommend) walked with that real load factor — LP below 50%,
+//     RH otherwise — unless JoinConfig.Scheme pins one.
 //   - One build table, no engine: the build is a single fixed table all
 //     workers fill through Handle.PutIfAbsentBatch — a compare-and-swap per
-//     key, or a batch at a time under a mutex for RH, Cuckoo and chained —
-//     and probe with plain GetBatch after the phase barrier; an overrun
-//     re-runs it at twice the size. shard.Engine serves only live handles.
+//     key, or a batch at a time under the handle's mutex for RH, Cuckoo and
+//     chained — and probe with plain GetBatch after the phase barrier; an
+//     overrun re-runs it at twice the size. shard.Engine serves only live
+//     handles.
 //   - No build over an index: when the build side is a bare
 //     FromHandle(h), h already is the hash table the join would build, so
 //     HashJoin skips the build phase and probes h in place — wait-free,
 //     no lock taken on h, no table allocated. The join then sees h as of
-//     each probe batch rather than as of one scan, and JoinConfig's
-//     table fields go unused; a Filter or Map on the build side restores
-//     the private build.
+//     each probe batch rather than as of one scan, and JoinConfig.Scheme
+//     goes unused; a Filter or Map on the build side restores the private
+//     build.
 //   - Shared scheduling: every phase of every operator runs on one
 //     exec.Pool with the established first-error, cancellation
 //     (Config.Ctx) and panic-containment conventions; per-worker column

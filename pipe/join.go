@@ -8,9 +8,7 @@ package pipe
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"repro/hashfn"
 	"repro/join"
 	"repro/table"
 )
@@ -22,17 +20,6 @@ type JoinConfig struct {
 	// Scheme pins the build-side table; empty lets the paper's Figure 8
 	// pick it from the table's real load factor (see HashJoin).
 	Scheme table.Scheme
-	// Family is the hash-function class (default Mult).
-	Family hashfn.Family
-	// LoadFactor is the build-side occupancy ceiling (default 0.5: joins
-	// are memory-rich and probe-bound); the capacity is a power of two,
-	// so the table runs in (LoadFactor/2, LoadFactor].
-	LoadFactor float64
-	// BuildRows overrides the build-side cardinality hint the table is
-	// pre-sized from (join.CapacityFor); 0 asks the build stream, whose
-	// sources usually know (slice lengths, Handle.Len, Hint), else 1000
-	// rows. A build that overruns its table re-runs into one twice the size.
-	BuildRows int
 	// Project maps one match to the row the joined stream emits. The
 	// default keeps the join key and the probe payload:
 	// (key, probeVal). Group-bys over a build-side attribute supply
@@ -48,19 +35,22 @@ type JoinConfig struct {
 // freely. Each match is projected through cfg.Project and continues
 // downstream; non-matching probe rows are skipped at emission.
 //
-// Unless cfg.Scheme pins one, the build table's scheme is the paper's
-// Figure 8 (table.Recommend) walked for a static, read-mostly table with
-// successful lookups at the load factor the sizing really leaves: 1M rows
-// under the default 0.5 land in 2^21 slots — 0.477, LP — exactly 2^20 rows
-// at 0.5, RH; a build side of unknown size starts from 1000 rows, LP.
+// The build table is pre-sized from the build stream's cardinality hint
+// (slice lengths, Handle.Len, Hint; else 1000 rows) to a load factor of at
+// most buildLoadFactor, and hashes with Mult, as Figure 8 does. Unless
+// cfg.Scheme pins one, its scheme is the paper's Figure 8 (table.Recommend)
+// walked for a static, read-mostly table with successful lookups at the load
+// factor the sizing really leaves: 1M rows land in 2^21 slots — 0.477, LP —
+// exactly 2^20 rows at 0.5, RH; a build side of unknown size starts from
+// 1000 rows, LP.
 //
 // The private build never opens a shard.Engine (that serves only shared,
 // live handles): it is ONE fixed table at every worker count, filled through
-// Handle.PutIfAbsentBatch — a compare-and-swap per key for the schemes that
-// hold their entries still (table.Scheme.SharedBuild: LP, LPSoA, QP), a
-// batch at a time under a mutex for RH, Cuckoo and chained — and probed with
-// plain GetBatch after the build phase's barrier. A build that overruns its
-// table re-runs into one twice the size: doubling wastes about one build.
+// Handle.PutIfAbsentBatch, which every worker calls — a compare-and-swap per
+// key for the schemes that hold their entries still (LP, LPSoA, QP), a batch
+// at a time under the handle's mutex for RH, Cuckoo and chained — and probed
+// with plain GetBatch after the build phase's barrier. A build that overruns
+// its table re-runs into one twice the size: doubling wastes about one build.
 //
 // When build is a bare FromHandle(h) — no Filter or Map on it — the join
 // builds nothing: h is the index, and each probe batch is one wait-free
@@ -83,8 +73,13 @@ type joinSource struct {
 // probe bound is the join's bound.
 func (j *joinSource) rows() int { return j.probe.size() }
 
-// unsizedBuildRows sizes a build side of unknown size: 2^11 slots at the
-// default load factor, 0.488, LP on Figure 8.
+// buildLoadFactor is the build table's occupancy ceiling: joins are
+// memory-rich and probe-bound. The capacity is a power of two, so the table
+// runs in (buildLoadFactor/2, buildLoadFactor].
+const buildLoadFactor = 0.5
+
+// unsizedBuildRows sizes a build side of unknown size: 2^11 slots, 0.488,
+// LP on Figure 8.
 const unsizedBuildRows = 1000
 
 // openBuild opens the build table: one growth-disabled table of
@@ -92,26 +87,20 @@ const unsizedBuildRows = 1000
 // picks for its real load factor unless the config pins one. After a refused
 // table it is sized for twice the rows that one held, in ≥ twice its slots.
 func (j *joinSource) openBuild(refused *table.FullError) (*table.Handle, error) {
-	n := j.cfg.BuildRows
-	if n <= 0 {
-		n = j.build.size()
-	}
+	n := j.build.size()
 	if n < 0 {
 		n = unsizedBuildRows
 	}
-	slots := join.CapacityFor(n, j.cfg.LoadFactor)
+	slots := join.CapacityFor(n, buildLoadFactor)
 	if refused != nil {
 		n = 2 * refused.Len
-		slots = max(join.CapacityFor(n, j.cfg.LoadFactor), 2*refused.Capacity)
+		slots = max(join.CapacityFor(n, buildLoadFactor), 2*refused.Capacity)
 	}
 	opts := []table.Option{table.WithSeed(j.cfg.Seed), table.WithCapacity(slots), table.WithMaxLoadFactor(0)}
 	if j.cfg.Scheme != "" {
 		opts = append(opts, table.WithScheme(j.cfg.Scheme))
 	} else { // static, read-mostly, lookups succeed (the PK/FK contract)
 		opts = append(opts, table.WithWorkload(table.Workload{LoadFactor: float64(max(n, 1)) / float64(slots)}))
-	}
-	if j.cfg.Family != nil {
-		opts = append(opts, table.WithHashFamily(j.cfg.Family))
 	}
 	return table.Open(opts...)
 }
@@ -120,23 +109,14 @@ func (j *joinSource) openBuild(refused *table.FullError) (*table.Handle, error) 
 // PutIfAbsentBatch per batch. The call returns no values — the join never
 // read them, and that is what lets workers share a fixed table; the pool's
 // barrier ending the phase orders the inserts before the probe's plain reads.
-// A scheme that moves or allocates on insert takes them under one mutex.
 func (j *joinSource) buildTable(rt *runtime, refused *table.FullError) (*table.Handle, error) {
 	h, err := j.openBuild(refused)
 	if err != nil {
 		return nil, fmt.Errorf("pipe: join build table: %w", err)
 	}
-	var mu sync.Mutex
-	serial := !h.Scheme().SharedBuild()
 	return h, j.build.src.run(rt, j.build.stages, func(w int, keys, vals []uint64) error {
 		start := rt.opStart()
-		if serial {
-			mu.Lock()
-		}
 		_, err := h.PutIfAbsentBatch(keys, vals)
-		if serial {
-			mu.Unlock()
-		}
 		rt.opDone(opJoinBuild, w, len(keys), len(keys), start)
 		if err != nil {
 			return fmt.Errorf("pipe: join build: %w", err)

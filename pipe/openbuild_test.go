@@ -34,9 +34,6 @@ func TestOpenBuildFollowsRecommend(t *testing.T) {
 	}{
 		{"1M rows in 2^21 slots", sized(1_000_000), JoinConfig{}, table.SchemeLP},
 		{"2^20 rows in 2^21 slots", sized(1 << 20), JoinConfig{}, table.SchemeRH},
-		{"BuildRows over the stream's hint", sized(1 << 20), JoinConfig{BuildRows: 600_000}, table.SchemeLP},
-		{"0.7 asked, 0.35 got", sized(367_002), JoinConfig{LoadFactor: 0.7}, table.SchemeLP},
-		{"0.7 asked, 0.7 got", sized(734_000), JoinConfig{LoadFactor: 0.7}, table.SchemeRH},
 		{"empty build side", sized(0), JoinConfig{}, table.SchemeLP},
 		{"no hint: 1000 rows in 2^11 slots, LP", noHint, JoinConfig{}, table.SchemeLP},
 		{"pinned QP", sized(1_000_000), JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP},

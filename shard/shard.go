@@ -686,9 +686,9 @@ func (e *Engine) Drain() bool {
 // refuses an insert mid-migration, the shard is rebuilt stop-the-world
 // into a fresh table (doubling until everything fits). This is the only
 // path that pays a full-shard copy; it is unreachable for the probing and
-// chained schemes (their growth-disabled tables refuse only when 100%
-// full, which the threshold prevents) and requires a failed kick chain
-// for Cuckoo.
+// chained schemes (their growth-disabled tables refuse only when full —
+// every slot but one for the probing ones — which the threshold prevents)
+// and requires a failed kick chain for Cuckoo.
 func (e *Engine) rebuild(s *shardState) error {
 	v := s.view.Load()
 	capacity := v.cur.Capacity() * 2

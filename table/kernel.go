@@ -34,9 +34,10 @@ package table
 // batch walk's line-crossing test is the constant si&^7.
 //
 // Sentinel handling (keys 0 and 2^64-1 routed to side fields), the
-// one-empty-slot invariant of unbounded probe sequences and the ErrFull
-// contract of growth-disabled tables all live here, shared by every
-// scheme.
+// one-empty-slot invariant and the ErrFull contract of growth-disabled
+// tables all live here, shared by every scheme: every table keeps at least
+// one truly empty slot, so live entries plus tombstones never exceed
+// capacity-1 and every probe loop ends on an empty slot.
 
 import (
 	"sync"
@@ -187,17 +188,6 @@ func (c *kern) Tombstones() int { return c.tombs }
 // far, for Stats.
 func (c *kern) Rehashes() int { return c.grows }
 
-// fullSweepOnly reports that probe loops may not rely on hitting a truly
-// empty slot to terminate: the table is completely occupied (live +
-// tombstones), which only a bounded sequence permits. The batch walks
-// are written for the common case — at least one empty slot, which a
-// permutation sequence is guaranteed to find — and divert to the scalar
-// lookups in this degenerate state; the scalar loops handle it in place
-// with their cursor-cycle termination check.
-func (c *kern) fullSweepOnly() bool {
-	return c.quad && c.size+c.tombs == c.slotCount()
-}
-
 // Get implements Table, including the Robin Hood cache-line-granular early
 // abort when the scheme is robin.
 func (c *kern) Get(key uint64) (uint64, bool) {
@@ -225,10 +215,9 @@ func (c *kern) Get(key uint64) (uint64, bool) {
 		si = (si + sstep) & smask
 		sstep += sinc
 		if si == si0 {
-			// Cursor cycle: every slot examined, none empty — the
-			// fully-occupied bounded-sequence miss. (The triangular
-			// sequence closes its cycle only on a second sweep;
-			// nothing but this degenerate state ever pays that.)
+			// Cursor cycle: every slot examined, none empty. A
+			// quiescent table always keeps an empty slot; only a reader
+			// racing a writer can be shown none.
 			return 0, false
 		}
 	}
@@ -256,10 +245,10 @@ func (c *kern) robinAbort(si, si0, k uint64) bool {
 // full check fires only when an insert is actually needed, so operations
 // that resolve to an existing key keep working on a full table.
 //
-// Fullness itself follows the probe sequence: bounded sequences detect it
-// naturally at the end of their full-table sweep (and may therefore fill
-// to 100% occupancy), while unbounded ones preserve one truly empty slot
-// for probe termination and refuse the last insert.
+// Fullness is one rule for every scheme: the insert that would take the
+// last truly empty slot is refused, so every probe sequence has an empty
+// slot to stop on. QP's sequence covers the table (§2.3), so its insert
+// finds that slot wherever it lies.
 func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, bool) uint64) (uint64, bool, error) {
 	if isSentinelKey(key) {
 		v, existed := c.sent.rmw(key, val, overwrite, fn)
@@ -267,9 +256,10 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 	}
 	if c.maxLF != 0 {
 		c.maybeGrow()
-	} else if c.tombs > 0 && c.size+c.tombs == c.slotCount() {
-		// Tombstones (quad only) block the very last slot: shed them so
-		// the probe below is guaranteed a truly empty slot to stop on.
+	} else if c.tombs > 0 && c.size+c.tombs+1 >= c.slotCount() {
+		// Tombstones (quad only) stand between the table and its last
+		// empty slot: shed them, so the ErrFull check below counts live
+		// entries alone.
 		c.rehashTo(c.slotCount())
 	}
 	kc, smask := c.kc, c.smask
@@ -288,7 +278,7 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 			return c.valAtS(si), true, nil
 		}
 		if k == emptyKey {
-			if !c.quad && c.maxLF == 0 && c.size+1 >= c.slotCount() {
+			if c.maxLF == 0 && c.size+1 >= c.slotCount() {
 				return 0, false, errFull(c.scheme, c.size, c.slotCount())
 			}
 			v := val
@@ -329,19 +319,8 @@ func (c *kern) rmwHashed(key, val, hash uint64, overwrite bool, fn func(uint64, 
 		si = (si + sstep) & smask
 		sstep += sinc
 		if si == si0 {
-			// Cursor cycle: the full sweep examined every slot and
-			// found none empty. Recycle the first tombstone seen, or
-			// report the table full.
-			if firstTomb >= 0 {
-				v := val
-				if fn != nil {
-					v = fn(0, false)
-				}
-				c.setAtS(uint64(firstTomb), key, v)
-				c.tombs--
-				c.size++
-				return v, false, nil
-			}
+			// Cursor cycle: unreachable while the table keeps its empty
+			// slot, and a guard against looping should one be missing.
 			return 0, false, errFull(c.scheme, c.size, c.slotCount())
 		}
 	}
@@ -587,35 +566,29 @@ func (c *kern) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite bool,
 	return inserted, nil
 }
 
-// sharedBuild reports whether goroutines may share putIfAbsentBatch on this
-// table: it never displaces and never grows, so a claimed slot stays put.
-func (c *kern) sharedBuild() bool { return !c.robin && c.maxLF == 0 }
-
 // putIfAbsentBatch is the kernel's one concurrent entry point: a get-or-put
 // RMWBatch with nothing returned, for any number of goroutines on one
-// sharedBuild table that nothing else touches meanwhile. A lane walks its
-// ordinary probe sequence loading key words atomically and claims an empty
-// one by compare-and-swap; the winner stores the value word plainly, so a
-// caller that meets another's key may be ahead of its value — hence no
-// values come back. Whatever joins the callers is the happens-before edge to
-// the plain reads and single-writer calls that follow, and size is exact by
-// then. Room is reserved before it is claimed: under c.shared a call counts
-// free slots into size — BatchWidth at a time, an eighth of what is left at
-// most, so the last ones go singly instead of stranding in reservations —
-// and gives back what it did not use. So an unbounded sequence keeps its
-// empty slot however claims interleave, and nothing left to reserve is
-// ErrFull, earlier pairs applied. Tombstones count as occupied, never
-// recycled; the sentinel keys take c.shared too.
+// growth-disabled table that never displaces (not robin) and that nothing
+// else touches meanwhile; Handle.PutIfAbsentBatch makes that choice. A lane
+// walks its ordinary probe sequence loading key words atomically and claims
+// an empty one by compare-and-swap; the winner stores the value word
+// plainly, so a caller that meets another's key may be ahead of its value —
+// hence no values come back. Whatever joins the callers is the
+// happens-before edge to the plain reads and single-writer calls that
+// follow, and size is exact by then. Room is reserved before it is claimed:
+// under c.shared a call counts free slots into size — BatchWidth at a time,
+// an eighth of what is left at most, so the last ones go singly instead of
+// stranding in reservations — and gives back what it did not use. So the
+// table keeps its empty slot however claims interleave, and nothing left to
+// reserve is ErrFull, earlier pairs applied. Tombstones count as occupied,
+// never recycled; the sentinel keys take c.shared too.
 func (c *kern) putIfAbsentBatch(keys, vals []uint64) (inserted int, err error) {
 	checkRMWBatch(keys, vals, nil, nil, false)
 	bt := readBufs.Get().(*batchBuf)
 	kc, vcb, smask, sinc := c.kc, c.vc[c.ks:], c.smask, c.sinc
 	sshift, soneM := c.sshift, c.sone-1
-	full := c.slotCount() - c.tombs // the most size may reach
-	if !c.quad {
-		full-- // the empty slot an unbounded sequence stops on
-	}
-	credit := 0 // slots reserved and not yet claimed
+	full := c.slotCount() - c.tombs - 1 // the most size may reach: one empty slot stays
+	credit := 0                         // slots reserved and not yet claimed
 lanes:
 	for lo := 0; lo < len(keys); lo += BatchWidth {
 		chunk := keys[lo:min(lo+BatchWidth, len(keys))]
@@ -644,8 +617,8 @@ lanes:
 					if si != si0 {
 						continue
 					}
-					// The cursor cycle of Get: a bounded sequence saw every
-					// slot occupied.
+					// The cursor cycle of Get, a guard: the kept empty slot
+					// ends the walk first.
 				} else {
 					if credit == 0 {
 						c.shared.Lock()
@@ -716,7 +689,7 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 	return getBatchImpl(c, keys, vals, ok)
 }
 
-// getChunk resolves one chunk through one of four walk variants, chosen
+// getChunk resolves one chunk through one of three walk variants, chosen
 // once per chunk from the hoisted kernSpec state. The variants exist
 // because the round-robin walk is bound by memory-level parallelism: its
 // entire value is how many independent lane loads fit the out-of-order
@@ -724,14 +697,9 @@ func (c *kern) GetBatch(keys []uint64, vals []uint64, ok []bool) int {
 // — or a walk behind a call — measurably serializes the lanes). Each
 // variant still serves every scheme with its row's shape: linear covers
 // LP and LPSoA (the column view folds the layouts), stepped covers QP
-// (its triangular stride is si += sstep; sstep += sinc), robin covers
-// RH, and sweep covers any bounded scheme on a degenerate
-// completely-occupied table, which the scalar lookup's single sweep
-// answers far sooner than the walks' round bound.
+// (its triangular stride is si += sstep; sstep += sinc) and robin covers
+// RH.
 func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
-	if c.fullSweepOnly() {
-		return c.getChunkSweep(keys, vals, ok)
-	}
 	c.hashAndTouch(bt, keys)
 	switch {
 	case c.robin:
@@ -747,11 +715,10 @@ func (c *kern) getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int {
 // bounds the scalar Get: a live lane examines at least one new slot of
 // its sequence per round, so once this many rounds have passed every lane
 // has seen the whole table without meeting its key or an empty slot and
-// is a miss. A quiescent table never gets there (the sweep variant takes
-// the completely occupied ones); a reader racing a writer can be shown
-// slots with no empty one among them, and its caller's sequence
-// validation discards whatever the bound cut short. One counter per
-// round, nothing per lane.
+// is a miss. A quiescent table never gets there (it keeps an empty slot);
+// a reader racing a writer can be shown slots with no empty one among
+// them, and its caller's sequence validation discards whatever the bound
+// cut short. One counter per round, nothing per lane.
 func (c *kern) walkRounds() int { return c.slotCount() + 2 }
 
 // missLive reports as misses the lanes still live when a walk ends: none,
@@ -1003,20 +970,6 @@ func (c *kern) getChunkStepped(bt *batchBuf, keys, vals []uint64, ok []bool) int
 	return hits
 }
 
-// getChunkSweep resolves a chunk on a completely occupied
-// bounded-sequence table through the scalar lookups, whose cursor-cycle
-// check terminates without an empty slot.
-func (c *kern) getChunkSweep(keys, vals []uint64, ok []bool) int {
-	hits := 0
-	for l := range keys {
-		vals[l], ok[l] = c.Get(keys[l])
-		if ok[l] {
-			hits++
-		}
-	}
-	return hits
-}
-
 // ---------------------------------------------------------------------------
 // Diagnostics
 // ---------------------------------------------------------------------------
@@ -1059,12 +1012,9 @@ func (c *kern) Displacements() []int {
 func (c *kern) ClusterLengths() []int {
 	n := c.slotCount()
 	occupied := func(i int) bool { return c.keyAt(uint64(i%n)) != emptyKey }
-	start := 0 // anchor the circular walk at an empty slot, where it ends
+	start := 0 // anchor the circular walk at the empty slot every table keeps
 	for start < n && occupied(start) {
 		start++
-	}
-	if start == n {
-		return []int{n} // completely full: one cluster
 	}
 	var out []int
 	run := 0

@@ -11,6 +11,7 @@ package table
 import (
 	"fmt"
 	"iter"
+	"sync"
 
 	"repro/hashfn"
 	"repro/internal/fault"
@@ -145,10 +146,9 @@ func WithPartitions(n int) Option {
 // pass-through to one scheme with one writer at a time: a mutation needs
 // external synchronization against every other call. While nothing mutates
 // it, any number of goroutines may Get and GetBatch it (lookups write no table
-// state). PutIfAbsentBatch alone may be shared among goroutines, nothing else
-// running, when the handle was opened WithMaxLoadFactor(0) and its
-// Scheme().SharedBuild() holds; whatever joins them orders their inserts
-// before the reads that follow. A Handle
+// state). PutIfAbsentBatch alone may be shared among any number of
+// goroutines on any handle while nothing else runs; whatever joins them
+// orders their inserts before the reads that follow. A Handle
 // opened WithPartitions(n > 1) delegates every operation to a
 // shard.Engine and is safe for arbitrary concurrent use: Get, GetBatch,
 // Len and Stats take no lock at all (wait-free seqlock reads of each
@@ -162,7 +162,8 @@ type Handle struct {
 	eng    *shard.Engine // the sharded engine (nil when single)
 	scheme Scheme
 	family string
-	path   []string // Figure 8 decision trail when opened WithWorkload
+	path   []string   // Figure 8 decision trail when opened WithWorkload
+	build  sync.Mutex // PutIfAbsentBatch's callers on a table without compare-and-swap claims
 }
 
 // handleOps is the surface a Handle forwards to, which a raw Table and a
@@ -449,20 +450,27 @@ func (h *Handle) GetOrPutBatch(keys, vals, out []uint64, loaded []bool) (int, er
 }
 
 // PutIfAbsentBatch is GetOrPutBatch with nothing returned but the number of
-// newly inserted keys: the first payload offered for a key stays. Returning
-// no values is what lets goroutines share it on one fixed table (see the
-// concurrency contract): slots are claimed by compare-and-swap, and a caller
-// that meets another's key may be ahead of its value. Every other handle
-// runs it as GetOrPutBatch. On ErrFull it stops, with earlier pairs applied.
+// newly inserted keys: the first payload offered for a key stays. Goroutines
+// may share it on any handle (see the concurrency contract). Returning no
+// values is what lets them share a fixed kernel table that never displaces
+// (LP, LPSoA, QP) without a lock: slots are claimed by compare-and-swap, and
+// a caller that meets another's key may be ahead of its value. Any other
+// single table — RH, Cuckoo, chained, or a growing one — moves or allocates
+// on insert and takes the calls one at a time as GetOrPutBatch under the
+// handle's mutex; a partitioned handle runs it as GetOrPutBatch. On ErrFull
+// it stops, with earlier pairs applied.
 func (h *Handle) PutIfAbsentBatch(keys, vals []uint64) (int, error) {
-	c, ok := h.ops.(*kern)
-	if !ok || !c.sharedBuild() {
-		return h.rmwBatch(keys, vals, nil, nil, false, nil)
+	if c, ok := h.ops.(*kern); ok && !c.robin && c.maxLF == 0 {
+		if fault.Should(fault.Full) {
+			return 0, errInjectedFull(string(h.scheme))
+		}
+		return c.putIfAbsentBatch(keys, vals)
 	}
-	if fault.Should(fault.Full) {
-		return 0, errInjectedFull(string(h.scheme))
+	if h.eng == nil {
+		h.build.Lock()
+		defer h.build.Unlock()
 	}
-	return c.putIfAbsentBatch(keys, vals)
+	return h.rmwBatch(keys, vals, nil, nil, false, nil)
 }
 
 // UpsertBatch applies an Upsert to every key, passing fn the key's lane

@@ -45,12 +45,10 @@ import "unsafe"
 type kernSpec struct {
 	// quad selects triangular quadratic probing, h(k, i) = h'(k) + i/2 +
 	// i²/2 (§2.3), over linear probing, h(k, i) = h'(k) + i (§2.2). A
-	// quadratic sequence is a permutation of any power-of-two table, so
-	// it needs an explicit full-sweep termination guard (after capacity
-	// probes every slot has been seen and the key is absent) and may fill
-	// the table to 100% occupancy. A linear sequence instead relies on the
-	// kernel keeping at least one truly empty slot for probe loops to
-	// terminate on, and its consecutive probes are adjacent slots, which
+	// quadratic sequence is a permutation of any power-of-two table, so,
+	// like a linear one, it reaches the one truly empty slot the kernel
+	// keeps wherever that slot lies, and every probe loop terminates on
+	// it. A linear sequence's consecutive probes are adjacent slots, which
 	// enables backward-shift deletion (Algorithm R) and O(1) displacement
 	// computation.
 	quad bool
@@ -115,8 +113,9 @@ var kernSchemes = map[Scheme]kernSpec{
 	// Deletion places a tombstone: the backward shift of the linear rows
 	// has no analogue here because probe sequences through a slot are not
 	// physically contiguous. Inserts recycle tombstones; tombstone pressure
-	// triggers an in-place rehash when growth is enabled, and only a full
-	// table rehashes in place when it is disabled.
+	// triggers an in-place rehash when growth is enabled, and when it is
+	// disabled a table rehashes in place only once its tombstones stand
+	// between it and its last empty slot.
 	SchemeQP: {quad: true},
 
 	// RH is the paper's tuned Robin Hood hashing on linear probing (§2.4):

@@ -55,16 +55,6 @@ func AllSchemes() []Scheme {
 	return append([]Scheme{SchemeChained8, SchemeChained24}, openAddressingSchemes()...)
 }
 
-// SharedBuild reports whether goroutines may share Handle.PutIfAbsentBatch
-// on one growth-disabled single table of the scheme, which its kernSchemes
-// row answers: the kernel's schemes that never displace a resident entry.
-// RH, Cuckoo and chained move or allocate on insert; share them
-// WithPartitions.
-func (s Scheme) SharedBuild() bool {
-	spec, ok := kernSchemes[s]
-	return ok && !spec.robin
-}
-
 // New constructs an empty table of the given scheme, or returns an error
 // for an unknown scheme name or a MaxLoadFactor Open would reject. It is
 // the one low-level constructor: Open builds on it, and

@@ -237,38 +237,44 @@ func TestQPTriangularCoverage(t *testing.T) {
 	}
 }
 
-// TestQPFullTableInsert fills a QP table to 100% capacity; the coverage
-// guarantee means every insert must find the remaining empty slots.
+// TestQPFullTableInsert fills a QP table to capacity-1, the most any
+// kernel table takes; the coverage guarantee means every insert finds one
+// of the remaining empty slots, and the last slot is refused.
 func TestQPFullTableInsert(t *testing.T) {
 	const l = 256
 	m := newKern(SchemeQP, Config{InitialCapacity: l, Seed: 5})
-	for i := uint64(1); i <= l; i++ {
+	for i := uint64(1); i < l; i++ {
 		put(t, m, i*0x9E3779B97F4A7C15, i)
 	}
-	if m.Len() != l {
-		t.Fatalf("Len = %d, want %d", m.Len(), l)
+	if m.Len() != l-1 {
+		t.Fatalf("Len = %d, want %d", m.Len(), l-1)
 	}
-	for i := uint64(1); i <= l; i++ {
+	last := uint64(l)
+	if _, err := tryPut(m, last*0x9E3779B97F4A7C15, last); !errors.Is(err, ErrFull) {
+		t.Fatalf("insert into the last empty slot: err = %v, want ErrFull", err)
+	}
+	for i := uint64(1); i < l; i++ {
 		if v, ok := m.Get(i * 0x9E3779B97F4A7C15); !ok || v != i {
 			t.Fatalf("Get(%d) = %d,%v at full table", i, v, ok)
 		}
 	}
-	// Unsuccessful lookups on a 100% full table must terminate.
+	// Unsuccessful lookups on a full table must terminate.
 	if _, ok := m.Get(0x1234567); ok {
 		t.Fatal("phantom hit")
 	}
 }
 
-// TestQPTombstoneChurnFixedCapacity: delete/insert cycles on a full-ish
-// fixed table exercise the full-sweep tombstone-recycling path.
+// TestQPTombstoneChurnFixedCapacity: delete/insert cycles on a fixed
+// table held at capacity-1, where every insert after a delete finds the
+// tombstone between the table and its last empty slot and sheds it.
 func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 	const l = 128
 	m := newKern(SchemeQP, Config{InitialCapacity: l, Seed: 6})
-	for i := uint64(1); i <= l; i++ { // completely full
+	for i := uint64(1); i < l; i++ { // all but the empty slot kept
 		put(t, m, i, i)
 	}
 	for round := uint64(0); round < 200; round++ {
-		k := round%l + 1
+		k := round%(l-1) + 1
 		if !m.Delete(k) {
 			t.Fatalf("round %d: delete %d failed", round, k)
 		}
@@ -285,8 +291,8 @@ func TestQPTombstoneChurnFixedCapacity(t *testing.T) {
 		}
 		put(t, m, k, k)
 	}
-	if m.Len() != l {
-		t.Fatalf("Len = %d, want %d", m.Len(), l)
+	if m.Len() != l-1 {
+		t.Fatalf("Len = %d, want %d", m.Len(), l-1)
 	}
 }
 
@@ -684,29 +690,74 @@ func TestDisplacementsConsistency(t *testing.T) {
 	}
 }
 
-// TestClusterLengthsFullTable covers the all-slots-occupied edge case of
-// the run detector (reachable only through internal construction: the
-// public API always preserves one empty slot for probe termination).
+// TestClusterLengthsFullTable covers the fullest table the API builds:
+// capacity-1 occupied slots form one run that wraps around the single
+// empty slot the detector anchors at, and the next Put reports ErrFull
+// and leaves the table as it was.
 func TestClusterLengthsFullTable(t *testing.T) {
 	m := newKern(SchemeLP, Config{InitialCapacity: 8, Seed: 29})
-	for i := range m.slots {
-		m.slots[i] = pair{uint64(i) + 1, 0}
-	}
-	cl := m.ClusterLengths()
-	if len(cl) != 1 || cl[0] != 8 {
-		t.Fatalf("full table clusters = %v, want [8]", cl)
-	}
-	// And the one-empty-slot invariant: filling via the public API stops
-	// at capacity-1, where Put reports ErrFull and leaves the table as it
-	// was.
-	m2 := newKern(SchemeLP, Config{InitialCapacity: 8, Seed: 29})
 	for i := uint64(1); i <= 7; i++ {
-		put(t, m2, i, i)
+		put(t, m, i, i)
 	}
-	if _, err := tryPut(m2, 8, 8); !errors.Is(err, ErrFull) {
+	if cl := m.ClusterLengths(); len(cl) != 1 || cl[0] != 7 {
+		t.Fatalf("full table clusters = %v, want [7]", cl)
+	}
+	if _, err := tryPut(m, 8, 8); !errors.Is(err, ErrFull) {
 		t.Fatalf("Put on full table: err = %v, want ErrFull", err)
 	}
-	if m2.Len() != 7 || m2.Capacity() != 8 {
-		t.Fatalf("failed Put moved the table: Len %d, Capacity %d", m2.Len(), m2.Capacity())
+	if m.Len() != 7 || m.Capacity() != 8 {
+		t.Fatalf("failed Put moved the table: Len %d, Capacity %d", m.Len(), m.Capacity())
+	}
+	if cl := m.ClusterLengths(); len(cl) != 1 || cl[0] != 7 {
+		t.Fatalf("clusters after the refused Put = %v, want [7]", cl)
+	}
+}
+
+// TestKernelTablesRefuseTheLastSlotWithErrFull: every kernel scheme keeps
+// one slot empty. A growth-disabled table takes capacity-1 keys, refuses
+// the next with ErrFull and leaves itself as it was, and still answers
+// absent keys, in the batch walks too. A QP table whose delete left a
+// tombstone takes a fresh key by shedding it.
+func TestKernelTablesRefuseTheLastSlotWithErrFull(t *testing.T) {
+	const l = 256
+	key := func(i uint64) uint64 { return i * 0x9E3779B97F4A7C15 }
+	for _, s := range KernelSchemes() {
+		t.Run(string(s), func(t *testing.T) {
+			m := mustNew(s, Config{InitialCapacity: l, Seed: 5})
+			for i := uint64(1); i < l; i++ {
+				put(t, m, key(i), i)
+			}
+			if _, err := tryPut(m, key(l), l); !errors.Is(err, ErrFull) {
+				t.Fatalf("insert into the last empty slot: err = %v, want ErrFull", err)
+			}
+			if m.Len() != l-1 || m.Capacity() != l {
+				t.Fatalf("refused insert moved the table: Len %d, Capacity %d", m.Len(), m.Capacity())
+			}
+			for i := uint64(1); i < l; i++ {
+				if v, ok := m.Get(key(i)); !ok || v != i {
+					t.Fatalf("Get(%#x) = %d,%v", key(i), v, ok)
+				}
+			}
+			absent := make([]uint64, 2*BatchWidth+5)
+			for i := range absent {
+				absent[i] = key(uint64(l + i))
+			}
+			if hits := m.GetBatch(absent, make([]uint64, len(absent)), make([]bool, len(absent))); hits != 0 {
+				t.Fatalf("GetBatch finds %d absent keys", hits)
+			}
+			if s != SchemeQP {
+				return
+			}
+			if !m.Delete(key(1)) || kernOf(t, m).Tombstones() != 1 {
+				t.Fatalf("delete left %d tombstones, want 1", kernOf(t, m).Tombstones())
+			}
+			put(t, m, key(l), l)
+			if m.Len() != l-1 || kernOf(t, m).Tombstones() != 0 {
+				t.Fatalf("after the fresh key: Len %d, %d tombstones, want %d and 0", m.Len(), kernOf(t, m).Tombstones(), l-1)
+			}
+			if _, ok := m.Get(key(1)); ok {
+				t.Fatal("the deleted key came back")
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ var exportedSurface = []string{
 	"Handle.GetBatch", "Handle.PutBatch", "Handle.GetOrPutBatch", "Handle.PutIfAbsentBatch",
 	"Handle.UpsertBatch",
 	// The scheme registry and Figure 8.
-	"Scheme", "Scheme.SharedBuild", "SchemeChained8", "SchemeChained24", "SchemeLP",
+	"Scheme", "SchemeChained8", "SchemeChained24", "SchemeLP",
 	"SchemeLPSoA", "SchemeQP", "SchemeRH", "SchemeCuckooH4",
 	"Schemes", "KernelSchemes", "AllSchemes",
 	"Workload", "Workload.Validate", "Recommend",
