@@ -2,13 +2,13 @@ package hashfn
 
 import "math/bits"
 
-// This file is the bulk-hash API behind the batched probe/insert pipeline:
-// hash tables hand over whole batches of keys and receive all hash codes in
-// one call, so the per-key interface dispatch and parameter loads of
-// Function.Hash are paid once per batch instead of once per key. Every
-// family reads its parameters into locals before the loop, which the
-// compiler keeps in registers; the loops are bounds-check-eliminated by the
-// leading dst reslice.
+// This file is the bulk-hash half of the Function contract behind the
+// batched probe/insert pipeline: hash tables hand over whole batches of keys
+// and receive all hash codes in one Function.HashBatch call, so the per-key
+// interface dispatch and parameter loads of Function.Hash are paid once per
+// batch instead of once per key. Every family reads its parameters into
+// locals before the loop, which the compiler keeps in registers; the loops
+// are bounds-check-eliminated by the leading dst reslice.
 
 // DefaultBatchWidth is the batch size the hash tables use for their batched
 // probe pipelines: large enough to amortize per-call overhead and to keep
@@ -16,26 +16,11 @@ import "math/bits"
 // batch of keys, codes and cursors stays resident in L1.
 const DefaultBatchWidth = 64
 
-// Batcher is implemented by hash functions that hash many keys per call.
-// HashBatch must be equivalent to dst[i] = Hash(keys[i]) for every i.
-type Batcher interface {
-	HashBatch(keys []uint64, dst []uint64)
-}
-
 // HashBatch hashes all keys into dst (which must be at least as long as
-// keys), using fn's bulk path when it has one and a scalar loop otherwise.
-func HashBatch(fn Function, keys []uint64, dst []uint64) {
-	if b, ok := fn.(Batcher); ok {
-		b.HashBatch(keys, dst)
-		return
-	}
-	dst = dst[:len(keys)]
-	for i, k := range keys {
-		dst[i] = fn.Hash(k)
-	}
-}
+// keys): fn.HashBatch(keys, dst).
+func HashBatch(fn Function, keys []uint64, dst []uint64) { fn.HashBatch(keys, dst) }
 
-// HashBatch implements Batcher: one multiplication per key, multiplier held
+// HashBatch implements Function: one multiplication per key, multiplier held
 // in a register.
 func (m Mult) HashBatch(keys []uint64, dst []uint64) {
 	z := m.z
@@ -45,7 +30,7 @@ func (m Mult) HashBatch(keys []uint64, dst []uint64) {
 	}
 }
 
-// HashBatch implements Batcher with the 128-bit parameters loaded once.
+// HashBatch implements Function with the 128-bit parameters loaded once.
 func (m MultAdd) HashBatch(keys []uint64, dst []uint64) {
 	aHi, aLo, bHi, bLo := m.aHi, m.aLo, m.bHi, m.bLo
 	dst = dst[:len(keys)]
@@ -58,7 +43,7 @@ func (m MultAdd) HashBatch(keys []uint64, dst []uint64) {
 	}
 }
 
-// HashBatch implements Batcher. The eight 2 KiB tables are hot in L1 across
+// HashBatch implements Function. The eight 2 KiB tables are hot in L1 across
 // the whole batch, so only the first key of a batch pays the warm-up
 // misses the paper charges to Tab.
 func (t *Tab) HashBatch(keys []uint64, dst []uint64) {
@@ -76,7 +61,7 @@ func (t *Tab) HashBatch(keys []uint64, dst []uint64) {
 	}
 }
 
-// HashBatch implements Batcher: the finalizer chain per key, seed hoisted.
+// HashBatch implements Function: the finalizer chain per key, seed hoisted.
 func (m Murmur) HashBatch(keys []uint64, dst []uint64) {
 	seed := m.seed
 	dst = dst[:len(keys)]

@@ -17,9 +17,6 @@ func TestHashBatchMatchesScalar(t *testing.T) {
 	keys[0], keys[1] = 0, ^uint64(0) // sentinel-valued keys hash like any other
 	for _, f := range Families() {
 		fn := f.New(42)
-		if _, ok := fn.(Batcher); !ok {
-			t.Fatalf("%s: function does not implement Batcher", f.Name())
-		}
 		for _, n := range []int{0, 1, 3, 64, 65, len(keys)} {
 			dst := make([]uint64, n)
 			HashBatch(fn, keys[:n], dst)
@@ -31,23 +28,3 @@ func TestHashBatchMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestHashBatchScalarFallback: a Function without a bulk path still works
-// through the helper.
-func TestHashBatchScalarFallback(t *testing.T) {
-	fn := scalarOnly{NewMurmur(7)}
-	keys := []uint64{1, 2, 3, 4, 5}
-	dst := make([]uint64, len(keys))
-	HashBatch(fn, keys, dst)
-	for i, k := range keys {
-		if dst[i] != fn.Hash(k) {
-			t.Fatalf("fallback[%d] mismatch", i)
-		}
-	}
-}
-
-// scalarOnly hides the Batcher implementation of the wrapped function.
-type scalarOnly struct{ m Murmur }
-
-func (s scalarOnly) Hash(x uint64) uint64 { return s.m.Hash(x) }
-func (scalarOnly) Name() string           { return "ScalarOnly" }

@@ -17,6 +17,10 @@
 // "div 2^(w-d)" — the high-order bits are where the guarantees live — and
 // for Tab and Murmur any bit selection is equally good.
 //
+// Every Function also hashes a whole batch of keys per call (HashBatch,
+// batch.go); the tables' batched probes, inserts and the sharded engine's
+// scatter hash each 64-key chunk that way.
+//
 // Functions are created through a Family, which draws fresh random
 // parameters from a seed. Cuckoo hashing uses this to re-draw functions on
 // a rehash, exactly as the paper describes.
@@ -36,6 +40,10 @@ import (
 type Function interface {
 	// Hash returns the 64-bit hash code of x.
 	Hash(x uint64) uint64
+	// HashBatch sets dst[i] = Hash(keys[i]) for every i; dst must be at
+	// least as long as keys. It is the bulk path of the batched pipeline
+	// (batch.go).
+	HashBatch(keys []uint64, dst []uint64)
 	// Name returns the short name used in the paper's plots, e.g. "Mult".
 	Name() string
 }
@@ -71,9 +79,6 @@ func (m Mult) Hash(x uint64) uint64 { return x * m.z }
 
 // Name implements Function.
 func (Mult) Name() string { return "Mult" }
-
-// Z returns the multiplier, for inspection and tests.
-func (m Mult) Z() uint64 { return m.z }
 
 // MultFamily draws Mult functions with random odd multipliers.
 type MultFamily struct{}
@@ -255,7 +260,3 @@ func FamilyByName(name string) (Family, error) {
 	}
 	return nil, fmt.Errorf("hashfn: unknown family %q", name)
 }
-
-// TopBits derives a d-bit slot index from a 64-bit hash code by taking the
-// top d bits, the paper's "div 2^(w-d)". d must be in [1, 64].
-func TopBits(h uint64, d uint) uint64 { return h >> (64 - d) }

@@ -56,17 +56,14 @@ func TestDeterminism(t *testing.T) {
 // 2^64, top d bits.
 func TestMultKnownValues(t *testing.T) {
 	m := NewMult(0x9E3779B97F4A7C15)
-	if m.Z()%2 != 1 {
-		t.Fatal("multiplier must be odd")
-	}
 	x := uint64(0x0123456789ABCDEF)
 	want := x * 0x9E3779B97F4A7C15
 	if got := m.Hash(x); got != want {
 		t.Fatalf("Mult.Hash = %#x, want %#x", got, want)
 	}
-	// Even multipliers are made odd.
-	if NewMult(42).Z() != 43 {
-		t.Fatalf("NewMult(42).Z() = %d, want 43", NewMult(42).Z())
+	// Even multipliers are made odd: 1 * (42|1).
+	if got := NewMult(42).Hash(1); got != 43 {
+		t.Fatalf("NewMult(42).Hash(1) = %d, want 43", got)
 	}
 }
 
@@ -152,7 +149,7 @@ func TestMultCollisionBound(t *testing.T) {
 	coll := 0
 	for s := uint64(0); s < trials; s++ {
 		f := MultFamily{}.New(s)
-		if TopBits(f.Hash(x), d) == TopBits(f.Hash(y), d) {
+		if f.Hash(x)>>(64-d) == f.Hash(y)>>(64-d) {
 			coll++
 		}
 	}
@@ -178,7 +175,7 @@ func TestUniformity(t *testing.T) {
 		fn := f.New(2024)
 		counts := make([]int, 1<<d)
 		for x := uint64(0); x < n; x++ {
-			counts[TopBits(fn.Hash(x), d)]++
+			counts[fn.Hash(x)>>(64-d)]++
 		}
 		mean := float64(n) / float64(len(counts))
 		var chi2 float64
@@ -203,21 +200,11 @@ func TestMultDenseProgression(t *testing.T) {
 	seen := make(map[uint64]int)
 	n := 1 << 14 // quarter of the 2^16 slots
 	for x := uint64(1); x <= uint64(n); x++ {
-		seen[TopBits(f.Hash(x), d)]++
+		seen[f.Hash(x)>>(64-d)]++
 	}
 	coll := n - len(seen)
 	if frac := float64(coll) / float64(n); frac > 0.05 {
 		t.Fatalf("Mult on dense keys collided %.2f%% of the time, want ~0", frac*100)
-	}
-}
-
-// TestTopBits pins the index-derivation helper.
-func TestTopBits(t *testing.T) {
-	if got := TopBits(0xFFFF000000000000, 16); got != 0xFFFF {
-		t.Fatalf("TopBits(.., 16) = %#x, want 0xFFFF", got)
-	}
-	if got := TopBits(1, 64); got != 1 {
-		t.Fatalf("TopBits(1, 64) = %d, want 1", got)
 	}
 }
 

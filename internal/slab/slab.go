@@ -57,18 +57,6 @@ func New(chunkEntries int) *Allocator {
 	return &Allocator{chunkEntries: chunkEntries}
 }
 
-// NewWithCapacity returns an Allocator pre-sized so that the first n
-// allocations come from a single chunk. This is the paper's "size known in
-// advance" fast path for WORM builds.
-func NewWithCapacity(n int) *Allocator {
-	if n <= 0 {
-		n = 1
-	}
-	a := &Allocator{chunkEntries: n}
-	a.chunks = append(a.chunks, make([]Entry, n))
-	return a
-}
-
 // Alloc returns a zeroed entry. Freed entries are recycled before new chunk
 // space is used.
 func (a *Allocator) Alloc() *Entry {

@@ -58,23 +58,6 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
-func TestNewWithCapacitySingleChunk(t *testing.T) {
-	a := NewWithCapacity(1000)
-	for i := 0; i < 1000; i++ {
-		a.Alloc()
-	}
-	if a.Chunks() != 1 {
-		t.Fatalf("pre-sized allocator used %d chunks for its capacity", a.Chunks())
-	}
-	a.Alloc()
-	if a.Chunks() != 2 {
-		t.Fatalf("overflow should open a second chunk, got %d", a.Chunks())
-	}
-	if NewWithCapacity(0) == nil {
-		t.Fatal("NewWithCapacity(0) returned nil")
-	}
-}
-
 func TestReset(t *testing.T) {
 	a := New(16)
 	for i := 0; i < 100; i++ {

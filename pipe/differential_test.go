@@ -111,8 +111,9 @@ func TestDifferentialJoinGroupBy(t *testing.T) {
 			sameGroups(t, g, oracle, string(scheme))
 		}
 	}
-	// With no size hint: the build side is a group-by's output, sized for
-	// 1000 rows and re-run at twice the size until the 3000 customers fit.
+	// With an understated size hint: the build side is a group-by's output,
+	// hinted at one row and re-run at twice the size until the 3000
+	// customers fit.
 	for _, scheme := range noHintSchemes {
 		for _, workers := range []int{1, 4} {
 			g, err := pipe.HashJoin(
@@ -132,15 +133,16 @@ func TestDifferentialJoinGroupBy(t *testing.T) {
 	}
 }
 
-// noHintSchemes are the build schemes the no-hint cases run: the one the
-// join picks for itself, and the ones whose inserts displace or allocate.
+// noHintSchemes are the build schemes the understated-hint cases run: the
+// one the join picks for itself, and the ones whose inserts displace or
+// allocate.
 var noHintSchemes = []table.Scheme{"", table.SchemeRH, table.SchemeCuckooH4, table.SchemeChained24}
 
 // unsizedBuild streams rel, whose keys are unique, back out of a group-by
-// (MAX of one payload per key is that payload) over a source that cannot
-// say its size, so a HashJoin building from it has no cardinality hint.
+// (MAX of one payload per key is that payload) with a hint of one row, so a
+// HashJoin building from it sizes for one row and re-runs until rel fits.
 func unsizedBuild(rel join.Relation) *pipe.Stream {
-	return pipe.GroupByStream(pipe.Unsized(pipe.FromRelation(rel)), pipe.GroupConfig{}, agg.Max)
+	return pipe.GroupByStream(pipe.FromRelation(rel), pipe.GroupConfig{}, agg.Max).Hint(1)
 }
 
 // TestDifferentialJoinCollect checks the raw joined row multiset (before

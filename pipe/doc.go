@@ -29,9 +29,10 @@
 //     only call per row — and a row failing a predicate never leaves
 //     the operator that produced it.
 //   - Build-side pre-sizing: HashJoin sizes its build table with
-//     join.CapacityFor from the build stream's cardinality hint (known
-//     slice lengths, table.Handle.Len, or an explicit Hint from a dist
-//     tape), so the build never rehashes. The power-of-two sizing leaves
+//     join.CapacityFor from the build stream's cardinality bound, which
+//     every source has (slice lengths, table.Handle.Len, a group-by's
+//     group count, or an explicit Hint from a dist tape), so the build
+//     never rehashes. The power-of-two sizing leaves
 //     the table in (0.25, 0.5], and its scheme is the paper's Figure 8
 //     (table.Recommend) walked with that real load factor — LP below 50%,
 //     RH otherwise — unless JoinConfig.Scheme pins one.

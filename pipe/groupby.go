@@ -14,32 +14,13 @@ import (
 	"fmt"
 
 	"repro/agg"
-	"repro/hashfn"
 	"repro/internal/freelist"
-	"repro/table"
 )
 
-// GroupConfig parameterizes a streaming group-by; it mirrors agg.Config.
-type GroupConfig struct {
-	// Scheme selects the group-index table (default agg.Config's, which
-	// says what that is and why).
-	Scheme table.Scheme
-	// Family is the hash-function class (default Mult).
-	Family hashfn.Family
-	// ExpectedGroups pre-sizes each worker's group index; 0 starts small
-	// and grows.
-	ExpectedGroups int
-	Seed           uint64
-}
-
-func (c GroupConfig) aggConfig() agg.Config {
-	return agg.Config{
-		Scheme:         c.Scheme,
-		Family:         c.Family,
-		ExpectedGroups: c.ExpectedGroups,
-		Seed:           c.Seed,
-	}
-}
+// GroupConfig parameterizes a streaming group-by. It is agg.Config: each
+// worker's local is opened from it with the worker's own seed, and its
+// ExpectedGroups pre-sizes every local's group index.
+type GroupConfig = agg.Config
 
 // GroupBy is the aggregating terminal: it runs the stream, folding each
 // row (k, v) into group k, and returns the merged aggregation. With
@@ -90,7 +71,7 @@ func (s *Stream) groupBy(rt *runtime, gcfg GroupConfig) (*agg.GroupBy, error) {
 	}
 	putLocals(gcfg, merged...)
 	if result == nil { // no row reached the group-by
-		return agg.NewGroupBy(gcfg.aggConfig())
+		return agg.NewGroupBy(gcfg)
 	}
 	return result, nil
 }
@@ -104,15 +85,14 @@ var groupLocals freelist.List[*agg.GroupBy]
 // under gcfg with the worker's own seed — the locals' group indexes are
 // private, so their hash functions need not match.
 func takeLocal(gcfg GroupConfig, w int) (*agg.GroupBy, error) {
-	c := gcfg.aggConfig()
-	c.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
+	gcfg.Seed += uint64(w+1) * 0x9e3779b97f4a7c15
 	if g, ok := groupLocals.Take(nil); ok {
-		if err := g.Reset(c); err != nil {
+		if err := g.Reset(gcfg); err != nil {
 			return nil, err
 		}
 		return g, nil
 	}
-	return agg.NewGroupBy(c)
+	return agg.NewGroupBy(gcfg)
 }
 
 // putLocals gives the locals of a gcfg run that ended without an error

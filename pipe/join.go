@@ -36,13 +36,12 @@ type JoinConfig struct {
 // downstream; non-matching probe rows are skipped at emission.
 //
 // The build table is pre-sized from the build stream's cardinality hint
-// (slice lengths, Handle.Len, Hint; else 1000 rows) to a load factor of at
+// (slice lengths, Handle.Len, a group count, Hint) to a load factor of at
 // most buildLoadFactor, and hashes with Mult, as Figure 8 does. Unless
 // cfg.Scheme pins one, its scheme is the paper's Figure 8 (table.Recommend)
 // walked for a static, read-mostly table with successful lookups at the load
 // factor the sizing really leaves: 1M rows land in 2^21 slots — 0.477, LP —
-// exactly 2^20 rows at 0.5, RH; a build side of unknown size starts from
-// 1000 rows, LP.
+// exactly 2^20 rows at 0.5, RH.
 //
 // The private build never opens a shard.Engine (that serves only shared,
 // live handles): it is ONE fixed table at every worker count, filled through
@@ -78,19 +77,12 @@ func (j *joinSource) rows() int { return j.probe.size() }
 // runs in (buildLoadFactor/2, buildLoadFactor].
 const buildLoadFactor = 0.5
 
-// unsizedBuildRows sizes a build side of unknown size: 2^11 slots, 0.488,
-// LP on Figure 8.
-const unsizedBuildRows = 1000
-
 // openBuild opens the build table: one growth-disabled table of
 // join.CapacityFor slots for the cardinality hint, with the scheme Figure 8
 // picks for its real load factor unless the config pins one. After a refused
 // table it is sized for twice the rows that one held, in ≥ twice its slots.
 func (j *joinSource) openBuild(refused *table.FullError) (*table.Handle, error) {
 	n := j.build.size()
-	if n < 0 {
-		n = unsizedBuildRows
-	}
 	slots := join.CapacityFor(n, buildLoadFactor)
 	if refused != nil {
 		n = 2 * refused.Len

@@ -7,17 +7,6 @@ import (
 	"repro/table"
 )
 
-// unsized is a build source that cannot say how many rows it has.
-type unsized struct{ source }
-
-func (unsized) rows() int { return -1 }
-
-// Unsized returns s with its cardinality hidden, the way a source that
-// cannot know its size reports it: a HashJoin over it gets no size hint.
-func Unsized(s *Stream) *Stream {
-	return &Stream{src: unsized{s.src}, stages: s.stages}
-}
-
 // TestOpenBuildFollowsRecommend: with no Scheme pinned the build table is
 // the one table.Recommend names for the load factor join.CapacityFor
 // really leaves it at, and a pinned Scheme is opened as given. Whatever the
@@ -25,7 +14,6 @@ func Unsized(s *Stream) *Stream {
 // after a refusal is one at least twice the refused table's size.
 func TestOpenBuildFollowsRecommend(t *testing.T) {
 	sized := func(n int) *Stream { return FromColumns(nil, nil).Hint(n) }
-	noHint := Unsized(FromColumns(nil, nil))
 	cases := []struct {
 		name  string
 		build *Stream
@@ -35,12 +23,10 @@ func TestOpenBuildFollowsRecommend(t *testing.T) {
 		{"1M rows in 2^21 slots", sized(1_000_000), JoinConfig{}, table.SchemeLP},
 		{"2^20 rows in 2^21 slots", sized(1 << 20), JoinConfig{}, table.SchemeRH},
 		{"empty build side", sized(0), JoinConfig{}, table.SchemeLP},
-		{"no hint: 1000 rows in 2^11 slots, LP", noHint, JoinConfig{}, table.SchemeLP},
 		{"pinned QP", sized(1_000_000), JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP},
 		{"pinned RH", sized(1_000_000), JoinConfig{Scheme: table.SchemeRH}, table.SchemeRH},
 		{"pinned CuckooH4", sized(1_000_000), JoinConfig{Scheme: table.SchemeCuckooH4}, table.SchemeCuckooH4},
 		{"pinned ChainedH24", sized(100_000), JoinConfig{Scheme: table.SchemeChained24}, table.SchemeChained24},
-		{"pinned, no hint", noHint, JoinConfig{Scheme: table.SchemeQP}, table.SchemeQP},
 	}
 	for _, workers := range []int{1, 2, 8} {
 		rt := newRuntime(Config{Workers: workers})

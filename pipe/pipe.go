@@ -49,9 +49,8 @@ type batchSink func(worker int, keys, vals []uint64) error
 // completion on rt's pool, applying the fused stage chain to every batch
 // it fills (runtime.emit) and pushing the survivors into sink.
 type source interface {
-	// rows returns an upper bound on the rows the source emits, or -1
-	// when unknown — the cardinality hint downstream builds pre-size
-	// from.
+	// rows returns an upper bound on the rows the source emits — the
+	// cardinality hint downstream builds pre-size from.
 	rows() int
 	run(rt *runtime, stages []stage, sink batchSink) error
 }
@@ -125,7 +124,8 @@ func (s *Stream) clone() *Stream {
 	return ns
 }
 
-// size returns the stream's cardinality upper bound, or -1 when unknown.
+// size returns the stream's cardinality upper bound: its Hint, else its
+// source's.
 func (s *Stream) size() int {
 	if s.hint > 0 {
 		return s.hint

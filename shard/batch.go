@@ -49,7 +49,7 @@ type staging struct {
 	// caller's lane numbering.
 	relay func(old uint64, exists bool) uint64
 	fn    func(lane int, old uint64, exists bool) uint64
-	orig  []int32 // staged lane → caller lane; nil when the range is unscattered
+	orig  []int32 // staged lane → caller lane, for the range being applied
 	lane  int
 }
 
@@ -68,10 +68,9 @@ var stagingPool = sync.Pool{New: func() any {
 // takeStaging hands the caller a staging of its own until release.
 func takeStaging() *staging { return stagingPool.Get().(*staging) }
 
-// release returns st to the pool, forgetting the caller's callback and
-// lane map.
+// release returns st to the pool, forgetting the caller's callback.
 func (st *staging) release() {
-	st.fn, st.orig = nil, nil
+	st.fn = nil
 	if cap(st.Keys) <= maxPooledLanes {
 		stagingPool.Put(st)
 	}
@@ -80,11 +79,7 @@ func (st *staging) release() {
 // relayLane is the relay: it maps the lane of the range the table sees to
 // the caller's and calls fn for it.
 func (st *staging) relayLane(old uint64, exists bool) uint64 {
-	lane := st.lane
-	if st.orig != nil {
-		lane = int(st.orig[lane])
-	}
-	return st.fn(lane, old, exists)
+	return st.fn(int(st.orig[st.lane]), old, exists)
 }
 
 // GetBatch looks up keys[i] into vals[i], ok[i] for every i and returns
@@ -112,9 +107,6 @@ func (e *Engine) GetBatch(keys, vals []uint64, ok []bool) int {
 }
 
 func (e *Engine) getBatch(keys, vals []uint64, ok []bool) int {
-	if len(e.shards) == 1 {
-		return e.readRange(&e.shards[0], keys, vals[:len(keys)], ok[:len(keys)])
-	}
 	st := takeStaging()
 	defer st.release()
 	st.route(e.router, e.shift, len(e.shards), keys, nil)
@@ -174,15 +166,11 @@ func (e *Engine) RMWBatch(keys, vals, out []uint64, loaded []bool, overwrite boo
 
 // rmwBatch is RMWBatch's scatter loop: each shard's staged range goes
 // through rmwBatchShard once, and the results, when the caller wants them,
-// gather back to its lanes. One shard's range is the caller's own columns;
-// the staging then only carries the relay.
+// gather back to its lanes.
 func (e *Engine) rmwBatch(keys, vals, out []uint64, loaded []bool, overwrite bool, fn func(lane int, old uint64, exists bool) uint64) (int, error) {
 	st := takeStaging()
 	defer st.release()
 	st.fn = fn
-	if len(e.shards) == 1 {
-		return e.rmwBatchShard(&e.shards[0], st, keys, vals, out, loaded, overwrite)
-	}
 	st.route(e.router, e.shift, len(e.shards), keys, vals)
 	inserted := 0
 	for j := range e.shards {

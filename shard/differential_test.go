@@ -436,8 +436,10 @@ func TestDifferentialReadMonotonic(t *testing.T) {
 // migration step of one entry, where a resize lasts as many mutations as
 // the shard had entries, so most reads find a shard mid-resize and take
 // the batched frozen-then-successor read, over an overlay the victims'
-// deletes fill, beside the other client's writes. Under -race the
-// reads take the locked path and the acquire helper is what is exercised.
+// deletes fill, beside the other client's writes; and on a one-shard
+// engine, whose batch calls route and stage like any other's. Under -race
+// the reads take the locked path and the acquire helper is what is
+// exercised.
 func TestDifferentialTwoClients(t *testing.T) {
 	const (
 		clients   = 2
@@ -527,16 +529,18 @@ func TestDifferentialTwoClients(t *testing.T) {
 
 	type variant struct {
 		name   string
+		shards int
 		stalls bool
 		chunk  int // 0: the default step
 	}
+	variants := []variant{{"stalls=false", 4, false, 0}, {"stalls=true", 4, true, 0}, {"midresize", 4, false, 1}, {"shards=1", 1, false, 0}}
 	for _, scheme := range table.AllSchemes() {
 		for _, procs := range []int{2, 4} {
-			for _, v := range []variant{{"stalls=false", false, 0}, {"stalls=true", true, 0}, {"midresize", false, 1}} {
+			for _, v := range variants {
 				t.Run(fmt.Sprintf("%s/p%d/%s", scheme, procs, v.name), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					e := shard.MustNew(shard.Config{
-						Shards: 4, Capacity: 1 << 10, GrowAt: 0.7, Seed: 13, MigrationChunk: v.chunk,
+						Shards: v.shards, Capacity: 1 << 10, GrowAt: 0.7, Seed: 13, MigrationChunk: v.chunk,
 						NewTable: func(capacity int, seed uint64) (shard.Table, error) {
 							return table.New(scheme, table.Config{InitialCapacity: capacity, MaxLoadFactor: 0, Seed: seed})
 						},

@@ -47,7 +47,7 @@ func (f *openFactory) perShard(e *shard.Engine) []uint64 {
 
 // TestNewParallelOpenMatchesSerial: above the cut-off the shards' tables
 // are allocated as pool tasks, below it on the caller's goroutine, and the
-// engine that comes out is the same one — seeds by shard, name, capacity,
+// engine that comes out is the same one — shard count, seeds by shard, capacity,
 // and it works. Run under -race this is also the check that the tasks
 // share nothing but their own slots of the table list.
 func TestNewParallelOpenMatchesSerial(t *testing.T) {
@@ -70,14 +70,14 @@ func TestNewParallelOpenMatchesSerial(t *testing.T) {
 		t.Errorf("opening %d-slot shards ran NewTable beside %d goroutines, %d before New: a pool below the cut-off",
 			openSerial/openShards, factories[0].goroutines, before)
 	}
+	if engines[0].Shards() != engines[1].Shards() {
+		t.Fatalf("%d shards serial, %d parallel", engines[0].Shards(), engines[1].Shards())
+	}
 	serial, parallel := factories[0].perShard(engines[0]), factories[1].perShard(engines[1])
 	for i := range serial {
 		if serial[i] != parallel[i] || serial[i] == 0 {
 			t.Fatalf("shard %d: seed %#x opened serially, %#x in parallel", i, serial[i], parallel[i])
 		}
-	}
-	if engines[0].Name() != engines[1].Name() {
-		t.Fatalf("Name %q serial, %q parallel", engines[0].Name(), engines[1].Name())
 	}
 	e := engines[1]
 	for k := uint64(0); k < 10_000; k++ {

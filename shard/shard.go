@@ -299,7 +299,6 @@ type Engine struct {
 	shift  uint // 64 - log2(len(shards))
 	growAt float64
 	chunk  int
-	label  string // shard-0 table name, cached at construction (lock-free Name)
 	create func(capacity int, seed uint64) (Table, error)
 
 	migStarted atomic.Uint64
@@ -395,7 +394,6 @@ func New(cfg Config) (*Engine, error) {
 		e.publish(s, &view{cur: tables[i]})
 		s.unlockShard()
 	}
-	e.label = e.shards[0].view.Load().cur.Name()
 	return e, nil
 }
 
@@ -411,26 +409,14 @@ func MustNew(cfg Config) *Engine {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Name identifies the engine, e.g. "Sharded[8xRHMult]". The table label
-// is cached at construction, so Name is lock-free and safe concurrently
-// with migrations swapping shard tables.
-func (e *Engine) Name() string {
-	return fmt.Sprintf("Sharded[%dx%s]", len(e.shards), e.label)
-}
-
-// shardFor returns the shard owning key.
+// shardFor returns the shard owning key. With one shard shift is 64, and
+// a Go shift by 64 yields 0.
 func (e *Engine) shardFor(key uint64) *shardState {
-	if len(e.shards) == 1 {
-		return &e.shards[0]
-	}
 	return &e.shards[e.router.Hash(key)>>e.shift]
 }
 
 // shardIndex returns the index of the shard owning key.
 func (e *Engine) shardIndex(key uint64) int {
-	if len(e.shards) == 1 {
-		return 0
-	}
 	return int(e.router.Hash(key) >> e.shift)
 }
 

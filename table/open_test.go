@@ -72,6 +72,26 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 }
 
+// TestOpenPartitionsNeverOneShard: WithPartitions(n ≤ 1) opens a single
+// table with no engine, and a larger n an engine of the next power of two
+// shards, so a partitioned handle never has a one-shard engine.
+func TestOpenPartitionsNeverOneShard(t *testing.T) {
+	for _, c := range []struct{ n, shards int }{{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}} {
+		h, err := Open(WithPartitions(c.n))
+		if err != nil {
+			t.Fatalf("WithPartitions(%d): %v", c.n, err)
+		}
+		if got := h.Partitions(); got != c.shards {
+			t.Errorf("WithPartitions(%d): %d partitions, want %d", c.n, got, c.shards)
+		}
+		if eng := h.Engine(); (eng == nil) != (c.shards == 1) {
+			t.Errorf("WithPartitions(%d): has an engine %t, want %t", c.n, eng != nil, c.shards > 1)
+		} else if eng != nil && eng.Shards() != c.shards {
+			t.Errorf("WithPartitions(%d): engine of %d shards, want %d", c.n, eng.Shards(), c.shards)
+		}
+	}
+}
+
 func TestOpenWithWorkload(t *testing.T) {
 	cases := []struct {
 		w    Workload
