@@ -15,6 +15,7 @@ import (
 	"repro/agg"
 	"repro/bench"
 	"repro/dist"
+	"repro/exec"
 	"repro/hashfn"
 	"repro/internal/prng"
 	"repro/internal/slab"
@@ -188,9 +189,11 @@ func reportKeyedNs(b *testing.B, total int) {
 // group-interleaved pipeline, per scheme and load factor, on an
 // out-of-cache table (2^22 slots, 64 MiB AoS — past any L3, so the
 // independent lane misses actually overlap) with a 75/25 hit/miss probe
-// mix. Every iteration processes one BatchWidth-key batch, so ns/op values
-// are directly comparable between the scalar and batch64 variants; ns/key
-// is also reported.
+// mix. An iteration of the scalar and batch64 variants processes one
+// BatchWidth-key batch, so their ns/op values are directly comparable;
+// batch4096 hands GetBatch a whole morsel per call, which is what pipe
+// and the end-to-end benchmark do, and where Cuckoo's wider lookup chunks
+// show. Compare it with the others by ns/key.
 //
 // Expected shape: batching wins wherever probe sequences have cache-line
 // locality (LP, LPSoA, RH, the chained schemes) or bounded candidate sets
@@ -205,6 +208,7 @@ func reportKeyedNs(b *testing.B, total int) {
 // make the walks cheaper.
 func BenchmarkBatchProbe(b *testing.B) {
 	const capacity = 1 << 22
+	const morsel = exec.DefaultMorselSize // a pipe morsel; the end-to-end benchmark's batch too
 	gen := dist.New(dist.Sparse, 1)
 	for _, s := range microSchemes {
 		for _, lf := range []int{50, 90} {
@@ -228,8 +232,8 @@ func BenchmarkBatchProbe(b *testing.B) {
 			probes = append(probes, keys[:n-miss]...)
 			probes = append(probes, gen.AbsentKeys(n, miss)...)
 			probes = dist.Shuffled(probes, 3)
-			vals := make([]uint64, table.BatchWidth)
-			oks := make([]bool, table.BatchWidth)
+			vals := make([]uint64, morsel)
+			oks := make([]bool, morsel)
 			name := fmt.Sprintf("%s/lf%d", s, lf)
 			b.Run(name+"/scalar", func(b *testing.B) {
 				var sink uint64
@@ -247,17 +251,19 @@ func BenchmarkBatchProbe(b *testing.B) {
 				_ = sink
 				reportNsPerKey(b)
 			})
-			b.Run(fmt.Sprintf("%s/batch%d", name, table.BatchWidth), func(b *testing.B) {
-				pos := 0
-				for i := 0; i < b.N; i++ {
-					if pos+table.BatchWidth > len(probes) {
-						pos = 0
+			for _, width := range []int{table.BatchWidth, morsel} {
+				b.Run(fmt.Sprintf("%s/batch%d", name, width), func(b *testing.B) {
+					pos := 0
+					for i := 0; i < b.N; i++ {
+						if pos+width > len(probes) {
+							pos = 0
+						}
+						m.GetBatch(probes[pos:pos+width], vals, oks)
+						pos += width
 					}
-					m.GetBatch(probes[pos:pos+table.BatchWidth], vals, oks)
-					pos += table.BatchWidth
-				}
-				reportNsPerKey(b)
-			})
+					reportKeyedNs(b, b.N*width)
+				})
+			}
 		}
 	}
 }

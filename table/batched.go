@@ -1,10 +1,12 @@
 package table
 
-// This file defines the batched execution pipeline: every scheme's GetBatch
-// and mutating batches process keys in chunks of BatchWidth. The paper's
-// central finding is that hash-table cost is dominated by per-key latency —
-// dependent loads plus per-call overhead — and its §7 vectorized variants
-// attack only the comparison. The batched pipeline attacks the rest:
+// This file defines the batched execution pipeline: every scheme's
+// mutating batches, and the GetBatch of the kernel and the chained core,
+// process keys in chunks of BatchWidth (Cuckoo's GetBatch runs wider
+// chunks of its own, batched_cuckoo.go). The paper's central finding is
+// that hash-table cost is dominated by per-key latency — dependent loads
+// plus per-call overhead — and its §7 vectorized variants attack only the
+// comparison. The batched pipeline attacks the rest:
 //
 //  1. All keys of a chunk are hashed with one hashfn.HashBatch call,
 //     hoisting the interface dispatch and parameter loads out of the loop.
@@ -31,6 +33,8 @@ package table
 // directory layout) and Cuckoo keep bespoke lookup walks over their chain
 // and candidate-set structures, and open their mutation chunks with a
 // touch pass of their own (openChunk) ahead of rmw.go's generic driver.
+// Cuckoo's lookup walk resolves its lanes with no hit branch, over chunks
+// of cuckooChunk lanes.
 
 import (
 	"sync"
@@ -64,8 +68,9 @@ func checkRMWBatch(keys, vals, out []uint64, loaded []bool, upsert bool) {
 // buffer their table owns (batchState, lazily allocated): a table has one
 // writer at a time by contract, so one suffices and the hot path allocates
 // nothing. Lookups write no table state at all — GetBatch takes its
-// scratch from readBufs for the duration of the call — so any number of
-// callers may GetBatch one table at once, as shard's wait-free readers do.
+// scratch from readBufs (Cuckoo's from cuckooReadBufs) for the duration
+// of the call — so any number of callers may GetBatch one table at once,
+// as shard's wait-free readers do.
 type batchBuf struct {
 	hash [BatchWidth]uint64 // hash codes from the bulk-hash pass
 	a    [BatchWidth]uint64 // per-lane cursor (scheme-specific meaning)
@@ -92,9 +97,9 @@ func (s *batchState) buf() *batchBuf {
 // the call its allocations back.)
 var readBufs = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// getBatchImpl is GetBatch for every core: the keys go through the
-// scheme's read-only chunk walk BatchWidth at a time, on scratch that is
-// the call's own.
+// getBatchImpl is GetBatch for the kernel and the chained core: the keys
+// go through the scheme's read-only chunk walk BatchWidth at a time, on
+// scratch that is the call's own.
 func getBatchImpl[T interface {
 	getChunk(bt *batchBuf, keys, vals []uint64, ok []bool) int
 }](t T, keys, vals []uint64, ok []bool) int {

@@ -1,13 +1,15 @@
 package table
 
-// The chained and Cuckoo cores open every batch chunk with a touch pass of
-// their own (openChunk; Cuckoo's GetBatch one way at a time) and apply the
-// lanes through the generic rmw.go drivers. These tests pin that the touch
-// is only ever a hint: every batch entry point of the five core variants
-// equals its scalar method on a twin table and a plain map, lane for lane,
-// at the chunk-boundary lengths, with sentinels and duplicates split
-// across chunks, and through a function redraw, a directory doubling and
-// an ErrFull in the middle of a chunk.
+// The chained and Cuckoo cores open every batch mutation chunk with a touch
+// pass of their own (openChunk) and apply the lanes through the generic
+// rmw.go drivers; Cuckoo's GetBatch runs chunks of its own width
+// (cuckooChunk), one way at a time, with no hit branch. These tests pin
+// that the touch is only ever a hint and that a miss reads (0, false):
+// every batch entry point of the five core variants equals its scalar
+// method on a twin table and a plain map, lane for lane, at the
+// chunk-boundary lengths of both widths, with sentinels and duplicates
+// split across chunks, and through a function redraw, a directory doubling
+// and an ErrFull in the middle of a chunk.
 
 import (
 	"errors"
@@ -29,22 +31,25 @@ var batchCores = []struct {
 	{"CuckooH4", func(c Config) Table { return newCuckooK(c, 4) }},
 }
 
-var batchLengths = []int{0, 1, 63, 64, 65, 4097}
+var batchLengths = []int{0, 1, 63, 64, 65, 255, 256, 257, 4097}
 
 // coreKeys draws n keys from a universe of about n/2, so duplicates are
-// common, then plants what the chunk loop must not trip over: both
-// sentinels on either side of every chunk boundary the length reaches,
-// and one key twice inside the first chunk.
+// common, then plants what the chunk loops must not trip over: both
+// sentinels on either side of the chunk boundaries the length reaches, at
+// BatchWidth and at Cuckoo's GetBatch width, and one key twice inside the
+// first chunk.
 func coreKeys(n int, seed uint64) []uint64 {
 	rng := prng.NewXoshiro256(seed)
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = rng.Uint64n(uint64(n/2)+1)*0x9e3779b97f4a7c15 + 1
 	}
-	for edge := BatchWidth; edge < n; edge += 16 * BatchWidth {
-		keys[edge-1], keys[edge] = emptyKey, tombKey
-		if edge+BatchWidth < n {
-			keys[edge+BatchWidth-1], keys[edge+BatchWidth] = tombKey, emptyKey
+	for _, width := range []int{BatchWidth, cuckooChunk} {
+		for edge := width; edge < n; edge += 16 * width {
+			keys[edge-1], keys[edge] = emptyKey, tombKey
+			if edge+width < n {
+				keys[edge+width-1], keys[edge+width] = tombKey, emptyKey
+			}
 		}
 	}
 	if n > 9 {
@@ -79,12 +84,14 @@ func sameContents(t *testing.T, m Table, oracle map[uint64]uint64) {
 	}
 }
 
-// checkGetBatch probes m with the keys plus as many absent ones and
-// compares every lane with the oracle and with scalar Get.
+// checkGetBatch probes m with the keys plus as many absent ones, and at
+// least enough of those for the probes to cross a Cuckoo GetBatch chunk,
+// and compares every lane with the oracle and with scalar Get, the value
+// of a miss included.
 func checkGetBatch(t *testing.T, m Table, keys []uint64, oracle map[uint64]uint64) {
 	t.Helper()
 	probes := append([]uint64{}, keys...)
-	for i := range keys {
+	for i := range max(len(keys), cuckooChunk) {
 		probes = append(probes, uint64(i)*0x9e3779b97f4a7c15+2)
 	}
 	probes = append(probes, emptyKey, tombKey)
@@ -95,7 +102,7 @@ func checkGetBatch(t *testing.T, m Table, keys []uint64, oracle map[uint64]uint6
 	for i, k := range probes {
 		wv, wok := oracle[k]
 		sv, sok := m.Get(k)
-		if ok[i] != wok || (wok && vals[i] != wv) || sok != wok || sv != wv {
+		if ok[i] != wok || vals[i] != wv || sok != wok || sv != wv {
 			t.Fatalf("probe %d key %d: batch (%d,%v) scalar (%d,%v) oracle (%d,%v)", i, k, vals[i], ok[i], sv, sok, wv, wok)
 		}
 		if wok {
