@@ -4,9 +4,8 @@
 // the scan, matches projected straight into the group-by, no
 // intermediate relation anywhere.
 //
-// The benchmark harness (pipeline_test.go) and the examples/pipeline
-// demo both drive these, so the numbers the README quotes are exactly
-// the code here.
+// The benchmark harness (pipeline_test.go) drives these, so the numbers
+// the README quotes are exactly the code here.
 
 package bench
 

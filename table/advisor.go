@@ -2,7 +2,7 @@ package table
 
 // The paper's Figure 8: the suggested decision graph that maps a workload
 // description to a concrete ⟨hashing scheme, hash function⟩ choice.
-// Open(WithWorkload(...)) walks it, and cmd/decide prints the walk.
+// Open(WithWorkload(...)) walks it; ExampleRecommend prints a walk.
 //
 // The graph is reconstructed from Figure 8's nodes and the paper's inline
 // conclusions (the figure's terminals are ChainedH24, LPMult, QPMult,

@@ -57,6 +57,7 @@ func TestOpenOptionValidation(t *testing.T) {
 		{"unknown scheme", []Option{WithScheme("bogus")}, "unknown scheme"},
 		{"scheme+workload", []Option{WithScheme(SchemeLP), WithWorkload(Workload{LoadFactor: 0.5})}, "mutually exclusive"},
 		{"bad workload", []Option{WithWorkload(Workload{LoadFactor: 2})}, "load factor"},
+		{"NaN workload", []Option{WithWorkload(Workload{LoadFactor: math.NaN()})}, "load factor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
